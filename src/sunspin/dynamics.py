@@ -5,18 +5,26 @@ propagation over piecewise-defined time-dependent Hamiltonians.
 Hamiltonians are in ordinary frequency units (Hz); the 2*pi lives in
 the equations of motion.  Rates are 1/e rates in 1/s.
 
-Three segment kinds get dedicated treatment:
+All four engines are folds of one schedule walker over one segment
+stepper.  The stepper advances a state of shape (d,) or (d, k) in
+Hilbert space (d = 10) or in Liouville space (row-major vec(rho),
+d = 100): ``evolve_pure`` walks a state vector, ``evolve_density`` a
+vectorized density matrix, ``propagator`` the 10x10 identity and
+``superoperator`` the 100x100 identity.  Each segment gets one method:
 
-* ``constant``  - exact stepping through the eigendecomposition of H
-  (pure states) or the exponential of the Liouvillian (density
-  matrices); arbitrarily long steps at machine precision.
-* ``diagonal``  - no coupling, diagonal entries linear in t (dark times
-  and TLS ramps): phases by exact quadrature, populations through the
-  exponential of the classical rate matrix, coherences through scalar
-  decay factors.  Exact for the diagonal/transfer channel structure
-  this package generates.
-* ``general``   - adaptive RK45 on the state or the vectorized density
-  matrix, with the maximum step bounded by 1/(50 f_max).
+* constant H, Hilbert space - exact stepping through the
+  eigendecomposition of H; arbitrarily long steps at machine precision.
+* diagonal H, Hilbert space (dark times and TLS ramps: diagonal entries
+  linear in t) - a phase vector by exact quadrature.
+* constant H with a flat TLS multiplier, Liouville space - chained
+  exponentials of the Liouvillian.
+* diagonal H with diagonal/transfer channels, Liouville space - closed
+  form: populations through the exponential of the classical rate
+  matrix, coherences through phases and scalar decay factors.  Exact
+  for the channel structure this package generates, so
+  ``superoperator`` steps dark segments in closed form too.
+* anything else - adaptive RK45 on the flattened state, with the
+  maximum step bounded by 1/(50 f_max).
 """
 
 from __future__ import annotations
@@ -226,81 +234,132 @@ def _resolve_times(schedule: Schedule, t_eval) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# the schedule walker and the segment stepper
+# ---------------------------------------------------------------------------
+
+def _walk(schedule: Schedule, state: np.ndarray, times, tol: float,
+          liouville: bool) -> tuple[list, np.ndarray]:
+    """Fold ``state`` through the schedule.
+
+    Returns the states at ``times`` (sorted, inside the schedule span)
+    and the state at the end of the last segment stepped; with no
+    sample times every segment is stepped.
+    """
+    if not liouville and schedule.has_dissipation():
+        raise DynamicsError("unitary evolution cannot carry dissipation channels")
+    samples: list = []
+    t_from = schedule.t0
+    for seg in schedule.segments:
+        inside = [float(t) for t in times[len(samples):] if t <= seg.t1 + 1e-15]
+        got, state = _step(seg, state, t_from, inside, tol, liouville)
+        samples += got
+        t_from = seg.t1
+        if len(times) and len(samples) == len(times):
+            break
+    if len(samples) < len(times):
+        raise DynamicsError("failed to reach all sample times")
+    return samples, state
+
+
+def _step(seg: Segment, state, t_from, sample_ts, tol, liouville):
+    """Advance ``state`` from ``t_from`` to seg.t1.
+
+    Returns (states at ``sample_ts``, state at seg.t1).  This is the
+    one place that picks a segment's method (see the module docstring).
+    """
+    ends = sample_ts + [seg.t1]
+    if not liouville and seg.kind == "constant":
+        w, v = np.linalg.eigh(seg.h_const)
+        coeff = v.conj().T @ state
+        states = [v @ _rows(np.exp(-1j * TWO_PI * w * (ts - t_from)), coeff)
+                  for ts in ends]
+    elif not liouville and seg.kind == "diagonal":
+        states = [_rows(np.exp(-1j * TWO_PI * seg._diag_integral(t_from, ts)), state)
+                  for ts in ends]
+    elif seg.kind == "constant" and abs(seg.mult_start - seg.mult_end) < 1e-15:
+        sup = liouvillian(seg.h_const, seg.effective_channels(seg.t0))
+        states = _chained(lambda vec, ta, tb: expm(sup * (tb - ta)) @ vec,
+                          state, t_from, ends)
+    elif _has_closed_form(seg):
+        states = _chained(_closed_form_step(seg), state, t_from, ends)
+    else:
+        states = _rk45(seg, state, t_from, ends, tol, liouville)
+    return states[:len(sample_ts)], states[-1]
+
+
+def _rows(factors: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``factors`` times x, broadcast over x's trailing axes.
+
+    A vector of factors gives diag(factors) @ x for x of shape (n,) or
+    (n, k); an (n, n) array scales (n, n) or (n, n, k) entrywise.
+    """
+    return factors.reshape(factors.shape + (1,) * (x.ndim - factors.ndim)) * x
+
+
+def _chained(step, state, t_from, ends):
+    """States at ``ends`` from successive steps ``step(state, ta, tb)``."""
+    states, t_prev = [], t_from
+    for ts in ends:
+        if ts > t_prev:
+            state = step(state, t_prev, ts)
+            t_prev = ts
+        states.append(state)
+    return states
+
+
+def _max_step(seg: Segment) -> float:
+    span = seg.duration
+    if seg.f_max_hz <= 0:
+        return span if span > 0 else np.inf
+    return min(span, 1.0 / (50.0 * seg.f_max_hz)) if span > 0 else np.inf
+
+
+def _rk45(seg: Segment, state, t_from, ends, tol, liouville):
+    shape = state.shape
+    if liouville:
+        def rhs(t, y):
+            sup = liouvillian(seg.hamiltonian(t), seg.effective_channels(t))
+            return (sup @ y.reshape(shape)).reshape(-1)
+    else:
+        def rhs(t, y):
+            return (-1j * TWO_PI * (seg.hamiltonian(t) @ y.reshape(shape))).reshape(-1)
+
+    # t_eval must stay inside the span, so a last sample within 1e-18 s
+    # of the segment end stands for the end state
+    samples = ends[:-1]
+    at_end = bool(samples) and samples[-1] >= seg.t1 - 1e-18
+    t_eval = samples if at_end else ends
+    sol = solve_ivp(rhs, (t_from, seg.t1), state.reshape(-1), t_eval=t_eval,
+                    rtol=tol, atol=tol * 1e-3, max_step=_max_step(seg),
+                    method="RK45")
+    if not sol.success:
+        raise DynamicsError(f"integrator failure: {sol.message}")
+    states = [sol.y[:, k].reshape(shape) for k in range(len(t_eval))]
+    return states + states[-1:] if at_end else states
+
+
+# ---------------------------------------------------------------------------
 # pure-state propagation
 # ---------------------------------------------------------------------------
 
 def evolve_pure(state: np.ndarray, hamiltonian, t0: float = 0.0,
                 t1: float | None = None, tol: float = DEFAULT_RTOL,
                 t_eval=None) -> Trajectory:
-    """Schroedinger evolution of a normalized pure state."""
+    """Schroedinger evolution of a normalized pure state.
+
+    A schedule whose segments carry dissipation channels raises.
+    """
     psi = np.asarray(state, dtype=complex)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
         raise DynamicsError("initial state is not normalized")
     schedule = _coerce_schedule(hamiltonian, t0, t1 if t1 is not None else t0)
     times = _resolve_times(schedule, t_eval)
-    out = np.empty((len(times), DIM), dtype=complex)
-
-    idx = 0
-    current = psi.copy()
-    t_cursor = schedule.t0
-    for seg in schedule.segments:
-        inside = [float(t) for t in times[idx:] if t <= seg.t1 + 1e-15]
-        current, written = _pure_segment(current, seg, t_cursor, inside, out, idx, tol)
-        idx += written
-        t_cursor = seg.t1
-        if idx >= len(times) and t_cursor >= times[-1] - 1e-15:
-            break
-    if idx < len(times):
-        raise DynamicsError("failed to reach all sample times")
+    out = np.array(_walk(schedule, psi, times, tol, liouville=False)[0])
     norm_err = abs(np.linalg.norm(out[-1]) - 1.0)
     if norm_err > max(1e-6, 100 * tol):
         raise DynamicsError(f"norm drift {norm_err:.2e}; reduce tol or max step")
     return Trajectory(times=times, states=out, kind="pure",
                       meta={"tol": tol, **schedule.meta})
-
-
-def _pure_segment(psi, seg: Segment, t_from, sample_ts, out, out_idx, tol):
-    """Advance psi from t_from to seg.t1, writing samples; returns (psi, n_written)."""
-    targets = list(sample_ts)
-    if seg.kind == "constant":
-        w, v = np.linalg.eigh(seg.h_const)
-        coeff = v.conj().T @ psi
-        for k, ts in enumerate(targets):
-            out[out_idx + k] = v @ (np.exp(-1j * TWO_PI * w * (ts - t_from)) * coeff)
-        psi = v @ (np.exp(-1j * TWO_PI * w * (seg.t1 - t_from)) * coeff)
-        return psi, len(targets)
-    if seg.kind == "diagonal":
-        for k, ts in enumerate(targets):
-            phase = np.exp(-1j * TWO_PI * seg._diag_integral(t_from, ts))
-            out[out_idx + k] = phase * psi
-        psi = np.exp(-1j * TWO_PI * seg._diag_integral(t_from, seg.t1)) * psi
-        return psi, len(targets)
-
-    def rhs(t, y):
-        return -1j * TWO_PI * (seg.h_func(t) @ y)
-
-    max_step = _max_step(seg, tol)
-    sol = solve_ivp(rhs, (t_from, seg.t1), psi, t_eval=_eval_times(targets, seg.t1),
-                    rtol=tol, atol=tol * 1e-3, max_step=max_step, method="RK45")
-    if not sol.success:
-        raise DynamicsError(f"integrator failure: {sol.message}")
-    for k in range(len(targets)):
-        out[out_idx + k] = sol.y[:, k]
-    return sol.y[:, -1], len(targets)
-
-
-def _eval_times(targets, t_end):
-    """targets plus the segment end, without duplicating the last point."""
-    if targets and targets[-1] >= t_end - 1e-18:
-        return targets
-    return targets + [t_end]
-
-
-def _max_step(seg: Segment, tol: float) -> float:
-    span = seg.duration
-    if seg.f_max_hz <= 0:
-        return span if span > 0 else np.inf
-    return min(span, 1.0 / (50.0 * seg.f_max_hz)) if span > 0 else np.inf
 
 
 # ---------------------------------------------------------------------------
@@ -336,34 +395,24 @@ def evolve_density(rho: np.ndarray, hamiltonian, lindblad=None, t0: float = 0.0,
     """Lindblad master-equation evolution.
 
     ``lindblad`` may be a LindbladSpec-like object with ``.channels`` or a
-    plain sequence of (operator, rate); ignored when ``hamiltonian`` is
-    already a compiled Schedule (the schedule carries its own channels).
+    plain sequence of (operator, rate).  A compiled Schedule carries its
+    own channels, so passing ``lindblad`` with one raises.
     Positivity is monitored, not enforced: eigenvalues below
     ``positivity_floor`` raise.
     """
     rho0 = np.asarray(rho, dtype=complex)
     _check_density(rho0)
     channels = ()
-    if lindblad is not None and not isinstance(hamiltonian, Schedule):
+    if lindblad is not None:
+        if isinstance(hamiltonian, Schedule):
+            raise DynamicsError("a compiled Schedule carries its own channels; "
+                                "pass lindblad to sequence.compile instead")
         channels = getattr(lindblad, "channels", lindblad)
     schedule = _coerce_schedule(hamiltonian, t0, t1 if t1 is not None else t0,
                                 channels=channels)
     times = _resolve_times(schedule, t_eval)
-    out = np.empty((len(times), DIM, DIM), dtype=complex)
-
-    idx = 0
-    current = rho0.copy()
-    t_cursor = schedule.t0
-    for seg in schedule.segments:
-        inside = [float(t) for t in times[idx:] if t <= seg.t1 + 1e-15]
-        current, written = _density_segment(current, seg, t_cursor, inside,
-                                            out, idx, tol)
-        idx += written
-        t_cursor = seg.t1
-        if idx >= len(times) and t_cursor >= times[-1] - 1e-15:
-            break
-    if idx < len(times):
-        raise DynamicsError("failed to reach all sample times")
+    samples, _ = _walk(schedule, rho0.reshape(-1), times, tol, liouville=True)
+    out = np.array(samples).reshape(len(times), DIM, DIM)
     final = out[-1]
     if abs(np.trace(final).real - 1.0) > 1e-6:
         raise DynamicsError("trace drift beyond tolerance")
@@ -388,108 +437,73 @@ def _is_diagonal_safe(channels) -> bool:
     return True
 
 
-def _density_segment(rho, seg: Segment, t_from, sample_ts, out, out_idx, tol):
-    targets = list(sample_ts)
-    const_mult = abs(seg.mult_start - seg.mult_end) < 1e-15
-    if seg.kind == "constant" and const_mult:
-        sup = liouvillian(seg.h_const, seg.effective_channels(seg.t0))
-        t_prev, vec = t_from, rho.flatten()
-        for k, ts in enumerate(targets):
-            if ts > t_prev:
-                vec = expm(sup * (ts - t_prev)) @ vec
-                t_prev = ts
-            out[out_idx + k] = vec.reshape(DIM, DIM)
-        if seg.t1 > t_prev:
-            vec = expm(sup * (seg.t1 - t_prev)) @ vec
-        return vec.reshape(DIM, DIM), len(targets)
-
-    if seg.kind in ("diagonal", "constant") and _is_diagonal_safe(
-            seg.channels + seg.channels_fixed) and (
-            seg.kind == "diagonal" or _is_diag_matrix(seg.h_const)):
-        return _density_diagonal_segment(rho, seg, t_from, targets, out, out_idx)
-
-    def rhs(t, y):
-        h = seg.hamiltonian(t)
-        sup = liouvillian(h, seg.effective_channels(t))
-        return sup @ y
-
-    max_step = _max_step(seg, tol)
-    sol = solve_ivp(rhs, (t_from, seg.t1), rho.flatten(),
-                    t_eval=_eval_times(targets, seg.t1), rtol=tol,
-                    atol=tol * 1e-3, max_step=max_step, method="RK45")
-    if not sol.success:
-        raise DynamicsError(f"integrator failure: {sol.message}")
-    for k in range(len(targets)):
-        out[out_idx + k] = sol.y[:, k].reshape(DIM, DIM)
-    return sol.y[:, -1].reshape(DIM, DIM), len(targets)
-
-
 def _is_diag_matrix(h) -> bool:
     return h is not None and np.count_nonzero(np.abs(h - np.diag(np.diag(h))) > 1e-15) == 0
 
 
-def _density_diagonal_segment(rho, seg: Segment, t_from, targets, out, out_idx):
-    """Exact evolution for diagonal H with diagonal/transfer channels."""
-    scaled = list(seg.channels)
-    fixed = list(seg.channels_fixed)
+def _has_closed_form(seg: Segment) -> bool:
+    diagonal_h = seg.kind == "diagonal" or (seg.kind == "constant"
+                                            and _is_diag_matrix(seg.h_const))
+    return diagonal_h and _is_diagonal_safe(seg.channels + seg.channels_fixed)
 
-    # classical rate matrix for populations, split by multiplier scaling
-    def rate_matrix(channels):
-        t_mat = np.zeros((DIM, DIM))
-        for op, rate in channels:
-            if _is_diag_matrix(op):
-                continue
-            dst, src = np.nonzero(op)
-            d, s = int(dst[0]), int(src[0])
-            w = rate * abs(op[d, s]) ** 2
-            t_mat[d, s] += w
-            t_mat[s, s] -= w
-        return t_mat
 
-    # coherence decay rates for (a, b), split by scaling
-    def coherence_rates(channels):
-        g = np.zeros((DIM, DIM))
-        for op, rate in channels:
-            ll = (op.conj().T @ op).real
-            dop = np.diag(op)
-            for a in range(DIM):
-                g[a, :] += 0.5 * rate * ll[a, a]
-                g[:, a] += 0.5 * rate * ll[a, a]
-            g -= rate * np.real(np.outer(dop.conj(), dop))
-        np.fill_diagonal(g, 0.0)
-        return g
+def _rate_matrix(channels) -> np.ndarray:
+    """Classical population rate matrix of the transfer channels."""
+    t_mat = np.zeros((DIM, DIM))
+    for op, rate in channels:
+        if _is_diag_matrix(op):
+            continue
+        dst, src = np.nonzero(op)
+        d, s = int(dst[0]), int(src[0])
+        w = rate * abs(op[d, s]) ** 2
+        t_mat[d, s] += w
+        t_mat[s, s] -= w
+    return t_mat
 
-    t_scaled, t_fixed = rate_matrix(scaled), rate_matrix(fixed)
-    g_scaled, g_fixed = coherence_rates(scaled), coherence_rates(fixed)
 
-    def diag_at(t):
-        if seg.kind == "diagonal":
-            return seg._diag_at(t)
-        return np.diag(seg.h_const).real
+def _coherence_rates(channels) -> np.ndarray:
+    """Decay rate of every coherence (a, b); zero on the diagonal."""
+    g = np.zeros((DIM, DIM))
+    for op, rate in channels:
+        ll = (op.conj().T @ op).real
+        dop = np.diag(op)
+        for a in range(DIM):
+            g[a, :] += 0.5 * rate * ll[a, a]
+            g[:, a] += 0.5 * rate * ll[a, a]
+        g -= rate * np.real(np.outer(dop.conj(), dop))
+    np.fill_diagonal(g, 0.0)
+    return g
+
+
+def _closed_form_step(seg: Segment):
+    """Exact, linear step ``(vec, ta, tb) -> vec`` on vec(rho) or its columns.
+
+    For diagonal H with diagonal/transfer channels: populations follow
+    the classical rate matrix, coherences pick up phases and decay.
+    """
+    t_scaled, t_fixed = _rate_matrix(seg.channels), _rate_matrix(seg.channels_fixed)
+    g_scaled = _coherence_rates(seg.channels)
+    g_fixed = _coherence_rates(seg.channels_fixed)
+    levels = np.arange(DIM)
 
     def diag_integral(ta, tb):
         if seg.kind == "diagonal":
             return seg._diag_integral(ta, tb)
         return np.diag(seg.h_const).real * (tb - ta)
 
-    current = rho.copy()
-    t_prev = t_from
-    steps = targets + ([seg.t1] if (not targets or targets[-1] < seg.t1 - 1e-18) else [])
-    for k, ts in enumerate(steps):
-        dt = ts - t_prev
-        if dt > 0:
-            tau_eff = seg._multiplier_integral(t_prev, ts)
-            pops = np.real(np.diag(current))
-            pops = expm(t_scaled * tau_eff + t_fixed * dt) @ pops
-            phases = diag_integral(t_prev, ts)
-            phase_mat = np.exp(-1j * TWO_PI * (phases[:, None] - phases[None, :]))
-            decay = np.exp(-(g_scaled * tau_eff + g_fixed * dt))
-            current = current * phase_mat * decay
-            np.fill_diagonal(current, pops)
-        if k < len(targets):
-            out[out_idx + k] = current
-        t_prev = ts
-    return current, len(targets)
+    def step(vec, ta, tb):
+        dt = tb - ta
+        tau_eff = seg._multiplier_integral(ta, tb)
+        rho = vec.reshape((DIM, DIM) + vec.shape[1:])
+        pops = expm(t_scaled * tau_eff + t_fixed * dt) @ rho[levels, levels]
+        phases = diag_integral(ta, tb)
+        phase_mat = np.exp(-1j * TWO_PI * (phases[:, None] - phases[None, :]))
+        decay = np.exp(-(g_scaled * tau_eff + g_fixed * dt))
+        rho = _rows(decay, _rows(phase_mat, rho))
+        rho[levels, levels] = pops
+        return rho.reshape(vec.shape)
+
+    return step
 
 
 # ---------------------------------------------------------------------------
@@ -498,55 +512,18 @@ def _density_diagonal_segment(rho, seg: Segment, t_from, targets, out, out_idx):
 
 def propagator(hamiltonian, t0: float = 0.0, t1: float | None = None,
                tol: float = DEFAULT_RTOL) -> np.ndarray:
-    """Unitary time-ordered propagator of the schedule (no dissipation)."""
+    """Unitary time-ordered propagator of the schedule.
+
+    A schedule whose segments carry dissipation channels raises.
+    """
     schedule = _coerce_schedule(hamiltonian, t0, t1 if t1 is not None else t0)
-    u = np.eye(DIM, dtype=complex)
-    t_cursor = schedule.t0
-    for seg in schedule.segments:
-        if seg.duration <= 0:
-            continue
-        if seg.kind == "constant":
-            w, v = np.linalg.eigh(seg.h_const)
-            u_seg = (v * np.exp(-1j * TWO_PI * w * seg.duration)) @ v.conj().T
-        elif seg.kind == "diagonal":
-            u_seg = np.diag(np.exp(-1j * TWO_PI * seg._diag_integral(seg.t0, seg.t1)))
-        else:
-            def rhs(t, y):
-                return (-1j * TWO_PI * (seg.h_func(t) @ y.reshape(DIM, DIM))).flatten()
-            sol = solve_ivp(rhs, (seg.t0, seg.t1), np.eye(DIM, dtype=complex).flatten(),
-                            rtol=tol, atol=tol * 1e-3, max_step=_max_step(seg, tol),
-                            method="RK45")
-            if not sol.success:
-                raise DynamicsError(f"integrator failure: {sol.message}")
-            u_seg = sol.y[:, -1].reshape(DIM, DIM)
-        u = u_seg @ u
-        t_cursor = seg.t1
-    return u
+    return _walk(schedule, np.eye(DIM, dtype=complex), (), tol, liouville=False)[1]
 
 
 def superoperator(schedule: Schedule, tol: float = DEFAULT_RTOL) -> np.ndarray:
     """Process matrix of the full schedule on row-major vec(rho)."""
-    s = np.eye(DIM * DIM, dtype=complex)
-    for seg in schedule.segments:
-        if seg.duration <= 0:
-            continue
-        const_mult = abs(seg.mult_start - seg.mult_end) < 1e-15
-        if seg.kind == "constant" and const_mult:
-            sup = liouvillian(seg.h_const, seg.effective_channels(seg.t0))
-            s_seg = expm(sup * seg.duration)
-        else:
-            def rhs(t, y):
-                sup = liouvillian(seg.hamiltonian(t), seg.effective_channels(t))
-                return (sup @ y.reshape(DIM * DIM, DIM * DIM)).flatten()
-            sol = solve_ivp(rhs, (seg.t0, seg.t1),
-                            np.eye(DIM * DIM, dtype=complex).flatten(),
-                            rtol=tol, atol=tol * 1e-3,
-                            max_step=_max_step(seg, tol), method="RK45")
-            if not sol.success:
-                raise DynamicsError(f"integrator failure: {sol.message}")
-            s_seg = sol.y[:, -1].reshape(DIM * DIM, DIM * DIM)
-        s = s_seg @ s
-    return s
+    return _walk(schedule, np.eye(DIM * DIM, dtype=complex), (), tol,
+                 liouville=True)[1]
 
 
 def unitary_superoperator(u: np.ndarray) -> np.ndarray:

@@ -156,9 +156,8 @@ def rabi_scan(pair: tuple[float, float], omega_hz: float, fields: FieldParams,
     shots = None
     if n_shots > 0:
         streams = _shot_streams(seed, len(durations))
-        shots = [_sample_point(traj.states[i] if traj.kind == "density"
-                               else traj.states[i], n_atoms, n_shots,
-                               detection, streams[i])
+        shots = [_sample_point(traj.states[i], n_atoms, n_shots, detection,
+                               streams[i])
                  for i in range(len(durations))]
     return InterferometerResult(
         scan_name="duration_s", scan_values=durations, populations=pops,
@@ -411,9 +410,8 @@ def parallel_ramsey(t_values, fields: FieldParams, omega_hz: float = 77.0,
             expected[k, w] = TWO_PI * ((-nu_signed) - delta_mean) * (t_b - t_a)
             mean_deltas[k, w] = delta_mean
         if n_shots > 0:
-            shots.append(_dual_ramsey_shots(
-                traj, seq, fields, lindblad, noise, t_open,
-                (i1, j1), (i2, j2), n_shots, n_atoms, detection, streams[k]))
+            shots.append(_dual_ramsey_shots(traj, n_shots, n_atoms, detection,
+                                            streams[k]))
 
     return InterferometerResult(
         scan_name="open_time_s", scan_values=t_values, populations=pops,
@@ -437,8 +435,7 @@ def traj_m(index: int) -> float:
     return float(index - 4.5)
 
 
-def _dual_ramsey_shots(traj, seq, fields, lindblad, noise, t_open,
-                       idx1, idx2, n_shots, n_atoms, detection, stream):
+def _dual_ramsey_shots(traj, n_shots, n_atoms, detection, stream):
     """Projection-noise shots from the final state of one scan point.
 
     Correlated per-shot field jitter is handled by
@@ -480,7 +477,6 @@ def dual_ramsey_sampled(t_open: float, fields: FieldParams, omega_hz: float,
     rho_pre = density_matrix(traj.states[0])  # just before close1
 
     close_segments = []
-    t_cursor = c1
     for seg in schedule.segments:
         if seg.t0 >= c1 - 1e-15:
             close_segments.append(seg)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from sunspin import dynamics, model
-from sunspin.spin_core import DIM, basis_state
+from sunspin import dynamics, model, sequence as sq
+from sunspin.spin_core import DIM, basis_state, m_index
 
 FIELDS = model.FieldParams(b_hz=960.0, q_hz=-320.0)
 
@@ -128,6 +129,84 @@ class TestPropagator:
         u12 = dynamics.propagator(h, 0, 0.02 - 0.011)
         assert np.max(np.abs(u02.conj().T @ u02 - np.eye(DIM))) < 1e-10
         assert np.max(np.abs(u12 @ u01 - u02)) < 1e-9
+
+
+def _mixed_sequence():
+    """Square pulse, dark time, TLS ramp and raised-cosine pulse.
+
+    Weak fields and a short pulse keep the RK45 segment cheap in
+    Liouville space.
+    """
+    fields = model.FieldParams(b_hz=96.0, q_hz=-32.0)
+    pair = (-2.5, -1.5)
+    segs = (sq.pulse(pair, 400.0, fields, np.pi / 2, warn_regime=False),
+            sq.dark_time(2e-3),
+            sq.tls_ramp(1e-3, 1.0, 0.3),
+            sq.pulse(pair, 400.0, fields, np.pi / 2, envelope="raised_cosine",
+                     warn_regime=False))
+    return sq.PulseSequence(segments=segs, fields=fields)
+
+
+def _small_lindblad():
+    """One transfer channel and one dephasing channel."""
+    transfer = np.zeros((DIM, DIM), dtype=complex)
+    transfer[m_index(-2.5), m_index(-1.5)] = 1.0
+    dephase = np.diag(np.arange(DIM) - 4.5).astype(complex)
+    return model.LindbladSpec(channels=((transfer, 30.0), (dephase, 2.0)))
+
+
+def _probe_state():
+    psi = basis_state(-2.5) + basis_state(-1.5) + 0.5j * basis_state(-3.5)
+    return psi / np.linalg.norm(psi)
+
+
+class TestEngineAgreement:
+    def test_superoperator_matches_evolve_density(self):
+        sched = sq.compile(_mixed_sequence(), lindblad=_small_lindblad())
+        kinds = [seg.kind for seg in sched.segments]
+        assert kinds == ["constant", "diagonal", "diagonal", "general"]
+        assert sched.segments[2].mult_start != sched.segments[2].mult_end
+        psi = _probe_state()
+        rho = np.outer(psi, psi.conj())
+        mapped = dynamics.superoperator(sched) @ rho.reshape(-1)
+        final = dynamics.evolve_density(rho, sched).final
+        assert np.max(np.abs(mapped.reshape(DIM, DIM) - final)) < 1e-9
+
+    def test_propagator_matches_evolve_pure(self):
+        sched = sq.compile(_mixed_sequence())
+        psi = _probe_state()
+        final = dynamics.evolve_pure(psi, sched).final
+        assert np.max(np.abs(dynamics.propagator(sched) @ psi - final)) < 1e-9
+
+    def test_dark_segment_superoperator_is_exact(self):
+        sched = sq.compile(_mixed_sequence(), lindblad=_small_lindblad())
+        dark = sched.segments[1]
+        assert dark.mult_start == dark.mult_end
+        assert np.array_equal(dark.diag_start, dark.diag_end)
+        sup = dynamics.liouvillian(dark.hamiltonian(dark.t0),
+                                   dark.effective_channels(dark.t0))
+        exact = expm(sup * dark.duration)
+        s_dark = dynamics.superoperator(dynamics.Schedule((dark,)))
+        assert np.max(np.abs(s_dark - exact)) < 1e-12
+
+
+class TestIgnoredInputsRejected:
+    def test_density_lindblad_with_schedule(self):
+        sched = sq.compile(_mixed_sequence())
+        psi = _probe_state()
+        with pytest.raises(dynamics.DynamicsError):
+            dynamics.evolve_density(np.outer(psi, psi.conj()), sched,
+                                    lindblad=_small_lindblad())
+
+    def test_pure_with_channels(self):
+        sched = sq.compile(_mixed_sequence(), lindblad=_small_lindblad())
+        with pytest.raises(dynamics.DynamicsError):
+            dynamics.evolve_pure(_probe_state(), sched)
+
+    def test_propagator_with_channels(self):
+        sched = sq.compile(_mixed_sequence(), lindblad=_small_lindblad())
+        with pytest.raises(dynamics.DynamicsError):
+            dynamics.propagator(sched)
 
 
 class TestIntegratorOrder:
