@@ -86,11 +86,6 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "pulse_area_sigma": {"type": "number", "minimum": 0},
-                "b_jitter_hz": {"type": "number", "minimum": 0},
-                "q_jitter_hz": {"type": "number", "minimum": 0},
-                "b_toggle_prob": {"type": "number", "minimum": 0, "maximum": 1},
-                "b_toggle_hz": _NUM,
                 "preset": {"enum": ["tls_on", "tls_off", "quiet"]},
             },
         },
@@ -159,16 +154,16 @@ def _build_lindblad(cfg: dict):
 
 
 def _build_noise(cfg: dict):
+    """Interferometer phase-noise model; only a phase-noise Ramsey reads it."""
     spec = cfg.get("noise")
+    wanted = (cfg["protocol"] == "ramsey"
+              and cfg.get("phase_noise", "none") != "none")
+    if (spec is not None) != wanted:
+        raise ConfigError("'noise' is needed by, and only taken by, a ramsey "
+                          "config with phase_noise 'average' or 'sample'")
     if spec is None:
         return None
-    preset = spec.get("preset")
-    base = NoiseSpec.quiet() if preset == "quiet" else NoiseSpec()
-    kwargs = {k: v for k, v in spec.items() if k != "preset"}
-    if kwargs:
-        from dataclasses import replace
-        base = replace(base, **kwargs)
-    return base
+    return NoiseSpec.quiet() if spec.get("preset") == "quiet" else NoiseSpec()
 
 
 def _build_detection(cfg: dict):
@@ -192,7 +187,7 @@ def run_config(cfg: dict, out_dir: Path, config_path: str = "<inline>") -> dict:
     n_shots = cfg.get("n_shots", 0)
     n_atoms = cfg.get("n_atoms", 10_000)
     protocol = cfg["protocol"]
-    common = dict(lindblad=lindblad, noise=noise, n_shots=n_shots,
+    common = dict(lindblad=lindblad, n_shots=n_shots,
                   n_atoms=n_atoms, detection=detection, seed=seed)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -227,7 +222,7 @@ def run_config(cfg: dict, out_dir: Path, config_path: str = "<inline>") -> dict:
                 tuple(cfg.get("pair", (-3.5, -2.5))), scan, fields,
                 cfg.get("omega_hz", 93.0), tls_mode=cfg.get("tls_mode", "on"),
                 detuning_hz=cfg.get("detuning_hz", 0.0),
-                phase_noise=cfg.get("phase_noise", "none"),
+                phase_noise=cfg.get("phase_noise", "none"), noise=noise,
                 cg_weighting=cfg.get("cg_weighting", True), **common)
         elif protocol == "dual_ramsey":
             result = protocols.parallel_ramsey(
@@ -471,10 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--out", default=None)
     p_fit.set_defaults(fn=_cmd_fit)
 
-    p_dec = sub.add_parser("decompose", help="decompose unitaries into "
-                           "pair rotations")
-    p_dec.add_argument("--haar", action="store_true",
-                       help="generate Haar-random targets")
+    p_dec = sub.add_parser("decompose", help="decompose Haar-random "
+                           "unitaries into pair rotations")
     p_dec.add_argument("--n", type=int, default=10)
     p_dec.add_argument("--seed", type=int, default=0)
     p_dec.add_argument("--out", default=None)
@@ -488,8 +481,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, json.JSONDecodeError, FileNotFoundError,
-            KeyError) as exc:
+    except (ConfigError, json.JSONDecodeError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # simulation / numerical failures

@@ -1,7 +1,10 @@
 """Time evolution engines for the 10-level manifold.
 
 Pure-state Schroedinger propagation and Lindblad master-equation
-propagation over piecewise-defined time-dependent Hamiltonians.
+propagation over piecewise-defined time-dependent Hamiltonians.  The
+engines take a :class:`Schedule`, which only
+:func:`sunspin.sequence.compile` builds from a pulse sequence, or a
+constant matrix; they never build a Hamiltonian themselves.
 Hamiltonians are in ordinary frequency units (Hz); the 2*pi lives in
 the equations of motion.  Rates are 1/e rates in 1/s.
 
@@ -146,25 +149,12 @@ class Schedule:
 
 
 def _coerce_schedule(hamiltonian, t0, t1, channels=()) -> Schedule:
-    """Accept a matrix, a callable, or a Schedule."""
+    """Accept a compiled Schedule, or a constant matrix held over [t0, t1]."""
     if isinstance(hamiltonian, Schedule):
         return hamiltonian
     channels = tuple((np.asarray(op, dtype=complex), float(r)) for op, r in channels)
     if any(r < 0 for _, r in channels):
         raise DynamicsError("negative channel rate")
-    if callable(hamiltonian):
-        if getattr(hamiltonian, "is_constant", False):
-            h0 = np.asarray(hamiltonian(t0), dtype=complex)
-            _check_hermitian(h0)
-            return Schedule((Segment(t0=t0, t1=t1, kind="constant", h_const=h0,
-                                     channels=channels,
-                                     f_max_hz=_f_scale(h0)),))
-        f_max = getattr(hamiltonian, "f_max_hz", None)
-        if f_max is None:
-            f_max = max(_f_scale(np.asarray(hamiltonian(t), dtype=complex))
-                        for t in np.linspace(t0, t1, 7))
-        return Schedule((Segment(t0=t0, t1=t1, kind="general", h_func=hamiltonian,
-                                 channels=channels, f_max_hz=f_max),))
     h0 = np.asarray(hamiltonian, dtype=complex)
     _check_hermitian(h0)
     return Schedule((Segment(t0=t0, t1=t1, kind="constant", h_const=h0,
@@ -347,7 +337,9 @@ def evolve_pure(state: np.ndarray, hamiltonian, t0: float = 0.0,
                 t_eval=None) -> Trajectory:
     """Schroedinger evolution of a normalized pure state.
 
-    A schedule whose segments carry dissipation channels raises.
+    ``hamiltonian`` is a compiled :class:`Schedule` or a constant 10x10
+    Hermitian matrix (Hz) held from ``t0`` to ``t1``.  A schedule whose
+    segments carry dissipation channels raises.
     """
     psi = np.asarray(state, dtype=complex)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
@@ -394,9 +386,12 @@ def evolve_density(rho: np.ndarray, hamiltonian, lindblad=None, t0: float = 0.0,
                    t_eval=None, positivity_floor: float = -1e-8) -> Trajectory:
     """Lindblad master-equation evolution.
 
-    ``lindblad`` may be a LindbladSpec-like object with ``.channels`` or a
-    plain sequence of (operator, rate).  A compiled Schedule carries its
-    own channels, so passing ``lindblad`` with one raises.
+    ``hamiltonian`` is a compiled :class:`Schedule` or a constant 10x10
+    Hermitian matrix (Hz) held from ``t0`` to ``t1``.  ``lindblad`` gives
+    the matrix's channels, as a LindbladSpec-like object with
+    ``.channels`` or a plain sequence of (operator, rate).  A compiled
+    Schedule carries its own channels, so passing ``lindblad`` with one
+    raises.
     Positivity is monitored, not enforced: eigenvalues below
     ``positivity_floor`` raise.
     """
@@ -512,9 +507,11 @@ def _closed_form_step(seg: Segment):
 
 def propagator(hamiltonian, t0: float = 0.0, t1: float | None = None,
                tol: float = DEFAULT_RTOL) -> np.ndarray:
-    """Unitary time-ordered propagator of the schedule.
+    """Unitary time-ordered propagator.
 
-    A schedule whose segments carry dissipation channels raises.
+    ``hamiltonian`` is a compiled :class:`Schedule` or a constant 10x10
+    Hermitian matrix (Hz) held from ``t0`` to ``t1``.  A schedule whose
+    segments carry dissipation channels raises.
     """
     schedule = _coerce_schedule(hamiltonian, t0, t1 if t1 is not None else t0)
     return _walk(schedule, np.eye(DIM, dtype=complex), (), tol, liouville=False)[1]

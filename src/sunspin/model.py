@@ -1,4 +1,7 @@
-"""Effective rotating-frame Hamiltonian and dissipation channels.
+"""Level shifts, Raman-tone couplings and dissipation channels.
+
+These are the ingredients of the effective Hamiltonian; it is assembled
+from them in one place, :func:`sunspin.sequence.compile`.
 
 Level shifts are parameterized by the linear splitting ``b`` and the
 tensor-light-shift curvature ``q`` (both ordinary frequencies in Hz,
@@ -19,8 +22,8 @@ All dissipation rates are ordinary 1/e rates in 1/s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -41,53 +44,36 @@ class FieldParams:
 
     ``b_vector_hz`` is the part of the linear splitting produced by the
     light field (vector light shift); it scales with the TLS multiplier
-    while ``b_hz`` itself does not.  Optional envelopes multiply b or q
-    as dimensionless functions of time bounded in [0, 1].
+    while ``b_hz`` itself does not.  The fields are static: they carry
+    no time envelopes, and the only time dependence of the level shifts
+    is the TLS multiplier of the pulse segment.  The Hamiltonian itself
+    is built only by :func:`sunspin.sequence.compile`.
     """
 
     b_hz: float
     q_hz: float
     b_vector_hz: float = 0.0
-    b_envelope: Callable[[float], float] | None = None
-    q_envelope: Callable[[float], float] | None = None
 
     def __post_init__(self):
         if not np.isfinite(self.b_hz) or not np.isfinite(self.q_hz):
             raise ModelError("b and q must be finite")
 
-    def level_shifts(self, t: float = 0.0, tls_multiplier: float = 1.0) -> np.ndarray:
-        """E(m)/h for all ten levels at time t (Hz)."""
+    def level_shifts(self, tls_multiplier: float = 1.0) -> np.ndarray:
+        """E(m)/h for all ten levels (Hz)."""
         b = self.b_hz + self.b_vector_hz * tls_multiplier
         q = self.q_hz * tls_multiplier
-        if self.b_envelope is not None:
-            b *= _checked_envelope(self.b_envelope, t)
-        if self.q_envelope is not None:
-            q *= _checked_envelope(self.q_envelope, t)
         return b * M_VALUES + q * M_VALUES**2
-
-
-def _checked_envelope(env, t):
-    val = env(t)
-    if not -1e-9 <= val <= 1 + 1e-9:
-        raise ModelError(f"envelope value {val} at t={t} outside [0, 1]")
-    return val
-
-
-def diagonal_hamiltonian(fields: FieldParams, t: float = 0.0,
-                         tls_multiplier: float = 1.0) -> np.ndarray:
-    """10x10 real diagonal level-shift Hamiltonian (Hz)."""
-    return np.diag(fields.level_shifts(t, tls_multiplier))
 
 
 def pair_splitting_hz(fields: FieldParams, m_low: float, dm: int = 1,
                       tls_multiplier: float = 1.0) -> float:
     """Transition frequency (E(m_low+dm) - E(m_low))/h in Hz, signed."""
-    e = fields.level_shifts(0.0, tls_multiplier)
+    e = fields.level_shifts(tls_multiplier)
     return float(e[m_index(m_low + dm)] - e[m_index(m_low)])
 
 
 # ---------------------------------------------------------------------------
-# Raman tones and the coupling Hamiltonian
+# Raman tones and their couplings
 # ---------------------------------------------------------------------------
 
 # Two-photon legs through the F' = 9/2 excited manifold.  A dm = 1
@@ -176,80 +162,6 @@ class RamanTone:
     def lo_freq_hz(self, fields: FieldParams) -> float:
         """Signed local-oscillator frequency addressing this tone's pair."""
         return -pair_splitting_hz(fields, self.m_low, self.dm) - self.detuning_hz
-
-
-def raman_hamiltonian(tones: Sequence[RamanTone], fields: FieldParams,
-                      frame: str = "rwa"):
-    """Hermitian 10x10 matrix-valued function of time (Hz).
-
-    ``frame='rwa'``: the frame rotates with the first tone's local
-    oscillator (ladder operator m), couplings of that tone are static and
-    additional tones carry explicit oscillating phases.  ``frame='lab-beat'``:
-    no rotating frame; couplings oscillate at the full beat frequency with
-    explicit initial phase (counter-rotating terms retained).
-
-    Returns a callable ``h(t)`` with attributes ``is_constant`` and
-    ``f_max_hz``.
-    """
-    if frame not in ("rwa", "lab-beat"):
-        raise ModelError(f"unknown frame {frame!r}")
-    tones = tuple(tones)
-    diag0 = fields.level_shifts(0.0)
-    static_fields = fields.b_envelope is None and fields.q_envelope is None
-
-    if frame == "lab-beat":
-        couplings = [(t.coupling_matrix(), t.lo_freq_hz(fields), t.phase) for t in tones]
-        f_beats = [abs(f) for _, f, _ in couplings]
-
-        def h_lab(t: float) -> np.ndarray:
-            h = np.diag(fields.level_shifts(t) if not static_fields else diag0).astype(complex)
-            for cmat, f_lo, phi0 in couplings:
-                osc = np.cos(2 * np.pi * f_lo * t + phi0)
-                h += osc * (cmat + cmat.T)
-            return h
-
-        h_lab.is_constant = False
-        h_lab.f_max_hz = max([np.max(np.abs(diag0))] + f_beats) if tones else np.max(np.abs(diag0))
-        h_lab.frame = "lab-beat"
-        return h_lab
-
-    if not tones:
-        def h_diag(t: float) -> np.ndarray:
-            return np.diag(fields.level_shifts(t) if not static_fields else diag0).astype(complex)
-        h_diag.is_constant = static_fields
-        h_diag.f_max_hz = float(np.max(np.abs(diag0)))
-        h_diag.frame = "rwa"
-        return h_diag
-
-    ref = tones[0]
-    f_lo_ref = ref.lo_freq_hz(fields)
-    f_frame = -f_lo_ref / ref.dm  # frame ladder rate, Hz per unit m
-    frame_diag = diag0 - f_frame * M_VALUES
-    terms = []
-    for tone in tones:
-        cmat = tone.coupling_matrix() / 2.0
-        beat = tone.lo_freq_hz(fields) + tone.dm * f_frame  # residual rotation
-        terms.append((cmat, beat, tone.phase))
-    is_constant = static_fields and all(abs(b) < 1e-12 for _, b, _ in terms)
-
-    def h_rwa(t: float) -> np.ndarray:
-        if static_fields:
-            h = np.diag(frame_diag).astype(complex)
-        else:
-            h = np.diag(fields.level_shifts(t) - f_frame * M_VALUES).astype(complex)
-        for cmat, beat, phi0 in terms:
-            # cmat stores the (low, high) triangle; the drive phase rides on
-            # the raising coupling |high><low|, so the stored side gets e^{-i.}
-            phase = np.exp(-1j * (2 * np.pi * beat * t + phi0))
-            upper = cmat * phase
-            h += upper + upper.conj().T
-        return h
-
-    h_rwa.is_constant = is_constant
-    h_rwa.f_max_hz = float(max(np.max(np.abs(frame_diag)),
-                               max(abs(b) for _, b, _ in terms) if terms else 0.0))
-    h_rwa.frame = "rwa"
-    return h_rwa
 
 
 # ---------------------------------------------------------------------------

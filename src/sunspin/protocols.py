@@ -135,8 +135,8 @@ def _expected_engine(lindblad):
 
 def rabi_scan(pair: tuple[float, float], omega_hz: float, fields: FieldParams,
               durations, lindblad: LindbladSpec | None = None,
-              noise: NoiseSpec | None = None, cg_weighting: bool = True,
-              detuning_hz: float = 0.0, n_shots: int = 0, n_atoms: int = 10_000,
+              cg_weighting: bool = True, detuning_hz: float = 0.0,
+              n_shots: int = 0, n_atoms: int = 10_000,
               detection: DetectionModel | None = None, seed: int = 0,
               tol: float = dynamics.DEFAULT_RTOL) -> InterferometerResult:
     """Populations of all ten states versus Raman pulse duration."""
@@ -147,7 +147,7 @@ def rabi_scan(pair: tuple[float, float], omega_hz: float, fields: FieldParams,
     dm = round(m_high - m_low)
     tone = RamanTone(m_low=m_low, m_high=m_high, omega_hz=omega_hz,
                      detuning_hz=detuning_hz, cg_weighting=cg_weighting)
-    seg = sq.PulseSegment(duration=float(durations[-1]) + 1e-12, tones=(tone,))
+    seg = sq.PulseSegment(duration=float(durations[-1]), tones=(tone,))
     seq = sq.PulseSequence(segments=(seg,), fields=fields, seed=seed)
     psi0 = basis_state(m_low)
     traj = sq.run(seq, psi0, engine=_expected_engine(lindblad),
@@ -354,7 +354,6 @@ def _dual_ramsey_sequence(t_open, fields, omega_hz, delta_shared_hz, gap_s,
 
 def parallel_ramsey(t_values, fields: FieldParams, omega_hz: float = 77.0,
                     lindblad: LindbladSpec | None = None,
-                    noise: NoiseSpec | None = None,
                     delta_shared_hz: float = 1.0, gap_s: float = 1e-4,
                     cg_weighting: bool = True, track_phases: bool = False,
                     n_shots: int = 0, n_atoms: int = 10_000,
@@ -552,7 +551,6 @@ def _ancilla_sequence(phi, fields, omega_hz, window_s, gap_s, prepare,
 
 def ancilla_measurement(phi_values, fields: FieldParams, omega_hz: float = 76.0,
                         lindblad: LindbladSpec | None = None,
-                        noise: NoiseSpec | None = None,
                         input_state: np.ndarray | None = None,
                         window_s: float = PHASE_WINDOW_S, gap_s: float = 1e-4,
                         prepare_with_pulse: bool = False,

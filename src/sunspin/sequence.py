@@ -5,7 +5,9 @@ dark times, and TLS power ramps.  Compilation produces a
 :class:`~sunspin.dynamics.Schedule` in the rotating frame of the (single)
 RF local oscillator, whose frequency steps are phase-continuous like a
 DDS.  The TLS multiplier scales the quadratic shift q, the vector part
-of b, and every TLS-tied dissipation rate.
+of b, and every TLS-tied dissipation rate.  Compilation is the one
+place the Raman Hamiltonian is built; the dynamics engines only step
+the schedules it returns.
 
 Units: durations s, frequencies Hz (ordinary), phases rad.
 """
@@ -184,6 +186,11 @@ def compile(sequence: PulseSequence, lindblad: LindbladSpec | None = None,
     steps accumulate in a register applied to subsequent tone phases.
     Dissipation channels from ``lindblad`` are attached to every
     segment, TLS-tied rates scaled by the segment multiplier.
+
+    ``frame='lab-beat'`` drops the rotating frame and the rotating-wave
+    approximation, to check them: bare level shifts, and couplings
+    oscillating at the full beat frequency with their counter-rotating
+    terms, phase-continuous with the LO across segments.
     """
     if frame not in ("rwa", "lab-beat"):
         raise SequenceError(f"unknown frame {frame!r}")
@@ -198,11 +205,14 @@ def compile(sequence: PulseSequence, lindblad: LindbladSpec | None = None,
                 fixed_ch += spec.channels
 
     fields = sequence.fields
+    true_fields = _true_fields(sequence)
+    lab = frame == "lab-beat"
     segments = []
     t = 0.0
     f_lo = 0.0
     d_ref = 1
     phase_register = 0.0
+    lo_cycles = 0.0  # accumulated LO phase per unit m (cycles)
     lo_trace = []  # (t0, t1, f_lo_hz) for phase bookkeeping by protocols
 
     for seg in sequence.segments:
@@ -215,61 +225,46 @@ def compile(sequence: PulseSequence, lindblad: LindbladSpec | None = None,
             f_lo = seg.lo_freq_hz
         lo_trace.append((t, t + seg.duration, f_lo))
 
+        # the lab-beat frame does not rotate: bare level shifts, and tone
+        # phases carry the LO phase accumulated before the segment
+        frame_rate = 0.0 if lab else f_lo / d_ref
         mu0, mu1 = seg.tls_start, seg.tls_end
-        diag0 = _frame_diag(sequence, t, mu0, f_lo, d_ref)
-        diag1 = _frame_diag(sequence, t + seg.duration, mu1, f_lo, d_ref)
-        flat_mu = abs(mu1 - mu0) < 1e-15
+        diag0 = _level_diag(true_fields, mu0, frame_rate)
+        diag1 = _level_diag(true_fields, mu1, frame_rate)
+        f_max = float(max(np.max(np.abs(diag0)), np.max(np.abs(diag1))))
+        common = dict(t0=t, t1=t + seg.duration, channels=scaled_ch,
+                      channels_fixed=fixed_ch, mult_start=mu0, mult_end=mu1,
+                      label=seg.label)
 
         if not seg.tones:
-            segments.append(dynamics.Segment(
-                t0=t, t1=t + seg.duration, kind="diagonal",
-                diag_start=diag0, diag_end=diag1,
-                channels=scaled_ch, channels_fixed=fixed_ch,
-                mult_start=mu0, mult_end=mu1,
-                f_max_hz=float(max(np.max(np.abs(diag0)), np.max(np.abs(diag1)))),
-                label=seg.label))
-            t += seg.duration
-            continue
-
-        tone_terms = []
-        f_beats = []
-        for tone in seg.tones:
-            cmat = tone.coupling_matrix() / 2.0
-            if frame == "lab-beat":
+            segments.append(dynamics.Segment(kind="diagonal", diag_start=diag0,
+                                             diag_end=diag1, f_max_hz=f_max,
+                                             **common))
+        else:
+            tone_terms = []
+            for tone in seg.tones:
                 rate = tone.lo_freq_hz(fields)
                 phi0 = tone.phase + phase_register
+                if lab:
+                    phi0 += 2 * np.pi * tone.dm * lo_cycles
+                else:
+                    rate -= f_lo * (tone.dm / d_ref)
+                tone_terms.append((tone.coupling_matrix() / 2.0, rate, phi0))
+            h = _segment_hamiltonian(true_fields, seg, t, frame_rate,
+                                     tone_terms, lab)
+            static = (seg.envelope == "square" and abs(mu1 - mu0) < 1e-15
+                      and all(abs(r) < 1e-12 for _, r, _ in tone_terms)
+                      and not lab)
+            if static:
+                h0 = h(t)
+                segments.append(dynamics.Segment(
+                    kind="constant", h_const=h0,
+                    f_max_hz=float(np.max(np.abs(h0))), **common))
             else:
-                f_tone = tone.lo_freq_hz(fields)
-                rate = f_tone - f_lo * (tone.dm / d_ref)
-                phi0 = tone.phase + phase_register
-            tone_terms.append((cmat, rate, phi0))
-            f_beats.append(abs(rate))
-
-        env = seg.envelope_fn()
-        square = seg.envelope == "square"
-        static = (square and flat_mu
-                  and all(abs(r) < 1e-12 for _, r, _ in tone_terms)
-                  and frame == "rwa")
-        if static:
-            h = np.diag(diag0).astype(complex)
-            for cmat, _, phi0 in tone_terms:
-                # drive phase rides on the raising coupling |high><low|
-                upper = cmat * np.exp(-1j * phi0)
-                h += upper + upper.conj().T
-            segments.append(dynamics.Segment(
-                t0=t, t1=t + seg.duration, kind="constant", h_const=h,
-                channels=scaled_ch, channels_fixed=fixed_ch,
-                mult_start=mu0, mult_end=mu1,
-                f_max_hz=float(np.max(np.abs(h))), label=seg.label))
-        else:
-            h_func = _make_h_func(sequence, seg, t, f_lo, d_ref, tone_terms,
-                                  env, frame)
-            f_max = float(max([np.max(np.abs(diag0)), np.max(np.abs(diag1))]
-                              + f_beats))
-            segments.append(dynamics.Segment(
-                t0=t, t1=t + seg.duration, kind="general", h_func=h_func,
-                channels=scaled_ch, channels_fixed=fixed_ch,
-                mult_start=mu0, mult_end=mu1, f_max_hz=f_max, label=seg.label))
+                f_max = max([f_max] + [abs(r) for _, r, _ in tone_terms])
+                segments.append(dynamics.Segment(
+                    kind="general", h_func=h, f_max_hz=f_max, **common))
+        lo_cycles += f_lo / d_ref * seg.duration
         t += seg.duration
 
     return dynamics.Schedule(tuple(segments),
@@ -283,34 +278,38 @@ def _true_fields(sequence: PulseSequence) -> FieldParams:
                    q_hz=f.q_hz + sequence.q_offset_hz)
 
 
-def _frame_diag(sequence, t, mu, f_lo, d_ref) -> np.ndarray:
-    f = _true_fields(sequence)
-    bare = f.level_shifts(t, tls_multiplier=mu)
-    return bare + (f_lo / d_ref) * M_VALUES
+def _level_diag(fields: FieldParams, mu: float, frame_rate: float) -> np.ndarray:
+    """Level shifts at TLS multiplier ``mu`` in a frame rotating at
+    ``frame_rate`` Hz per unit m."""
+    return fields.level_shifts(tls_multiplier=mu) + frame_rate * M_VALUES
 
 
-def _make_h_func(sequence, seg: PulseSegment, t_start, f_lo, d_ref,
-                 tone_terms, env, frame):
+def _segment_hamiltonian(fields, seg: PulseSegment, t_start, frame_rate,
+                         tone_terms, lab):
+    """H(t) of one pulse segment (Hz): the package's one Raman Hamiltonian.
+
+    The level diagonal at the ramped TLS multiplier plus, per tone
+    (coupling triangle, beat rate, phase), the enveloped coupling and
+    its conjugate: rotating at the residual beat in the RWA frame,
+    oscillating as 2 cos at the full beat (counter-rotating terms kept)
+    in the lab-beat frame.  The drive phase rides on the raising
+    coupling |high><low|, so the stored (low, high) side gets e^{-i.}.
+    """
     dur = seg.duration
     mu0, mu1 = seg.tls_start, seg.tls_end
-    fields = _true_fields(sequence)
+    env = seg.envelope_fn()
 
     def h(tt: float) -> np.ndarray:
         s = np.clip((tt - t_start) / dur, 0.0, 1.0)
-        mu = mu0 + s * (mu1 - mu0)
-        bare = fields.level_shifts(tt, tls_multiplier=mu)
-        if frame == "rwa":
-            hm = np.diag(bare + (f_lo / d_ref) * M_VALUES).astype(complex)
-            for cmat, rate, phi0 in tone_terms:
-                ph = np.exp(-1j * (2 * np.pi * rate * (tt - t_start) + phi0))
-                upper = env(s) * cmat * ph
-                hm += upper + upper.conj().T
-        else:
-            hm = np.diag(bare).astype(complex)
-            for cmat, rate, phi0 in tone_terms:
-                osc = np.cos(2 * np.pi * rate * (tt - t_start) + phi0)
-                upper = 2.0 * env(s) * cmat * osc  # full beat, both quadrature terms
-                hm += upper + upper.conj().T
+        hm = np.diag(_level_diag(fields, mu0 + s * (mu1 - mu0),
+                                 frame_rate)).astype(complex)
+        for cmat, rate, phi0 in tone_terms:
+            arg = 2 * np.pi * rate * (tt - t_start) + phi0
+            if lab:
+                upper = 2.0 * env(s) * cmat * np.cos(arg)
+            else:
+                upper = env(s) * cmat * np.exp(-1j * arg)
+            hm += upper + upper.conj().T
         return hm
 
     return h

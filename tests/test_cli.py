@@ -72,6 +72,26 @@ class TestRunConfig:
         path.write_text(json.dumps(cfg))
         assert run_cli(["run", path, "--out", tmp_path / "o"]) == 3
 
+    @pytest.mark.parametrize("extra", [
+        {"protocol": "rabi", "noise": {"preset": "tls_on"}},
+        {"protocol": "ramsey", "noise": {"preset": "tls_on"}},
+        {"protocol": "ramsey", "phase_noise": "average"},
+    ])
+    def test_noise_unpaired_with_phase_noise_exit_2(self, tmp_path, extra):
+        # only a phase-noise Ramsey reads the noise model, and it needs one
+        cfg = {"fields": {"b_hz": 960.0, "q_hz": 190.0},
+               "scan": {"values": [0.01]}, **extra}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(["run", path, "--out", tmp_path / "o"]) == 2
+
+    def test_internal_key_error_exit_3(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise KeyError("internal")
+        monkeypatch.setattr(cli.protocols, "rabi_scan", broken)
+        assert run_cli(["run", CONFIG_DIR / "rabi_dm2.json",
+                        "--out", tmp_path / "o"]) == 3
+
     def test_param_override(self, tmp_path):
         assert run_cli(["run", CONFIG_DIR / "rabi_dm2.json",
                         "--out", tmp_path / "o", "--seed", "9",
@@ -111,7 +131,7 @@ class TestSubcommands:
         assert out["params"]["tau_s"] == pytest.approx(0.298, rel=1e-4)
 
     def test_decompose_subcommand(self, tmp_path, capsys):
-        assert run_cli(["decompose", "--haar", "--n", "4",
+        assert run_cli(["decompose", "--n", "4",
                         "--out", tmp_path / "o"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["max_error"] < 1e-8

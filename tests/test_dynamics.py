@@ -13,17 +13,24 @@ def two_level_tone(omega=71.0, detuning=0.0):
                            cg_weighting=False)
 
 
+def compiled(tones, duration, fields=FIELDS, frame="rwa"):
+    """One-segment schedule of ``tones`` (a dark time if there are none)."""
+    seg = sq.PulseSegment(duration=duration, tones=tuple(tones))
+    return sq.compile(sq.PulseSequence(segments=(seg,), fields=fields),
+                      frame=frame)
+
+
 class TestEvolvePure:
     def test_resonant_pi_pulse(self):
-        h = model.raman_hamiltonian([two_level_tone()], FIELDS)
-        traj = dynamics.evolve_pure(basis_state(-2.5), h, 0, 0.5 / 71)
+        h = compiled([two_level_tone()], 0.5 / 71)
+        traj = dynamics.evolve_pure(basis_state(-2.5), h)
         assert traj.populations()[-1][3] == pytest.approx(1.0, abs=1e-10)
 
     def test_detuned_max_transfer(self):
         # analytic Rabi formula: max transfer omega^2/(omega^2 + delta^2)
-        h = model.raman_hamiltonian([two_level_tone(detuning=71.0)], FIELDS)
         ts = np.linspace(1e-6, 0.03, 600)
-        traj = dynamics.evolve_pure(basis_state(-2.5), h, 0, ts[-1], t_eval=ts)
+        h = compiled([two_level_tone(detuning=71.0)], ts[-1])
+        traj = dynamics.evolve_pure(basis_state(-2.5), h, t_eval=ts)
         assert traj.populations()[:, 3].max() == pytest.approx(0.5, abs=2e-4)
 
     def test_zero_hamiltonian(self):
@@ -32,8 +39,8 @@ class TestEvolvePure:
         assert np.allclose(traj.final, psi)
 
     def test_norm_preserved(self):
-        h = model.raman_hamiltonian([two_level_tone()], FIELDS)
-        traj = dynamics.evolve_pure(basis_state(-2.5), h, 0, 0.2)
+        h = compiled([two_level_tone()], 0.2)
+        traj = dynamics.evolve_pure(basis_state(-2.5), h)
         assert abs(np.linalg.norm(traj.final) - 1) < 1e-9
 
     def test_non_hermitian_rejected(self):
@@ -50,11 +57,11 @@ class TestEvolvePure:
 
 class TestEvolveDensity:
     def test_matches_pure_without_dissipation(self):
-        h = model.raman_hamiltonian([two_level_tone()], FIELDS)
+        h = compiled([two_level_tone()], 0.013)
         psi = basis_state(-2.5)
-        tp = dynamics.evolve_pure(psi, h, 0, 0.013)
+        tp = dynamics.evolve_pure(psi, h)
         rho0 = np.outer(psi, psi.conj())
-        td = dynamics.evolve_density(rho0, h, t0=0, t1=0.013)
+        td = dynamics.evolve_density(rho0, h)
         fidelity = np.real(np.vdot(tp.final, td.final @ tp.final))
         assert fidelity > 1 - 1e-9
 
@@ -94,7 +101,7 @@ class TestEvolveDensity:
         psi = rng.normal(size=DIM) + 1j * rng.normal(size=DIM)
         psi /= np.linalg.norm(psi)
         rho0 = np.outer(psi, psi.conj())
-        h = model.diagonal_hamiltonian(FIELDS)
+        h = compiled([], 0.3).hamiltonian(0.0)
         traj = dynamics.evolve_density(rho0, h, lindblad=spec, t0=0, t1=0.3)
         assert np.allclose(np.diag(traj.final).real, np.abs(psi) ** 2,
                            atol=1e-9)
@@ -106,27 +113,26 @@ class TestEvolveDensity:
 
 class TestPropagator:
     def test_zero_duration_identity(self):
-        h = model.raman_hamiltonian([two_level_tone()], FIELDS)
+        h = compiled([two_level_tone()], 0.01).hamiltonian(0.0)
         assert np.allclose(dynamics.propagator(h, 0, 0), np.eye(DIM))
 
     def test_square_half_pi(self):
         from sunspin.spin_core import pair_rotation
-        h = model.raman_hamiltonian([two_level_tone()], FIELDS)
         tau = 0.25 / 71
-        u = dynamics.propagator(h, 0, tau)
+        h = compiled([two_level_tone()], tau)
+        u = dynamics.propagator(h)
         # compare in the interaction picture of the in-frame diagonal
-        diag = np.diag(h(0.0)).real
+        diag = np.diag(h.hamiltonian(0.0)).real
         u_int = np.diag(np.exp(1j * 2 * np.pi * diag * tau)) @ u
         assert np.max(np.abs(u_int - pair_rotation(-2.5, -1.5, "x",
                                                    np.pi / 2))) < 1e-12
 
     def test_unitarity_and_composition(self):
         tone = model.RamanTone(-2.5, -1.5, 71.0, detuning_hz=13.0)
-        h = model.raman_hamiltonian([tone], FIELDS)
-        u02 = dynamics.propagator(h, 0, 0.02)
-        u01 = dynamics.propagator(h, 0, 0.011)
+        u02 = dynamics.propagator(compiled([tone], 0.02))
+        u01 = dynamics.propagator(compiled([tone], 0.011))
         # time-independent in this frame: U(0->t2) = U(0->t2-t1) U(0->t1)
-        u12 = dynamics.propagator(h, 0, 0.02 - 0.011)
+        u12 = dynamics.propagator(compiled([tone], 0.02 - 0.011))
         assert np.max(np.abs(u02.conj().T @ u02 - np.eye(DIM))) < 1e-10
         assert np.max(np.abs(u12 @ u01 - u02)) < 1e-9
 
@@ -213,12 +219,10 @@ class TestIntegratorOrder:
     def test_halving_step_gains_nominal_order(self):
         # drive the RK45 path with a fixed max step by marking the
         # Hamiltonian time-dependent; exact reference via eigenstepping
-        h_const = model.raman_hamiltonian([two_level_tone()], FIELDS)(0.0)
+        h_const = compiled([two_level_tone()], 0.004).hamiltonian(0.0)
 
         def h_slow(t):
             return h_const
-        h_slow.is_constant = False
-        h_slow.f_max_hz = None
 
         span = 0.004
         exact = dynamics.propagator(h_const, 0, span)
@@ -245,10 +249,10 @@ class TestLabBeatFrame:
         def max_transfer(delta):
             tone = model.RamanTone(-2.5, -1.5, omega, detuning_hz=delta,
                                    cg_weighting=False)
-            h = model.raman_hamiltonian([tone], fields, frame="lab-beat")
             ts = np.linspace(1e-6, 1.2 / omega, 300)
-            traj = dynamics.evolve_pure(basis_state(-2.5), h, 0, ts[-1],
-                                        t_eval=ts, tol=1e-8)
+            h = compiled([tone], ts[-1], fields, frame="lab-beat")
+            traj = dynamics.evolve_pure(basis_state(-2.5), h, t_eval=ts,
+                                        tol=1e-8)
             return traj.populations()[:, 3].max()
 
         pred = omega**2 / (4 * beat)
@@ -269,20 +273,46 @@ class TestLabBeatFrame:
         assert abs(shift2) / abs(shift) == pytest.approx((500 / 400) ** 2,
                                                          rel=0.10)
 
+    def test_step_bound_from_lab_diagonal(self):
+        tone = model.RamanTone(-2.5, -1.5, 71.0)
+        seg = compiled([tone], 0.01, frame="lab-beat").segments[0]
+        lab = FIELDS.level_shifts()
+        assert np.array_equal(np.diag(seg.hamiltonian(0.0)).real, lab)
+        assert seg.f_max_hz == max(np.max(np.abs(lab)),
+                                   abs(tone.lo_freq_hz(FIELDS)))
+
+    def test_ramsey_matches_rwa_across_segments(self):
+        # the lab-beat frame stays phase-continuous with the LO across a
+        # dark time, so a detuned Ramsey fringe agrees with the RWA up to
+        # Bloch-Siegert-size corrections (Omega/beat = 1/40)
+        fields = model.FieldParams(b_hz=4000.0, q_hz=0.0)
+
+        def half_pi(phase):
+            return sq.pulse((-2.5, -1.5), 100.0, fields, np.pi / 2,
+                            detuning_hz=30.0, phase=phase, cg_weighting=False,
+                            warn_regime=False)
+
+        seq = sq.PulseSequence(segments=(half_pi(0.0), sq.dark_time(3.3e-3),
+                                         half_pi(0.4)), fields=fields)
+        pops = [dynamics.evolve_pure(basis_state(-2.5),
+                                     sq.compile(seq, frame=frame),
+                                     tol=1e-8).populations()[-1]
+                for frame in ("rwa", "lab-beat")]
+        assert np.max(np.abs(pops[0] - pops[1])) < 5e-3
+
     def test_converges_to_rwa_for_weak_drive(self):
         fields = model.FieldParams(b_hz=4000.0, q_hz=0.0)
         tone = model.RamanTone(-2.5, -1.5, 40.0, cg_weighting=False)
-        h = model.raman_hamiltonian([tone], fields, frame="lab-beat")
-        traj = dynamics.evolve_pure(basis_state(-2.5), h, 0, 0.5 / 40.0,
-                                    tol=1e-8)
+        h = compiled([tone], 0.5 / 40.0, fields, frame="lab-beat")
+        traj = dynamics.evolve_pure(basis_state(-2.5), h, tol=1e-8)
         assert traj.populations()[-1][3] > 0.999
 
 
 class TestTrajectory:
     def test_csv_round_trip(self, tmp_path):
-        h = model.raman_hamiltonian([two_level_tone()], FIELDS)
         ts = np.linspace(1e-4, 0.01, 11)
-        traj = dynamics.evolve_pure(basis_state(-2.5), h, 0, ts[-1], t_eval=ts)
+        h = compiled([two_level_tone()], ts[-1])
+        traj = dynamics.evolve_pure(basis_state(-2.5), h, t_eval=ts)
         path = tmp_path / "traj.csv"
         traj.to_csv(path, coherence_pairs=[(-2.5, -1.5)])
         data = np.loadtxt(path, delimiter=",", skiprows=1)

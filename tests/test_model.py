@@ -1,31 +1,32 @@
 import numpy as np
 import pytest
 
-from sunspin import model
+from sunspin import model, sequence as sq
 from sunspin.spin_core import DIM, M_VALUES, basis_state, clebsch_gordan, m_index
 
 REF_FIELDS = model.FieldParams(b_hz=960.0, q_hz=-320.0)
 
 
+def compiled(tones, fields=REF_FIELDS, duration=0.01):
+    """One-segment schedule of ``tones`` (a dark time if there are none)."""
+    seg = sq.PulseSegment(duration=duration, tones=tuple(tones))
+    return sq.compile(sq.PulseSequence(segments=(seg,), fields=fields))
+
+
 class TestDiagonalHamiltonian:
     def test_direct_formula(self):
-        h = model.diagonal_hamiltonian(REF_FIELDS)
+        h = compiled([]).hamiltonian(0.0)
         assert h[0, 0] == pytest.approx(960 * -4.5 + (-320) * 20.25)  # -10800
         assert np.allclose(np.diag(h), 960 * M_VALUES - 320 * M_VALUES**2)
 
     def test_zero_q_equal_ladder(self):
-        h = model.diagonal_hamiltonian(model.FieldParams(b_hz=700.0, q_hz=0.0))
+        h = compiled([], model.FieldParams(b_hz=700.0, q_hz=0.0)).hamiltonian(0.0)
         assert np.allclose(np.diff(np.diag(h)), 700.0)
 
     def test_adjacent_resonances_split_by_2q(self):
         split = (model.pair_splitting_hz(REF_FIELDS, -2.5)
                  - model.pair_splitting_hz(REF_FIELDS, -3.5))
         assert split == pytest.approx(2 * -320.0)
-
-    def test_envelope_bounds_checked(self):
-        f = model.FieldParams(b_hz=1.0, q_hz=1.0, q_envelope=lambda t: 1.5)
-        with pytest.raises(model.ModelError):
-            model.diagonal_hamiltonian(f, t=0.0)
 
     def test_vector_light_shift_part_scales_with_tls(self):
         f = model.FieldParams(b_hz=940.0, q_hz=-320.0, b_vector_hz=20.0)
@@ -39,22 +40,19 @@ class TestDiagonalHamiltonian:
 class TestRamanHamiltonian:
     def test_resonant_coupling_is_half_omega(self):
         tone = model.RamanTone(-2.5, -1.5, 71.0)
-        h = model.raman_hamiltonian([tone], REF_FIELDS)
-        hm = h(0.0)
+        hm = compiled([tone]).hamiltonian(0.0)
         assert hm[2, 3] == pytest.approx(35.5)
         assert hm[2, 2] == pytest.approx(hm[3, 3])  # resonant pair degenerate
 
     def test_zero_tones_is_diagonal(self):
-        h = model.raman_hamiltonian([], REF_FIELDS)
-        hm = h(0.3)
+        hm = compiled([], duration=1.0).hamiltonian(0.3)
         assert np.allclose(hm, np.diag(np.diag(hm)))
-        assert np.allclose(np.diag(hm).real,
-                           np.diag(model.diagonal_hamiltonian(REF_FIELDS)))
+        assert np.allclose(np.diag(hm).real, REF_FIELDS.level_shifts())
 
     def test_cg_ratios_match_leg_product_oracle(self):
         # oracle: explicit pi x sigma- two-photon product through F' = 9/2
         tone = model.RamanTone(-2.5, -1.5, 71.0)
-        hm = model.raman_hamiltonian([tone], REF_FIELDS)(0.0)
+        hm = compiled([tone]).hamiltonian(0.0)
         w_ref = (clebsch_gordan(4.5, -2.5, 1, 0, 4.5, -2.5)
                  * clebsch_gordan(4.5, -1.5, 1, -1, 4.5, -2.5))
         for i in range(DIM - 1):
@@ -66,9 +64,10 @@ class TestRamanHamiltonian:
     def test_hermitian_at_sampled_times(self):
         tones = [model.RamanTone(-2.5, -1.5, 71.0),
                  model.RamanTone(-3.5, -2.5, 40.0, phase=0.7)]
-        h = model.raman_hamiltonian(tones, REF_FIELDS)
+        sched = compiled(tones)
+        assert sched.segments[0].kind == "general"
         for t in np.linspace(0, 0.01, 7):
-            hm = h(t)
+            hm = sched.hamiltonian(t)
             assert np.max(np.abs(hm - hm.conj().T)) < 1e-12
 
     def test_invalid_pair_rejected(self):
@@ -195,9 +194,9 @@ class TestGeneralizedRabi:
         omega, delta = 60.0, 45.0
         tone = model.RamanTone(-2.5, -1.5, omega, detuning_hz=delta,
                                cg_weighting=False)
-        h = model.raman_hamiltonian([tone], REF_FIELDS)
         ts = np.linspace(1e-6, 0.08, 400)
-        traj = dynamics.evolve_pure(basis_state(-2.5), h, 0, ts[-1], t_eval=ts)
+        traj = dynamics.evolve_pure(basis_state(-2.5),
+                                    compiled([tone], duration=ts[-1]), t_eval=ts)
         fit = analysis.fit_sine(ts, traj.populations()[:, 3])
         assert fit["frequency_hz"] == pytest.approx(np.hypot(omega, delta),
                                                     rel=1e-4)

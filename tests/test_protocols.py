@@ -42,6 +42,18 @@ class TestRabiScan:
             assert np.array_equal(s1.true_counts, s2.true_counts)
             assert np.array_equal(s1.detected_counts, s2.detected_counts)
 
+    def test_density_scan_one_expm_per_duration(self, monkeypatch):
+        # the segment ends at the last duration, so no step runs past it
+        from sunspin import dynamics
+        calls = []
+        expm = dynamics.expm
+        monkeypatch.setattr(dynamics, "expm",
+                            lambda a: calls.append(1) or expm(a))
+        durations = np.linspace(1e-3, 0.02, 6)
+        pr.rabi_scan((-2.5, -1.5), 71.0, REF_FIELDS, durations,
+                     lindblad=model.photon_scattering_channels())
+        assert len(calls) == len(durations)
+
 
 class TestRamsey:
     def test_full_contrast_fringe_at_short_t(self):
