@@ -23,6 +23,7 @@ All dissipation rates are ordinary 1/e rates in 1/s.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -78,11 +79,13 @@ def pair_splitting_hz(fields: FieldParams, m_low: float, dm: int = 1,
 
 # Two-photon legs through the F' = 9/2 excited manifold.  A dm = 1
 # transfer absorbs a pi photon and emits a sigma- photon; dm = 2 uses the
-# sigma+ / sigma- sideband pair.  Weights are signed amplitude products.
+# sigma+ / sigma- sideband pair.  Weights are signed amplitude products,
+# cached because compile asks for the same handful on every segment.
 
 REFERENCE_PAIR = (-3.5, -2.5)
 
 
+@lru_cache
 def two_photon_weight(m_low: float, dm: int = 1) -> float:
     f_ex = F
     if dm == 1:

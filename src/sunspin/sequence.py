@@ -15,14 +15,12 @@ Units: durations s, frequencies Hz (ordinary), phases rad.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
-from typing import Sequence as Seq
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import dynamics
-from .model import (FieldParams, LindbladSpec, RamanTone, control_regime_check,
-                    pair_splitting_hz)
+from .model import FieldParams, LindbladSpec, RamanTone, control_regime_check
 from .spin_core import F, M_VALUES
 
 ENVELOPES = ("square", "linear_ramp", "raised_cosine")

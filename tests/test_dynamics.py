@@ -196,6 +196,65 @@ class TestEngineAgreement:
         assert np.max(np.abs(s_dark - exact)) < 1e-12
 
 
+def _criterion_2_schedule(lindblad):
+    """The damped Rabi segment of acceptance criterion 2: 0.35 s at 71 Hz."""
+    seg = sq.PulseSegment(duration=0.35,
+                          tones=(model.RamanTone(-2.5, -1.5, 71.0),))
+    return sq.compile(sq.PulseSequence(segments=(seg,), fields=FIELDS),
+                      lindblad=lindblad)
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+    monkeypatch.setattr(owner, name,
+                        lambda *a: calls.append(1) or original(*a))
+    return calls
+
+
+class TestEigenStepping:
+    @pytest.mark.parametrize("channels", ["scatter+dephasing", "scatter", "none"])
+    def test_matches_expm_on_criterion_2_segment(self, channels, monkeypatch):
+        scatter = model.photon_scattering_channels()
+        lindblad = {"scatter+dephasing": scatter.merge(model.inhomogeneous_dephasing()),
+                    "scatter": scatter, "none": model.LindbladSpec()}[channels]
+        sched = _criterion_2_schedule(lindblad)
+        seg = sched.segments[0]
+        ts = np.linspace(1e-4, 0.35, 50)
+        psi = basis_state(-2.5)
+        rho0 = np.outer(psi, psi.conj())
+        expm_calls = _count_calls(monkeypatch, dynamics, "expm")
+        states = dynamics.evolve_density(rho0, sched, t_eval=ts).states
+        assert expm_calls == []
+        sup = dynamics.liouvillian(seg.h_const, seg.effective_channels(seg.t0))
+        exact = np.array([expm(sup * (t - seg.t0)) @ rho0.reshape(-1) for t in ts])
+        assert np.max(np.abs(states.reshape(len(ts), -1) - exact)) <= 1e-10
+        if channels == "none":
+            pure = dynamics.evolve_pure(psi, sched, t_eval=ts).states
+            pure_rho = np.einsum("ni,nj->nij", pure, pure.conj())
+            assert np.max(np.abs(states - pure_rho)) <= 1e-10
+
+    def test_defective_liouvillian_falls_back_to_expm(self, monkeypatch):
+        # one decay |i><i+1| at gamma with h[i, i+1] = gamma/(16 pi): the
+        # angular Rabi frequency equals gamma/4, an exceptional point
+        gamma, i = 20.0, m_index(-2.5)
+        h = np.zeros((DIM, DIM), dtype=complex)
+        h[i, i + 1] = h[i + 1, i] = gamma / (16 * np.pi)
+        op = np.zeros((DIM, DIM), dtype=complex)
+        op[i, i + 1] = 1.0
+        rho0 = np.zeros((DIM, DIM), dtype=complex)
+        rho0[i + 1, i + 1] = 1.0
+        ts = np.linspace(0.01, 0.5, 50)
+        expm_calls = _count_calls(monkeypatch, dynamics, "expm")
+        eig_calls = _count_calls(monkeypatch, np.linalg, "eig")
+        states = dynamics.evolve_density(rho0, h, lindblad=[(op, gamma)],
+                                         t0=0.0, t1=ts[-1], t_eval=ts).states
+        assert (len(eig_calls), len(expm_calls)) == (1, len(ts))
+        sup = dynamics.liouvillian(h, [(op, gamma)])
+        exact = np.array([expm(sup * t) @ rho0.reshape(-1) for t in ts])
+        assert np.max(np.abs(states.reshape(len(ts), -1) - exact)) <= 1e-12
+
+
 class TestIgnoredInputsRejected:
     def test_density_lindblad_with_schedule(self):
         sched = sq.compile(_mixed_sequence())

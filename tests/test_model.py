@@ -61,6 +61,16 @@ class TestRamanHamiltonian:
                  * clebsch_gordan(4.5, m + 1, 1, -1, 4.5, m))
             assert hm[i, i + 1].real == pytest.approx(35.5 * w / w_ref, abs=1e-9)
 
+    def test_cg_weights_computed_once_per_pair(self, monkeypatch):
+        tone = model.RamanTone(-2.5, -1.5, 71.0)
+        first = tone.coupling_matrix()
+        calls = []
+        cg = model.clebsch_gordan
+        monkeypatch.setattr(model, "clebsch_gordan",
+                            lambda *a: calls.append(a) or cg(*a))
+        assert np.array_equal(tone.coupling_matrix(), first)
+        assert calls == []
+
     def test_hermitian_at_sampled_times(self):
         tones = [model.RamanTone(-2.5, -1.5, 71.0),
                  model.RamanTone(-3.5, -2.5, 40.0, phase=0.7)]

@@ -43,16 +43,27 @@ class TestRabiScan:
             assert np.array_equal(s1.detected_counts, s2.detected_counts)
 
     def test_density_scan_one_expm_per_duration(self, monkeypatch):
-        # the segment ends at the last duration, so no step runs past it
+        # the segment ends at the last duration, so no step runs past it:
+        # one eigendecomposition and no expm, or on the expm fallback one
+        # expm per duration
         from sunspin import dynamics
-        calls = []
-        expm = dynamics.expm
+        expm_calls, eig_calls = [], []
+        expm, eig = dynamics.expm, np.linalg.eig
         monkeypatch.setattr(dynamics, "expm",
-                            lambda a: calls.append(1) or expm(a))
+                            lambda a: expm_calls.append(1) or expm(a))
+        monkeypatch.setattr(np.linalg, "eig",
+                            lambda a: eig_calls.append(1) or eig(a))
         durations = np.linspace(1e-3, 0.02, 6)
-        pr.rabi_scan((-2.5, -1.5), 71.0, REF_FIELDS, durations,
-                     lindblad=model.photon_scattering_channels())
-        assert len(calls) == len(durations)
+
+        def scan():
+            pr.rabi_scan((-2.5, -1.5), 71.0, REF_FIELDS, durations,
+                         lindblad=model.photon_scattering_channels())
+
+        scan()
+        assert (len(expm_calls), len(eig_calls)) == (0, 1)
+        monkeypatch.setattr(dynamics, "EIG_COND_MAX", 0.0)
+        scan()
+        assert len(expm_calls) == len(durations)
 
 
 class TestRamsey:
