@@ -86,11 +86,11 @@ def _lm(residual_jac, p0, max_iter=300, xtol=1e-12, gtol=1e-12):
     return p, cov, float(np.sqrt(np.mean(r**2))), converged, n_iter
 
 
-def _damped_sine_model(p, t):
-    a, f, phi, g, c = p
-    decay = np.exp(-g * t)
-    s = np.sin(TWO_PI * f * t + phi)
-    return a * decay * s + c
+def _canonicalize_sine(p):
+    """In place: amplitude p[0] made positive, phase p[2] wrapped to [-pi, pi)."""
+    if p[0] < 0:
+        p[0], p[2] = -p[0], p[2] + np.pi
+    p[2] = (p[2] + np.pi) % TWO_PI - np.pi
 
 
 def _damped_sine_rj(t, y, w):
@@ -170,9 +170,7 @@ def fit_damped_sine(times, values, errors=None, frequency_hint=None) -> FitResul
                 phi0 = math.atan2(coef[1], coef[0])
                 best = (sse, [a0, f0, phi0, g0, coef[2]])
     p, cov, rms, converged, n_iter = _lm(_damped_sine_rj(t, y, w), best[1])
-    if p[0] < 0:  # canonicalize amplitude sign
-        p[0], p[2] = -p[0], p[2] + np.pi
-    p[2] = (p[2] + np.pi) % TWO_PI - np.pi
+    _canonicalize_sine(p)
     if errors is None and len(t) > 5:
         cov = cov * rms**2 * len(t) / max(len(t) - 5, 1)
     tau = 1.0 / p[3] if p[3] > 0 else np.inf
@@ -217,9 +215,7 @@ def fit_sine(times, values, errors=None, frequency_hint=None) -> FitResult:
         return r, jac
 
     p, cov, rms, converged, n_iter = _lm(rj, best[1])
-    if p[0] < 0:
-        p[0], p[2] = -p[0], p[2] + np.pi
-    p[2] = (p[2] + np.pi) % TWO_PI - np.pi
+    _canonicalize_sine(p)
     if errors is None and len(t) > 4:
         cov = cov * rms**2 * len(t) / max(len(t) - 4, 1)
     return FitResult(params={"amplitude": p[0], "frequency_hz": p[1],
@@ -259,9 +255,7 @@ def fit_sine_odr(times, values, x_errors, y_errors,
         problem.set_job(fit_type=2)  # ordinary least squares
     out = problem.run()
     p = out.beta.copy()
-    if p[0] < 0:
-        p[0], p[2] = -p[0], p[2] + np.pi
-    p[2] = (p[2] + np.pi) % TWO_PI - np.pi
+    _canonicalize_sine(p)
     resid = model(p, t) - y
     converged = any(code in out.stopreason[0].lower()
                     for code in ("convergence", "sum of squares"))

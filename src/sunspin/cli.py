@@ -11,9 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -196,12 +194,10 @@ def run_config(cfg: dict, out_dir: Path, config_path: str = "<inline>") -> dict:
                      "fields": cfg["fields"], "version": __version__}
 
     if protocol == "leakage_scan":
-        def one_ratio(r):
-            return protocols.leakage_scan(
-                [r], include_scattering=cfg.get("include_scattering", False),
-                q_hz=fields.q_hz, b_hz=fields.b_hz,
-                n_phi=cfg.get("n_phi", 24), n_atoms=n_atoms)[0]
-        rows = parallel_map(one_ratio, list(scan))
+        rows = protocols.leakage_scan(
+            scan, include_scattering=cfg.get("include_scattering", False),
+            q_hz=fields.q_hz, b_hz=fields.b_hz,
+            n_phi=cfg.get("n_phi", 24), n_atoms=n_atoms)
         csv_path = out_dir / "leakage_scan.csv"
         header = "ratio,omega_hz,max,min,mean,spread,projection_floor"
         data = np.array([[r["ratio"], r["omega_hz"], r["max"], r["min"],
@@ -281,23 +277,6 @@ def _write_shots(path: Path, result) -> None:
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def worker_count() -> int:
-    cap = os.environ.get("SUNSPIN_THREADS")
-    n = min(os.cpu_count() or 1, 4)
-    if cap is not None:
-        n = max(1, min(n, int(cap)))
-    return n
-
-
-def parallel_map(fn, items):
-    """Order-preserving map over a bounded thread pool."""
-    n = worker_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------

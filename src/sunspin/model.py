@@ -82,9 +82,6 @@ def pair_splitting_hz(fields: FieldParams, m_low: float, dm: int = 1,
 # sigma+ / sigma- sideband pair.  Weights are signed amplitude products,
 # cached because compile asks for the same handful on every segment.
 
-REFERENCE_PAIR = (-3.5, -2.5)
-
-
 @lru_cache
 def two_photon_weight(m_low: float, dm: int = 1) -> float:
     f_ex = F
@@ -97,16 +94,6 @@ def two_photon_weight(m_low: float, dm: int = 1) -> float:
         down = clebsch_gordan(F, m_low + 2, 1, -1, f_ex, m_low + 1)
         return up * down
     raise ModelError(f"dm must be 1 or 2, got {dm}")
-
-
-def cg_weight_ratio(pair: tuple[float, float],
-                    reference: tuple[float, float] = REFERENCE_PAIR) -> float:
-    """Signed coupling of ``pair`` relative to ``reference`` (same dm class)."""
-    dm = round(pair[1] - pair[0])
-    dm_ref = round(reference[1] - reference[0])
-    if dm != dm_ref:
-        raise ModelError("pair and reference must have the same dm")
-    return two_photon_weight(pair[0], dm) / two_photon_weight(reference[0], dm)
 
 
 @dataclass(frozen=True)
@@ -380,11 +367,6 @@ def ac_stark_estimate(omega_hz: float, q_hz: float) -> float:
     if q_hz == 0:
         raise ModelError("ac_stark_estimate requires q != 0")
     return omega_hz**2 / (8.0 * q_hz)
-
-
-def dressed_shift_hz(omega_hz: float, detuning_hz: float) -> float:
-    """Exact light shift of the lower dressed level of a detuned 2-level drive."""
-    return 0.5 * (np.sign(detuning_hz) * np.hypot(detuning_hz, omega_hz) - detuning_hz)
 
 
 @dataclass(frozen=True)

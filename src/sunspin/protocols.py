@@ -5,6 +5,11 @@ off-resonant-leakage scan, plus the shot-level noise model.
 Every protocol returns an :class:`InterferometerResult` holding the
 noiseless expected populations on the scan grid and, optionally,
 sampled :class:`~sunspin.readout.ShotRecord` lists per scan point.
+Without ``lindblad`` a protocol evolves state vectors; any
+:class:`~sunspin.model.LindbladSpec` selects density matrices.  Shot
+noise beyond projection noise enters only here: the interferometer
+phase noise of :func:`ramsey` and the correlated (b, q) jitter of
+:func:`dual_ramsey_sampled`, both drawn from a :class:`NoiseSpec`.
 All randomness derives from an explicit seed; scan points and shots use
 independent child streams, so results are reproducible bit for bit.
 """
@@ -37,17 +42,17 @@ class ProtocolError(ValueError):
 class NoiseSpec:
     """Shot-level technical noise.
 
-    Pulse-area jitter is Gaussian per pulse (``pulse_area_sigma`` in
-    rad, plus an optional fractional term).  Interferometer phase noise
-    follows Var(phi) = phase_var0 + phase_diffusion * T with separate
-    coefficients for TLS-on and TLS-off operation (rad^2, rad^2/s).
+    Interferometer phase noise follows Var(phi) = phase_var0 +
+    phase_diffusion * T with separate coefficients for TLS-on and
+    TLS-off operation (rad^2, rad^2/s); :func:`ramsey` reads it.
     Per-shot field jitter is Gaussian in b and q; the two-state
     polarization toggle adds ``b_toggle_hz`` to b with probability
-    ``b_toggle_prob``.
+    ``b_toggle_prob``; :func:`dual_ramsey_sampled` reads these.
+    ``pulse_area_sigma`` (Gaussian pulse-area jitter per pulse, rad) is
+    validated and kept, but no protocol reads it.
     """
 
     pulse_area_sigma: float = 0.063
-    pulse_area_fraction: float = 0.0
     phase_var0_tls_on: float = 0.0245
     phase_diffusion_tls_on: float = 19.6
     phase_var0_tls_off: float = 0.09
@@ -58,10 +63,9 @@ class NoiseSpec:
     b_toggle_hz: float = 0.0
 
     def __post_init__(self):
-        for name in ("pulse_area_sigma", "pulse_area_fraction",
-                     "phase_var0_tls_on", "phase_diffusion_tls_on",
-                     "phase_var0_tls_off", "phase_diffusion_tls_off",
-                     "b_jitter_hz", "q_jitter_hz"):
+        for name in ("pulse_area_sigma", "phase_var0_tls_on",
+                     "phase_diffusion_tls_on", "phase_var0_tls_off",
+                     "phase_diffusion_tls_off", "b_jitter_hz", "q_jitter_hz"):
             if getattr(self, name) < 0:
                 raise ProtocolError(f"{name} must be >= 0")
         if not 0.0 <= self.b_toggle_prob <= 1.0:
@@ -125,8 +129,14 @@ def _sample_point(populations, n_atoms, n_shots, detection, stream):
             for i in range(n_shots)]
 
 
-def _expected_engine(lindblad):
-    return "density" if lindblad is not None else "pure"
+def _closing_map(schedule, lindblad):
+    """rho -> rho map of a closing section: conjugation by its propagator
+    without ``lindblad``, its superoperator with one."""
+    if lindblad is None:
+        u = dynamics.propagator(schedule)
+        return lambda rho: u @ rho @ u.conj().T
+    s = dynamics.superoperator(schedule)
+    return lambda rho: (s @ rho.flatten()).reshape(DIM, DIM)
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +160,7 @@ def rabi_scan(pair: tuple[float, float], omega_hz: float, fields: FieldParams,
     seg = sq.PulseSegment(duration=float(durations[-1]), tones=(tone,))
     seq = sq.PulseSequence(segments=(seg,), fields=fields, seed=seed)
     psi0 = basis_state(m_low)
-    traj = sq.run(seq, psi0, engine=_expected_engine(lindblad),
-                  lindblad=lindblad, t_eval=durations, tol=tol)
+    traj = sq.run(seq, psi0, lindblad=lindblad, t_eval=durations, tol=tol)
     pops = traj.populations()
     shots = None
     if n_shots > 0:
@@ -222,48 +231,33 @@ def ramsey(pair: tuple[float, float], t_values, fields: FieldParams,
     contrast = np.empty(len(t_values))
     shots = [] if n_shots > 0 else None
     streams = _shot_streams(seed, len(t_values)) if n_shots > 0 else None
-    engine = _expected_engine(lindblad)
     psi0 = basis_state(m_low)
 
     for k, t_dark in enumerate(t_values):
         seq = _ramsey_sequence((m_low, m_high), t_dark, fields, omega_hz,
                                tls_mode, detuning_hz, cg_weighting)
         t_pre_close = seq.total_duration - seq.segments[-1].duration
-        traj = sq.run(seq, psi0, engine=engine, lindblad=lindblad,
+        traj = sq.run(seq, psi0, lindblad=lindblad,
                       t_eval=[t_pre_close, seq.total_duration], tol=tol)
         rho_pre = density_matrix(traj.states[0])
         var = noise.phase_variance(t_dark, tls_on) if phase_noise != "none" else 0.0
+        if phase_noise == "average" or (phase_noise == "sample" and n_shots > 0):
+            close = sq.PulseSequence(segments=(seq.segments[-1],), fields=fields)
+            close_map = _closing_map(sq.compile(close, lindblad=lindblad), lindblad)
         if phase_noise == "average":
             rho_pre = _dephase_pair(rho_pre, i, j, np.exp(-var / 2.0))
         contrast[k] = 2.0 * abs(rho_pre[i, j])
         if phase_noise == "average":
-            close = sq.PulseSequence(segments=(seq.segments[-1],), fields=fields)
-            schedule = sq.compile(close, lindblad=lindblad)
-            s_close = dynamics.superoperator(schedule) if lindblad is not None else None
-            if s_close is None:
-                u = dynamics.propagator(schedule)
-                rho_fin = u @ rho_pre @ u.conj().T
-            else:
-                rho_fin = (s_close @ rho_pre.flatten()).reshape(DIM, DIM)
-            pops[k] = np.real(np.diag(rho_fin)).clip(0.0, 1.0)
+            pops[k] = np.real(np.diag(close_map(rho_pre))).clip(0.0, 1.0)
         else:
             pops[k] = traj.populations()[-1].clip(0.0, 1.0)
         if n_shots > 0:
             rng = np.random.default_rng(streams[k])
             if phase_noise == "sample":
-                close = sq.PulseSequence(segments=(seq.segments[-1],), fields=fields)
-                schedule = sq.compile(close, lindblad=lindblad)
-                u_close = dynamics.propagator(schedule) if lindblad is None else None
-                s_close = (dynamics.superoperator(schedule)
-                           if lindblad is not None else None)
                 recs = []
                 for shot in range(n_shots):
                     dphi = rng.normal(0.0, np.sqrt(var))
-                    rho_s = _rotate_pair(density_matrix(traj.states[0]), i, j, dphi)
-                    if u_close is not None:
-                        rho_fin = u_close @ rho_s @ u_close.conj().T
-                    else:
-                        rho_fin = (s_close @ rho_s.flatten()).reshape(DIM, DIM)
+                    rho_fin = close_map(_rotate_pair(rho_pre, i, j, dphi))
                     recs.append(sample_shot(rho_fin, n_atoms,
                                             detection or DetectionModel.ideal(),
                                             rng, shot_index=shot))
@@ -369,7 +363,6 @@ def parallel_ramsey(t_values, fields: FieldParams, omega_hz: float = 77.0,
     in ``meta``.
     """
     t_values = np.asarray(t_values, dtype=float)
-    engine = _expected_engine(lindblad)
     pops = np.empty((len(t_values), DIM))
     phases = np.empty((len(t_values), 2))
     expected = np.empty((len(t_values), 2))
@@ -396,7 +389,7 @@ def parallel_ramsey(t_values, fields: FieldParams, omega_hz: float = 77.0,
         else:
             t_eval = np.array([o1, o2, c1, c2, seq.total_duration])
         traj = (dynamics.evolve_pure(psi0, schedule, t_eval=t_eval, tol=tol)
-                if engine == "pure" else
+                if lindblad is None else
                 dynamics.evolve_density(density_matrix(psi0), schedule,
                                         t_eval=t_eval, tol=tol))
         pops[k] = traj.populations()[-1].clip(0.0, 1.0)
@@ -409,8 +402,8 @@ def parallel_ramsey(t_values, fields: FieldParams, omega_hz: float = 77.0,
             expected[k, w] = TWO_PI * ((-nu_signed) - delta_mean) * (t_b - t_a)
             mean_deltas[k, w] = delta_mean
         if n_shots > 0:
-            shots.append(_dual_ramsey_shots(traj, n_shots, n_atoms, detection,
-                                            streams[k]))
+            shots.append(_sample_point(traj.states[-1], n_atoms, n_shots,
+                                       detection, streams[k]))
 
     return InterferometerResult(
         scan_name="open_time_s", scan_values=t_values, populations=pops,
@@ -432,19 +425,6 @@ def _window_phase(traj, idx, t_a, t_b, unwrap):
 
 def traj_m(index: int) -> float:
     return float(index - 4.5)
-
-
-def _dual_ramsey_shots(traj, n_shots, n_atoms, detection, stream):
-    """Projection-noise shots from the final state of one scan point.
-
-    Correlated per-shot field jitter is handled by
-    :func:`dual_ramsey_sampled`, which repeats realizations at fixed T.
-    """
-    rng = np.random.default_rng(stream)
-    det = detection or DetectionModel.ideal()
-    final = traj.states[-1]
-    return [sample_shot(final, n_atoms, det, rng, shot_index=s)
-            for s in range(n_shots)]
 
 
 def dual_ramsey_sampled(t_open: float, fields: FieldParams, omega_hz: float,
@@ -480,12 +460,7 @@ def dual_ramsey_sampled(t_open: float, fields: FieldParams, omega_hz: float,
         if seg.t0 >= c1 - 1e-15:
             close_segments.append(seg)
     close_sched = dynamics.Schedule(tuple(close_segments), meta=schedule.meta)
-    if lindblad is None:
-        u_close = dynamics.propagator(close_sched)
-        s_close = None
-    else:
-        s_close = dynamics.superoperator(close_sched)
-        u_close = None
+    close_map = _closing_map(close_sched, lindblad)
 
     m_values = np.arange(DIM) - 4.5
     rng = np.random.default_rng(seed)
@@ -502,11 +477,7 @@ def dual_ramsey_sampled(t_open: float, fields: FieldParams, omega_hz: float,
         rho_s = _diagonal_phase(rho_pre, level_phases)
         dphi1 = TWO_PI * t_open * (4 * dq - db)
         dphi2 = TWO_PI * t_open * (8 * dq - db)
-        if u_close is not None:
-            rho_fin = u_close @ rho_s @ u_close.conj().T
-        else:
-            rho_fin = (s_close @ rho_s.flatten()).reshape(DIM, DIM)
-        records.append(sample_shot(rho_fin, n_atoms, det, rng, shot_index=s))
+        records.append(sample_shot(close_map(rho_s), n_atoms, det, rng, shot_index=s))
         dphis.append((dphi1, dphi2))
         offsets.append((db, dq))
     return {"records": records, "phase_offsets": np.array(dphis),
@@ -572,12 +543,11 @@ def ancilla_measurement(phi_values, fields: FieldParams, omega_hz: float = 76.0,
         input_state = readout.coherent_qubit_state()
     psi0 = basis_state(M_UP) if prepare_with_pulse else np.asarray(input_state,
                                                                    dtype=complex)
-    engine = _expected_engine(lindblad)
     pops = np.empty((len(phi_values), DIM))
     for k, phi in enumerate(phi_values):
         seq = _ancilla_sequence(phi, fields_c, omega_hz, window_s, gap_s,
                                 prepare_with_pulse, cg_weighting)
-        traj = sq.run(seq, psi0, engine=engine, lindblad=lindblad, tol=tol)
+        traj = sq.run(seq, psi0, lindblad=lindblad, tol=tol)
         pops[k] = traj.populations()[-1].clip(0.0, 1.0)
     shots = None
     if n_shots > 0:
@@ -633,8 +603,7 @@ def leakage_scan(ratio_values, include_scattering: bool = False,
                          cg_weighting=cg_weighting, warn_regime=False),
             )
             seq = sq.PulseSequence(segments=segs, fields=fields)
-            traj = sq.run(seq, psi0, engine=_expected_engine(lindblad),
-                          lindblad=lindblad, tol=tol)
+            traj = sq.run(seq, psi0, lindblad=lindblad, tol=tol)
             p = traj.populations()[-1]
             values[k] = p[m_index(M_ANCILLA_A)] - p[m_index(M_ANCILLA_B)]
         rows.append({"ratio": float(ratio), "omega_hz": omega,

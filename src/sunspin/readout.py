@@ -80,16 +80,6 @@ class ShotRecord:
     shot_index: int = 0
     recalibrated: bool = False
 
-    def fractions(self, detection: DetectionModel | None = None) -> np.ndarray:
-        """Efficiency-corrected fractional populations (NaN where unseen)."""
-        if detection is None:
-            return self.true_counts / self.n_atoms
-        eta = detection.efficiency_vector()
-        vis = detection.visible_mask()
-        out = np.full(DIM, np.nan)
-        out[vis] = self.detected_counts[vis] / (eta[vis] * self.n_atoms)
-        return out
-
 
 def sample_shot(state_or_rho: np.ndarray, n_atoms: int,
                 detection: DetectionModel | None = None,

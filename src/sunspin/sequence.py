@@ -7,7 +7,8 @@ RF local oscillator, whose frequency steps are phase-continuous like a
 DDS.  The TLS multiplier scales the quadratic shift q, the vector part
 of b, and every TLS-tied dissipation rate.  Compilation is the one
 place the Raman Hamiltonian is built; the dynamics engines only step
-the schedules it returns.
+the schedules it returns.  A sequence is deterministic: shot-to-shot
+noise belongs to the protocols that sample it.
 
 Units: durations s, frequencies Hz (ordinary), phases rad.
 """
@@ -89,10 +90,6 @@ class PulseSequence:
     segments: tuple[PulseSegment, ...]
     fields: FieldParams
     seed: int | None = None
-    noise: object | None = None
-    # per-shot realized field offsets (Hz); nominal fields still set LO freqs
-    b_offset_hz: float = 0.0
-    q_offset_hz: float = 0.0
 
     def __post_init__(self):
         if not self.segments:
@@ -203,7 +200,6 @@ def compile(sequence: PulseSequence, lindblad: LindbladSpec | None = None,
                 fixed_ch += spec.channels
 
     fields = sequence.fields
-    true_fields = _true_fields(sequence)
     lab = frame == "lab-beat"
     segments = []
     t = 0.0
@@ -227,8 +223,8 @@ def compile(sequence: PulseSequence, lindblad: LindbladSpec | None = None,
         # phases carry the LO phase accumulated before the segment
         frame_rate = 0.0 if lab else f_lo / d_ref
         mu0, mu1 = seg.tls_start, seg.tls_end
-        diag0 = _level_diag(true_fields, mu0, frame_rate)
-        diag1 = _level_diag(true_fields, mu1, frame_rate)
+        diag0 = _level_diag(fields, mu0, frame_rate)
+        diag1 = _level_diag(fields, mu1, frame_rate)
         f_max = float(max(np.max(np.abs(diag0)), np.max(np.abs(diag1))))
         common = dict(t0=t, t1=t + seg.duration, channels=scaled_ch,
                       channels_fixed=fixed_ch, mult_start=mu0, mult_end=mu1,
@@ -248,7 +244,7 @@ def compile(sequence: PulseSequence, lindblad: LindbladSpec | None = None,
                 else:
                     rate -= f_lo * (tone.dm / d_ref)
                 tone_terms.append((tone.coupling_matrix() / 2.0, rate, phi0))
-            h = _segment_hamiltonian(true_fields, seg, t, frame_rate,
+            h = _segment_hamiltonian(fields, seg, t, frame_rate,
                                      tone_terms, lab)
             static = (seg.envelope == "square" and abs(mu1 - mu0) < 1e-15
                       and all(abs(r) < 1e-12 for _, r, _ in tone_terms)
@@ -268,12 +264,6 @@ def compile(sequence: PulseSequence, lindblad: LindbladSpec | None = None,
     return dynamics.Schedule(tuple(segments),
                              meta={"frame": frame, "lo_trace": tuple(lo_trace),
                                    "total_duration": t})
-
-
-def _true_fields(sequence: PulseSequence) -> FieldParams:
-    f = sequence.fields
-    return replace(f, b_hz=f.b_hz + sequence.b_offset_hz,
-                   q_hz=f.q_hz + sequence.q_offset_hz)
 
 
 def _level_diag(fields: FieldParams, mu: float, frame_rate: float) -> np.ndarray:
@@ -314,51 +304,20 @@ def _segment_hamiltonian(fields, seg: PulseSegment, t_start, frame_rate,
 
 
 # ---------------------------------------------------------------------------
-# running and per-shot noise realization
+# running and serialization
 # ---------------------------------------------------------------------------
 
-def realize(sequence: PulseSequence, rng: np.random.Generator) -> PulseSequence:
-    """Draw one noisy realization of the sequence (pulse areas, b, q)."""
-    noise = sequence.noise
-    if noise is None:
-        return sequence
-    new_segments = []
-    for seg in sequence.segments:
-        if seg.tones and (noise.pulse_area_sigma > 0 or noise.pulse_area_fraction > 0):
-            tone = seg.tones[0]
-            area = 2 * np.pi * tone.omega_hz * seg.duration * seg.area_fraction()
-            jitter = rng.normal(0.0, noise.pulse_area_sigma) if noise.pulse_area_sigma else 0.0
-            jitter += area * rng.normal(0.0, noise.pulse_area_fraction) if noise.pulse_area_fraction else 0.0
-            factor = max((area + jitter) / area, 0.0)
-            new_tones = tuple(replace(t_, omega_hz=t_.omega_hz * factor)
-                              for t_ in seg.tones)
-            seg = replace(seg, tones=new_tones)
-        new_segments.append(seg)
-    db = rng.normal(0.0, noise.b_jitter_hz) if noise.b_jitter_hz else 0.0
-    dq = rng.normal(0.0, noise.q_jitter_hz) if noise.q_jitter_hz else 0.0
-    if noise.b_toggle_prob > 0 and rng.random() < noise.b_toggle_prob:
-        db += noise.b_toggle_hz
-    return replace(sequence, segments=tuple(new_segments),
-                   b_offset_hz=sequence.b_offset_hz + db,
-                   q_offset_hz=sequence.q_offset_hz + dq)
-
-
 def run(sequence: PulseSequence, initial_state: np.ndarray,
-        engine: str = "pure", lindblad: LindbladSpec | None = None,
-        t_eval=None, tol: float = dynamics.DEFAULT_RTOL,
-        apply_noise: bool = False, rng: np.random.Generator | None = None
-        ) -> dynamics.Trajectory:
-    """Evolve an initial state through the sequence."""
-    if engine not in ("pure", "density"):
-        raise SequenceError("engine must be 'pure' or 'density'")
-    seq = sequence
-    if apply_noise and sequence.noise is not None:
-        rng = rng or np.random.default_rng(sequence.seed)
-        seq = realize(sequence, rng)
-    schedule = compile(seq, lindblad=lindblad)
-    if engine == "pure":
-        if schedule.has_dissipation():
-            raise SequenceError("pure engine cannot carry dissipation channels")
+        lindblad: LindbladSpec | None = None, t_eval=None,
+        tol: float = dynamics.DEFAULT_RTOL) -> dynamics.Trajectory:
+    """Evolve an initial state through the sequence.
+
+    With ``lindblad`` None the state vector is evolved; any spec, even
+    one without channels, selects the density engine (a state vector
+    input is turned into its density matrix).
+    """
+    schedule = compile(sequence, lindblad=lindblad)
+    if lindblad is None:
         return dynamics.evolve_pure(initial_state, schedule, tol=tol, t_eval=t_eval)
     rho = initial_state
     if np.asarray(initial_state).ndim == 1:
@@ -368,23 +327,18 @@ def run(sequence: PulseSequence, initial_state: np.ndarray,
 
 
 def sequence_to_dict(sequence: PulseSequence) -> dict:
-    """JSON-ready description of a sequence (noise spec by value if it
-    is a dataclass; reattach it after :func:`sequence_from_dict`)."""
-    import dataclasses
+    """JSON-ready description of a sequence; :func:`sequence_from_dict`
+    reads it back."""
 
     def tone_dict(t: RamanTone) -> dict:
         return {"m_low": t.m_low, "m_high": t.m_high, "omega_hz": t.omega_hz,
                 "detuning_hz": t.detuning_hz, "phase": t.phase,
                 "cg_weighting": t.cg_weighting}
 
-    noise = sequence.noise
-    if noise is not None and dataclasses.is_dataclass(noise):
-        noise = dataclasses.asdict(noise)
     return {
         "fields": {"b_hz": sequence.fields.b_hz, "q_hz": sequence.fields.q_hz,
                    "b_vector_hz": sequence.fields.b_vector_hz},
         "seed": sequence.seed,
-        "noise": noise,
         "segments": [
             {"duration": s.duration, "envelope": s.envelope,
              "envelope_param": s.envelope_param, "tls_start": s.tls_start,

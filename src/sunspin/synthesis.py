@@ -50,13 +50,6 @@ class RotationPlan:
             u = pair_rotation(r.m_low, r.m_high, r.axis, r.angle) @ u
         return u
 
-    def generator_counts(self) -> dict:
-        counts: dict = {}
-        for r in self.rotations:
-            key = (r.m_low, r.m_high, r.axis)
-            counts[key] = counts.get(key, 0) + 1
-        return counts
-
     def prefix(self, n: int) -> "RotationPlan":
         return RotationPlan(rotations=list(self.rotations[:n]))
 

@@ -109,6 +109,13 @@ class TestSubcommands:
                           skiprows=1)
         assert data.shape == (2, 7)
         assert data[0, 0] == 9.0
+        rows = cli.protocols.leakage_scan([9, 30], n_phi=8, q_hz=-330.0,
+                                          b_hz=960.0)
+        keys = ("ratio", "omega_hz", "max", "min", "mean", "spread",
+                "projection_floor")
+        # the CSV holds 12 significant digits
+        expected = [[float(f"{r[k]:.12g}") for k in keys] for r in rows]
+        assert data.tolist() == expected
 
     def test_fit_subcommand(self, tmp_path, capsys):
         t = np.linspace(0, 0.3, 150)
@@ -145,16 +152,3 @@ class TestSubcommands:
         data = np.loadtxt(tmp_path / "o" / "dual_ramsey.csv", delimiter=",",
                           skiprows=1)
         assert data.shape[0] == 5
-
-
-class TestWorkerPool:
-    def test_env_caps_pool(self, monkeypatch):
-        monkeypatch.setenv("SUNSPIN_THREADS", "1")
-        assert cli.worker_count() == 1
-        monkeypatch.setenv("SUNSPIN_THREADS", "2")
-        assert cli.worker_count() <= 2
-
-    def test_parallel_map_preserves_order(self, monkeypatch):
-        monkeypatch.setenv("SUNSPIN_THREADS", "3")
-        out = cli.parallel_map(lambda x: x * x, list(range(20)))
-        assert out == [x * x for x in range(20)]

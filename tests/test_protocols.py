@@ -99,6 +99,31 @@ class TestRamsey:
         c_short, c_long = res.contrast
         assert c_long > 0.99 * c_short
 
+    @pytest.mark.parametrize("lindblad", [None, model.LindbladSpec()],
+                             ids=["pure", "empty-lindblad"])
+    def test_sampled_phase_noise_quiet_matches_expectation(self, lindblad):
+        # with zero phase noise every shot samples the noiseless fringe
+        t_vals = [0.005, 0.013, 0.021]
+        kw = dict(detuning_hz=25.0, lindblad=lindblad,
+                  noise=pr.NoiseSpec.quiet())
+        bare = pr.ramsey((-3.5, -2.5), t_vals, RAMSEY_FIELDS, 93.0, **kw)
+        shot_kw = dict(phase_noise="sample", n_shots=40, n_atoms=500, seed=23)
+        res = pr.ramsey((-3.5, -2.5), t_vals, RAMSEY_FIELDS, 93.0,
+                        **kw, **shot_kw)
+        again = pr.ramsey((-3.5, -2.5), t_vals, RAMSEY_FIELDS, 93.0,
+                          **kw, **shot_kw)
+        n = 40 * 500
+        for k in range(len(t_vals)):
+            counts = np.array([rec.true_counts for rec in res.shots[k]])
+            mean = counts.sum(axis=0) / n
+            for m in (-3.5, -2.5):
+                p = bare.population(m)[k]
+                se = np.sqrt(p * (1 - p) / n)
+                assert abs(mean[ro.m_index(m)] - p) < 5 * se
+            for r1, r2 in zip(res.shots[k], again.shots[k]):
+                assert np.array_equal(r1.true_counts, r2.true_counts)
+                assert np.array_equal(r1.detected_counts, r2.detected_counts)
+
     def test_tls_mode_validation(self):
         with pytest.raises(pr.ProtocolError):
             pr.ramsey((-3.5, -2.5), [0.003], RAMSEY_FIELDS, 93.0,

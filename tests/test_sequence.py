@@ -20,7 +20,7 @@ class TestPulseConstruction:
         p = sq.pi_pulse((-2.5, -1.5), 71.0, FIELDS, cg_weighting=False,
                         warn_regime=False)
         seq = sq.PulseSequence(segments=(p, p), fields=FIELDS)
-        traj = sq.run(seq, basis_state(-2.5), engine="pure")
+        traj = sq.run(seq, basis_state(-2.5))
         assert traj.populations()[-1][2] == pytest.approx(1.0, abs=1e-10)
         # net 2 pi rotation multiplies the pair amplitude by -1 in the
         # interaction picture of the in-frame level shifts
@@ -38,10 +38,9 @@ class TestPulseConstruction:
                             warn_regime=False)
         assert rc_pulse.duration == pytest.approx(2 * sq_pulse.duration)
         p_sq = sq.run(sq.PulseSequence(segments=(sq_pulse,), fields=FIELDS),
-                      basis_state(-2.5), engine="pure").populations()[-1][3]
+                      basis_state(-2.5)).populations()[-1][3]
         p_rc = sq.run(sq.PulseSequence(segments=(rc_pulse,), fields=FIELDS),
-                      basis_state(-2.5), engine="pure",
-                      tol=1e-10).populations()[-1][3]
+                      basis_state(-2.5), tol=1e-10).populations()[-1][3]
         assert p_rc == pytest.approx(p_sq, abs=1e-6)
 
     def test_regime_warning(self):
@@ -106,7 +105,7 @@ class TestCompile:
         rng = np.random.default_rng(4)
         psi = rng.normal(size=10) + 1j * rng.normal(size=10)
         psi /= np.linalg.norm(psi)
-        traj = sq.run(seq, psi, engine="pure")
+        traj = sq.run(seq, psi)
         assert np.max(np.abs(traj.populations()[-1] - np.abs(psi) ** 2)) < 1e-4
 
     def test_describe_one_line_per_segment(self):
@@ -118,31 +117,14 @@ class TestCompile:
 
 
 class TestRun:
-    def test_pure_engine_rejects_dissipation(self):
-        lb = model.photon_scattering_channels()
-        seq = sq.PulseSequence(segments=(sq.dark_time(0.01),), fields=FIELDS)
-        with pytest.raises(sq.SequenceError):
-            sq.run(seq, basis_state(-2.5), engine="pure", lindblad=lb)
-
     def test_density_engine_accepts_pure_input(self):
         seq = sq.PulseSequence(
             segments=(sq.pi_pulse((-2.5, -1.5), 71.0, FIELDS,
                                   cg_weighting=False, warn_regime=False),),
             fields=FIELDS)
-        traj = sq.run(seq, basis_state(-2.5), engine="density")
+        # an empty spec still selects the density engine
+        traj = sq.run(seq, basis_state(-2.5), lindblad=model.LindbladSpec())
         assert np.real(traj.final[3, 3]) == pytest.approx(1.0, abs=1e-9)
-
-    def test_realize_deterministic_given_seed(self):
-        noise = pytest.importorskip("sunspin.protocols").NoiseSpec(
-            pulse_area_sigma=0.063, b_jitter_hz=3.0)
-        p = sq.pi_half_pulse((-2.5, -1.5), 71.0, FIELDS, warn_regime=False)
-        seq = sq.PulseSequence(segments=(p,), fields=FIELDS, seed=9,
-                               noise=noise)
-        r1 = sq.realize(seq, np.random.default_rng(9))
-        r2 = sq.realize(seq, np.random.default_rng(9))
-        assert r1.segments[0].tones[0].omega_hz == r2.segments[0].tones[0].omega_hz
-        assert r1.b_offset_hz == r2.b_offset_hz
-        assert r1.segments[0].tones[0].omega_hz != 71.0
 
     def test_json_round_trip(self):
         import json
