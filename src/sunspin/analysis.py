@@ -294,6 +294,22 @@ def synthesize_fringe(times, frequency_hz, contrast, phase_sigma,
     return y + rng.normal(0.0, measurement_errors, size=n)
 
 
+def _replica_fringes(t, frequency_hz, contrast, phase_sigma,
+                     measurement_errors, pulse_area_sigma, rng, n_replicas,
+                     phase0, offset):
+    """``n_replicas`` :func:`synthesize_fringe` datasets as the columns of
+    a C-contiguous (n, n_replicas) array, from one block of draws taken
+    in the order of successive calls, so the values are bit-identical."""
+    z = rng.standard_normal((n_replicas, 4 if phase_sigma > 0 else 3, len(t)))
+    phase = TWO_PI * frequency_hz * t + phase0
+    if phase_sigma > 0:
+        phase = phase + phase_sigma * z[:, 0]
+    th1 = np.pi / 2 + pulse_area_sigma * z[:, -3]
+    th2 = np.pi / 2 + pulse_area_sigma * z[:, -2]
+    y = _ramsey_point(contrast, phase, th1, th2, offset)
+    return np.ascontiguousarray((y + measurement_errors * z[:, -1]).T)
+
+
 def phase_noise_estimate(times, values, measurement_errors,
                          pulse_area_sigma: float = 0.063,
                          n_replicas: int = 200, seed: int = 0,
@@ -307,10 +323,18 @@ def phase_noise_estimate(times, values, measurement_errors,
     amplitude and residual RMS both match the data within Monte-Carlo
     errors are accepted.  Returns the best-matching point, the accepted
     ranges as confidence intervals, and the matching tolerance.
+
+    Each grid point draws its replicas in one standard-normal block of
+    shape (n_replicas, k, n): per replica the phase offsets (k = 4, only
+    when sigma_phi > 0, else k = 3), two pulse-area jitters and the
+    measurement noise, in that order, which is the stream of one
+    :func:`synthesize_fringe` call per replica.
     """
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
     err = np.broadcast_to(np.asarray(measurement_errors, dtype=float), y.shape)
+    if pulse_area_sigma < 0 or np.any(err < 0):
+        raise AnalysisError("pulse_area_sigma and measurement_errors must be >= 0")
     data_fit = fit_sine(t, y, errors=err)
     freq = data_fit["frequency_hz"]
     phase0 = data_fit["phase_rad"]
@@ -344,11 +368,9 @@ def phase_noise_estimate(times, values, measurement_errors,
         rows = []
         for c in c_grid:
             for s in s_grid:
-                y_syn = np.column_stack([
-                    synthesize_fringe(t, freq, c, s, err, pulse_area_sigma,
-                                      rng, phase0=phase0, offset=offset)
-                    for _ in range(n_replicas)])
-                amps, rmss = fringe_metrics(y_syn)
+                amps, rmss = fringe_metrics(_replica_fringes(
+                    t, freq, c, s, err, pulse_area_sigma, rng, n_replicas,
+                    phase0, offset))
                 se_a = amps.std(ddof=1) / math.sqrt(n_replicas) + 1e-12
                 se_r = rmss.std(ddof=1) / math.sqrt(n_replicas) + 1e-12
                 z2 = ((amps.mean() - amp_data) / (amps.std(ddof=1) + 1e-12)) ** 2 \

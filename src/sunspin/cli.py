@@ -159,6 +159,8 @@ def _build_noise(cfg: dict):
     if (spec is not None) != wanted:
         raise ConfigError("'noise' is needed by, and only taken by, a ramsey "
                           "config with phase_noise 'average' or 'sample'")
+    if cfg.get("phase_noise") == "sample" and cfg.get("n_shots", 0) <= 0:
+        raise ConfigError("phase_noise 'sample' draws per shot; it needs n_shots > 0")
     if spec is None:
         return None
     return NoiseSpec.quiet() if spec.get("preset") == "quiet" else NoiseSpec()

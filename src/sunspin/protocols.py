@@ -158,7 +158,7 @@ def rabi_scan(pair: tuple[float, float], omega_hz: float, fields: FieldParams,
     tone = RamanTone(m_low=m_low, m_high=m_high, omega_hz=omega_hz,
                      detuning_hz=detuning_hz, cg_weighting=cg_weighting)
     seg = sq.PulseSegment(duration=float(durations[-1]), tones=(tone,))
-    seq = sq.PulseSequence(segments=(seg,), fields=fields, seed=seed)
+    seq = sq.PulseSequence(segments=(seg,), fields=fields)
     psi0 = basis_state(m_low)
     traj = sq.run(seq, psi0, lindblad=lindblad, t_eval=durations, tol=tol)
     pops = traj.populations()
@@ -216,13 +216,15 @@ def ramsey(pair: tuple[float, float], t_values, fields: FieldParams,
     ``phase_noise``: 'none' for the bare expectation, 'average' to fold
     the Gaussian interferometer phase noise Var(phi) into the mean
     fringe (multiplies the pre-closing coherence by exp(-Var/2)),
-    'sample' to draw one phase offset per shot.
+    'sample' to draw one phase offset per shot (so it needs n_shots > 0).
     """
     t_values = np.asarray(t_values, dtype=float)
     if phase_noise not in ("none", "average", "sample"):
         raise ProtocolError("phase_noise must be none|average|sample")
     if phase_noise != "none" and noise is None:
         raise ProtocolError("phase_noise requires a NoiseSpec")
+    if phase_noise == "sample" and n_shots <= 0:
+        raise ProtocolError("phase_noise 'sample' draws per shot; it needs n_shots > 0")
     m_low, m_high = min(pair), max(pair)
     i, j = m_index(m_low), m_index(m_high)
     tls_on = tls_mode == "on"
@@ -240,8 +242,8 @@ def ramsey(pair: tuple[float, float], t_values, fields: FieldParams,
         traj = sq.run(seq, psi0, lindblad=lindblad,
                       t_eval=[t_pre_close, seq.total_duration], tol=tol)
         rho_pre = density_matrix(traj.states[0])
-        var = noise.phase_variance(t_dark, tls_on) if phase_noise != "none" else 0.0
-        if phase_noise == "average" or (phase_noise == "sample" and n_shots > 0):
+        if phase_noise != "none":
+            var = noise.phase_variance(t_dark, tls_on)
             close = sq.PulseSequence(segments=(seq.segments[-1],), fields=fields)
             close_map = _closing_map(sq.compile(close, lindblad=lindblad), lindblad)
         if phase_noise == "average":

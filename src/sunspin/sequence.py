@@ -89,7 +89,6 @@ class PulseSegment:
 class PulseSequence:
     segments: tuple[PulseSegment, ...]
     fields: FieldParams
-    seed: int | None = None
 
     def __post_init__(self):
         if not self.segments:
@@ -102,7 +101,7 @@ class PulseSequence:
     def describe(self) -> str:
         """Canonical one-line-per-segment audit dump."""
         lines = [f"# fields: b={self.fields.b_hz} Hz, q={self.fields.q_hz} Hz, "
-                 f"b_vec={self.fields.b_vector_hz} Hz, seed={self.seed}"]
+                 f"b_vec={self.fields.b_vector_hz} Hz"]
         t = 0.0
         for i, s in enumerate(self.segments):
             tone_txt = "; ".join(
@@ -338,7 +337,6 @@ def sequence_to_dict(sequence: PulseSequence) -> dict:
     return {
         "fields": {"b_hz": sequence.fields.b_hz, "q_hz": sequence.fields.q_hz,
                    "b_vector_hz": sequence.fields.b_vector_hz},
-        "seed": sequence.seed,
         "segments": [
             {"duration": s.duration, "envelope": s.envelope,
              "envelope_param": s.envelope_param, "tls_start": s.tls_start,
@@ -362,8 +360,7 @@ def sequence_from_dict(data: dict) -> PulseSequence:
                      lo_phase_step=s.get("lo_phase_step", 0.0),
                      label=s.get("label", ""))
         for s in data["segments"])
-    return PulseSequence(segments=segments, fields=fields,
-                         seed=data.get("seed"))
+    return PulseSequence(segments=segments, fields=fields)
 
 
 def lo_frequency_trace(schedule: dynamics.Schedule) -> tuple:

@@ -14,9 +14,9 @@ Conventions (shared by every module in this package):
   ``u = 2 Re rho(m, m+1)``, ``v = 2 Im rho(m, m+1)``,
   ``w = p(m) - p(m+1)``, which makes
   ``exp(-i (pi/2) sigma_x / 2)|m> -> (u, v, w) = (0, 1, 0)``.
-* Matrix exponentials of Hermitian generators are evaluated by
-  eigendecomposition, exact to machine precision for these 10x10
-  problems.
+* Pair rotations are built in closed form,
+  ``cos(theta/2) I - i sin(theta/2) sigma`` on the two levels and the
+  identity elsewhere.
 """
 
 from __future__ import annotations
@@ -70,6 +70,20 @@ def density_matrix(state_or_rho: np.ndarray) -> np.ndarray:
     return arr
 
 
+# Row-major entries (00, 01, 10, 11) of the 2x2 identity and Pauli matrices.
+_IDENTITY_2 = (1, 0, 0, 1)
+_PAULI = {"x": (0, 1, 1, 0), "y": (0, -1j, 1j, 0), "z": (1, 0, 0, -1)}
+
+
+def _pair_indices(m_low: float, m_high: float, axis: str) -> tuple[int, int]:
+    if axis not in _AXES:
+        raise SpinError(f"axis must be one of {_AXES}, got {axis!r}")
+    i, j = m_index(m_low), m_index(m_high)
+    if i >= j:
+        raise SpinError("pair generator requires m_low < m_high")
+    return i, j
+
+
 def pair_generator(m_low: float, m_high: float, axis: str) -> np.ndarray:
     """Pauli matrix embedded on the two-level subspace {|m_low>, |m_high>}.
 
@@ -77,32 +91,20 @@ def pair_generator(m_low: float, m_high: float, axis: str) -> np.ndarray:
     2x2 Pauli matrix for ``axis``; every other entry is zero.  sigma_z is
     +1 on the lower projection.
     """
-    if axis not in _AXES:
-        raise SpinError(f"axis must be one of {_AXES}, got {axis!r}")
-    i, j = m_index(m_low), m_index(m_high)
-    if i >= j:
-        raise SpinError("pair generator requires m_low < m_high")
+    i, j = _pair_indices(m_low, m_high, axis)
     g = np.zeros((DIM, DIM), dtype=complex)
-    if axis == "x":
-        g[i, j] = g[j, i] = 1.0
-    elif axis == "y":
-        g[i, j] = -1.0j
-        g[j, i] = 1.0j
-    else:
-        g[i, i] = 1.0
-        g[j, j] = -1.0
+    g[i, i], g[i, j], g[j, i], g[j, j] = _PAULI[axis]
     return g
-
-
-def expm_herm(h: np.ndarray, scale: complex = -1.0j) -> np.ndarray:
-    """exp(scale * h) for Hermitian ``h`` via eigendecomposition."""
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(scale * w)) @ v.conj().T
 
 
 def pair_rotation(m_low: float, m_high: float, axis: str, angle: float) -> np.ndarray:
     """Unitary exp(-i angle * sigma_axis(m_low, m_high) / 2)."""
-    return expm_herm(pair_generator(m_low, m_high, axis), scale=-0.5j * angle)
+    i, j = _pair_indices(m_low, m_high, axis)
+    c, s = math.cos(angle / 2), -1j * math.sin(angle / 2)
+    u = np.eye(DIM, dtype=complex)
+    u[i, i], u[i, j], u[j, i], u[j, j] = (
+        c * e + s * p for e, p in zip(_IDENTITY_2, _PAULI[axis]))
+    return u
 
 
 def spin_operators(f: float = F) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -152,9 +152,7 @@ def decompose(target: np.ndarray, tolerance: float = 1e-9) -> RotationPlan:
             m_low, m_high = float(M_VALUES[row - 1]), float(M_VALUES[row])
             for axis, angle in _su2_euler_zxz(g):
                 elim.append(PlanRotation(m_low, m_high, axis, angle))
-            rot = np.eye(DIM, dtype=complex)
-            rot[row - 1:row + 1, row - 1:row + 1] = g
-            work = rot @ work
+            work[row - 1:row + 1] = g @ work[row - 1:row + 1]
 
     # Residual diagonal e^{i gamma_m}: adjacent z rotations with angles
     # from the telescoping recursion theta_k = theta_{k-1} - 2 phi_k,

@@ -111,6 +111,37 @@ class TestPhaseNoiseEstimate:
         assert out["phase_sigma_rad"] > 1.0
         assert out["data_residual_rms"] > 0.2
 
+    @pytest.mark.parametrize("pulse_area_sigma", [0.0, 0.063])
+    @pytest.mark.parametrize("sigma_grid", [None, np.linspace(0.1, 1.2, 6)],
+                             ids=["grid-with-zero", "grid-without-zero"])
+    def test_batched_replicas_equal_per_replica_loop(self, monkeypatch,
+                                                     pulse_area_sigma,
+                                                     sigma_grid):
+        def one_call_per_replica(t, freq, c, s, err, pas, rng, n_replicas,
+                                 phase0, offset):
+            return np.column_stack([
+                an.synthesize_fringe(t, freq, c, s, err, pas, rng,
+                                     phase0=phase0, offset=offset)
+                for _ in range(n_replicas)])
+
+        t = np.linspace(0, 0.02, 30)
+        err = np.full(30, 0.03)
+        y = an.synthesize_fringe(t, 180.0, 0.8, 0.3, err, 0.05,
+                                 np.random.default_rng(5), phase0=0.4)
+        kw = dict(pulse_area_sigma=pulse_area_sigma, n_replicas=24, seed=6,
+                  sigma_grid=sigma_grid)
+        batched = an.phase_noise_estimate(t, y, err, **kw)
+        monkeypatch.setattr(an, "_replica_fringes", one_call_per_replica)
+        assert an.phase_noise_estimate(t, y, err, **kw) == batched
+
+    def test_negative_noise_scales_rejected(self):
+        t = np.linspace(0, 0.02, 30)
+        y = 0.5 + 0.4 * np.cos(2 * np.pi * 200 * t)
+        with pytest.raises(an.AnalysisError):
+            an.phase_noise_estimate(t, y, 0.02, pulse_area_sigma=-0.1)
+        with pytest.raises(an.AnalysisError):
+            an.phase_noise_estimate(t, y, np.r_[-0.02, np.full(29, 0.02)])
+
     def test_self_consistency_coverage(self):
         # applied to data it generated, the accepted interval covers the
         # truth in at least 90 % of trials

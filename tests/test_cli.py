@@ -85,6 +85,15 @@ class TestRunConfig:
         path.write_text(json.dumps(cfg))
         assert run_cli(["run", path, "--out", tmp_path / "o"]) == 2
 
+    @pytest.mark.parametrize("shots", [{}, {"n_shots": 0}])
+    def test_sampled_phase_noise_without_shots_exit_2(self, tmp_path, shots):
+        cfg = {"protocol": "ramsey", "fields": {"b_hz": 960.0, "q_hz": 190.0},
+               "scan": {"values": [0.01]}, "phase_noise": "sample",
+               "noise": {"preset": "quiet"}, **shots}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(["run", path, "--out", tmp_path / "o"]) == 2
+
     def test_internal_key_error_exit_3(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
             raise KeyError("internal")

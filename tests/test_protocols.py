@@ -124,6 +124,11 @@ class TestRamsey:
                 assert np.array_equal(r1.true_counts, r2.true_counts)
                 assert np.array_equal(r1.detected_counts, r2.detected_counts)
 
+    def test_sampled_phase_noise_without_shots_rejected(self):
+        with pytest.raises(pr.ProtocolError):
+            pr.ramsey((-3.5, -2.5), [0.005], RAMSEY_FIELDS, 93.0,
+                      noise=pr.NoiseSpec.quiet(), phase_noise="sample")
+
     def test_tls_mode_validation(self):
         with pytest.raises(pr.ProtocolError):
             pr.ramsey((-3.5, -2.5), [0.003], RAMSEY_FIELDS, 93.0,

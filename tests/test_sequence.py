@@ -92,7 +92,7 @@ class TestCompile:
     def test_compile_deterministic(self):
         p = sq.pi_half_pulse((-2.5, -1.5), 71.0, FIELDS, warn_regime=False)
         seq = sq.PulseSequence(segments=(p, sq.dark_time(0.01), p),
-                               fields=FIELDS, seed=5)
+                               fields=FIELDS)
         s1, s2 = sq.compile(seq), sq.compile(seq)
         assert np.array_equal(s1.segments[0].h_const, s2.segments[0].h_const)
         assert s1.meta["lo_trace"] == s2.meta["lo_trace"]
@@ -133,7 +133,7 @@ class TestRun:
         seq = sq.PulseSequence(
             segments=(p, sq.dark_time(0.01, lo_freq_hz=1.0),
                       sq.tls_ramp(0.002, 1.0, 0.0)),
-            fields=FIELDS, seed=11)
+            fields=FIELDS)
         data = json.loads(json.dumps(sq.sequence_to_dict(seq)))
         back = sq.sequence_from_dict(data)
         assert back.total_duration == pytest.approx(seq.total_duration)

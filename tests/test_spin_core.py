@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from sunspin import spin_core as sc
 
@@ -72,6 +73,18 @@ class TestPairGenerator:
                                  rng.uniform(-np.pi, np.pi)) @ u
         assert np.max(np.abs(u.conj().T @ u - np.eye(10))) < 1e-10
 
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    def test_rotation_matches_generator_exponential(self, axis):
+        # every pair, dm = 1 .. 9, including the angles where the
+        # closed form's cos / sin pass through 0 and -1
+        angles = (0.0, np.pi, -np.pi, 2 * np.pi, 4 * np.pi, 0.37, -2.9)
+        for m_low, m_high in [(m1, m2) for m1 in sc.M_VALUES
+                              for m2 in sc.M_VALUES if m1 < m2]:
+            g = sc.pair_generator(m_low, m_high, axis)
+            for angle in angles:
+                u = sc.pair_rotation(m_low, m_high, axis, angle)
+                assert np.max(np.abs(u - expm(-0.5j * angle * g))) < 1e-14
+
     def test_invalid_inputs(self):
         with pytest.raises(sc.SpinError):
             sc.pair_generator(-1.5, -2.5, "x")
@@ -81,6 +94,13 @@ class TestPairGenerator:
             sc.pair_generator(-1.5, 5.5, "x")
         with pytest.raises(sc.SpinError):
             sc.pair_generator(-1.5, -0.5, "w")
+
+    @pytest.mark.parametrize("m_low, m_high, axis", [
+        (-1.5, -2.5, "x"), (-1.5, -1.5, "x"), (-1.5, 5.5, "x"),
+        (-1.5, -0.5, "w")])
+    def test_rotation_invalid_inputs(self, m_low, m_high, axis):
+        with pytest.raises(sc.SpinError):
+            sc.pair_rotation(m_low, m_high, axis, 0.3)
 
 
 class TestSpinOperators:

@@ -5,6 +5,20 @@ from sunspin import dynamics, model, sequence as sq, synthesis as sy
 from sunspin.spin_core import DIM, pair_rotation
 
 REF_FIELDS = model.FieldParams(b_hz=960.0, q_hz=-320.0)
+PAULI = {"x": np.array([[0, 1], [1, 0]], dtype=complex),
+         "y": np.array([[0, -1j], [1j, 0]]),
+         "z": np.array([[1, 0], [0, -1]], dtype=complex)}
+
+
+def block_product(plan) -> np.ndarray:
+    """The plan's unitary, built from 2x2 blocks acting on two rows."""
+    u = np.eye(DIM, dtype=complex)
+    for r in plan.rotations:
+        rows = [int(r.m_low + 4.5), int(r.m_high + 4.5)]
+        block = (np.cos(r.angle / 2) * np.eye(2)
+                 - 1j * np.sin(r.angle / 2) * PAULI[r.axis])
+        u[rows] = block @ u[rows]
+    return u
 
 
 class TestDecompose:
@@ -28,6 +42,16 @@ class TestDecompose:
             assert plan.reconstruction_error < 1e-8
             # bound: 45 Givens steps x 3 elements + 9 phases
             assert len(plan) <= 45 * 3 + 9
+
+    def test_plan_product_from_two_by_two_blocks(self):
+        rng = np.random.default_rng(72)
+        for _ in range(20):
+            u = sy.haar_unitary(rng=rng)
+            plan = sy.decompose(u)
+            v = block_product(plan)
+            tr = np.trace(v.conj().T @ u)
+            assert np.linalg.norm(u - tr / abs(tr) * v, ord=2) < 1e-13
+            assert np.max(np.abs(plan.unitary() - v)) < 1e-13
 
     def test_only_adjacent_dm1_pairs_used(self):
         rng = np.random.default_rng(71)
