@@ -32,12 +32,21 @@ vectorized density matrix, ``propagator`` the 10x10 identity and
   ``superoperator`` steps dark segments in closed form too.
 * anything else - adaptive RK45 on the flattened state, with the
   maximum step bounded by 1/(50 f_max).
+
+Work that depends only on content is done once and kept: per channel
+set, the 100x100 dissipator and the closed-form rate and coherence
+matrices; per constant Liouville segment, the map expm(L dt) for each
+step length dt.  Both caches are keyed by the bytes of the operators and
+Hamiltonian and by the rates, never by object identity, so identical
+pulses at different scan points share one map.  Cached arrays are
+read-only; ``clear_caches`` empties both.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -60,6 +69,12 @@ EIG_MIN_ENDS = 4
 # 2e-12 at 3e4 and 6e-9 at the defective point itself (cond(V) = 1e8).
 # The package's own Rabi segments have cond(V) below 20.
 EIG_COND_MAX = 1e4
+# Entries kept by content: channel sets (a 160 KB dissipator each) and
+# constant-segment Liouville maps (160 KB each).  Each bundled config
+# uses at most 2 distinct sets and 4 distinct maps; one pass over the
+# damped Rabi scans uses 3 sets, one over the noisy dual Ramsey 5 maps.
+CHANNEL_SETS_CACHED = 4
+MAPS_CACHED = 8
 
 
 class DynamicsError(RuntimeError):
@@ -280,12 +295,16 @@ def _step(seg: Segment, state, t_from, sample_ts, tol, liouville):
         states = [_rows(np.exp(-1j * TWO_PI * seg._diag_integral(t_from, ts)), state)
                   for ts in ends]
     elif seg.kind == "constant" and abs(seg.mult_start - seg.mult_end) < 1e-15:
-        sup = liouvillian(seg.h_const, seg.effective_channels(seg.t0))
-        eigen = _eigen(sup) if len(set(ends)) >= EIG_MIN_ENDS else None
+        channels = seg.effective_channels(seg.t0)
+        eigen = None
+        if len(set(ends)) >= EIG_MIN_ENDS:
+            eigen = _eigen(liouvillian(seg.h_const, channels))
         if eigen is not None:
             states = _spectral(*eigen, state, t_from, ends)
         else:
-            states = _chained(lambda vec, ta, tb: expm(sup * (tb - ta)) @ vec,
+            key = (np.asarray(seg.h_const, dtype=complex).tobytes(),
+                   _channel_key(channels))
+            states = _chained(lambda vec, ta, tb: _constant_map(*key, tb - ta) @ vec,
                               state, t_from, ends)
     elif _has_closed_form(seg):
         states = _chained(_closed_form_step(seg), state, t_from, ends)
@@ -394,17 +413,74 @@ def evolve_pure(state: np.ndarray, hamiltonian, t0: float = 0.0,
 # ---------------------------------------------------------------------------
 
 def liouvillian(h: np.ndarray, channels: Sequence[tuple[np.ndarray, float]]) -> np.ndarray:
-    """Superoperator on row-major-vectorized rho (100x100), 1/s units."""
+    """Superoperator on row-major-vectorized rho (100x100), 1/s units.
+
+    The Hamiltonian part plus the channel set's dissipator, which is
+    built once per distinct set of (operator, rate) contents and kept
+    read-only; the returned sum is a new array.
+    """
     eye = np.eye(DIM)
-    sup = -1j * TWO_PI * (np.kron(h, eye) - np.kron(eye, h.T))
+    return (-1j * TWO_PI * (np.kron(h, eye) - np.kron(eye, h.T))
+            + _channel_set(channels).dissipator)
+
+
+class _ChannelSet(NamedTuple):
+    """What depends only on a channel set, built once per set."""
+
+    dissipator: np.ndarray                # 100x100; zero-rate channels dropped
+    diagonal_safe: bool                   # over every channel, zero rates too
+    rate_matrix: np.ndarray | None        # closed-form data, if diagonal_safe
+    coherence_rates: np.ndarray | None
+
+
+def _channel_key(channels) -> tuple:
+    return tuple((np.asarray(op, dtype=complex).tobytes(), float(rate))
+                 for op, rate in channels)
+
+
+def _channels_of(key: tuple) -> list[tuple[np.ndarray, float]]:
+    return [(np.frombuffer(op, dtype=complex).reshape(DIM, DIM), rate)
+            for op, rate in key]
+
+
+def _channel_set(channels) -> _ChannelSet:
+    return _channel_set_of(_channel_key(channels))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=CHANNEL_SETS_CACHED)
+def _channel_set_of(key: tuple) -> _ChannelSet:
+    channels = _channels_of(key)
+    eye = np.eye(DIM)
+    dissipator = np.zeros((DIM * DIM, DIM * DIM), dtype=complex)
     for op, rate in channels:
         if rate == 0:
             continue
         ll = op.conj().T @ op
-        sup += rate * (np.kron(op, op.conj())
-                       - 0.5 * np.kron(ll, eye)
-                       - 0.5 * np.kron(eye, ll.T))
-    return sup
+        dissipator += rate * (np.kron(op, op.conj())
+                              - 0.5 * np.kron(ll, eye)
+                              - 0.5 * np.kron(eye, ll.T))
+    if not _is_diagonal_safe(channels):
+        return _ChannelSet(_frozen(dissipator), False, None, None)
+    return _ChannelSet(_frozen(dissipator), True, _frozen(_rate_matrix(channels)),
+                       _frozen(_coherence_rates(channels)))
+
+
+@functools.lru_cache(maxsize=MAPS_CACHED)
+def _constant_map(h_bytes: bytes, channel_key: tuple, dt: float) -> np.ndarray:
+    """expm(L dt) of a constant segment, kept by content."""
+    h = np.frombuffer(h_bytes, dtype=complex).reshape(DIM, DIM)
+    return _frozen(expm(liouvillian(h, _channels_of(channel_key)) * dt))
+
+
+def clear_caches() -> None:
+    """Drop every cached channel set and constant-segment map."""
+    _channel_set_of.cache_clear()
+    _constant_map.cache_clear()
 
 
 def _check_density(rho: np.ndarray, tol: float = 1e-10):
@@ -474,7 +550,8 @@ def _is_diag_matrix(h) -> bool:
 def _has_closed_form(seg: Segment) -> bool:
     diagonal_h = seg.kind == "diagonal" or (seg.kind == "constant"
                                             and _is_diag_matrix(seg.h_const))
-    return diagonal_h and _is_diagonal_safe(seg.channels + seg.channels_fixed)
+    return (diagonal_h and _channel_set(seg.channels).diagonal_safe
+            and _channel_set(seg.channels_fixed).diagonal_safe)
 
 
 def _rate_matrix(channels) -> np.ndarray:
@@ -511,9 +588,8 @@ def _closed_form_step(seg: Segment):
     For diagonal H with diagonal/transfer channels: populations follow
     the classical rate matrix, coherences pick up phases and decay.
     """
-    t_scaled, t_fixed = _rate_matrix(seg.channels), _rate_matrix(seg.channels_fixed)
-    g_scaled = _coherence_rates(seg.channels)
-    g_fixed = _coherence_rates(seg.channels_fixed)
+    _, _, t_scaled, g_scaled = _channel_set(seg.channels)
+    _, _, t_fixed, g_fixed = _channel_set(seg.channels_fixed)
     levels = np.arange(DIM)
 
     def diag_integral(ta, tb):

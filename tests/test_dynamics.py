@@ -245,14 +245,112 @@ class TestEigenStepping:
         rho0 = np.zeros((DIM, DIM), dtype=complex)
         rho0[i + 1, i + 1] = 1.0
         ts = np.linspace(0.01, 0.5, 50)
+        dynamics.clear_caches()
         expm_calls = _count_calls(monkeypatch, dynamics, "expm")
         eig_calls = _count_calls(monkeypatch, np.linalg, "eig")
         states = dynamics.evolve_density(rho0, h, lindblad=[(op, gamma)],
                                          t0=0.0, t1=ts[-1], t_eval=ts).states
-        assert (len(eig_calls), len(expm_calls)) == (1, len(ts))
+        # one map requested per sample; equal step lengths share one expm
+        maps = dynamics._constant_map.cache_info()
+        assert maps.hits + maps.misses == len(ts)
+        steps = set(np.diff(np.concatenate([[0.0], ts])))
+        assert (len(eig_calls), len(expm_calls)) == (1, len(steps))
         sup = dynamics.liouvillian(h, [(op, gamma)])
         exact = np.array([expm(sup * t) @ rho0.reshape(-1) for t in ts])
         assert np.max(np.abs(states.reshape(len(ts), -1) - exact)) <= 1e-12
+
+
+def _kron_liouvillian(h, channels):
+    """Reference Liouvillian: every channel summed in with np.kron."""
+    eye = np.eye(DIM)
+    sup = -1j * dynamics.TWO_PI * (np.kron(h, eye) - np.kron(eye, h.T))
+    for op, rate in channels:
+        if rate == 0:
+            continue
+        ll = op.conj().T @ op
+        sup += rate * (np.kron(op, op.conj())
+                       - 0.5 * np.kron(ll, eye)
+                       - 0.5 * np.kron(eye, ll.T))
+    return sup
+
+
+def _package_channel_sets():
+    scatter = model.photon_scattering_channels()
+    return {"monochromatic": model.monochromatic_scattering_channels(),
+            "photon": scatter,
+            "photon+dephasing": scatter.merge(model.inhomogeneous_dephasing()),
+            "dephasing": model.inhomogeneous_dephasing()}
+
+
+class TestCachedChannelSets:
+    TONE_SETS = {
+        "dm1": lambda phi: (model.RamanTone(-2.5, -1.5, 71.0, phase=phi),),
+        "detuned": lambda phi: (model.RamanTone(-3.5, -2.5, 93.0, detuning_hz=25.0,
+                                                phase=phi, cg_weighting=False),),
+        "two dm1": lambda phi: (model.RamanTone(-2.5, -1.5, 71.0, phase=phi),
+                                model.RamanTone(-4.5, -3.5, 40.0)),
+        "dm2+dm1": lambda phi: (model.RamanTone(-3.5, -1.5, 29.0, phase=phi),
+                                model.RamanTone(-1.5, -0.5, 55.0)),
+    }
+
+    def test_liouvillian_equals_kron_loop(self):
+        sets = _package_channel_sets()
+        for tones in self.TONE_SETS.values():
+            for phi in (0.0, 0.7, -2.1):
+                seg = compiled(tones(phi), 0.01).segments[0]
+                h = seg.hamiltonian(seg.t0 + 0.003)
+                for spec in sets.values():
+                    for mult in (1.0, 0.37):
+                        channels = [(op, rate * mult) for op, rate in spec.channels]
+                        delta = (dynamics.liouvillian(h, channels)
+                                 - _kron_liouvillian(h, channels))
+                        assert np.max(np.abs(delta)) == 0
+
+    def test_cached_arrays_are_read_only(self):
+        spec = _package_channel_sets()["photon+dephasing"]
+        sched = _criterion_2_schedule(spec)
+        seg = sched.segments[0]
+        dynamics.clear_caches()
+        cached = dynamics._channel_set(spec.channels)
+        with pytest.raises(ValueError):
+            cached.dissipator[0, 0] = 1.0
+        key = (seg.h_const.tobytes(), dynamics._channel_key(spec.channels))
+        with pytest.raises(ValueError):
+            dynamics._constant_map(*key, 0.01)[0, 0] = 1.0
+        sup = dynamics.liouvillian(seg.h_const, spec.channels)
+        first = sup.copy()
+        sup[:] = 0.0
+        assert np.array_equal(dynamics.liouvillian(seg.h_const, spec.channels), first)
+        proc = dynamics.superoperator(sched)
+        first = proc.copy()
+        proc[:] = 0.0
+        assert np.array_equal(dynamics.superoperator(sched), first)
+
+    def test_zero_rate_channel_keeps_closed_form_choice(self):
+        # a zero-rate channel adds nothing to the dissipator but, being
+        # neither diagonal nor a single transfer, still rules out the
+        # closed form, as it did before the cache
+        op = np.zeros((DIM, DIM), dtype=complex)
+        op[0, 1] = op[1, 0] = 1.0
+        cached = dynamics._channel_set([(op, 0.0)])
+        assert not cached.diagonal_safe
+        assert not np.any(cached.dissipator)
+
+    def test_one_dissipator_build_per_shaped_pulse_solve(self, monkeypatch):
+        seg = sq.PulseSegment(duration=2e-4, envelope="raised_cosine",
+                              tones=(model.RamanTone(-2.5, -1.5, 500.0),))
+        sched = sq.compile(sq.PulseSequence(segments=(seg,), fields=FIELDS),
+                           lindblad=model.inhomogeneous_dephasing())
+        assert sched.segments[0].kind == "general"
+        psi = basis_state(-2.5)
+        rho0 = np.outer(psi, psi.conj())
+        dynamics.clear_caches()
+        builds = _count_calls(monkeypatch, dynamics, "liouvillian")
+        final = dynamics.evolve_density(rho0, sched).final
+        assert len(builds) > 100
+        assert dynamics._channel_set_of.cache_info().misses == 1
+        monkeypatch.setattr(dynamics, "liouvillian", _kron_liouvillian)
+        assert np.array_equal(dynamics.evolve_density(rho0, sched).final, final)
 
 
 class TestIgnoredInputsRejected:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sunspin import analysis, model, protocols as pr, readout as ro
+from sunspin.spin_core import DIM
 
 
 REF_FIELDS = model.FieldParams(b_hz=960.0, q_hz=-320.0)
@@ -45,7 +46,7 @@ class TestRabiScan:
     def test_density_scan_one_expm_per_duration(self, monkeypatch):
         # the segment ends at the last duration, so no step runs past it:
         # one eigendecomposition and no expm, or on the expm fallback one
-        # expm per duration
+        # expm per distinct step length
         from sunspin import dynamics
         expm_calls, eig_calls = [], []
         expm, eig = dynamics.expm, np.linalg.eig
@@ -59,11 +60,16 @@ class TestRabiScan:
             pr.rabi_scan((-2.5, -1.5), 71.0, REF_FIELDS, durations,
                          lindblad=model.photon_scattering_channels())
 
+        dynamics.clear_caches()
         scan()
         assert (len(expm_calls), len(eig_calls)) == (0, 1)
         monkeypatch.setattr(dynamics, "EIG_COND_MAX", 0.0)
         scan()
-        assert len(expm_calls) == len(durations)
+        # one map requested per duration; equal step lengths share one expm
+        maps = dynamics._constant_map.cache_info()
+        assert maps.hits + maps.misses == len(durations)
+        steps = set(np.diff(np.concatenate([[0.0], durations])))
+        assert len(expm_calls) == len(steps)
 
 
 class TestRamsey:
@@ -231,6 +237,27 @@ class TestAncilla:
         sp9 = res9.population(-1.5).max() - res9.population(-1.5).min()
         sp90 = res90.population(-1.5).max() - res90.population(-1.5).min()
         assert sp90 < 0.3 * sp9
+
+    def test_pulse_maps_reused_across_phases(self, monkeypatch):
+        # the three pulses are the same at every control phase, so the
+        # scan makes one 100x100 expm per pulse, with outputs bit for bit
+        # those of a scan that rebuilds every map at every point
+        from sunspin import dynamics
+        fields = model.FieldParams(b_hz=978.0, q_hz=-330.0)
+        phis = np.linspace(0.0, 4 * np.pi, 49)
+        lindblad = model.monochromatic_scattering_channels()
+        shapes, expm = [], dynamics.expm
+        monkeypatch.setattr(dynamics, "expm",
+                            lambda a: shapes.append(a.shape) or expm(a))
+        dynamics.clear_caches()
+        pops = pr.ancilla_measurement(phis, fields, lindblad=lindblad).populations
+        assert shapes.count((DIM * DIM, DIM * DIM)) == 3
+        fresh = []
+        for phi in phis:
+            dynamics.clear_caches()
+            fresh.append(pr.ancilla_measurement([phi], fields,
+                                                lindblad=lindblad).populations[0])
+        assert np.array_equal(pops, np.array(fresh))
 
 
 class TestLeakageScan:
