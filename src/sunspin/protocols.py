@@ -10,8 +10,13 @@ Without ``lindblad`` a protocol evolves state vectors; any
 noise beyond projection noise enters only here: the interferometer
 phase noise of :func:`ramsey` and the correlated (b, q) jitter of
 :func:`dual_ramsey_sampled`, both drawn from a :class:`NoiseSpec`.
-All randomness derives from an explicit seed; scan points and shots use
-independent child streams, so results are reproducible bit for bit.
+All randomness derives from an explicit seed, so results are
+reproducible bit for bit.  Each scan point draws from its own child
+stream, shot after shot (multinomial, then binomial).  The shots of
+:func:`dual_ramsey_sampled` and of ``ramsey(phase_noise="sample")`` are
+sampled as one batch per call or scan point: first every noise offset,
+then every polarization toggle, then all multinomial draws, then all
+binomial thinnings.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from . import dynamics, readout, sequence as sq
 from .model import (FieldParams, LindbladSpec, RamanTone,
                     monochromatic_scattering_channels, pair_splitting_hz)
 from .readout import (DetectionModel, M_ANCILLA_A, M_ANCILLA_B, M_DOWN, M_UP,
-                      ShotRecord, sample_shot)
+                      ShotRecord, sample_counts, sample_shot)
 from .spin_core import DIM, basis_state, density_matrix, m_index
 
 TWO_PI = 2.0 * np.pi
@@ -129,14 +134,47 @@ def _sample_point(populations, n_atoms, n_shots, detection, stream):
             for i in range(n_shots)]
 
 
-def _closing_map(schedule, lindblad):
-    """rho -> rho map of a closing section: conjugation by its propagator
-    without ``lindblad``, its superoperator with one."""
+def _closing_rows(schedule, lindblad):
+    """(10, 100) population rows of a closing section's map on row-major
+    vec(rho): p_i = Re rows[i] @ vec(rho).  Row i is U[i, a] conj(U[i, b])
+    of its propagator without ``lindblad``, and the superoperator row at
+    diagonal index (i, i) with one."""
     if lindblad is None:
         u = dynamics.propagator(schedule)
-        return lambda rho: u @ rho @ u.conj().T
-    s = dynamics.superoperator(schedule)
-    return lambda rho: (s @ rho.flatten()).reshape(DIM, DIM)
+        return (u[:, :, None] * u.conj()[:, None, :]).reshape(DIM, DIM * DIM)
+    return dynamics.superoperator(schedule)[::DIM + 1]
+
+
+SHOT_BLOCK = 256
+
+
+def _shot_populations(rows, rho, phases):
+    """Final populations (k, 10) of k shots; shot s conjugates ``rho`` by
+    diag(e^{-i phases[s]}) before the closing section given by ``rows``.
+
+    Shots go in blocks of SHOT_BLOCK, one output level at a time:
+    p_si = Re sum_a z_sa (conj(z) @ W_i^T)_sa with W_i[a, b] =
+    rows[i, ab] rho[a, b].  Temporaries stay at (SHOT_BLOCK, 10): complex
+    (k, 10) ones raised the peak resident memory of a 2000-shot call by
+    about 1 MB.
+    """
+    w = rows.reshape(DIM, DIM, DIM) * rho
+    pops = np.empty(phases.shape)
+    for start in range(0, len(phases), SHOT_BLOCK):
+        block = slice(start, start + SHOT_BLOCK)
+        z = np.exp(-1j * phases[block])
+        zc = z.conj()
+        for level in range(DIM):
+            pops[block, level] = np.einsum("sa,sa->s", z, zc @ w[level].T).real
+    return pops
+
+
+def _shot_records(populations, n_atoms, detection, rng):
+    """One ShotRecord per row of ``populations``, sampled in one batch."""
+    true, detected = sample_counts(populations, n_atoms, detection, rng)
+    return [ShotRecord(true_counts=t, detected_counts=d, n_atoms=n_atoms,
+                       shot_index=s)
+            for s, (t, d) in enumerate(zip(true, detected))]
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +255,8 @@ def ramsey(pair: tuple[float, float], t_values, fields: FieldParams,
     the Gaussian interferometer phase noise Var(phi) into the mean
     fringe (multiplies the pre-closing coherence by exp(-Var/2)),
     'sample' to draw one phase offset per shot (so it needs n_shots > 0).
+    With 'sample', each scan point's stream gives all n_shots phase
+    offsets, then all multinomial draws, then all binomial thinnings.
     """
     t_values = np.asarray(t_values, dtype=float)
     if phase_noise not in ("none", "average", "sample"):
@@ -245,28 +285,26 @@ def ramsey(pair: tuple[float, float], t_values, fields: FieldParams,
         if phase_noise != "none":
             var = noise.phase_variance(t_dark, tls_on)
             close = sq.PulseSequence(segments=(seq.segments[-1],), fields=fields)
-            close_map = _closing_map(sq.compile(close, lindblad=lindblad), lindblad)
+            rows = _closing_rows(sq.compile(close, lindblad=lindblad), lindblad)
         if phase_noise == "average":
             rho_pre = _dephase_pair(rho_pre, i, j, np.exp(-var / 2.0))
         contrast[k] = 2.0 * abs(rho_pre[i, j])
         if phase_noise == "average":
-            pops[k] = np.real(np.diag(close_map(rho_pre))).clip(0.0, 1.0)
+            pops[k] = np.real(rows @ rho_pre.ravel()).clip(0.0, 1.0)
         else:
             pops[k] = traj.populations()[-1].clip(0.0, 1.0)
-        if n_shots > 0:
+        if phase_noise == "sample":
+            # an extra pair z rotation by dphi per shot, applied as a
+            # diagonal unitary so coherences with third levels follow
             rng = np.random.default_rng(streams[k])
-            if phase_noise == "sample":
-                recs = []
-                for shot in range(n_shots):
-                    dphi = rng.normal(0.0, np.sqrt(var))
-                    rho_fin = close_map(_rotate_pair(rho_pre, i, j, dphi))
-                    recs.append(sample_shot(rho_fin, n_atoms,
-                                            detection or DetectionModel.ideal(),
-                                            rng, shot_index=shot))
-                shots.append(recs)
-            else:
-                shots.append(_sample_point(_diag_density(pops[k]), n_atoms,
-                                           n_shots, detection, streams[k]))
+            half = rng.normal(0.0, np.sqrt(var), n_shots) / 2.0
+            phases = np.zeros((n_shots, DIM))
+            phases[:, i], phases[:, j] = -half, half
+            shots.append(_shot_records(_shot_populations(rows, rho_pre, phases),
+                                       n_atoms, detection, rng))
+        elif n_shots > 0:
+            shots.append(_sample_point(_diag_density(pops[k]), n_atoms,
+                                       n_shots, detection, streams[k]))
     return InterferometerResult(
         scan_name="dark_time_s", scan_values=t_values, populations=pops,
         contrast=contrast, shots=shots,
@@ -283,24 +321,6 @@ def _dephase_pair(rho, i, j, factor):
     out[i, j] *= factor
     out[j, i] *= factor
     return out
-
-
-def _rotate_pair(rho, i, j, dphi):
-    """Extra pair z rotation (advances the (i, j) coherence by -dphi).
-
-    Applied as a proper diagonal unitary so coherences with third
-    levels transform consistently.
-    """
-    phases = np.zeros(DIM)
-    phases[i] = -dphi / 2.0
-    phases[j] = +dphi / 2.0
-    return _diagonal_phase(rho, phases)
-
-
-def _diagonal_phase(rho, phases):
-    """Conjugate by diag(e^{-i phases}); phases in rad per level."""
-    z = np.exp(-1j * phases)
-    return rho * np.outer(z, z.conj())
 
 
 # ---------------------------------------------------------------------------
@@ -441,10 +461,15 @@ def dual_ramsey_sampled(t_open: float, fields: FieldParams, omega_hz: float,
     The per-shot field offsets (Gaussian jitter plus the two-state
     polarization toggle) enter the two interferometer phases as
     dphi1 = 2 pi T (4 dq - db), dphi2 = 2 pi T (8 dq - db), applied as
-    extra pair rotations just before the closing pulses; the closing
-    section itself is reused across shots.  Returns per-shot phases,
-    offsets, and shot records.
+    a diagonal phase on all ten levels just before the closing pulses;
+    the closing section itself is reused across shots.  The stream of
+    ``seed`` gives all db jitters, then all dq jitters, then all toggle
+    draws, then all multinomial draws, then all binomial thinnings.
+    Returns per-shot phases (n_shots, 2), offsets (db, dq) (n_shots, 2),
+    shot records, and the nominal final populations.
     """
+    if n_shots < 1:
+        raise ProtocolError("n_shots must be >= 1")
     seq, windows = _dual_ramsey_sequence(t_open, fields, omega_hz,
                                          delta_shared_hz, gap_s, True)
     schedule = sq.compile(seq, lindblad=lindblad)
@@ -462,28 +487,25 @@ def dual_ramsey_sampled(t_open: float, fields: FieldParams, omega_hz: float,
         if seg.t0 >= c1 - 1e-15:
             close_segments.append(seg)
     close_sched = dynamics.Schedule(tuple(close_segments), meta=schedule.meta)
-    close_map = _closing_map(close_sched, lindblad)
+    rows = _closing_rows(close_sched, lindblad)
 
     m_values = np.arange(DIM) - 4.5
     rng = np.random.default_rng(seed)
-    det = detection or DetectionModel.ideal()
-    records, dphis, offsets = [], [], []
-    for s in range(n_shots):
-        db = rng.normal(0.0, noise.b_jitter_hz) if noise.b_jitter_hz else 0.0
-        dq = rng.normal(0.0, noise.q_jitter_hz) if noise.q_jitter_hz else 0.0
-        if noise.b_toggle_prob and rng.random() < noise.b_toggle_prob:
-            db += noise.b_toggle_hz
-        # level-shift offsets integrated over the open windows act as a
-        # diagonal phase on all ten levels
-        level_phases = TWO_PI * t_open * (db * m_values + dq * m_values**2)
-        rho_s = _diagonal_phase(rho_pre, level_phases)
-        dphi1 = TWO_PI * t_open * (4 * dq - db)
-        dphi2 = TWO_PI * t_open * (8 * dq - db)
-        records.append(sample_shot(close_map(rho_s), n_atoms, det, rng, shot_index=s))
-        dphis.append((dphi1, dphi2))
-        offsets.append((db, dq))
-    return {"records": records, "phase_offsets": np.array(dphis),
-            "field_offsets": np.array(offsets), "t_open": t_open,
+    db = (rng.normal(0.0, noise.b_jitter_hz, n_shots) if noise.b_jitter_hz
+          else np.zeros(n_shots))
+    dq = (rng.normal(0.0, noise.q_jitter_hz, n_shots) if noise.q_jitter_hz
+          else np.zeros(n_shots))
+    if noise.b_toggle_prob:
+        db[rng.random(n_shots) < noise.b_toggle_prob] += noise.b_toggle_hz
+    # level-shift offsets integrated over the open windows act as a
+    # diagonal phase on all ten levels
+    level_phases = TWO_PI * t_open * (db[:, None] * m_values
+                                      + dq[:, None] * m_values**2)
+    pops = _shot_populations(rows, rho_pre, level_phases)
+    dphis = TWO_PI * t_open * np.column_stack([4 * dq - db, 8 * dq - db])
+    return {"records": _shot_records(pops, n_atoms, detection, rng),
+            "phase_offsets": dphis,
+            "field_offsets": np.column_stack([db, dq]), "t_open": t_open,
             "populations_nominal": np.real(np.diag(
                 traj.states[-1] if lindblad is not None else
                 density_matrix(traj.states[-1])))}

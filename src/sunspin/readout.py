@@ -42,7 +42,6 @@ class DetectionModel:
     eta: dict[float, float] = field(default_factory=lambda: dict(DEFAULT_EFFICIENCIES))
     measurable_pairs: tuple[tuple[float, float], ...] = ((M_DOWN, M_ANCILLA_A),)
     all_states_mode: bool = False
-    recalibrate: bool = True
 
     def __post_init__(self):
         for m, e in self.eta.items():
@@ -67,7 +66,7 @@ class DetectionModel:
 
     @classmethod
     def ideal(cls) -> "DetectionModel":
-        return cls(eta={}, all_states_mode=True, recalibrate=False)
+        return cls(eta={}, all_states_mode=True)
 
 
 @dataclass(frozen=True)
@@ -81,25 +80,44 @@ class ShotRecord:
     recalibrated: bool = False
 
 
+def sample_counts(populations: np.ndarray, n_atoms: int,
+                  detection: DetectionModel | None = None,
+                  rng: np.random.Generator | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """True and detected per-state counts, each (k, 10), of k shots.
+
+    Row s of ``populations`` holds the single-atom populations of shot s.
+    All k multinomial draws come first, then all k binomial thinnings, so
+    a one-row call draws exactly as one shot.  Detected counts are -1
+    where the detection model cannot see the state.
+    """
+    if n_atoms < 1:
+        raise ReadoutError("n_atoms must be >= 1")
+    rng = rng or np.random.default_rng()
+    p = np.asarray(populations, dtype=float).clip(min=0.0)
+    if p.ndim != 2 or p.shape[1] != DIM:
+        raise ReadoutError(f"populations must have shape (k, {DIM}), got {p.shape}")
+    total = p.sum(axis=1, keepdims=True)
+    off = ~(np.abs(total - 1.0) <= 1e-6)
+    if off.any():
+        raise ReadoutError(f"populations sum to {total[off][0]}, expected 1")
+    p /= total
+    true = rng.multinomial(n_atoms, p)
+    detection = detection or DetectionModel.ideal()
+    detected = rng.binomial(true, detection.efficiency_vector())
+    detected[:, ~detection.visible_mask()] = -1
+    return true, detected
+
+
 def sample_shot(state_or_rho: np.ndarray, n_atoms: int,
                 detection: DetectionModel | None = None,
                 rng: np.random.Generator | None = None,
                 shot_index: int = 0) -> ShotRecord:
-    """Multinomial projection noise plus binomial detection thinning."""
-    if n_atoms < 1:
-        raise ReadoutError("n_atoms must be >= 1")
-    rng = rng or np.random.default_rng()
-    p = np.real(np.diag(density_matrix(state_or_rho))).clip(min=0.0)
-    total = p.sum()
-    if abs(total - 1.0) > 1e-6:
-        raise ReadoutError(f"populations sum to {total}, expected 1")
-    true = rng.multinomial(n_atoms, p / total)
-    detection = detection or DetectionModel.ideal()
-    eta = detection.efficiency_vector()
-    detected = rng.binomial(true, eta)
-    vis = detection.visible_mask()
-    detected = np.where(vis, detected, -1)
-    return ShotRecord(true_counts=true, detected_counts=detected,
+    """Multinomial projection noise plus binomial detection thinning of
+    one shot: a one-row :func:`sample_counts`."""
+    p = np.real(np.diag(density_matrix(state_or_rho)))
+    true, detected = sample_counts(p[None], n_atoms, detection, rng)
+    return ShotRecord(true_counts=true[0], detected_counts=detected[0],
                       n_atoms=n_atoms, shot_index=shot_index)
 
 

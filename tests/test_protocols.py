@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from sunspin import analysis, model, protocols as pr, readout as ro
+from sunspin import analysis, dynamics, model, protocols as pr, readout as ro
 from sunspin.spin_core import DIM
 
 
 REF_FIELDS = model.FieldParams(b_hz=960.0, q_hz=-320.0)
 RAMSEY_FIELDS = model.FieldParams(b_hz=960.0, q_hz=190.0)
 DUAL_FIELDS = model.FieldParams(b_hz=1000.0, q_hz=-303.0)
+SCATTER_DEPHASE = model.photon_scattering_channels().merge(
+    model.inhomogeneous_dephasing())
 
 
 class TestRabiScan:
@@ -205,6 +207,121 @@ class TestParallelRamsey:
         expected = 2 * np.pi * 0.004 * 23.0
         sep = abs(split.separation[1])
         assert sep == pytest.approx(expected, rel=0.15)
+
+
+class TestBatchedShots:
+    """Shots of dual_ramsey_sampled and ramsey(phase_noise='sample') are
+    mapped and sampled as one batch per call or scan point."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = {"rows": [], "pops": []}
+        rows_fn, pops_fn = pr._closing_rows, pr._shot_populations
+
+        def rows_spy(schedule, lindblad):
+            calls["rows"].append((schedule, lindblad))
+            return rows_fn(schedule, lindblad)
+
+        def pops_spy(rows, rho, phases):
+            out = pops_fn(rows, rho, phases)
+            calls["pops"].append((rho, phases, out))
+            return out
+
+        monkeypatch.setattr(pr, "_closing_rows", rows_spy)
+        monkeypatch.setattr(pr, "_shot_populations", pops_spy)
+        return calls
+
+    @staticmethod
+    def _loop(schedule, lindblad, rho, phases):
+        # one shot at a time: diagonal phase, then U rho U^dag or S vec(rho)
+        if lindblad is None:
+            u = dynamics.propagator(schedule)
+        else:
+            s = dynamics.superoperator(schedule)
+        out = []
+        for p in phases:
+            z = np.exp(-1j * p)
+            r = rho * np.outer(z, z.conj())
+            r = (u @ r @ u.conj().T if lindblad is None
+                 else (s @ r.flatten()).reshape(DIM, DIM))
+            out.append(np.real(np.diag(r)))
+        return np.array(out)
+
+    @pytest.mark.parametrize("lindblad", [None, SCATTER_DEPHASE],
+                             ids=["pure", "scatter-dephase"])
+    def test_dual_ramsey_batch_matches_per_shot_loop(self, monkeypatch,
+                                                      lindblad):
+        calls = self._spy(monkeypatch)
+        noise = pr.NoiseSpec(pulse_area_sigma=0.0, b_jitter_hz=3.0,
+                             q_jitter_hz=0.5, b_toggle_prob=0.5,
+                             b_toggle_hz=23.0)
+        out = pr.dual_ramsey_sampled(0.004, DUAL_FIELDS, 77.0, noise,
+                                     n_shots=300, lindblad=lindblad,
+                                     n_atoms=500, seed=5)
+        [(schedule, _)], [(rho, phases, pops)] = calls["rows"], calls["pops"]
+        assert len(pops) > pr.SHOT_BLOCK  # more than one block of shots
+        db, dq = out["field_offsets"].T
+        m = np.arange(DIM) - 4.5
+        assert np.array_equal(
+            phases, 2 * np.pi * 0.004 * (db[:, None] * m + dq[:, None] * m**2))
+        ref = self._loop(schedule, lindblad, rho, phases)
+        assert np.max(np.abs(pops - ref)) < 1e-13
+
+    @pytest.mark.parametrize("lindblad", [None, SCATTER_DEPHASE],
+                             ids=["pure", "scatter-dephase"])
+    def test_sampled_ramsey_batch_matches_per_shot_loop(self, monkeypatch,
+                                                        lindblad):
+        calls = self._spy(monkeypatch)
+        t_vals, n_shots, seed = [0.005, 0.013], 30, 23
+        noise = pr.NoiseSpec()
+        pr.ramsey((-3.5, -2.5), t_vals, RAMSEY_FIELDS, 93.0, lindblad=lindblad,
+                  noise=noise, detuning_hz=25.0, phase_noise="sample",
+                  n_shots=n_shots, n_atoms=500, seed=seed)
+        assert len(calls["rows"]) == len(calls["pops"]) == len(t_vals)
+        streams = np.random.SeedSequence(seed).spawn(len(t_vals))
+        i, j = ro.m_index(-3.5), ro.m_index(-2.5)
+        for k, t_dark in enumerate(t_vals):
+            (schedule, _), (rho, phases, pops) = calls["rows"][k], calls["pops"][k]
+            # the point's stream opens with its n_shots phase offsets
+            sd = np.sqrt(noise.phase_variance(t_dark, tls_on=True))
+            half = np.random.default_rng(streams[k]).normal(0.0, sd, n_shots) / 2
+            assert np.array_equal(phases[:, j], half)
+            assert np.array_equal(phases[:, i], -half)
+            assert not np.delete(phases, [i, j], axis=1).any()
+            ref = self._loop(schedule, lindblad, rho, phases)
+            assert np.max(np.abs(pops - ref)) < 1e-13
+
+    @pytest.mark.parametrize("lindblad", [None, SCATTER_DEPHASE],
+                             ids=["pure", "scatter-dephase"])
+    def test_quiet_dual_ramsey_means_match_nominal(self, lindblad):
+        n_shots, n_atoms = 200, 500
+        kw = dict(n_shots=n_shots, lindblad=lindblad, n_atoms=n_atoms,
+                  detection=ro.DetectionModel(), seed=13)
+        out = pr.dual_ramsey_sampled(0.004, DUAL_FIELDS, 77.0,
+                                     pr.NoiseSpec.quiet(), **kw)
+        again = pr.dual_ramsey_sampled(0.004, DUAL_FIELDS, 77.0,
+                                       pr.NoiseSpec.quiet(), **kw)
+        records = out["records"]
+        assert out["phase_offsets"].shape == out["field_offsets"].shape == (n_shots, 2)
+        assert [r.shot_index for r in records] == list(range(n_shots))
+        true = np.array([r.true_counts for r in records])
+        assert true.shape == (n_shots, DIM)
+        assert np.all(true.sum(axis=1) == n_atoms)
+        n = n_shots * n_atoms
+        p = out["populations_nominal"]
+        # one count of slack for levels the pulses barely reach
+        se = np.sqrt(np.clip(p * (1 - p), 0.0, None) / n) + 1.0 / n
+        assert np.all(np.abs(true.sum(axis=0) / n - p) < 5 * se)
+        for key in ("phase_offsets", "field_offsets", "populations_nominal"):
+            assert np.array_equal(out[key], again[key])
+        for r1, r2 in zip(records, again["records"]):
+            assert np.array_equal(r1.true_counts, r2.true_counts)
+            assert np.array_equal(r1.detected_counts, r2.detected_counts)
+
+    def test_dual_ramsey_needs_shots(self):
+        with pytest.raises(pr.ProtocolError):
+            pr.dual_ramsey_sampled(0.004, DUAL_FIELDS, 77.0,
+                                   pr.NoiseSpec.quiet(), n_shots=0)
 
 
 class TestAncilla:

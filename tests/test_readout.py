@@ -55,6 +55,55 @@ class TestSampling:
         with pytest.raises(ro.ReadoutError):
             ro.DetectionModel(eta={-1.5: 1.3})
 
+    @pytest.mark.parametrize("detection", [None, ro.DetectionModel()],
+                             ids=["ideal", "default-detection"])
+    def test_sample_shot_draws_pinned(self, detection):
+        # a shot is one multinomial then one binomial from the caller's
+        # stream; the bundled shot config's bytes depend on this order
+        rng = np.random.default_rng(41)
+        psi = rng.normal(size=DIM) + 1j * rng.normal(size=DIM)
+        psi /= np.linalg.norm(psi)
+        p = np.abs(psi) ** 2
+        det = detection or ro.DetectionModel.ideal()
+        got = np.random.default_rng(7)
+        want = np.random.default_rng(7)
+        for shot in range(3):
+            rec = ro.sample_shot(psi, 1000, detection, got, shot_index=shot)
+            true = want.multinomial(1000, p / p.sum())
+            seen = want.binomial(true, det.efficiency_vector())
+            assert np.array_equal(rec.true_counts, true)
+            assert np.array_equal(rec.detected_counts,
+                                  np.where(det.visible_mask(), seen, -1))
+            assert rec.shot_index == shot and rec.n_atoms == 1000
+
+    def test_sample_counts_draws_multinomials_then_binomials(self):
+        rng = np.random.default_rng(42)
+        pops = rng.dirichlet(np.ones(DIM), size=6)
+        det = ro.DetectionModel()
+        true, seen = ro.sample_counts(pops, 800, det, np.random.default_rng(9))
+        want = np.random.default_rng(9)
+        ref_true = np.array([want.multinomial(800, p / p.sum()) for p in pops])
+        ref_seen = np.array([want.binomial(t, det.efficiency_vector())
+                             for t in ref_true])
+        assert true.shape == seen.shape == (6, DIM)
+        assert np.array_equal(true, ref_true)
+        assert np.array_equal(seen, np.where(det.visible_mask(), ref_seen, -1))
+
+    @pytest.mark.parametrize("n_atoms, excess", [(0, 0.0), (-3, 0.0),
+                                                 (10, 2e-6), (10, -2e-6)])
+    def test_sample_counts_invalid_inputs(self, n_atoms, excess):
+        pops = np.full((4, DIM), 0.1)
+        pops[2, 0] += excess
+        if excess == 0.0:
+            ro.sample_counts(pops, 10)  # the rows themselves are valid
+        with pytest.raises(ro.ReadoutError):
+            ro.sample_counts(pops, n_atoms)
+
+    @pytest.mark.parametrize("shape", [(DIM,), (3, DIM - 1)])
+    def test_sample_counts_needs_rows_of_ten(self, shape):
+        with pytest.raises(ro.ReadoutError):
+            ro.sample_counts(np.full(shape, 1.0 / shape[-1]), 10)
+
 
 class TestRecalibration:
     def test_raise_eta_capped_at_six_percent(self):
