@@ -16,6 +16,11 @@ import numpy as np
 import scipy.odr as odr_pack
 
 TWO_PI = 2.0 * np.pi
+# phase_noise_estimate accepts a grid point when its z² lies below the
+# 95 % quantile of a chi-square with 2 degrees of freedom (two moments).
+Z2_ACCEPT = 6.18
+# Added to a replica standard deviation before dividing by it.
+STD_GUARD = 1e-12
 
 
 class AnalysisError(ValueError):
@@ -294,20 +299,63 @@ def synthesize_fringe(times, frequency_hz, contrast, phase_sigma,
     return y + rng.normal(0.0, measurement_errors, size=n)
 
 
-def _replica_fringes(t, frequency_hz, contrast, phase_sigma,
-                     measurement_errors, pulse_area_sigma, rng, n_replicas,
-                     phase0, offset):
-    """``n_replicas`` :func:`synthesize_fringe` datasets as the columns of
-    a C-contiguous (n, n_replicas) array, from one block of draws taken
-    in the order of successive calls, so the values are bit-identical."""
-    z = rng.standard_normal((n_replicas, 4 if phase_sigma > 0 else 3, len(t)))
-    phase = TWO_PI * frequency_hz * t + phase0
-    if phase_sigma > 0:
-        phase = phase + phase_sigma * z[:, 0]
-    th1 = np.pi / 2 + pulse_area_sigma * z[:, -3]
-    th2 = np.pi / 2 + pulse_area_sigma * z[:, -2]
-    y = _ramsey_point(contrast, phase, th1, th2, offset)
-    return np.ascontiguousarray((y + measurement_errors * z[:, -1]).T)
+def _moment_scorer(t, y, err, pulse_area_sigma, z):
+    """The data's fringe moments and a z² scorer on fixed replica draws.
+
+    Returns ``(amp_data, rms_data, score)``.  ``score(c_grid, s_grid)``
+    is the (len(c_grid), len(s_grid)) array of z² over the grid, every
+    point scored on the same replicas built from ``z`` (see
+    :func:`phase_noise_estimate`).
+    """
+    data_fit = fit_sine(t, y, errors=err)
+    arg = TWO_PI * data_fit["frequency_hz"] * t
+    phase = arg + data_fit["phase_rad"]
+    # Fixed-frequency linear fringe fit (sin, cos, const), applied
+    # identically to the data and to every replica (one per row).
+    basis = np.column_stack([np.sin(arg), np.cos(arg), np.ones_like(t)])
+    w = 1.0 / err
+    pinv_t = np.linalg.pinv(basis * w[:, None]).T
+
+    def fringe_fit(rows):
+        """(coefficients, residuals) of each row."""
+        coef = (rows * w) @ pinv_t
+        return coef, coef @ basis.T - rows
+
+    coef, resid = fringe_fit(y)
+    amp_data = 2.0 * math.hypot(coef[0], coef[1])
+    rms_data = math.sqrt(np.mean(resid**2))
+
+    # A replica is base + c * g_s, with base the offset plus measurement
+    # noise and g_s the :func:`_ramsey_point` fringe at contrast 1 and
+    # offset 0.  The contrast c enters linearly, so the replica's
+    # coefficients are k0 + c k_s and its mean squared residual is
+    # c² a + 2 c b + d.
+    th1 = np.pi / 2 + pulse_area_sigma * z[:, 1]
+    th2 = np.pi / 2 + pulse_area_sigma * z[:, 2]
+    sin_pair = np.sin(th1) * np.sin(th2)
+    cos_pair = np.cos(th1) * np.cos(th2)
+    k0, r0 = fringe_fit(data_fit["offset"] + err * z[:, 3])
+    d = np.mean(r0**2, axis=1)
+
+    def z2_of(values, target):
+        """Squared standardized distance of the replica mean from the data."""
+        return ((values.mean(axis=1) - target)
+                / (values.std(axis=1, ddof=1) + STD_GUARD)) ** 2
+
+    def score(c_grid, s_grid):
+        c = np.asarray(c_grid, dtype=float)[:, None]
+        z2 = np.empty((c.shape[0], len(s_grid)))
+        for col, s in enumerate(s_grid):
+            g = 0.5 * (cos_pair - sin_pair * np.cos(phase + s * z[:, 0]))
+            ks, rs = fringe_fit(g)
+            a = np.mean(rs**2, axis=1)
+            b = np.mean(r0 * rs, axis=1)
+            amps = 2.0 * np.hypot(k0[:, 0] + c * ks[:, 0], k0[:, 1] + c * ks[:, 1])
+            rmss = np.sqrt(np.maximum(c**2 * a + 2.0 * c * b + d, 0.0))
+            z2[:, col] = z2_of(amps, amp_data) + z2_of(rmss, rms_data)
+        return z2
+
+    return amp_data, rms_data, score
 
 
 def phase_noise_estimate(times, values, measurement_errors,
@@ -317,46 +365,34 @@ def phase_noise_estimate(times, values, measurement_errors,
                          refine: bool = True) -> dict:
     """Contrast and RMS phase noise by matching trial noisy models.
 
-    For each (contrast, sigma_phi) candidate, ``n_replicas`` synthetic
-    datasets are generated with the data's fitted frequency, measurement
-    errors, and pulse-area jitter; candidates whose mean fitted
-    amplitude and residual RMS both match the data within Monte-Carlo
-    errors are accepted.  Returns the best-matching point, the accepted
-    ranges as confidence intervals, and the matching tolerance.
+    A simulated method of moments with two moments, the fitted fringe
+    amplitude and the residual rms.  Each (contrast, sigma_phi)
+    candidate is scored by z², the sum over both moments of the squared
+    distance between the data's value and the mean over ``n_replicas``
+    synthetic datasets, in units of the replicas' standard deviation.
+    The replicas use the data's fitted frequency, phase and offset, the
+    measurement errors and the pulse-area jitter.  Candidates with z²
+    below the 2-dof 95 % quantile are accepted.  Returns the
+    best-matching point, the accepted ranges as confidence intervals,
+    and the best point's z² (``match_z2``).
 
-    Each grid point draws its replicas in one standard-normal block of
-    shape (n_replicas, k, n): per replica the phase offsets (k = 4, only
-    when sigma_phi > 0, else k = 3), two pulse-area jitters and the
+    The simulation draws are fixed across parameter values: one
+    standard-normal block of shape (n_replicas, 4, n) is drawn from
+    ``seed`` per call, and every point of the coarse and the refine grid
+    builds its replicas from it.  Per replica the block holds the phase
+    offsets (scaled by sigma_phi), the two pulse-area jitters and the
     measurement noise, in that order, which is the stream of one
-    :func:`synthesize_fringe` call per replica.
+    :func:`synthesize_fringe` call with sigma_phi > 0.
     """
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
     err = np.broadcast_to(np.asarray(measurement_errors, dtype=float), y.shape)
     if pulse_area_sigma < 0 or np.any(err < 0):
         raise AnalysisError("pulse_area_sigma and measurement_errors must be >= 0")
-    data_fit = fit_sine(t, y, errors=err)
-    freq = data_fit["frequency_hz"]
-    phase0 = data_fit["phase_rad"]
-    offset = data_fit["offset"]
-
-    # Fixed-frequency linear fringe fit (sin, cos, const), applied
-    # identically to the data and to every replica.
-    basis = np.column_stack([np.sin(TWO_PI * freq * t),
-                             np.cos(TWO_PI * freq * t), np.ones_like(t)])
-    w = 1.0 / err
-    pinv = np.linalg.pinv(basis * w[:, None])
-
-    def fringe_metrics(y_mat):
-        """(peak-to-peak amplitude, residual rms) column-wise."""
-        y_mat = np.atleast_2d(y_mat.T).T  # (n, n_sets)
-        coef = pinv @ (y_mat * w[:, None])
-        resid = basis @ coef - y_mat
-        amp = 2.0 * np.hypot(coef[0], coef[1])
-        rms = np.sqrt(np.mean(resid**2, axis=0))
-        return amp, rms
-
-    amp_data, rms_data = (v[0] for v in fringe_metrics(y))
+    if n_replicas < 2:
+        raise AnalysisError("n_replicas must be >= 2 for a replica spread")
+    z = np.random.default_rng(seed).standard_normal((n_replicas, 4, len(t)))
+    amp_data, rms_data, score = _moment_scorer(t, y, err, pulse_area_sigma, z)
 
     if contrast_grid is None:
         top = min(1.2, max(2.0 * amp_data, 0.2))
@@ -364,37 +400,25 @@ def phase_noise_estimate(times, values, measurement_errors,
     if sigma_grid is None:
         sigma_grid = np.linspace(0.0, 1.5, 16)
 
-    def score_grid(c_grid, s_grid, rng):
-        rows = []
-        for c in c_grid:
-            for s in s_grid:
-                amps, rmss = fringe_metrics(_replica_fringes(
-                    t, freq, c, s, err, pulse_area_sigma, rng, n_replicas,
-                    phase0, offset))
-                se_a = amps.std(ddof=1) / math.sqrt(n_replicas) + 1e-12
-                se_r = rmss.std(ddof=1) / math.sqrt(n_replicas) + 1e-12
-                z2 = ((amps.mean() - amp_data) / (amps.std(ddof=1) + 1e-12)) ** 2 \
-                    + ((rmss.mean() - rms_data) / (rmss.std(ddof=1) + 1e-12)) ** 2
-                rows.append((z2, c, s, amps.mean(), rmss.mean(), se_a, se_r))
-        return rows
+    def score_grid(c_grid, s_grid):
+        """Rows (z², c, s), contrast-major."""
+        c, s = np.meshgrid(c_grid, s_grid, indexing="ij")
+        return np.column_stack([score(c_grid, s_grid).ravel(), c.ravel(),
+                                s.ravel()])
 
-    rng = np.random.default_rng(seed)
-    rows = score_grid(contrast_grid, sigma_grid, rng)
-    rows.sort(key=lambda r: r[0])
-    z2_best, c_best, s_best = rows[0][:3]
+    rows = score_grid(contrast_grid, sigma_grid)
+    z2_best, c_best, s_best = rows[np.argmin(rows[:, 0])]
     if refine:
         dc = (contrast_grid[1] - contrast_grid[0]) if len(contrast_grid) > 1 else 0.1
         ds = (sigma_grid[1] - sigma_grid[0]) if len(sigma_grid) > 1 else 0.1
         c_fine = np.linspace(max(0.0, c_best - dc), min(1.3, c_best + dc), 7)
         s_fine = np.linspace(max(0.0, s_best - ds), s_best + ds, 7)
-        rows_fine = score_grid(c_fine, s_fine, rng)
-        rows_fine.sort(key=lambda r: r[0])
-        z2_best, c_best, s_best = rows_fine[0][:3]
-        rows = rows + rows_fine
-    accepted = [(c, s) for z2, c, s, *_ in rows if z2 < 6.18]  # 2-dof 95%
-    if not accepted:
-        accepted = [(c_best, s_best)]
-    cs = np.array(accepted)
+        rows_fine = score_grid(c_fine, s_fine)
+        z2_best, c_best, s_best = rows_fine[np.argmin(rows_fine[:, 0])]
+        rows = np.vstack([rows, rows_fine])
+    cs = rows[rows[:, 0] < Z2_ACCEPT, 1:]
+    if not len(cs):
+        cs = np.array([[c_best, s_best]])
     zero_contrast = bool(c_best < 1e-9
                          or amp_data < 2.0 * np.mean(err) / math.sqrt(len(t)))
     return {

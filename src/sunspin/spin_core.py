@@ -75,7 +75,8 @@ _IDENTITY_2 = (1, 0, 0, 1)
 _PAULI = {"x": (0, 1, 1, 0), "y": (0, -1j, 1j, 0), "z": (1, 0, 0, -1)}
 
 
-def _pair_indices(m_low: float, m_high: float, axis: str) -> tuple[int, int]:
+def pair_indices(m_low: float, m_high: float, axis: str) -> tuple[int, int]:
+    """Basis indices (i, j), i < j, of a pair generator's two levels."""
     if axis not in _AXES:
         raise SpinError(f"axis must be one of {_AXES}, got {axis!r}")
     i, j = m_index(m_low), m_index(m_high)
@@ -91,7 +92,7 @@ def pair_generator(m_low: float, m_high: float, axis: str) -> np.ndarray:
     2x2 Pauli matrix for ``axis``; every other entry is zero.  sigma_z is
     +1 on the lower projection.
     """
-    i, j = _pair_indices(m_low, m_high, axis)
+    i, j = pair_indices(m_low, m_high, axis)
     g = np.zeros((DIM, DIM), dtype=complex)
     g[i, i], g[i, j], g[j, i], g[j, j] = _PAULI[axis]
     return g
@@ -99,12 +100,20 @@ def pair_generator(m_low: float, m_high: float, axis: str) -> np.ndarray:
 
 def pair_rotation(m_low: float, m_high: float, axis: str, angle: float) -> np.ndarray:
     """Unitary exp(-i angle * sigma_axis(m_low, m_high) / 2)."""
-    i, j = _pair_indices(m_low, m_high, axis)
-    c, s = math.cos(angle / 2), -1j * math.sin(angle / 2)
+    i, j = pair_indices(m_low, m_high, axis)
     u = np.eye(DIM, dtype=complex)
-    u[i, i], u[i, j], u[j, i], u[j, j] = (
-        c * e + s * p for e, p in zip(_IDENTITY_2, _PAULI[axis]))
+    u[i, i], u[i, j], u[j, i], u[j, j] = rotation_blocks((axis,), (angle,)).flat
     return u
+
+
+def rotation_blocks(axes, angles) -> np.ndarray:
+    """The 2x2 blocks cos(angle/2) I - i sin(angle/2) sigma_axis, shape
+    (n, 2, 2), one per (axis, angle) pair, from one cos and one sin call."""
+    half = np.asarray(angles, dtype=float) / 2
+    pauli = np.array([_PAULI[a] for a in axes], dtype=complex).reshape(-1, 4)
+    blocks = (np.cos(half)[:, None] * np.array(_IDENTITY_2)
+              - 1j * np.sin(half)[:, None] * pauli)
+    return blocks.reshape(-1, 2, 2)
 
 
 def spin_operators(f: float = F) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -16,7 +16,9 @@ import numpy as np
 
 from . import dynamics, sequence as sq
 from .model import FieldParams, LindbladSpec
-from .spin_core import DIM, M_VALUES, pair_rotation
+from .spin_core import DIM, M_VALUES, pair_indices, rotation_blocks
+# Imported by name so that perfbench/spans.py can wrap it here.
+from .spin_core import pair_rotation  # noqa: F401
 
 TWO_PI = 2.0 * np.pi
 
@@ -45,9 +47,19 @@ class RotationPlan:
         return len(self.rotations)
 
     def unitary(self) -> np.ndarray:
+        """Product of the rotations, first acting first.
+
+        Each 2x2 block updates only the two rows of its pair, which gives
+        the chained product of full :func:`pair_rotation` matrices bit
+        for bit.
+        """
+        pairs = [pair_indices(r.m_low, r.m_high, r.axis) for r in self.rotations]
+        blocks = rotation_blocks([r.axis for r in self.rotations],
+                                 [r.angle for r in self.rotations])
         u = np.eye(DIM, dtype=complex)
-        for r in self.rotations:
-            u = pair_rotation(r.m_low, r.m_high, r.axis, r.angle) @ u
+        for (i, j), block in zip(pairs, blocks):
+            rows = slice(i, j + 1, j - i)  # rows i and j
+            u[rows] = block @ u[rows]
         return u
 
     def prefix(self, n: int) -> "RotationPlan":

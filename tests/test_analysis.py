@@ -112,27 +112,84 @@ class TestPhaseNoiseEstimate:
         assert out["data_residual_rms"] > 0.2
 
     @pytest.mark.parametrize("pulse_area_sigma", [0.0, 0.063])
-    @pytest.mark.parametrize("sigma_grid", [None, np.linspace(0.1, 1.2, 6)],
-                             ids=["grid-with-zero", "grid-without-zero"])
-    def test_batched_replicas_equal_per_replica_loop(self, monkeypatch,
-                                                     pulse_area_sigma,
-                                                     sigma_grid):
-        def one_call_per_replica(t, freq, c, s, err, pas, rng, n_replicas,
-                                 phase0, offset):
-            return np.column_stack([
-                an.synthesize_fringe(t, freq, c, s, err, pas, rng,
-                                     phase0=phase0, offset=offset)
-                for _ in range(n_replicas)])
-
+    def test_grid_z2_equals_per_point_fit(self, pulse_area_sigma):
+        # every grid point is scored on the one block of draws taken from
+        # the seed; rebuild each point's replicas here and fit them by
+        # explicit least squares
         t = np.linspace(0, 0.02, 30)
         err = np.full(30, 0.03)
         y = an.synthesize_fringe(t, 180.0, 0.8, 0.3, err, 0.05,
                                  np.random.default_rng(5), phase0=0.4)
-        kw = dict(pulse_area_sigma=pulse_area_sigma, n_replicas=24, seed=6,
-                  sigma_grid=sigma_grid)
-        batched = an.phase_noise_estimate(t, y, err, **kw)
-        monkeypatch.setattr(an, "_replica_fringes", one_call_per_replica)
-        assert an.phase_noise_estimate(t, y, err, **kw) == batched
+        n_replicas, seed = 24, 6
+        z = np.random.default_rng(seed).standard_normal((n_replicas, 4, 30))
+        c_grid = np.array([0.0, 0.35, 0.75, 1.1])
+        s_grid = np.array([0.0, 0.3, 0.7, 1.4])
+
+        fit = an.fit_sine(t, y, errors=err)
+        arg = 2 * np.pi * fit["frequency_hz"] * t
+        basis = np.column_stack([np.sin(arg), np.cos(arg), np.ones_like(t)])
+        w = 1.0 / err
+
+        def moments(rows):
+            coef, *_ = np.linalg.lstsq(basis * w[:, None], (rows * w).T,
+                                       rcond=None)
+            resid = basis @ coef - rows.T
+            return (2 * np.hypot(coef[0], coef[1]),
+                    np.sqrt(np.mean(resid**2, axis=0)))
+
+        amp_data, rms_data = (v[0] for v in moments(y[None]))
+        th1 = np.pi / 2 + pulse_area_sigma * z[:, 1]
+        th2 = np.pi / 2 + pulse_area_sigma * z[:, 2]
+        expected = np.empty((len(c_grid), len(s_grid)))
+        for i, c in enumerate(c_grid):
+            for k, s in enumerate(s_grid):
+                phase = arg + fit["phase_rad"] + s * z[:, 0]
+                replicas = (fit["offset"]
+                            - 0.5 * c * np.sin(th1) * np.sin(th2) * np.cos(phase)
+                            + 0.5 * c * np.cos(th1) * np.cos(th2)
+                            + err * z[:, 3])
+                expected[i, k] = sum(
+                    ((v.mean() - d) / (v.std(ddof=1) + 1e-12)) ** 2
+                    for v, d in zip(moments(replicas), (amp_data, rms_data)))
+
+        amp, rms, score = an._moment_scorer(t, y, err, pulse_area_sigma, z)
+        assert (amp, rms) == pytest.approx((amp_data, rms_data), rel=1e-12)
+        z2 = score(c_grid, s_grid)
+        np.testing.assert_allclose(z2, expected, rtol=1e-9, atol=0)
+        out = an.phase_noise_estimate(t, y, err, pulse_area_sigma, n_replicas,
+                                      seed, contrast_grid=c_grid,
+                                      sigma_grid=s_grid, refine=False)
+        i, k = np.unravel_index(np.argmin(expected), expected.shape)
+        assert (out["contrast"], out["phase_sigma_rad"]) == (c_grid[i], s_grid[k])
+        assert out["match_z2"] == z2.min()
+
+    def test_point_on_both_grids_scores_identically(self):
+        t = np.linspace(0, 0.04, 60)
+        err = np.full(60, 0.02)
+        y = an.synthesize_fringe(t, 150.0, 0.9, 0.3, err, 0.05,
+                                 np.random.default_rng(12))
+        z = np.random.default_rng(13).standard_normal((80, 4, 60))
+        *_, score = an._moment_scorer(t, y, err, 0.05, z)
+        coarse = (np.linspace(0.0, 1.2, 5), np.linspace(0.0, 1.5, 4))
+        fine = (np.linspace(0.6, 1.2, 7), np.linspace(0.5, 1.0, 7))
+        z2_coarse, z2_fine = score(*coarse), score(*fine)
+        shared = [((i, k), (p, q))
+                  for i, c in enumerate(coarse[0]) for p, c2 in enumerate(fine[0])
+                  if c == c2
+                  for k, s in enumerate(coarse[1]) for q, s2 in enumerate(fine[1])
+                  if s == s2]
+        assert len(shared) >= 4
+        for coarse_ik, fine_pq in shared:
+            assert z2_coarse[coarse_ik] == z2_fine[fine_pq]
+            c, s = coarse[0][coarse_ik[0]], coarse[1][coarse_ik[1]]
+            assert score([c], [s])[0, 0] == z2_coarse[coarse_ik]
+
+    @pytest.mark.parametrize("n_replicas", [0, 1])
+    def test_too_few_replicas_rejected(self, n_replicas):
+        t = np.linspace(0, 0.02, 30)
+        y = 0.5 + 0.4 * np.cos(2 * np.pi * 200 * t)
+        with pytest.raises(an.AnalysisError):
+            an.phase_noise_estimate(t, y, 0.02, n_replicas=n_replicas)
 
     def test_negative_noise_scales_rejected(self):
         t = np.linspace(0, 0.02, 30)

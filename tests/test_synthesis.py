@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sunspin import dynamics, model, sequence as sq, synthesis as sy
 from sunspin.spin_core import DIM, pair_rotation
@@ -73,6 +74,49 @@ class TestDecompose:
         out = sy.optimize_plan(plan)
         assert len(out) == 1
         assert out.rotations[0].angle == pytest.approx(1.0)
+
+
+PROPERTY = settings(max_examples=25, deadline=None, database=None)
+SEEDS = st.integers(0, 2**32 - 1)
+ROTATIONS = st.builds(
+    lambda levels, axis, angle: sy.PlanRotation(levels[0] - 4.5,
+                                                levels[1] - 4.5, axis, angle),
+    st.lists(st.integers(0, DIM - 1), min_size=2, max_size=2,
+             unique=True).map(sorted),
+    st.sampled_from("xyz"),
+    st.floats(-4 * np.pi, 4 * np.pi))
+
+
+class TestPlanProperties:
+    @PROPERTY
+    @given(seed=SEEDS)
+    def test_decompose_round_trips_haar_targets(self, seed):
+        u = sy.haar_unitary(rng=np.random.default_rng(seed))
+        plan = sy.decompose(u)
+        assert sy.global_phase_distance(u, block_product(plan)) < 1e-12
+        assert plan.reconstruction_error < 1e-12
+        assert len(plan) <= 45 * 3 + 9
+
+    @PROPERTY
+    @given(rotations=st.lists(ROTATIONS, max_size=60))
+    def test_unitary_equals_chained_pair_rotations(self, rotations):
+        chained = np.eye(DIM, dtype=complex)
+        for r in rotations:
+            chained = pair_rotation(r.m_low, r.m_high, r.axis, r.angle) @ chained
+        assert np.array_equal(sy.RotationPlan(rotations).unitary(), chained)
+
+    @PROPERTY
+    @given(seed=SEEDS, split=st.floats(0.0, 1.0))
+    def test_optimize_plan_keeps_reconstruction(self, seed, split):
+        # cut every rotation in two, so optimize_plan has merges to make
+        u = sy.haar_unitary(rng=np.random.default_rng(seed))
+        plan = sy.decompose(u)
+        halves = [sy.PlanRotation(r.m_low, r.m_high, r.axis, a)
+                  for r in plan.rotations
+                  for a in (split * r.angle, (1 - split) * r.angle)]
+        out = sy.optimize_plan(sy.RotationPlan(halves, target=u))
+        assert len(out) <= len(plan)
+        assert out.reconstruction_error < 1e-12
 
 
 class TestGeneratorSet:
