@@ -2,26 +2,30 @@
 
 Pure-state Schroedinger propagation and Lindblad master-equation
 propagation over piecewise-defined time-dependent Hamiltonians.  The
-engines take a :class:`Schedule`, which only
-:func:`sunspin.sequence.compile` builds from a pulse sequence, or a
-constant matrix; they never build a Hamiltonian themselves.
-Hamiltonians are in ordinary frequency units (Hz); the 2*pi lives in
-the equations of motion.  Rates are 1/e rates in 1/s.
+engines take a :class:`Schedule` of data :class:`Segment` s (built by
+:func:`sunspin.sequence.compile`) or a constant matrix, held as one
+segment.  :meth:`Segment.hamiltonian` is the one place H(t) is
+evaluated, and every segment's Liouvillian is its Hamiltonian part plus
+mult(t) D_s + D_f: the TLS multiplier times the dissipator of the
+scaled channels, plus that of the fixed ones.  Hamiltonians are in
+ordinary frequency units (Hz); the 2*pi lives in the equations of
+motion.  Rates are 1/e rates in 1/s.
 
 All four engines are folds of one schedule walker over one segment
 stepper.  The stepper advances a state of shape (d,) or (d, k) in
 Hilbert space (d = 10) or in Liouville space (row-major vec(rho),
 d = 100): ``evolve_pure`` walks a state vector, ``evolve_density`` a
 vectorized density matrix, ``propagator`` the 10x10 identity and
-``superoperator`` the 100x100 identity.  Each segment gets one method:
+``superoperator`` the 100x100 identity.  Each segment gets one method
+by its kind:
 
 * constant H, Hilbert space - exact stepping through the
   eigendecomposition of H; arbitrarily long steps at machine precision.
 * diagonal H, Hilbert space (dark times and TLS ramps: diagonal entries
   linear in t) - a phase vector by exact quadrature.
-* constant H with a flat TLS multiplier, Liouville space - with at
-  least ``EIG_MIN_ENDS`` distinct ends, every end straight from the
-  segment start through one eigendecomposition L = V diag(lambda) V^-1
+* constant H, Liouville space - with at least ``EIG_MIN_ENDS``
+  distinct ends, every end straight from the segment start through
+  one eigendecomposition L = V diag(lambda) V^-1
   (method 14 of Moler & Van Loan, SIAM Rev. 45, 3 (2003)); with fewer
   ends, or when cond(V) exceeds ``EIG_COND_MAX`` (L is not normal and
   can be defective), chained exponentials of the Liouvillian.
@@ -31,22 +35,23 @@ vectorized density matrix, ``propagator`` the 10x10 identity and
   for the channel structure this package generates, so
   ``superoperator`` steps dark segments in closed form too.
 * anything else - adaptive RK45 on the flattened state, with the
-  maximum step bounded by 1/(50 f_max).
+  maximum step bounded by 1/(50 f_max); in Liouville space in
+  commutator form, building no Liouvillian.
 
 Work that depends only on content is done once and kept: per channel
 set, the 100x100 dissipator and the closed-form rate and coherence
 matrices; per constant Liouville segment, the map expm(L dt) for each
 step length dt.  Both caches are keyed by the bytes of the operators and
-Hamiltonian and by the rates, never by object identity, so identical
-pulses at different scan points share one map.  Cached arrays are
-read-only; ``clear_caches`` empties both.
+Hamiltonian, the rates and the multiplier, never by object identity, so
+identical pulses at different scan points share one map.  Cached arrays
+are read-only; ``clear_caches`` empties both.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -75,6 +80,11 @@ EIG_COND_MAX = 1e4
 # damped Rabi scans uses 3 sets, one over the noisy dual Ramsey 5 maps.
 CHANNEL_SETS_CACHED = 4
 MAPS_CACHED = 8
+# A segment whose TLS multiplier moves by less than this is flat, and a
+# tone beating slower than this (Hz) is static: a square, rotating-frame
+# segment with both is constant.
+FLAT_MULTIPLIER = 1e-15
+ZERO_BEAT_HZ = 1e-12
 
 
 class DynamicsError(RuntimeError):
@@ -85,64 +95,117 @@ class DynamicsError(RuntimeError):
 # schedule representation
 # ---------------------------------------------------------------------------
 
+def _trapezoid(s: float, r: float) -> float:
+    if s < r:
+        return s / r
+    if s > 1 - r:
+        return (1 - s) / r
+    return 1.0
+
+
+# Pulse envelopes as functions of the segment fraction s in [0, 1] and
+# the envelope parameter r (the ramp fraction of linear_ramp).
+ENVELOPES = {
+    "square": lambda s, r: 1.0,
+    "linear_ramp": _trapezoid,
+    "raised_cosine": lambda s, r: 0.5 * (1.0 - np.cos(2 * np.pi * s)),
+}
+
+
 @dataclass(frozen=True)
 class Segment:
-    """One piecewise element of a compiled schedule.
+    """One piecewise element of a schedule, held as plain data.
 
+    ``diag_start`` and ``diag_end`` are the level diagonal (Hz) at the
+    TLS multiplier endpoints ``mult_start`` and ``mult_end``; across the
+    segment both move linearly in t.  Each tone is (upper coupling
+    triangle, beat Hz, phase rad), driven under ``envelope`` in the
+    rotating frame, or in the lab-beat frame when ``lab``.
     ``channels`` hold (jump operator, base rate); their rates are scaled
-    by the linear TLS multiplier ramp mult_start -> mult_end across the
-    segment.  ``channels_fixed`` are not multiplier-scaled.
+    by the multiplier.  ``channels_fixed`` are not multiplier-scaled.
     """
 
     t0: float
     t1: float
-    kind: str                                    # constant | diagonal | general
-    h_const: np.ndarray | None = None            # for kind == constant
-    h_func: Callable[[float], np.ndarray] | None = None
-    diag_start: np.ndarray | None = None         # for kind == diagonal (Hz)
-    diag_end: np.ndarray | None = None
+    diag_start: np.ndarray
+    diag_end: np.ndarray
+    tones: tuple[tuple[np.ndarray, float, float], ...] = ()
+    envelope: str = "square"
+    envelope_param: float = 0.25
+    lab: bool = False
     channels: tuple[tuple[np.ndarray, float], ...] = ()
     channels_fixed: tuple[tuple[np.ndarray, float], ...] = ()
     mult_start: float = 1.0
     mult_end: float = 1.0
-    f_max_hz: float = 0.0
     label: str = ""
 
     @property
     def duration(self) -> float:
         return self.t1 - self.t0
 
-    def hamiltonian(self, t: float) -> np.ndarray:
-        if self.kind == "constant":
-            return self.h_const
-        if self.kind == "diagonal":
-            return np.diag(self._diag_at(t)).astype(complex)
-        return self.h_func(t)
+    @functools.cached_property
+    def kind(self) -> str:
+        """constant | diagonal (no tones) | general: what the stepper sees."""
+        if not self.tones:
+            return "diagonal"
+        static = (self.envelope == "square" and not self.lab
+                  and abs(self.mult_end - self.mult_start) < FLAT_MULTIPLIER
+                  and all(abs(beat) < ZERO_BEAT_HZ for _, beat, _ in self.tones))
+        return "constant" if static else "general"
 
-    def _diag_at(self, t: float) -> np.ndarray:
-        if self.duration <= 0:
-            return self.diag_start
-        s = (t - self.t0) / self.duration
+    @functools.cached_property
+    def h_const(self) -> np.ndarray | None:
+        """H of a constant segment; None for the other kinds."""
+        return self.hamiltonian(self.t0) if self.kind == "constant" else None
+
+    @functools.cached_property
+    def f_max_hz(self) -> float:
+        """Frequency scale of H (Hz), which bounds the RK45 step."""
+        if self.kind == "constant":
+            return float(np.max(np.abs(self.h_const)))
+        return float(max(np.max(np.abs(self.diag_start)), np.max(np.abs(self.diag_end)),
+                         *(abs(beat) for _, beat, _ in self.tones)))
+
+    def hamiltonian(self, t: float) -> np.ndarray:
+        """H(t) (Hz): the package's one Raman Hamiltonian.
+
+        The level diagonal at the ramped TLS multiplier plus, per tone
+        (coupling triangle, beat rate, phase), the enveloped coupling and
+        its conjugate: rotating at the residual beat in the RWA frame,
+        oscillating as 2 cos at the full beat (counter-rotating terms
+        kept) in the lab-beat frame.  The drive phase rides on the
+        raising coupling |high><low|, so the stored (low, high) side gets
+        e^{-i.}.
+        """
+        s = np.clip(self._fraction(t), 0.0, 1.0)
+        hm = np.diag(self._diag_at(s)).astype(complex)
+        env = ENVELOPES[self.envelope](s, self.envelope_param)
+        for cmat, rate, phi0 in self.tones:
+            arg = 2 * np.pi * rate * (t - self.t0) + phi0
+            if self.lab:
+                upper = 2.0 * env * cmat * np.cos(arg)
+            else:
+                upper = env * cmat * np.exp(-1j * arg)
+            hm += upper + upper.conj().T
+        return hm
+
+    def _fraction(self, t: float) -> float:
+        return (t - self.t0) / self.duration if self.duration > 0 else 0.0
+
+    def _diag_at(self, s: float) -> np.ndarray:
         return self.diag_start + s * (self.diag_end - self.diag_start)
 
     def _diag_integral(self, ta: float, tb: float) -> np.ndarray:
         """Exact integral of the (linear-in-t) diagonal over [ta, tb], Hz*s."""
-        return 0.5 * (self._diag_at(ta) + self._diag_at(tb)) * (tb - ta)
+        return 0.5 * (self._diag_at(self._fraction(ta))
+                      + self._diag_at(self._fraction(tb))) * (tb - ta)
 
     def multiplier(self, t: float) -> float:
-        if self.duration <= 0:
-            return self.mult_start
-        s = (t - self.t0) / self.duration
+        s = self._fraction(t)
         return self.mult_start + s * (self.mult_end - self.mult_start)
 
     def _multiplier_integral(self, ta: float, tb: float) -> float:
         return 0.5 * (self.multiplier(ta) + self.multiplier(tb)) * (tb - ta)
-
-    def effective_channels(self, t: float) -> list[tuple[np.ndarray, float]]:
-        mult = self.multiplier(t)
-        out = [(op, rate * mult) for op, rate in self.channels]
-        out.extend(self.channels_fixed)
-        return out
 
 
 @dataclass(frozen=True)
@@ -179,7 +242,11 @@ class Schedule:
 
 
 def _coerce_schedule(hamiltonian, t0, t1, channels=()) -> Schedule:
-    """Accept a compiled Schedule, or a constant matrix held over [t0, t1]."""
+    """Accept a compiled Schedule, or a constant matrix held over [t0, t1].
+
+    The matrix is stored as its real diagonal plus one zero-beat tone
+    carrying its upper triangle.
+    """
     if isinstance(hamiltonian, Schedule):
         return hamiltonian
     channels = tuple((np.asarray(op, dtype=complex), float(r)) for op, r in channels)
@@ -187,12 +254,10 @@ def _coerce_schedule(hamiltonian, t0, t1, channels=()) -> Schedule:
         raise DynamicsError("negative channel rate")
     h0 = np.asarray(hamiltonian, dtype=complex)
     _check_hermitian(h0)
-    return Schedule((Segment(t0=t0, t1=t1, kind="constant", h_const=h0,
-                             channels=channels, f_max_hz=_f_scale(h0)),))
-
-
-def _f_scale(h: np.ndarray) -> float:
-    return float(np.max(np.abs(h))) if h.size else 0.0
+    diag = h0.diagonal().real.copy()
+    return Schedule((Segment(t0=t0, t1=t1, diag_start=diag, diag_end=diag,
+                             tones=((np.triu(h0, 1), 0.0, 0.0),),
+                             channels=channels),))
 
 
 def _check_hermitian(h: np.ndarray, tol: float = 1e-9):
@@ -294,16 +359,14 @@ def _step(seg: Segment, state, t_from, sample_ts, tol, liouville):
     elif not liouville and seg.kind == "diagonal":
         states = [_rows(np.exp(-1j * TWO_PI * seg._diag_integral(t_from, ts)), state)
                   for ts in ends]
-    elif seg.kind == "constant" and abs(seg.mult_start - seg.mult_end) < 1e-15:
-        channels = seg.effective_channels(seg.t0)
-        eigen = None
-        if len(set(ends)) >= EIG_MIN_ENDS:
-            eigen = _eigen(liouvillian(seg.h_const, channels))
+    elif seg.kind == "constant":
+        key = (seg.h_const.tobytes(), _channel_key(seg.channels),
+               _channel_key(seg.channels_fixed), seg.mult_start)
+        eigen = (_eigen(_constant_liouvillian(*key))
+                 if len(set(ends)) >= EIG_MIN_ENDS else None)
         if eigen is not None:
             states = _spectral(*eigen, state, t_from, ends)
         else:
-            key = (np.asarray(seg.h_const, dtype=complex).tobytes(),
-                   _channel_key(channels))
             states = _chained(lambda vec, ta, tb: _constant_map(*key, tb - ta) @ vec,
                               state, t_from, ends)
     elif _has_closed_form(seg):
@@ -361,9 +424,18 @@ def _max_step(seg: Segment) -> float:
 def _rk45(seg: Segment, state, t_from, ends, tol, liouville):
     shape = state.shape
     if liouville:
+        d_scaled = _channel_set(seg.channels).dissipator
+        d_fixed = _channel_set(seg.channels_fixed).dissipator
+
         def rhs(t, y):
-            sup = liouvillian(seg.hamiltonian(t), seg.effective_channels(t))
-            return (sup @ y.reshape(shape)).reshape(-1)
+            # -2 pi i [H, rho] on each column, then the dissipators
+            vec = y.reshape(DIM * DIM, -1)
+            rho = vec.reshape(DIM, DIM, -1).transpose(2, 0, 1)
+            h = seg.hamiltonian(t)
+            comm = (h @ rho - rho @ h).transpose(1, 2, 0)
+            return (-1j * TWO_PI * comm.reshape(vec.shape)
+                    + seg.multiplier(t) * (d_scaled @ vec)
+                    + d_fixed @ vec).reshape(-1)
     else:
         def rhs(t, y):
             return (-1j * TWO_PI * (seg.hamiltonian(t) @ y.reshape(shape))).reshape(-1)
@@ -470,11 +542,22 @@ def _channel_set_of(key: tuple) -> _ChannelSet:
                        _frozen(_coherence_rates(channels)))
 
 
-@functools.lru_cache(maxsize=MAPS_CACHED)
-def _constant_map(h_bytes: bytes, channel_key: tuple, dt: float) -> np.ndarray:
-    """expm(L dt) of a constant segment, kept by content."""
+def _constant_liouvillian(h_bytes: bytes, channel_key: tuple, fixed_key: tuple,
+                          mult: float) -> np.ndarray:
+    """Liouvillian of a constant segment at TLS multiplier ``mult``:
+    the Hamiltonian part and the fixed channels plus ``mult`` times the
+    scaled channels' dissipator."""
     h = np.frombuffer(h_bytes, dtype=complex).reshape(DIM, DIM)
-    return _frozen(expm(liouvillian(h, _channels_of(channel_key)) * dt))
+    return (liouvillian(h, _channels_of(fixed_key))
+            + mult * _channel_set_of(channel_key).dissipator)
+
+
+@functools.lru_cache(maxsize=MAPS_CACHED)
+def _constant_map(h_bytes: bytes, channel_key: tuple, fixed_key: tuple,
+                  mult: float, dt: float) -> np.ndarray:
+    """expm(L dt) of a constant segment, kept by content."""
+    return _frozen(expm(_constant_liouvillian(h_bytes, channel_key, fixed_key,
+                                              mult) * dt))
 
 
 def clear_caches() -> None:
@@ -532,25 +615,17 @@ def evolve_density(rho: np.ndarray, hamiltonian, lindblad=None, t0: float = 0.0,
 def _is_diagonal_safe(channels) -> bool:
     """True if every op is diagonal or has a single nonzero entry."""
     for op, _ in channels:
-        nz = np.count_nonzero(np.abs(op) > 1e-15)
-        if nz == 0:
-            continue
-        if np.count_nonzero(np.abs(op - np.diag(np.diag(op))) > 1e-15) == 0:
-            continue
-        if nz == 1:
-            continue
-        return False
+        if np.count_nonzero(np.abs(op) > 1e-15) > 1 and not _is_diag_matrix(op):
+            return False
     return True
 
 
 def _is_diag_matrix(h) -> bool:
-    return h is not None and np.count_nonzero(np.abs(h - np.diag(np.diag(h))) > 1e-15) == 0
+    return np.count_nonzero(np.abs(h - np.diag(np.diag(h))) > 1e-15) == 0
 
 
 def _has_closed_form(seg: Segment) -> bool:
-    diagonal_h = seg.kind == "diagonal" or (seg.kind == "constant"
-                                            and _is_diag_matrix(seg.h_const))
-    return (diagonal_h and _channel_set(seg.channels).diagonal_safe
+    return (seg.kind == "diagonal" and _channel_set(seg.channels).diagonal_safe
             and _channel_set(seg.channels_fixed).diagonal_safe)
 
 
@@ -585,24 +660,21 @@ def _coherence_rates(channels) -> np.ndarray:
 def _closed_form_step(seg: Segment):
     """Exact, linear step ``(vec, ta, tb) -> vec`` on vec(rho) or its columns.
 
-    For diagonal H with diagonal/transfer channels: populations follow
-    the classical rate matrix, coherences pick up phases and decay.
+    For a tone-free segment with diagonal/transfer channels: populations
+    follow the classical rate matrix, coherences pick up phases and
+    decay, the scaled channels' rates integrated over the multiplier
+    ramp.
     """
     _, _, t_scaled, g_scaled = _channel_set(seg.channels)
     _, _, t_fixed, g_fixed = _channel_set(seg.channels_fixed)
     levels = np.arange(DIM)
-
-    def diag_integral(ta, tb):
-        if seg.kind == "diagonal":
-            return seg._diag_integral(ta, tb)
-        return np.diag(seg.h_const).real * (tb - ta)
 
     def step(vec, ta, tb):
         dt = tb - ta
         tau_eff = seg._multiplier_integral(ta, tb)
         rho = vec.reshape((DIM, DIM) + vec.shape[1:])
         pops = expm(t_scaled * tau_eff + t_fixed * dt) @ rho[levels, levels]
-        phases = diag_integral(ta, tb)
+        phases = seg._diag_integral(ta, tb)
         phase_mat = np.exp(-1j * TWO_PI * (phases[:, None] - phases[None, :]))
         decay = np.exp(-(g_scaled * tau_eff + g_fixed * dt))
         rho = _rows(decay, _rows(phase_mat, rho))

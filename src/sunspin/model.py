@@ -1,7 +1,8 @@
 """Level shifts, Raman-tone couplings and dissipation channels.
 
-These are the ingredients of the effective Hamiltonian; it is assembled
-from them in one place, :func:`sunspin.sequence.compile`.
+These are the ingredients of the effective Hamiltonian:
+:func:`sunspin.sequence.compile` turns them into segment data, and
+:meth:`sunspin.dynamics.Segment.hamiltonian` evaluates H(t) from it.
 
 Level shifts are parameterized by the linear splitting ``b`` and the
 tensor-light-shift curvature ``q`` (both ordinary frequencies in Hz,

@@ -392,8 +392,6 @@ def parallel_ramsey(t_values, fields: FieldParams, omega_hz: float = 77.0,
     shots = [] if n_shots > 0 else None
     streams = _shot_streams(seed, len(t_values)) if n_shots > 0 else None
     psi0 = basis_state(M_UP)
-    i1, j1 = m_index(IF1_PAIR[0]), m_index(IF1_PAIR[1])
-    i2, j2 = m_index(IF2_PAIR[0]), m_index(IF2_PAIR[1])
 
     for k, t_open in enumerate(t_values):
         seq, windows = _dual_ramsey_sequence(t_open, fields, omega_hz,
@@ -410,13 +408,10 @@ def parallel_ramsey(t_values, fields: FieldParams, omega_hz: float = 77.0,
                  [seq.total_duration]]))
         else:
             t_eval = np.array([o1, o2, c1, c2, seq.total_duration])
-        traj = (dynamics.evolve_pure(psi0, schedule, t_eval=t_eval, tol=tol)
-                if lindblad is None else
-                dynamics.evolve_density(density_matrix(psi0), schedule,
-                                        t_eval=t_eval, tol=tol))
+        traj = sq.evolve(schedule, psi0, t_eval=t_eval, tol=tol)
         pops[k] = traj.populations()[-1].clip(0.0, 1.0)
-        phases[k, 0] = -_window_phase(traj, (i1, j1), o1, c1, track_phases)
-        phases[k, 1] = -_window_phase(traj, (i2, j2), o2, c2, track_phases)
+        phases[k, 0] = -_window_phase(traj, IF1_PAIR, o1, c1, track_phases)
+        phases[k, 1] = -_window_phase(traj, IF2_PAIR, o2, c2, track_phases)
         for w, (pair, (t_a, t_b)) in enumerate(
                 ((IF1_PAIR, (o1, c1)), (IF2_PAIR, (o2, c2)))):
             delta_mean = sq.mean_lo_frequency(schedule, t_a, t_b)
@@ -435,18 +430,12 @@ def parallel_ramsey(t_values, fields: FieldParams, omega_hz: float = 77.0,
               "gap_s": gap_s, "fields": fields, "seed": seed})
 
 
-def _window_phase(traj, idx, t_a, t_b, unwrap):
-    i, j = idx
+def _window_phase(traj, pair, t_a, t_b, unwrap):
     sel = (traj.times >= t_a - 1e-15) & (traj.times <= t_b + 1e-15)
-    coh = traj.coherence(traj_m(i), traj_m(j))[sel]
-    ang = np.angle(coh)
+    ang = np.angle(traj.coherence(*pair)[sel])
     if unwrap:
         ang = np.unwrap(ang)
     return ang[-1] - ang[0]
-
-
-def traj_m(index: int) -> float:
-    return float(index - 4.5)
 
 
 def dual_ramsey_sampled(t_open: float, fields: FieldParams, omega_hz: float,
@@ -476,10 +465,7 @@ def dual_ramsey_sampled(t_open: float, fields: FieldParams, omega_hz: float,
     (o1, c1), (o2, c2) = windows["if1"], windows["if2"]
     psi0 = basis_state(M_UP)
     t_eval = np.array([c1, seq.total_duration])
-    if lindblad is None:
-        traj = dynamics.evolve_pure(psi0, schedule, t_eval=t_eval)
-    else:
-        traj = dynamics.evolve_density(density_matrix(psi0), schedule, t_eval=t_eval)
+    traj = sq.evolve(schedule, psi0, t_eval=t_eval)
     rho_pre = density_matrix(traj.states[0])  # just before close1
 
     close_segments = []

@@ -5,10 +5,13 @@ dark times, and TLS power ramps.  Compilation produces a
 :class:`~sunspin.dynamics.Schedule` in the rotating frame of the (single)
 RF local oscillator, whose frequency steps are phase-continuous like a
 DDS.  The TLS multiplier scales the quadratic shift q, the vector part
-of b, and every TLS-tied dissipation rate.  Compilation is the one
-place the Raman Hamiltonian is built; the dynamics engines only step
-the schedules it returns.  A sequence is deterministic: shot-to-shot
-noise belongs to the protocols that sample it.
+of b, and every TLS-tied dissipation rate.  Compilation turns each
+segment into data (level diagonals at its TLS endpoints, tone terms,
+envelope, frame, channels) from which the
+:class:`~sunspin.dynamics.Segment` evaluates H(t); :func:`evolve` runs
+a compiled schedule on the engine its compilation chose.  A sequence is
+deterministic: shot-to-shot noise belongs to the protocols that sample
+it.
 
 Units: durations s, frequencies Hz (ordinary), phases rad.
 """
@@ -22,9 +25,9 @@ import numpy as np
 
 from . import dynamics
 from .model import FieldParams, LindbladSpec, RamanTone, control_regime_check
-from .spin_core import F, M_VALUES
+from .spin_core import F, M_VALUES, density_matrix
 
-ENVELOPES = ("square", "linear_ramp", "raised_cosine")
+ENVELOPES = tuple(dynamics.ENVELOPES)
 
 
 class SequenceError(ValueError):
@@ -69,20 +72,6 @@ class PulseSegment:
         if self.envelope == "raised_cosine":
             return 0.5
         return 1.0 - self.envelope_param
-
-    def envelope_fn(self):
-        if self.envelope == "square":
-            return lambda s: 1.0
-        if self.envelope == "raised_cosine":
-            return lambda s: 0.5 * (1.0 - np.cos(2 * np.pi * s))
-        r = self.envelope_param
-        def trapezoid(s):
-            if s < r:
-                return s / r
-            if s > 1 - r:
-                return (1 - s) / r
-            return 1.0
-        return trapezoid
 
 
 @dataclass(frozen=True)
@@ -179,7 +168,9 @@ def compile(sequence: PulseSequence, lindblad: LindbladSpec | None = None,
     The LO frequency is piecewise constant and phase-continuous; phase
     steps accumulate in a register applied to subsequent tone phases.
     Dissipation channels from ``lindblad`` are attached to every
-    segment, TLS-tied rates scaled by the segment multiplier.
+    segment, TLS-tied rates scaled by the segment multiplier; any
+    ``lindblad``, even one without channels, marks the schedule for the
+    density engine of :func:`evolve`.
 
     ``frame='lab-beat'`` drops the rotating frame and the rotating-wave
     approximation, to check them: bare level shifts, and couplings
@@ -221,85 +212,30 @@ def compile(sequence: PulseSequence, lindblad: LindbladSpec | None = None,
         # the lab-beat frame does not rotate: bare level shifts, and tone
         # phases carry the LO phase accumulated before the segment
         frame_rate = 0.0 if lab else f_lo / d_ref
-        mu0, mu1 = seg.tls_start, seg.tls_end
-        diag0 = _level_diag(fields, mu0, frame_rate)
-        diag1 = _level_diag(fields, mu1, frame_rate)
-        f_max = float(max(np.max(np.abs(diag0)), np.max(np.abs(diag1))))
-        common = dict(t0=t, t1=t + seg.duration, channels=scaled_ch,
-                      channels_fixed=fixed_ch, mult_start=mu0, mult_end=mu1,
-                      label=seg.label)
-
-        if not seg.tones:
-            segments.append(dynamics.Segment(kind="diagonal", diag_start=diag0,
-                                             diag_end=diag1, f_max_hz=f_max,
-                                             **common))
-        else:
-            tone_terms = []
-            for tone in seg.tones:
-                rate = tone.lo_freq_hz(fields)
-                phi0 = tone.phase + phase_register
-                if lab:
-                    phi0 += 2 * np.pi * tone.dm * lo_cycles
-                else:
-                    rate -= f_lo * (tone.dm / d_ref)
-                tone_terms.append((tone.coupling_matrix() / 2.0, rate, phi0))
-            h = _segment_hamiltonian(fields, seg, t, frame_rate,
-                                     tone_terms, lab)
-            static = (seg.envelope == "square" and abs(mu1 - mu0) < 1e-15
-                      and all(abs(r) < 1e-12 for _, r, _ in tone_terms)
-                      and not lab)
-            if static:
-                h0 = h(t)
-                segments.append(dynamics.Segment(
-                    kind="constant", h_const=h0,
-                    f_max_hz=float(np.max(np.abs(h0))), **common))
+        tone_terms = []
+        for tone in seg.tones:
+            rate = tone.lo_freq_hz(fields)
+            phi0 = tone.phase + phase_register
+            if lab:
+                phi0 += 2 * np.pi * tone.dm * lo_cycles
             else:
-                f_max = max([f_max] + [abs(r) for _, r, _ in tone_terms])
-                segments.append(dynamics.Segment(
-                    kind="general", h_func=h, f_max_hz=f_max, **common))
+                rate -= f_lo * (tone.dm / d_ref)
+            tone_terms.append((tone.coupling_matrix() / 2.0, rate, phi0))
+        segments.append(dynamics.Segment(
+            t0=t, t1=t + seg.duration,
+            diag_start=fields.level_shifts(seg.tls_start) + frame_rate * M_VALUES,
+            diag_end=fields.level_shifts(seg.tls_end) + frame_rate * M_VALUES,
+            tones=tuple(tone_terms), envelope=seg.envelope,
+            envelope_param=seg.envelope_param, lab=lab, channels=scaled_ch,
+            channels_fixed=fixed_ch, mult_start=seg.tls_start,
+            mult_end=seg.tls_end, label=seg.label))
         lo_cycles += f_lo / d_ref * seg.duration
         t += seg.duration
 
+    engine = "pure" if lindblad is None else "density"
     return dynamics.Schedule(tuple(segments),
                              meta={"frame": frame, "lo_trace": tuple(lo_trace),
-                                   "total_duration": t})
-
-
-def _level_diag(fields: FieldParams, mu: float, frame_rate: float) -> np.ndarray:
-    """Level shifts at TLS multiplier ``mu`` in a frame rotating at
-    ``frame_rate`` Hz per unit m."""
-    return fields.level_shifts(tls_multiplier=mu) + frame_rate * M_VALUES
-
-
-def _segment_hamiltonian(fields, seg: PulseSegment, t_start, frame_rate,
-                         tone_terms, lab):
-    """H(t) of one pulse segment (Hz): the package's one Raman Hamiltonian.
-
-    The level diagonal at the ramped TLS multiplier plus, per tone
-    (coupling triangle, beat rate, phase), the enveloped coupling and
-    its conjugate: rotating at the residual beat in the RWA frame,
-    oscillating as 2 cos at the full beat (counter-rotating terms kept)
-    in the lab-beat frame.  The drive phase rides on the raising
-    coupling |high><low|, so the stored (low, high) side gets e^{-i.}.
-    """
-    dur = seg.duration
-    mu0, mu1 = seg.tls_start, seg.tls_end
-    env = seg.envelope_fn()
-
-    def h(tt: float) -> np.ndarray:
-        s = np.clip((tt - t_start) / dur, 0.0, 1.0)
-        hm = np.diag(_level_diag(fields, mu0 + s * (mu1 - mu0),
-                                 frame_rate)).astype(complex)
-        for cmat, rate, phi0 in tone_terms:
-            arg = 2 * np.pi * rate * (tt - t_start) + phi0
-            if lab:
-                upper = 2.0 * env(s) * cmat * np.cos(arg)
-            else:
-                upper = env(s) * cmat * np.exp(-1j * arg)
-            hm += upper + upper.conj().T
-        return hm
-
-    return h
+                                   "total_duration": t, "engine": engine})
 
 
 # ---------------------------------------------------------------------------
@@ -309,20 +245,24 @@ def _segment_hamiltonian(fields, seg: PulseSegment, t_start, frame_rate,
 def run(sequence: PulseSequence, initial_state: np.ndarray,
         lindblad: LindbladSpec | None = None, t_eval=None,
         tol: float = dynamics.DEFAULT_RTOL) -> dynamics.Trajectory:
-    """Evolve an initial state through the sequence.
+    """Evolve an initial state through the sequence (see :func:`evolve`)."""
+    return evolve(compile(sequence, lindblad=lindblad), initial_state,
+                  t_eval=t_eval, tol=tol)
 
-    With ``lindblad`` None the state vector is evolved; any spec, even
-    one without channels, selects the density engine (a state vector
-    input is turned into its density matrix).
+
+def evolve(schedule: dynamics.Schedule, initial_state: np.ndarray, t_eval=None,
+           tol: float = dynamics.DEFAULT_RTOL) -> dynamics.Trajectory:
+    """Evolve an initial state through a compiled schedule.
+
+    A schedule compiled without a LindbladSpec evolves the state vector;
+    one compiled with any spec, even one without channels, runs on the
+    density engine (a state vector input is turned into its density
+    matrix).
     """
-    schedule = compile(sequence, lindblad=lindblad)
-    if lindblad is None:
+    if schedule.meta.get("engine") != "density":
         return dynamics.evolve_pure(initial_state, schedule, tol=tol, t_eval=t_eval)
-    rho = initial_state
-    if np.asarray(initial_state).ndim == 1:
-        psi = np.asarray(initial_state, dtype=complex)
-        rho = np.outer(psi, psi.conj())
-    return dynamics.evolve_density(rho, schedule, tol=tol, t_eval=t_eval)
+    return dynamics.evolve_density(density_matrix(initial_state), schedule,
+                                   tol=tol, t_eval=t_eval)
 
 
 def sequence_to_dict(sequence: PulseSequence) -> dict:

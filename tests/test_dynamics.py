@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from sunspin import dynamics, model, sequence as sq
@@ -137,6 +141,17 @@ class TestPropagator:
         assert np.max(np.abs(u12 @ u01 - u02)) < 1e-9
 
 
+def _channels_at(seg, t):
+    """The segment's channels with the scaled rates at its multiplier at t."""
+    return ([(op, rate * seg.multiplier(t)) for op, rate in seg.channels]
+            + list(seg.channels_fixed))
+
+
+def _fixed_dephasing():
+    """Dephasing channels whose rates the TLS multiplier does not scale."""
+    return replace(model.inhomogeneous_dephasing(), tls_scaled=False)
+
+
 def _mixed_sequence():
     """Square pulse, dark time, TLS ramp and raised-cosine pulse.
 
@@ -190,7 +205,7 @@ class TestEngineAgreement:
         assert dark.mult_start == dark.mult_end
         assert np.array_equal(dark.diag_start, dark.diag_end)
         sup = dynamics.liouvillian(dark.hamiltonian(dark.t0),
-                                   dark.effective_channels(dark.t0))
+                                   _channels_at(dark, dark.t0))
         exact = expm(sup * dark.duration)
         s_dark = dynamics.superoperator(dynamics.Schedule((dark,)))
         assert np.max(np.abs(s_dark - exact)) < 1e-12
@@ -226,13 +241,31 @@ class TestEigenStepping:
         expm_calls = _count_calls(monkeypatch, dynamics, "expm")
         states = dynamics.evolve_density(rho0, sched, t_eval=ts).states
         assert expm_calls == []
-        sup = dynamics.liouvillian(seg.h_const, seg.effective_channels(seg.t0))
+        sup = dynamics.liouvillian(seg.h_const, _channels_at(seg, seg.t0))
         exact = np.array([expm(sup * (t - seg.t0)) @ rho0.reshape(-1) for t in ts])
         assert np.max(np.abs(states.reshape(len(ts), -1) - exact)) <= 1e-10
         if channels == "none":
             pure = dynamics.evolve_pure(psi, sched, t_eval=ts).states
             pure_rho = np.einsum("ni,nj->nij", pure, pure.conj())
             assert np.max(np.abs(states - pure_rho)) <= 1e-10
+
+    @pytest.mark.parametrize("n_samples", [1, 5], ids=["chained", "eigen"])
+    def test_flat_multiplier_scales_constant_segment_rates(self, n_samples):
+        seg = sq.PulseSegment(duration=0.02,
+                              tones=(model.RamanTone(-2.5, -1.5, 71.0),),
+                              tls_start=0.4, tls_end=0.4)
+        sched = sq.compile(sq.PulseSequence(segments=(seg,), fields=FIELDS),
+                           lindblad=[model.photon_scattering_channels(),
+                                     _fixed_dephasing()])
+        seg = sched.segments[0]
+        assert seg.kind == "constant" and seg.channels_fixed
+        ts = np.linspace(0.004, 0.02, n_samples)
+        psi = basis_state(-2.5)
+        rho0 = np.outer(psi, psi.conj())
+        states = dynamics.evolve_density(rho0, sched, t_eval=ts).states
+        sup = dynamics.liouvillian(seg.h_const, _channels_at(seg, seg.t0))
+        exact = np.array([expm(sup * t) @ rho0.reshape(-1) for t in ts])
+        assert np.max(np.abs(states.reshape(len(ts), -1) - exact)) <= 1e-10
 
     def test_defective_liouvillian_falls_back_to_expm(self, monkeypatch):
         # one decay |i><i+1| at gamma with h[i, i+1] = gamma/(16 pi): the
@@ -314,7 +347,7 @@ class TestCachedChannelSets:
         cached = dynamics._channel_set(spec.channels)
         with pytest.raises(ValueError):
             cached.dissipator[0, 0] = 1.0
-        key = (seg.h_const.tobytes(), dynamics._channel_key(spec.channels))
+        key = (seg.h_const.tobytes(), dynamics._channel_key(spec.channels), (), 1.0)
         with pytest.raises(ValueError):
             dynamics._constant_map(*key, 0.01)[0, 0] = 1.0
         sup = dynamics.liouvillian(seg.h_const, spec.channels)
@@ -337,20 +370,53 @@ class TestCachedChannelSets:
         assert not np.any(cached.dissipator)
 
     def test_one_dissipator_build_per_shaped_pulse_solve(self, monkeypatch):
+        self._check_shaped_pulse_solve(1.0, model.inhomogeneous_dephasing(),
+                                       monkeypatch)
+
+    def test_tls_ramp_builds_no_channel_set_per_call(self, monkeypatch):
+        # the multiplier scales the prebuilt dissipator instead of the
+        # rates, so a ramped pulse does not miss the cache at every call
+        self._check_shaped_pulse_solve(
+            0.5, [model.photon_scattering_channels(), _fixed_dephasing()],
+            monkeypatch)
+
+    @staticmethod
+    def _check_shaped_pulse_solve(tls_end, lindblad, monkeypatch):
+        """A 0.2 ms raised-cosine pulse builds one channel set for its
+        scaled channels and one for its fixed ones (perhaps empty), no
+        Liouvillian, and matches an RK45 run on the kron Liouvillian."""
         seg = sq.PulseSegment(duration=2e-4, envelope="raised_cosine",
-                              tones=(model.RamanTone(-2.5, -1.5, 500.0),))
+                              tones=(model.RamanTone(-2.5, -1.5, 500.0),),
+                              tls_start=1.0, tls_end=tls_end)
         sched = sq.compile(sq.PulseSequence(segments=(seg,), fields=FIELDS),
-                           lindblad=model.inhomogeneous_dephasing())
-        assert sched.segments[0].kind == "general"
+                           lindblad=lindblad)
+        seg = sched.segments[0]
+        assert seg.kind == "general"
         psi = basis_state(-2.5)
         rho0 = np.outer(psi, psi.conj())
         dynamics.clear_caches()
         builds = _count_calls(monkeypatch, dynamics, "liouvillian")
         final = dynamics.evolve_density(rho0, sched).final
-        assert len(builds) > 100
-        assert dynamics._channel_set_of.cache_info().misses == 1
-        monkeypatch.setattr(dynamics, "liouvillian", _kron_liouvillian)
-        assert np.array_equal(dynamics.evolve_density(rho0, sched).final, final)
+        assert builds == []
+        assert dynamics._channel_set_of.cache_info().misses == 2
+
+        # reference: the kron Liouvillian with every scaled rate rescaled at t
+        zero = np.zeros((DIM, DIM))
+        units = [(_kron_liouvillian(zero, [(op, 1.0)]), rate)
+                 for op, rate in seg.channels]
+        fixed = _kron_liouvillian(zero, seg.channels_fixed)
+
+        def rhs(t, y):
+            sup = _kron_liouvillian(seg.hamiltonian(t), []) + fixed
+            for unit, rate in units:
+                sup += rate * seg.multiplier(t) * unit
+            return sup @ y
+
+        ref = solve_ivp(rhs, (seg.t0, seg.t1), rho0.reshape(-1), method="RK45",
+                        rtol=dynamics.DEFAULT_RTOL,
+                        atol=dynamics.DEFAULT_RTOL * 1e-3,
+                        max_step=1.0 / (50.0 * seg.f_max_hz))
+        assert np.max(np.abs(ref.y[:, -1].reshape(DIM, DIM) - final)) <= 1e-12
 
 
 class TestIgnoredInputsRejected:
@@ -372,23 +438,44 @@ class TestIgnoredInputsRejected:
             dynamics.propagator(sched)
 
 
+class TestSegmentKind:
+    @pytest.mark.parametrize("pulse, frame, kind", [
+        ({}, "rwa", "constant"),
+        ({"tls_start": 1.0, "tls_end": 0.5}, "rwa", "general"),
+        ({"envelope": "raised_cosine"}, "rwa", "general"),
+        ({}, "lab-beat", "general"),
+        ({"tones": ()}, "rwa", "diagonal"),
+        ({"tones": (two_level_tone(), model.RamanTone(-4.5, -3.5, 40.0))},
+         "rwa", "general"),
+    ], ids=["square", "tls-ramp", "shaped", "lab-beat", "dark", "two-beats"])
+    def test_kind_follows_the_data(self, pulse, frame, kind):
+        seg = sq.PulseSegment(**{"duration": 0.01, "tones": (two_level_tone(),),
+                                 **pulse})
+        sched = sq.compile(sq.PulseSequence(segments=(seg,), fields=FIELDS),
+                           frame=frame)
+        assert sched.segments[0].kind == kind
+
+
 class TestIntegratorOrder:
     def test_halving_step_gains_nominal_order(self):
-        # drive the RK45 path with a fixed max step by marking the
-        # Hamiltonian time-dependent; exact reference via eigenstepping
-        h_const = compiled([two_level_tone()], 0.004).hamiltonian(0.0)
-
-        def h_slow(t):
-            return h_const
-
+        # a pair coupling plus a zero-amplitude tone beating at
+        # 1/(50 step): the segment is time-dependent, so RK45 steps it
+        # with that max step, while H stays constant; exact reference
+        # via eigenstepping
         span = 0.004
-        exact = dynamics.propagator(h_const, 0, span)
+        coupling = compiled([two_level_tone()], span).segments[0].tones[0]
+        levels = np.zeros(DIM)
+        h_const = dynamics.Segment(0.0, span, levels, levels,
+                                   tones=(coupling,)).h_const
         psi0 = basis_state(-2.5)
-        ref = exact @ psi0
+        ref = dynamics.propagator(h_const, 0, span) @ psi0
 
         def err_at(step):
-            seg = dynamics.Segment(t0=0.0, t1=span, kind="general",
-                                   h_func=h_slow, f_max_hz=1.0 / (50 * step))
+            idle = (np.zeros((DIM, DIM)), 1.0 / (50 * step), 0.0)
+            seg = dynamics.Segment(0.0, span, levels, levels,
+                                   tones=(coupling, idle))
+            assert seg.kind == "general"
+            assert seg.f_max_hz == 1.0 / (50 * step)
             traj = dynamics.evolve_pure(psi0, dynamics.Schedule((seg,)),
                                         tol=1e-2)
             return np.linalg.norm(traj.final - ref)
@@ -396,6 +483,71 @@ class TestIntegratorOrder:
         e1 = err_at(span / 40)
         e2 = err_at(span / 80)
         assert e1 / e2 > 2**4  # at least the nominal order-4 gain
+
+
+PROPERTY = settings(max_examples=25, deadline=None, database=None)
+UNIT = st.floats(0.0, 1.0)
+WEAK_FIELDS = model.FieldParams(b_hz=96.0, q_hz=-32.0)
+TONES = st.builds(
+    lambda i, dm, omega, detuning, phase: model.RamanTone(
+        i - 4.5, i - 4.5 + dm, omega, detuning_hz=detuning, phase=phase),
+    st.integers(0, DIM - 3), st.sampled_from((1, 2)), st.floats(50.0, 400.0),
+    st.floats(-40.0, 40.0), st.floats(-np.pi, np.pi))
+
+
+@st.composite
+def pulse_sequences(draw, constant=False):
+    """A one-pulse sequence and a frame; ``constant`` draws only what
+    compiles to a constant segment: square, rotating frame, flat TLS
+    multiplier, and tones that all beat at zero."""
+    tones = draw(st.lists(TONES, min_size=1, max_size=2))
+    tls_start = draw(UNIT)
+    if constant:
+        # tones on the first tone's pair and detuning share its LO
+        tones = [replace(t, m_low=tones[0].m_low, m_high=tones[0].m_high,
+                         detuning_hz=tones[0].detuning_hz) for t in tones]
+        envelope, tls_end, frame = "square", tls_start, "rwa"
+    else:
+        envelope = draw(st.sampled_from(sq.ENVELOPES))
+        tls_end = draw(st.one_of(st.just(tls_start), UNIT))
+        frame = draw(st.sampled_from(("rwa", "lab-beat")))
+    seg = sq.PulseSegment(duration=draw(st.floats(1e-4, 5e-4)),
+                          tones=tuple(tones), envelope=envelope,
+                          envelope_param=draw(st.floats(0.05, 0.5)),
+                          tls_start=tls_start, tls_end=tls_end)
+    return sq.PulseSequence(segments=(seg,), fields=WEAK_FIELDS), frame
+
+
+class TestDataSegmentProperties:
+    @PROPERTY
+    @given(drawn=pulse_sequences())
+    def test_propagator_is_unitary(self, drawn):
+        seq, frame = drawn
+        u = dynamics.propagator(sq.compile(seq, frame=frame), tol=1e-11)
+        assert np.max(np.abs(u.conj().T @ u - np.eye(DIM))) < 1e-10
+
+    @PROPERTY
+    @given(drawn=pulse_sequences(), level=st.integers(0, DIM - 2))
+    def test_density_without_channels_equals_pure(self, drawn, level):
+        seq, frame = drawn
+        sched = sq.compile(seq, lindblad=model.LindbladSpec(), frame=frame)
+        psi = np.zeros(DIM, dtype=complex)
+        psi[level], psi[level + 1] = 0.6, 0.8j
+        pure = dynamics.evolve_pure(psi, sched, tol=1e-11).final
+        rho = dynamics.evolve_density(np.outer(psi, psi.conj()), sched,
+                                      tol=1e-11).final
+        assert np.max(np.abs(rho - np.outer(pure, pure.conj()))) < 1e-9
+
+    @PROPERTY
+    @given(drawn=pulse_sequences(constant=True),
+           fractions=st.lists(UNIT, min_size=1, max_size=9))
+    def test_constant_segment_hamiltonian_is_h_const(self, drawn, fractions):
+        seq, frame = drawn
+        seg = sq.compile(seq, frame=frame).segments[0]
+        assert seg.kind == "constant"
+        for f in fractions:
+            assert np.array_equal(seg.hamiltonian(seg.t0 + f * seg.duration),
+                                  seg.h_const)
 
 
 class TestLabBeatFrame:

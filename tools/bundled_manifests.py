@@ -1,0 +1,76 @@
+"""Run every bundled config and compare the outputs byte for byte.
+
+    python tools/bundled_manifests.py OUT_DIR [--against REF_DIR]
+
+Each ``src/sunspin/configs/<name>.json`` is run through
+``sunspin.cli.run_config`` into ``OUT_DIR/<name>/``, with the config's
+file name as its recorded path, so two checkouts of the package write
+comparable manifests.  With ``--against``, every output file (the
+manifest included) is hashed and compared with the file of the same
+name under ``REF_DIR/<name>/``; each difference is listed, and the
+exit status is 1 if there is any.  Runs the package next to this
+script, not an installed one.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from sunspin import cli  # noqa: E402
+
+CONFIG_DIR = Path(cli.__file__).parent / "configs"
+
+
+def run_all(out_dir: Path) -> list[str]:
+    """Run each bundled config into its own directory; returns the names."""
+    names = []
+    for path in sorted(CONFIG_DIR.glob("*.json")):
+        cli.run_config(json.loads(path.read_text()), out_dir / path.stem,
+                       config_path=path.name)
+        names.append(path.stem)
+    return names
+
+
+def _hashes(run_dir: Path) -> dict[str, str]:
+    if not run_dir.is_dir():
+        return {}
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(run_dir.iterdir()) if p.is_file()}
+
+
+def differences(out_dir: Path, ref_dir: Path, names) -> list[str]:
+    """'<config>/<file>' for every output missing from, added to or
+    different from the reference run."""
+    diffs = []
+    for name in names:
+        ours, theirs = _hashes(out_dir / name), _hashes(ref_dir / name)
+        diffs += [f"{name}/{f}" for f in sorted(ours.keys() | theirs.keys())
+                  if ours.get(f) != theirs.get(f)]
+    return diffs
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out_dir", type=Path)
+    parser.add_argument("--against", type=Path, metavar="REF_DIR",
+                        help="reference output directory to compare with")
+    args = parser.parse_args(argv)
+    names = run_all(args.out_dir)
+    if args.against is None:
+        print(f"{len(names)} configs run into {args.out_dir}")
+        return 0
+    diffs = differences(args.out_dir, args.against, names)
+    for d in diffs:
+        print(f"differs: {d}")
+    print(f"{len(names)} configs, {len(diffs)} differing outputs")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
