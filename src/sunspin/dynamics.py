@@ -35,8 +35,9 @@ by its kind:
   for the channel structure this package generates, so
   ``superoperator`` steps dark segments in closed form too.
 * anything else - adaptive RK45 on the flattened state, with the
-  maximum step bounded by 1/(50 f_max); in Liouville space in
-  commutator form, building no Liouvillian.
+  maximum step bounded by 1/(50 f_max), one solve per stretch between
+  the corners of a linear ramp; in Liouville space in commutator form,
+  building no Liouvillian.
 
 Work that depends only on content is done once and kept: per channel
 set, the 100x100 dissipator and the closed-form rate and coherence
@@ -165,6 +166,16 @@ class Segment:
             return float(np.max(np.abs(self.h_const)))
         return float(max(np.max(np.abs(self.diag_start)), np.max(np.abs(self.diag_end)),
                          *(abs(beat) for _, beat, _ in self.tones)))
+
+    @property
+    def kinks(self) -> tuple[float, ...]:
+        """Times inside the segment where the envelope is not smooth:
+        the corners of a linear ramp."""
+        if self.envelope != "linear_ramp":
+            return ()
+        ramp = self.envelope_param * self.duration
+        return tuple(sorted(t for t in {self.t0 + ramp, self.t1 - ramp}
+                            if self.t0 < t < self.t1))
 
     def hamiltonian(self, t: float) -> np.ndarray:
         """H(t) (Hz): the package's one Raman Hamiltonian.
@@ -440,17 +451,31 @@ def _rk45(seg: Segment, state, t_from, ends, tol, liouville):
         def rhs(t, y):
             return (-1j * TWO_PI * (seg.hamiltonian(t) @ y.reshape(shape))).reshape(-1)
 
+    # RK45's error control assumes a smooth right-hand side, so each
+    # stretch between kinks of the envelope is solved on its own
+    max_step = _max_step(seg)
+    y, states, t_a = state.reshape(-1), [], t_from
+    for t_b in [t for t in seg.kinks if t > t_from]:
+        here = [t for t in ends[len(states):] if t <= t_b]
+        *got, y = _rk45_span(rhs, y, t_a, here + [t_b], tol, max_step)
+        states += got
+        t_a = t_b
+    states += _rk45_span(rhs, y, t_a, ends[len(states):], tol, max_step)
+    return [s.reshape(shape) for s in states]
+
+
+def _rk45_span(rhs, y, t_from, ends, tol, max_step):
+    """Flat states at ``ends`` (the last one is the span's end)."""
     # t_eval must stay inside the span, so a last sample within 1e-18 s
-    # of the segment end stands for the end state
+    # of the span's end stands for the end state
     samples = ends[:-1]
-    at_end = bool(samples) and samples[-1] >= seg.t1 - 1e-18
+    at_end = bool(samples) and samples[-1] >= ends[-1] - 1e-18
     t_eval = samples if at_end else ends
-    sol = solve_ivp(rhs, (t_from, seg.t1), state.reshape(-1), t_eval=t_eval,
-                    rtol=tol, atol=tol * 1e-3, max_step=_max_step(seg),
-                    method="RK45")
+    sol = solve_ivp(rhs, (t_from, ends[-1]), y, t_eval=t_eval, rtol=tol,
+                    atol=tol * 1e-3, max_step=max_step, method="RK45")
     if not sol.success:
         raise DynamicsError(f"integrator failure: {sol.message}")
-    states = [sol.y[:, k].reshape(shape) for k in range(len(t_eval))]
+    states = [sol.y[:, k] for k in range(len(t_eval))]
     return states + states[-1:] if at_end else states
 
 

@@ -134,12 +134,13 @@ def _sample_point(populations, n_atoms, n_shots, detection, stream):
             for i in range(n_shots)]
 
 
-def _closing_rows(schedule, lindblad):
+def _closing_rows(schedule):
     """(10, 100) population rows of a closing section's map on row-major
     vec(rho): p_i = Re rows[i] @ vec(rho).  Row i is U[i, a] conj(U[i, b])
-    of its propagator without ``lindblad``, and the superoperator row at
-    diagonal index (i, i) with one."""
-    if lindblad is None:
+    of its propagator on the pure engine, and the superoperator row at
+    diagonal index (i, i) on the density engine (``meta["engine"]``, set
+    by :func:`sequence.compile`)."""
+    if schedule.meta.get("engine") != "density":
         u = dynamics.propagator(schedule)
         return (u[:, :, None] * u.conj()[:, None, :]).reshape(DIM, DIM * DIM)
     return dynamics.superoperator(schedule)[::DIM + 1]
@@ -285,7 +286,7 @@ def ramsey(pair: tuple[float, float], t_values, fields: FieldParams,
         if phase_noise != "none":
             var = noise.phase_variance(t_dark, tls_on)
             close = sq.PulseSequence(segments=(seq.segments[-1],), fields=fields)
-            rows = _closing_rows(sq.compile(close, lindblad=lindblad), lindblad)
+            rows = _closing_rows(sq.compile(close, lindblad=lindblad))
         if phase_noise == "average":
             rho_pre = _dephase_pair(rho_pre, i, j, np.exp(-var / 2.0))
         contrast[k] = 2.0 * abs(rho_pre[i, j])
@@ -473,7 +474,7 @@ def dual_ramsey_sampled(t_open: float, fields: FieldParams, omega_hz: float,
         if seg.t0 >= c1 - 1e-15:
             close_segments.append(seg)
     close_sched = dynamics.Schedule(tuple(close_segments), meta=schedule.meta)
-    rows = _closing_rows(close_sched, lindblad)
+    rows = _closing_rows(close_sched)
 
     m_values = np.arange(DIM) - 4.5
     rng = np.random.default_rng(seed)

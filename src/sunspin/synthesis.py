@@ -6,21 +6,28 @@ N = 10.  The canonical decomposition is a Givens-style reduction using
 dm = 1 pairs only, which is sufficient for any unitary; dm = 2
 rotations enter the generator accounting and plan simulation as an
 optional extension, not the reduction.
+
+The reduction runs on Python complex scalars (a 10x10 target is too
+small for NumPy calls to pay off): each Givens step updates the live
+columns of its two rows and takes its Euler angles in closed form.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dynamics, sequence as sq
 from .model import FieldParams, LindbladSpec
-from .spin_core import DIM, M_VALUES, pair_indices, rotation_blocks
+from .spin_core import DIM, F, M_VALUES, pair_indices, rotation_blocks
 # Imported by name so that perfbench/spans.py can wrap it here.
 from .spin_core import pair_rotation  # noqa: F401
 
 TWO_PI = 2.0 * np.pi
+_M = M_VALUES.tolist()  # m_F of basis index i, as Python floats
 
 
 class SynthesisError(ValueError):
@@ -53,9 +60,18 @@ class RotationPlan:
         the chained product of full :func:`pair_rotation` matrices bit
         for bit.
         """
-        pairs = [pair_indices(r.m_low, r.m_high, r.axis) for r in self.rotations]
-        blocks = rotation_blocks([r.axis for r in self.rotations],
-                                 [r.angle for r in self.rotations])
+        rotations = self.rotations
+        axes = [r.axis for r in rotations]
+        low = np.array([r.m_low for r in rotations]) + F
+        high = np.array([r.m_high for r in rotations]) + F
+        i_low, i_high = np.rint(low), np.rint(high)
+        valid = ((np.abs(low - i_low) <= 1e-9) & (np.abs(high - i_high) <= 1e-9)
+                 & (0 <= i_low) & (i_low < i_high) & (i_high < DIM))
+        if not (valid.all() and set(axes) <= {"x", "y", "z"}):
+            for r in rotations:  # raises the SpinError of the first bad one
+                pair_indices(r.m_low, r.m_high, r.axis)
+        pairs = zip(i_low.astype(int).tolist(), i_high.astype(int).tolist())
+        blocks = rotation_blocks(axes, [r.angle for r in rotations])
         u = np.eye(DIM, dtype=complex)
         for (i, j), block in zip(pairs, blocks):
             rows = slice(i, j + 1, j - i)  # rows i and j
@@ -105,22 +121,24 @@ def _wrap(angle: float) -> float:
     return (angle + TWO_PI) % (2 * TWO_PI) - TWO_PI
 
 
-def _su2_euler_zxz(g: np.ndarray) -> list[tuple[str, float]]:
-    """Rz(gamma) Rx(beta) Rz(alpha) = g for a det-1 2x2 matrix.
+def _su2_euler_zxz(g00: complex, g10: complex) -> list[tuple[str, float]]:
+    """Rz(gamma) Rx(beta) Rz(alpha) = g for the det-1 2x2 matrix
+    g = [[g00, -conj(g10)], [g10, conj(g00)]].
 
     Rz(t) = diag(e^{-it/2}, e^{it/2}), Rx(t) = exp(-i t sigma_x / 2).
     Returned in application order (alpha first); near-zero angles are
     dropped, so a pure x rotation lowers to a single element.
     """
-    beta = 2.0 * np.arctan2(abs(g[1, 0]), abs(g[0, 0]))
-    if abs(g[1, 0]) < 1e-14:
-        angles = [("z", -2.0 * np.angle(g[0, 0]))]
-    elif abs(g[0, 0]) < 1e-14:
-        gamma_minus_alpha = 2.0 * (np.angle(g[1, 0]) + np.pi / 2)
+    abs00, abs10 = abs(g00), abs(g10)
+    beta = 2.0 * math.atan2(abs10, abs00)
+    if abs10 < 1e-14:
+        angles = [("z", -2.0 * cmath.phase(g00))]
+    elif abs00 < 1e-14:
+        gamma_minus_alpha = 2.0 * (cmath.phase(g10) + math.pi / 2)
         angles = [("x", beta), ("z", gamma_minus_alpha)]
     else:
-        gamma_plus_alpha = -2.0 * np.angle(g[0, 0])
-        gamma_minus_alpha = 2.0 * (np.angle(g[1, 0]) + np.pi / 2)
+        gamma_plus_alpha = -2.0 * cmath.phase(g00)
+        gamma_minus_alpha = 2.0 * (cmath.phase(g10) + math.pi / 2)
         alpha = (gamma_plus_alpha - gamma_minus_alpha) / 2.0
         gamma = (gamma_plus_alpha + gamma_minus_alpha) / 2.0
         angles = [("z", alpha), ("x", beta), ("z", gamma)]
@@ -128,13 +146,13 @@ def _su2_euler_zxz(g: np.ndarray) -> list[tuple[str, float]]:
         # snap the exact x / y sandwiches to one element.
         if abs(_wrap(alpha + gamma)) < 1e-12:
             a = _wrap(alpha)
-            if abs(abs(a) - np.pi) < 1e-12:
+            if abs(abs(a) - math.pi) < 1e-12:
                 angles = [("x", -beta)]
-            elif abs(a - np.pi / 2) < 1e-12:
+            elif abs(a - math.pi / 2) < 1e-12:
                 angles = [("y", -beta)]
-            elif abs(a + np.pi / 2) < 1e-12:
+            elif abs(a + math.pi / 2) < 1e-12:
                 angles = [("y", beta)]
-    return [(ax, _wrap(a)) for ax, a in angles if abs(_wrap(a)) > 1e-13]
+    return [(ax, w) for ax, a in angles if abs(w := _wrap(a)) > 1e-13]
 
 
 def decompose(target: np.ndarray, tolerance: float = 1e-9) -> RotationPlan:
@@ -150,40 +168,43 @@ def decompose(target: np.ndarray, tolerance: float = 1e-9) -> RotationPlan:
     if np.max(np.abs(u.conj().T @ u - np.eye(DIM))) > 1e-10:
         raise SynthesisError("target is not unitary to 1e-10")
 
-    work = u.copy()
-    elim: list[PlanRotation] = []  # euler elements of G_1, G_2, ... in order
+    work = u.tolist()
+    # U = G_1^dag ... G_M^dag D: the inverse Euler elements of G_1, G_2,
+    # ... collected in elimination order, then reversed into time order.
+    undo: list[PlanRotation] = []
     for col in range(DIM - 1):
         for row in range(DIM - 1, col, -1):
-            v = work[row, col]
+            upper, lower = work[row - 1], work[row]
+            v = lower[col]
             if abs(v) < 1e-15:
                 continue
-            a = work[row - 1, col]
-            r = np.hypot(abs(a), abs(v))
-            g = np.array([[a.conj() / r, v.conj() / r],
-                          [-v / r, a / r]], dtype=complex)
-            m_low, m_high = float(M_VALUES[row - 1]), float(M_VALUES[row])
-            for axis, angle in _su2_euler_zxz(g):
-                elim.append(PlanRotation(m_low, m_high, axis, angle))
-            work[row - 1:row + 1] = g @ work[row - 1:row + 1]
+            a = upper[col]
+            r = math.hypot(abs(a), abs(v))
+            # g = [[g00, g01], [g10, g11]] zeroes v against a
+            g00, g01 = a.conjugate() / r, v.conjugate() / r
+            g10, g11 = -v / r, a / r
+            for k in range(col + 1, DIM):
+                x, y = upper[k], lower[k]
+                upper[k] = g00 * x + g01 * y
+                lower[k] = g10 * x + g11 * y
+            upper[col], lower[col] = complex(r), 0j
+            m_low, m_high = _M[row - 1], _M[row]
+            for axis, angle in _su2_euler_zxz(g00, g10):
+                undo.append(PlanRotation(m_low, m_high, axis, -angle))
+    undo.reverse()
 
     # Residual diagonal e^{i gamma_m}: adjacent z rotations with angles
     # from the telescoping recursion theta_k = theta_{k-1} - 2 phi_k,
-    # phi_m = gamma_m - mean(gamma) (sums to zero exactly).
-    gammas = np.angle(np.diag(work))
-    phi = gammas - gammas.mean()
-    phase_ops: list[PlanRotation] = []
+    # phi_m = gamma_m - mean(gamma) (sums to zero exactly).  D acts first.
+    gammas = [cmath.phase(work[k][k]) for k in range(DIM)]
+    mean = sum(gammas) / DIM
+    rotations: list[PlanRotation] = []
     theta = 0.0
     for k in range(DIM - 1):
-        theta = theta - 2.0 * phi[k] if k else -2.0 * phi[0]
+        theta -= 2.0 * (gammas[k] - mean)
         if abs(theta) > 1e-13:
-            phase_ops.append(PlanRotation(float(M_VALUES[k]),
-                                          float(M_VALUES[k + 1]), "z", theta))
-
-    # Temporal order: U = G_1^dag ... G_M^dag D, so D acts first, then
-    # the eliminations in reverse with negated angles.
-    rotations = list(phase_ops)
-    for op in reversed(elim):
-        rotations.append(PlanRotation(op.m_low, op.m_high, op.axis, -op.angle))
+            rotations.append(PlanRotation(_M[k], _M[k + 1], "z", theta))
+    rotations += undo
     plan = RotationPlan(rotations=rotations, target=u)
     err = global_phase_distance(u, plan.unitary())
     plan.reconstruction_error = err

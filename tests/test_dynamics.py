@@ -485,6 +485,36 @@ class TestIntegratorOrder:
         assert e1 / e2 > 2**4  # at least the nominal order-4 gain
 
 
+    def test_linear_ramp_corners_end_a_solve(self):
+        # RK45 across a corner of the trapezoid missed tol 1e-11 by a
+        # factor of about 100 on this segment; the reference is DOP853
+        # solved piece by piece between the corners
+        tones = (model.RamanTone(-1.5, 0.5, 50.0, detuning_hz=16.0),
+                 model.RamanTone(-0.5, 0.5, 200.0, detuning_hz=8.5))
+        span, ramp = 3.725e-4, 0.3
+        seg = sq.PulseSegment(duration=span, tones=tones, envelope="linear_ramp",
+                              envelope_param=ramp, tls_start=0.875, tls_end=0.875)
+        sched = sq.compile(sq.PulseSequence(segments=(seg,), fields=WEAK_FIELDS))
+        data = sched.segments[0]
+        assert data.kinks == pytest.approx((ramp * span, (1 - ramp) * span))
+        psi = np.zeros(DIM, dtype=complex)
+        psi[0], psi[1] = 0.6, 0.8j
+        ts = [0.0, ramp * span, 2e-4, (1 - ramp) * span, span]
+        ref, y = [psi], psi
+        for ta, tb in zip(ts, ts[1:]):
+            y = solve_ivp(lambda t, v: -2j * np.pi * (data.hamiltonian(t) @ v),
+                          (ta, tb), y, method="DOP853", rtol=1e-13,
+                          atol=1e-15).y[:, -1]
+            ref.append(y)
+        for tol in (1e-10, 1e-11):
+            pure = dynamics.evolve_pure(psi, sched, tol=tol, t_eval=ts).states
+            rho = dynamics.evolve_density(np.outer(psi, psi.conj()), sched,
+                                          tol=tol, t_eval=ts).states
+            for p, r, v in zip(pure, rho, ref):
+                assert np.max(np.abs(p - v)) < 10 * tol
+                assert np.max(np.abs(r - np.outer(v, v.conj()))) < 10 * tol
+
+
 PROPERTY = settings(max_examples=25, deadline=None, database=None)
 UNIT = st.floats(0.0, 1.0)
 WEAK_FIELDS = model.FieldParams(b_hz=96.0, q_hz=-32.0)
@@ -548,6 +578,35 @@ class TestDataSegmentProperties:
         for f in fractions:
             assert np.array_equal(seg.hamiltonian(seg.t0 + f * seg.duration),
                                   seg.h_const)
+
+
+@st.composite
+def constant_sequences(draw):
+    """Two to four segments in the rotating frame, each a dark time or a
+    pulse drawn by ``pulse_sequences(constant=True)``."""
+    segments = []
+    for _ in range(draw(st.integers(2, 4))):
+        if draw(st.booleans()):
+            seq, _ = draw(pulse_sequences(constant=True))
+            segments.append(seq.segments[0])
+        else:
+            segments.append(sq.dark_time(draw(st.floats(1e-5, 5e-4))))
+    return sq.PulseSequence(segments=tuple(segments), fields=WEAK_FIELDS)
+
+
+class TestSequenceProperties:
+    @settings(max_examples=10, deadline=None, database=None)
+    @given(seq=constant_sequences(), level=st.integers(0, DIM - 2))
+    def test_unitary_propagator_and_engines_agree(self, seq, level):
+        pure_sched = sq.compile(seq)
+        u = dynamics.propagator(pure_sched)
+        assert np.max(np.abs(u.conj().T @ u - np.eye(DIM))) < 1e-12
+        psi = np.zeros(DIM, dtype=complex)
+        psi[level], psi[level + 1] = 0.6, 0.8j
+        pure = sq.evolve(pure_sched, psi).final
+        density_sched = sq.compile(seq, lindblad=model.LindbladSpec())
+        rho = sq.evolve(density_sched, psi).final
+        assert np.max(np.abs(rho - np.outer(pure, pure.conj()))) < 1e-10
 
 
 class TestLabBeatFrame:

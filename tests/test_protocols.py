@@ -218,9 +218,9 @@ class TestBatchedShots:
         calls = {"rows": [], "pops": []}
         rows_fn, pops_fn = pr._closing_rows, pr._shot_populations
 
-        def rows_spy(schedule, lindblad):
-            calls["rows"].append((schedule, lindblad))
-            return rows_fn(schedule, lindblad)
+        def rows_spy(schedule):
+            calls["rows"].append(schedule)
+            return rows_fn(schedule)
 
         def pops_spy(rows, rho, phases):
             out = pops_fn(rows, rho, phases)
@@ -232,18 +232,19 @@ class TestBatchedShots:
         return calls
 
     @staticmethod
-    def _loop(schedule, lindblad, rho, phases):
+    def _loop(schedule, rho, phases):
         # one shot at a time: diagonal phase, then U rho U^dag or S vec(rho)
-        if lindblad is None:
-            u = dynamics.propagator(schedule)
-        else:
+        density = schedule.meta["engine"] == "density"
+        if density:
             s = dynamics.superoperator(schedule)
+        else:
+            u = dynamics.propagator(schedule)
         out = []
         for p in phases:
             z = np.exp(-1j * p)
             r = rho * np.outer(z, z.conj())
-            r = (u @ r @ u.conj().T if lindblad is None
-                 else (s @ r.flatten()).reshape(DIM, DIM))
+            r = ((s @ r.flatten()).reshape(DIM, DIM) if density
+                 else u @ r @ u.conj().T)
             out.append(np.real(np.diag(r)))
         return np.array(out)
 
@@ -258,13 +259,15 @@ class TestBatchedShots:
         out = pr.dual_ramsey_sampled(0.004, DUAL_FIELDS, 77.0, noise,
                                      n_shots=300, lindblad=lindblad,
                                      n_atoms=500, seed=5)
-        [(schedule, _)], [(rho, phases, pops)] = calls["rows"], calls["pops"]
+        [schedule], [(rho, phases, pops)] = calls["rows"], calls["pops"]
+        assert schedule.meta["engine"] == ("pure" if lindblad is None
+                                           else "density")
         assert len(pops) > pr.SHOT_BLOCK  # more than one block of shots
         db, dq = out["field_offsets"].T
         m = np.arange(DIM) - 4.5
         assert np.array_equal(
             phases, 2 * np.pi * 0.004 * (db[:, None] * m + dq[:, None] * m**2))
-        ref = self._loop(schedule, lindblad, rho, phases)
+        ref = self._loop(schedule, rho, phases)
         assert np.max(np.abs(pops - ref)) < 1e-13
 
     @pytest.mark.parametrize("lindblad", [None, SCATTER_DEPHASE],
@@ -281,14 +284,16 @@ class TestBatchedShots:
         streams = np.random.SeedSequence(seed).spawn(len(t_vals))
         i, j = ro.m_index(-3.5), ro.m_index(-2.5)
         for k, t_dark in enumerate(t_vals):
-            (schedule, _), (rho, phases, pops) = calls["rows"][k], calls["pops"][k]
+            schedule, (rho, phases, pops) = calls["rows"][k], calls["pops"][k]
+            assert schedule.meta["engine"] == ("pure" if lindblad is None
+                                               else "density")
             # the point's stream opens with its n_shots phase offsets
             sd = np.sqrt(noise.phase_variance(t_dark, tls_on=True))
             half = np.random.default_rng(streams[k]).normal(0.0, sd, n_shots) / 2
             assert np.array_equal(phases[:, j], half)
             assert np.array_equal(phases[:, i], -half)
             assert not np.delete(phases, [i, j], axis=1).any()
-            ref = self._loop(schedule, lindblad, rho, phases)
+            ref = self._loop(schedule, rho, phases)
             assert np.max(np.abs(pops - ref)) < 1e-13
 
     @pytest.mark.parametrize("lindblad", [None, SCATTER_DEPHASE],

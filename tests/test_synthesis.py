@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sunspin import dynamics, model, sequence as sq, synthesis as sy
-from sunspin.spin_core import DIM, pair_rotation
+from sunspin.spin_core import DIM, SpinError, pair_indices, pair_rotation
 
 REF_FIELDS = model.FieldParams(b_hz=960.0, q_hz=-320.0)
 PAULI = {"x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -20,6 +22,40 @@ def block_product(plan) -> np.ndarray:
                  - 1j * np.sin(r.angle / 2) * PAULI[r.axis])
         u[rows] = block @ u[rows]
     return u
+
+
+def axis_rotation(m_low, phi, theta) -> np.ndarray:
+    """exp(-i theta (cos(phi) sigma_x + sin(phi) sigma_y) / 2) on the
+    pair (m_low, m_low + 1)."""
+    i = int(m_low + 4.5)
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    u = np.eye(DIM, dtype=complex)
+    u[i:i + 2, i:i + 2] = [[c, -1j * s * np.exp(-1j * phi)],
+                           [-1j * s * np.exp(1j * phi), c]]
+    return u
+
+
+PHASES = np.diag(np.exp(1j * np.random.default_rng(5).uniform(-np.pi, np.pi,
+                                                             DIM)))
+LEVEL_SWAP = np.eye(DIM, dtype=complex)[[0, 1, 2, 4, 3, 5, 6, 7, 8, 9]]
+
+# Targets reaching each branch of the Euler step, with the axes of the
+# plan they give (time order; the nine residual phases come first).
+EULER_BRANCHES = {
+    # no Givens step at all
+    "diagonal": (PHASES, ["z"] * 9),
+    # |g10| < 1e-14: the step on (-0.5, 0.5) is a single z
+    "near-diagonal": (PHASES @ pair_rotation(-0.5, 0.5, "x", 8e-15),
+                      ["z"] * 10),
+    # |g00| < 1e-14: x then z
+    "x-pi": (pair_rotation(-2.5, -1.5, "x", np.pi), ["z", "x"]),
+    "level-swap": (LEVEL_SWAP, ["z"] * 10 + ["x"]),
+    # z-x-z sandwiches that collapse: alpha = pi, -pi/2, +pi/2
+    "x-sandwich": (pair_rotation(-2.5, -1.5, "x", 0.7), ["x"]),
+    "y-sandwich-minus": (pair_rotation(1.5, 2.5, "y", -0.7), ["y"]),
+    # +pi/2 needs phase(g10) just above -pi: an axis 1e-13 past y
+    "y-sandwich-plus": (axis_rotation(-2.5, np.pi / 2 + 1e-13, 0.7), ["y"]),
+}
 
 
 class TestDecompose:
@@ -59,6 +95,30 @@ class TestDecompose:
         plan = sy.decompose(sy.haar_unitary(rng=rng))
         for r in plan.rotations:
             assert r.m_high - r.m_low == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("name", EULER_BRANCHES)
+    def test_euler_branches(self, name):
+        u, axes = EULER_BRANCHES[name]
+        plan = sy.decompose(u)
+        assert [r.axis for r in plan.rotations] == axes
+        assert plan.reconstruction_error < 1e-12
+        assert plan.reconstruction_error == sy.global_phase_distance(
+            u, plan.unitary())
+
+    @pytest.mark.parametrize("bad", [
+        sy.PlanRotation(-5.5, -4.5, "x", 0.3),  # below m_F = -9/2
+        sy.PlanRotation(3.5, 5.5, "x", 0.3),  # above m_F = +9/2
+        sy.PlanRotation(-2.3, -1.5, "x", 0.3),  # not a half-integer
+        sy.PlanRotation(-1.5, -1.5, "y", 0.3),  # m_low == m_high
+        sy.PlanRotation(-0.5, -1.5, "z", 0.3),  # m_low > m_high
+        sy.PlanRotation(-2.5, -1.5, "w", 0.3),  # unknown axis
+    ])
+    def test_unitary_rejects_invalid_rotation(self, bad):
+        with pytest.raises(SpinError) as expected:
+            pair_indices(bad.m_low, bad.m_high, bad.axis)
+        plan = sy.RotationPlan([sy.PlanRotation(-2.5, -1.5, "x", 0.3), bad])
+        with pytest.raises(SpinError, match=re.escape(str(expected.value))):
+            plan.unitary()
 
     def test_non_unitary_rejected(self):
         with pytest.raises(sy.SynthesisError):
