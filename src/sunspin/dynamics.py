@@ -39,13 +39,26 @@ by its kind:
   the corners of a linear ramp; in Liouville space in commutator form,
   building no Liouvillian.
 
-Work that depends only on content is done once and kept: per channel
-set, the 100x100 dissipator and the closed-form rate and coherence
-matrices; per constant Liouville segment, the map expm(L dt) for each
-step length dt.  Both caches are keyed by the bytes of the operators and
-Hamiltonian, the rates and the multiplier, never by object identity, so
-identical pulses at different scan points share one map.  Cached arrays
-are read-only; ``clear_caches`` empties both.
+Everything a segment needs apart from its start time is done once and
+kept, so identical pulses at different scan points share it:
+
+* per channel set, keyed by its operator bytes and rates: the 100x100
+  dissipator and the closed-form rate and coherence matrices;
+* per constant Hilbert-space segment, keyed by ``Segment.key`` (level
+  diagonal, coupling triangles, beats and phases; never t0 or t1): the
+  spectrum (-2 pi i w, V, V^H) of H;
+* per constant Liouville segment and step length dt, keyed by
+  ``Segment.key``, the two channel sets, the multiplier and dt: the map
+  expm(L dt);
+* per closed-form dark step, keyed by the two channel sets, the
+  integrated multiplier and dt: the population map and the coherence
+  decay factors.
+
+A segment looks its two channel sets up once, and the caches above key
+them by the set's own stored key, so no entry holds a copy of the
+operator bytes.  Keys are content, never object identity; cached arrays
+are read-only; every cache is bounded and ``clear_caches`` empties them
+all (with :func:`sunspin.sequence.compile`'s tone couplings).
 """
 
 from __future__ import annotations
@@ -81,6 +94,12 @@ EIG_COND_MAX = 1e4
 # damped Rabi scans uses 3 sets, one over the noisy dual Ramsey 5 maps.
 CHANNEL_SETS_CACHED = 4
 MAPS_CACHED = 8
+# Hilbert-space spectra (3.4 KB each) and dark-step population maps
+# (1.6 KB each).  A scan repeats at most 3 pulse spectra and 4 dark
+# steps per point (dual Ramsey); the leakage scan adds one new final
+# pulse per point, which least-recently-used eviction lets pass.
+SPECTRA_CACHED = 8
+DARK_MAPS_CACHED = 8
 # A segment whose TLS multiplier moves by less than this is flat, and a
 # tone beating slower than this (Hz) is static: a square, rotating-frame
 # segment with both is constant.
@@ -92,9 +111,61 @@ class DynamicsError(RuntimeError):
     pass
 
 
+class CacheInfo(NamedTuple):
+    hits: int
+    misses: int
+    maxsize: int
+    currsize: int
+
+
+_CACHES: list = []
+_MISSING = object()
+
+
+class ContentCache:
+    """Bounded least-recently-used store of read-only values by content key.
+
+    ``get(key, build)`` returns the value kept under ``key``, calling
+    ``build()`` on a miss; the least recently used entry makes room.
+    :func:`clear_caches` empties every instance.
+    """
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self._entries: dict = {}
+        self.hits = self.misses = 0
+        _CACHES.append(self)
+
+    def get(self, key, build):
+        entries = self._entries
+        value = entries.pop(key, _MISSING)
+        if value is _MISSING:
+            self.misses += 1
+            value = build()
+            if len(entries) >= self.maxsize:
+                del entries[next(iter(entries))]
+        else:
+            self.hits += 1
+        entries[key] = value
+        return value
+
+    def cache_info(self) -> CacheInfo:
+        return CacheInfo(self.hits, self.misses, self.maxsize, len(self._entries))
+
+    def cache_clear(self) -> None:
+        self._entries.clear()
+        self.hits = self.misses = 0
+
+
+_SPECTRA = ContentCache(SPECTRA_CACHED)
+_MAPS = ContentCache(MAPS_CACHED)
+_DARK_MAPS = ContentCache(DARK_MAPS_CACHED)
+
+
 # ---------------------------------------------------------------------------
 # schedule representation
 # ---------------------------------------------------------------------------
+
 
 def _trapezoid(s: float, r: float) -> float:
     if s < r:
@@ -155,9 +226,29 @@ class Segment:
         return "constant" if static else "general"
 
     @functools.cached_property
+    def key(self) -> tuple | None:
+        """Content key of a constant segment's H; None for the other kinds.
+
+        The level diagonal and each tone's coupling triangle, beat and
+        phase, never t0 or t1: segments with equal keys have
+        bit-identical ``h_const``.  (H at t0 does not depend on the
+        sub-threshold beats, except for the sign of a zero phase.)
+        """
+        if self.kind != "constant":
+            return None
+        return (self.diag_start.tobytes(),
+                np.array([(beat, phi) for _, beat, phi in self.tones]).tobytes(),
+                *(cmat.tobytes() for cmat, _, _ in self.tones))
+
+    @functools.cached_property
     def h_const(self) -> np.ndarray | None:
         """H of a constant segment; None for the other kinds."""
         return self.hamiltonian(self.t0) if self.kind == "constant" else None
+
+    @functools.cached_property
+    def channel_sets(self) -> tuple[_ChannelSet, _ChannelSet]:
+        """The cached sets of the scaled and of the fixed channels."""
+        return _channel_set(self.channels), _channel_set(self.channels_fixed)
 
     @functools.cached_property
     def f_max_hz(self) -> float:
@@ -206,8 +297,16 @@ class Segment:
     def _diag_at(self, s: float) -> np.ndarray:
         return self.diag_start + s * (self.diag_end - self.diag_start)
 
+    @functools.cached_property
+    def _diag_flat(self) -> np.ndarray | None:
+        """The diagonal when it does not move (+0.0 for -0.0, as
+        ``_diag_at`` gives it), else None."""
+        return None if (self.diag_end - self.diag_start).any() else self.diag_start + 0.0
+
     def _diag_integral(self, ta: float, tb: float) -> np.ndarray:
         """Exact integral of the (linear-in-t) diagonal over [ta, tb], Hz*s."""
+        if self._diag_flat is not None:
+            return self._diag_flat * (tb - ta)
         return 0.5 * (self._diag_at(self._fraction(ta))
                       + self._diag_at(self._fraction(tb))) * (tb - ta)
 
@@ -365,20 +464,18 @@ def _step(seg: Segment, state, t_from, sample_ts, tol, liouville):
     """
     ends = sample_ts + [seg.t1]
     if not liouville and seg.kind == "constant":
-        w, v = np.linalg.eigh(seg.h_const)
-        states = _spectral(-1j * TWO_PI * w, v, v.conj().T, state, t_from, ends)
+        spectrum = _SPECTRA.get(seg.key, lambda: _spectrum(seg.h_const))
+        states = _spectral(*spectrum, state, t_from, ends)
     elif not liouville and seg.kind == "diagonal":
         states = [_rows(np.exp(-1j * TWO_PI * seg._diag_integral(t_from, ts)), state)
                   for ts in ends]
     elif seg.kind == "constant":
-        key = (seg.h_const.tobytes(), _channel_key(seg.channels),
-               _channel_key(seg.channels_fixed), seg.mult_start)
-        eigen = (_eigen(_constant_liouvillian(*key))
+        eigen = (_eigen(_constant_liouvillian(seg))
                  if len(set(ends)) >= EIG_MIN_ENDS else None)
         if eigen is not None:
             states = _spectral(*eigen, state, t_from, ends)
         else:
-            states = _chained(lambda vec, ta, tb: _constant_map(*key, tb - ta) @ vec,
+            states = _chained(lambda vec, ta, tb: _constant_map(seg, tb - ta) @ vec,
                               state, t_from, ends)
     elif _has_closed_form(seg):
         states = _chained(_closed_form_step(seg), state, t_from, ends)
@@ -394,6 +491,12 @@ def _rows(factors: np.ndarray, x: np.ndarray) -> np.ndarray:
     (n, k); an (n, n) array scales (n, n) or (n, n, k) entrywise.
     """
     return factors.reshape(factors.shape + (1,) * (x.ndim - factors.ndim)) * x
+
+
+def _spectrum(h: np.ndarray):
+    """(-2 pi i w, V, V^H) of Hermitian ``h`` = V diag(w) V^H, read-only."""
+    w, v = np.linalg.eigh(h)
+    return _frozen(-1j * TWO_PI * w), _frozen(v), _frozen(v.conj().T)
 
 
 def _spectral(rates, v, v_inv, state, t_from, ends):
@@ -435,8 +538,7 @@ def _max_step(seg: Segment) -> float:
 def _rk45(seg: Segment, state, t_from, ends, tol, liouville):
     shape = state.shape
     if liouville:
-        d_scaled = _channel_set(seg.channels).dissipator
-        d_fixed = _channel_set(seg.channels_fixed).dissipator
+        d_scaled, d_fixed = (cs.dissipator for cs in seg.channel_sets)
 
         def rhs(t, y):
             # -2 pi i [H, rho] on each column, then the dissipators
@@ -524,6 +626,7 @@ def liouvillian(h: np.ndarray, channels: Sequence[tuple[np.ndarray, float]]) -> 
 class _ChannelSet(NamedTuple):
     """What depends only on a channel set, built once per set."""
 
+    key: tuple                            # the key it was built under
     dissipator: np.ndarray                # 100x100; zero-rate channels dropped
     diagonal_safe: bool                   # over every channel, zero rates too
     rate_matrix: np.ndarray | None        # closed-form data, if diagonal_safe
@@ -562,33 +665,32 @@ def _channel_set_of(key: tuple) -> _ChannelSet:
                               - 0.5 * np.kron(ll, eye)
                               - 0.5 * np.kron(eye, ll.T))
     if not _is_diagonal_safe(channels):
-        return _ChannelSet(_frozen(dissipator), False, None, None)
-    return _ChannelSet(_frozen(dissipator), True, _frozen(_rate_matrix(channels)),
+        return _ChannelSet(key, _frozen(dissipator), False, None, None)
+    return _ChannelSet(key, _frozen(dissipator), True,
+                       _frozen(_rate_matrix(channels)),
                        _frozen(_coherence_rates(channels)))
 
 
-def _constant_liouvillian(h_bytes: bytes, channel_key: tuple, fixed_key: tuple,
-                          mult: float) -> np.ndarray:
-    """Liouvillian of a constant segment at TLS multiplier ``mult``:
-    the Hamiltonian part and the fixed channels plus ``mult`` times the
-    scaled channels' dissipator."""
-    h = np.frombuffer(h_bytes, dtype=complex).reshape(DIM, DIM)
-    return (liouvillian(h, _channels_of(fixed_key))
-            + mult * _channel_set_of(channel_key).dissipator)
+def _constant_liouvillian(seg: Segment) -> np.ndarray:
+    """Liouvillian of a constant segment: the Hamiltonian part and the
+    fixed channels plus the TLS multiplier times the scaled channels'
+    dissipator."""
+    return (liouvillian(seg.h_const, seg.channels_fixed)
+            + seg.mult_start * seg.channel_sets[0].dissipator)
 
 
-@functools.lru_cache(maxsize=MAPS_CACHED)
-def _constant_map(h_bytes: bytes, channel_key: tuple, fixed_key: tuple,
-                  mult: float, dt: float) -> np.ndarray:
+def _constant_map(seg: Segment, dt: float) -> np.ndarray:
     """expm(L dt) of a constant segment, kept by content."""
-    return _frozen(expm(_constant_liouvillian(h_bytes, channel_key, fixed_key,
-                                              mult) * dt))
+    scaled, fixed = seg.channel_sets
+    return _MAPS.get((seg.key, scaled.key, fixed.key, seg.mult_start, dt),
+                     lambda: _frozen(expm(_constant_liouvillian(seg) * dt)))
 
 
 def clear_caches() -> None:
-    """Drop every cached channel set and constant-segment map."""
+    """Empty every content cache."""
     _channel_set_of.cache_clear()
-    _constant_map.cache_clear()
+    for cache in _CACHES:
+        cache.cache_clear()
 
 
 def _check_density(rho: np.ndarray, tol: float = 1e-10):
@@ -650,8 +752,7 @@ def _is_diag_matrix(h) -> bool:
 
 
 def _has_closed_form(seg: Segment) -> bool:
-    return (seg.kind == "diagonal" and _channel_set(seg.channels).diagonal_safe
-            and _channel_set(seg.channels_fixed).diagonal_safe)
+    return seg.kind == "diagonal" and all(cs.diagonal_safe for cs in seg.channel_sets)
 
 
 def _rate_matrix(channels) -> np.ndarray:
@@ -688,20 +789,26 @@ def _closed_form_step(seg: Segment):
     For a tone-free segment with diagonal/transfer channels: populations
     follow the classical rate matrix, coherences pick up phases and
     decay, the scaled channels' rates integrated over the multiplier
-    ramp.
+    ramp.  The population map and the decay factors are kept by
+    (channel sets, integrated multiplier, dt).
     """
-    _, _, t_scaled, g_scaled = _channel_set(seg.channels)
-    _, _, t_fixed, g_fixed = _channel_set(seg.channels_fixed)
+    scaled, fixed = seg.channel_sets
     levels = np.arange(DIM)
+
+    def dark_map(tau_eff, dt):
+        return (_frozen(expm(scaled.rate_matrix * tau_eff + fixed.rate_matrix * dt)),
+                _frozen(np.exp(-(scaled.coherence_rates * tau_eff
+                                 + fixed.coherence_rates * dt))))
 
     def step(vec, ta, tb):
         dt = tb - ta
         tau_eff = seg._multiplier_integral(ta, tb)
+        pop_map, decay = _DARK_MAPS.get((scaled.key, fixed.key, tau_eff, dt),
+                                        lambda: dark_map(tau_eff, dt))
         rho = vec.reshape((DIM, DIM) + vec.shape[1:])
-        pops = expm(t_scaled * tau_eff + t_fixed * dt) @ rho[levels, levels]
+        pops = pop_map @ rho[levels, levels]
         phases = seg._diag_integral(ta, tb)
         phase_mat = np.exp(-1j * TWO_PI * (phases[:, None] - phases[None, :]))
-        decay = np.exp(-(g_scaled * tau_eff + g_fixed * dt))
         rho = _rows(decay, _rows(phase_mat, rho))
         rho[levels, levels] = pops
         return rho.reshape(vec.shape)

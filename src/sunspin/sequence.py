@@ -28,6 +28,9 @@ from .model import FieldParams, LindbladSpec, RamanTone, control_regime_check
 from .spin_core import F, M_VALUES, density_matrix
 
 ENVELOPES = tuple(dynamics.ENVELOPES)
+# Coupling triangles kept by tone content (800 B each): a scan repeats
+# at most 3 tones per point, and the leakage scan 3 per ratio.
+COUPLINGS_CACHED = 8
 
 
 class SequenceError(ValueError):
@@ -61,6 +64,10 @@ class PulseSegment:
             raise SequenceError("segment duration must be finite")
         if self.envelope not in ENVELOPES:
             raise SequenceError(f"envelope must be one of {ENVELOPES}")
+        # a trapezoid's ramps cannot overlap, and area_fraction assumes so
+        if self.envelope == "linear_ramp" and not 0.0 < self.envelope_param <= 0.5:
+            raise SequenceError("linear_ramp envelope_param (ramp fraction) must "
+                                "lie in (0, 0.5]")
         for v in (self.tls_start, self.tls_end):
             if not 0.0 <= v <= 1.0:
                 raise SequenceError("tls multiplier endpoints must lie in [0, 1]")
@@ -191,6 +198,7 @@ def compile(sequence: PulseSequence, lindblad: LindbladSpec | None = None,
 
     fields = sequence.fields
     lab = frame == "lab-beat"
+    shifts: dict = {}  # level shifts per TLS multiplier
     segments = []
     t = 0.0
     f_lo = 0.0
@@ -201,10 +209,10 @@ def compile(sequence: PulseSequence, lindblad: LindbladSpec | None = None,
 
     for seg in sequence.segments:
         phase_register += seg.lo_phase_step
+        tone_los = [tone.lo_freq_hz(fields) for tone in seg.tones]
         if seg.tones:
-            primary = seg.tones[0]
-            f_lo = primary.lo_freq_hz(fields)
-            d_ref = primary.dm
+            f_lo = tone_los[0]
+            d_ref = seg.tones[0].dm
         elif seg.lo_freq_hz is not None:
             f_lo = seg.lo_freq_hz
         lo_trace.append((t, t + seg.duration, f_lo))
@@ -213,18 +221,21 @@ def compile(sequence: PulseSequence, lindblad: LindbladSpec | None = None,
         # phases carry the LO phase accumulated before the segment
         frame_rate = 0.0 if lab else f_lo / d_ref
         tone_terms = []
-        for tone in seg.tones:
-            rate = tone.lo_freq_hz(fields)
+        for tone, rate in zip(seg.tones, tone_los):
             phi0 = tone.phase + phase_register
             if lab:
                 phi0 += 2 * np.pi * tone.dm * lo_cycles
             else:
                 rate -= f_lo * (tone.dm / d_ref)
-            tone_terms.append((tone.coupling_matrix() / 2.0, rate, phi0))
+            tone_terms.append((_coupling_triangle(tone), rate, phi0))
+        for mult in (seg.tls_start, seg.tls_end):
+            if mult not in shifts:
+                shifts[mult] = fields.level_shifts(mult)
+        diag_start = shifts[seg.tls_start] + frame_rate * M_VALUES
+        diag_end = (diag_start if seg.tls_end == seg.tls_start
+                    else shifts[seg.tls_end] + frame_rate * M_VALUES)
         segments.append(dynamics.Segment(
-            t0=t, t1=t + seg.duration,
-            diag_start=fields.level_shifts(seg.tls_start) + frame_rate * M_VALUES,
-            diag_end=fields.level_shifts(seg.tls_end) + frame_rate * M_VALUES,
+            t0=t, t1=t + seg.duration, diag_start=diag_start, diag_end=diag_end,
             tones=tuple(tone_terms), envelope=seg.envelope,
             envelope_param=seg.envelope_param, lab=lab, channels=scaled_ch,
             channels_fixed=fixed_ch, mult_start=seg.tls_start,
@@ -236,6 +247,22 @@ def compile(sequence: PulseSequence, lindblad: LindbladSpec | None = None,
     return dynamics.Schedule(tuple(segments),
                              meta={"frame": frame, "lo_trace": tuple(lo_trace),
                                    "total_duration": t, "engine": engine})
+
+
+_COUPLINGS = dynamics.ContentCache(COUPLINGS_CACHED)
+
+
+def _coupling_triangle(tone: RamanTone) -> np.ndarray:
+    """Half the tone's coupling matrix, the upper triangle of its RWA
+    drive term: read-only, built once per (pair, omega, weighting)."""
+
+    def build():
+        half = tone.coupling_matrix() / 2.0
+        half.flags.writeable = False
+        return half
+
+    return _COUPLINGS.get((tone.m_low, tone.m_high, tone.omega_hz, tone.cg_weighting),
+                          build)
 
 
 # ---------------------------------------------------------------------------

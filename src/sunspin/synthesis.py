@@ -142,10 +142,11 @@ def _su2_euler_zxz(g00: complex, g10: complex) -> list[tuple[str, float]]:
         alpha = (gamma_plus_alpha - gamma_minus_alpha) / 2.0
         gamma = (gamma_plus_alpha + gamma_minus_alpha) / 2.0
         angles = [("z", alpha), ("x", beta), ("z", gamma)]
-        # Rz(-a) Rx(b) Rz(a) is a single rotation about cos(a) x - sin(a) y;
-        # snap the exact x / y sandwiches to one element.
+        # Rz(-a) Rx(b) Rz(a) is a single rotation about cos(a) x - sin(a) y,
+        # which depends on a only modulo 2 pi; snap the exact x / y
+        # sandwiches to one element.
         if abs(_wrap(alpha + gamma)) < 1e-12:
-            a = _wrap(alpha)
+            a = (alpha + math.pi) % TWO_PI - math.pi
             if abs(abs(a) - math.pi) < 1e-12:
                 angles = [("x", -beta)]
             elif abs(a - math.pi / 2) < 1e-12:

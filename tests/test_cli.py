@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sunspin import cli
+from sunspin import cli, dynamics
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "sunspin" / "configs"
 
@@ -24,6 +24,16 @@ class TestRunConfig:
                           skiprows=1)
         assert data.shape[1] == 11
         assert np.all(data[:, 1:].sum(axis=1) <= 1 + 1e-9)
+
+    @pytest.mark.parametrize("name", ["ancilla", "dual_ramsey", "leakage_scan"])
+    def test_warm_caches_give_cold_outputs(self, name, tmp_path):
+        # scans whose points repeat pulses: a run on caches another run
+        # filled writes what a run on empty caches writes
+        cfg = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+        dynamics.clear_caches()
+        cold = cli.run_config(cfg, tmp_path / "cold")
+        warm = cli.run_config(cfg, tmp_path / "warm")
+        assert warm["outputs"] == cold["outputs"]
 
     def test_byte_identical_reruns(self, tmp_path):
         for d in ("a", "b"):

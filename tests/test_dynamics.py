@@ -284,7 +284,7 @@ class TestEigenStepping:
         states = dynamics.evolve_density(rho0, h, lindblad=[(op, gamma)],
                                          t0=0.0, t1=ts[-1], t_eval=ts).states
         # one map requested per sample; equal step lengths share one expm
-        maps = dynamics._constant_map.cache_info()
+        maps = dynamics._MAPS.cache_info()
         assert maps.hits + maps.misses == len(ts)
         steps = set(np.diff(np.concatenate([[0.0], ts])))
         assert (len(eig_calls), len(expm_calls)) == (1, len(steps))
@@ -347,9 +347,8 @@ class TestCachedChannelSets:
         cached = dynamics._channel_set(spec.channels)
         with pytest.raises(ValueError):
             cached.dissipator[0, 0] = 1.0
-        key = (seg.h_const.tobytes(), dynamics._channel_key(spec.channels), (), 1.0)
         with pytest.raises(ValueError):
-            dynamics._constant_map(*key, 0.01)[0, 0] = 1.0
+            dynamics._constant_map(seg, 0.01)[0, 0] = 1.0
         sup = dynamics.liouvillian(seg.h_const, spec.channels)
         first = sup.copy()
         sup[:] = 0.0
@@ -607,6 +606,114 @@ class TestSequenceProperties:
         density_sched = sq.compile(seq, lindblad=model.LindbladSpec())
         rho = sq.evolve(density_sched, psi).final
         assert np.max(np.abs(rho - np.outer(pure, pure.conj()))) < 1e-10
+
+
+LINDBLADS = {
+    "pure": None,
+    "empty": model.LindbladSpec(),
+    "scattering": model.monochromatic_scattering_channels(),
+    "scattering+fixed": [model.monochromatic_scattering_channels(), _fixed_dephasing()],
+}
+
+
+def _content_caches():
+    """Every cache object held at module level by dynamics or sequence."""
+    return [obj for module in (dynamics, sq) for obj in vars(module).values()
+            if hasattr(obj, "cache_info") and not isinstance(obj, type)]
+
+
+def _bypassing_caches(run):
+    """run() with every content cache bypassed: each value built afresh."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics.ContentCache, "get", lambda self, key, build: build())
+        mp.setattr(dynamics, "_channel_set_of", dynamics._channel_set_of.__wrapped__)
+        return run()
+
+
+class TestCacheProperties:
+    @settings(max_examples=10, deadline=None, database=None)
+    @given(drawn=constant_sequences(), lindblad=st.sampled_from(sorted(LINDBLADS)),
+           phase_step=st.sampled_from((0.0, 0.3)), level=st.integers(0, DIM - 2))
+    def test_cache_hit_equals_fresh_computation(self, drawn, lindblad, phase_step,
+                                                level):
+        # the drawn segments twice; a phase step between the copies makes
+        # each repeated pulse differ from its first copy in phase alone
+        seq = replace(drawn, segments=drawn.segments
+                      + (sq.dark_time(1e-4, lo_phase_step=phase_step),)
+                      + drawn.segments)
+        psi = np.zeros(DIM, dtype=complex)
+        psi[level], psi[level + 1] = 0.6, 0.8j
+        ends = np.cumsum([s.duration for s in seq.segments])
+
+        def run():
+            sched = sq.compile(seq, lindblad=LINDBLADS[lindblad])
+            return sq.evolve(sched, psi, t_eval=ends).states
+
+        fresh = _bypassing_caches(run)
+        dynamics.clear_caches()
+        cold = run()
+        warm = run()
+        assert cold.tobytes() == fresh.tobytes()
+        assert warm.tobytes() == fresh.tobytes()
+        dynamics.clear_caches()
+        assert all(cache.cache_info().currsize == 0 for cache in _content_caches())
+
+    @settings(max_examples=10, deadline=None, database=None)
+    @given(drawn=pulse_sequences(constant=True), gap=st.floats(1e-5, 5e-4),
+           lindblad=st.sampled_from(sorted(LINDBLADS)))
+    def test_pulse_at_two_start_times_builds_once(self, drawn, gap, lindblad):
+        (pulse,) = drawn[0].segments
+        seq = sq.PulseSequence(segments=(pulse, sq.dark_time(gap), pulse),
+                               fields=WEAK_FIELDS)
+        sched = sq.compile(seq, lindblad=LINDBLADS[lindblad])
+        first, _, second = sched.segments
+        assert first.t0 != second.t0 and first.key == second.key
+        assert first.h_const.tobytes() == second.h_const.tobytes()
+        dynamics.clear_caches()
+        sq.evolve(sched, basis_state(pulse.tones[0].m_low))
+        if lindblad == "pure":
+            assert dynamics._SPECTRA.cache_info()[:2] == (1, 1)  # hits, misses
+        else:
+            # a Liouville map is kept per step length, and t1 - t0 of the
+            # two placements may differ in the last bit
+            steps = {s.t1 - s.t0 for s in (first, second)}
+            assert dynamics._MAPS.cache_info().misses == len(steps)
+            assert dynamics._SPECTRA.cache_info().misses == 0
+
+    @pytest.mark.parametrize("lindblad", ["scattering", "scattering+fixed"])
+    def test_maps_keyed_by_multiplier_and_step_length(self, lindblad):
+        # with q = 0 the multiplier leaves H alone, so pulses at two
+        # multipliers share a key but not a map; dark steps of 2^-12 s at
+        # multiplier 1 and 2^-11 s at 0.5 share the integrated multiplier
+        # but not the fixed channels' decay
+        fields = model.FieldParams(b_hz=96.0, q_hz=0.0)
+        pulse = sq.pulse((-2.5, -1.5), 71.0, fields, np.pi / 2, warn_regime=False)
+        seq = sq.PulseSequence(segments=(
+            sq.dark_time(2.0**-12), sq.dark_time(2.0**-11, tls_multiplier=0.5),
+            pulse, replace(pulse, tls_start=0.5, tls_end=0.5)), fields=fields)
+        spec = LINDBLADS[lindblad]
+        dark_a, dark_b, pulse_a, pulse_b = sq.compile(seq, lindblad=spec).segments
+        assert pulse_a.key == pulse_b.key
+        assert (dark_a._multiplier_integral(dark_a.t0, dark_a.t1)
+                == dark_b._multiplier_integral(dark_b.t0, dark_b.t1))
+
+        psi = (basis_state(-2.5) + basis_state(-1.5)) / np.sqrt(2)
+
+        def run():
+            return sq.evolve(sq.compile(seq, lindblad=spec), psi).states
+
+        fresh = _bypassing_caches(run)
+        dynamics.clear_caches()
+        assert run().tobytes() == fresh.tobytes()
+
+    def test_flat_diagonal_integral_keeps_general_formula_bits(self):
+        d = np.array([-0.0, 0.0, -1.5e3, 2.0e3, 0.5, -0.0, 7.0, -3.0, 1e-300, 9.0])
+        seg = dynamics.Segment(0.0, 2.0**-10, d, d.copy())
+        assert seg._diag_flat is not None
+        for ta, tb in ((0.0, seg.t1), (1e-4, 7e-4), (3e-4, seg.t1)):
+            general = 0.5 * (seg._diag_at(seg._fraction(ta))
+                             + seg._diag_at(seg._fraction(tb))) * (tb - ta)
+            assert seg._diag_integral(ta, tb).tobytes() == general.tobytes()
 
 
 class TestLabBeatFrame:

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from sunspin import model, sequence as sq
-from sunspin.spin_core import DIM, M_VALUES, basis_state, clebsch_gordan, m_index
+from sunspin import dynamics, model, sequence as sq
+from sunspin.spin_core import (DIM, M_VALUES, SpinError, basis_state, clebsch_gordan,
+                                m_index)
 
 REF_FIELDS = model.FieldParams(b_hz=960.0, q_hz=-320.0)
 
@@ -27,6 +30,19 @@ class TestDiagonalHamiltonian:
         split = (model.pair_splitting_hz(REF_FIELDS, -2.5)
                  - model.pair_splitting_hz(REF_FIELDS, -3.5))
         assert split == pytest.approx(2 * -320.0)
+
+    def test_pair_splitting_is_level_shift_difference_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for b, q, bv in rng.normal(0.0, 1e3, (20, 3)):
+            fields = model.FieldParams(b_hz=b, q_hz=q, b_vector_hz=bv)
+            for mult in (0.0, 0.37, 1.0, rng.uniform()):
+                e = fields.level_shifts(mult)
+                for dm in (1, 2):
+                    for i in range(DIM - dm):
+                        got = model.pair_splitting_hz(fields, M_VALUES[i], dm, mult)
+                        assert got.hex() == float(e[i + dm] - e[i]).hex()
+        with pytest.raises(SpinError):
+            model.pair_splitting_hz(REF_FIELDS, 4.5)
 
     def test_vector_light_shift_part_scales_with_tls(self):
         f = model.FieldParams(b_hz=940.0, q_hz=-320.0, b_vector_hz=20.0)
@@ -70,6 +86,27 @@ class TestRamanHamiltonian:
                             lambda *a: calls.append(a) or cg(*a))
         assert np.array_equal(tone.coupling_matrix(), first)
         assert calls == []
+
+    def test_compile_builds_each_tone_coupling_once(self, monkeypatch):
+        calls = []
+        build = model.RamanTone.coupling_matrix
+        monkeypatch.setattr(model.RamanTone, "coupling_matrix",
+                            lambda self: calls.append(self) or build(self))
+        tone = model.RamanTone(-2.5, -1.5, 71.0)
+        dynamics.clear_caches()
+        # phase and detuning leave the coupling triangle unchanged
+        twins = [tone, replace(tone, phase=0.4), replace(tone, detuning_hz=3.0)]
+        sched = sq.compile(sq.PulseSequence(
+            segments=tuple(sq.PulseSegment(duration=0.01, tones=(t,)) for t in twins),
+            fields=REF_FIELDS))
+        assert len(calls) == 1
+        triangles = [seg.tones[0][0] for seg in sched.segments]
+        assert all(t is triangles[0] for t in triangles)
+        assert triangles[0].tobytes() == (build(tone) / 2.0).tobytes()
+        with pytest.raises(ValueError):
+            triangles[0][0, 1] = 1.0
+        compiled([replace(tone, omega_hz=72.0)])
+        assert len(calls) == 2
 
     def test_hermitian_at_sampled_times(self):
         tones = [model.RamanTone(-2.5, -1.5, 71.0),

@@ -68,7 +68,7 @@ class TestRabiScan:
         monkeypatch.setattr(dynamics, "EIG_COND_MAX", 0.0)
         scan()
         # one map requested per duration; equal step lengths share one expm
-        maps = dynamics._constant_map.cache_info()
+        maps = dynamics._MAPS.cache_info()
         assert maps.hits + maps.misses == len(durations)
         steps = set(np.diff(np.concatenate([[0.0], durations])))
         assert len(expm_calls) == len(steps)

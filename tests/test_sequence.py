@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from sunspin import model, sequence as sq
+from sunspin import dynamics, model, sequence as sq
 from sunspin.spin_core import basis_state
 
 FIELDS = model.FieldParams(b_hz=960.0, q_hz=-320.0)
@@ -54,6 +55,23 @@ class TestPulseConstruction:
             sq.PulseSegment(duration=0.1, tls_start=1.4)
         with pytest.raises(sq.SequenceError):
             sq.PulseSegment(duration=0.1, envelope="gaussian")
+
+    @pytest.mark.parametrize("ramp", [0.7, -0.2, 0.0])
+    def test_linear_ramp_fraction_outside_half_rejected(self, ramp):
+        with pytest.raises(sq.SequenceError):
+            sq.PulseSegment(duration=0.1, envelope="linear_ramp", envelope_param=ramp)
+        data = sq.sequence_to_dict(
+            sq.PulseSequence(segments=(sq.PulseSegment(duration=0.1),), fields=FIELDS))
+        data["segments"][0].update(envelope="linear_ramp", envelope_param=ramp)
+        with pytest.raises(sq.SequenceError):
+            sq.sequence_from_dict(data)
+
+    @pytest.mark.parametrize("ramp", [1e-3, 0.1, 0.25, 0.4, 0.5])
+    def test_linear_ramp_area_fraction_is_envelope_area(self, ramp):
+        seg = sq.PulseSegment(duration=0.1, envelope="linear_ramp", envelope_param=ramp)
+        area, _ = quad(lambda s: dynamics.ENVELOPES["linear_ramp"](s, ramp), 0.0, 1.0,
+                       points=sorted({ramp, 1.0 - ramp}))
+        assert seg.area_fraction() == pytest.approx(area, abs=1e-12)
 
 
 class TestCompile:

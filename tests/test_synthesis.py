@@ -55,6 +55,13 @@ EULER_BRANCHES = {
     "y-sandwich-minus": (pair_rotation(1.5, 2.5, "y", -0.7), ["y"]),
     # +pi/2 needs phase(g10) just above -pi: an axis 1e-13 past y
     "y-sandwich-plus": (axis_rotation(-2.5, np.pi / 2 + 1e-13, 0.7), ["y"]),
+    # alpha = -3pi/2 is the +pi/2 sandwich a turn lower: exactly, and
+    # 1e-13 above.  A sandwich has alpha + gamma = -2 phase(g00) = 0 and
+    # gamma - alpha = 2 phase(g10) + pi in (-pi, 3pi], so alpha lies in
+    # [-3pi/2, pi/2) and +3pi/2 cannot occur.
+    "y-sandwich-minus-3pi/2": (pair_rotation(1.5, 2.5, "y", 0.7), ["y"]),
+    "y-sandwich-near-minus-3pi/2": (axis_rotation(-2.5, -np.pi / 2 - 1e-13, -0.7),
+                                    ["y"]),
 }
 
 
@@ -104,6 +111,16 @@ class TestDecompose:
         assert plan.reconstruction_error < 1e-12
         assert plan.reconstruction_error == sy.global_phase_distance(
             u, plan.unitary())
+
+    @pytest.mark.parametrize("name", ["y-sandwich-minus-3pi/2",
+                                      "y-sandwich-near-minus-3pi/2"])
+    def test_three_half_pi_sandwich_is_one_y_rotation(self, name):
+        # both targets turn by +0.7 about +y
+        plan = sy.decompose(EULER_BRANCHES[name][0])
+        (r,) = plan.rotations
+        assert r.axis == "y"
+        assert r.angle == pytest.approx(0.7, abs=1e-12)
+        assert plan.reconstruction_error < 1e-12
 
     @pytest.mark.parametrize("bad", [
         sy.PlanRotation(-5.5, -4.5, "x", 0.3),  # below m_F = -9/2

@@ -5,7 +5,9 @@
 Each ``src/sunspin/configs/<name>.json`` is run through
 ``sunspin.cli.run_config`` into ``OUT_DIR/<name>/``, with the config's
 file name as its recorded path, so two checkouts of the package write
-comparable manifests.  With ``--against``, every output file (the
+comparable manifests.  Each config's name is printed with its wall time
+(one run, in this process, so later configs may reuse earlier ones'
+cached pulses).  With ``--against``, every output file (the
 manifest included) is hashed and compared with the file of the same
 name under ``REF_DIR/<name>/``; each difference is listed, and the
 exit status is 1 if there is any.  Runs the package next to this
@@ -18,6 +20,7 @@ import argparse
 import hashlib
 import json
 import sys
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -31,8 +34,10 @@ def run_all(out_dir: Path) -> list[str]:
     """Run each bundled config into its own directory; returns the names."""
     names = []
     for path in sorted(CONFIG_DIR.glob("*.json")):
+        start = time.perf_counter()
         cli.run_config(json.loads(path.read_text()), out_dir / path.stem,
                        config_path=path.name)
+        print(f"{path.stem:<20} {time.perf_counter() - start:8.3f} s")
         names.append(path.stem)
     return names
 
