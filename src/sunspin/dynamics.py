@@ -39,26 +39,22 @@ by its kind:
   the corners of a linear ramp; in Liouville space in commutator form,
   building no Liouvillian.
 
-Everything a segment needs apart from its start time is done once and
-kept, so identical pulses at different scan points share it:
+Two costly results are kept by content, because one run asks for them
+again and again:
 
 * per channel set, keyed by its operator bytes and rates: the 100x100
   dissipator and the closed-form rate and coherence matrices;
-* per constant Hilbert-space segment, keyed by ``Segment.key`` (level
-  diagonal, coupling triangles, beats and phases; never t0 or t1): the
-  spectrum (-2 pi i w, V, V^H) of H;
 * per constant Liouville segment and step length dt, keyed by
-  ``Segment.key``, the two channel sets, the multiplier and dt: the map
-  expm(L dt);
-* per closed-form dark step, keyed by the two channel sets, the
-  integrated multiplier and dt: the population map and the coherence
-  decay factors.
+  ``Segment.key`` (level diagonal, coupling triangles, beats and
+  phases; never t0 or t1), the two channel sets, the multiplier and dt:
+  the map expm(L dt), a 100x100 matrix exponential.
 
-A segment looks its two channel sets up once, and the caches above key
+A segment looks its two channel sets up once, and the map cache keys
 them by the set's own stored key, so no entry holds a copy of the
 operator bytes.  Keys are content, never object identity; cached arrays
-are read-only; every cache is bounded and ``clear_caches`` empties them
-all (with :func:`sunspin.sequence.compile`'s tone couplings).
+are read-only; both caches are bounded and ``clear_caches`` empties
+them.  A scan does not lean on them to share its pulses:
+:mod:`sunspin.protocols` evolves each pulse of a scan once.
 """
 
 from __future__ import annotations
@@ -90,16 +86,11 @@ EIG_MIN_ENDS = 4
 EIG_COND_MAX = 1e4
 # Entries kept by content: channel sets (a 160 KB dissipator each) and
 # constant-segment Liouville maps (160 KB each).  Each bundled config
-# uses at most 2 distinct sets and 4 distinct maps; one pass over the
-# damped Rabi scans uses 3 sets, one over the noisy dual Ramsey 5 maps.
+# uses at most 2 distinct sets and 3 distinct maps; one pass over the
+# damped Rabi scans uses 3 sets, and one over the noisy dual Ramsey asks
+# 14 times for its 5 maps.
 CHANNEL_SETS_CACHED = 4
 MAPS_CACHED = 8
-# Hilbert-space spectra (3.4 KB each) and dark-step population maps
-# (1.6 KB each).  A scan repeats at most 3 pulse spectra and 4 dark
-# steps per point (dual Ramsey); the leakage scan adds one new final
-# pulse per point, which least-recently-used eviction lets pass.
-SPECTRA_CACHED = 8
-DARK_MAPS_CACHED = 8
 # A segment whose TLS multiplier moves by less than this is flat, and a
 # tone beating slower than this (Hz) is static: a square, rotating-frame
 # segment with both is constant.
@@ -118,7 +109,6 @@ class CacheInfo(NamedTuple):
     currsize: int
 
 
-_CACHES: list = []
 _MISSING = object()
 
 
@@ -127,14 +117,12 @@ class ContentCache:
 
     ``get(key, build)`` returns the value kept under ``key``, calling
     ``build()`` on a miss; the least recently used entry makes room.
-    :func:`clear_caches` empties every instance.
     """
 
     def __init__(self, maxsize: int):
         self.maxsize = maxsize
         self._entries: dict = {}
         self.hits = self.misses = 0
-        _CACHES.append(self)
 
     def get(self, key, build):
         entries = self._entries
@@ -157,9 +145,7 @@ class ContentCache:
         self.hits = self.misses = 0
 
 
-_SPECTRA = ContentCache(SPECTRA_CACHED)
 _MAPS = ContentCache(MAPS_CACHED)
-_DARK_MAPS = ContentCache(DARK_MAPS_CACHED)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +217,8 @@ class Segment:
 
         The level diagonal and each tone's coupling triangle, beat and
         phase, never t0 or t1: segments with equal keys have
-        bit-identical ``h_const``.  (H at t0 does not depend on the
+        bit-identical ``h_const``, so a pulse repeated within a schedule
+        builds its Liouville map once.  (H at t0 does not depend on the
         sub-threshold beats, except for the sign of a zero phase.)
         """
         if self.kind != "constant":
@@ -464,8 +451,8 @@ def _step(seg: Segment, state, t_from, sample_ts, tol, liouville):
     """
     ends = sample_ts + [seg.t1]
     if not liouville and seg.kind == "constant":
-        spectrum = _SPECTRA.get(seg.key, lambda: _spectrum(seg.h_const))
-        states = _spectral(*spectrum, state, t_from, ends)
+        w, v = np.linalg.eigh(seg.h_const)
+        states = _spectral(-1j * TWO_PI * w, v, v.conj().T, state, t_from, ends)
     elif not liouville and seg.kind == "diagonal":
         states = [_rows(np.exp(-1j * TWO_PI * seg._diag_integral(t_from, ts)), state)
                   for ts in ends]
@@ -491,12 +478,6 @@ def _rows(factors: np.ndarray, x: np.ndarray) -> np.ndarray:
     (n, k); an (n, n) array scales (n, n) or (n, n, k) entrywise.
     """
     return factors.reshape(factors.shape + (1,) * (x.ndim - factors.ndim)) * x
-
-
-def _spectrum(h: np.ndarray):
-    """(-2 pi i w, V, V^H) of Hermitian ``h`` = V diag(w) V^H, read-only."""
-    w, v = np.linalg.eigh(h)
-    return _frozen(-1j * TWO_PI * w), _frozen(v), _frozen(v.conj().T)
 
 
 def _spectral(rates, v, v_inv, state, t_from, ends):
@@ -687,10 +668,9 @@ def _constant_map(seg: Segment, dt: float) -> np.ndarray:
 
 
 def clear_caches() -> None:
-    """Empty every content cache."""
+    """Empty both content caches."""
     _channel_set_of.cache_clear()
-    for cache in _CACHES:
-        cache.cache_clear()
+    _MAPS.cache_clear()
 
 
 def _check_density(rho: np.ndarray, tol: float = 1e-10):
@@ -789,26 +769,21 @@ def _closed_form_step(seg: Segment):
     For a tone-free segment with diagonal/transfer channels: populations
     follow the classical rate matrix, coherences pick up phases and
     decay, the scaled channels' rates integrated over the multiplier
-    ramp.  The population map and the decay factors are kept by
-    (channel sets, integrated multiplier, dt).
+    ramp.
     """
     scaled, fixed = seg.channel_sets
     levels = np.arange(DIM)
 
-    def dark_map(tau_eff, dt):
-        return (_frozen(expm(scaled.rate_matrix * tau_eff + fixed.rate_matrix * dt)),
-                _frozen(np.exp(-(scaled.coherence_rates * tau_eff
-                                 + fixed.coherence_rates * dt))))
-
     def step(vec, ta, tb):
         dt = tb - ta
         tau_eff = seg._multiplier_integral(ta, tb)
-        pop_map, decay = _DARK_MAPS.get((scaled.key, fixed.key, tau_eff, dt),
-                                        lambda: dark_map(tau_eff, dt))
         rho = vec.reshape((DIM, DIM) + vec.shape[1:])
-        pops = pop_map @ rho[levels, levels]
+        pops = (expm(scaled.rate_matrix * tau_eff + fixed.rate_matrix * dt)
+                @ rho[levels, levels])
         phases = seg._diag_integral(ta, tb)
         phase_mat = np.exp(-1j * TWO_PI * (phases[:, None] - phases[None, :]))
+        decay = np.exp(-(scaled.coherence_rates * tau_eff
+                         + fixed.coherence_rates * dt))
         rho = _rows(decay, _rows(phase_mat, rho))
         rho[levels, levels] = pops
         return rho.reshape(vec.shape)

@@ -69,15 +69,9 @@ class FieldParams:
 
 def pair_splitting_hz(fields: FieldParams, m_low: float, dm: int = 1,
                       tls_multiplier: float = 1.0) -> float:
-    """Transition frequency (E(m_low+dm) - E(m_low))/h in Hz, signed.
-
-    Scalar arithmetic in the order of :meth:`FieldParams.level_shifts`,
-    so it equals the difference of its entries bit for bit.
-    """
-    b = fields.b_hz + fields.b_vector_hz * tls_multiplier
-    q = fields.q_hz * tls_multiplier
-    lo, hi = m_index(m_low) - F, m_index(m_low + dm) - F
-    return float((b * hi + q * hi**2) - (b * lo + q * lo**2))
+    """Transition frequency (E(m_low+dm) - E(m_low))/h in Hz, signed."""
+    e = fields.level_shifts(tls_multiplier)
+    return float(e[m_index(m_low + dm)] - e[m_index(m_low)])
 
 
 # ---------------------------------------------------------------------------

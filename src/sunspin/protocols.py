@@ -17,6 +17,14 @@ stream, shot after shot (multinomial, then binomial).  The shots of
 sampled as one batch per call or scan point: first every noise offset,
 then every polarization toggle, then all multinomial draws, then all
 binomial thinnings.
+
+A scan is compiled once and evolves each pulse once: the prefix before
+the scanned quantity, then per point only what the scan variable
+changes, then the closing section's map, taken once.  A phase scan
+(ancilla, leakage) applies a (points, 10) block of diagonal phases
+through the batched shot kernel; a time scan (single and parallel
+Ramsey) re-steps only the dark stretch T lengthens, in closed form, on
+the compiled segments with their ends moved.
 """
 
 from __future__ import annotations
@@ -30,9 +38,13 @@ from .model import (FieldParams, LindbladSpec, RamanTone,
                     monochromatic_scattering_channels, pair_splitting_hz)
 from .readout import (DetectionModel, M_ANCILLA_A, M_ANCILLA_B, M_DOWN, M_UP,
                       ShotRecord, sample_counts, sample_shot)
-from .spin_core import DIM, basis_state, density_matrix, m_index
+from .spin_core import DIM, M_VALUES, basis_state, density_matrix, m_index
 
 TWO_PI = 2.0 * np.pi
+# How far expected populations may stray outside [0, 1], and their sum
+# above 1, before a result is rejected: integration and map rounding.
+POPULATION_SLACK = 1e-7
+POPULATION_SUM_SLACK = 1e-6
 
 
 class ProtocolError(ValueError):
@@ -100,9 +112,9 @@ class InterferometerResult:
 
     def __post_init__(self):
         p = self.populations
-        if np.any(p < -1e-7) or np.any(p > 1 + 1e-7):
+        if np.any(p < -POPULATION_SLACK) or np.any(p > 1 + POPULATION_SLACK):
             raise ProtocolError("populations outside [0, 1]")
-        if np.any(p.sum(axis=1) > 1 + 1e-6):
+        if np.any(p.sum(axis=1) > 1 + POPULATION_SUM_SLACK):
             raise ProtocolError("populations sum above 1")
 
     def population(self, m: float) -> np.ndarray:
@@ -134,16 +146,49 @@ def _sample_point(populations, n_atoms, n_shots, detection, stream):
             for i in range(n_shots)]
 
 
-def _closing_rows(schedule):
-    """(10, 100) population rows of a closing section's map on row-major
-    vec(rho): p_i = Re rows[i] @ vec(rho).  Row i is U[i, a] conj(U[i, b])
-    of its propagator on the pure engine, and the superoperator row at
-    diagonal index (i, i) on the density engine (``meta["engine"]``, set
-    by :func:`sequence.compile`)."""
+def _section(schedule, start, stop=None):
+    """Segments ``start:stop`` of a compiled schedule, as a schedule on
+    the same engine."""
+    return dynamics.Schedule(schedule.segments[start:stop], meta=schedule.meta)
+
+
+def _section_map(schedule):
+    """A section's map on row-major vec(rho): kron(U, conj(U)) of its
+    propagator on the pure engine, its superoperator on the density
+    engine (``meta["engine"]``, set by :func:`sequence.compile`)."""
     if schedule.meta.get("engine") != "density":
-        u = dynamics.propagator(schedule)
-        return (u[:, :, None] * u.conj()[:, None, :]).reshape(DIM, DIM * DIM)
-    return dynamics.superoperator(schedule)[::DIM + 1]
+        return dynamics.unitary_superoperator(dynamics.propagator(schedule))
+    return dynamics.superoperator(schedule)
+
+
+def _closing_rows(schedule):
+    """(10, 100) population rows of a closing section's map:
+    p_i = Re rows[i] @ vec(rho)."""
+    return _section_map(schedule)[::DIM + 1]
+
+
+def _restep(section, durations, rho):
+    """``rho`` carried through the tone-free ``section`` with its
+    segments lasting ``durations``, laid end to end from its start at the
+    times :func:`sequence.compile` would give them; they step in closed
+    form."""
+    segments, t = [], section.t0
+    for seg, duration in zip(section.segments, durations):
+        segments.append(replace(seg, t0=t, t1=t + duration))
+        t += duration
+    moved = dynamics.Schedule(tuple(segments), meta=section.meta)
+    if section.meta.get("engine") != "density":
+        u = dynamics.propagator(moved)
+        return u @ rho @ u.conj().T
+    return (dynamics.superoperator(moved) @ rho.reshape(-1)).reshape(DIM, DIM)
+
+
+def _phase_sweep(schedule, state, phases, tol):
+    """Final populations (k, 10) of a phase scan: ``state`` evolved once
+    through all but the last segment, conjugated by diag(e^{-i
+    phases[s]}) for point s, then mapped once through the last one."""
+    rho = density_matrix(sq.evolve(_section(schedule, 0, -1), state, tol=tol).final)
+    return _shot_populations(_closing_rows(_section(schedule, -1)), rho, phases)
 
 
 SHOT_BLOCK = 256
@@ -260,6 +305,8 @@ def ramsey(pair: tuple[float, float], t_values, fields: FieldParams,
     offsets, then all multinomial draws, then all binomial thinnings.
     """
     t_values = np.asarray(t_values, dtype=float)
+    if t_values.size == 0:
+        raise ProtocolError("t_values must be non-empty")
     if phase_noise not in ("none", "average", "sample"):
         raise ProtocolError("phase_noise must be none|average|sample")
     if phase_noise != "none" and noise is None:
@@ -270,30 +317,29 @@ def ramsey(pair: tuple[float, float], t_values, fields: FieldParams,
     i, j = m_index(m_low), m_index(m_high)
     tls_on = tls_mode == "on"
 
+    # compiled at the shortest T, which checks that every T leaves a hold
+    schedule = sq.compile(_ramsey_sequence(
+        (m_low, m_high), t_values.min(), fields, omega_hz, tls_mode,
+        detuning_hz, cg_weighting), lindblad=lindblad)
+    first = 1 if tls_on else 2   # T lengthens the dark time or the hold
+    rho = density_matrix(sq.evolve(_section(schedule, 0, first),
+                                   basis_state(m_low), tol=tol).final)
+    stretch = _section(schedule, first, -1)
+    rows = _closing_rows(_section(schedule, -1))
+
     pops = np.empty((len(t_values), DIM))
     contrast = np.empty(len(t_values))
     shots = [] if n_shots > 0 else None
     streams = _shot_streams(seed, len(t_values)) if n_shots > 0 else None
-    psi0 = basis_state(m_low)
-
     for k, t_dark in enumerate(t_values):
-        seq = _ramsey_sequence((m_low, m_high), t_dark, fields, omega_hz,
-                               tls_mode, detuning_hz, cg_weighting)
-        t_pre_close = seq.total_duration - seq.segments[-1].duration
-        traj = sq.run(seq, psi0, lindblad=lindblad,
-                      t_eval=[t_pre_close, seq.total_duration], tol=tol)
-        rho_pre = density_matrix(traj.states[0])
+        moved = (t_dark,) if tls_on else (t_dark - 2 * TLS_RAMP_S, TLS_RAMP_S)
+        rho_pre = _restep(stretch, moved, rho)
         if phase_noise != "none":
             var = noise.phase_variance(t_dark, tls_on)
-            close = sq.PulseSequence(segments=(seq.segments[-1],), fields=fields)
-            rows = _closing_rows(sq.compile(close, lindblad=lindblad))
         if phase_noise == "average":
             rho_pre = _dephase_pair(rho_pre, i, j, np.exp(-var / 2.0))
         contrast[k] = 2.0 * abs(rho_pre[i, j])
-        if phase_noise == "average":
-            pops[k] = np.real(rows @ rho_pre.ravel()).clip(0.0, 1.0)
-        else:
-            pops[k] = traj.populations()[-1].clip(0.0, 1.0)
+        pops[k] = np.real(rows @ rho_pre.ravel()).clip(0.0, 1.0)
         if phase_noise == "sample":
             # an extra pair z rotation by dphi per shot, applied as a
             # diagonal unitary so coherences with third levels follow
@@ -331,11 +377,18 @@ def _dephase_pair(rho, i, j, factor):
 SPLIT_PAIR = (M_DOWN, M_UP)          # (-7/2, -5/2)
 IF1_PAIR = (M_UP, M_ANCILLA_A)       # (-5/2, -3/2), phase phi_1
 IF2_PAIR = (M_ANCILLA_B, M_DOWN)     # (-9/2, -7/2), phase phi_2
+# Segment indices of the dual Ramsey schedule: the shared dark time,
+# the first closing pulse, and each interferometer's open window
+# [start, stop) from the end of its opening pulse to the start of its
+# closing pulse.
+SHARED, CLOSE1 = 5, 6
+WINDOWS = ((3, 6), (5, 8))           # if1, if2
 
 
 def _dual_ramsey_sequence(t_open, fields, omega_hz, delta_shared_hz, gap_s,
                           cg_weighting=True):
-    """Five-pulse schedule; both interferometers open for exactly t_open."""
+    """Nine-segment schedule (five pulses); both interferometers open for
+    exactly t_open."""
     p_split = sq.pulse(SPLIT_PAIR, omega_hz, fields, np.pi / 2,
                        cg_weighting=cg_weighting, warn_regime=False, label="split")
     p_open1 = sq.pulse(IF1_PAIR, omega_hz, fields, np.pi / 2,
@@ -344,7 +397,7 @@ def _dual_ramsey_sequence(t_open, fields, omega_hz, delta_shared_hz, gap_s,
                        cg_weighting=cg_weighting, warn_regime=False, label="open2")
     p_close1 = replace(p_open1, label="close1")
     p_close2 = replace(p_open2, label="close2")
-    d2, d3 = p_open1.duration, p_open2.duration
+    d3 = p_open2.duration
     shared = t_open - gap_s - d3
     if shared <= 0:
         raise ProtocolError(
@@ -362,11 +415,7 @@ def _dual_ramsey_sequence(t_open, fields, omega_hz, delta_shared_hz, gap_s,
             p_close1,
             sq.dark_time(tail),       # if2 still open
             p_close2)
-    seq = sq.PulseSequence(segments=segs, fields=fields)
-    # open windows: [end(open_i), start(close_i)]
-    t = np.cumsum([0.0] + [s.duration for s in segs])
-    windows = {"if1": (t[3], t[6]), "if2": (t[5], t[8])}
-    return seq, windows
+    return sq.PulseSequence(segments=segs, fields=fields)
 
 
 def parallel_ramsey(t_values, fields: FieldParams, omega_hz: float = 77.0,
@@ -382,46 +431,57 @@ def parallel_ramsey(t_values, fields: FieldParams, omega_hz: float = 77.0,
     (-9/2,-7/2), shared free evolution with the LO at
     ``delta_shared_hz``, close both.  Returns populations of -3/2 and
     -7/2 versus the open time T, the in-frame interferometer phases
-    (unwrapped when ``track_phases``), and the schedule-expected phases
-    in ``meta``.
+    from the window-end coherences, and the schedule-expected phases in
+    ``meta``.  With ``track_phases`` each phase is the one within pi of
+    its expected phase; otherwise it is the difference of the two
+    wrapped coherence angles.
     """
     t_values = np.asarray(t_values, dtype=float)
+    if t_values.size == 0:
+        raise ProtocolError("t_values must be non-empty")
+    # compiled at the shortest T, which checks that every T is long enough
+    seq = _dual_ramsey_sequence(t_values.min(), fields, omega_hz,
+                                delta_shared_hz, gap_s, cg_weighting)
+    schedule = sq.compile(seq, lindblad=lindblad)
+    durations = np.array([s.duration for s in seq.segments])
+    lo = np.array([f for _, _, f in sq.lo_frequency_trace(schedule)])
+    nus = [pair_splitting_hz(fields, pair[0]) for pair in (IF1_PAIR, IF2_PAIR)]
+    (i1, j1), (i2, j2) = ((m_index(a), m_index(b)) for a, b in (IF1_PAIR, IF2_PAIR))
+
+    # the prefix, sampled where if1 opens and at the shared dark time
+    prefix = sq.evolve(_section(schedule, 0, SHARED), basis_state(M_UP),
+                       t_eval=[schedule.segments[WINDOWS[0][0]].t0,
+                               schedule.segments[SHARED].t0], tol=tol)
+    rho_o1, rho_o2 = (density_matrix(state) for state in prefix.states)
+    opened = np.array([rho_o1[i1, j1], rho_o2[i2, j2]])
+    shared = _section(schedule, SHARED, CLOSE1)
+    rows = _closing_rows(_section(schedule, CLOSE1))
+    if2_row = _section_map(_section(schedule, CLOSE1, -1))[i2 * DIM + j2]
+
+    # segment durations per point: T lengthens the shared dark time
+    durations = np.tile(durations, (len(t_values), 1))
+    durations[:, SHARED] = t_values - gap_s - durations[:, SHARED - 1]
+    t = np.cumsum(np.column_stack([np.zeros(len(t_values)), durations]), axis=1)
+    spans = np.column_stack([t[:, b] - t[:, a] for a, b in WINDOWS])
+    mean_deltas = np.column_stack([durations[:, a:b] @ lo[a:b]
+                                   for a, b in WINDOWS]) / spans
+    expected = TWO_PI * (-np.array(nus) - mean_deltas) * spans
+
     pops = np.empty((len(t_values), DIM))
-    phases = np.empty((len(t_values), 2))
-    expected = np.empty((len(t_values), 2))
-    mean_deltas = np.empty((len(t_values), 2))
+    closed = np.empty((len(t_values), 2), dtype=complex)
     shots = [] if n_shots > 0 else None
     streams = _shot_streams(seed, len(t_values)) if n_shots > 0 else None
-    psi0 = basis_state(M_UP)
-
-    for k, t_open in enumerate(t_values):
-        seq, windows = _dual_ramsey_sequence(t_open, fields, omega_hz,
-                                             delta_shared_hz, gap_s,
-                                             cg_weighting)
-        schedule = sq.compile(seq, lindblad=lindblad)
-        (o1, c1), (o2, c2) = windows["if1"], windows["if2"]
-        if track_phases:
-            f1 = abs(pair_splitting_hz(fields, IF1_PAIR[0])) + abs(delta_shared_hz)
-            f2 = abs(pair_splitting_hz(fields, IF2_PAIR[0])) + abs(delta_shared_hz)
-            n_samp = max(64, int(np.ceil(8 * max(f1, f2) * t_open)))
-            t_eval = np.unique(np.concatenate(
-                [np.linspace(o1, c1, n_samp), np.linspace(o2, c2, n_samp),
-                 [seq.total_duration]]))
-        else:
-            t_eval = np.array([o1, o2, c1, c2, seq.total_duration])
-        traj = sq.evolve(schedule, psi0, t_eval=t_eval, tol=tol)
-        pops[k] = traj.populations()[-1].clip(0.0, 1.0)
-        phases[k, 0] = -_window_phase(traj, IF1_PAIR, o1, c1, track_phases)
-        phases[k, 1] = -_window_phase(traj, IF2_PAIR, o2, c2, track_phases)
-        for w, (pair, (t_a, t_b)) in enumerate(
-                ((IF1_PAIR, (o1, c1)), (IF2_PAIR, (o2, c2)))):
-            delta_mean = sq.mean_lo_frequency(schedule, t_a, t_b)
-            nu_signed = pair_splitting_hz(fields, pair[0])
-            expected[k, w] = TWO_PI * ((-nu_signed) - delta_mean) * (t_b - t_a)
-            mean_deltas[k, w] = delta_mean
+    for k, row in enumerate(durations):
+        rho = _restep(shared, row[SHARED:CLOSE1], rho_o2).ravel()
+        pops[k] = np.real(rows @ rho).clip(0.0, 1.0)
+        closed[k] = rho[i1 * DIM + j1], if2_row @ rho
         if n_shots > 0:
-            shots.append(_sample_point(traj.states[-1], n_atoms, n_shots,
+            shots.append(_sample_point(_diag_density(pops[k]), n_atoms, n_shots,
                                        detection, streams[k]))
+    phases = -(np.angle(closed) - np.angle(opened))
+    if track_phases:
+        off = phases - expected
+        phases = expected + (off - TWO_PI * np.round(off / TWO_PI))
 
     return InterferometerResult(
         scan_name="open_time_s", scan_values=t_values, populations=pops,
@@ -429,14 +489,6 @@ def parallel_ramsey(t_values, fields: FieldParams, omega_hz: float = 77.0,
         meta={"expected_phases": expected, "mean_delta_hz": mean_deltas,
               "delta_shared_hz": delta_shared_hz, "omega_hz": omega_hz,
               "gap_s": gap_s, "fields": fields, "seed": seed})
-
-
-def _window_phase(traj, pair, t_a, t_b, unwrap):
-    sel = (traj.times >= t_a - 1e-15) & (traj.times <= t_b + 1e-15)
-    ang = np.angle(traj.coherence(*pair)[sel])
-    if unwrap:
-        ang = np.unwrap(ang)
-    return ang[-1] - ang[0]
 
 
 def dual_ramsey_sampled(t_open: float, fields: FieldParams, omega_hz: float,
@@ -460,23 +512,13 @@ def dual_ramsey_sampled(t_open: float, fields: FieldParams, omega_hz: float,
     """
     if n_shots < 1:
         raise ProtocolError("n_shots must be >= 1")
-    seq, windows = _dual_ramsey_sequence(t_open, fields, omega_hz,
-                                         delta_shared_hz, gap_s, True)
-    schedule = sq.compile(seq, lindblad=lindblad)
-    (o1, c1), (o2, c2) = windows["if1"], windows["if2"]
-    psi0 = basis_state(M_UP)
-    t_eval = np.array([c1, seq.total_duration])
-    traj = sq.evolve(schedule, psi0, t_eval=t_eval)
-    rho_pre = density_matrix(traj.states[0])  # just before close1
+    schedule = sq.compile(_dual_ramsey_sequence(t_open, fields, omega_hz,
+                                                delta_shared_hz, gap_s, True),
+                          lindblad=lindblad)
+    rho_pre = density_matrix(sq.evolve(_section(schedule, 0, CLOSE1),
+                                       basis_state(M_UP)).final)
+    rows = _closing_rows(_section(schedule, CLOSE1))
 
-    close_segments = []
-    for seg in schedule.segments:
-        if seg.t0 >= c1 - 1e-15:
-            close_segments.append(seg)
-    close_sched = dynamics.Schedule(tuple(close_segments), meta=schedule.meta)
-    rows = _closing_rows(close_sched)
-
-    m_values = np.arange(DIM) - 4.5
     rng = np.random.default_rng(seed)
     db = (rng.normal(0.0, noise.b_jitter_hz, n_shots) if noise.b_jitter_hz
           else np.zeros(n_shots))
@@ -486,16 +528,14 @@ def dual_ramsey_sampled(t_open: float, fields: FieldParams, omega_hz: float,
         db[rng.random(n_shots) < noise.b_toggle_prob] += noise.b_toggle_hz
     # level-shift offsets integrated over the open windows act as a
     # diagonal phase on all ten levels
-    level_phases = TWO_PI * t_open * (db[:, None] * m_values
-                                      + dq[:, None] * m_values**2)
+    level_phases = TWO_PI * t_open * (db[:, None] * M_VALUES
+                                      + dq[:, None] * M_VALUES**2)
     pops = _shot_populations(rows, rho_pre, level_phases)
     dphis = TWO_PI * t_open * np.column_stack([4 * dq - db, 8 * dq - db])
     return {"records": _shot_records(pops, n_atoms, detection, rng),
             "phase_offsets": dphis,
             "field_offsets": np.column_stack([db, dq]), "t_open": t_open,
-            "populations_nominal": np.real(np.diag(
-                traj.states[-1] if lindblad is not None else
-                density_matrix(traj.states[-1])))}
+            "populations_nominal": np.real(rows @ rho_pre.ravel())}
 
 
 # ---------------------------------------------------------------------------
@@ -546,20 +586,26 @@ def ancilla_measurement(phi_values, fields: FieldParams, omega_hz: float = 76.0,
     The control phase phi is set by the Raman detuning during a fixed
     window of ``window_s`` just before the final pulse.
     ``b_correction_hz`` is an additive correction to the linear
-    splitting (a systematic-calibration knob).
+    splitting (a systematic-calibration knob).  The input is
+    ``input_state`` (default: the coherent qubit state), or the
+    preparing pulse's output with ``prepare_with_pulse``; passing both
+    raises.
     """
     phi_values = np.asarray(phi_values, dtype=float)
     fields_c = replace(fields, b_hz=fields.b_hz + b_correction_hz)
+    if prepare_with_pulse and input_state is not None:
+        raise ProtocolError("prepare_with_pulse prepares the input state")
     if input_state is None and not prepare_with_pulse:
         input_state = readout.coherent_qubit_state()
     psi0 = basis_state(M_UP) if prepare_with_pulse else np.asarray(input_state,
                                                                    dtype=complex)
-    pops = np.empty((len(phi_values), DIM))
-    for k, phi in enumerate(phi_values):
-        seq = _ancilla_sequence(phi, fields_c, omega_hz, window_s, gap_s,
-                                prepare_with_pulse, cg_weighting)
-        traj = sq.run(seq, psi0, lindblad=lindblad, tol=tol)
-        pops[k] = traj.populations()[-1].clip(0.0, 1.0)
+    schedule = sq.compile(_ancilla_sequence(0.0, fields_c, omega_hz, window_s,
+                                            gap_s, prepare_with_pulse,
+                                            cg_weighting), lindblad=lindblad)
+    # phi detunes the LO by phi / (2 pi window_s) over the phase window:
+    # a diagonal phase -phi m on the levels before the final pulse
+    pops = _phase_sweep(schedule, psi0, -phi_values[:, None] * M_VALUES,
+                        tol).clip(0.0, 1.0)
     shots = None
     if n_shots > 0:
         streams = _shot_streams(seed, len(phi_values))
@@ -601,22 +647,23 @@ def leakage_scan(ratio_values, include_scattering: bool = False,
     for ratio in np.asarray(ratio_values, dtype=float):
         omega = 2.0 * abs(q_hz) / ratio
         gap_s = gap_cycles / omega
-        values = np.empty(n_phi)
-        for k, phi in enumerate(phis):
-            segs = (
-                sq.pulse(MAP_A_PAIR, omega, fields, np.pi / 2,
-                         cg_weighting=cg_weighting, warn_regime=False),
-                sq.dark_time(gap_s),
-                sq.pulse(MAP_B_PAIR, omega, fields, np.pi / 2,
-                         cg_weighting=cg_weighting, warn_regime=False),
-                sq.dark_time(gap_s),
-                sq.pulse(QUBIT_PAIR, omega, fields, np.pi / 2, phase=phi,
-                         cg_weighting=cg_weighting, warn_regime=False),
-            )
-            seq = sq.PulseSequence(segments=segs, fields=fields)
-            traj = sq.run(seq, psi0, lindblad=lindblad, tol=tol)
-            p = traj.populations()[-1]
-            values[k] = p[m_index(M_ANCILLA_A)] - p[m_index(M_ANCILLA_B)]
+        segs = (
+            sq.pulse(MAP_A_PAIR, omega, fields, np.pi / 2,
+                     cg_weighting=cg_weighting, warn_regime=False),
+            sq.dark_time(gap_s),
+            sq.pulse(MAP_B_PAIR, omega, fields, np.pi / 2,
+                     cg_weighting=cg_weighting, warn_regime=False),
+            sq.dark_time(gap_s),
+            sq.pulse(QUBIT_PAIR, omega, fields, np.pi / 2,
+                     cg_weighting=cg_weighting, warn_regime=False),
+        )
+        schedule = sq.compile(sq.PulseSequence(segments=segs, fields=fields),
+                              lindblad=lindblad)
+        # the final pulse at tone phase phi is the one at phase 0
+        # conjugated by diag(e^{i phi m}): a diagonal phase +phi m on the
+        # levels before it
+        p = _phase_sweep(schedule, psi0, phis[:, None] * M_VALUES, tol)
+        values = p[:, m_index(M_ANCILLA_A)] - p[:, m_index(M_ANCILLA_B)]
         rows.append({"ratio": float(ratio), "omega_hz": omega,
                      "max": float(values.max()), "min": float(values.min()),
                      "mean": float(values.mean()),

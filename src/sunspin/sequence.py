@@ -28,9 +28,6 @@ from .model import FieldParams, LindbladSpec, RamanTone, control_regime_check
 from .spin_core import F, M_VALUES, density_matrix
 
 ENVELOPES = tuple(dynamics.ENVELOPES)
-# Coupling triangles kept by tone content (800 B each): a scan repeats
-# at most 3 tones per point, and the leakage scan 3 per ratio.
-COUPLINGS_CACHED = 8
 
 
 class SequenceError(ValueError):
@@ -198,7 +195,6 @@ def compile(sequence: PulseSequence, lindblad: LindbladSpec | None = None,
 
     fields = sequence.fields
     lab = frame == "lab-beat"
-    shifts: dict = {}  # level shifts per TLS multiplier
     segments = []
     t = 0.0
     f_lo = 0.0
@@ -227,15 +223,11 @@ def compile(sequence: PulseSequence, lindblad: LindbladSpec | None = None,
                 phi0 += 2 * np.pi * tone.dm * lo_cycles
             else:
                 rate -= f_lo * (tone.dm / d_ref)
-            tone_terms.append((_coupling_triangle(tone), rate, phi0))
-        for mult in (seg.tls_start, seg.tls_end):
-            if mult not in shifts:
-                shifts[mult] = fields.level_shifts(mult)
-        diag_start = shifts[seg.tls_start] + frame_rate * M_VALUES
-        diag_end = (diag_start if seg.tls_end == seg.tls_start
-                    else shifts[seg.tls_end] + frame_rate * M_VALUES)
+            tone_terms.append((tone.coupling_matrix() / 2.0, rate, phi0))
         segments.append(dynamics.Segment(
-            t0=t, t1=t + seg.duration, diag_start=diag_start, diag_end=diag_end,
+            t0=t, t1=t + seg.duration,
+            diag_start=fields.level_shifts(seg.tls_start) + frame_rate * M_VALUES,
+            diag_end=fields.level_shifts(seg.tls_end) + frame_rate * M_VALUES,
             tones=tuple(tone_terms), envelope=seg.envelope,
             envelope_param=seg.envelope_param, lab=lab, channels=scaled_ch,
             channels_fixed=fixed_ch, mult_start=seg.tls_start,
@@ -247,22 +239,6 @@ def compile(sequence: PulseSequence, lindblad: LindbladSpec | None = None,
     return dynamics.Schedule(tuple(segments),
                              meta={"frame": frame, "lo_trace": tuple(lo_trace),
                                    "total_duration": t, "engine": engine})
-
-
-_COUPLINGS = dynamics.ContentCache(COUPLINGS_CACHED)
-
-
-def _coupling_triangle(tone: RamanTone) -> np.ndarray:
-    """Half the tone's coupling matrix, the upper triangle of its RWA
-    drive term: read-only, built once per (pair, omega, weighting)."""
-
-    def build():
-        half = tone.coupling_matrix() / 2.0
-        half.flags.writeable = False
-        return half
-
-    return _COUPLINGS.get((tone.m_low, tone.m_high, tone.omega_hz, tone.cg_weighting),
-                          build)
 
 
 # ---------------------------------------------------------------------------

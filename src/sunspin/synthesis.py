@@ -147,7 +147,9 @@ def _su2_euler_zxz(g00: complex, g10: complex) -> list[tuple[str, float]]:
         # sandwiches to one element.
         if abs(_wrap(alpha + gamma)) < 1e-12:
             a = (alpha + math.pi) % TWO_PI - math.pi
-            if abs(abs(a) - math.pi) < 1e-12:
+            if abs(a) < 1e-12:
+                angles = [("x", beta)]
+            elif abs(abs(a) - math.pi) < 1e-12:
                 angles = [("x", -beta)]
             elif abs(a - math.pi / 2) < 1e-12:
                 angles = [("y", -beta)]

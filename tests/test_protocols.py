@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sunspin import analysis, dynamics, model, protocols as pr, readout as ro
-from sunspin.spin_core import DIM
+from sunspin import sequence as sq
+from sunspin.spin_core import DIM, M_VALUES, basis_state, density_matrix
 
 
 REF_FIELDS = model.FieldParams(b_hz=960.0, q_hz=-320.0)
@@ -280,11 +282,13 @@ class TestBatchedShots:
         pr.ramsey((-3.5, -2.5), t_vals, RAMSEY_FIELDS, 93.0, lindblad=lindblad,
                   noise=noise, detuning_hz=25.0, phase_noise="sample",
                   n_shots=n_shots, n_atoms=500, seed=seed)
-        assert len(calls["rows"]) == len(calls["pops"]) == len(t_vals)
+        # one closing map for the scan, one batch of shots per point
+        [schedule] = calls["rows"]
+        assert len(calls["pops"]) == len(t_vals)
         streams = np.random.SeedSequence(seed).spawn(len(t_vals))
         i, j = ro.m_index(-3.5), ro.m_index(-2.5)
         for k, t_dark in enumerate(t_vals):
-            schedule, (rho, phases, pops) = calls["rows"][k], calls["pops"][k]
+            rho, phases, pops = calls["pops"][k]
             assert schedule.meta["engine"] == ("pure" if lindblad is None
                                                else "density")
             # the point's stream opens with its n_shots phase offsets
@@ -362,9 +366,9 @@ class TestAncilla:
 
     def test_pulse_maps_reused_across_phases(self, monkeypatch):
         # the three pulses are the same at every control phase, so the
-        # scan makes one 100x100 expm per pulse, with outputs bit for bit
-        # those of a scan that rebuilds every map at every point
-        from sunspin import dynamics
+        # scan makes one 100x100 expm per pulse, and a rerun on empty
+        # caches gives the same outputs bit for bit (agreement with
+        # per-point runs: TestScanSweep)
         fields = model.FieldParams(b_hz=978.0, q_hz=-330.0)
         phis = np.linspace(0.0, 4 * np.pi, 49)
         lindblad = model.monochromatic_scattering_channels()
@@ -374,12 +378,9 @@ class TestAncilla:
         dynamics.clear_caches()
         pops = pr.ancilla_measurement(phis, fields, lindblad=lindblad).populations
         assert shapes.count((DIM * DIM, DIM * DIM)) == 3
-        fresh = []
-        for phi in phis:
-            dynamics.clear_caches()
-            fresh.append(pr.ancilla_measurement([phi], fields,
-                                                lindblad=lindblad).populations[0])
-        assert np.array_equal(pops, np.array(fresh))
+        dynamics.clear_caches()
+        again = pr.ancilla_measurement(phis, fields, lindblad=lindblad).populations
+        assert np.array_equal(pops, again)
 
 
 class TestLeakageScan:
@@ -426,3 +427,195 @@ class TestNoiseSpec:
             pr.NoiseSpec(pulse_area_sigma=-0.1)
         with pytest.raises(pr.ProtocolError):
             pr.NoiseSpec(b_toggle_prob=1.5)
+
+
+# ---------------------------------------------------------------------------
+# scans against per-point runs
+# ---------------------------------------------------------------------------
+
+SWEEP_LINDBLADS = {"pure": None,
+                   "scattering": model.monochromatic_scattering_channels()}
+TIME_LINDBLADS = {"pure": None, "scatter-dephase": SCATTER_DEPHASE}
+# every level populated and every coherence present, at spread phases
+SPREAD_STATE = np.exp(0.7j * np.arange(DIM) ** 2) / np.sqrt(DIM)
+
+
+def _wrapped(angle):
+    return np.angle(np.exp(1j * np.asarray(angle)))
+
+
+def _ramsey_per_point(t_dark, tls_mode, lindblad, detuning_hz=25.0):
+    """Final populations and pre-closing contrast, one full run at T."""
+    seq = pr._ramsey_sequence((-3.5, -2.5), t_dark, RAMSEY_FIELDS, 93.0,
+                              tls_mode, detuning_hz, True)
+    t_pre = seq.total_duration - seq.segments[-1].duration
+    traj = sq.run(seq, basis_state(-3.5), lindblad=lindblad,
+                  t_eval=[t_pre, seq.total_duration])
+    rho_pre = density_matrix(traj.states[0])
+    i, j = ro.m_index(-3.5), ro.m_index(-2.5)
+    return traj.populations()[-1], 2 * abs(rho_pre[i, j])
+
+
+def _dual_times(t_open):
+    seq = pr._dual_ramsey_sequence(t_open, DUAL_FIELDS, 77.0, 1.0, 1e-4)
+    return seq, np.cumsum([0.0] + [s.duration for s in seq.segments])
+
+
+def _parallel_per_point(t_open, lindblad):
+    """Final populations and wrapped window phases, one full run at T."""
+    seq, t = _dual_times(t_open)
+    traj = sq.run(seq, basis_state(-2.5), lindblad=lindblad,
+                  t_eval=[t[3], t[5], t[6], t[8], t[-1]])
+    coh1, coh2 = traj.coherence(*pr.IF1_PAIR), traj.coherence(*pr.IF2_PAIR)
+    return traj.populations()[-1], -(np.angle([coh1[2], coh2[3]])
+                                     - np.angle([coh1[0], coh2[1]]))
+
+
+def _tracked_per_point(t_open):
+    """Window phases unwrapped over densely sampled coherences."""
+    seq, t = _dual_times(t_open)
+    f_max = max(abs(model.pair_splitting_hz(DUAL_FIELDS, pair[0])) + 1.0
+                for pair in (pr.IF1_PAIR, pr.IF2_PAIR))
+    n_samp = max(64, int(np.ceil(8 * f_max * t_open)))
+    windows = ((pr.IF1_PAIR, t[3], t[6]), (pr.IF2_PAIR, t[5], t[8]))
+    t_eval = np.unique(np.concatenate(
+        [np.linspace(a, b, n_samp) for _, a, b in windows] + [[t[-1]]]))
+    traj = sq.run(seq, basis_state(-2.5), t_eval=t_eval)
+    phases = []
+    for pair, a, b in windows:
+        sel = (traj.times >= a - 1e-15) & (traj.times <= b + 1e-15)
+        ang = np.unwrap(np.angle(traj.coherence(*pair)[sel]))
+        phases.append(-(ang[-1] - ang[0]))
+    return np.array(phases)
+
+
+class TestScanSweep:
+    """Each scan evolves its pulses once and applies per point only what
+    its variable changes; these are the identities that rests on."""
+
+    @settings(max_examples=12, deadline=None, database=None)
+    @given(low=st.integers(0, DIM - 2), prefix_low=st.integers(0, DIM - 2),
+           phis=st.lists(st.floats(-2 * np.pi, 2 * np.pi), min_size=1, max_size=4),
+           lindblad=st.sampled_from(sorted(SWEEP_LINDBLADS)))
+    def test_tone_phase_is_a_phase_block(self, low, prefix_low, phis, lindblad):
+        # a final pulse at tone phase phi is the pulse at phase 0 after
+        # the diagonal phase +phi m
+        fields, spec = model.FieldParams(b_hz=960.0, q_hz=-330.0), SWEEP_LINDBLADS[lindblad]
+
+        def sequence(phi):
+            return sq.PulseSequence(segments=(
+                sq.pulse(M_VALUES[prefix_low:prefix_low + 2], 76.0, fields,
+                         np.pi / 2, warn_regime=False),
+                sq.dark_time(1e-4),
+                sq.pulse(M_VALUES[low:low + 2], 76.0, fields, np.pi / 2,
+                         phase=phi, warn_regime=False)), fields=fields)
+
+        phis = np.array(phis)
+        swept = pr._phase_sweep(sq.compile(sequence(0.0), lindblad=spec),
+                                SPREAD_STATE, phis[:, None] * M_VALUES,
+                                dynamics.DEFAULT_RTOL)
+        per_point = [sq.run(sequence(phi), SPREAD_STATE, lindblad=spec)
+                     .populations()[-1] for phi in phis]
+        assert np.max(np.abs(swept - per_point)) < 1e-13
+
+    @settings(max_examples=8, deadline=None, database=None)
+    @given(phis=st.lists(st.floats(-4 * np.pi, 4 * np.pi), min_size=1, max_size=4),
+           theta=st.floats(0.0, np.pi), b_correction=st.floats(-20.0, 20.0),
+           lindblad=st.sampled_from(sorted(SWEEP_LINDBLADS)))
+    def test_ancilla_window_detuning_is_a_phase_block(self, phis, theta,
+                                                      b_correction, lindblad):
+        fields, spec = model.FieldParams(b_hz=960.0, q_hz=-330.0), SWEEP_LINDBLADS[lindblad]
+        psi = ro.coherent_qubit_state(theta=theta)
+        res = pr.ancilla_measurement(phis, fields, lindblad=spec, input_state=psi,
+                                     b_correction_hz=b_correction)
+        shifted = model.FieldParams(b_hz=960.0 + b_correction, q_hz=-330.0)
+        per_point = [sq.run(pr._ancilla_sequence(phi, shifted, 76.0,
+                                                 pr.PHASE_WINDOW_S, 1e-4, False),
+                            psi, lindblad=spec).populations()[-1] for phi in phis]
+        assert np.max(np.abs(res.populations - per_point)) < 1e-13
+
+    def test_leakage_scan_matches_per_point_runs(self):
+        n_phi, ratio = 6, 9.0
+        (row,) = pr.leakage_scan([ratio], include_scattering=True, n_phi=n_phi)
+        omega = 2 * 330.0 / ratio
+        fields = model.FieldParams(b_hz=960.0, q_hz=-330.0)
+        values = []
+        for phi in np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False):
+            seq = sq.PulseSequence(segments=(
+                sq.pulse(pr.MAP_A_PAIR, omega, fields, np.pi / 2, warn_regime=False),
+                sq.dark_time(0.01 / omega),
+                sq.pulse(pr.MAP_B_PAIR, omega, fields, np.pi / 2, warn_regime=False),
+                sq.dark_time(0.01 / omega),
+                sq.pulse(pr.QUBIT_PAIR, omega, fields, np.pi / 2, phase=phi,
+                         warn_regime=False)), fields=fields)
+            p = sq.run(seq, ro.coherent_qubit_state(),
+                       lindblad=model.monochromatic_scattering_channels()
+                       ).populations()[-1]
+            values.append(p[ro.m_index(-1.5)] - p[ro.m_index(-4.5)])
+        for key, value in (("max", max(values)), ("min", min(values)),
+                           ("mean", np.mean(values))):
+            assert row[key] == pytest.approx(value, abs=1e-13)
+
+    @settings(max_examples=8, deadline=None, database=None)
+    @given(t_values=st.lists(st.floats(0.0041, 0.3), min_size=1, max_size=4),
+           tls_mode=st.sampled_from(["on", "adiabatic-off"]),
+           lindblad=st.sampled_from(sorted(TIME_LINDBLADS)))
+    def test_ramsey_dark_restep_matches_per_point_runs(self, t_values, tls_mode,
+                                                       lindblad):
+        spec = TIME_LINDBLADS[lindblad]
+        res = pr.ramsey((-3.5, -2.5), t_values, RAMSEY_FIELDS, 93.0,
+                        tls_mode=tls_mode, lindblad=spec, detuning_hz=25.0)
+        for k, t_dark in enumerate(t_values):
+            pops, contrast = _ramsey_per_point(t_dark, tls_mode, spec)
+            assert np.max(np.abs(res.populations[k] - pops)) < 1e-13
+            assert res.contrast[k] == pytest.approx(contrast, abs=1e-13)
+
+    @settings(max_examples=8, deadline=None, database=None)
+    @given(t_values=st.lists(st.floats(0.0036, 0.2), min_size=1, max_size=4),
+           lindblad=st.sampled_from(sorted(TIME_LINDBLADS)))
+    def test_parallel_dark_restep_matches_per_point_runs(self, t_values, lindblad):
+        spec = TIME_LINDBLADS[lindblad]
+        res = pr.parallel_ramsey(t_values, DUAL_FIELDS, lindblad=spec)
+        for k, t_open in enumerate(t_values):
+            pops, phases = _parallel_per_point(t_open, spec)
+            assert np.max(np.abs(res.populations[k] - pops)) < 1e-13
+            assert np.max(np.abs(_wrapped(res.phases[k] - phases))) < 1e-11
+
+    def test_tracked_phases_match_dense_unwrapping(self):
+        t_values = [0.0045, 0.05]
+        res = pr.parallel_ramsey(t_values, DUAL_FIELDS, track_phases=True)
+        for k, t_open in enumerate(t_values):
+            assert np.max(np.abs(res.phases[k] - _tracked_per_point(t_open))) < 1e-9
+
+    SCANS = {
+        "ramsey": lambda n: pr.ramsey((-3.5, -2.5), np.linspace(0.005, 0.02, n),
+                                      RAMSEY_FIELDS, 93.0, detuning_hz=25.0),
+        "parallel_ramsey": lambda n: pr.parallel_ramsey(
+            np.linspace(0.004, 0.005, n), DUAL_FIELDS),
+        "ancilla": lambda n: pr.ancilla_measurement(
+            np.linspace(0.0, 2 * np.pi, n), REF_FIELDS),
+        "leakage_scan": lambda n: pr.leakage_scan([9.0], n_phi=n),
+    }
+
+    @pytest.mark.parametrize("scan", sorted(SCANS))
+    def test_pulses_compiled_and_evolved_once_per_call(self, scan, monkeypatch):
+        compiles, pulse_steps = [], []
+        compile_, step = sq.compile, dynamics._step
+        monkeypatch.setattr(sq, "compile",
+                            lambda *a, **kw: compiles.append(1) or compile_(*a, **kw))
+        monkeypatch.setattr(
+            dynamics, "_step",
+            lambda seg, *a: (seg.tones and pulse_steps.append(1)) or step(seg, *a))
+        counts = []
+        for n_points in (2, 20):
+            compiles.clear()
+            pulse_steps.clear()
+            self.SCANS[scan](n_points)
+            counts.append((len(compiles), len(pulse_steps)))
+        assert counts[0] == counts[1]
+        assert counts[0][0] == 1
+
+    def test_ancilla_input_state_with_preparing_pulse_rejected(self):
+        with pytest.raises(pr.ProtocolError):
+            pr.ancilla_measurement([0.0], REF_FIELDS, prepare_with_pulse=True,
+                                   input_state=ro.coherent_qubit_state())

@@ -52,6 +52,8 @@ EULER_BRANCHES = {
     "level-swap": (LEVEL_SWAP, ["z"] * 10 + ["x"]),
     # z-x-z sandwiches that collapse: alpha = pi, -pi/2, +pi/2
     "x-sandwich": (pair_rotation(-2.5, -1.5, "x", 0.7), ["x"]),
+    # alpha = 1e-13: an axis 1e-13 short of -x
+    "x-sandwich-near-zero": (axis_rotation(-2.5, np.pi - 1e-13, 0.7), ["x"]),
     "y-sandwich-minus": (pair_rotation(1.5, 2.5, "y", -0.7), ["y"]),
     # +pi/2 needs phase(g10) just above -pi: an axis 1e-13 past y
     "y-sandwich-plus": (axis_rotation(-2.5, np.pi / 2 + 1e-13, 0.7), ["y"]),

@@ -6,12 +6,14 @@ Each ``src/sunspin/configs/<name>.json`` is run through
 ``sunspin.cli.run_config`` into ``OUT_DIR/<name>/``, with the config's
 file name as its recorded path, so two checkouts of the package write
 comparable manifests.  Each config's name is printed with its wall time
-(one run, in this process, so later configs may reuse earlier ones'
-cached pulses).  With ``--against``, every output file (the
-manifest included) is hashed and compared with the file of the same
-name under ``REF_DIR/<name>/``; each difference is listed, and the
-exit status is 1 if there is any.  Runs the package next to this
-script, not an installed one.
+(one run, in this process, so later configs may reuse channel sets and
+Liouville maps that earlier ones built).  With ``--against``, every
+output file (the manifest included) is hashed and compared with the
+file of the same name under ``REF_DIR/<name>/``; each difference is
+listed, a differing CSV with the number of cells that differ and the
+largest absolute difference among them, and the exit status is 1 if
+there is any.  Runs the package next to this script, not an installed
+one.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ import json
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -60,6 +64,18 @@ def differences(out_dir: Path, ref_dir: Path, names) -> list[str]:
     return diffs
 
 
+def csv_cells(ours: Path, theirs: Path) -> str:
+    """How two CSVs with the same header and shape differ: the number of
+    differing cells and the largest absolute difference among them."""
+    heads = [p.read_text().splitlines()[0] for p in (ours, theirs)]
+    a, b = (np.loadtxt(p, delimiter=",", skiprows=1, ndmin=2) for p in (ours, theirs))
+    if heads[0] != heads[1] or a.shape != b.shape:
+        return "header or shape differs"
+    diff = np.abs(a - b)[a != b]
+    return (f"{diff.size} of {a.size} cells differ, "
+            f"largest absolute difference {diff.max(initial=0.0):.3g}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out_dir", type=Path)
@@ -72,7 +88,11 @@ def main(argv=None) -> int:
         return 0
     diffs = differences(args.out_dir, args.against, names)
     for d in diffs:
-        print(f"differs: {d}")
+        ours, theirs = args.out_dir / d, args.against / d
+        detail = ""
+        if d.endswith(".csv") and ours.is_file() and theirs.is_file():
+            detail = f" ({csv_cells(ours, theirs)})"
+        print(f"differs: {d}{detail}")
     print(f"{len(names)} configs, {len(diffs)} differing outputs")
     return 1 if diffs else 0
 
