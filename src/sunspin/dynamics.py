@@ -26,9 +26,12 @@ by its kind:
 * constant H, Liouville space - with at least ``EIG_MIN_ENDS``
   distinct ends, every end straight from the segment start through
   one eigendecomposition L = V diag(lambda) V^-1
-  (method 14 of Moler & Van Loan, SIAM Rev. 45, 3 (2003)); with fewer
-  ends, or when cond(V) exceeds ``EIG_COND_MAX`` (L is not normal and
-  can be defective), chained exponentials of the Liouvillian.
+  (method 14 of Moler & Van Loan, SIAM Rev. 45, 3 (2003)), a real one:
+  in the Hermitian basis (rho_aa, sqrt2 Re rho_ab, -sqrt2 Im rho_ab) a
+  Lindblad generator is a real matrix.  A state vector reaches all its
+  ends in one matrix product.  With fewer ends, or when cond(V) exceeds
+  ``EIG_COND_MAX`` (L is not normal and can be defective), chained
+  exponentials of the Liouvillian.
 * diagonal H with diagonal/transfer channels, Liouville space - closed
   form: populations through the exponential of the classical rate
   matrix, coherences through phases and scalar decay factors.  Exact
@@ -74,10 +77,17 @@ TWO_PI = 2.0 * np.pi
 DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-12
 
-# Distinct segment ends from which one eigendecomposition beats chained
-# expm: a 100x100 eig plus inverse costs 8.9 + 0.85 ms against 2.8-5.0 ms
-# per expm (1 BLAS thread on a 2-vCPU x86-64 host).
+# Distinct segment ends from which a constant Liouville segment takes the
+# eigen path.  Its real eig plus inverse costs 4.4-5.5 + 0.9-1.1 ms, about
+# 1.5 expm at 3.2-6.2 ms each (the complex eig took 10.1-10.7 + 0.7-0.9
+# ms; 1 BLAS thread on a 2-vCPU x86-64 host), so it would win from 2 ends;
+# 4 keeps segments with 2 or 3 ends on their chained-expm results.
 EIG_MIN_ENDS = 4
+# Largest accepted max|Im R| / max|R| of the Liouvillian R in the
+# Hermitian basis.  A Lindblad generator keeps rho Hermitian, so R is
+# real up to rounding (below 1e-20 on the package's channel sets); a
+# Liouvillian that is complex beyond this takes chained expm.
+EIG_IMAG_MAX = 1e-14
 # Largest accepted ||V||_1 ||V^-1||_1 of the Liouvillian's eigenvectors.
 # The eigen path's deviation from expm grows with cond(V): on a decaying
 # driven pair near its exceptional point it was 1e-13 at cond(V) = 4e3,
@@ -96,6 +106,19 @@ MAPS_CACHED = 8
 # segment with both is constant.
 FLAT_MULTIPLIER = 1e-15
 ZERO_BEAT_HZ = 1e-12
+# Input checks: a Hamiltonian's anti-Hermitian part relative to its
+# largest entry (at least 1); a state's norm; a density matrix's trace,
+# Hermiticity and smallest eigenvalue.
+HERMITIAN_TOL = 1e-9
+NORM_TOL = 1e-9
+DENSITY_TRACE_TOL = 1e-8
+DENSITY_PSD_TOL = 1e-10
+DENSITY_HERMITIAN_TOL = 10 * DENSITY_PSD_TOL
+# Output checks: the final state's norm drift may reach 100 tol but
+# never needs to be below NORM_DRIFT_FLOOR; the final trace may drift by
+# TRACE_DRIFT_MAX.
+NORM_DRIFT_FLOOR = 1e-6
+TRACE_DRIFT_MAX = 1e-6
 
 
 class DynamicsError(RuntimeError):
@@ -357,7 +380,7 @@ def _coerce_schedule(hamiltonian, t0, t1, channels=()) -> Schedule:
                              channels=channels),))
 
 
-def _check_hermitian(h: np.ndarray, tol: float = 1e-9):
+def _check_hermitian(h: np.ndarray, tol: float = HERMITIAN_TOL):
     scale = max(1.0, np.max(np.abs(h)))
     if np.max(np.abs(h - h.conj().T)) > tol * scale:
         raise DynamicsError("non-Hermitian Hamiltonian sample")
@@ -481,18 +504,67 @@ def _rows(factors: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _spectral(rates, v, v_inv, state, t_from, ends):
-    """States at ``ends``: v diag(exp(rates (t - t_from))) v_inv @ state."""
+    """States at ``ends``: v diag(exp(rates (t - t_from))) v_inv @ state.
+
+    A state vector is stepped to several ends in one matrix product; a
+    block of columns (a propagator or superoperator, which samples
+    nothing) and a single end go end by end.
+    """
     coeff = v_inv @ state
-    return [v @ _rows(np.exp(rates * (ts - t_from)), coeff) for ts in ends]
+    if state.ndim > 1 or len(ends) == 1:
+        return [v @ _rows(np.exp(rates * (ts - t_from)), coeff) for ts in ends]
+    factors = np.exp(np.multiply.outer(np.subtract(ends, t_from), rates),
+                     dtype=complex)
+    factors *= coeff
+    return list(factors @ v.T)
+
+
+# Row-major vec(rho) indices of rho_aa, and of rho_ab and rho_ba for a < b
+_UPPER = np.triu_indices(DIM, 1)
+_VEC_DIAG = np.arange(DIM) * (DIM + 1)
+_VEC_UPPER = _UPPER[0] * DIM + _UPPER[1]
+_VEC_LOWER = _UPPER[1] * DIM + _UPPER[0]
+_ROOT_HALF = np.sqrt(0.5)
+
+
+def _to_hermitian_basis(m: np.ndarray) -> np.ndarray:
+    """T @ m, for T the unitary from vec(rho) to the coordinates
+    (rho_aa, sqrt2 Re rho_ab, -sqrt2 Im rho_ab), a < b, which are real
+    when rho is Hermitian."""
+    upper, lower = m[_VEC_UPPER], m[_VEC_LOWER]
+    return np.concatenate([m[_VEC_DIAG], _ROOT_HALF * (upper + lower),
+                           1j * _ROOT_HALF * (upper - lower)])
+
+
+def _from_hermitian_basis(x: np.ndarray) -> np.ndarray:
+    """T^H @ x, the inverse of ``_to_hermitian_basis``."""
+    plus, minus = np.split(x[DIM:], 2)
+    out = np.empty(x.shape, dtype=complex)
+    out[_VEC_DIAG] = x[:DIM]
+    out[_VEC_UPPER] = _ROOT_HALF * (plus - 1j * minus)
+    out[_VEC_LOWER] = _ROOT_HALF * (plus + 1j * minus)
+    return out
 
 
 def _eigen(sup: np.ndarray):
-    """(eigenvalues, V, V^-1) of ``sup``, or None when V is ill-conditioned."""
-    lam, v = np.linalg.eig(sup)
+    """(eigenvalues, V, V^-1) of the Liouvillian ``sup``, or None.
+
+    A Lindblad generator keeps rho Hermitian, so R = T sup T^H is real
+    (Havel, J. Math. Phys. 44, 534 (2003)); R = W diag(lambda) W^-1 by
+    the real eigensolver gives V = T^H W and V^-1 = W^-1 T.  None when R
+    is not real to ``EIG_IMAG_MAX``, LAPACK fails, or V is
+    ill-conditioned.
+    """
+    r = _to_hermitian_basis(_to_hermitian_basis(sup).conj().T).conj().T
+    if np.max(np.abs(r.imag)) > EIG_IMAG_MAX * np.max(np.abs(r)):
+        return None
     try:
-        v_inv = np.linalg.inv(v)
+        lam, w = np.linalg.eig(r.real)
+        w_inv = np.linalg.inv(w)
     except np.linalg.LinAlgError:
         return None
+    v = _from_hermitian_basis(w)
+    v_inv = _from_hermitian_basis(w_inv.conj().T).conj().T
     if np.linalg.norm(v, 1) * np.linalg.norm(v_inv, 1) > EIG_COND_MAX:
         return None
     return lam, v, v_inv
@@ -576,13 +648,13 @@ def evolve_pure(state: np.ndarray, hamiltonian, t0: float = 0.0,
     segments carry dissipation channels raises.
     """
     psi = np.asarray(state, dtype=complex)
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
+    if abs(np.linalg.norm(psi) - 1.0) > NORM_TOL:
         raise DynamicsError("initial state is not normalized")
     schedule = _coerce_schedule(hamiltonian, t0, t1 if t1 is not None else t0)
     times = _resolve_times(schedule, t_eval)
     out = np.array(_walk(schedule, psi, times, tol, liouville=False)[0])
     norm_err = abs(np.linalg.norm(out[-1]) - 1.0)
-    if norm_err > max(1e-6, 100 * tol):
+    if norm_err > max(NORM_DRIFT_FLOOR, 100 * tol):
         raise DynamicsError(f"norm drift {norm_err:.2e}; reduce tol or max step")
     return Trajectory(times=times, states=out, kind="pure",
                       meta={"tol": tol, **schedule.meta})
@@ -673,12 +745,12 @@ def clear_caches() -> None:
     _MAPS.cache_clear()
 
 
-def _check_density(rho: np.ndarray, tol: float = 1e-10):
-    if abs(np.trace(rho) - 1.0) > 1e-8:
+def _check_density(rho: np.ndarray):
+    if abs(np.trace(rho) - 1.0) > DENSITY_TRACE_TOL:
         raise DynamicsError("density matrix trace != 1")
-    if np.max(np.abs(rho - rho.conj().T)) > tol * 10:
+    if np.max(np.abs(rho - rho.conj().T)) > DENSITY_HERMITIAN_TOL:
         raise DynamicsError("density matrix is not Hermitian")
-    if np.linalg.eigvalsh(rho).min() < -tol:
+    if np.linalg.eigvalsh(rho).min() < -DENSITY_PSD_TOL:
         raise DynamicsError("density matrix is not positive semidefinite")
 
 
@@ -710,7 +782,7 @@ def evolve_density(rho: np.ndarray, hamiltonian, lindblad=None, t0: float = 0.0,
     samples, _ = _walk(schedule, rho0.reshape(-1), times, tol, liouville=True)
     out = np.array(samples).reshape(len(times), DIM, DIM)
     final = out[-1]
-    if abs(np.trace(final).real - 1.0) > 1e-6:
+    if abs(np.trace(final).real - 1.0) > TRACE_DRIFT_MAX:
         raise DynamicsError("trace drift beyond tolerance")
     min_eig = np.linalg.eigvalsh(0.5 * (final + final.conj().T)).min()
     if min_eig < positivity_floor:

@@ -292,6 +292,51 @@ class TestEigenStepping:
         exact = np.array([expm(sup * t) @ rho0.reshape(-1) for t in ts])
         assert np.max(np.abs(states.reshape(len(ts), -1) - exact)) <= 1e-12
 
+    def test_eig_failure_falls_back_to_expm(self, monkeypatch):
+        sched = _criterion_2_schedule(model.photon_scattering_channels())
+        ts = np.linspace(0.01, 0.35, 20)
+        psi = basis_state(-2.5)
+        rho0 = np.outer(psi, psi.conj())
+        monkeypatch.setattr(dynamics, "EIG_COND_MAX", 0.0)
+        chained = dynamics.evolve_density(rho0, sched, t_eval=ts).states
+        monkeypatch.undo()
+
+        def no_convergence(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eig", no_convergence)
+        dynamics.clear_caches()
+        expm_calls = _count_calls(monkeypatch, dynamics, "expm")
+        states = dynamics.evolve_density(rho0, sched, t_eval=ts).states
+        assert expm_calls
+        assert states.tobytes() == chained.tobytes()
+
+    def test_complex_hermitian_basis_falls_back_to_expm(self, monkeypatch):
+        # an H with an anti-Hermitian part of 1e-10 times its largest
+        # entry passes the input check and leaves the Liouvillian complex
+        # in the Hermitian basis; no Segment holds such an H (it adds the
+        # conjugate of the upper triangle), so the Liouvillian is patched
+        channels = model.photon_scattering_channels()
+        sched = _criterion_2_schedule(channels)
+        i, j = m_index(-2.5), m_index(-1.5)
+        h = sched.segments[0].h_const.copy()
+        h[[i, j], [j, i]] += 1e-10j * np.max(np.abs(h))
+        dynamics._check_hermitian(h)
+        sup = dynamics.liouvillian(h, channels.channels)
+        assert dynamics._eigen(sup) is None
+        monkeypatch.setattr(dynamics, "_constant_liouvillian", lambda seg: sup)
+        ts = np.linspace(0.01, 0.35, 20)
+        psi = basis_state(-2.5)
+        rho0 = np.outer(psi, psi.conj())
+        dynamics.clear_caches()
+        expm_calls = _count_calls(monkeypatch, dynamics, "expm")
+        eig_calls = _count_calls(monkeypatch, np.linalg, "eig")
+        states = dynamics.evolve_density(rho0, sched, t_eval=ts).states
+        steps = set(np.diff(np.concatenate([[0.0], ts])))
+        assert (len(eig_calls), len(expm_calls)) == (0, len(steps))
+        exact = np.array([expm(sup * t) @ rho0.reshape(-1) for t in ts])
+        assert np.max(np.abs(states.reshape(len(ts), -1) - exact)) <= 1e-10
+
 
 def _kron_liouvillian(h, channels):
     """Reference Liouvillian: every channel summed in with np.kron."""
@@ -606,6 +651,69 @@ class TestSequenceProperties:
         density_sched = sq.compile(seq, lindblad=model.LindbladSpec())
         rho = sq.evolve(density_sched, psi).final
         assert np.max(np.abs(rho - np.outer(pure, pure.conj()))) < 1e-10
+
+
+EIGEN_CHANNELS = {
+    "empty": model.LindbladSpec(),
+    "scattering": model.photon_scattering_channels(),
+    "scattering+linear dephasing": model.photon_scattering_channels().merge(
+        model.inhomogeneous_dephasing()),
+    "quadratic dephasing": model.inhomogeneous_dephasing(mode="quadratic"),
+}
+
+
+@st.composite
+def constant_liouville_scans(draw):
+    """A constant Raman segment under a flat TLS multiplier and one of
+    ``EIGEN_CHANNELS``, with ``EIG_MIN_ENDS`` to 8 sample times in it."""
+    i = draw(st.integers(0, DIM - 3))
+    tone = model.RamanTone(i - 4.5, i - 4.5 + draw(st.sampled_from((1, 2))),
+                           draw(st.floats(20.0, 400.0)),
+                           detuning_hz=draw(st.floats(-40.0, 40.0)))
+    mult = draw(UNIT)
+    duration = draw(st.floats(1e-3, 0.35))
+    seg = sq.PulseSegment(duration=duration, tones=(tone,),
+                          tls_start=mult, tls_end=mult)
+    lindblad = EIGEN_CHANNELS[draw(st.sampled_from(sorted(EIGEN_CHANNELS)))]
+    sched = sq.compile(sq.PulseSequence(segments=(seg,), fields=FIELDS),
+                       lindblad=lindblad)
+    percents = draw(st.lists(st.integers(1, 100), min_size=dynamics.EIG_MIN_ENDS,
+                             max_size=8, unique=True))
+    return sched, duration * np.sort(percents) / 100
+
+
+class TestEigenProperties:
+    @PROPERTY
+    @given(drawn=constant_liouville_scans(), level=st.integers(0, DIM - 2),
+           column=st.permutations(range(DIM)).map(lambda p: p[:2]))
+    def test_eigen_path_equals_chained_expm(self, drawn, level, column):
+        sched, times = drawn
+        seg = sched.segments[0]
+        assert seg.kind == "constant"
+        sup = dynamics._constant_liouvillian(seg)
+        r = dynamics._to_hermitian_basis(
+            dynamics._to_hermitian_basis(sup).conj().T).conj().T
+        assert np.max(np.abs(r.imag)) <= dynamics.EIG_IMAG_MAX * np.max(np.abs(r))
+        lam, v, v_inv = dynamics._eigen(sup)
+        assert np.linalg.norm(v * lam @ v_inv - sup) <= 1e-12 * np.linalg.norm(sup)
+
+        psi = np.zeros(DIM, dtype=complex)
+        psi[level], psi[level + 1] = 0.6, 0.8j
+        rho0 = np.outer(psi, psi.conj())
+        # vec(|i><j|), i != j: not Hermitian, a column of the superoperator
+        unit = np.zeros(DIM * DIM, dtype=complex)
+        unit[column[0] * DIM + column[1]] = 1.0
+        dynamics.clear_caches()
+        rho = dynamics.evolve_density(rho0, sched, t_eval=times).states
+        cols, _ = dynamics._walk(sched, unit, times, dynamics.DEFAULT_RTOL,
+                                 liouville=True)
+        assert dynamics._MAPS.cache_info().misses == 0  # no chained expm
+        maps = [expm(sup * (t - seg.t0)) for t in times]
+        exact_rho = np.array([m @ rho0.reshape(-1) for m in maps])
+        exact_cols = np.array([m @ unit for m in maps])
+        assert np.max(np.abs(rho.reshape(len(times), -1) - exact_rho)) <= 1e-10
+        assert np.max(np.abs(np.array(cols) - exact_cols)) <= 1e-10
+        assert np.max(np.abs(rho - rho.conj().transpose(0, 2, 1))) <= 1e-13
 
 
 LINDBLADS = {
