@@ -35,8 +35,12 @@ by its kind:
 * diagonal H with diagonal/transfer channels, Liouville space - closed
   form: populations through the exponential of the classical rate
   matrix, coherences through phases and scalar decay factors.  Exact
-  for the channel structure this package generates, so
-  ``superoperator`` steps dark segments in closed form too.
+  for the channel structure this package generates (on a TLS ramp, when
+  the scaled and fixed rate matrices commute), so ``superoperator``
+  steps dark segments in closed form too.  :func:`dark_sweep` takes the
+  same closed form batched over durations: a tone-free section stepped
+  for a whole (points, segments) array of them at once, with one stacked
+  exponential of the rate matrices per segment.
 * anything else - adaptive RK45 on the flattened state, with the
   maximum step bounded by 1/(50 f_max), one solve per stretch between
   the corners of a linear ramp; in Liouville space in commutator form,
@@ -63,7 +67,7 @@ them.  A scan does not lean on them to share its pulses:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -321,11 +325,23 @@ class Segment:
                       + self._diag_at(self._fraction(tb))) * (tb - ta)
 
     def multiplier(self, t: float) -> float:
-        s = self._fraction(t)
+        return self._multiplier_at(self._fraction(t))
+
+    def _multiplier_at(self, s: float) -> float:
         return self.mult_start + s * (self.mult_end - self.mult_start)
 
     def _multiplier_integral(self, ta: float, tb: float) -> float:
         return 0.5 * (self.multiplier(ta) + self.multiplier(tb)) * (tb - ta)
+
+    @functools.cached_property
+    def _whole_means(self) -> tuple[float, np.ndarray]:
+        """The multiplier and the level diagonal averaged over the whole
+        segment, whatever its length: ``_multiplier_integral`` and
+        ``_diag_integral`` from t0 to t1, per unit time."""
+        diag = self._diag_flat
+        if diag is None:
+            diag = 0.5 * (self._diag_at(0.0) + self._diag_at(1.0))
+        return 0.5 * (self._multiplier_at(0.0) + self._multiplier_at(1.0)), diag
 
 
 @dataclass(frozen=True)
@@ -622,10 +638,12 @@ def _rk45(seg: Segment, state, t_from, ends, tol, liouville):
 def _rk45_span(rhs, y, t_from, ends, tol, max_step):
     """Flat states at ``ends`` (the last one is the span's end)."""
     # t_eval must stay inside the span, so a last sample within 1e-18 s
-    # of the span's end stands for the end state
+    # of the span's end stands for the end state, and one past the end
+    # (the walker gives a segment the samples up to 1e-15 s past it) is
+    # taken at the end
     samples = ends[:-1]
     at_end = bool(samples) and samples[-1] >= ends[-1] - 1e-18
-    t_eval = samples if at_end else ends
+    t_eval = samples[:-1] + [min(samples[-1], ends[-1])] if at_end else ends
     sol = solve_ivp(rhs, (t_from, ends[-1]), y, t_eval=t_eval, rtol=tol,
                     atol=tol * 1e-3, max_step=max_step, method="RK45")
     if not sol.success:
@@ -804,7 +822,16 @@ def _is_diag_matrix(h) -> bool:
 
 
 def _has_closed_form(seg: Segment) -> bool:
-    return seg.kind == "diagonal" and all(cs.diagonal_safe for cs in seg.channel_sets)
+    """A tone-free segment whose channels are diagonal or single transfers,
+    and whose populations see one rate matrix up to a factor: the
+    multiplier is flat, or the scaled and fixed rate matrices commute, so
+    exp(scaled * integral(mult) + fixed * dt) is the time-ordered map."""
+    if seg.kind != "diagonal" or not all(cs.diagonal_safe for cs in seg.channel_sets):
+        return False
+    if abs(seg.mult_end - seg.mult_start) < FLAT_MULTIPLIER:
+        return True
+    scaled, fixed = (cs.rate_matrix for cs in seg.channel_sets)
+    return np.array_equal(scaled @ fixed, fixed @ scaled)
 
 
 def _rate_matrix(channels) -> np.ndarray:
@@ -835,32 +862,92 @@ def _coherence_rates(channels) -> np.ndarray:
     return g
 
 
-def _closed_form_step(seg: Segment):
-    """Exact, linear step ``(vec, ta, tb) -> vec`` on vec(rho) or its columns.
+def _closed_form_factors(seg: Segment, dt, tau_eff, phases):
+    """The closed-form step of a tone-free segment with diagonal/transfer
+    channels over stretches lasting ``dt`` (shape (...)), across which
+    the multiplier integrates to ``tau_eff`` and the level diagonal to
+    ``phases`` (..., 10): populations follow the classical rate matrix,
+    coherences pick up phases and decay.
 
-    For a tone-free segment with diagonal/transfer channels: populations
-    follow the classical rate matrix, coherences pick up phases and
-    decay, the scaled channels' rates integrated over the multiplier
-    ramp.
+    Returns (population maps, coherence phase factors, coherence decay
+    factors), each (..., 10, 10); the maps are None when every rate is
+    zero, and the exponentials of a stack are taken in one call.
     """
     scaled, fixed = seg.channel_sets
+    tau_eff, dt = np.asarray(tau_eff)[..., None, None], np.asarray(dt)[..., None, None]
+    rates = scaled.rate_matrix * tau_eff + fixed.rate_matrix * dt
+    phase = np.exp(-1j * TWO_PI * (phases[..., :, None] - phases[..., None, :]))
+    decay = np.exp(-(scaled.coherence_rates * tau_eff + fixed.coherence_rates * dt))
+    return (expm(rates) if rates.any() else None), phase, decay
+
+
+def _closed_form_step(seg: Segment):
+    """Exact, linear step ``(vec, ta, tb) -> vec`` on vec(rho) or its columns."""
     levels = np.arange(DIM)
 
     def step(vec, ta, tb):
-        dt = tb - ta
-        tau_eff = seg._multiplier_integral(ta, tb)
+        pop_map, phase, decay = _closed_form_factors(
+            seg, tb - ta, seg._multiplier_integral(ta, tb), seg._diag_integral(ta, tb))
         rho = vec.reshape((DIM, DIM) + vec.shape[1:])
-        pops = (expm(scaled.rate_matrix * tau_eff + fixed.rate_matrix * dt)
-                @ rho[levels, levels])
-        phases = seg._diag_integral(ta, tb)
-        phase_mat = np.exp(-1j * TWO_PI * (phases[:, None] - phases[None, :]))
-        decay = np.exp(-(scaled.coherence_rates * tau_eff
-                         + fixed.coherence_rates * dt))
-        rho = _rows(decay, _rows(phase_mat, rho))
+        pops = rho[levels, levels]
+        if pop_map is not None:
+            pops = pop_map @ pops
+        rho = _rows(decay, _rows(phase, rho))
         rho[levels, levels] = pops
         return rho.reshape(vec.shape)
 
     return step
+
+
+def dark_sweep(section: Schedule, durations, rho: np.ndarray,
+               tol: float = DEFAULT_RTOL) -> np.ndarray:
+    """``rho`` carried through the tone-free ``section`` once per row of
+    ``durations`` (k, segments): the k final density matrices (k, 10, 10).
+
+    Row r lays the segments end to end from the section's start, lasting
+    ``durations[r]``, at the times :func:`sunspin.sequence.compile` would
+    give them.  When every segment has the closed form (diagonal or
+    single-entry channels, or none) all k rows step at once, segment by
+    segment: level phases from the diagonal integrals, coherence decay
+    from the channel sets' rates, populations through one stacked
+    exponential of the rate matrices (none when every rate is zero).
+    Otherwise each row is mapped by the superoperator of its section.
+    """
+    if any(seg.tones for seg in section.segments):
+        raise DynamicsError("a dark section carries no tones")
+    durations = np.atleast_2d(np.asarray(durations, dtype=float))
+    ends = np.cumsum(np.column_stack([np.full(len(durations), section.t0), durations]),
+                     axis=1)
+    rho = np.asarray(rho, dtype=complex)
+    if not all(_has_closed_form(seg) for seg in section.segments):
+        return np.array([
+            (superoperator(_moved(section, t), tol) @ rho.reshape(-1)).reshape(DIM, DIM)
+            for t in ends])
+    levels = np.arange(DIM)
+    out = np.broadcast_to(rho, (len(durations), DIM, DIM))
+    for seg, ta, tb in zip(section.segments, ends.T, ends.T[1:]):
+        dt = tb - ta
+        mean_mult, mean_diag = seg._whole_means
+        phases = np.multiply.outer(dt, mean_diag)
+        if not (seg.channels or seg.channels_fixed):
+            # a unitary phase vector, as the pure engine steps it
+            factors = np.exp(-1j * TWO_PI * phases)
+            out = factors[:, :, None] * out * factors.conj()[:, None, :]
+            continue
+        pop_maps, phase, decay = _closed_form_factors(seg, dt, mean_mult * dt, phases)
+        pops = out[:, levels, levels]
+        if pop_maps is not None:
+            pops = (pop_maps @ pops[..., None])[..., 0]
+        out = decay * (phase * out)
+        out[:, levels, levels] = pops
+    return out
+
+
+def _moved(section: Schedule, ends) -> Schedule:
+    """``section`` with its segments moved to run between ``ends``."""
+    return Schedule(tuple(replace(seg, t0=ta, t1=tb) for seg, ta, tb
+                          in zip(section.segments, ends, ends[1:])),
+                    meta=section.meta)
 
 
 # ---------------------------------------------------------------------------

@@ -214,8 +214,22 @@ def scattering_branching_ratios(fprime_weights: dict[float, float] | None = None
     Excitation is pi-polarized into F' in {7/2, 9/2, 11/2} with
     Clebsch-Gordan weights (optionally reweighted per F' to model the
     detuning of each hyperfine line), emission branches over
-    m' in {m-1, m, m+1}.  Columns sum to 1.
+    m' in {m-1, m, m+1}.  Columns sum to 1.  The unweighted table is
+    built once, on first use, and shared read-only.
     """
+    if fprime_weights is None:
+        return _default_branching_ratios()
+    return _branching_ratios(fprime_weights)
+
+
+@lru_cache(maxsize=1)
+def _default_branching_ratios() -> np.ndarray:
+    b = _branching_ratios(None)
+    b.flags.writeable = False
+    return b
+
+
+def _branching_ratios(fprime_weights: dict[float, float] | None) -> np.ndarray:
     b = np.zeros((DIM, DIM))
     for i, m in enumerate(M_VALUES):
         exc = {}

@@ -23,8 +23,10 @@ the scanned quantity, then per point only what the scan variable
 changes, then the closing section's map, taken once.  A phase scan
 (ancilla, leakage) applies a (points, 10) block of diagonal phases
 through the batched shot kernel; a time scan (single and parallel
-Ramsey) re-steps only the dark stretch T lengthens, in closed form, on
-the compiled segments with their ends moved.
+Ramsey) steps the dark stretch T lengthens for every T at once, in one
+batched closed-form step (:func:`sunspin.dynamics.dark_sweep`), and
+reads its populations from the resulting (points, 10, 10) block in one
+product with the closing rows.
 """
 
 from __future__ import annotations
@@ -167,22 +169,6 @@ def _closing_rows(schedule):
     return _section_map(schedule)[::DIM + 1]
 
 
-def _restep(section, durations, rho):
-    """``rho`` carried through the tone-free ``section`` with its
-    segments lasting ``durations``, laid end to end from its start at the
-    times :func:`sequence.compile` would give them; they step in closed
-    form."""
-    segments, t = [], section.t0
-    for seg, duration in zip(section.segments, durations):
-        segments.append(replace(seg, t0=t, t1=t + duration))
-        t += duration
-    moved = dynamics.Schedule(tuple(segments), meta=section.meta)
-    if section.meta.get("engine") != "density":
-        u = dynamics.propagator(moved)
-        return u @ rho @ u.conj().T
-    return (dynamics.superoperator(moved) @ rho.reshape(-1)).reshape(DIM, DIM)
-
-
 def _phase_sweep(schedule, state, phases, tol):
     """Final populations (k, 10) of a phase scan: ``state`` evolved once
     through all but the last segment, conjugated by diag(e^{-i
@@ -303,6 +289,11 @@ def ramsey(pair: tuple[float, float], t_values, fields: FieldParams,
     'sample' to draw one phase offset per shot (so it needs n_shots > 0).
     With 'sample', each scan point's stream gives all n_shots phase
     offsets, then all multinomial draws, then all binomial thinnings.
+
+    The opening pulse is evolved once; the dark stretch is stepped for
+    all T in one batched closed-form step (per T when its channels have
+    no closed form), and the closing pulse's map is taken once.  Only
+    the 'sample' shots are drawn per point, each from its own stream.
     """
     t_values = np.asarray(t_values, dtype=float)
     if t_values.size == 0:
@@ -327,31 +318,34 @@ def ramsey(pair: tuple[float, float], t_values, fields: FieldParams,
     stretch = _section(schedule, first, -1)
     rows = _closing_rows(_section(schedule, -1))
 
-    pops = np.empty((len(t_values), DIM))
-    contrast = np.empty(len(t_values))
-    shots = [] if n_shots > 0 else None
-    streams = _shot_streams(seed, len(t_values)) if n_shots > 0 else None
-    for k, t_dark in enumerate(t_values):
-        moved = (t_dark,) if tls_on else (t_dark - 2 * TLS_RAMP_S, TLS_RAMP_S)
-        rho_pre = _restep(stretch, moved, rho)
-        if phase_noise != "none":
-            var = noise.phase_variance(t_dark, tls_on)
-        if phase_noise == "average":
-            rho_pre = _dephase_pair(rho_pre, i, j, np.exp(-var / 2.0))
-        contrast[k] = 2.0 * abs(rho_pre[i, j])
-        pops[k] = np.real(rows @ rho_pre.ravel()).clip(0.0, 1.0)
-        if phase_noise == "sample":
-            # an extra pair z rotation by dphi per shot, applied as a
-            # diagonal unitary so coherences with third levels follow
-            rng = np.random.default_rng(streams[k])
-            half = rng.normal(0.0, np.sqrt(var), n_shots) / 2.0
-            phases = np.zeros((n_shots, DIM))
-            phases[:, i], phases[:, j] = -half, half
-            shots.append(_shot_records(_shot_populations(rows, rho_pre, phases),
-                                       n_atoms, detection, rng))
-        elif n_shots > 0:
-            shots.append(_sample_point(_diag_density(pops[k]), n_atoms,
-                                       n_shots, detection, streams[k]))
+    durations = (t_values[:, None] if tls_on else np.column_stack(
+        [t_values - 2 * TLS_RAMP_S, np.full(len(t_values), TLS_RAMP_S)]))
+    rho_pre = dynamics.dark_sweep(stretch, durations, rho, tol)
+    if phase_noise != "none":
+        var = noise.phase_variance(t_values, tls_on)
+    if phase_noise == "average":
+        factor = np.exp(-var / 2.0)
+        rho_pre[:, i, j] *= factor
+        rho_pre[:, j, i] *= factor
+    contrast = 2.0 * np.abs(rho_pre[:, i, j])
+    pops = np.real(rho_pre.reshape(len(t_values), -1) @ rows.T).clip(0.0, 1.0)
+    shots = None
+    if n_shots > 0:
+        shots = []
+        for k, stream in enumerate(_shot_streams(seed, len(t_values))):
+            if phase_noise == "sample":
+                # an extra pair z rotation by dphi per shot, applied as a
+                # diagonal unitary so coherences with third levels follow
+                rng = np.random.default_rng(stream)
+                half = rng.normal(0.0, np.sqrt(var[k]), n_shots) / 2.0
+                phases = np.zeros((n_shots, DIM))
+                phases[:, i], phases[:, j] = -half, half
+                shots.append(_shot_records(
+                    _shot_populations(rows, rho_pre[k], phases), n_atoms,
+                    detection, rng))
+            else:
+                shots.append(_sample_point(_diag_density(pops[k]), n_atoms,
+                                           n_shots, detection, stream))
     return InterferometerResult(
         scan_name="dark_time_s", scan_values=t_values, populations=pops,
         contrast=contrast, shots=shots,
@@ -361,13 +355,6 @@ def ramsey(pair: tuple[float, float], t_values, fields: FieldParams,
 
 def _diag_density(populations):
     return np.diag(np.asarray(populations, dtype=complex))
-
-
-def _dephase_pair(rho, i, j, factor):
-    out = rho.copy()
-    out[i, j] *= factor
-    out[j, i] *= factor
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +422,12 @@ def parallel_ramsey(t_values, fields: FieldParams, omega_hz: float = 77.0,
     ``meta``.  With ``track_phases`` each phase is the one within pi of
     its expected phase; otherwise it is the difference of the two
     wrapped coherence angles.
+
+    The pulses up to the shared dark time are evolved once; the shared
+    dark time is stepped for all T in one batched closed-form step, so
+    the closing populations are one product with the closing rows and
+    the closing coherences a column and one product with the map row of
+    the second interferometer's coherence.
     """
     t_values = np.asarray(t_values, dtype=float)
     if t_values.size == 0:
@@ -467,17 +460,14 @@ def parallel_ramsey(t_values, fields: FieldParams, omega_hz: float = 77.0,
                                    for a, b in WINDOWS]) / spans
     expected = TWO_PI * (-np.array(nus) - mean_deltas) * spans
 
-    pops = np.empty((len(t_values), DIM))
-    closed = np.empty((len(t_values), 2), dtype=complex)
-    shots = [] if n_shots > 0 else None
-    streams = _shot_streams(seed, len(t_values)) if n_shots > 0 else None
-    for k, row in enumerate(durations):
-        rho = _restep(shared, row[SHARED:CLOSE1], rho_o2).ravel()
-        pops[k] = np.real(rows @ rho).clip(0.0, 1.0)
-        closed[k] = rho[i1 * DIM + j1], if2_row @ rho
-        if n_shots > 0:
-            shots.append(_sample_point(_diag_density(pops[k]), n_atoms, n_shots,
-                                       detection, streams[k]))
+    rho = dynamics.dark_sweep(shared, durations[:, SHARED:CLOSE1], rho_o2,
+                              tol).reshape(len(t_values), -1)
+    pops = np.real(rho @ rows.T).clip(0.0, 1.0)
+    closed = np.column_stack([rho[:, i1 * DIM + j1], rho @ if2_row])
+    shots = None
+    if n_shots > 0:
+        shots = [_sample_point(_diag_density(p), n_atoms, n_shots, detection, stream)
+                 for p, stream in zip(pops, _shot_streams(seed, len(t_values)))]
     phases = -(np.angle(closed) - np.angle(opened))
     if track_phases:
         off = phases - expected

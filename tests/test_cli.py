@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sunspin import cli, dynamics
+from sunspin import cli, dynamics, model
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "sunspin" / "configs"
 
@@ -34,6 +34,17 @@ class TestRunConfig:
         cold = cli.run_config(cfg, tmp_path / "cold")
         warm = cli.run_config(cfg, tmp_path / "warm")
         assert warm["outputs"] == cold["outputs"]
+
+    def test_rerun_makes_no_clebsch_gordan_calls(self, tmp_path, monkeypatch):
+        # the scattering branching and the pair couplings are built once
+        cfg = json.loads((CONFIG_DIR / "ancilla.json").read_text())
+        cli.run_config(cfg, tmp_path / "first")
+        calls = []
+        cg = model.clebsch_gordan
+        monkeypatch.setattr(model, "clebsch_gordan",
+                            lambda *a: calls.append(a) or cg(*a))
+        cli.run_config(cfg, tmp_path / "second")
+        assert calls == []
 
     def test_byte_identical_reruns(self, tmp_path):
         for d in ("a", "b"):

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
@@ -109,6 +109,31 @@ class TestEvolveDensity:
         traj = dynamics.evolve_density(rho0, h, lindblad=spec, t0=0, t1=0.3)
         assert np.allclose(np.diag(traj.final).real, np.abs(psi) ** 2,
                            atol=1e-9)
+
+    def test_ramp_with_scaled_and_fixed_transfers_that_do_not_commute(self):
+        # on a TLS ramp the populations follow (mult(t) S + F) p, and one
+        # exponential of S integral(mult) + F t only solves that when S and
+        # F commute; these two share the level -3/2, so RK45 steps the ramp
+        down = np.zeros((DIM, DIM), dtype=complex)
+        down[m_index(-2.5), m_index(-1.5)] = 1.0
+        feed = np.zeros((DIM, DIM), dtype=complex)
+        feed[m_index(-1.5), m_index(-0.5)] = 1.0
+        rate, span = 300.0, 5e-3
+        sched = sq.compile(
+            sq.PulseSequence(segments=(sq.tls_ramp(span, 1.0, 0.0),), fields=FIELDS),
+            lindblad=[model.LindbladSpec(channels=((down, rate),)),
+                      model.LindbladSpec(channels=((feed, rate),), tls_scaled=False)])
+        rho0 = np.zeros((DIM, DIM), dtype=complex)
+        rho0[m_index(-0.5), m_index(-0.5)] = 1.0
+        final = dynamics.evolve_density(rho0, sched).final
+        s_mat, f_mat = np.zeros((DIM, DIM)), np.zeros((DIM, DIM))
+        for mat, (dst, src) in ((s_mat, (-2.5, -1.5)), (f_mat, (-1.5, -0.5))):
+            mat[m_index(dst), m_index(src)] += rate
+            mat[m_index(src), m_index(src)] -= rate
+        ref = solve_ivp(lambda t, p: ((1 - t / span) * s_mat + f_mat) @ p, (0.0, span),
+                        np.diag(rho0).real, method="DOP853", rtol=1e-13,
+                        atol=1e-15).y[:, -1]
+        assert np.max(np.abs(np.diag(final).real - ref)) < 10 * dynamics.DEFAULT_RTOL
 
     def test_negative_rate_rejected(self):
         with pytest.raises(model.ModelError):
@@ -528,6 +553,21 @@ class TestIntegratorOrder:
         e2 = err_at(span / 80)
         assert e1 / e2 > 2**4  # at least the nominal order-4 gain
 
+    def test_sample_just_past_a_solved_segment_is_its_end_state(self):
+        # the walker gives a segment the samples up to 1e-15 s past its
+        # end, as a duration summed in another order can land; RK45 took
+        # such a sample outside its span and raised
+        seq = sq.PulseSequence(segments=(
+            sq.pulse((-2.5, -1.5), 400.0, WEAK_FIELDS, np.pi / 2,
+                     envelope="raised_cosine", warn_regime=False),
+            sq.dark_time(1e-4)), fields=WEAK_FIELDS)
+        sched = sq.compile(seq)
+        t_end = sched.segments[0].t1
+        psi = basis_state(-2.5)
+        at_end = dynamics.evolve_pure(psi, sched, t_eval=[t_end, sched.t1]).states
+        past = dynamics.evolve_pure(psi, sched, t_eval=[np.nextafter(t_end, 1.0),
+                                                        sched.t1]).states
+        assert np.array_equal(past, at_end)
 
     def test_linear_ramp_corners_end_a_solve(self):
         # RK45 across a corner of the trapezoid missed tol 1e-11 by a
@@ -714,6 +754,63 @@ class TestEigenProperties:
         assert np.max(np.abs(rho.reshape(len(times), -1) - exact_rho)) <= 1e-10
         assert np.max(np.abs(np.array(cols) - exact_cols)) <= 1e-10
         assert np.max(np.abs(rho - rho.conj().transpose(0, 2, 1))) <= 1e-13
+
+
+SPLIT_CHANNELS = {
+    "scattering+linear dephasing": EIGEN_CHANNELS["scattering+linear dephasing"],
+    "transfer+dephasing": _small_lindblad(),
+    "scattering+fixed dephasing": [model.photon_scattering_channels(),
+                                   _fixed_dephasing()],
+}
+
+
+@st.composite
+def square_segments(draw, kind):
+    """One compiled segment of ``kind`` with a square envelope (a square
+    segment cut in two is two square segments), for the pure engine or,
+    under one of ``SPLIT_CHANNELS``, the density engine."""
+    lindblad = draw(st.sampled_from([None, *sorted(SPLIT_CHANNELS)]))
+    if kind == "diagonal":
+        seq = sq.PulseSequence(segments=(sq.tls_ramp(
+            draw(st.floats(1e-4, 5e-3)), draw(UNIT), draw(UNIT)),), fields=WEAK_FIELDS)
+        frame = "rwa"
+    else:
+        seq, frame = draw(pulse_sequences(constant=kind == "constant"))
+        seq = replace(seq, segments=(replace(seq.segments[0], envelope="square"),))
+    seg = sq.compile(seq, lindblad=SPLIT_CHANNELS.get(lindblad),
+                     frame=frame).segments[0]
+    assume(seg.kind == kind)
+    return seg, lindblad is not None
+
+
+def _split(seg, fraction):
+    """``seg`` as two segments meeting at t0 + fraction * duration: the
+    level diagonal and the multiplier cut where they reach, and each
+    tone's phase run on to the cut."""
+    cut = seg.t0 + fraction * seg.duration
+    diag, mult = seg._diag_at(seg._fraction(cut)), seg.multiplier(cut)
+    tones = tuple((cmat, beat, phi + 2 * np.pi * beat * (cut - seg.t0))
+                  for cmat, beat, phi in seg.tones)
+    return (replace(seg, t1=cut, diag_end=diag, mult_end=mult),
+            replace(seg, t0=cut, diag_start=diag, mult_start=mult, tones=tones))
+
+
+class TestSplitProperties:
+    # the exact kinds compose to rounding, RK45 to its tolerance
+    BOUNDS = {"constant": 1e-12, "diagonal": 1e-12,
+              "general": 10 * dynamics.DEFAULT_RTOL}
+
+    @PROPERTY
+    @given(data=st.data(), kind=st.sampled_from(sorted(BOUNDS)),
+           fraction=st.floats(0.05, 0.95))
+    def test_split_segment_composes_to_the_same_map(self, data, kind, fraction):
+        seg, density = data.draw(square_segments(kind))
+        halves = _split(seg, fraction)
+        assert [half.kind for half in halves] == [kind, kind]
+        map_of = dynamics.superoperator if density else dynamics.propagator
+        whole, first, second = (map_of(dynamics.Schedule((s,)))
+                                for s in (seg, *halves))
+        assert np.max(np.abs(second @ first - whole)) <= self.BOUNDS[kind]
 
 
 LINDBLADS = {

@@ -444,9 +444,10 @@ def _wrapped(angle):
     return np.angle(np.exp(1j * np.asarray(angle)))
 
 
-def _ramsey_per_point(t_dark, tls_mode, lindblad, detuning_hz=25.0):
+def _ramsey_per_point(t_dark, tls_mode, lindblad, detuning_hz=25.0,
+                      fields=RAMSEY_FIELDS):
     """Final populations and pre-closing contrast, one full run at T."""
-    seq = pr._ramsey_sequence((-3.5, -2.5), t_dark, RAMSEY_FIELDS, 93.0,
+    seq = pr._ramsey_sequence((-3.5, -2.5), t_dark, fields, 93.0,
                               tls_mode, detuning_hz, True)
     t_pre = seq.total_duration - seq.segments[-1].duration
     traj = sq.run(seq, basis_state(-3.5), lindblad=lindblad,
@@ -456,14 +457,14 @@ def _ramsey_per_point(t_dark, tls_mode, lindblad, detuning_hz=25.0):
     return traj.populations()[-1], 2 * abs(rho_pre[i, j])
 
 
-def _dual_times(t_open):
-    seq = pr._dual_ramsey_sequence(t_open, DUAL_FIELDS, 77.0, 1.0, 1e-4)
+def _dual_times(t_open, fields=DUAL_FIELDS):
+    seq = pr._dual_ramsey_sequence(t_open, fields, 77.0, 1.0, 1e-4)
     return seq, np.cumsum([0.0] + [s.duration for s in seq.segments])
 
 
-def _parallel_per_point(t_open, lindblad):
+def _parallel_per_point(t_open, lindblad, fields=DUAL_FIELDS):
     """Final populations and wrapped window phases, one full run at T."""
-    seq, t = _dual_times(t_open)
+    seq, t = _dual_times(t_open, fields)
     traj = sq.run(seq, basis_state(-2.5), lindblad=lindblad,
                   t_eval=[t[3], t[5], t[6], t[8], t[-1]])
     coh1, coh2 = traj.coherence(*pr.IF1_PAIR), traj.coherence(*pr.IF2_PAIR)
@@ -581,6 +582,33 @@ class TestScanSweep:
             assert np.max(np.abs(res.populations[k] - pops)) < 1e-13
             assert np.max(np.abs(_wrapped(res.phases[k] - phases))) < 1e-11
 
+    def test_dark_stretch_without_closed_form_matches_per_point_runs(self):
+        # a jump operator with two entries has no closed form, so the dark
+        # stretch steps per point; weak fields keep its RK45 steps few
+        op = np.zeros((DIM, DIM), dtype=complex)
+        op[ro.m_index(-3.5), ro.m_index(-2.5)] = 1.0
+        op[ro.m_index(-1.5), ro.m_index(-3.5)] = 0.5
+        spec = model.LindbladSpec(channels=((op, 4.0),))
+        assert not dynamics._is_diagonal_safe(spec.channels)
+        bound = 10 * dynamics.DEFAULT_RTOL
+        weak = model.FieldParams(b_hz=96.0, q_hz=19.0)
+        for tls_mode, t_values in (("on", [3e-4, 1.2e-3]),
+                                   ("adiabatic-off", [4.1e-3, 4.3e-3])):
+            res = pr.ramsey((-3.5, -2.5), t_values, weak, 93.0, tls_mode=tls_mode,
+                            lindblad=spec, detuning_hz=25.0)
+            for k, t_dark in enumerate(t_values):
+                pops, contrast = _ramsey_per_point(t_dark, tls_mode, spec,
+                                                   fields=weak)
+                assert np.max(np.abs(res.populations[k] - pops)) < bound
+                assert res.contrast[k] == pytest.approx(contrast, abs=bound)
+        weak = model.FieldParams(b_hz=100.0, q_hz=-30.3)
+        t_values = [3.6e-3, 3.9e-3]
+        res = pr.parallel_ramsey(t_values, weak, lindblad=spec)
+        for k, t_open in enumerate(t_values):
+            pops, phases = _parallel_per_point(t_open, spec, fields=weak)
+            assert np.max(np.abs(res.populations[k] - pops)) < bound
+            assert np.max(np.abs(_wrapped(res.phases[k] - phases))) < bound
+
     def test_tracked_phases_match_dense_unwrapping(self):
         t_values = [0.0045, 0.05]
         res = pr.parallel_ramsey(t_values, DUAL_FIELDS, track_phases=True)
@@ -614,6 +642,40 @@ class TestScanSweep:
             counts.append((len(compiles), len(pulse_steps)))
         assert counts[0] == counts[1]
         assert counts[0][0] == 1
+
+    DARK_SCANS = {
+        "ramsey": lambda n, spec: pr.ramsey(
+            (-3.5, -2.5), np.linspace(0.005, 0.02, n), RAMSEY_FIELDS, 93.0,
+            tls_mode="adiabatic-off", lindblad=spec, detuning_hz=25.0),
+        "parallel_ramsey": lambda n, spec: pr.parallel_ramsey(
+            np.linspace(0.004, 0.005, n), DUAL_FIELDS, lindblad=spec),
+    }
+
+    @pytest.mark.parametrize("lindblad", sorted(TIME_LINDBLADS))
+    @pytest.mark.parametrize("scan", sorted(DARK_SCANS))
+    def test_dark_stretch_stepped_once_per_call(self, scan, lindblad, monkeypatch):
+        # all open times go through one batched step: the tone-free segment
+        # steps and section maps a call makes do not grow with its points
+        calls = []
+
+        def counted(name, function, counts=lambda *a: True):
+            def wrapper(*args, **kwargs):
+                if counts(*args):
+                    calls.append(name)
+                return function(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(dynamics, "_step", counted(
+            "_step", dynamics._step, lambda seg, *a: not seg.tones))
+        for name in ("propagator", "superoperator"):
+            monkeypatch.setattr(dynamics, name,
+                                counted(name, getattr(dynamics, name)))
+        counts = []
+        for n_points in (2, 20):
+            calls.clear()
+            self.DARK_SCANS[scan](n_points, TIME_LINDBLADS[lindblad])
+            counts.append(sorted(calls))
+        assert counts[0] == counts[1]
 
     def test_ancilla_input_state_with_preparing_pulse_rejected(self):
         with pytest.raises(pr.ProtocolError):

@@ -1,13 +1,14 @@
 """Run every bundled config and compare the outputs byte for byte.
 
-    python tools/bundled_manifests.py OUT_DIR [--against REF_DIR]
+    python tools/bundled_manifests.py OUT_DIR [--against REF_DIR] [--repeat N]
 
 Each ``src/sunspin/configs/<name>.json`` is run through
 ``sunspin.cli.run_config`` into ``OUT_DIR/<name>/``, with the config's
 file name as its recorded path, so two checkouts of the package write
-comparable manifests.  Each config's name is printed with its wall time
-(one run, in this process, so later configs may reuse channel sets and
-Liouville maps that earlier ones built).  With ``--against``, every
+comparable manifests.  Each config's name is printed with its wall time:
+the fastest of ``--repeat`` runs (default 1), back to back in this
+process, so repeated and later runs may reuse channel sets and Liouville
+maps that earlier ones built.  With ``--against``, every
 output file (the manifest included) is hashed and compared with the
 file of the same name under ``REF_DIR/<name>/``; each difference is
 listed, a differing CSV with the number of cells that differ and the
@@ -34,14 +35,18 @@ from sunspin import cli  # noqa: E402
 CONFIG_DIR = Path(cli.__file__).parent / "configs"
 
 
-def run_all(out_dir: Path) -> list[str]:
-    """Run each bundled config into its own directory; returns the names."""
+def run_all(out_dir: Path, repeat: int = 1) -> list[str]:
+    """Run each bundled config ``repeat`` times into its own directory;
+    returns the names."""
     names = []
     for path in sorted(CONFIG_DIR.glob("*.json")):
-        start = time.perf_counter()
-        cli.run_config(json.loads(path.read_text()), out_dir / path.stem,
-                       config_path=path.name)
-        print(f"{path.stem:<20} {time.perf_counter() - start:8.3f} s")
+        text, times = path.read_text(), []
+        for _ in range(repeat):
+            config = json.loads(text)
+            start = time.perf_counter()
+            cli.run_config(config, out_dir / path.stem, config_path=path.name)
+            times.append(time.perf_counter() - start)
+        print(f"{path.stem:<20} {min(times):8.3f} s")
         names.append(path.stem)
     return names
 
@@ -81,8 +86,12 @@ def main(argv=None) -> int:
     parser.add_argument("out_dir", type=Path)
     parser.add_argument("--against", type=Path, metavar="REF_DIR",
                         help="reference output directory to compare with")
+    parser.add_argument("--repeat", type=int, default=1, metavar="N",
+                        help="runs per config; its fastest wall time is printed")
     args = parser.parse_args(argv)
-    names = run_all(args.out_dir)
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
+    names = run_all(args.out_dir, args.repeat)
     if args.against is None:
         print(f"{len(names)} configs run into {args.out_dir}")
         return 0
