@@ -163,7 +163,13 @@ def _build_noise(cfg: dict):
         raise ConfigError("phase_noise 'sample' draws per shot; it needs n_shots > 0")
     if spec is None:
         return None
-    return NoiseSpec.quiet() if spec.get("preset") == "quiet" else NoiseSpec()
+    # one NoiseSpec holds both modes' coefficients and ramsey reads those
+    # of its tls_mode, so a preset naming the other mode would be ignored
+    preset, tls_mode = spec.get("preset"), cfg.get("tls_mode", "on")
+    if preset == {"on": "tls_off", "adiabatic-off": "tls_on"}.get(tls_mode):
+        raise ConfigError(f"noise preset {preset!r} names the other TLS mode "
+                          f"than tls_mode {tls_mode!r}")
+    return NoiseSpec.quiet() if preset == "quiet" else NoiseSpec()
 
 
 def _build_detection(cfg: dict):

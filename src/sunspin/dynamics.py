@@ -6,10 +6,10 @@ engines take a :class:`Schedule` of data :class:`Segment` s (built by
 :func:`sunspin.sequence.compile`) or a constant matrix, held as one
 segment.  :meth:`Segment.hamiltonian` is the one place H(t) is
 evaluated, and every segment's Liouvillian is its Hamiltonian part plus
-mult(t) D_s + D_f: the TLS multiplier times the dissipator of the
-scaled channels, plus that of the fixed ones.  Hamiltonians are in
-ordinary frequency units (Hz); the 2*pi lives in the equations of
-motion.  Rates are 1/e rates in 1/s.
+mult(t) D: the TLS multiplier times the dissipator of its channels,
+every rate being light-induced.  Hamiltonians are in ordinary frequency
+units (Hz); the 2*pi lives in the equations of motion.  Rates are 1/e
+rates in 1/s.
 
 All four engines are folds of one schedule walker over one segment
 stepper.  The stepper advances a state of shape (d,) or (d, k) in
@@ -35,12 +35,13 @@ by its kind:
 * diagonal H with diagonal/transfer channels, Liouville space - closed
   form: populations through the exponential of the classical rate
   matrix, coherences through phases and scalar decay factors.  Exact
-  for the channel structure this package generates (on a TLS ramp, when
-  the scaled and fixed rate matrices commute), so ``superoperator``
-  steps dark segments in closed form too.  :func:`dark_sweep` takes the
-  same closed form batched over durations: a tone-free section stepped
-  for a whole (points, segments) array of them at once, with one stacked
-  exponential of the rate matrices per segment.
+  for the channel structure this package generates, on TLS ramps too
+  (one rate matrix times mult(t) commutes with itself), so
+  ``superoperator`` steps dark segments in closed form too.
+  :func:`dark_sweep` takes the same closed form batched over durations:
+  a tone-free section stepped for a whole (points, segments) array of
+  them at once, with one stacked exponential of the rate matrices per
+  segment.
 * anything else - adaptive RK45 on the flattened state, with the
   maximum step bounded by 1/(50 f_max), one solve per stretch between
   the corners of a linear ramp; in Liouville space in commutator form,
@@ -53,15 +54,15 @@ again and again:
   dissipator and the closed-form rate and coherence matrices;
 * per constant Liouville segment and step length dt, keyed by
   ``Segment.key`` (level diagonal, coupling triangles, beats and
-  phases; never t0 or t1), the two channel sets, the multiplier and dt:
+  phases; never t0 or t1), the channel set, the multiplier and dt:
   the map expm(L dt), a 100x100 matrix exponential.
 
-A segment looks its two channel sets up once, and the map cache keys
-them by the set's own stored key, so no entry holds a copy of the
-operator bytes.  Keys are content, never object identity; cached arrays
-are read-only; both caches are bounded and ``clear_caches`` empties
-them.  A scan does not lean on them to share its pulses:
-:mod:`sunspin.protocols` evolves each pulse of a scan once.
+A segment looks its channel set up once, and the map cache keys it by
+the set's own stored key, so no entry holds a copy of the operator
+bytes.  Keys are content, never object identity; cached arrays are
+read-only; both caches are bounded and ``clear_caches`` empties them.
+A scan does not lean on them to share its pulses: :mod:`sunspin.protocols`
+evolves each pulse of a scan once.
 """
 
 from __future__ import annotations
@@ -120,9 +121,11 @@ DENSITY_PSD_TOL = 1e-10
 DENSITY_HERMITIAN_TOL = 10 * DENSITY_PSD_TOL
 # Output checks: the final state's norm drift may reach 100 tol but
 # never needs to be below NORM_DRIFT_FLOOR; the final trace may drift by
-# TRACE_DRIFT_MAX.
+# TRACE_DRIFT_MAX; the final density matrix's eigenvalues may reach
+# DENSITY_POSITIVITY_FLOOR (positivity is monitored, not enforced).
 NORM_DRIFT_FLOOR = 1e-6
 TRACE_DRIFT_MAX = 1e-6
+DENSITY_POSITIVITY_FLOOR = -1e-8
 
 
 class DynamicsError(RuntimeError):
@@ -207,7 +210,7 @@ class Segment:
     triangle, beat Hz, phase rad), driven under ``envelope`` in the
     rotating frame, or in the lab-beat frame when ``lab``.
     ``channels`` hold (jump operator, base rate); their rates are scaled
-    by the multiplier.  ``channels_fixed`` are not multiplier-scaled.
+    by the multiplier.
     """
 
     t0: float
@@ -219,7 +222,6 @@ class Segment:
     envelope_param: float = 0.25
     lab: bool = False
     channels: tuple[tuple[np.ndarray, float], ...] = ()
-    channels_fixed: tuple[tuple[np.ndarray, float], ...] = ()
     mult_start: float = 1.0
     mult_end: float = 1.0
     label: str = ""
@@ -260,9 +262,9 @@ class Segment:
         return self.hamiltonian(self.t0) if self.kind == "constant" else None
 
     @functools.cached_property
-    def channel_sets(self) -> tuple[_ChannelSet, _ChannelSet]:
-        """The cached sets of the scaled and of the fixed channels."""
-        return _channel_set(self.channels), _channel_set(self.channels_fixed)
+    def channel_set(self) -> _ChannelSet:
+        """The cached set of the segment's channels."""
+        return _channel_set(self.channels)
 
     @functools.cached_property
     def f_max_hz(self) -> float:
@@ -374,7 +376,7 @@ class Schedule:
         raise DynamicsError(f"time {t} outside schedule [{self.t0}, {self.t1}]")
 
     def has_dissipation(self) -> bool:
-        return any(seg.channels or seg.channels_fixed for seg in self.segments)
+        return any(seg.channels for seg in self.segments)
 
 
 def _coerce_schedule(hamiltonian, t0, t1, channels=()) -> Schedule:
@@ -607,17 +609,16 @@ def _max_step(seg: Segment) -> float:
 def _rk45(seg: Segment, state, t_from, ends, tol, liouville):
     shape = state.shape
     if liouville:
-        d_scaled, d_fixed = (cs.dissipator for cs in seg.channel_sets)
+        dissipator = seg.channel_set.dissipator
 
         def rhs(t, y):
-            # -2 pi i [H, rho] on each column, then the dissipators
+            # -2 pi i [H, rho] on each column, then the dissipator
             vec = y.reshape(DIM * DIM, -1)
             rho = vec.reshape(DIM, DIM, -1).transpose(2, 0, 1)
             h = seg.hamiltonian(t)
             comm = (h @ rho - rho @ h).transpose(1, 2, 0)
             return (-1j * TWO_PI * comm.reshape(vec.shape)
-                    + seg.multiplier(t) * (d_scaled @ vec)
-                    + d_fixed @ vec).reshape(-1)
+                    + seg.multiplier(t) * (dissipator @ vec)).reshape(-1)
     else:
         def rhs(t, y):
             return (-1j * TWO_PI * (seg.hamiltonian(t) @ y.reshape(shape))).reshape(-1)
@@ -743,17 +744,15 @@ def _channel_set_of(key: tuple) -> _ChannelSet:
 
 
 def _constant_liouvillian(seg: Segment) -> np.ndarray:
-    """Liouvillian of a constant segment: the Hamiltonian part and the
-    fixed channels plus the TLS multiplier times the scaled channels'
-    dissipator."""
-    return (liouvillian(seg.h_const, seg.channels_fixed)
-            + seg.mult_start * seg.channel_sets[0].dissipator)
+    """Liouvillian of a constant segment: the Hamiltonian part plus the
+    TLS multiplier times the channels' dissipator."""
+    return (liouvillian(seg.h_const, ())
+            + seg.mult_start * seg.channel_set.dissipator)
 
 
 def _constant_map(seg: Segment, dt: float) -> np.ndarray:
     """expm(L dt) of a constant segment, kept by content."""
-    scaled, fixed = seg.channel_sets
-    return _MAPS.get((seg.key, scaled.key, fixed.key, seg.mult_start, dt),
+    return _MAPS.get((seg.key, seg.channel_set.key, seg.mult_start, dt),
                      lambda: _frozen(expm(_constant_liouvillian(seg) * dt)))
 
 
@@ -774,7 +773,7 @@ def _check_density(rho: np.ndarray):
 
 def evolve_density(rho: np.ndarray, hamiltonian, lindblad=None, t0: float = 0.0,
                    t1: float | None = None, tol: float = DEFAULT_RTOL,
-                   t_eval=None, positivity_floor: float = -1e-8) -> Trajectory:
+                   t_eval=None) -> Trajectory:
     """Lindblad master-equation evolution.
 
     ``hamiltonian`` is a compiled :class:`Schedule` or a constant 10x10
@@ -784,7 +783,7 @@ def evolve_density(rho: np.ndarray, hamiltonian, lindblad=None, t0: float = 0.0,
     Schedule carries its own channels, so passing ``lindblad`` with one
     raises.
     Positivity is monitored, not enforced: eigenvalues below
-    ``positivity_floor`` raise.
+    ``DENSITY_POSITIVITY_FLOOR`` raise.
     """
     rho0 = np.asarray(rho, dtype=complex)
     _check_density(rho0)
@@ -803,7 +802,7 @@ def evolve_density(rho: np.ndarray, hamiltonian, lindblad=None, t0: float = 0.0,
     if abs(np.trace(final).real - 1.0) > TRACE_DRIFT_MAX:
         raise DynamicsError("trace drift beyond tolerance")
     min_eig = np.linalg.eigvalsh(0.5 * (final + final.conj().T)).min()
-    if min_eig < positivity_floor:
+    if min_eig < DENSITY_POSITIVITY_FLOOR:
         raise DynamicsError(f"positivity violation: min eigenvalue {min_eig:.2e}")
     return Trajectory(times=times, states=out, kind="density",
                       meta={"tol": tol, **schedule.meta})
@@ -822,16 +821,10 @@ def _is_diag_matrix(h) -> bool:
 
 
 def _has_closed_form(seg: Segment) -> bool:
-    """A tone-free segment whose channels are diagonal or single transfers,
-    and whose populations see one rate matrix up to a factor: the
-    multiplier is flat, or the scaled and fixed rate matrices commute, so
-    exp(scaled * integral(mult) + fixed * dt) is the time-ordered map."""
-    if seg.kind != "diagonal" or not all(cs.diagonal_safe for cs in seg.channel_sets):
-        return False
-    if abs(seg.mult_end - seg.mult_start) < FLAT_MULTIPLIER:
-        return True
-    scaled, fixed = (cs.rate_matrix for cs in seg.channel_sets)
-    return np.array_equal(scaled @ fixed, fixed @ scaled)
+    """A tone-free segment whose channels are diagonal or single transfers:
+    its populations see one rate matrix R times the multiplier, so
+    exp(R integral(mult)) is the time-ordered map on any ramp."""
+    return seg.kind == "diagonal" and seg.channel_set.diagonal_safe
 
 
 def _rate_matrix(channels) -> np.ndarray:
@@ -862,22 +855,21 @@ def _coherence_rates(channels) -> np.ndarray:
     return g
 
 
-def _closed_form_factors(seg: Segment, dt, tau_eff, phases):
+def _closed_form_factors(seg: Segment, tau_eff, phases):
     """The closed-form step of a tone-free segment with diagonal/transfer
-    channels over stretches lasting ``dt`` (shape (...)), across which
-    the multiplier integrates to ``tau_eff`` and the level diagonal to
-    ``phases`` (..., 10): populations follow the classical rate matrix,
-    coherences pick up phases and decay.
+    channels over stretches (shape (...)) across which the multiplier
+    integrates to ``tau_eff`` and the level diagonal to ``phases``
+    (..., 10): populations follow the classical rate matrix, coherences
+    pick up phases and decay.
 
     Returns (population maps, coherence phase factors, coherence decay
     factors), each (..., 10, 10); the maps are None when every rate is
     zero, and the exponentials of a stack are taken in one call.
     """
-    scaled, fixed = seg.channel_sets
-    tau_eff, dt = np.asarray(tau_eff)[..., None, None], np.asarray(dt)[..., None, None]
-    rates = scaled.rate_matrix * tau_eff + fixed.rate_matrix * dt
+    channels, tau_eff = seg.channel_set, np.asarray(tau_eff)[..., None, None]
+    rates = channels.rate_matrix * tau_eff
     phase = np.exp(-1j * TWO_PI * (phases[..., :, None] - phases[..., None, :]))
-    decay = np.exp(-(scaled.coherence_rates * tau_eff + fixed.coherence_rates * dt))
+    decay = np.exp(-(channels.coherence_rates * tau_eff))
     return (expm(rates) if rates.any() else None), phase, decay
 
 
@@ -887,7 +879,7 @@ def _closed_form_step(seg: Segment):
 
     def step(vec, ta, tb):
         pop_map, phase, decay = _closed_form_factors(
-            seg, tb - ta, seg._multiplier_integral(ta, tb), seg._diag_integral(ta, tb))
+            seg, seg._multiplier_integral(ta, tb), seg._diag_integral(ta, tb))
         rho = vec.reshape((DIM, DIM) + vec.shape[1:])
         pops = rho[levels, levels]
         if pop_map is not None:
@@ -929,12 +921,12 @@ def dark_sweep(section: Schedule, durations, rho: np.ndarray,
         dt = tb - ta
         mean_mult, mean_diag = seg._whole_means
         phases = np.multiply.outer(dt, mean_diag)
-        if not (seg.channels or seg.channels_fixed):
+        if not seg.channels:
             # a unitary phase vector, as the pure engine steps it
             factors = np.exp(-1j * TWO_PI * phases)
             out = factors[:, :, None] * out * factors.conj()[:, None, :]
             continue
-        pop_maps, phase, decay = _closed_form_factors(seg, dt, mean_mult * dt, phases)
+        pop_maps, phase, decay = _closed_form_factors(seg, mean_mult * dt, phases)
         pops = out[:, levels, levels]
         if pop_maps is not None:
             pops = (pop_maps @ pops[..., None])[..., 0]

@@ -163,14 +163,13 @@ class RamanTone:
 class LindbladSpec:
     """Jump channels (operator, rate in 1/s).
 
-    ``tls_scaled`` channels have their rates multiplied by the
-    instantaneous TLS power multiplier during sequence execution (both
-    photon scattering and light-shift-inhomogeneity dephasing are
-    light-induced).
+    Every rate is multiplied by the instantaneous TLS power multiplier
+    during sequence execution: photon scattering and light-shift-
+    inhomogeneity dephasing are both light-induced, and with the TLS
+    off there is no decoherence.
     """
 
     channels: tuple[tuple[np.ndarray, float], ...] = ()
-    tls_scaled: bool = True
     label: str = ""
 
     def __post_init__(self):
@@ -183,12 +182,7 @@ class LindbladSpec:
     def __len__(self) -> int:
         return len(self.channels)
 
-    def scaled(self, factor: float) -> "LindbladSpec":
-        return replace(self, channels=tuple((op, rate * factor) for op, rate in self.channels))
-
     def merge(self, other: "LindbladSpec") -> "LindbladSpec":
-        if other.tls_scaled != self.tls_scaled:
-            raise ModelError("cannot merge specs with different tls_scaled flags")
         return replace(self, channels=self.channels + other.channels,
                        label=f"{self.label}+{other.label}")
 
@@ -298,7 +292,7 @@ def photon_scattering_channels(fields: FieldParams | None = None,
             op = np.zeros((DIM, DIM), dtype=complex)
             op[ip, i] = 1.0
             channels.append((op, float(rate)))
-    return LindbladSpec(channels=tuple(channels), tls_scaled=True, label="scattering")
+    return LindbladSpec(channels=tuple(channels), label="scattering")
 
 
 def monochromatic_scattering_channels(**kwargs) -> LindbladSpec:
@@ -335,7 +329,7 @@ def inhomogeneous_dephasing(tau_unit_s: float = DEPHASING_TIME_UNIT,
     if mode == "quadratic":
         op = np.diag(M_VALUES.astype(complex))
         return LindbladSpec(channels=((op, 2.0 / tau_unit_s),),
-                            tls_scaled=True, label="dephasing-quadratic")
+                            label="dephasing-quadratic")
     if mode != "linear":
         raise ModelError(f"unknown dephasing mode {mode!r}")
 
@@ -366,7 +360,7 @@ def inhomogeneous_dephasing(tau_unit_s: float = DEPHASING_TIME_UNIT,
         for coord, m in zip(np.sqrt(lam) * vec, ms):
             d[m_index(m)] = coord
         channels.append((np.diag(d).astype(complex), 1.0))
-    return LindbladSpec(channels=tuple(channels), tls_scaled=True, label="dephasing-linear")
+    return LindbladSpec(channels=tuple(channels), label="dephasing-linear")
 
 
 # ---------------------------------------------------------------------------

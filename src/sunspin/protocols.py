@@ -283,10 +283,12 @@ def ramsey(pair: tuple[float, float], t_values, fields: FieldParams,
            tol: float = dynamics.DEFAULT_RTOL) -> InterferometerResult:
     """Ramsey fringe versus dark time T on one isolated pair.
 
-    ``phase_noise``: 'none' for the bare expectation, 'average' to fold
-    the Gaussian interferometer phase noise Var(phi) into the mean
-    fringe (multiplies the pre-closing coherence by exp(-Var/2)),
-    'sample' to draw one phase offset per shot (so it needs n_shots > 0).
+    ``phase_noise``: 'none' for the bare expectation, 'sample' to draw
+    a Gaussian phase offset dphi of variance Var(phi) per shot (so it
+    needs n_shots > 0), applied before the closing pulse as the pair z
+    rotation diag(e^{-i dphi s}), s = -1/2 on m_low, +1/2 on m_high and
+    0 elsewhere, or 'average' for the mean of that rotation in the mean
+    fringe: rho_ab times exp(-Var (s_a - s_b)^2 / 2).
     With 'sample', each scan point's stream gives all n_shots phase
     offsets, then all multinomial draws, then all binomial thinnings.
 
@@ -323,10 +325,10 @@ def ramsey(pair: tuple[float, float], t_values, fields: FieldParams,
     rho_pre = dynamics.dark_sweep(stretch, durations, rho, tol)
     if phase_noise != "none":
         var = noise.phase_variance(t_values, tls_on)
+        spin = np.zeros(DIM)
+        spin[i], spin[j] = -0.5, 0.5
     if phase_noise == "average":
-        factor = np.exp(-var / 2.0)
-        rho_pre[:, i, j] *= factor
-        rho_pre[:, j, i] *= factor
+        rho_pre *= np.exp(-var[:, None, None] * np.subtract.outer(spin, spin) ** 2 / 2.0)
     contrast = 2.0 * np.abs(rho_pre[:, i, j])
     pops = np.real(rho_pre.reshape(len(t_values), -1) @ rows.T).clip(0.0, 1.0)
     shots = None
@@ -334,12 +336,8 @@ def ramsey(pair: tuple[float, float], t_values, fields: FieldParams,
         shots = []
         for k, stream in enumerate(_shot_streams(seed, len(t_values))):
             if phase_noise == "sample":
-                # an extra pair z rotation by dphi per shot, applied as a
-                # diagonal unitary so coherences with third levels follow
                 rng = np.random.default_rng(stream)
-                half = rng.normal(0.0, np.sqrt(var[k]), n_shots) / 2.0
-                phases = np.zeros((n_shots, DIM))
-                phases[:, i], phases[:, j] = -half, half
+                phases = np.outer(rng.normal(0.0, np.sqrt(var[k]), n_shots), spin)
                 shots.append(_shot_records(
                     _shot_populations(rows, rho_pre[k], phases), n_atoms,
                     detection, rng))
@@ -427,7 +425,8 @@ def parallel_ramsey(t_values, fields: FieldParams, omega_hz: float = 77.0,
     dark time is stepped for all T in one batched closed-form step, so
     the closing populations are one product with the closing rows and
     the closing coherences a column and one product with the map row of
-    the second interferometer's coherence.
+    the second interferometer's coherence.  The first closing pulse and
+    the tail dark time are mapped once and serve both.
     """
     t_values = np.asarray(t_values, dtype=float)
     if t_values.size == 0:
@@ -448,8 +447,9 @@ def parallel_ramsey(t_values, fields: FieldParams, omega_hz: float = 77.0,
     rho_o1, rho_o2 = (density_matrix(state) for state in prefix.states)
     opened = np.array([rho_o1[i1, j1], rho_o2[i2, j2]])
     shared = _section(schedule, SHARED, CLOSE1)
-    rows = _closing_rows(_section(schedule, CLOSE1))
-    if2_row = _section_map(_section(schedule, CLOSE1, -1))[i2 * DIM + j2]
+    closing = _section_map(_section(schedule, CLOSE1, -1))
+    rows = _closing_rows(_section(schedule, -1)) @ closing
+    if2_row = closing[i2 * DIM + j2]
 
     # segment durations per point: T lengthens the shared dark time
     durations = np.tile(durations, (len(t_values), 1))

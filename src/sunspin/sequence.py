@@ -171,10 +171,11 @@ def compile(sequence: PulseSequence, lindblad: LindbladSpec | None = None,
 
     The LO frequency is piecewise constant and phase-continuous; phase
     steps accumulate in a register applied to subsequent tone phases.
-    Dissipation channels from ``lindblad`` are attached to every
-    segment, TLS-tied rates scaled by the segment multiplier; any
-    ``lindblad``, even one without channels, marks the schedule for the
-    density engine of :func:`evolve`.
+    The channels of ``lindblad`` (one spec; :meth:`LindbladSpec.merge`
+    joins several) are attached to every segment, their rates scaled by
+    the segment's TLS multiplier; any ``lindblad``, even one without
+    channels, marks the schedule for the density engine of
+    :func:`evolve`.
 
     ``frame='lab-beat'`` drops the rotating frame and the rotating-wave
     approximation, to check them: bare level shifts, and couplings
@@ -183,15 +184,10 @@ def compile(sequence: PulseSequence, lindblad: LindbladSpec | None = None,
     """
     if frame not in ("rwa", "lab-beat"):
         raise SequenceError(f"unknown frame {frame!r}")
-    scaled_ch: tuple = ()
-    fixed_ch: tuple = ()
-    if lindblad is not None:
-        specs = lindblad if isinstance(lindblad, (list, tuple)) else [lindblad]
-        for spec in specs:
-            if spec.tls_scaled:
-                scaled_ch += spec.channels
-            else:
-                fixed_ch += spec.channels
+    if isinstance(lindblad, (list, tuple)):
+        raise SequenceError("lindblad takes one LindbladSpec; join several "
+                            "with LindbladSpec.merge")
+    channels = () if lindblad is None else lindblad.channels
 
     fields = sequence.fields
     lab = frame == "lab-beat"
@@ -229,9 +225,8 @@ def compile(sequence: PulseSequence, lindblad: LindbladSpec | None = None,
             diag_start=fields.level_shifts(seg.tls_start) + frame_rate * M_VALUES,
             diag_end=fields.level_shifts(seg.tls_end) + frame_rate * M_VALUES,
             tones=tuple(tone_terms), envelope=seg.envelope,
-            envelope_param=seg.envelope_param, lab=lab, channels=scaled_ch,
-            channels_fixed=fixed_ch, mult_start=seg.tls_start,
-            mult_end=seg.tls_end, label=seg.label))
+            envelope_param=seg.envelope_param, lab=lab, channels=channels,
+            mult_start=seg.tls_start, mult_end=seg.tls_end, label=seg.label))
         lo_cycles += f_lo / d_ref * seg.duration
         t += seg.duration
 

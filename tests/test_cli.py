@@ -115,6 +115,20 @@ class TestRunConfig:
         path.write_text(json.dumps(cfg))
         assert run_cli(["run", path, "--out", tmp_path / "o"]) == 2
 
+    @pytest.mark.parametrize("preset, tls_mode, code", [
+        ("tls_on", "adiabatic-off", 2), ("tls_off", "on", 2),
+        ("tls_on", "on", 0), ("tls_off", "adiabatic-off", 0)])
+    def test_noise_preset_must_match_tls_mode(self, tmp_path, preset, tls_mode,
+                                                code):
+        # ramsey reads the phase-noise coefficients of its own tls_mode, so
+        # a preset naming the other mode would be accepted and ignored
+        cfg = {"protocol": "ramsey", "fields": {"b_hz": 960.0, "q_hz": 190.0},
+               "scan": {"values": [0.01]}, "tls_mode": tls_mode,
+               "phase_noise": "average", "noise": {"preset": preset}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(["run", path, "--out", tmp_path / "o"]) == code
+
     def test_internal_key_error_exit_3(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
             raise KeyError("internal")

@@ -110,10 +110,11 @@ class TestEvolveDensity:
         assert np.allclose(np.diag(traj.final).real, np.abs(psi) ** 2,
                            atol=1e-9)
 
-    def test_ramp_with_scaled_and_fixed_transfers_that_do_not_commute(self):
-        # on a TLS ramp the populations follow (mult(t) S + F) p, and one
-        # exponential of S integral(mult) + F t only solves that when S and
-        # F commute; these two share the level -3/2, so RK45 steps the ramp
+    def test_ramp_with_transfers_takes_the_closed_form(self, monkeypatch):
+        # on a TLS ramp the populations follow mult(t) S p, and S mult(t)
+        # commutes with itself at all times, so one exponential of
+        # S integral(mult) is the time-ordered map, here with two transfers
+        # that share the level -3/2
         down = np.zeros((DIM, DIM), dtype=complex)
         down[m_index(-2.5), m_index(-1.5)] = 1.0
         feed = np.zeros((DIM, DIM), dtype=complex)
@@ -121,19 +122,22 @@ class TestEvolveDensity:
         rate, span = 300.0, 5e-3
         sched = sq.compile(
             sq.PulseSequence(segments=(sq.tls_ramp(span, 1.0, 0.0),), fields=FIELDS),
-            lindblad=[model.LindbladSpec(channels=((down, rate),)),
-                      model.LindbladSpec(channels=((feed, rate),), tls_scaled=False)])
+            lindblad=model.LindbladSpec(channels=((down, rate), (feed, rate))))
         rho0 = np.zeros((DIM, DIM), dtype=complex)
         rho0[m_index(-0.5), m_index(-0.5)] = 1.0
+        solves = []
+        monkeypatch.setattr(dynamics, "solve_ivp",
+                            lambda *a, **kw: solves.append(1) or solve_ivp(*a, **kw))
         final = dynamics.evolve_density(rho0, sched).final
-        s_mat, f_mat = np.zeros((DIM, DIM)), np.zeros((DIM, DIM))
-        for mat, (dst, src) in ((s_mat, (-2.5, -1.5)), (f_mat, (-1.5, -0.5))):
-            mat[m_index(dst), m_index(src)] += rate
-            mat[m_index(src), m_index(src)] -= rate
-        ref = solve_ivp(lambda t, p: ((1 - t / span) * s_mat + f_mat) @ p, (0.0, span),
+        assert solves == []
+        s_mat = np.zeros((DIM, DIM))
+        for dst, src in ((-2.5, -1.5), (-1.5, -0.5)):
+            s_mat[m_index(dst), m_index(src)] += rate
+            s_mat[m_index(src), m_index(src)] -= rate
+        ref = solve_ivp(lambda t, p: (1 - t / span) * s_mat @ p, (0.0, span),
                         np.diag(rho0).real, method="DOP853", rtol=1e-13,
                         atol=1e-15).y[:, -1]
-        assert np.max(np.abs(np.diag(final).real - ref)) < 10 * dynamics.DEFAULT_RTOL
+        assert np.max(np.abs(np.diag(final).real - ref)) < 1e-12
 
     def test_negative_rate_rejected(self):
         with pytest.raises(model.ModelError):
@@ -167,14 +171,8 @@ class TestPropagator:
 
 
 def _channels_at(seg, t):
-    """The segment's channels with the scaled rates at its multiplier at t."""
-    return ([(op, rate * seg.multiplier(t)) for op, rate in seg.channels]
-            + list(seg.channels_fixed))
-
-
-def _fixed_dephasing():
-    """Dephasing channels whose rates the TLS multiplier does not scale."""
-    return replace(model.inhomogeneous_dephasing(), tls_scaled=False)
+    """The segment's channels with their rates at its multiplier at t."""
+    return [(op, rate * seg.multiplier(t)) for op, rate in seg.channels]
 
 
 def _mixed_sequence():
@@ -280,10 +278,9 @@ class TestEigenStepping:
                               tones=(model.RamanTone(-2.5, -1.5, 71.0),),
                               tls_start=0.4, tls_end=0.4)
         sched = sq.compile(sq.PulseSequence(segments=(seg,), fields=FIELDS),
-                           lindblad=[model.photon_scattering_channels(),
-                                     _fixed_dephasing()])
+                           lindblad=_package_channel_sets()["photon+dephasing"])
         seg = sched.segments[0]
-        assert seg.kind == "constant" and seg.channels_fixed
+        assert seg.kind == "constant" and seg.channels
         ts = np.linspace(0.004, 0.02, n_samples)
         psi = basis_state(-2.5)
         rho0 = np.outer(psi, psi.conj())
@@ -445,14 +442,12 @@ class TestCachedChannelSets:
     def test_tls_ramp_builds_no_channel_set_per_call(self, monkeypatch):
         # the multiplier scales the prebuilt dissipator instead of the
         # rates, so a ramped pulse does not miss the cache at every call
-        self._check_shaped_pulse_solve(
-            0.5, [model.photon_scattering_channels(), _fixed_dephasing()],
-            monkeypatch)
+        self._check_shaped_pulse_solve(0.5, _package_channel_sets()["photon+dephasing"],
+                                       monkeypatch)
 
     @staticmethod
     def _check_shaped_pulse_solve(tls_end, lindblad, monkeypatch):
-        """A 0.2 ms raised-cosine pulse builds one channel set for its
-        scaled channels and one for its fixed ones (perhaps empty), no
+        """A 0.2 ms raised-cosine pulse builds one channel set and no
         Liouvillian, and matches an RK45 run on the kron Liouvillian."""
         seg = sq.PulseSegment(duration=2e-4, envelope="raised_cosine",
                               tones=(model.RamanTone(-2.5, -1.5, 500.0),),
@@ -467,16 +462,15 @@ class TestCachedChannelSets:
         builds = _count_calls(monkeypatch, dynamics, "liouvillian")
         final = dynamics.evolve_density(rho0, sched).final
         assert builds == []
-        assert dynamics._channel_set_of.cache_info().misses == 2
+        assert dynamics._channel_set_of.cache_info().misses == 1
 
-        # reference: the kron Liouvillian with every scaled rate rescaled at t
+        # reference: the kron Liouvillian with every rate rescaled at t
         zero = np.zeros((DIM, DIM))
         units = [(_kron_liouvillian(zero, [(op, 1.0)]), rate)
                  for op, rate in seg.channels]
-        fixed = _kron_liouvillian(zero, seg.channels_fixed)
 
         def rhs(t, y):
-            sup = _kron_liouvillian(seg.hamiltonian(t), []) + fixed
+            sup = _kron_liouvillian(seg.hamiltonian(t), [])
             for unit, rate in units:
                 sup += rate * seg.multiplier(t) * unit
             return sup @ y
@@ -759,8 +753,6 @@ class TestEigenProperties:
 SPLIT_CHANNELS = {
     "scattering+linear dephasing": EIGEN_CHANNELS["scattering+linear dephasing"],
     "transfer+dephasing": _small_lindblad(),
-    "scattering+fixed dephasing": [model.photon_scattering_channels(),
-                                   _fixed_dephasing()],
 }
 
 
@@ -817,7 +809,8 @@ LINDBLADS = {
     "pure": None,
     "empty": model.LindbladSpec(),
     "scattering": model.monochromatic_scattering_channels(),
-    "scattering+fixed": [model.monochromatic_scattering_channels(), _fixed_dephasing()],
+    "scattering+dephasing": model.monochromatic_scattering_channels().merge(
+        model.inhomogeneous_dephasing()),
 }
 
 
@@ -882,12 +875,12 @@ class TestCacheProperties:
             steps = {s.t1 - s.t0 for s in (first, second)}
             assert dynamics._MAPS.cache_info().misses == len(steps)
 
-    @pytest.mark.parametrize("lindblad", ["scattering", "scattering+fixed"])
+    @pytest.mark.parametrize("lindblad", ["scattering", "scattering+dephasing"])
     def test_maps_keyed_by_multiplier_and_step_length(self, lindblad):
         # with q = 0 the multiplier leaves H alone, so pulses at two
         # multipliers share a key but not a map; dark steps of 2^-12 s at
-        # multiplier 1 and 2^-11 s at 0.5 share the integrated multiplier
-        # but not the fixed channels' decay
+        # multiplier 1 and 2^-11 s at 0.5 share the integrated multiplier,
+        # and so their decay, but not their level phases
         fields = model.FieldParams(b_hz=96.0, q_hz=0.0)
         pulse = sq.pulse((-2.5, -1.5), 71.0, fields, np.pi / 2, warn_regime=False)
         seq = sq.PulseSequence(segments=(

@@ -134,6 +134,30 @@ class TestRamsey:
                 assert np.array_equal(r1.true_counts, r2.true_counts)
                 assert np.array_equal(r1.detected_counts, r2.detected_counts)
 
+    def test_averaged_phase_noise_is_the_mean_of_sampled_rotations(self):
+        # 'average' folds in the mean of the pair z rotation that 'sample'
+        # applies per shot, so the coherences with third levels decay too
+        # and the populations stay physical; reference: an 80-node
+        # Gauss-Hermite average of the sampled closing populations
+        t_vals = np.linspace(0.0045, 0.05, 40)
+        noise = pr.NoiseSpec()
+        res = pr.ramsey((-3.5, -2.5), t_vals, RAMSEY_FIELDS, 93.0, detuning_hz=25.0,
+                        noise=noise, phase_noise="average")
+        nodes, weights = np.polynomial.hermite_e.hermegauss(80)
+        weights /= weights.sum()
+        spin = np.zeros(DIM)
+        spin[ro.m_index(-3.5)], spin[ro.m_index(-2.5)] = -0.5, 0.5
+        for k, t_dark in enumerate(t_vals):
+            sched = sq.compile(pr._ramsey_sequence((-3.5, -2.5), t_dark, RAMSEY_FIELDS,
+                                                   93.0, "on", 25.0, True))
+            rho_pre = density_matrix(sq.evolve(pr._section(sched, 0, -1),
+                                               basis_state(-3.5)).final)
+            dphi = np.sqrt(noise.phase_variance(t_dark, True)) * nodes
+            pops = weights @ pr._shot_populations(
+                pr._closing_rows(pr._section(sched, -1)), rho_pre,
+                np.multiply.outer(dphi, spin))
+            assert np.max(np.abs(res.populations[k] - pops)) < 1e-13
+
     def test_sampled_phase_noise_without_shots_rejected(self):
         with pytest.raises(pr.ProtocolError):
             pr.ramsey((-3.5, -2.5), [0.005], RAMSEY_FIELDS, 93.0,
@@ -633,13 +657,16 @@ class TestScanSweep:
                             lambda *a, **kw: compiles.append(1) or compile_(*a, **kw))
         monkeypatch.setattr(
             dynamics, "_step",
-            lambda seg, *a: (seg.tones and pulse_steps.append(1)) or step(seg, *a))
+            lambda seg, *a: (seg.tones and pulse_steps.append(seg.t0)) or step(seg, *a))
         counts = []
         for n_points in (2, 20):
             compiles.clear()
             pulse_steps.clear()
             self.SCANS[scan](n_points)
             counts.append((len(compiles), len(pulse_steps)))
+            # each pulse of the schedule (one start time each) is stepped
+            # once, the first closing pulse of parallel_ramsey included
+            assert len(set(pulse_steps)) == len(pulse_steps)
         assert counts[0] == counts[1]
         assert counts[0][0] == 1
 

@@ -86,6 +86,13 @@ class TestCompile:
         assert s.multiplier(0.005) == 0.0
         assert all(r * s.multiplier(0.005) == 0 for _, r in s.channels)
 
+    def test_list_of_specs_rejected(self):
+        # compile takes one spec, and LindbladSpec.merge joins several
+        seq = sq.PulseSequence(segments=(sq.dark_time(1e-3),), fields=FIELDS)
+        with pytest.raises(sq.SequenceError, match="LindbladSpec.merge"):
+            sq.compile(seq, lindblad=[model.photon_scattering_channels(),
+                                      model.inhomogeneous_dephasing()])
+
     def test_segment_boundaries_exact(self):
         p = sq.pi_half_pulse((-2.5, -1.5), 71.0, FIELDS, warn_regime=False)
         d = sq.dark_time(0.004)
