@@ -19,19 +19,18 @@ vectorized density matrix, ``propagator`` the 10x10 identity and
 ``superoperator`` the 100x100 identity.  Each segment gets one method
 by its kind:
 
-* constant H, Hilbert space - exact stepping through the
-  eigendecomposition of H; arbitrarily long steps at machine precision.
+* constant H - exact stepping from the segment start through one
+  spectrum (method 14 of Moler & Van Loan, SIAM Rev. 45, 3 (2003)): in
+  Hilbert space the eigendecomposition of H; in Liouville space
+  L = V diag(lambda) V^-1, a real one: in the Hermitian basis (rho_aa,
+  sqrt2 Re rho_ab, -sqrt2 Im rho_ab) a Lindblad generator is a real
+  matrix.  Arbitrarily long steps at machine precision, and a state
+  vector reaches all its ends in one matrix product.  When that basis
+  leaves L complex, LAPACK fails or cond(V) exceeds ``EIG_COND_MAX``
+  (L is not normal and can be defective), chained exponentials of the
+  Liouvillian instead.
 * diagonal H, Hilbert space (dark times and TLS ramps: diagonal entries
   linear in t) - a phase vector by exact quadrature.
-* constant H, Liouville space - with at least ``EIG_MIN_ENDS``
-  distinct ends, every end straight from the segment start through
-  one eigendecomposition L = V diag(lambda) V^-1
-  (method 14 of Moler & Van Loan, SIAM Rev. 45, 3 (2003)), a real one:
-  in the Hermitian basis (rho_aa, sqrt2 Re rho_ab, -sqrt2 Im rho_ab) a
-  Lindblad generator is a real matrix.  A state vector reaches all its
-  ends in one matrix product.  With fewer ends, or when cond(V) exceeds
-  ``EIG_COND_MAX`` (L is not normal and can be defective), chained
-  exponentials of the Liouvillian.
 * diagonal H with diagonal/transfer channels, Liouville space - closed
   form: populations through the exponential of the classical rate
   matrix, coherences through phases and scalar decay factors.  Exact
@@ -52,13 +51,15 @@ again and again:
 
 * per channel set, keyed by its operator bytes and rates: the 100x100
   dissipator and the closed-form rate and coherence matrices;
-* per constant Liouville segment and step length dt, keyed by
-  ``Segment.key`` (level diagonal, coupling triangles, beats and
-  phases; never t0 or t1), the channel set, the multiplier and dt:
-  the map expm(L dt), a 100x100 matrix exponential.
+* per constant Liouville segment, keyed by ``Segment.key`` (level
+  diagonal, coupling triangles, beats and phases; never t0 or t1), the
+  channel set and the multiplier: the spectrum of its Liouvillian, or
+  None when it takes chained exponentials.  A spectrum does not depend
+  on the step length, so a pulse repeated anywhere in a run, sampled
+  at any times, is diagonalized once.
 
-A segment looks its channel set up once, and the map cache keys it by
-the set's own stored key, so no entry holds a copy of the operator
+A segment looks its channel set up once, and the spectrum cache keys it
+by the set's own stored key, so no entry holds a copy of the operator
 bytes.  Keys are content, never object identity; cached arrays are
 read-only; both caches are bounded and ``clear_caches`` empties them.
 A scan does not lean on them to share its pulses: :mod:`sunspin.protocols`
@@ -80,14 +81,7 @@ from .spin_core import DIM, m_index
 TWO_PI = 2.0 * np.pi
 
 DEFAULT_RTOL = 1e-9
-DEFAULT_ATOL = 1e-12
 
-# Distinct segment ends from which a constant Liouville segment takes the
-# eigen path.  Its real eig plus inverse costs 4.4-5.5 + 0.9-1.1 ms, about
-# 1.5 expm at 3.2-6.2 ms each (the complex eig took 10.1-10.7 + 0.7-0.9
-# ms; 1 BLAS thread on a 2-vCPU x86-64 host), so it would win from 2 ends;
-# 4 keeps segments with 2 or 3 ends on their chained-expm results.
-EIG_MIN_ENDS = 4
 # Largest accepted max|Im R| / max|R| of the Liouvillian R in the
 # Hermitian basis.  A Lindblad generator keeps rho Hermitian, so R is
 # real up to rounding (below 1e-20 on the package's channel sets); a
@@ -100,17 +94,20 @@ EIG_IMAG_MAX = 1e-14
 # The package's own Rabi segments have cond(V) below 20.
 EIG_COND_MAX = 1e4
 # Entries kept by content: channel sets (a 160 KB dissipator each) and
-# constant-segment Liouville maps (160 KB each).  Each bundled config
-# uses at most 2 distinct sets and 3 distinct maps; one pass over the
-# damped Rabi scans uses 3 sets, and one over the noisy dual Ramsey asks
-# 14 times for its 5 maps.
+# constant-segment Liouville spectra (320 KB each).  Each bundled config
+# uses at most 2 distinct sets and 3 distinct spectra; one pass over the
+# damped Rabi scans uses 3 sets and 3 spectra, and one over the noisy
+# dual Ramsey asks 10 times for its 3 spectra.
 CHANNEL_SETS_CACHED = 4
-MAPS_CACHED = 8
+SPECTRA_CACHED = 8
 # A segment whose TLS multiplier moves by less than this is flat, and a
 # tone beating slower than this (Hz) is static: a square, rotating-frame
 # segment with both is constant.
 FLAT_MULTIPLIER = 1e-15
 ZERO_BEAT_HZ = 1e-12
+# How far past the schedule's end (s) a sample time may lie; a segment
+# is handed the samples up to this far past its own end.
+TIME_SLACK = 1e-12
 # Input checks: a Hamiltonian's anti-Hermitian part relative to its
 # largest entry (at least 1); a state's norm; a density matrix's trace,
 # Hermiticity and smallest eigenvalue.
@@ -175,7 +172,8 @@ class ContentCache:
         self.hits = self.misses = 0
 
 
-_MAPS = ContentCache(MAPS_CACHED)
+_CHANNEL_SETS = ContentCache(CHANNEL_SETS_CACHED)
+_SPECTRA = ContentCache(SPECTRA_CACHED)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +245,7 @@ class Segment:
         The level diagonal and each tone's coupling triangle, beat and
         phase, never t0 or t1: segments with equal keys have
         bit-identical ``h_const``, so a pulse repeated within a schedule
-        builds its Liouville map once.  (H at t0 does not depend on the
+        diagonalizes its Liouvillian once.  (H at t0 does not depend on the
         sub-threshold beats, except for the sign of a zero phase.)
         """
         if self.kind != "constant":
@@ -371,7 +369,7 @@ class Schedule:
 
     def _segment_at(self, t: float) -> Segment:
         for seg in self.segments:
-            if seg.t0 <= t <= seg.t1 + 1e-15:
+            if seg.t0 <= t <= seg.t1 + TIME_SLACK:
                 return seg
         raise DynamicsError(f"time {t} outside schedule [{self.t0}, {self.t1}]")
 
@@ -451,7 +449,7 @@ def _resolve_times(schedule: Schedule, t_eval) -> np.ndarray:
         times = np.atleast_1d(np.asarray(t_eval, dtype=float))
     if np.any(np.diff(times) <= 0):
         raise DynamicsError("sample times must be strictly increasing")
-    if times[0] < schedule.t0 - 1e-12 or times[-1] > schedule.t1 + 1e-12:
+    if times[0] < schedule.t0 - TIME_SLACK or times[-1] > schedule.t1 + TIME_SLACK:
         raise DynamicsError("sample times outside the schedule span")
     return times
 
@@ -473,7 +471,7 @@ def _walk(schedule: Schedule, state: np.ndarray, times, tol: float,
     samples: list = []
     t_from = schedule.t0
     for seg in schedule.segments:
-        inside = [float(t) for t in times[len(samples):] if t <= seg.t1 + 1e-15]
+        inside = [float(t) for t in times[len(samples):] if t <= seg.t1 + TIME_SLACK]
         got, state = _step(seg, state, t_from, inside, tol, liouville)
         samples += got
         t_from = seg.t1
@@ -491,20 +489,21 @@ def _step(seg: Segment, state, t_from, sample_ts, tol, liouville):
     one place that picks a segment's method (see the module docstring).
     """
     ends = sample_ts + [seg.t1]
-    if not liouville and seg.kind == "constant":
-        w, v = np.linalg.eigh(seg.h_const)
-        states = _spectral(-1j * TWO_PI * w, v, v.conj().T, state, t_from, ends)
+    if seg.kind == "constant":
+        if liouville:
+            spectrum = _constant_spectrum(seg)
+        else:
+            w, v = np.linalg.eigh(seg.h_const)
+            spectrum = -1j * TWO_PI * w, v, v.conj().T
+        if spectrum is not None:
+            states = _spectral(*spectrum, state, t_from, ends)
+        else:
+            sup = _constant_liouvillian(seg)
+            states = _chained(lambda vec, ta, tb: expm(sup * (tb - ta)) @ vec,
+                              state, t_from, ends)
     elif not liouville and seg.kind == "diagonal":
         states = [_rows(np.exp(-1j * TWO_PI * seg._diag_integral(t_from, ts)), state)
                   for ts in ends]
-    elif seg.kind == "constant":
-        eigen = (_eigen(_constant_liouvillian(seg))
-                 if len(set(ends)) >= EIG_MIN_ENDS else None)
-        if eigen is not None:
-            states = _spectral(*eigen, state, t_from, ends)
-        else:
-            states = _chained(lambda vec, ta, tb: _constant_map(seg, tb - ta) @ vec,
-                              state, t_from, ends)
     elif _has_closed_form(seg):
         states = _chained(_closed_form_step(seg), state, t_from, ends)
     else:
@@ -565,7 +564,7 @@ def _from_hermitian_basis(x: np.ndarray) -> np.ndarray:
 
 
 def _eigen(sup: np.ndarray):
-    """(eigenvalues, V, V^-1) of the Liouvillian ``sup``, or None.
+    """(eigenvalues, V, V^-1) of the Liouvillian ``sup``, read-only, or None.
 
     A Lindblad generator keeps rho Hermitian, so R = T sup T^H is real
     (Havel, J. Math. Phys. 44, 534 (2003)); R = W diag(lambda) W^-1 by
@@ -585,7 +584,7 @@ def _eigen(sup: np.ndarray):
     v_inv = _from_hermitian_basis(w_inv.conj().T).conj().T
     if np.linalg.norm(v, 1) * np.linalg.norm(v_inv, 1) > EIG_COND_MAX:
         return None
-    return lam, v, v_inv
+    return _frozen(lam), _frozen(v), _frozen(v_inv)
 
 
 def _chained(step, state, t_from, ends):
@@ -638,19 +637,19 @@ def _rk45(seg: Segment, state, t_from, ends, tol, liouville):
 
 def _rk45_span(rhs, y, t_from, ends, tol, max_step):
     """Flat states at ``ends`` (the last one is the span's end)."""
-    # t_eval must stay inside the span, so a last sample within 1e-18 s
-    # of the span's end stands for the end state, and one past the end
-    # (the walker gives a segment the samples up to 1e-15 s past it) is
-    # taken at the end
+    # t_eval must stay inside the span, so the samples within 1e-18 s of
+    # the span's end or past it (the walker gives a segment the samples
+    # up to TIME_SLACK past it) all take the first one's state, and that
+    # one is taken at the end at the latest
     samples = ends[:-1]
-    at_end = bool(samples) and samples[-1] >= ends[-1] - 1e-18
-    t_eval = samples[:-1] + [min(samples[-1], ends[-1])] if at_end else ends
+    n_end = sum(t >= ends[-1] - 1e-18 for t in samples)
+    t_eval = samples[:len(samples) - n_end] + [min(ends[-n_end - 1], ends[-1])]
     sol = solve_ivp(rhs, (t_from, ends[-1]), y, t_eval=t_eval, rtol=tol,
                     atol=tol * 1e-3, max_step=max_step, method="RK45")
     if not sol.success:
         raise DynamicsError(f"integrator failure: {sol.message}")
     states = [sol.y[:, k] for k in range(len(t_eval))]
-    return states + states[-1:] if at_end else states
+    return states + states[-1:] * n_end
 
 
 # ---------------------------------------------------------------------------
@@ -674,7 +673,7 @@ def evolve_pure(state: np.ndarray, hamiltonian, t0: float = 0.0,
     out = np.array(_walk(schedule, psi, times, tol, liouville=False)[0])
     norm_err = abs(np.linalg.norm(out[-1]) - 1.0)
     if norm_err > max(NORM_DRIFT_FLOOR, 100 * tol):
-        raise DynamicsError(f"norm drift {norm_err:.2e}; reduce tol or max step")
+        raise DynamicsError(f"norm drift {norm_err:.2e}; reduce tol")
     return Trajectory(times=times, states=out, kind="pure",
                       meta={"tol": tol, **schedule.meta})
 
@@ -705,18 +704,12 @@ class _ChannelSet(NamedTuple):
     coherence_rates: np.ndarray | None
 
 
-def _channel_key(channels) -> tuple:
-    return tuple((np.asarray(op, dtype=complex).tobytes(), float(rate))
-                 for op, rate in channels)
-
-
-def _channels_of(key: tuple) -> list[tuple[np.ndarray, float]]:
-    return [(np.frombuffer(op, dtype=complex).reshape(DIM, DIM), rate)
-            for op, rate in key]
-
-
 def _channel_set(channels) -> _ChannelSet:
-    return _channel_set_of(_channel_key(channels))
+    """The set of ``channels`` (operator, rate), built once per content."""
+    channels = [(np.ascontiguousarray(op, dtype=complex), float(rate))
+                for op, rate in channels]
+    key = tuple((op.tobytes(), rate) for op, rate in channels)
+    return _CHANNEL_SETS.get(key, lambda: _build_channel_set(key, channels))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -724,9 +717,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@functools.lru_cache(maxsize=CHANNEL_SETS_CACHED)
-def _channel_set_of(key: tuple) -> _ChannelSet:
-    channels = _channels_of(key)
+def _build_channel_set(key: tuple, channels) -> _ChannelSet:
     eye = np.eye(DIM)
     dissipator = np.zeros((DIM * DIM, DIM * DIM), dtype=complex)
     for op, rate in channels:
@@ -750,16 +741,17 @@ def _constant_liouvillian(seg: Segment) -> np.ndarray:
             + seg.mult_start * seg.channel_set.dissipator)
 
 
-def _constant_map(seg: Segment, dt: float) -> np.ndarray:
-    """expm(L dt) of a constant segment, kept by content."""
-    return _MAPS.get((seg.key, seg.channel_set.key, seg.mult_start, dt),
-                     lambda: _frozen(expm(_constant_liouvillian(seg) * dt)))
+def _constant_spectrum(seg: Segment):
+    """``_eigen`` of a constant segment's Liouvillian, kept by content:
+    None is kept too, and sends the segment to chained exponentials."""
+    return _SPECTRA.get((seg.key, seg.channel_set.key, seg.mult_start),
+                        lambda: _eigen(_constant_liouvillian(seg)))
 
 
 def clear_caches() -> None:
     """Empty both content caches."""
-    _channel_set_of.cache_clear()
-    _MAPS.cache_clear()
+    _CHANNEL_SETS.cache_clear()
+    _SPECTRA.cache_clear()
 
 
 def _check_density(rho: np.ndarray):

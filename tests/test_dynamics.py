@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from sunspin import dynamics, model, sequence as sq
+from sunspin import dynamics, model, protocols as pr, sequence as sq
 from sunspin.spin_core import DIM, basis_state, m_index
 
 FIELDS = model.FieldParams(b_hz=960.0, q_hz=-320.0)
@@ -305,11 +305,10 @@ class TestEigenStepping:
         eig_calls = _count_calls(monkeypatch, np.linalg, "eig")
         states = dynamics.evolve_density(rho0, h, lindblad=[(op, gamma)],
                                          t0=0.0, t1=ts[-1], t_eval=ts).states
-        # one map requested per sample; equal step lengths share one expm
-        maps = dynamics._MAPS.cache_info()
-        assert maps.hits + maps.misses == len(ts)
-        steps = set(np.diff(np.concatenate([[0.0], ts])))
-        assert (len(eig_calls), len(expm_calls)) == (1, len(steps))
+        # the rejected spectrum is kept as None, and each step takes one
+        # expm of its own
+        assert dynamics._SPECTRA.cache_info().currsize == 1
+        assert (len(eig_calls), len(expm_calls)) == (1, len(ts))
         sup = dynamics.liouvillian(h, [(op, gamma)])
         exact = np.array([expm(sup * t) @ rho0.reshape(-1) for t in ts])
         assert np.max(np.abs(states.reshape(len(ts), -1) - exact)) <= 1e-12
@@ -319,6 +318,7 @@ class TestEigenStepping:
         ts = np.linspace(0.01, 0.35, 20)
         psi = basis_state(-2.5)
         rho0 = np.outer(psi, psi.conj())
+        dynamics.clear_caches()
         monkeypatch.setattr(dynamics, "EIG_COND_MAX", 0.0)
         chained = dynamics.evolve_density(rho0, sched, t_eval=ts).states
         monkeypatch.undo()
@@ -326,11 +326,11 @@ class TestEigenStepping:
         def no_convergence(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "eig", no_convergence)
         dynamics.clear_caches()
+        monkeypatch.setattr(np.linalg, "eig", no_convergence)
         expm_calls = _count_calls(monkeypatch, dynamics, "expm")
         states = dynamics.evolve_density(rho0, sched, t_eval=ts).states
-        assert expm_calls
+        assert len(expm_calls) == len(ts)
         assert states.tobytes() == chained.tobytes()
 
     def test_complex_hermitian_basis_falls_back_to_expm(self, monkeypatch):
@@ -354,8 +354,7 @@ class TestEigenStepping:
         expm_calls = _count_calls(monkeypatch, dynamics, "expm")
         eig_calls = _count_calls(monkeypatch, np.linalg, "eig")
         states = dynamics.evolve_density(rho0, sched, t_eval=ts).states
-        steps = set(np.diff(np.concatenate([[0.0], ts])))
-        assert (len(eig_calls), len(expm_calls)) == (0, len(steps))
+        assert (len(eig_calls), len(expm_calls)) == (0, len(ts))
         exact = np.array([expm(sup * t) @ rho0.reshape(-1) for t in ts])
         assert np.max(np.abs(states.reshape(len(ts), -1) - exact)) <= 1e-10
 
@@ -414,8 +413,9 @@ class TestCachedChannelSets:
         cached = dynamics._channel_set(spec.channels)
         with pytest.raises(ValueError):
             cached.dissipator[0, 0] = 1.0
-        with pytest.raises(ValueError):
-            dynamics._constant_map(seg, 0.01)[0, 0] = 1.0
+        for array in dynamics._constant_spectrum(seg):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
         sup = dynamics.liouvillian(seg.h_const, spec.channels)
         first = sup.copy()
         sup[:] = 0.0
@@ -462,7 +462,7 @@ class TestCachedChannelSets:
         builds = _count_calls(monkeypatch, dynamics, "liouvillian")
         final = dynamics.evolve_density(rho0, sched).final
         assert builds == []
-        assert dynamics._channel_set_of.cache_info().misses == 1
+        assert dynamics._CHANNEL_SETS.cache_info().misses == 1
 
         # reference: the kron Liouvillian with every rate rescaled at t
         zero = np.zeros((DIM, DIM))
@@ -548,8 +548,8 @@ class TestIntegratorOrder:
         assert e1 / e2 > 2**4  # at least the nominal order-4 gain
 
     def test_sample_just_past_a_solved_segment_is_its_end_state(self):
-        # the walker gives a segment the samples up to 1e-15 s past its
-        # end, as a duration summed in another order can land; RK45 took
+        # the walker gives a segment the samples up to TIME_SLACK past
+        # its end, as a duration summed in another order can land; RK45 took
         # such a sample outside its span and raised
         seq = sq.PulseSequence(segments=(
             sq.pulse((-2.5, -1.5), 400.0, WEAK_FIELDS, np.pi / 2,
@@ -699,7 +699,7 @@ EIGEN_CHANNELS = {
 @st.composite
 def constant_liouville_scans(draw):
     """A constant Raman segment under a flat TLS multiplier and one of
-    ``EIGEN_CHANNELS``, with ``EIG_MIN_ENDS`` to 8 sample times in it."""
+    ``EIGEN_CHANNELS``, with 1 to 8 sample times in it."""
     i = draw(st.integers(0, DIM - 3))
     tone = model.RamanTone(i - 4.5, i - 4.5 + draw(st.sampled_from((1, 2))),
                            draw(st.floats(20.0, 400.0)),
@@ -711,7 +711,7 @@ def constant_liouville_scans(draw):
     lindblad = EIGEN_CHANNELS[draw(st.sampled_from(sorted(EIGEN_CHANNELS)))]
     sched = sq.compile(sq.PulseSequence(segments=(seg,), fields=FIELDS),
                        lindblad=lindblad)
-    percents = draw(st.lists(st.integers(1, 100), min_size=dynamics.EIG_MIN_ENDS,
+    percents = draw(st.lists(st.integers(1, 100), min_size=1,
                              max_size=8, unique=True))
     return sched, duration * np.sort(percents) / 100
 
@@ -741,7 +741,8 @@ class TestEigenProperties:
         rho = dynamics.evolve_density(rho0, sched, t_eval=times).states
         cols, _ = dynamics._walk(sched, unit, times, dynamics.DEFAULT_RTOL,
                                  liouville=True)
-        assert dynamics._MAPS.cache_info().misses == 0  # no chained expm
+        # both walks step from one spectrum, and none chains expm
+        assert dynamics._SPECTRA.cache_info()[:2] == (1, 1)
         maps = [expm(sup * (t - seg.t0)) for t in times]
         exact_rho = np.array([m @ rho0.reshape(-1) for m in maps])
         exact_cols = np.array([m @ unit for m in maps])
@@ -805,6 +806,44 @@ class TestSplitProperties:
         assert np.max(np.abs(second @ first - whole)) <= self.BOUNDS[kind]
 
 
+@st.composite
+def density_segments(draw, kind):
+    """One compiled segment of ``kind`` under one of the package's channel
+    sets; a general one may be shaped, ramped or in the lab-beat frame."""
+    lindblad = _package_channel_sets()[draw(st.sampled_from(
+        sorted(_package_channel_sets())))]
+    if kind == "diagonal":
+        seq, frame = sq.PulseSequence(segments=(sq.tls_ramp(
+            draw(st.floats(1e-4, 5e-3)), draw(UNIT), draw(UNIT)),),
+            fields=WEAK_FIELDS), "rwa"
+    else:
+        seq, frame = draw(pulse_sequences(constant=kind == "constant"))
+    seg = sq.compile(seq, lindblad=lindblad, frame=frame).segments[0]
+    assume(seg.kind == kind)
+    return seg
+
+
+def _choi(sup):
+    """The Choi matrix sum_kl |k><l| (x) E(|k><l|) of the map ``sup`` on
+    row-major vec(rho)."""
+    return (sup.reshape(DIM, DIM, DIM, DIM).transpose(2, 0, 3, 1)
+            .reshape(DIM * DIM, DIM * DIM))
+
+
+class TestChoiProperties:
+    # the exact kinds are positive to rounding, RK45 to its tolerance
+    PSD_TOL = {"constant": 1e-12, "diagonal": 1e-12,
+               "general": 10 * dynamics.DEFAULT_RTOL}
+
+    @PROPERTY
+    @given(data=st.data(), kind=st.sampled_from(sorted(PSD_TOL)))
+    def test_superoperator_is_completely_positive(self, data, kind):
+        seg = data.draw(density_segments(kind))
+        choi = _choi(dynamics.superoperator(dynamics.Schedule((seg,))))
+        assert np.max(np.abs(choi - choi.conj().T)) <= self.PSD_TOL[kind]
+        assert np.linalg.eigvalsh(choi).min() >= -self.PSD_TOL[kind]
+
+
 LINDBLADS = {
     "pure": None,
     "empty": model.LindbladSpec(),
@@ -824,7 +863,6 @@ def _bypassing_caches(run):
     """run() with every content cache bypassed: each value built afresh."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics.ContentCache, "get", lambda self, key, build: build())
-        mp.setattr(dynamics, "_channel_set_of", dynamics._channel_set_of.__wrapped__)
         return run()
 
 
@@ -870,15 +908,29 @@ class TestCacheProperties:
         dynamics.clear_caches()
         sq.evolve(sched, basis_state(pulse.tones[0].m_low))
         if lindblad != "pure":
-            # a Liouville map is kept per step length, and t1 - t0 of the
-            # two placements may differ in the last bit
-            steps = {s.t1 - s.t0 for s in (first, second)}
-            assert dynamics._MAPS.cache_info().misses == len(steps)
+            # a Liouville spectrum does not depend on the step length
+            assert dynamics._SPECTRA.cache_info().misses == 1
+
+    def test_repeated_density_rabi_scan_diagonalizes_nothing(self, monkeypatch):
+        durations = np.linspace(1e-3, 0.02, 6)
+
+        def run():
+            return pr.rabi_scan((-2.5, -1.5), 71.0, FIELDS, durations,
+                                lindblad=model.photon_scattering_channels()).populations
+
+        fresh = _bypassing_caches(run)
+        dynamics.clear_caches()
+        cold = run()
+        eig_calls = _count_calls(monkeypatch, np.linalg, "eig")
+        warm = run()
+        assert eig_calls == []
+        assert cold.tobytes() == fresh.tobytes()
+        assert warm.tobytes() == fresh.tobytes()
 
     @pytest.mark.parametrize("lindblad", ["scattering", "scattering+dephasing"])
     def test_maps_keyed_by_multiplier_and_step_length(self, lindblad):
         # with q = 0 the multiplier leaves H alone, so pulses at two
-        # multipliers share a key but not a map; dark steps of 2^-12 s at
+        # multipliers share a key but not a spectrum; dark steps of 2^-12 s at
         # multiplier 1 and 2^-11 s at 0.5 share the integrated multiplier,
         # and so their decay, but not their level phases
         fields = model.FieldParams(b_hz=96.0, q_hz=0.0)
@@ -988,6 +1040,31 @@ class TestTrajectory:
         data = np.loadtxt(path, delimiter=",", skiprows=1)
         assert data.shape == (11, 13)
         assert np.allclose(data[:, 1:11].sum(axis=1), 1.0, atol=1e-9)
+
+    @pytest.mark.parametrize("envelope", ["square", "raised_cosine"])
+    @pytest.mark.parametrize("engine", ["pure", "density"])
+    def test_samples_within_the_slack_past_the_end_are_reached(self, engine,
+                                                                envelope):
+        # the span check accepts samples up to TIME_SLACK past the end,
+        # and the walker hands them to the last segment; it used to hand
+        # it only those up to 1e-15 s past, and the walk then raised
+        seq = sq.PulseSequence(segments=(
+            sq.PulseSegment(duration=1e-3, tones=(two_level_tone(),),
+                            envelope=envelope),), fields=FIELDS)
+        sched = sq.compile(seq, lindblad=model.photon_scattering_channels()
+                           if engine == "density" else None)
+        psi = basis_state(-2.5)
+        state = psi if engine == "pure" else np.outer(psi, psi.conj())
+        evolve = dynamics.evolve_pure if engine == "pure" else dynamics.evolve_density
+        at_end = evolve(state, sched, t_eval=[5e-4, sched.t1]).states
+        past = evolve(state, sched, t_eval=[5e-4, sched.t1 + 5e-14,
+                                            sched.t1 + 5e-13]).states
+        assert np.array_equal(past[0], at_end[0])
+        # in 5e-13 s a state moves by about 2 pi f_max 5e-13, 4e-8 here
+        moved = dynamics.TWO_PI * sched.segments[0].f_max_hz * 5e-13
+        assert np.max(np.abs(past[1:] - at_end[1])) < moved
+        with pytest.raises(dynamics.DynamicsError, match="outside the schedule"):
+            evolve(state, sched, t_eval=[5e-4, sched.t1 + 2 * dynamics.TIME_SLACK])
 
     def test_times_must_increase(self):
         h = np.zeros((DIM, DIM))

@@ -50,7 +50,7 @@ class TestRabiScan:
     def test_density_scan_one_expm_per_duration(self, monkeypatch):
         # the segment ends at the last duration, so no step runs past it:
         # one eigendecomposition and no expm, or on the expm fallback one
-        # expm per distinct step length
+        # expm per duration
         from sunspin import dynamics
         expm_calls, eig_calls = [], []
         expm, eig = dynamics.expm, np.linalg.eig
@@ -67,13 +67,10 @@ class TestRabiScan:
         dynamics.clear_caches()
         scan()
         assert (len(expm_calls), len(eig_calls)) == (0, 1)
+        dynamics.clear_caches()
         monkeypatch.setattr(dynamics, "EIG_COND_MAX", 0.0)
         scan()
-        # one map requested per duration; equal step lengths share one expm
-        maps = dynamics._MAPS.cache_info()
-        assert maps.hits + maps.misses == len(durations)
-        steps = set(np.diff(np.concatenate([[0.0], durations])))
-        assert len(expm_calls) == len(steps)
+        assert (len(expm_calls), len(eig_calls)) == (len(durations), 2)
 
 
 class TestRamsey:
@@ -390,18 +387,22 @@ class TestAncilla:
 
     def test_pulse_maps_reused_across_phases(self, monkeypatch):
         # the three pulses are the same at every control phase, so the
-        # scan makes one 100x100 expm per pulse, and a rerun on empty
-        # caches gives the same outputs bit for bit (agreement with
-        # per-point runs: TestScanSweep)
+        # scan diagonalizes one 100x100 Liouvillian per pulse and takes
+        # no 100x100 expm, and a rerun on empty caches gives the same
+        # outputs bit for bit (agreement with per-point runs: TestScanSweep)
         fields = model.FieldParams(b_hz=978.0, q_hz=-330.0)
         phis = np.linspace(0.0, 4 * np.pi, 49)
         lindblad = model.monochromatic_scattering_channels()
-        shapes, expm = [], dynamics.expm
+        shapes, eig_shapes = [], []
+        expm, eig = dynamics.expm, np.linalg.eig
         monkeypatch.setattr(dynamics, "expm",
                             lambda a: shapes.append(a.shape) or expm(a))
+        monkeypatch.setattr(np.linalg, "eig",
+                            lambda a: eig_shapes.append(a.shape) or eig(a))
         dynamics.clear_caches()
         pops = pr.ancilla_measurement(phis, fields, lindblad=lindblad).populations
-        assert shapes.count((DIM * DIM, DIM * DIM)) == 3
+        assert eig_shapes == [(DIM * DIM, DIM * DIM)] * 3
+        assert (DIM * DIM, DIM * DIM) not in shapes
         dynamics.clear_caches()
         again = pr.ancilla_measurement(phis, fields, lindblad=lindblad).populations
         assert np.array_equal(pops, again)
