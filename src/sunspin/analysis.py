@@ -1,6 +1,5 @@
 """Estimation pipeline: sinusoid fits, trial-noisy-model contrast and
-phase-noise estimation, (q, b) reconstruction from dual phases, and
-two-group cluster splitting.
+phase-noise estimation, and (q, b) reconstruction from dual phases.
 
 The damped-sine family is fitted with a Levenberg-Marquardt damped
 Gauss-Newton using analytic Jacobians and a deterministic multi-start
@@ -493,121 +492,3 @@ def reconstruct_qb(phi1: float, phi2: float, t_open: float,
         out["q_sigma_hz"] = float(np.hypot(s1, s2) / 4.0)
         out["b_sigma_hz"] = float(np.hypot(2.0 * s1, s2))
     return out
-
-
-def qb_forward_phases(q_hz, b_hz, t_open, mean_delta1_hz, mean_delta2_hz):
-    """Forward model matching :func:`reconstruct_qb`."""
-    x1 = 4.0 * q_hz - b_hz
-    x2 = 8.0 * q_hz - b_hz
-    return (TWO_PI * t_open * (x1 - mean_delta1_hz),
-            TWO_PI * t_open * (x2 - mean_delta2_hz))
-
-
-# ---------------------------------------------------------------------------
-# cluster splitting
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ClusterSplit:
-    labels: np.ndarray                  # 0 / 1 per sample
-    means: tuple[np.ndarray, np.ndarray]
-    separation: np.ndarray              # mean_1 - mean_0 per coordinate
-    separation_err: np.ndarray
-    significance: np.ndarray            # |separation| / err
-    below_spread: np.ndarray            # separation smaller than pooled std
-    n_components_preferred: int
-    meta: dict = field(default_factory=dict)
-
-
-def _gmm_1d(x, k, n_iter=300, seed=0, n_starts=5):
-    """EM for a 1-D Gaussian mixture; returns (loglike, weights, mus, sigmas)."""
-    rng = np.random.default_rng(seed)
-    n = len(x)
-    best = None
-    for start in range(n_starts):
-        if k == 1:
-            mus = np.array([x.mean()])
-        else:
-            qs = np.quantile(x, np.linspace(0.25, 0.75, k))
-            jitter = rng.normal(0, x.std() * 0.2, size=k) if start else 0.0
-            mus = qs + jitter
-        sigmas = np.full(k, max(x.std() / k, 1e-9))
-        weights = np.full(k, 1.0 / k)
-        ll_prev = -np.inf
-        for _ in range(n_iter):
-            comp = (weights / (sigmas * np.sqrt(TWO_PI))
-                    * np.exp(-0.5 * ((x[:, None] - mus) / sigmas) ** 2))
-            tot = comp.sum(axis=1) + 1e-300
-            resp = comp / tot[:, None]
-            ll = np.sum(np.log(tot))
-            nk = resp.sum(axis=0) + 1e-12
-            weights = nk / n
-            mus = (resp * x[:, None]).sum(axis=0) / nk
-            sigmas = np.sqrt((resp * (x[:, None] - mus) ** 2).sum(axis=0) / nk)
-            sigmas = np.maximum(sigmas, 1e-9 * max(x.std(), 1e-12))
-            if abs(ll - ll_prev) < 1e-12 * max(abs(ll), 1.0):
-                break
-            ll_prev = ll
-        if best is None or ll > best[0]:
-            best = (ll, weights, mus, sigmas)
-    return best
-
-
-def cluster_split(samples, coordinate: int | None = None,
-                  threshold: float | None = None,
-                  method: str = "threshold", seed: int = 0) -> ClusterSplit:
-    """Split samples into two groups and quantify their separation.
-
-    ``samples`` is (n,) or (n, d); the split acts on ``coordinate``
-    (default: last column, e.g. phi_2 of (phi_1, phi_2) samples).
-    ``method='threshold'`` cuts at ``threshold`` (default 2.8 for
-    phase-like data); ``method='mixture'`` fits 1-D Gaussian mixtures
-    with one and two components, prefers the lower-BIC model, and splits
-    at equal responsibility.
-    """
-    x = np.atleast_2d(np.asarray(samples, dtype=float))
-    if x.shape[0] == 1 and x.size > 1 and np.asarray(samples).ndim == 1:
-        x = x.T
-    n, d = x.shape
-    if n < 10:
-        raise AnalysisError("need at least 10 samples")
-    coord = d - 1 if coordinate is None else coordinate
-    z = x[:, coord]
-
-    n_pref = 2
-    if method == "threshold":
-        cut = 2.8 if threshold is None else threshold
-        labels = (z > cut).astype(int)
-        meta = {"threshold": cut}
-    elif method == "mixture":
-        ll1, *_ = _gmm_1d(z, 1, seed=seed)
-        ll2, w2, mu2, s2 = _gmm_1d(z, 2, seed=seed)
-        bic1 = -2 * ll1 + 2 * np.log(n)
-        bic2 = -2 * ll2 + 5 * np.log(n)
-        n_pref = 1 if bic1 <= bic2 else 2
-        order = np.argsort(mu2)
-        w2, mu2, s2 = w2[order], mu2[order], s2[order]
-        comp = (w2 / (s2 * np.sqrt(TWO_PI))
-                * np.exp(-0.5 * ((z[:, None] - mu2) / s2) ** 2))
-        labels = np.argmax(comp, axis=1)
-        meta = {"bic1": float(bic1), "bic2": float(bic2),
-                "mixture_means": mu2.tolist(), "mixture_sigmas": s2.tolist(),
-                "mixture_weights": w2.tolist()}
-    else:
-        raise AnalysisError("method must be 'threshold' or 'mixture'")
-
-    if labels.min() == labels.max():
-        raise AnalysisError("one group is empty; adjust the threshold")
-    g0, g1 = x[labels == 0], x[labels == 1]
-    mean0, mean1 = g0.mean(axis=0), g1.mean(axis=0)
-    sep = mean1 - mean0
-    err = np.sqrt(g0.var(axis=0, ddof=1) / len(g0)
-                  + g1.var(axis=0, ddof=1) / len(g1))
-    pooled = np.sqrt((g0.var(axis=0, ddof=1) * (len(g0) - 1)
-                      + g1.var(axis=0, ddof=1) * (len(g1) - 1))
-                     / (n - 2))
-    return ClusterSplit(labels=labels, means=(mean0, mean1), separation=sep,
-                        separation_err=err,
-                        significance=np.abs(sep) / np.maximum(err, 1e-300),
-                        below_spread=np.abs(sep) < pooled,
-                        n_components_preferred=n_pref, meta=meta)

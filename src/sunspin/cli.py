@@ -121,9 +121,13 @@ def _scan_values(scan: dict) -> np.ndarray:
         if missing:
             raise ConfigError(f"scan needs 'values' or start/stop/num "
                               f"(missing {sorted(missing)})")
+        if not np.all(np.isfinite([scan["start"], scan["stop"]])):
+            raise ConfigError("scan start and stop must be finite")
         vals = np.linspace(scan["start"], scan["stop"], scan["num"])
     if vals.size == 0:
         raise ConfigError("empty scan")
+    if not np.all(np.isfinite(vals)):
+        raise ConfigError(f"scan values must be finite, got {vals.tolist()}")
     return vals
 
 

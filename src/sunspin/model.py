@@ -186,15 +186,6 @@ class LindbladSpec:
         return replace(self, channels=self.channels + other.channels,
                        label=f"{self.label}+{other.label}")
 
-    def coherence_decay_rate(self, m1: float, m2: float) -> float:
-        """Analytic decay rate of rho(m1, m2) under these channels alone."""
-        i, j = m_index(m1), m_index(m2)
-        rate = 0.0
-        for op, g in self.channels:
-            ll = op.conj().T @ op
-            rate += g * (0.5 * (ll[i, i] + ll[j, j]) - (op[i, i].conj() * op[j, j])).real
-        return rate
-
 
 CALIBRATED_TRANSFER_RATE = 0.5  # 1/s, net population transfer out of each state
 DEFAULT_ASE_FACTOR = 3.0

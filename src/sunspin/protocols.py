@@ -12,11 +12,11 @@ phase noise of :func:`ramsey` and the correlated (b, q) jitter of
 :func:`dual_ramsey_sampled`, both drawn from a :class:`NoiseSpec`.
 All randomness derives from an explicit seed, so results are
 reproducible bit for bit.  Each scan point draws from its own child
-stream, shot after shot (multinomial, then binomial).  The shots of
-:func:`dual_ramsey_sampled` and of ``ramsey(phase_noise="sample")`` are
-sampled as one batch per call or scan point: first every noise offset,
-then every polarization toggle, then all multinomial draws, then all
-binomial thinnings.
+stream, and every protocol samples the shots of a scan point, or of a
+:func:`dual_ramsey_sampled` call, as one batch: first any noise offsets
+and polarization toggles, then all multinomial draws, then all binomial
+thinnings.  One shot per point therefore draws one multinomial, then
+one binomial.
 
 A scan is compiled once and evolves each pulse once: the prefix before
 the scanned quantity, then per point only what the scan variable
@@ -39,7 +39,9 @@ from . import dynamics, readout, sequence as sq
 from .model import (FieldParams, LindbladSpec, RamanTone,
                     monochromatic_scattering_channels, pair_splitting_hz)
 from .readout import (DetectionModel, M_ANCILLA_A, M_ANCILLA_B, M_DOWN, M_UP,
-                      ShotRecord, sample_counts, sample_shot)
+                      ShotRecord, sample_counts)
+# Imported by name so that perfbench/spans.py can wrap it here.
+from .readout import sample_shot  # noqa: F401
 from .spin_core import DIM, M_VALUES, basis_state, density_matrix, m_index
 
 TWO_PI = 2.0 * np.pi
@@ -114,6 +116,8 @@ class InterferometerResult:
 
     def __post_init__(self):
         p = self.populations
+        if not np.all(np.isfinite(p)):
+            raise ProtocolError("populations are not finite")
         if np.any(p < -POPULATION_SLACK) or np.any(p > 1 + POPULATION_SLACK):
             raise ProtocolError("populations outside [0, 1]")
         if np.any(p.sum(axis=1) > 1 + POPULATION_SUM_SLACK):
@@ -139,13 +143,6 @@ class InterferometerResult:
 
 def _shot_streams(seed, n_points):
     return np.random.SeedSequence(seed).spawn(n_points)
-
-
-def _sample_point(populations, n_atoms, n_shots, detection, stream):
-    rng = np.random.default_rng(stream)
-    det = detection or DetectionModel.ideal()
-    return [sample_shot(populations, n_atoms, det, rng, shot_index=i)
-            for i in range(n_shots)]
 
 
 def _section(schedule, start, stop=None):
@@ -209,6 +206,17 @@ def _shot_records(populations, n_atoms, detection, rng):
             for s, (t, d) in enumerate(zip(true, detected))]
 
 
+def _scan_shots(pops, n_atoms, n_shots, detection, seed):
+    """Per scan point, ``n_shots`` records of that point's populations
+    ``pops[k]``, drawn in one batch from the point's own stream; None
+    without shots."""
+    if n_shots <= 0:
+        return None
+    return [_shot_records(np.broadcast_to(p, (n_shots, DIM)), n_atoms, detection,
+                          np.random.default_rng(stream))
+            for p, stream in zip(pops, _shot_streams(seed, len(pops)))]
+
+
 # ---------------------------------------------------------------------------
 # Rabi scans
 # ---------------------------------------------------------------------------
@@ -232,15 +240,9 @@ def rabi_scan(pair: tuple[float, float], omega_hz: float, fields: FieldParams,
     psi0 = basis_state(m_low)
     traj = sq.run(seq, psi0, lindblad=lindblad, t_eval=durations, tol=tol)
     pops = traj.populations()
-    shots = None
-    if n_shots > 0:
-        streams = _shot_streams(seed, len(durations))
-        shots = [_sample_point(traj.states[i], n_atoms, n_shots, detection,
-                               streams[i])
-                 for i in range(len(durations))]
     return InterferometerResult(
         scan_name="duration_s", scan_values=durations, populations=pops,
-        shots=shots,
+        shots=_scan_shots(pops, n_atoms, n_shots, detection, seed),
         meta={"pair": (m_low, m_high), "omega_hz": omega_hz, "dm": dm,
               "fields": fields, "seed": seed})
 
@@ -294,8 +296,7 @@ def ramsey(pair: tuple[float, float], t_values, fields: FieldParams,
 
     The opening pulse is evolved once; the dark stretch is stepped for
     all T in one batched closed-form step (per T when its channels have
-    no closed form), and the closing pulse's map is taken once.  Only
-    the 'sample' shots are drawn per point, each from its own stream.
+    no closed form), and the closing pulse's map is taken once.
     """
     t_values = np.asarray(t_values, dtype=float)
     if t_values.size == 0:
@@ -331,28 +332,20 @@ def ramsey(pair: tuple[float, float], t_values, fields: FieldParams,
         rho_pre *= np.exp(-var[:, None, None] * np.subtract.outer(spin, spin) ** 2 / 2.0)
     contrast = 2.0 * np.abs(rho_pre[:, i, j])
     pops = np.real(rho_pre.reshape(len(t_values), -1) @ rows.T).clip(0.0, 1.0)
-    shots = None
-    if n_shots > 0:
+    if phase_noise == "sample":
         shots = []
         for k, stream in enumerate(_shot_streams(seed, len(t_values))):
-            if phase_noise == "sample":
-                rng = np.random.default_rng(stream)
-                phases = np.outer(rng.normal(0.0, np.sqrt(var[k]), n_shots), spin)
-                shots.append(_shot_records(
-                    _shot_populations(rows, rho_pre[k], phases), n_atoms,
-                    detection, rng))
-            else:
-                shots.append(_sample_point(_diag_density(pops[k]), n_atoms,
-                                           n_shots, detection, stream))
+            rng = np.random.default_rng(stream)
+            phases = np.outer(rng.normal(0.0, np.sqrt(var[k]), n_shots), spin)
+            shots.append(_shot_records(_shot_populations(rows, rho_pre[k], phases),
+                                       n_atoms, detection, rng))
+    else:
+        shots = _scan_shots(pops, n_atoms, n_shots, detection, seed)
     return InterferometerResult(
         scan_name="dark_time_s", scan_values=t_values, populations=pops,
         contrast=contrast, shots=shots,
         meta={"pair": (m_low, m_high), "tls_mode": tls_mode,
               "detuning_hz": detuning_hz, "omega_hz": omega_hz, "seed": seed})
-
-
-def _diag_density(populations):
-    return np.diag(np.asarray(populations, dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -464,10 +457,6 @@ def parallel_ramsey(t_values, fields: FieldParams, omega_hz: float = 77.0,
                               tol).reshape(len(t_values), -1)
     pops = np.real(rho @ rows.T).clip(0.0, 1.0)
     closed = np.column_stack([rho[:, i1 * DIM + j1], rho @ if2_row])
-    shots = None
-    if n_shots > 0:
-        shots = [_sample_point(_diag_density(p), n_atoms, n_shots, detection, stream)
-                 for p, stream in zip(pops, _shot_streams(seed, len(t_values)))]
     phases = -(np.angle(closed) - np.angle(opened))
     if track_phases:
         off = phases - expected
@@ -475,7 +464,7 @@ def parallel_ramsey(t_values, fields: FieldParams, omega_hz: float = 77.0,
 
     return InterferometerResult(
         scan_name="open_time_s", scan_values=t_values, populations=pops,
-        phases=phases, shots=shots,
+        phases=phases, shots=_scan_shots(pops, n_atoms, n_shots, detection, seed),
         meta={"expected_phases": expected, "mean_delta_hz": mean_deltas,
               "delta_shared_hz": delta_shared_hz, "omega_hz": omega_hz,
               "gap_s": gap_s, "fields": fields, "seed": seed})
@@ -582,6 +571,8 @@ def ancilla_measurement(phi_values, fields: FieldParams, omega_hz: float = 76.0,
     raises.
     """
     phi_values = np.asarray(phi_values, dtype=float)
+    if phi_values.size == 0:
+        raise ProtocolError("phi_values must be non-empty")
     fields_c = replace(fields, b_hz=fields.b_hz + b_correction_hz)
     if prepare_with_pulse and input_state is not None:
         raise ProtocolError("prepare_with_pulse prepares the input state")
@@ -596,15 +587,10 @@ def ancilla_measurement(phi_values, fields: FieldParams, omega_hz: float = 76.0,
     # a diagonal phase -phi m on the levels before the final pulse
     pops = _phase_sweep(schedule, psi0, -phi_values[:, None] * M_VALUES,
                         tol).clip(0.0, 1.0)
-    shots = None
-    if n_shots > 0:
-        streams = _shot_streams(seed, len(phi_values))
-        shots = [_sample_point(_diag_density(pops[k]), n_atoms, n_shots,
-                               detection, streams[k])
-                 for k in range(len(phi_values))]
     return InterferometerResult(
         scan_name="control_phase_rad", scan_values=phi_values,
-        populations=pops, shots=shots,
+        populations=pops,
+        shots=_scan_shots(pops, n_atoms, n_shots, detection, seed),
         meta={"omega_hz": omega_hz, "window_s": window_s,
               "prepare_with_pulse": prepare_with_pulse,
               "b_correction_hz": b_correction_hz, "seed": seed})

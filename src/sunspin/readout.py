@@ -29,6 +29,11 @@ M_ANCILLA_B = -4.5
 
 DEFAULT_EFFICIENCIES = {-3.5: 0.65, -2.5: 0.70, -1.5: 0.51}
 MAX_RECALIBRATION = 0.06
+# How far a row of populations may sum from 1 before sampling rejects
+# it: evolution and map rounding, well above float64 sums of ten terms.
+POPULATION_SUM_TOL = 1e-6
+# Largest entry of U^dag U - 1 accepted for a measurement propagator.
+UNITARITY_TOL = 1e-8
 
 
 class ReadoutError(ValueError):
@@ -98,7 +103,7 @@ def sample_counts(populations: np.ndarray, n_atoms: int,
     if p.ndim != 2 or p.shape[1] != DIM:
         raise ReadoutError(f"populations must have shape (k, {DIM}), got {p.shape}")
     total = p.sum(axis=1, keepdims=True)
-    off = ~(np.abs(total - 1.0) <= 1e-6)
+    off = ~(np.abs(total - 1.0) <= POPULATION_SUM_TOL)
     if off.any():
         raise ReadoutError(f"populations sum to {total[off][0]}, expected 1")
     p /= total
@@ -119,14 +124,6 @@ def sample_shot(state_or_rho: np.ndarray, n_atoms: int,
     true, detected = sample_counts(p[None], n_atoms, detection, rng)
     return ShotRecord(true_counts=true[0], detected_counts=detected[0],
                       n_atoms=n_atoms, shot_index=shot_index)
-
-
-def sample_shots(state_or_rho, n_atoms, n_shots, detection=None, seed=0):
-    """Independent shots with per-shot RNG streams derived from the seed."""
-    streams = np.random.SeedSequence(seed).spawn(n_shots)
-    return [sample_shot(state_or_rho, n_atoms, detection,
-                        np.random.default_rng(s), shot_index=i)
-            for i, s in enumerate(streams)]
 
 
 def recalibrate_efficiency(records: list[ShotRecord], detection: DetectionModel,
@@ -178,7 +175,7 @@ def collective_operators(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     O_z = U^dag (P_a - P_b) U and O_y = U^dag (P_up - P_down) U; the
     many-body operators are their sums over atoms.
     """
-    if np.max(np.abs(u.conj().T @ u - np.eye(DIM))) > 1e-8:
+    if np.max(np.abs(u.conj().T @ u - np.eye(DIM))) > UNITARITY_TOL:
         raise ReadoutError("measurement propagator is not unitary")
     o_z = u.conj().T @ (_projector(M_ANCILLA_A) - _projector(M_ANCILLA_B)) @ u
     o_y = u.conj().T @ (_projector(M_UP) - _projector(M_DOWN)) @ u

@@ -91,23 +91,6 @@ class PulseSequence:
     def total_duration(self) -> float:
         return float(sum(s.duration for s in self.segments))
 
-    def describe(self) -> str:
-        """Canonical one-line-per-segment audit dump."""
-        lines = [f"# fields: b={self.fields.b_hz} Hz, q={self.fields.q_hz} Hz, "
-                 f"b_vec={self.fields.b_vector_hz} Hz"]
-        t = 0.0
-        for i, s in enumerate(self.segments):
-            tone_txt = "; ".join(
-                f"({t_.m_low:+.1f},{t_.m_high:+.1f}) O={t_.omega_hz:.6g}Hz "
-                f"d={t_.detuning_hz:.6g}Hz ph={t_.phase:.6g}" for t_ in s.tones) or "dark"
-            lo = "inherit" if s.lo_freq_hz is None else f"{s.lo_freq_hz:.6g}Hz"
-            lines.append(
-                f"{i:3d} t={t:.9g}s dur={s.duration:.9g}s {s.envelope} "
-                f"tls={s.tls_start:g}->{s.tls_end:g} lo={lo} "
-                f"step={s.lo_phase_step:.6g} {tone_txt} {s.label}".rstrip())
-            t += s.duration
-        return "\n".join(lines)
-
 
 def pulse(pair: tuple[float, float], omega_hz: float, fields: FieldParams,
           area: float, envelope: str = "square", detuning_hz: float = 0.0,
@@ -137,14 +120,6 @@ def pulse(pair: tuple[float, float], omega_hz: float, fields: FieldParams,
                     "resonance region; population transfer may be uncontrolled",
                     stacklevel=2)
     return seg
-
-
-def pi_pulse(pair, omega_hz, fields, **kw) -> PulseSegment:
-    return pulse(pair, omega_hz, fields, area=np.pi, **kw)
-
-
-def pi_half_pulse(pair, omega_hz, fields, **kw) -> PulseSegment:
-    return pulse(pair, omega_hz, fields, area=np.pi / 2, **kw)
 
 
 def dark_time(duration: float, lo_freq_hz: float | None = None,
@@ -237,7 +212,7 @@ def compile(sequence: PulseSequence, lindblad: LindbladSpec | None = None,
 
 
 # ---------------------------------------------------------------------------
-# running and serialization
+# running
 # ---------------------------------------------------------------------------
 
 def run(sequence: PulseSequence, initial_state: np.ndarray,
@@ -263,54 +238,6 @@ def evolve(schedule: dynamics.Schedule, initial_state: np.ndarray, t_eval=None,
                                    tol=tol, t_eval=t_eval)
 
 
-def sequence_to_dict(sequence: PulseSequence) -> dict:
-    """JSON-ready description of a sequence; :func:`sequence_from_dict`
-    reads it back."""
-
-    def tone_dict(t: RamanTone) -> dict:
-        return {"m_low": t.m_low, "m_high": t.m_high, "omega_hz": t.omega_hz,
-                "detuning_hz": t.detuning_hz, "phase": t.phase,
-                "cg_weighting": t.cg_weighting}
-
-    return {
-        "fields": {"b_hz": sequence.fields.b_hz, "q_hz": sequence.fields.q_hz,
-                   "b_vector_hz": sequence.fields.b_vector_hz},
-        "segments": [
-            {"duration": s.duration, "envelope": s.envelope,
-             "envelope_param": s.envelope_param, "tls_start": s.tls_start,
-             "tls_end": s.tls_end, "lo_freq_hz": s.lo_freq_hz,
-             "lo_phase_step": s.lo_phase_step, "label": s.label,
-             "tones": [tone_dict(t) for t in s.tones]}
-            for s in sequence.segments],
-    }
-
-
-def sequence_from_dict(data: dict) -> PulseSequence:
-    fields = FieldParams(**data["fields"])
-    segments = tuple(
-        PulseSegment(duration=s["duration"],
-                     tones=tuple(RamanTone(**t) for t in s.get("tones", ())),
-                     envelope=s.get("envelope", "square"),
-                     envelope_param=s.get("envelope_param", 0.25),
-                     tls_start=s.get("tls_start", 1.0),
-                     tls_end=s.get("tls_end", 1.0),
-                     lo_freq_hz=s.get("lo_freq_hz"),
-                     lo_phase_step=s.get("lo_phase_step", 0.0),
-                     label=s.get("label", ""))
-        for s in data["segments"])
-    return PulseSequence(segments=segments, fields=fields)
-
-
 def lo_frequency_trace(schedule: dynamics.Schedule) -> tuple:
     """(t0, t1, f_lo_hz) spans recorded at compile time."""
     return schedule.meta.get("lo_trace", ())
-
-
-def mean_lo_frequency(schedule: dynamics.Schedule, t0: float, t1: float) -> float:
-    """Time-averaged signed LO frequency over [t0, t1] (Hz)."""
-    total = 0.0
-    for a, b, f in lo_frequency_trace(schedule):
-        lo, hi = max(a, t0), min(b, t1)
-        if hi > lo:
-            total += f * (hi - lo)
-    return total / (t1 - t0)

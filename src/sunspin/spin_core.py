@@ -187,11 +187,6 @@ class MajoranaRoots:
     def __len__(self) -> int:
         return len(self.theta)
 
-    def cartesian(self) -> np.ndarray:
-        st = np.sin(self.theta)
-        return np.column_stack(
-            (st * np.cos(self.phi), st * np.sin(self.phi), np.cos(self.theta)))
-
 
 def _majorana_coefficients(state: np.ndarray) -> np.ndarray:
     """Polynomial coefficients, highest power of z first.
@@ -299,8 +294,3 @@ def sub_bloch_vector(state_or_rho: np.ndarray, m: float) -> SubBlochVector:
                           u=2.0 * coh.real,
                           v=2.0 * coh.imag,
                           w=(rho[i, i] - rho[j, j]).real)
-
-
-def all_pairs(dm: int = 1) -> list[tuple[float, float]]:
-    """All (m, m + dm) pairs inside the manifold, ascending."""
-    return [(float(m), float(m + dm)) for m in M_VALUES[:DIM - dm]]

@@ -216,26 +216,6 @@ def decompose(target: np.ndarray, tolerance: float = 1e-9) -> RotationPlan:
     return plan
 
 
-def optimize_plan(plan: RotationPlan) -> RotationPlan:
-    """Cleanup pass: merge same-pair same-axis neighbors, drop nulls."""
-    merged: list[PlanRotation] = []
-    for r in plan.rotations:
-        if merged:
-            last = merged[-1]
-            if (last.m_low, last.m_high, last.axis) == (r.m_low, r.m_high, r.axis):
-                angle = _wrap(last.angle + r.angle)
-                merged.pop()
-                if abs(angle) > 1e-13:
-                    merged.append(PlanRotation(r.m_low, r.m_high, r.axis, angle))
-                continue
-        if abs(_wrap(r.angle)) > 1e-13:
-            merged.append(PlanRotation(r.m_low, r.m_high, r.axis, _wrap(r.angle)))
-    out = RotationPlan(rotations=merged, target=plan.target)
-    if plan.target is not None:
-        out.reconstruction_error = global_phase_distance(plan.target, out.unitary())
-    return out
-
-
 # ---------------------------------------------------------------------------
 # lowering to pulses and dissipative gate fidelity
 # ---------------------------------------------------------------------------

@@ -244,6 +244,16 @@ class TestPhaseDiffusion:
         assert sqrt_d_ms == pytest.approx(0.14, abs=0.01)
 
 
+def qb_forward_phases(q_hz, b_hz, t_open, mean_delta1_hz, mean_delta2_hz):
+    """Dual-interferometer phases phi_i = 2 pi T (x_i - delta_i) with
+    x_1 = 4q - b, x_2 = 8q - b (Hz): the forward model that
+    :func:`~sunspin.analysis.reconstruct_qb` inverts."""
+    x1 = 4.0 * q_hz - b_hz
+    x2 = 8.0 * q_hz - b_hz
+    return (2 * np.pi * t_open * (x1 - mean_delta1_hz),
+            2 * np.pi * t_open * (x2 - mean_delta2_hz))
+
+
 class TestReconstructQB:
     def test_roundtrip_exact(self):
         rng = np.random.default_rng(56)
@@ -251,26 +261,26 @@ class TestReconstructQB:
             q, b = rng.normal(0, 400), rng.normal(800, 300)
             t_open = rng.uniform(1e-3, 0.05)
             d1, d2 = rng.normal(0, 5, 2)
-            phi1, phi2 = an.qb_forward_phases(q, b, t_open, d1, d2)
+            phi1, phi2 = qb_forward_phases(q, b, t_open, d1, d2)
             out = an.reconstruct_qb(phi1, phi2, t_open, d1, d2)
             assert out["q_hz"] == pytest.approx(q, abs=1e-10 * max(1, abs(q)))
             assert out["b_hz"] == pytest.approx(b, abs=1e-9 * max(1, abs(b)))
 
     def test_zero_fields_zero_phases(self):
-        phi1, phi2 = an.qb_forward_phases(0.0, 0.0, 0.004, 0.0, 0.0)
+        phi1, phi2 = qb_forward_phases(0.0, 0.0, 0.004, 0.0, 0.0)
         assert phi1 == phi2 == 0.0
 
     def test_reference_noise_level_precision(self):
         # mid-fringe phase uncertainty of 0.128 rad at T = 4 ms
-        out = an.reconstruct_qb(*an.qb_forward_phases(-303., 1000., 0.004,
-                                                      1.0, 1.0),
+        out = an.reconstruct_qb(*qb_forward_phases(-303., 1000., 0.004,
+                                                   1.0, 1.0),
                                 0.004, 1.0, 1.0, phi_sigmas=(0.128, 0.128))
         assert 1.6 <= out["q_sigma_hz"] <= 2.0       # ~ h x 1.8 Hz
         assert 10.0 <= out["b_sigma_hz"] <= 12.5     # ~ h x 11 Hz
 
     def test_fringe_orders(self):
         q, b, t_open = -303.0, 1000.0, 0.004
-        phi1, phi2 = an.qb_forward_phases(q, b, t_open, 1.0, 1.0)
+        phi1, phi2 = qb_forward_phases(q, b, t_open, 1.0, 1.0)
         wrap = lambda p: (p + np.pi) % (2 * np.pi) - np.pi
         n1 = round((phi1 - wrap(phi1)) / (2 * np.pi))
         n2 = round((phi2 - wrap(phi2)) / (2 * np.pi))
@@ -281,51 +291,6 @@ class TestReconstructQB:
     def test_t_zero_rejected(self):
         with pytest.raises(an.AnalysisError):
             an.reconstruct_qb(0.1, 0.2, 0.0, 0.0, 0.0)
-
-
-class TestClusterSplit:
-    def test_bimodal_b_separation(self):
-        rng = np.random.default_rng(57)
-        b = np.concatenate([rng.normal(0, 5, 50), rng.normal(23, 5, 43)])
-        q = rng.normal(0, 3, 93)
-        split = an.cluster_split(np.column_stack([q, b]), coordinate=1,
-                                 method="mixture")
-        assert split.n_components_preferred == 2
-        assert abs(split.separation[1]) == pytest.approx(23, abs=3)
-        assert not split.below_spread[1]
-
-    def test_small_q_separation_flagged_below_spread(self):
-        rng = np.random.default_rng(58)
-        labels = rng.random(200) < 0.5
-        q = rng.normal(0, 3, 200) - 1.4 * labels
-        b = rng.normal(0, 5, 200) + 23 * labels
-        split = an.cluster_split(np.column_stack([q, b]), coordinate=1,
-                                 method="mixture")
-        assert abs(split.separation[0]) < 3.0  # q separation ~ -1.4 Hz
-        assert split.below_spread[0]
-        assert not split.below_spread[1]
-
-    def test_unimodal_prefers_one_component(self):
-        rng = np.random.default_rng(59)
-        data = rng.normal(0, 5, 120)
-        split = an.cluster_split(data, method="mixture")
-        assert split.n_components_preferred == 1
-
-    def test_threshold_mode(self):
-        rng = np.random.default_rng(60)
-        phi2 = np.concatenate([rng.normal(2.0, 0.2, 40),
-                               rng.normal(3.4, 0.2, 40)])
-        split = an.cluster_split(phi2, threshold=2.8, method="threshold")
-        assert split.labels.sum() == 40
-
-    def test_too_few_samples(self):
-        with pytest.raises(an.AnalysisError):
-            an.cluster_split(np.arange(5.0))
-
-    def test_empty_group_rejected(self):
-        with pytest.raises(an.AnalysisError):
-            an.cluster_split(np.linspace(0, 1, 20), threshold=5.0,
-                             method="threshold")
 
 
 class TestDeterminism:

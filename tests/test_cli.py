@@ -78,6 +78,18 @@ class TestRunConfig:
         path.write_text(json.dumps(cfg))
         assert run_cli(["run", path, "--out", tmp_path / "o"]) == 2
 
+    @pytest.mark.parametrize("scan", [
+        {"values": [0.1, float("nan")]}, {"values": [0.1, float("inf")]},
+        {"start": 0.0, "stop": float("inf"), "num": 3}],
+        ids=["nan", "inf", "inf-stop"])
+    def test_non_finite_scan_exit_2(self, tmp_path, scan):
+        cfg = json.loads((CONFIG_DIR / "ancilla.json").read_text())
+        cfg["scan"] = scan
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(["run", path, "--out", tmp_path / "o"]) == 2
+        assert not (tmp_path / "o" / "ancilla.csv").exists()
+
     def test_unknown_keys_rejected(self, tmp_path):
         cfg = {"protocol": "rabi", "fields": {"b_hz": 1.0, "q_hz": 1.0},
                "scan": {"values": [0.001]}, "bogus": 1}

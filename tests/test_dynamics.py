@@ -272,7 +272,7 @@ class TestEigenStepping:
             pure_rho = np.einsum("ni,nj->nij", pure, pure.conj())
             assert np.max(np.abs(states - pure_rho)) <= 1e-10
 
-    @pytest.mark.parametrize("n_samples", [1, 5], ids=["chained", "eigen"])
+    @pytest.mark.parametrize("n_samples", [1, 5], ids=["one-sample", "five-samples"])
     def test_flat_multiplier_scales_constant_segment_rates(self, n_samples):
         seg = sq.PulseSegment(duration=0.02,
                               tones=(model.RamanTone(-2.5, -1.5, 71.0),),
@@ -928,7 +928,7 @@ class TestCacheProperties:
         assert warm.tobytes() == fresh.tobytes()
 
     @pytest.mark.parametrize("lindblad", ["scattering", "scattering+dephasing"])
-    def test_maps_keyed_by_multiplier_and_step_length(self, lindblad):
+    def test_spectra_and_dark_steps_keyed_by_multiplier(self, lindblad):
         # with q = 0 the multiplier leaves H alone, so pulses at two
         # multipliers share a key but not a spectrum; dark steps of 2^-12 s at
         # multiplier 1 and 2^-11 s at 0.5 share the integrated multiplier,

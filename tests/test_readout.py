@@ -5,6 +5,16 @@ from sunspin import readout as ro
 from sunspin.spin_core import DIM, basis_state, m_index
 
 
+def _records(psi, n_atoms, n_shots, detection=None, seed=0):
+    """``n_shots`` records of the populations of ``psi``, drawn in one
+    :func:`~sunspin.readout.sample_counts` batch."""
+    pops = np.tile(np.abs(psi) ** 2, (n_shots, 1))
+    true, seen = ro.sample_counts(pops, n_atoms, detection,
+                                  np.random.default_rng(seed))
+    return [ro.ShotRecord(true_counts=t, detected_counts=d, n_atoms=n_atoms)
+            for t, d in zip(true, seen)]
+
+
 class TestSampling:
     def test_pure_state_zero_variance(self):
         det = ro.DetectionModel.ideal()
@@ -18,8 +28,7 @@ class TestSampling:
     def test_binomial_variance_of_equal_superposition(self):
         # variance of a per-state count ~ N/4 (binomial oracle); z-test
         psi = (basis_state(-2.5) + basis_state(-1.5)) / np.sqrt(2)
-        shots = ro.sample_shots(psi, 10_000, 4000, ro.DetectionModel.ideal(),
-                                seed=12)
+        shots = _records(psi, 10_000, 4000, ro.DetectionModel.ideal(), seed=12)
         n = np.array([s.true_counts[m_index(-1.5)] for s in shots])
         var = n.var(ddof=1)
         expected = 10_000 * 0.25
@@ -29,7 +38,7 @@ class TestSampling:
 
     def test_detection_thinning_mean(self):
         det = ro.DetectionModel()
-        shots = ro.sample_shots(basis_state(-1.5), 2000, 3000, det, seed=3)
+        shots = _records(basis_state(-1.5), 2000, 3000, det, seed=3)
         mean_det = np.mean([s.detected_counts[m_index(-1.5)] for s in shots])
         assert mean_det / 2000 == pytest.approx(0.51, abs=0.01)
         # unmeasured states flagged with -1
@@ -41,8 +50,7 @@ class TestSampling:
         psi /= np.linalg.norm(psi)
         p = np.abs(psi) ** 2
         n_shots, n_at = 2000, 1000
-        shots = ro.sample_shots(psi, n_at, n_shots, ro.DetectionModel.ideal(),
-                                seed=6)
+        shots = _records(psi, n_at, n_shots, ro.DetectionModel.ideal(), seed=6)
         mean = np.mean([s.true_counts for s in shots], axis=0) / n_at
         se = np.sqrt(p * (1 - p) / (n_shots * n_at)) + 1e-9
         assert np.all(np.abs(mean - p) < 5 * se)
@@ -185,8 +193,7 @@ class TestEstimators:
         u = ro.ideal_measurement_propagator(0.0)
         out = u @ psi
         n_at = 40_000
-        shots = ro.sample_shots(out, n_at, 300, ro.DetectionModel.ideal(),
-                                seed=8)
+        shots = _records(out, n_at, 300, ro.DetectionModel.ideal(), seed=8)
         sz = np.array([ro.estimate_spin_projections(s, "two-state")[0]
                        for s in shots])
         sphi = np.array([ro.estimate_spin_projections(s, "two-state")[1]
@@ -209,8 +216,7 @@ class TestEstimators:
         psi = ro.coherent_qubit_state()
         u = ro.ideal_measurement_propagator(0.0)
         out = u @ psi
-        shots = ro.sample_shots(out, 1000, 10_000,
-                                ro.DetectionModel.ideal(), seed=9)
+        shots = _records(out, 1000, 10_000, ro.DetectionModel.ideal(), seed=9)
         two = np.array([ro.estimate_spin_projections(s, "two-state")[0]
                         for s in shots])
         four = np.array([ro.estimate_spin_projections(s, "four-state")[0]

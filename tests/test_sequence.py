@@ -10,16 +10,16 @@ FIELDS = model.FieldParams(b_hz=960.0, q_hz=-320.0)
 
 class TestPulseConstruction:
     def test_pi_half_duration(self):
-        p = sq.pi_half_pulse((-3.5, -2.5), 93.0, FIELDS, warn_regime=False)
+        p = sq.pulse((-3.5, -2.5), 93.0, FIELDS, area=np.pi / 2, warn_regime=False)
         assert p.duration == pytest.approx(0.25 / 93)
 
     def test_pi_duration(self):
-        p = sq.pi_pulse((-2.5, -1.5), 71.0, FIELDS, warn_regime=False)
+        p = sq.pulse((-2.5, -1.5), 71.0, FIELDS, area=np.pi, warn_regime=False)
         assert p.duration == pytest.approx(0.5 / 71)
 
     def test_double_pi_returns_population_with_sign_flip(self):
-        p = sq.pi_pulse((-2.5, -1.5), 71.0, FIELDS, cg_weighting=False,
-                        warn_regime=False)
+        p = sq.pulse((-2.5, -1.5), 71.0, FIELDS, area=np.pi, cg_weighting=False,
+                     warn_regime=False)
         seq = sq.PulseSequence(segments=(p, p), fields=FIELDS)
         traj = sq.run(seq, basis_state(-2.5))
         assert traj.populations()[-1][2] == pytest.approx(1.0, abs=1e-10)
@@ -60,11 +60,6 @@ class TestPulseConstruction:
     def test_linear_ramp_fraction_outside_half_rejected(self, ramp):
         with pytest.raises(sq.SequenceError):
             sq.PulseSegment(duration=0.1, envelope="linear_ramp", envelope_param=ramp)
-        data = sq.sequence_to_dict(
-            sq.PulseSequence(segments=(sq.PulseSegment(duration=0.1),), fields=FIELDS))
-        data["segments"][0].update(envelope="linear_ramp", envelope_param=ramp)
-        with pytest.raises(sq.SequenceError):
-            sq.sequence_from_dict(data)
 
     @pytest.mark.parametrize("ramp", [1e-3, 0.1, 0.25, 0.4, 0.5])
     def test_linear_ramp_area_fraction_is_envelope_area(self, ramp):
@@ -94,7 +89,7 @@ class TestCompile:
                                       model.inhomogeneous_dephasing()])
 
     def test_segment_boundaries_exact(self):
-        p = sq.pi_half_pulse((-2.5, -1.5), 71.0, FIELDS, warn_regime=False)
+        p = sq.pulse((-2.5, -1.5), 71.0, FIELDS, area=np.pi / 2, warn_regime=False)
         d = sq.dark_time(0.004)
         seq = sq.PulseSequence(segments=(p, d, p), fields=FIELDS)
         sched = sq.compile(seq)
@@ -107,7 +102,7 @@ class TestCompile:
         assert np.allclose(np.diag(h_below), np.diag(h_above), atol=1e-6)
 
     def test_total_duration(self):
-        p = sq.pi_half_pulse((-2.5, -1.5), 71.0, FIELDS, warn_regime=False)
+        p = sq.pulse((-2.5, -1.5), 71.0, FIELDS, area=np.pi / 2, warn_regime=False)
         segs = (p, sq.dark_time(0.0123), p, sq.dark_time(0.002))
         seq = sq.PulseSequence(segments=segs, fields=FIELDS)
         assert seq.total_duration == pytest.approx(sum(s.duration for s in segs))
@@ -115,7 +110,7 @@ class TestCompile:
         assert sched.t1 == pytest.approx(seq.total_duration)
 
     def test_compile_deterministic(self):
-        p = sq.pi_half_pulse((-2.5, -1.5), 71.0, FIELDS, warn_regime=False)
+        p = sq.pulse((-2.5, -1.5), 71.0, FIELDS, area=np.pi / 2, warn_regime=False)
         seq = sq.PulseSequence(segments=(p, sq.dark_time(0.01), p),
                                fields=FIELDS)
         s1, s2 = sq.compile(seq), sq.compile(seq)
@@ -133,45 +128,25 @@ class TestCompile:
         traj = sq.run(seq, psi)
         assert np.max(np.abs(traj.populations()[-1] - np.abs(psi) ** 2)) < 1e-4
 
-    def test_describe_one_line_per_segment(self):
-        p = sq.pi_half_pulse((-2.5, -1.5), 71.0, FIELDS, warn_regime=False)
-        seq = sq.PulseSequence(segments=(p, sq.dark_time(0.01), p),
-                               fields=FIELDS)
-        lines = seq.describe().splitlines()
-        assert len(lines) == 1 + 3  # header + segments
-
 
 class TestRun:
     def test_density_engine_accepts_pure_input(self):
         seq = sq.PulseSequence(
-            segments=(sq.pi_pulse((-2.5, -1.5), 71.0, FIELDS,
-                                  cg_weighting=False, warn_regime=False),),
+            segments=(sq.pulse((-2.5, -1.5), 71.0, FIELDS, area=np.pi,
+                               cg_weighting=False, warn_regime=False),),
             fields=FIELDS)
         # an empty spec still selects the density engine
         traj = sq.run(seq, basis_state(-2.5), lindblad=model.LindbladSpec())
         assert np.real(traj.final[3, 3]) == pytest.approx(1.0, abs=1e-9)
 
-    def test_json_round_trip(self):
-        import json
-        p = sq.pulse((-2.5, -1.5), 71.0, FIELDS, np.pi / 2, detuning_hz=3.0,
-                     phase=0.4, warn_regime=False)
-        seq = sq.PulseSequence(
-            segments=(p, sq.dark_time(0.01, lo_freq_hz=1.0),
-                      sq.tls_ramp(0.002, 1.0, 0.0)),
-            fields=FIELDS)
-        data = json.loads(json.dumps(sq.sequence_to_dict(seq)))
-        back = sq.sequence_from_dict(data)
-        assert back.total_duration == pytest.approx(seq.total_duration)
-        assert back.segments[0].tones[0].phase == 0.4
-        assert back.segments[1].lo_freq_hz == 1.0
-        s1, s2 = sq.compile(seq), sq.compile(back)
-        assert np.allclose(s1.segments[0].h_const, s2.segments[0].h_const)
-
     def test_lo_trace_mean(self):
+        # the dark time inherits the detuned pulse's LO frequency, so the
+        # trace's time average is that frequency
         p = sq.pulse((-2.5, -1.5), 71.0, FIELDS, np.pi / 2, detuning_hz=5.0,
                      warn_regime=False)
         seq = sq.PulseSequence(segments=(p, sq.dark_time(0.01)), fields=FIELDS)
-        sched = sq.compile(seq)
+        trace = np.array(sq.lo_frequency_trace(sq.compile(seq)))
+        assert trace[0, 0] == 0.0 and trace[-1, 1] == pytest.approx(seq.total_duration)
+        mean = (trace[:, 1] - trace[:, 0]) @ trace[:, 2] / seq.total_duration
         f_res = -model.pair_splitting_hz(FIELDS, -2.5) - 5.0
-        assert sq.mean_lo_frequency(sched, 0, seq.total_duration) == \
-            pytest.approx(f_res)
+        assert mean == pytest.approx(f_res)

@@ -143,17 +143,6 @@ class TestDecompose:
         with pytest.raises(sy.SynthesisError):
             sy.decompose(np.ones((DIM, DIM), dtype=complex))
 
-    def test_optimize_plan_merges(self):
-        plan = sy.RotationPlan(rotations=[
-            sy.PlanRotation(-2.5, -1.5, "x", 0.4),
-            sy.PlanRotation(-2.5, -1.5, "x", 0.6),
-            sy.PlanRotation(-3.5, -2.5, "z", 0.1),
-            sy.PlanRotation(-3.5, -2.5, "z", -0.1),
-        ])
-        out = sy.optimize_plan(plan)
-        assert len(out) == 1
-        assert out.rotations[0].angle == pytest.approx(1.0)
-
 
 PROPERTY = settings(max_examples=25, deadline=None, database=None)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -183,19 +172,6 @@ class TestPlanProperties:
         for r in rotations:
             chained = pair_rotation(r.m_low, r.m_high, r.axis, r.angle) @ chained
         assert np.array_equal(sy.RotationPlan(rotations).unitary(), chained)
-
-    @PROPERTY
-    @given(seed=SEEDS, split=st.floats(0.0, 1.0))
-    def test_optimize_plan_keeps_reconstruction(self, seed, split):
-        # cut every rotation in two, so optimize_plan has merges to make
-        u = sy.haar_unitary(rng=np.random.default_rng(seed))
-        plan = sy.decompose(u)
-        halves = [sy.PlanRotation(r.m_low, r.m_high, r.axis, a)
-                  for r in plan.rotations
-                  for a in (split * r.angle, (1 - split) * r.angle)]
-        out = sy.optimize_plan(sy.RotationPlan(halves, target=u))
-        assert len(out) <= len(plan)
-        assert out.reconstruction_error < 1e-12
 
 
 class TestGeneratorSet:
