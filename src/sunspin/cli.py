@@ -110,7 +110,24 @@ def validate_config(cfg: dict) -> dict:
     if errors:
         msgs = "; ".join(f"{e.json_path}: {e.message}" for e in errors)
         raise ConfigError(f"config schema violation: {msgs}")
+    # JSON as Python reads it admits NaN and +-Infinity, which the schema's
+    # "number" accepts
+    bad = list(_non_finite(cfg, "$"))
+    if bad:
+        raise ConfigError(f"config numbers must be finite: {', '.join(bad)}")
     return cfg
+
+
+def _non_finite(node, path: str):
+    """The JSON paths of every NaN or infinite number in ``node``."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _non_finite(value, f"{path}.{key}")
+    elif isinstance(node, list):
+        for k, value in enumerate(node):
+            yield from _non_finite(value, f"{path}[{k}]")
+    elif isinstance(node, float) and not np.isfinite(node):
+        yield path
 
 
 def _scan_values(scan: dict) -> np.ndarray:
@@ -121,11 +138,11 @@ def _scan_values(scan: dict) -> np.ndarray:
         if missing:
             raise ConfigError(f"scan needs 'values' or start/stop/num "
                               f"(missing {sorted(missing)})")
-        if not np.all(np.isfinite([scan["start"], scan["stop"]])):
-            raise ConfigError("scan start and stop must be finite")
-        vals = np.linspace(scan["start"], scan["stop"], scan["num"])
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.linspace(scan["start"], scan["stop"], scan["num"])
     if vals.size == 0:
         raise ConfigError("empty scan")
+    # finite start and stop still overflow when stop - start exceeds 1.8e308
     if not np.all(np.isfinite(vals)):
         raise ConfigError(f"scan values must be finite, got {vals.tolist()}")
     return vals
@@ -143,7 +160,13 @@ def _build_lindblad(cfg: dict):
             ase_factor=spec.get("ase_factor", 3.0)))
     elif kind == "monochromatic":
         parts.append(monochromatic_scattering_channels())
+    if kind != "calibrated" and {"scattering_budget", "ase_factor"} & set(spec):
+        raise ConfigError("lindblad scattering_budget and ase_factor are taken "
+                          "only by scattering 'calibrated'")
     deph = spec.get("dephasing", "none")
+    if deph == "none" and "dephasing_tau_s" in spec:
+        raise ConfigError("lindblad dephasing_tau_s is taken only with a "
+                          "dephasing mode")
     if deph != "none":
         parts.append(inhomogeneous_dephasing(
             tau_unit_s=spec.get("dephasing_tau_s", 0.210), mode=deph))

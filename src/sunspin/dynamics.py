@@ -29,18 +29,17 @@ by its kind:
   leaves L complex, LAPACK fails or cond(V) exceeds ``EIG_COND_MAX``
   (L is not normal and can be defective), chained exponentials of the
   Liouvillian instead.
-* diagonal H, Hilbert space (dark times and TLS ramps: diagonal entries
-  linear in t) - a phase vector by exact quadrature.
-* diagonal H with diagonal/transfer channels, Liouville space - closed
-  form: populations through the exponential of the classical rate
-  matrix, coherences through phases and scalar decay factors.  Exact
+* diagonal H (dark times and TLS ramps: diagonal entries linear in t) -
+  closed form from the segment start: in Hilbert space a phase vector by
+  exact quadrature; in Liouville space, with diagonal or single-transfer
+  channels, populations through the exponential of the classical rate
+  matrix and coherences through phases and scalar decay factors.  Exact
   for the channel structure this package generates, on TLS ramps too
-  (one rate matrix times mult(t) commutes with itself), so
-  ``superoperator`` steps dark segments in closed form too.
-  :func:`dark_sweep` takes the same closed form batched over durations:
-  a tone-free section stepped for a whole (points, segments) array of
-  them at once, with one stacked exponential of the rate matrices per
-  segment.
+  (one rate matrix times mult(t) commutes with itself).  Every sample
+  time is stepped from the segment start, with the factors of all of
+  them from one stacked evaluation (one exponential of the stacked rate
+  matrices), so a time scan samples one lengthened dark segment rather
+  than stepping a section per point.
 * anything else - adaptive RK45 on the flattened state, with the
   maximum step bounded by 1/(50 f_max), one solve per stretch between
   the corners of a linear ramp; in Liouville space in commutator form,
@@ -69,7 +68,7 @@ evolves each pulse of a scan once.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -308,8 +307,10 @@ class Segment:
     def _fraction(self, t: float) -> float:
         return (t - self.t0) / self.duration if self.duration > 0 else 0.0
 
-    def _diag_at(self, s: float) -> np.ndarray:
-        return self.diag_start + s * (self.diag_end - self.diag_start)
+    def _diag_at(self, s) -> np.ndarray:
+        """The level diagonal at segment fraction ``s``: (10,), or (k, 10)
+        for k fractions."""
+        return self.diag_start + np.multiply.outer(s, self.diag_end - self.diag_start)
 
     @functools.cached_property
     def _diag_flat(self) -> np.ndarray | None:
@@ -317,12 +318,14 @@ class Segment:
         ``_diag_at`` gives it), else None."""
         return None if (self.diag_end - self.diag_start).any() else self.diag_start + 0.0
 
-    def _diag_integral(self, ta: float, tb: float) -> np.ndarray:
-        """Exact integral of the (linear-in-t) diagonal over [ta, tb], Hz*s."""
+    def _diag_integral(self, ta: float, tb) -> np.ndarray:
+        """Exact integral of the (linear-in-t) diagonal over [ta, tb], Hz*s:
+        (10,), or (k, 10) for k ends ``tb``."""
+        dt = np.expand_dims(np.subtract(tb, ta), -1)
         if self._diag_flat is not None:
-            return self._diag_flat * (tb - ta)
+            return self._diag_flat * dt
         return 0.5 * (self._diag_at(self._fraction(ta))
-                      + self._diag_at(self._fraction(tb))) * (tb - ta)
+                      + self._diag_at(self._fraction(tb))) * dt
 
     def multiplier(self, t: float) -> float:
         return self._multiplier_at(self._fraction(t))
@@ -332,16 +335,6 @@ class Segment:
 
     def _multiplier_integral(self, ta: float, tb: float) -> float:
         return 0.5 * (self.multiplier(ta) + self.multiplier(tb)) * (tb - ta)
-
-    @functools.cached_property
-    def _whole_means(self) -> tuple[float, np.ndarray]:
-        """The multiplier and the level diagonal averaged over the whole
-        segment, whatever its length: ``_multiplier_integral`` and
-        ``_diag_integral`` from t0 to t1, per unit time."""
-        diag = self._diag_flat
-        if diag is None:
-            diag = 0.5 * (self._diag_at(0.0) + self._diag_at(1.0))
-        return 0.5 * (self._multiplier_at(0.0) + self._multiplier_at(1.0)), diag
 
 
 @dataclass(frozen=True)
@@ -501,11 +494,8 @@ def _step(seg: Segment, state, t_from, sample_ts, tol, liouville):
             sup = _constant_liouvillian(seg)
             states = _chained(lambda vec, ta, tb: expm(sup * (tb - ta)) @ vec,
                               state, t_from, ends)
-    elif not liouville and seg.kind == "diagonal":
-        states = [_rows(np.exp(-1j * TWO_PI * seg._diag_integral(t_from, ts)), state)
-                  for ts in ends]
-    elif _has_closed_form(seg):
-        states = _chained(_closed_form_step(seg), state, t_from, ends)
+    elif seg.kind == "diagonal" and (not liouville or seg.channel_set.diagonal_safe):
+        states = _closed_form(seg, state, t_from, ends, liouville)
     else:
         states = _rk45(seg, state, t_from, ends, tol, liouville)
     return states[:len(sample_ts)], states[-1]
@@ -812,13 +802,6 @@ def _is_diag_matrix(h) -> bool:
     return np.count_nonzero(np.abs(h - np.diag(np.diag(h))) > 1e-15) == 0
 
 
-def _has_closed_form(seg: Segment) -> bool:
-    """A tone-free segment whose channels are diagonal or single transfers:
-    its populations see one rate matrix R times the multiplier, so
-    exp(R integral(mult)) is the time-ordered map on any ramp."""
-    return seg.kind == "diagonal" and seg.channel_set.diagonal_safe
-
-
 def _rate_matrix(channels) -> np.ndarray:
     """Classical population rate matrix of the transfer channels."""
     t_mat = np.zeros((DIM, DIM))
@@ -865,73 +848,27 @@ def _closed_form_factors(seg: Segment, tau_eff, phases):
     return (expm(rates) if rates.any() else None), phase, decay
 
 
-def _closed_form_step(seg: Segment):
-    """Exact, linear step ``(vec, ta, tb) -> vec`` on vec(rho) or its columns."""
+def _closed_form(seg: Segment, state, t_from, ends, liouville):
+    """States at ``ends`` of a tone-free segment, each stepped from
+    ``t_from`` in closed form: a phase vector in Hilbert space; in
+    Liouville space (diagonal or single-transfer channels) populations
+    through the rate matrix, coherences through phases and decay.  The
+    factors of all ends come from one stacked evaluation."""
+    ends = np.asarray(ends)
+    phases = seg._diag_integral(t_from, ends)
+    if not liouville:
+        return [_rows(factors, state) for factors in np.exp(-1j * TWO_PI * phases)]
+    pop_maps, phase, decay = _closed_form_factors(
+        seg, seg._multiplier_integral(t_from, ends), phases)
     levels = np.arange(DIM)
-
-    def step(vec, ta, tb):
-        pop_map, phase, decay = _closed_form_factors(
-            seg, seg._multiplier_integral(ta, tb), seg._diag_integral(ta, tb))
-        rho = vec.reshape((DIM, DIM) + vec.shape[1:])
-        pops = rho[levels, levels]
-        if pop_map is not None:
-            pops = pop_map @ pops
-        rho = _rows(decay, _rows(phase, rho))
-        rho[levels, levels] = pops
-        return rho.reshape(vec.shape)
-
-    return step
-
-
-def dark_sweep(section: Schedule, durations, rho: np.ndarray,
-               tol: float = DEFAULT_RTOL) -> np.ndarray:
-    """``rho`` carried through the tone-free ``section`` once per row of
-    ``durations`` (k, segments): the k final density matrices (k, 10, 10).
-
-    Row r lays the segments end to end from the section's start, lasting
-    ``durations[r]``, at the times :func:`sunspin.sequence.compile` would
-    give them.  When every segment has the closed form (diagonal or
-    single-entry channels, or none) all k rows step at once, segment by
-    segment: level phases from the diagonal integrals, coherence decay
-    from the channel sets' rates, populations through one stacked
-    exponential of the rate matrices (none when every rate is zero).
-    Otherwise each row is mapped by the superoperator of its section.
-    """
-    if any(seg.tones for seg in section.segments):
-        raise DynamicsError("a dark section carries no tones")
-    durations = np.atleast_2d(np.asarray(durations, dtype=float))
-    ends = np.cumsum(np.column_stack([np.full(len(durations), section.t0), durations]),
-                     axis=1)
-    rho = np.asarray(rho, dtype=complex)
-    if not all(_has_closed_form(seg) for seg in section.segments):
-        return np.array([
-            (superoperator(_moved(section, t), tol) @ rho.reshape(-1)).reshape(DIM, DIM)
-            for t in ends])
-    levels = np.arange(DIM)
-    out = np.broadcast_to(rho, (len(durations), DIM, DIM))
-    for seg, ta, tb in zip(section.segments, ends.T, ends.T[1:]):
-        dt = tb - ta
-        mean_mult, mean_diag = seg._whole_means
-        phases = np.multiply.outer(dt, mean_diag)
-        if not seg.channels:
-            # a unitary phase vector, as the pure engine steps it
-            factors = np.exp(-1j * TWO_PI * phases)
-            out = factors[:, :, None] * out * factors.conj()[:, None, :]
-            continue
-        pop_maps, phase, decay = _closed_form_factors(seg, mean_mult * dt, phases)
-        pops = out[:, levels, levels]
-        if pop_maps is not None:
-            pops = (pop_maps @ pops[..., None])[..., 0]
-        out = decay * (phase * out)
-        out[:, levels, levels] = pops
-    return out
-
-
-def _moved(section: Schedule, ends) -> Schedule:
-    """``section`` with its segments moved to run between ``ends``."""
-    return Schedule(tuple(replace(seg, t0=ta, t1=tb) for seg, ta, tb
-                          in zip(section.segments, ends, ends[1:])),
-                    meta=section.meta)
+    rho = state.reshape((DIM, DIM) + state.shape[1:])
+    pops = rho[levels, levels]
+    states = []
+    for k in range(len(ends)):
+        out = _rows(decay[k], _rows(phase[k], rho))
+        out[levels, levels] = pops if pop_maps is None else pop_maps[k] @ pops
+        states.append(out.reshape(state.shape))
+    return states
 
 
 # ---------------------------------------------------------------------------

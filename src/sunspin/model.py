@@ -57,8 +57,8 @@ class FieldParams:
     b_vector_hz: float = 0.0
 
     def __post_init__(self):
-        if not np.isfinite(self.b_hz) or not np.isfinite(self.q_hz):
-            raise ModelError("b and q must be finite")
+        if not np.all(np.isfinite([self.b_hz, self.q_hz, self.b_vector_hz])):
+            raise ModelError("b, q and b_vector must be finite")
 
     def level_shifts(self, tls_multiplier: float = 1.0) -> np.ndarray:
         """E(m)/h for all ten levels (Hz)."""

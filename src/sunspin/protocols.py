@@ -22,10 +22,11 @@ A scan is compiled once and evolves each pulse once: the prefix before
 the scanned quantity, then per point only what the scan variable
 changes, then the closing section's map, taken once.  A phase scan
 (ancilla, leakage) applies a (points, 10) block of diagonal phases
-through the batched shot kernel; a time scan (single and parallel
-Ramsey) steps the dark stretch T lengthens for every T at once, in one
-batched closed-form step (:func:`sunspin.dynamics.dark_sweep`), and
-reads its populations from the resulting (points, 10, 10) block in one
+through the batched shot kernel.  A time scan (single and parallel
+Ramsey) is compiled at its shortest T; the one flat segment T lengthens
+is given the longest T's end, and one walk up to it samples its end for
+every distinct T, stepped in one batch by the engine's closed form.  The
+populations come from the resulting (points, 10, 10) block in one
 product with the closing rows.
 """
 
@@ -166,6 +167,27 @@ def _closing_rows(schedule):
     return _section_map(schedule)[::DIM + 1]
 
 
+def _densities(states):
+    """(k, 10, 10) density matrices of k states: pure rows (k, 10) become
+    |psi><psi|, density matrices pass through."""
+    if states.ndim == 2:
+        return states[:, :, None] * states.conj()[:, None, :]
+    return states
+
+
+def _stretched(schedule, index, lengths, state, tol, t_eval=()):
+    """States (k, 10, 10) where the flat segment ``index`` of ``schedule``
+    has lasted each of the k sorted ``lengths``, after the states at the
+    earlier times ``t_eval``: one walk of the segments up to it, that one
+    lengthened to the longest."""
+    seg = schedule.segments[index]
+    section = dynamics.Schedule(
+        schedule.segments[:index] + (replace(seg, t1=seg.t0 + lengths[-1]),),
+        meta=schedule.meta)
+    return _densities(sq.evolve(section, state, t_eval=[*t_eval, *(seg.t0 + lengths)],
+                                tol=tol).states)
+
+
 def _phase_sweep(schedule, state, phases, tol):
     """Final populations (k, 10) of a phase scan: ``state`` evolved once
     through all but the last segment, conjugated by diag(e^{-i
@@ -294,9 +316,10 @@ def ramsey(pair: tuple[float, float], t_values, fields: FieldParams,
     With 'sample', each scan point's stream gives all n_shots phase
     offsets, then all multinomial draws, then all binomial thinnings.
 
-    The opening pulse is evolved once; the dark stretch is stepped for
-    all T in one batched closed-form step (per T when its channels have
-    no closed form), and the closing pulse's map is taken once.
+    The opening pulse is evolved once, in one walk that samples the dark
+    time (TLS on) or the hold (adiabatic-off) at every T; the hold
+    states are then mapped once through the ramp-up, and the closing
+    pulse's map is taken once.
     """
     t_values = np.asarray(t_values, dtype=float)
     if t_values.size == 0:
@@ -315,15 +338,15 @@ def ramsey(pair: tuple[float, float], t_values, fields: FieldParams,
     schedule = sq.compile(_ramsey_sequence(
         (m_low, m_high), t_values.min(), fields, omega_hz, tls_mode,
         detuning_hz, cg_weighting), lindblad=lindblad)
-    first = 1 if tls_on else 2   # T lengthens the dark time or the hold
-    rho = density_matrix(sq.evolve(_section(schedule, 0, first),
-                                   basis_state(m_low), tol=tol).final)
-    stretch = _section(schedule, first, -1)
     rows = _closing_rows(_section(schedule, -1))
-
-    durations = (t_values[:, None] if tls_on else np.column_stack(
-        [t_values - 2 * TLS_RAMP_S, np.full(len(t_values), TLS_RAMP_S)]))
-    rho_pre = dynamics.dark_sweep(stretch, durations, rho, tol)
+    # T lengthens the dark time, or the hold between the two TLS ramps
+    lengths, point = np.unique(t_values if tls_on else t_values - 2 * TLS_RAMP_S,
+                               return_inverse=True)
+    rho_pre = _stretched(schedule, 1 if tls_on else 2, lengths, basis_state(m_low), tol)
+    if not tls_on:
+        ramp_up = _section_map(_section(schedule, 3, 4))
+        rho_pre = (rho_pre.reshape(len(lengths), -1) @ ramp_up.T).reshape(rho_pre.shape)
+    rho_pre = rho_pre[point]
     if phase_noise != "none":
         var = noise.phase_variance(t_values, tls_on)
         spin = np.zeros(DIM)
@@ -414,12 +437,13 @@ def parallel_ramsey(t_values, fields: FieldParams, omega_hz: float = 77.0,
     its expected phase; otherwise it is the difference of the two
     wrapped coherence angles.
 
-    The pulses up to the shared dark time are evolved once; the shared
-    dark time is stepped for all T in one batched closed-form step, so
-    the closing populations are one product with the closing rows and
-    the closing coherences a column and one product with the map row of
-    the second interferometer's coherence.  The first closing pulse and
-    the tail dark time are mapped once and serve both.
+    The pulses up to the shared dark time are evolved once, in one walk
+    that samples where each interferometer opens and the end of the
+    shared dark time at every T, so the closing populations are one
+    product with the closing rows and the closing coherences a column
+    and one product with the map row of the second interferometer's
+    coherence.  The first closing pulse and the tail dark time are
+    mapped once and serve both.
     """
     t_values = np.asarray(t_values, dtype=float)
     if t_values.size == 0:
@@ -433,13 +457,6 @@ def parallel_ramsey(t_values, fields: FieldParams, omega_hz: float = 77.0,
     nus = [pair_splitting_hz(fields, pair[0]) for pair in (IF1_PAIR, IF2_PAIR)]
     (i1, j1), (i2, j2) = ((m_index(a), m_index(b)) for a, b in (IF1_PAIR, IF2_PAIR))
 
-    # the prefix, sampled where if1 opens and at the shared dark time
-    prefix = sq.evolve(_section(schedule, 0, SHARED), basis_state(M_UP),
-                       t_eval=[schedule.segments[WINDOWS[0][0]].t0,
-                               schedule.segments[SHARED].t0], tol=tol)
-    rho_o1, rho_o2 = (density_matrix(state) for state in prefix.states)
-    opened = np.array([rho_o1[i1, j1], rho_o2[i2, j2]])
-    shared = _section(schedule, SHARED, CLOSE1)
     closing = _section_map(_section(schedule, CLOSE1, -1))
     rows = _closing_rows(_section(schedule, -1)) @ closing
     if2_row = closing[i2 * DIM + j2]
@@ -453,8 +470,13 @@ def parallel_ramsey(t_values, fields: FieldParams, omega_hz: float = 77.0,
                                    for a, b in WINDOWS]) / spans
     expected = TWO_PI * (-np.array(nus) - mean_deltas) * spans
 
-    rho = dynamics.dark_sweep(shared, durations[:, SHARED:CLOSE1], rho_o2,
-                              tol).reshape(len(t_values), -1)
+    # one walk: sampled where each interferometer opens, then at the end
+    # of the shared dark time for every T
+    lengths, point = np.unique(durations[:, SHARED], return_inverse=True)
+    states = _stretched(schedule, SHARED, lengths, basis_state(M_UP), tol,
+                        t_eval=[schedule.segments[a].t0 for a, _ in WINDOWS])
+    opened = np.array([states[0, i1, j1], states[1, i2, j2]])
+    rho = states[2:][point].reshape(len(t_values), -1)
     pops = np.real(rho @ rows.T).clip(0.0, 1.0)
     closed = np.column_stack([rho[:, i1 * DIM + j1], rho @ if2_row])
     phases = -(np.angle(closed) - np.angle(opened))

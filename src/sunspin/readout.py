@@ -15,7 +15,7 @@ of two (each mapping pulse moves half of the amplitude).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,7 +28,6 @@ M_ANCILLA_A = -1.5
 M_ANCILLA_B = -4.5
 
 DEFAULT_EFFICIENCIES = {-3.5: 0.65, -2.5: 0.70, -1.5: 0.51}
-MAX_RECALIBRATION = 0.06
 # How far a row of populations may sum from 1 before sampling rejects
 # it: evolution and map rounding, well above float64 sums of ten terms.
 POPULATION_SUM_TOL = 1e-6
@@ -82,7 +81,6 @@ class ShotRecord:
     detected_counts: np.ndarray  # (10,) int, -1 where not visible
     n_atoms: int
     shot_index: int = 0
-    recalibrated: bool = False
 
 
 def sample_counts(populations: np.ndarray, n_atoms: int,
@@ -124,27 +122,6 @@ def sample_shot(state_or_rho: np.ndarray, n_atoms: int,
     true, detected = sample_counts(p[None], n_atoms, detection, rng)
     return ShotRecord(true_counts=true[0], detected_counts=detected[0],
                       n_atoms=n_atoms, shot_index=shot_index)
-
-
-def recalibrate_efficiency(records: list[ShotRecord], detection: DetectionModel,
-                           m: float = M_ANCILLA_A):
-    """Raise eta(m) (by at most 6%) so the largest inferred fraction is 1.
-
-    Mirrors the recalibration policy for a drifting detection efficiency:
-    eta is never lowered, and records whose estimates forced the change
-    are flagged.
-    """
-    i = m_index(m)
-    eta0 = detection.eta.get(m, 1.0)
-    worst = max((r.detected_counts[i] / (eta0 * r.n_atoms)) for r in records)
-    if worst <= 1.0:
-        return detection, records
-    eta_new = min(eta0 * worst, eta0 * (1.0 + MAX_RECALIBRATION))
-    new_det = replace(detection, eta={**detection.eta, m: eta_new})
-    flagged = [replace(r, recalibrated=True)
-               if r.detected_counts[i] / (eta0 * r.n_atoms) > 1.0 else r
-               for r in records]
-    return new_det, flagged
 
 
 # ---------------------------------------------------------------------------

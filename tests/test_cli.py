@@ -78,17 +78,36 @@ class TestRunConfig:
         path.write_text(json.dumps(cfg))
         assert run_cli(["run", path, "--out", tmp_path / "o"]) == 2
 
-    @pytest.mark.parametrize("scan", [
-        {"values": [0.1, float("nan")]}, {"values": [0.1, float("inf")]},
-        {"start": 0.0, "stop": float("inf"), "num": 3}],
-        ids=["nan", "inf", "inf-stop"])
-    def test_non_finite_scan_exit_2(self, tmp_path, scan):
-        cfg = json.loads((CONFIG_DIR / "ancilla.json").read_text())
-        cfg["scan"] = scan
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(cfg))
-        assert run_cli(["run", path, "--out", tmp_path / "o"]) == 2
-        assert not (tmp_path / "o" / "ancilla.csv").exists()
+    @pytest.mark.parametrize("config, param", [
+        ("ancilla", 'scan={"values": [0.1, NaN]}'),
+        ("ancilla", 'scan={"values": [0.1, Infinity]}'),
+        ("ancilla", 'scan={"start": 0.0, "stop": Infinity, "num": 3}'),
+        ("ancilla", 'scan={"start": -1e308, "stop": 1e308, "num": 3}'),
+        ("ramsey_single_pair", "fields.b_vector_hz=NaN"),
+        ("leakage_scan", "fields.q_hz=NaN"),
+        ("ramsey_single_pair", "omega_hz=NaN"),
+        ("ramsey_single_pair", "detuning_hz=Infinity")],
+        ids=["nan", "inf", "inf-stop", "overflowing-span", "b-vector-nan",
+             "q-nan", "omega-nan", "detuning-inf"])
+    def test_non_finite_scan_exit_2(self, tmp_path, config, param):
+        # NaN and +-Infinity parse as JSON numbers; a config holding one,
+        # anywhere, is a config error and writes nothing
+        out = tmp_path / "o"
+        assert run_cli(["run", CONFIG_DIR / f"{config}.json", "--out", out,
+                        "--param", param]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lindblad", [
+        {"dephasing_tau_s": 0.1},
+        {"scattering": "monochromatic", "ase_factor": 7.0},
+        {"scattering": "none", "scattering_budget": 2.0, "dephasing": "linear"}],
+        ids=["tau-without-dephasing", "ase-factor-not-calibrated",
+             "budget-not-calibrated"])
+    def test_lindblad_keys_without_effect_exit_2(self, tmp_path, lindblad):
+        out = tmp_path / "o"
+        assert run_cli(["run", CONFIG_DIR / "ancilla.json", "--out", out,
+                        "--param", f"lindblad={json.dumps(lindblad)}"]) == 2
+        assert not out.exists()
 
     def test_unknown_keys_rejected(self, tmp_path):
         cfg = {"protocol": "rabi", "fields": {"b_hz": 1.0, "q_hz": 1.0},

@@ -844,6 +844,29 @@ class TestChoiProperties:
         assert np.linalg.eigvalsh(choi).min() >= -self.PSD_TOL[kind]
 
 
+class TestClosedFormSamples:
+    @PROPERTY
+    @given(duration=st.floats(1e-4, 5e-3), mults=st.tuples(UNIT, UNIT),
+           ramp=st.booleans(), density=st.booleans(),
+           fractions=st.lists(UNIT, min_size=1, max_size=5))
+    def test_batched_samples_equal_single_sample_runs(self, duration, mults, ramp,
+                                                      density, fractions):
+        # a tone-free segment steps all its samples from its start in one
+        # batch; each is what a run sampling only that time gives, on a
+        # dark time and on a TLS ramp, with transfer and dephasing
+        # channels on the density engine
+        segment = sq.tls_ramp(duration, *mults) if ramp else sq.dark_time(duration)
+        sched = sq.compile(sq.PulseSequence(segments=(segment,), fields=FIELDS),
+                           lindblad=_small_lindblad() if density else None)
+        seg = sched.segments[0]
+        assert seg.kind == "diagonal" and seg.channel_set.diagonal_safe
+        ends = np.unique(sched.t0 + np.array(fractions) * duration)
+        psi = _probe_state()
+        batched = sq.evolve(sched, psi, t_eval=ends).states
+        single = [sq.evolve(sched, psi, t_eval=[t]).states[0] for t in ends]
+        assert np.max(np.abs(batched - single)) <= 1e-14
+
+
 LINDBLADS = {
     "pure": None,
     "empty": model.LindbladSpec(),
@@ -961,6 +984,12 @@ class TestCacheProperties:
             general = 0.5 * (seg._diag_at(seg._fraction(ta))
                              + seg._diag_at(seg._fraction(tb))) * (tb - ta)
             assert seg._diag_integral(ta, tb).tobytes() == general.tobytes()
+        # an array of ends gives, row by row, the bits of each end alone
+        tbs = np.array([1e-4, 7e-4, seg.t1])
+        rows = np.array([0.5 * (seg._diag_at(seg._fraction(1e-4))
+                                + seg._diag_at(seg._fraction(tb))) * (tb - 1e-4)
+                         for tb in tbs])
+        assert seg._diag_integral(1e-4, tbs).tobytes() == rows.tobytes()
 
 
 class TestLabBeatFrame:

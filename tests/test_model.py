@@ -44,6 +44,12 @@ class TestDiagonalHamiltonian:
         with pytest.raises(SpinError):
             model.pair_splitting_hz(REF_FIELDS, 4.5)
 
+    @pytest.mark.parametrize("name", ["b_hz", "q_hz", "b_vector_hz"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_field_rejected(self, name, value):
+        with pytest.raises(model.ModelError):
+            model.FieldParams(**{"b_hz": 960.0, "q_hz": -320.0, name: value})
+
     def test_vector_light_shift_part_scales_with_tls(self):
         f = model.FieldParams(b_hz=940.0, q_hz=-320.0, b_vector_hz=20.0)
         on = f.level_shifts(tls_multiplier=1.0)

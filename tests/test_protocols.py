@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sunspin import analysis, dynamics, model, protocols as pr, readout as ro
 from sunspin import sequence as sq
@@ -654,6 +654,8 @@ class TestScanSweep:
     @given(t_values=st.lists(st.floats(0.0041, 0.3), min_size=1, max_size=4),
            tls_mode=st.sampled_from(["on", "adiabatic-off"]),
            lindblad=st.sampled_from(sorted(TIME_LINDBLADS)))
+    @example(t_values=[0.02, 0.005, 0.02], tls_mode="adiabatic-off",
+             lindblad="scatter-dephase")
     def test_ramsey_dark_restep_matches_per_point_runs(self, t_values, tls_mode,
                                                        lindblad):
         spec = TIME_LINDBLADS[lindblad]

@@ -113,38 +113,6 @@ class TestSampling:
             ro.sample_counts(np.full(shape, 1.0 / shape[-1]), 10)
 
 
-class TestRecalibration:
-    def test_raise_eta_capped_at_six_percent(self):
-        det = ro.DetectionModel()
-        rec = ro.ShotRecord(true_counts=np.zeros(DIM, int),
-                            detected_counts=np.full(DIM, 0),
-                            n_atoms=1000)
-        high = rec.detected_counts.copy()
-        high[m_index(-1.5)] = 545  # inferred fraction 545/510 = 1.069 > 1.06
-        rec_high = ro.ShotRecord(true_counts=np.zeros(DIM, int),
-                                 detected_counts=high, n_atoms=1000)
-        new_det, flagged = ro.recalibrate_efficiency([rec_high], det)
-        assert new_det.eta[-1.5] == pytest.approx(0.51 * 1.06)  # capped
-        assert flagged[0].recalibrated
-        # a small excursion is recalibrated exactly to a max estimate of 1
-        mild = rec.detected_counts.copy()
-        mild[m_index(-1.5)] = 520
-        rec_mild = ro.ShotRecord(true_counts=np.zeros(DIM, int),
-                                 detected_counts=mild, n_atoms=1000)
-        det2, _ = ro.recalibrate_efficiency([rec_mild], det)
-        assert 520 / (det2.eta[-1.5] * 1000) == pytest.approx(1.0)
-
-    def test_no_change_when_consistent(self):
-        det = ro.DetectionModel()
-        ok = np.zeros(DIM, int)
-        ok[m_index(-1.5)] = 400
-        rec = ro.ShotRecord(true_counts=np.zeros(DIM, int),
-                            detected_counts=ok, n_atoms=1000)
-        new_det, recs = ro.recalibrate_efficiency([rec], det)
-        assert new_det.eta[-1.5] == 0.51
-        assert not recs[0].recalibrated
-
-
 class TestCollectiveOperators:
     def test_identity_propagator(self):
         oz, oy = ro.collective_operators(np.eye(DIM, dtype=complex))

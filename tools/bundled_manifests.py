@@ -11,9 +11,10 @@ process, so repeated and later runs may reuse channel sets and Liouville
 maps that earlier ones built.  With ``--against``, every
 output file (the manifest included) is hashed and compared with the
 file of the same name under ``REF_DIR/<name>/``; each difference is
-listed, a differing CSV with the number of cells that differ and the
-largest absolute difference among them, and the exit status is 1 if
-there is any.  Runs the package next to this script, not an installed
+listed, a differing CSV with the number of cells that differ, the
+largest absolute difference among them and, per differing row (named by
+its scan value), the headers of its differing columns; the exit status
+is 1 if there is any.  Runs the package next to this script, not an installed
 one.
 """
 
@@ -69,16 +70,22 @@ def differences(out_dir: Path, ref_dir: Path, names) -> list[str]:
     return diffs
 
 
-def csv_cells(ours: Path, theirs: Path) -> str:
+def csv_cells(ours: Path, theirs: Path) -> list[str]:
     """How two CSVs with the same header and shape differ: the number of
-    differing cells and the largest absolute difference among them."""
+    differing cells and the largest absolute difference among them, then
+    one line per differing row, named by its first (scan) column, with
+    the headers of its differing columns."""
     heads = [p.read_text().splitlines()[0] for p in (ours, theirs)]
     a, b = (np.loadtxt(p, delimiter=",", skiprows=1, ndmin=2) for p in (ours, theirs))
     if heads[0] != heads[1] or a.shape != b.shape:
-        return "header or shape differs"
-    diff = np.abs(a - b)[a != b]
-    return (f"{diff.size} of {a.size} cells differ, "
-            f"largest absolute difference {diff.max(initial=0.0):.3g}")
+        return ["header or shape differs"]
+    differ, header = a != b, heads[0].split(",")
+    diff = np.abs(a - b)[differ]
+    return ([f"{diff.size} of {a.size} cells differ, "
+             f"largest absolute difference {diff.max(initial=0.0):.3g}"]
+            + [f"{header[0]}={a[r, 0]:.12g}: "
+               + ", ".join(header[c] for c in np.flatnonzero(differ[r]))
+               for r in np.flatnonzero(differ.any(axis=1))])
 
 
 def main(argv=None) -> int:
@@ -98,10 +105,13 @@ def main(argv=None) -> int:
     diffs = differences(args.out_dir, args.against, names)
     for d in diffs:
         ours, theirs = args.out_dir / d, args.against / d
-        detail = ""
         if d.endswith(".csv") and ours.is_file() and theirs.is_file():
-            detail = f" ({csv_cells(ours, theirs)})"
-        print(f"differs: {d}{detail}")
+            summary, *rows = csv_cells(ours, theirs)
+            print(f"differs: {d} ({summary})")
+            for row in rows:
+                print(f"    {row}")
+        else:
+            print(f"differs: {d}")
     print(f"{len(names)} configs, {len(diffs)} differing outputs")
     return 1 if diffs else 0
 
