@@ -2,7 +2,12 @@
 
 Subcommands wrap the protocol, analysis, and synthesis layers; every
 run writes its outputs plus a manifest with input echo and output
-hashes under --out.  Exit codes: 0 success, 2 config/schema error,
+hashes under --out.  A config's "protocol" names one function of
+:mod:`sunspin.protocols` (``PROTOCOLS``); the config keys it takes are
+the schema properties among that function's parameters (``TAKES``),
+each passed as the keyword of the same name, and every run also takes
+"protocol", "scan" and "seed".  A key the protocol does not take is a
+config error.  Exit codes: 0 success, 2 config/schema error,
 3 simulation error.
 """
 
@@ -10,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -33,6 +39,16 @@ class ConfigError(ValueError):
     pass
 
 
+# config "protocol" -> (the sunspin.protocols function that runs it, the
+# keyword its scan values fill)
+PROTOCOLS = {
+    "rabi": ("rabi_scan", "durations"),
+    "ramsey": ("ramsey", "t_values"),
+    "dual_ramsey": ("parallel_ramsey", "t_values"),
+    "ancilla": ("ancilla_measurement", "phi_values"),
+    "leakage_scan": ("leakage_scan", "ratio_values"),
+}
+
 _NUM = {"type": "number"}
 _POS = {"type": "number", "exclusiveMinimum": 0}
 _SCAN = {
@@ -49,8 +65,7 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
     "required": ["protocol", "fields", "scan"],
     "properties": {
-        "protocol": {"enum": ["rabi", "ramsey", "dual_ramsey", "ancilla",
-                              "leakage_scan"]},
+        "protocol": {"enum": list(PROTOCOLS)},
         "fields": {
             "type": "object",
             "additionalProperties": False,
@@ -103,6 +118,16 @@ CONFIG_SCHEMA = {
     },
 }
 
+# the config keys each protocol takes: the schema properties its function
+# has a parameter of that name for; every run also takes RUN_KEYS
+TAKES = {p: frozenset(inspect.signature(getattr(protocols, fn)).parameters)
+         .intersection(CONFIG_SCHEMA["properties"])
+         for p, (fn, _) in PROTOCOLS.items()}
+RUN_KEYS = frozenset({"protocol", "scan", "seed"})
+# rabi_scan and ramsey have no default pair or Rabi frequency
+_DEFAULTS = {"rabi": {"pair": (-2.5, -1.5), "omega_hz": 71.0},
+             "ramsey": {"pair": (-3.5, -2.5), "omega_hz": 93.0}}
+
 
 def validate_config(cfg: dict) -> dict:
     errors = sorted(Draft202012Validator(CONFIG_SCHEMA).iter_errors(cfg),
@@ -110,6 +135,10 @@ def validate_config(cfg: dict) -> dict:
     if errors:
         msgs = "; ".join(f"{e.json_path}: {e.message}" for e in errors)
         raise ConfigError(f"config schema violation: {msgs}")
+    untaken = cfg.keys() - TAKES[cfg["protocol"]] - RUN_KEYS
+    if untaken:
+        raise ConfigError(f"protocol {cfg['protocol']!r} does not take "
+                          f"{sorted(untaken)}")
     # JSON as Python reads it admits NaN and +-Infinity, which the schema's
     # "number" accepts
     bad = list(_non_finite(cfg, "$"))
@@ -179,13 +208,11 @@ def _build_lindblad(cfg: dict):
 
 
 def _build_noise(cfg: dict):
-    """Interferometer phase-noise model; only a phase-noise Ramsey reads it."""
+    """Interferometer phase-noise model, which only phase noise reads."""
     spec = cfg.get("noise")
-    wanted = (cfg["protocol"] == "ramsey"
-              and cfg.get("phase_noise", "none") != "none")
-    if (spec is not None) != wanted:
-        raise ConfigError("'noise' is needed by, and only taken by, a ramsey "
-                          "config with phase_noise 'average' or 'sample'")
+    if (spec is not None) != (cfg.get("phase_noise", "none") != "none"):
+        raise ConfigError("'noise' is needed by, and only taken by, a config "
+                          "with phase_noise 'average' or 'sample'")
     if cfg.get("phase_noise") == "sample" and cfg.get("n_shots", 0) <= 0:
         raise ConfigError("phase_noise 'sample' draws per shot; it needs n_shots > 0")
     if spec is None:
@@ -211,63 +238,33 @@ def _build_detection(cfg: dict):
 def run_config(cfg: dict, out_dir: Path, config_path: str = "<inline>") -> dict:
     """Execute one experiment config; returns the manifest dict."""
     validate_config(cfg)
-    fields = FieldParams(**cfg["fields"])
-    scan = _scan_values(cfg["scan"])
-    lindblad = _build_lindblad(cfg)
-    noise = _build_noise(cfg)
-    detection = _build_detection(cfg)
-    seed = cfg.get("seed", 0)
-    n_shots = cfg.get("n_shots", 0)
-    n_atoms = cfg.get("n_atoms", 10_000)
     protocol = cfg["protocol"]
-    common = dict(lindblad=lindblad, n_shots=n_shots,
-                  n_atoms=n_atoms, detection=detection, seed=seed)
+    fn, scan_keyword = PROTOCOLS[protocol]
+    values = {**_DEFAULTS.get(protocol, {}), **cfg,
+              "fields": FieldParams(**cfg["fields"]),
+              "lindblad": _build_lindblad(cfg), "noise": _build_noise(cfg),
+              "detection": _build_detection(cfg)}
+    kwargs = {key: values[key] for key in TAKES[protocol] & values.keys()}
+    kwargs[scan_keyword] = _scan_values(cfg["scan"])
+    seed = cfg.get("seed", 0)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs: dict[str, str] = {}
     summary: dict = {"protocol": protocol, "seed": seed,
                      "fields": cfg["fields"], "version": __version__}
-
+    # looked up per call, so that a wrapper installed on the module is used
+    result = getattr(protocols, fn)(**kwargs)
     if protocol == "leakage_scan":
-        rows = protocols.leakage_scan(
-            scan, include_scattering=cfg.get("include_scattering", False),
-            q_hz=fields.q_hz, b_hz=fields.b_hz,
-            n_phi=cfg.get("n_phi", 24), n_atoms=n_atoms)
         csv_path = out_dir / "leakage_scan.csv"
         header = "ratio,omega_hz,max,min,mean,spread,projection_floor"
         data = np.array([[r["ratio"], r["omega_hz"], r["max"], r["min"],
                           r["mean"], r["spread"], r["projection_floor"]]
-                         for r in rows])
+                         for r in result])
         np.savetxt(csv_path, data, delimiter=",", header=header, comments="",
                    fmt="%.12g")
         outputs["leakage_scan.csv"] = _sha256(csv_path)
-        summary["rows"] = rows
+        summary["rows"] = result
     else:
-        if protocol == "rabi":
-            result = protocols.rabi_scan(
-                tuple(cfg.get("pair", (-2.5, -1.5))), cfg.get("omega_hz", 71.0),
-                fields, scan, cg_weighting=cfg.get("cg_weighting", True),
-                detuning_hz=cfg.get("detuning_hz", 0.0), **common)
-        elif protocol == "ramsey":
-            result = protocols.ramsey(
-                tuple(cfg.get("pair", (-3.5, -2.5))), scan, fields,
-                cfg.get("omega_hz", 93.0), tls_mode=cfg.get("tls_mode", "on"),
-                detuning_hz=cfg.get("detuning_hz", 0.0),
-                phase_noise=cfg.get("phase_noise", "none"), noise=noise,
-                cg_weighting=cfg.get("cg_weighting", True), **common)
-        elif protocol == "dual_ramsey":
-            result = protocols.parallel_ramsey(
-                scan, fields, omega_hz=cfg.get("omega_hz", 77.0),
-                cg_weighting=cfg.get("cg_weighting", True), **common)
-        elif protocol == "ancilla":
-            result = protocols.ancilla_measurement(
-                scan, fields, omega_hz=cfg.get("omega_hz", 76.0),
-                window_s=cfg.get("window_s", protocols.PHASE_WINDOW_S),
-                b_correction_hz=cfg.get("b_correction_hz", 0.0),
-                prepare_with_pulse=cfg.get("prepare_with_pulse", False),
-                cg_weighting=cfg.get("cg_weighting", True), **common)
-        else:  # pragma: no cover - schema forbids
-            raise ConfigError(f"unknown protocol {protocol}")
         csv_path = out_dir / f"{protocol}.csv"
         result.to_csv(csv_path)
         outputs[csv_path.name] = _sha256(csv_path)
@@ -371,11 +368,7 @@ def _cmd_leakage(args) -> int:
 def _cmd_fit(args) -> int:
     data = np.loadtxt(args.input, delimiter=",", skiprows=1)
     t, y = data[:, 0], data[:, args.column]
-    errs = None
-    if args.errors_column is not None:
-        errs = data[:, args.errors_column]
-    elif args.column == 1 and data.shape[1] > 2:
-        errs = data[:, 2]
+    errs = None if args.errors_column is None else data[:, args.errors_column]
     if args.model == "damped-sine":
         fit = analysis.fit_damped_sine(t, y, errors=errs)
     elif args.model == "sine":
@@ -400,7 +393,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
+    rng = np.random.default_rng(args.seed)
     stats = []
     for k in range(args.n):
         u = synthesis.haar_unitary(rng=rng)
@@ -476,7 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("input")
     p_fit.add_argument("--column", type=int, default=1,
                        help="data column to fit (0 is the scan variable)")
-    p_fit.add_argument("--errors-column", type=int, default=None)
+    p_fit.add_argument("--errors-column", type=int, default=None,
+                       help="column of y error bars (default: unweighted)")
     p_fit.add_argument("--out", default=None)
     p_fit.set_defaults(fn=_cmd_fit)
 

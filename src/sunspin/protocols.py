@@ -623,7 +623,7 @@ def ancilla_measurement(phi_values, fields: FieldParams, omega_hz: float = 76.0,
 # ---------------------------------------------------------------------------
 
 def leakage_scan(ratio_values, include_scattering: bool = False,
-                 q_hz: float = -330.0, b_hz: float = 960.0,
+                 fields: FieldParams = FieldParams(b_hz=960.0, q_hz=-330.0),
                  n_phi: int = 24, n_atoms: int = 10_000,
                  gap_cycles: float = 0.01, cg_weighting: bool = True,
                  tol: float = dynamics.DEFAULT_RTOL) -> list[dict]:
@@ -637,13 +637,12 @@ def leakage_scan(ratio_values, include_scattering: bool = False,
     every time in the sequence scales as 1/Omega and the result depends
     only on the ratio when scattering is off.
     """
-    fields = FieldParams(b_hz=b_hz, q_hz=q_hz)
     phis = np.linspace(0.0, TWO_PI, n_phi, endpoint=False)
     lindblad = monochromatic_scattering_channels() if include_scattering else None
     psi0 = readout.coherent_qubit_state()
     rows = []
     for ratio in np.asarray(ratio_values, dtype=float):
-        omega = 2.0 * abs(q_hz) / ratio
+        omega = 2.0 * abs(fields.q_hz) / ratio
         gap_s = gap_cycles / omega
         segs = (
             sq.pulse(MAP_A_PAIR, omega, fields, np.pi / 2,

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import dynamics, sequence as sq
 from .model import FieldParams, LindbladSpec
-from .spin_core import DIM, F, M_VALUES, pair_indices, rotation_blocks
+from .spin_core import DIM, F, M_VALUES, m_index, pair_indices, rotation_blocks
 # Imported by name so that perfbench/spans.py can wrap it here.
 from .spin_core import pair_rotation  # noqa: F401
 
@@ -239,7 +239,7 @@ def plan_to_sequence(plan: RotationPlan, fields: FieldParams, omega_hz: float,
     level_phase = np.zeros(DIM)
     segments = []
     for r in plan.rotations:
-        i, j = int(r.m_low + 4.5), int(r.m_high + 4.5)
+        i, j = m_index(r.m_low), m_index(r.m_high)
         if r.axis == "z":
             level_phase[i] -= r.angle / 2.0
             level_phase[j] += r.angle / 2.0
@@ -276,7 +276,7 @@ def average_gate_fidelity(s_channel: np.ndarray, u_ideal: np.ndarray,
     A_k = P U^dag K_k P, evaluated from the channel superoperator
     (row-major vec convention).
     """
-    idx = [int(m + 4.5) for m in active_levels]
+    idx = [m_index(m) for m in active_levels]
     d = len(idx)
     s_eff = dynamics.unitary_superoperator(u_ideal).conj().T @ s_channel
     resh = s_eff.reshape(DIM, DIM, DIM, DIM)  # [out_i, out_j, in_k, in_l]

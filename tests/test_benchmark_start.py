@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from sunspin import cli
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -30,3 +32,11 @@ def test_every_workload_builds(perfbench):
     _, workloads = perfbench
     for name, workload in workloads.WORKLOADS.items():
         assert workload(617, ROOT).name == name
+
+
+def test_pulse_scan_configs_validate(perfbench):
+    # the configs the pulse_scans workload hands to cli.run_config, its
+    # seed included, pass the config check
+    _, workloads = perfbench
+    for cfg in workloads.PulseScans(617, ROOT).configs.values():
+        cli.validate_config(cfg)

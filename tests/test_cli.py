@@ -176,6 +176,78 @@ class TestRunConfig:
         assert man["config"]["scan"]["values"] == [0.001, 0.002]
 
 
+class TestProtocolKeys:
+    # the schema properties each protocol function has a parameter for;
+    # renaming a keyword argument changes the config schema, so it is
+    # pinned here
+    COMMON = {"fields", "cg_weighting", "n_atoms"}
+    SHOTS = {"lindblad", "omega_hz", "n_shots", "detection", "seed"}
+
+    def test_takes_per_protocol(self):
+        assert cli.TAKES == {
+            "rabi": self.COMMON | self.SHOTS | {"pair", "detuning_hz"},
+            "ramsey": self.COMMON | self.SHOTS | {
+                "pair", "detuning_hz", "tls_mode", "phase_noise", "noise"},
+            "dual_ramsey": self.COMMON | self.SHOTS,
+            "ancilla": self.COMMON | self.SHOTS | {
+                "window_s", "b_correction_hz", "prepare_with_pulse"},
+            "leakage_scan": self.COMMON | {"include_scattering", "n_phi"},
+        }
+
+    def test_every_schema_key_is_taken(self):
+        taken = set().union(cli.RUN_KEYS, *cli.TAKES.values())
+        assert set(cli.CONFIG_SCHEMA["properties"]) == taken
+
+    @pytest.mark.parametrize("config, param", [
+        ("leakage_scan", 'lindblad={"scattering": "monochromatic"}'),
+        ("leakage_scan", "n_shots=5"),
+        ("leakage_scan", "omega_hz=3"),
+        ("leakage_scan", "detection={}"),
+        ("ancilla", "detuning_hz=40"),
+        ("ancilla", 'tls_mode="adiabatic-off"'),
+        ("ancilla", "pair=[-0.5, 0.5]"),
+        ("ancilla", 'phase_noise="none"'),
+        ("ancilla", "n_phi=8"),
+        ("ancilla", "include_scattering=true"),
+        ("dual_ramsey", "window_s=0.001"),
+        ("rabi_dm2", 'tls_mode="on"')])
+    def test_key_the_protocol_does_not_take_exit_2(self, tmp_path, config,
+                                                   param):
+        out = tmp_path / "o"
+        assert run_cli(["run", CONFIG_DIR / f"{config}.json", "--out", out,
+                        "--param", param]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cfg", [
+        {"protocol": "rabi", "scan": {"values": [0.001]}},
+        {"protocol": "ramsey", "scan": {"values": [0.01]}},
+        {"protocol": "dual_ramsey", "scan": {"values": [0.004]}},
+        {"protocol": "ancilla", "scan": {"values": [0.0]}},
+        {"protocol": "leakage_scan", "scan": {"values": [9.0]}, "n_phi": 4}],
+        ids=lambda cfg: cfg["protocol"])
+    def test_every_protocol_takes_seed(self, tmp_path, cfg):
+        cfg = {**cfg, "fields": {"b_hz": 960.0, "q_hz": -330.0}, "seed": 11}
+        cli.run_config(cfg, tmp_path / "o")
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert summary["seed"] == 11
+
+    def test_leakage_scan_takes_cg_weighting(self, tmp_path):
+        csvs = []
+        for name, params in (("plain", []),
+                             ("flat", ["--param", "cg_weighting=false"])):
+            out = tmp_path / name
+            assert run_cli(["run", CONFIG_DIR / "leakage_scan.json",
+                            "--out", out, *params]) == 0
+            csvs.append((out / "leakage_scan.csv").read_bytes())
+        assert csvs[0] != csvs[1]
+
+    def test_leakage_subcommand_rejects_shots(self, tmp_path):
+        out = tmp_path / "o"
+        assert run_cli(["leakage-scan", "--ratios", "9", "--shots", "3",
+                        "--out", out]) == 2
+        assert not out.exists()
+
+
 class TestSubcommands:
     def test_leakage_scan_table(self, tmp_path):
         assert run_cli(["leakage-scan", "--ratios", "9,30",
@@ -184,8 +256,8 @@ class TestSubcommands:
                           skiprows=1)
         assert data.shape == (2, 7)
         assert data[0, 0] == 9.0
-        rows = cli.protocols.leakage_scan([9, 30], n_phi=8, q_hz=-330.0,
-                                          b_hz=960.0)
+        rows = cli.protocols.leakage_scan(
+            [9, 30], n_phi=8, fields=model.FieldParams(b_hz=960.0, q_hz=-330.0))
         keys = ("ratio", "omega_hz", "max", "min", "mean", "spread",
                 "projection_floor")
         # the CSV holds 12 significant digits
@@ -211,6 +283,19 @@ class TestSubcommands:
         assert run_cli(["fit", "damped-sine", path, "--column", "2"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["params"]["tau_s"] == pytest.approx(0.298, rel=1e-4)
+
+    def test_fit_takes_errors_only_from_errors_column(self, tmp_path, capsys):
+        # column 2 of a sunspin CSV is a population, not an error bar
+        t = np.linspace(0, 0.3, 150)
+        y = 0.4 * np.exp(-t / 0.298) * np.sin(2 * np.pi * 71 * t) + 0.5
+        fits = []
+        for header, columns in (("t,y", [t, y]), ("t,y,p", [t, y, 0 * t])):
+            path = tmp_path / f"{len(columns)}.csv"
+            np.savetxt(path, np.column_stack(columns), delimiter=",",
+                       header=header, comments="")
+            assert run_cli(["fit", "damped-sine", path]) == 0
+            fits.append(json.loads(capsys.readouterr().out))
+        assert fits[1] == fits[0]
 
     def test_decompose_subcommand(self, tmp_path, capsys):
         assert run_cli(["decompose", "--n", "4",

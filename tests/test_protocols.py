@@ -478,9 +478,12 @@ class TestAncilla:
 
 class TestLeakageScan:
     def test_scale_invariance(self):
-        base = pr.leakage_scan([30], q_hz=-330.0, n_phi=8)[0]
+        base = pr.leakage_scan(
+            [30], fields=model.FieldParams(b_hz=960.0, q_hz=-330.0), n_phi=8)[0]
         for c in (0.5, 2.0):
-            other = pr.leakage_scan([30], q_hz=-330.0 * c, n_phi=8)[0]
+            other = pr.leakage_scan(
+                [30], fields=model.FieldParams(b_hz=960.0, q_hz=-330.0 * c),
+                n_phi=8)[0]
             assert other["mean"] == pytest.approx(base["mean"], abs=1e-9)
             assert other["max"] == pytest.approx(base["max"], abs=1e-9)
 

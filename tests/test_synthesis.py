@@ -208,6 +208,15 @@ class TestLowering:
         u_pred = np.diag(np.exp(-1j * phases)) @ plan.unitary()
         assert np.max(np.abs(u_lab - u_pred)) < 1e-9
 
+    @pytest.mark.parametrize("m", [-5.5, 5.0, 4.7])
+    def test_z_rotation_on_invalid_level_rejected(self, m):
+        # a level outside -9/2..9/2, or not a half-integer, is no level
+        # of the spin, rather than one found by wrapping its index
+        plan = sy.RotationPlan([sy.PlanRotation(m, 4.5, "z", 0.3)])
+        with pytest.raises(SpinError):
+            sy.plan_to_sequence(plan, model.FieldParams(b_hz=2600.0,
+                                                        q_hz=-320.0), 200.0)
+
 
 class TestSimulatePlan:
     def test_unit_fidelity_without_dissipation(self):
@@ -215,6 +224,13 @@ class TestSimulatePlan:
             sy.PlanRotation(-2.5, -1.5, "x", np.pi / 2)])
         fid = sy.simulate_plan(plan, REF_FIELDS, None, 71.0)
         assert fid == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("m", [-5.5, 5.0, 4.7])
+    def test_fidelity_rejects_invalid_level(self, m):
+        identity = np.eye(DIM * DIM, dtype=complex)
+        assert sy.average_gate_fidelity(identity, np.eye(DIM), [4.5]) == 1.0
+        with pytest.raises(SpinError):
+            sy.average_gate_fidelity(identity, np.eye(DIM), [m])
 
     def test_pi_half_fidelity_at_reference_parameters(self):
         lb = model.photon_scattering_channels().merge(
