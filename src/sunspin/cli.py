@@ -270,7 +270,7 @@ def run_config(cfg: dict, out_dir: Path, config_path: str = "<inline>") -> dict:
         outputs[csv_path.name] = _sha256(csv_path)
         if result.shots is not None:
             shots_path = out_dir / "shots.csv"
-            _write_shots(shots_path, result)
+            _write_shots(shots_path, result.shots)
             outputs["shots.csv"] = _sha256(shots_path)
         summary["scan_name"] = result.scan_name
         summary["n_points"] = int(len(result.scan_values))
@@ -294,17 +294,15 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _write_shots(path: Path, result) -> None:
-    lines = ["scan_index,shot_index," +
-             ",".join(f"true_{m:+.1f}" for m in np.arange(10) - 4.5) + "," +
-             ",".join(f"det_{m:+.1f}" for m in np.arange(10) - 4.5)]
-    for k, records in enumerate(result.shots):
-        for rec in records:
-            lines.append(",".join(
-                [str(k), str(rec.shot_index)]
-                + [str(int(x)) for x in rec.true_counts]
-                + [str(int(x)) for x in rec.detected_counts]))
-    path.write_text("\n".join(lines) + "\n")
+def _write_shots(path: Path, shots: np.recarray) -> None:
+    """One row per shot of the (points, shots) record array, point-major."""
+    header = ("scan_index,shot_index," +
+              ",".join(f"true_{m:+.1f}" for m in np.arange(10) - 4.5) + "," +
+              ",".join(f"det_{m:+.1f}" for m in np.arange(10) - 4.5))
+    table = np.column_stack([*(i.ravel() for i in np.indices(shots.shape)),
+                             shots.true_counts.reshape(shots.size, -1),
+                             shots.detected_counts.reshape(shots.size, -1)])
+    np.savetxt(path, table, delimiter=",", header=header, comments="", fmt="%d")
 
 
 def _sha256(path: Path) -> str:
@@ -374,6 +372,9 @@ def _cmd_fit(args) -> int:
     elif args.model == "sine":
         fit = analysis.fit_sine(t, y, errors=errs)
     elif args.model == "sine-odr":
+        if errs is not None:
+            raise ConfigError("sine-odr reads its errors from columns 2 (y) and "
+                              "3 (x); it takes no --errors-column")
         if data.shape[1] < 4:
             raise ConfigError("sine-odr needs columns t,y,sy,sx")
         fit = analysis.fit_sine_odr(t, y, x_errors=data[:, 3], y_errors=data[:, 2])

@@ -3,8 +3,9 @@ parallel), the ancilla-mapped simultaneous measurement, and the
 off-resonant-leakage scan, plus the shot-level noise model.
 
 Every protocol returns an :class:`InterferometerResult` holding the
-noiseless expected populations on the scan grid and, optionally,
-sampled :class:`~sunspin.readout.ShotRecord` lists per scan point.
+noiseless expected populations on the scan grid and, optionally, the
+sampled shots: a (points, shots) record array of
+:data:`~sunspin.readout.SHOT_DTYPE`.
 Without ``lindblad`` a protocol evolves state vectors; any
 :class:`~sunspin.model.LindbladSpec` selects density matrices.  Shot
 noise beyond projection noise enters only here: the interferometer
@@ -40,7 +41,7 @@ from . import dynamics, readout, sequence as sq
 from .model import (FieldParams, LindbladSpec, RamanTone,
                     monochromatic_scattering_channels, pair_splitting_hz)
 from .readout import (DetectionModel, M_ANCILLA_A, M_ANCILLA_B, M_DOWN, M_UP,
-                      ShotRecord, sample_counts)
+                      sample_counts)
 # Imported by name so that perfbench/spans.py can wrap it here.
 from .readout import sample_shot  # noqa: F401
 from .spin_core import DIM, M_VALUES, basis_state, density_matrix, m_index
@@ -112,7 +113,7 @@ class InterferometerResult:
     populations: np.ndarray                     # (n_scan, 10) expected
     phases: np.ndarray | None = None            # extracted phases (rad)
     contrast: np.ndarray | None = None
-    shots: list[list[ShotRecord]] | None = None
+    shots: np.recarray | None = None            # (n_scan, n_shots) SHOT_DTYPE
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -140,10 +141,6 @@ class InterferometerResult:
             cols.append(self.contrast)
         np.savetxt(path, np.column_stack(cols), delimiter=",",
                    header=",".join(header), comments="", fmt="%.12g")
-
-
-def _shot_streams(seed, n_points):
-    return np.random.SeedSequence(seed).spawn(n_points)
 
 
 def _section(schedule, start, stop=None):
@@ -203,40 +200,37 @@ def _shot_populations(rows, rho, phases):
     """Final populations (k, 10) of k shots; shot s conjugates ``rho`` by
     diag(e^{-i phases[s]}) before the closing section given by ``rows``.
 
-    Shots go in blocks of SHOT_BLOCK, one output level at a time:
-    p_si = Re sum_a z_sa (conj(z) @ W_i^T)_sa with W_i[a, b] =
-    rows[i, ab] rho[a, b].  Temporaries stay at (SHOT_BLOCK, 10): complex
-    (k, 10) ones raised the peak resident memory of a 2000-shot call by
-    about 1 MB.
+    Shots go in blocks of SHOT_BLOCK, one product per block:
+    t_sia = sum_b conj(z_sb) W[i, a, b] with W[i, a, b] = rows[i, ab]
+    rho[a, b], then p_si = Re sum_a z_sa t_sia.  Temporaries stay at
+    (SHOT_BLOCK, 100); unblocked, a 2000-shot call would hold complex
+    (2000, 100) ones of 3.2 MB.
     """
-    w = rows.reshape(DIM, DIM, DIM) * rho
+    w = (rows.reshape(DIM, DIM, DIM) * rho).reshape(DIM * DIM, DIM).T
     pops = np.empty(phases.shape)
     for start in range(0, len(phases), SHOT_BLOCK):
         block = slice(start, start + SHOT_BLOCK)
         z = np.exp(-1j * phases[block])
-        zc = z.conj()
-        for level in range(DIM):
-            pops[block, level] = np.einsum("sa,sa->s", z, zc @ w[level].T).real
+        t = (z.conj() @ w).reshape(len(z), DIM, DIM)
+        pops[block] = np.einsum("sia,sa->si", t, z).real
     return pops
 
 
-def _shot_records(populations, n_atoms, detection, rng):
-    """One ShotRecord per row of ``populations``, sampled in one batch."""
-    true, detected = sample_counts(populations, n_atoms, detection, rng)
-    return [ShotRecord(true_counts=t, detected_counts=d, n_atoms=n_atoms,
-                       shot_index=s)
-            for s, (t, d) in enumerate(zip(true, detected))]
-
-
-def _scan_shots(pops, n_atoms, n_shots, detection, seed):
-    """Per scan point, ``n_shots`` records of that point's populations
-    ``pops[k]``, drawn in one batch from the point's own stream; None
-    without shots."""
+def _scan_shots(pops, n_atoms, n_shots, detection, seed, point_pops=None):
+    """The shots, a (points, n_shots) record array of SHOT_DTYPE, or None
+    without shots.  Scan point k draws its shots in one batch from its
+    own child stream ``rng`` of ``seed``: of its populations ``pops[k]``,
+    or of the (n_shots, 10) populations ``point_pops(k, rng)``."""
     if n_shots <= 0:
         return None
-    return [_shot_records(np.broadcast_to(p, (n_shots, DIM)), n_atoms, detection,
-                          np.random.default_rng(stream))
-            for p, stream in zip(pops, _shot_streams(seed, len(pops)))]
+    draws = []
+    for k, stream in enumerate(np.random.SeedSequence(seed).spawn(len(pops))):
+        rng = np.random.default_rng(stream)
+        p = pops[k] if point_pops is None else point_pops(k, rng)
+        draws.append(sample_counts(np.broadcast_to(p, (n_shots, DIM)), n_atoms,
+                                   detection, rng))
+    # np.stack returns a plain structured array
+    return np.stack(draws).view(np.recarray)
 
 
 # ---------------------------------------------------------------------------
@@ -355,18 +349,16 @@ def ramsey(pair: tuple[float, float], t_values, fields: FieldParams,
         rho_pre *= np.exp(-var[:, None, None] * np.subtract.outer(spin, spin) ** 2 / 2.0)
     contrast = 2.0 * np.abs(rho_pre[:, i, j])
     pops = np.real(rho_pre.reshape(len(t_values), -1) @ rows.T).clip(0.0, 1.0)
-    if phase_noise == "sample":
-        shots = []
-        for k, stream in enumerate(_shot_streams(seed, len(t_values))):
-            rng = np.random.default_rng(stream)
-            phases = np.outer(rng.normal(0.0, np.sqrt(var[k]), n_shots), spin)
-            shots.append(_shot_records(_shot_populations(rows, rho_pre[k], phases),
-                                       n_atoms, detection, rng))
-    else:
-        shots = _scan_shots(pops, n_atoms, n_shots, detection, seed)
+
+    def noisy_pops(k, rng):
+        phases = np.outer(rng.normal(0.0, np.sqrt(var[k]), n_shots), spin)
+        return _shot_populations(rows, rho_pre[k], phases)
+
     return InterferometerResult(
         scan_name="dark_time_s", scan_values=t_values, populations=pops,
-        contrast=contrast, shots=shots,
+        contrast=contrast,
+        shots=_scan_shots(pops, n_atoms, n_shots, detection, seed,
+                          noisy_pops if phase_noise == "sample" else None),
         meta={"pair": (m_low, m_high), "tls_mode": tls_mode,
               "detuning_hz": detuning_hz, "omega_hz": omega_hz, "seed": seed})
 
@@ -509,7 +501,8 @@ def dual_ramsey_sampled(t_open: float, fields: FieldParams, omega_hz: float,
     ``seed`` gives all db jitters, then all dq jitters, then all toggle
     draws, then all multinomial draws, then all binomial thinnings.
     Returns per-shot phases (n_shots, 2), offsets (db, dq) (n_shots, 2),
-    shot records, and the nominal final populations.
+    the shots, an (n_shots,) record array of SHOT_DTYPE, and the nominal
+    final populations.
     """
     if n_shots < 1:
         raise ProtocolError("n_shots must be >= 1")
@@ -533,7 +526,7 @@ def dual_ramsey_sampled(t_open: float, fields: FieldParams, omega_hz: float,
                                       + dq[:, None] * M_VALUES**2)
     pops = _shot_populations(rows, rho_pre, level_phases)
     dphis = TWO_PI * t_open * np.column_stack([4 * dq - db, 8 * dq - db])
-    return {"records": _shot_records(pops, n_atoms, detection, rng),
+    return {"records": sample_counts(pops, n_atoms, detection, rng),
             "phase_offsets": dphis,
             "field_offsets": np.column_stack([db, dq]), "t_open": t_open,
             "populations_nominal": np.real(rows @ rho_pre.ravel())}

@@ -73,26 +73,21 @@ class DetectionModel:
         return cls(eta={}, all_states_mode=True)
 
 
-@dataclass(frozen=True)
-class ShotRecord:
-    """One realization: true and detected per-state atom counts."""
-
-    true_counts: np.ndarray      # (10,) int
-    detected_counts: np.ndarray  # (10,) int, -1 where not visible
-    n_atoms: int
-    shot_index: int = 0
+# One shot: true and detected per-state atom counts; detected counts are
+# -1 where the detection model cannot see the state.
+SHOT_DTYPE = np.dtype([("true_counts", np.int64, (DIM,)),
+                       ("detected_counts", np.int64, (DIM,))])
 
 
 def sample_counts(populations: np.ndarray, n_atoms: int,
                   detection: DetectionModel | None = None,
-                  rng: np.random.Generator | None = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """True and detected per-state counts, each (k, 10), of k shots.
+                  rng: np.random.Generator | None = None) -> np.recarray:
+    """The k shots, a (k,) record array of SHOT_DTYPE, of k rows of
+    populations.
 
     Row s of ``populations`` holds the single-atom populations of shot s.
     All k multinomial draws come first, then all k binomial thinnings, so
-    a one-row call draws exactly as one shot.  Detected counts are -1
-    where the detection model cannot see the state.
+    a one-row call draws exactly as one shot.
     """
     if n_atoms < 1:
         raise ReadoutError("n_atoms must be >= 1")
@@ -109,19 +104,16 @@ def sample_counts(populations: np.ndarray, n_atoms: int,
     detection = detection or DetectionModel.ideal()
     detected = rng.binomial(true, detection.efficiency_vector())
     detected[:, ~detection.visible_mask()] = -1
-    return true, detected
+    return np.rec.fromarrays([true, detected], dtype=SHOT_DTYPE)
 
 
 def sample_shot(state_or_rho: np.ndarray, n_atoms: int,
                 detection: DetectionModel | None = None,
-                rng: np.random.Generator | None = None,
-                shot_index: int = 0) -> ShotRecord:
+                rng: np.random.Generator | None = None) -> np.record:
     """Multinomial projection noise plus binomial detection thinning of
     one shot: a one-row :func:`sample_counts`."""
     p = np.real(np.diag(density_matrix(state_or_rho)))
-    true, detected = sample_counts(p[None], n_atoms, detection, rng)
-    return ShotRecord(true_counts=true[0], detected_counts=detected[0],
-                      n_atoms=n_atoms, shot_index=shot_index)
+    return sample_counts(p[None], n_atoms, detection, rng)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -181,24 +173,25 @@ def qubit_spin_ops() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return sx, sy, sz
 
 
-def estimate_spin_projections(shot: ShotRecord, mode: str = "two-state"
-                              ) -> tuple[float, float]:
-    """(s_z estimate, s_phi estimate) from one shot's counts.
+def estimate_spin_projections(shots: np.ndarray, mode: str = "two-state"
+                              ) -> tuple[np.ndarray, np.ndarray]:
+    """(s_z, s_phi) estimates from the true counts of one shot, or of an
+    array of shots of SHOT_DTYPE, each estimate of the array's shape.
 
     two-state: uses only N(-3/2) and N(-7/2) with the half-manifold
     closures N(-9/2)+N(-3/2) = N(-7/2)+N(-5/2) = N_at/2.
-    four-state: N_a - N_b and -(N_up - N_down).
+    four-state: N_a - N_b and N_up - N_down.
     """
-    n = shot.true_counts
-    n_at = shot.n_atoms
+    n = shots["true_counts"]
+    n_at = n.sum(axis=-1)
     if mode == "two-state":
-        s_z = 2.0 * n[m_index(M_ANCILLA_A)] - n_at / 2.0
-        s_phi = -(2.0 * n[m_index(M_DOWN)] - n_at / 2.0)
+        s_z = 2.0 * n[..., m_index(M_ANCILLA_A)] - n_at / 2.0
+        s_phi = -(2.0 * n[..., m_index(M_DOWN)] - n_at / 2.0)
         return s_z, s_phi
     if mode == "four-state":
-        s_z = float(n[m_index(M_ANCILLA_A)] - n[m_index(M_ANCILLA_B)])
-        s_phi = float(n[m_index(M_UP)] - n[m_index(M_DOWN)])
-        return s_z, s_phi
+        s_z = n[..., m_index(M_ANCILLA_A)] - n[..., m_index(M_ANCILLA_B)]
+        s_phi = n[..., m_index(M_UP)] - n[..., m_index(M_DOWN)]
+        return s_z.astype(float), s_phi.astype(float)
     raise ReadoutError("mode must be 'two-state' or 'four-state'")
 
 

@@ -8,6 +8,7 @@ worker does and change nothing in it.
 """
 
 import importlib
+import json
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,8 @@ import pytest
 from sunspin import cli
 
 ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK_WORKLOADS = [w["name"] for w in
+                       json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
 @pytest.fixture
@@ -40,3 +43,15 @@ def test_pulse_scan_configs_validate(perfbench):
     _, workloads = perfbench
     for cfg in workloads.PulseScans(617, ROOT).configs.values():
         cli.validate_config(cfg)
+
+
+@pytest.mark.parametrize("name", BENCHMARK_WORKLOADS)
+def test_one_pass_passes_its_checks(perfbench, name, tmp_path):
+    # one untimed pass, each result judged by the workload's own check as
+    # the worker judges it: an exception in a call or a check fails here
+    _, workloads = perfbench
+    workload = workloads.WORKLOADS[name](617, ROOT)
+    results = [(op, call()) for op, call in workload.operations(tmp_path)]
+    values = dict(results)
+    assert [(op, problem) for op, value in results
+            for problem in workload.check(op, value, values)] == []

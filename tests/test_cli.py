@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sunspin import cli, dynamics, model
+from sunspin import cli, dynamics, model, readout
+from sunspin.spin_core import DIM
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "sunspin" / "configs"
 
@@ -56,6 +57,31 @@ class TestRunConfig:
         sa = (tmp_path / "a" / "shots.csv").read_bytes()
         sb = (tmp_path / "b" / "shots.csv").read_bytes()
         assert sa == sb
+
+    def test_multi_shot_rows(self, tmp_path, monkeypatch):
+        # every bundled config draws at most one shot per point; here
+        # three per point, one row each, point-major
+        results = []
+        rabi_scan = cli.protocols.rabi_scan
+        monkeypatch.setattr(cli.protocols, "rabi_scan",
+                            lambda **kw: results.append(rabi_scan(**kw)) or results[-1])
+        cfg = json.loads((CONFIG_DIR / "rabi_dm1.json").read_text())
+        cfg.update(scan={"start": 1e-6, "stop": 0.05, "num": 4}, n_shots=3,
+                   detection={})
+        cli.run_config(cfg, tmp_path)
+        [shots] = [r.shots for r in results]
+        rows = np.loadtxt(tmp_path / "shots.csv", delimiter=",", skiprows=1,
+                          dtype=np.int64)
+        assert rows.shape == (4 * 3, 2 + 2 * DIM)
+        assert np.array_equal(rows[:, 0], np.repeat(np.arange(4), 3))
+        assert np.array_equal(rows[:, 1], np.tile(np.arange(3), 4))
+        for k, s, *counts in rows:
+            assert np.array_equal(counts[:DIM], shots[k][s].true_counts)
+            assert np.array_equal(counts[DIM:], shots[k][s].detected_counts)
+        # states the default detection model cannot see read -1
+        seen = rows[:, 2 + DIM:]
+        visible = readout.DetectionModel().visible_mask()
+        assert np.all(seen[:, ~visible] == -1) and np.all(seen[:, visible] >= 0)
 
     def test_manifest_hashes_match_files(self, tmp_path):
         import hashlib
@@ -296,6 +322,18 @@ class TestSubcommands:
             assert run_cli(["fit", "damped-sine", path]) == 0
             fits.append(json.loads(capsys.readouterr().out))
         assert fits[1] == fits[0]
+
+    def test_sine_odr_rejects_errors_column(self, tmp_path):
+        # sine-odr reads its y and x errors from columns 2 and 3, so a
+        # column named by --errors-column would go unread
+        t = np.linspace(0.0038, 0.0053, 60)
+        y = 0.25 - 0.25 * np.cos(2 * np.pi * 2200 * t)
+        path = tmp_path / "odr.csv"
+        np.savetxt(path, np.column_stack([t, y, np.full_like(t, 0.004),
+                                          np.full_like(t, 1.5e-5), y]),
+                   delimiter=",", header="t,y,sy,sx,e", comments="")
+        assert run_cli(["fit", "sine-odr", path]) == 0
+        assert run_cli(["fit", "sine-odr", path, "--errors-column", "4"]) == 2
 
     def test_decompose_subcommand(self, tmp_path, capsys):
         assert run_cli(["decompose", "--n", "4",

@@ -43,9 +43,8 @@ class TestRabiScan:
                   detection=ro.DetectionModel.ideal())
         r1 = pr.rabi_scan((-2.5, -1.5), 71.0, REF_FIELDS, durations, **kw)
         r2 = pr.rabi_scan((-2.5, -1.5), 71.0, REF_FIELDS, durations, **kw)
-        for s1, s2 in zip(r1.shots[1], r2.shots[1]):
-            assert np.array_equal(s1.true_counts, s2.true_counts)
-            assert np.array_equal(s1.detected_counts, s2.detected_counts)
+        assert np.array_equal(r1.shots.true_counts, r2.shots.true_counts)
+        assert np.array_equal(r1.shots.detected_counts, r2.shots.detected_counts)
 
     def test_density_scan_one_expm_per_duration(self, monkeypatch):
         # the segment ends at the last duration, so no step runs past it:
@@ -121,15 +120,13 @@ class TestRamsey:
                           **kw, **shot_kw)
         n = 40 * 500
         for k in range(len(t_vals)):
-            counts = np.array([rec.true_counts for rec in res.shots[k]])
-            mean = counts.sum(axis=0) / n
+            mean = res.shots[k].true_counts.sum(axis=0) / n
             for m in (-3.5, -2.5):
                 p = bare.population(m)[k]
                 se = np.sqrt(p * (1 - p) / n)
                 assert abs(mean[ro.m_index(m)] - p) < 5 * se
-            for r1, r2 in zip(res.shots[k], again.shots[k]):
-                assert np.array_equal(r1.true_counts, r2.true_counts)
-                assert np.array_equal(r1.detected_counts, r2.detected_counts)
+        assert np.array_equal(res.shots.true_counts, again.shots.true_counts)
+        assert np.array_equal(res.shots.detected_counts, again.shots.detected_counts)
 
     def test_averaged_phase_noise_is_the_mean_of_sampled_rotations(self):
         # 'average' folds in the mean of the pair z rotation that 'sample'
@@ -213,8 +210,7 @@ class TestParallelRamsey:
         r1 = pr.parallel_ramsey(t_vals, DUAL_FIELDS, **kw)
         r2 = pr.parallel_ramsey(t_vals, DUAL_FIELDS, **kw)
         assert np.array_equal(r1.populations, r2.populations)
-        for a, b in zip(r1.shots[0], r2.shots[0]):
-            assert np.array_equal(a.true_counts, b.true_counts)
+        assert np.array_equal(r1.shots.true_counts, r2.shots.true_counts)
 
     def test_sampled_field_toggle_splits_phases(self):
         noise = pr.NoiseSpec(pulse_area_sigma=0.0, b_jitter_hz=3.0,
@@ -333,9 +329,9 @@ class TestBatchedShots:
                                        pr.NoiseSpec.quiet(), **kw)
         records = out["records"]
         assert out["phase_offsets"].shape == out["field_offsets"].shape == (n_shots, 2)
-        assert [r.shot_index for r in records] == list(range(n_shots))
-        true = np.array([r.true_counts for r in records])
-        assert true.shape == (n_shots, DIM)
+        assert isinstance(records, np.recarray) and records.dtype == ro.SHOT_DTYPE
+        assert records.shape == (n_shots,)
+        true = records.true_counts
         assert np.all(true.sum(axis=1) == n_atoms)
         n = n_shots * n_atoms
         p = out["populations_nominal"]
@@ -344,9 +340,9 @@ class TestBatchedShots:
         assert np.all(np.abs(true.sum(axis=0) / n - p) < 5 * se)
         for key in ("phase_offsets", "field_offsets", "populations_nominal"):
             assert np.array_equal(out[key], again[key])
-        for r1, r2 in zip(records, again["records"]):
-            assert np.array_equal(r1.true_counts, r2.true_counts)
-            assert np.array_equal(r1.detected_counts, r2.detected_counts)
+        assert np.array_equal(true, again["records"].true_counts)
+        assert np.array_equal(records.detected_counts,
+                              again["records"].detected_counts)
 
     def test_dual_ramsey_needs_shots(self):
         with pytest.raises(pr.ProtocolError):
@@ -385,30 +381,32 @@ class TestOneSampler:
         res = SCANS[scan](SCAN_VALUES[scan], lindblad=lindblad, n_shots=1,
                           n_atoms=700, detection=det, seed=seed)
         streams = np.random.SeedSequence(seed).spawn(len(res.scan_values))
-        assert len(res.shots) == len(streams)
-        for k, [rec] in enumerate(res.shots):
+        assert res.shots.shape == (len(streams), 1)
+        for k, [shot] in enumerate(res.shots):
             ref = ro.sample_shot(np.diag(res.populations[k]), 700, det,
                                  np.random.default_rng(streams[k]))
-            assert np.array_equal(rec.true_counts, ref.true_counts)
-            assert np.array_equal(rec.detected_counts, ref.detected_counts)
-            assert (rec.n_atoms, rec.shot_index) == (700, 0)
+            assert np.array_equal(shot.true_counts, ref.true_counts)
+            assert np.array_equal(shot.detected_counts, ref.detected_counts)
 
     @pytest.mark.parametrize("scan", sorted(SCANS))
     def test_one_batch_per_point(self, scan, monkeypatch):
-        calls = []
+        calls, draws = [], []
         sample_counts = pr.sample_counts
 
         def spy(pops, n_atoms, detection=None, rng=None):
             calls.append(np.array(pops))
-            return sample_counts(pops, n_atoms, detection, rng)
+            draws.append(sample_counts(pops, n_atoms, detection, rng))
+            return draws[-1]
 
         monkeypatch.setattr(pr, "sample_counts", spy)
         n_shots = 6
         res = SCANS[scan](SCAN_VALUES[scan], n_shots=n_shots, n_atoms=300, seed=5)
+        assert isinstance(res.shots, np.recarray) and res.shots.dtype == ro.SHOT_DTYPE
         assert len(calls) == len(res.scan_values) == len(res.shots)
-        for rows, pops, records in zip(calls, res.populations, res.shots):
+        # point k's batch is row k of the scan's shots
+        for rows, pops, shots, draw in zip(calls, res.populations, res.shots, draws):
             assert np.array_equal(rows, np.tile(pops, (n_shots, 1)))
-            assert [r.shot_index for r in records] == list(range(n_shots))
+            assert np.array_equal(shots, draw)
 
     @pytest.mark.parametrize("scan", sorted(SCANS))
     def test_empty_scan_rejected(self, scan):

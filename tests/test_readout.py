@@ -5,14 +5,11 @@ from sunspin import readout as ro
 from sunspin.spin_core import DIM, basis_state, m_index
 
 
-def _records(psi, n_atoms, n_shots, detection=None, seed=0):
-    """``n_shots`` records of the populations of ``psi``, drawn in one
+def _shots(psi, n_atoms, n_shots, detection=None, seed=0):
+    """``n_shots`` shots of the populations of ``psi``, drawn in one
     :func:`~sunspin.readout.sample_counts` batch."""
     pops = np.tile(np.abs(psi) ** 2, (n_shots, 1))
-    true, seen = ro.sample_counts(pops, n_atoms, detection,
-                                  np.random.default_rng(seed))
-    return [ro.ShotRecord(true_counts=t, detected_counts=d, n_atoms=n_atoms)
-            for t, d in zip(true, seen)]
+    return ro.sample_counts(pops, n_atoms, detection, np.random.default_rng(seed))
 
 
 class TestSampling:
@@ -28,8 +25,8 @@ class TestSampling:
     def test_binomial_variance_of_equal_superposition(self):
         # variance of a per-state count ~ N/4 (binomial oracle); z-test
         psi = (basis_state(-2.5) + basis_state(-1.5)) / np.sqrt(2)
-        shots = _records(psi, 10_000, 4000, ro.DetectionModel.ideal(), seed=12)
-        n = np.array([s.true_counts[m_index(-1.5)] for s in shots])
+        shots = _shots(psi, 10_000, 4000, ro.DetectionModel.ideal(), seed=12)
+        n = shots.true_counts[:, m_index(-1.5)]
         var = n.var(ddof=1)
         expected = 10_000 * 0.25
         # sampling distribution of the variance: se ~ var * sqrt(2/(n-1))
@@ -38,8 +35,8 @@ class TestSampling:
 
     def test_detection_thinning_mean(self):
         det = ro.DetectionModel()
-        shots = _records(basis_state(-1.5), 2000, 3000, det, seed=3)
-        mean_det = np.mean([s.detected_counts[m_index(-1.5)] for s in shots])
+        shots = _shots(basis_state(-1.5), 2000, 3000, det, seed=3)
+        mean_det = shots.detected_counts[:, m_index(-1.5)].mean()
         assert mean_det / 2000 == pytest.approx(0.51, abs=0.01)
         # unmeasured states flagged with -1
         assert shots[0].detected_counts[m_index(4.5)] == -1
@@ -50,8 +47,8 @@ class TestSampling:
         psi /= np.linalg.norm(psi)
         p = np.abs(psi) ** 2
         n_shots, n_at = 2000, 1000
-        shots = _records(psi, n_at, n_shots, ro.DetectionModel.ideal(), seed=6)
-        mean = np.mean([s.true_counts for s in shots], axis=0) / n_at
+        shots = _shots(psi, n_at, n_shots, ro.DetectionModel.ideal(), seed=6)
+        mean = shots.true_counts.mean(axis=0) / n_at
         se = np.sqrt(p * (1 - p) / (n_shots * n_at)) + 1e-9
         assert np.all(np.abs(mean - p) < 5 * se)
 
@@ -75,27 +72,29 @@ class TestSampling:
         det = detection or ro.DetectionModel.ideal()
         got = np.random.default_rng(7)
         want = np.random.default_rng(7)
-        for shot in range(3):
-            rec = ro.sample_shot(psi, 1000, detection, got, shot_index=shot)
+        for _ in range(3):
+            shot = ro.sample_shot(psi, 1000, detection, got)
             true = want.multinomial(1000, p / p.sum())
             seen = want.binomial(true, det.efficiency_vector())
-            assert np.array_equal(rec.true_counts, true)
-            assert np.array_equal(rec.detected_counts,
+            assert shot.dtype == ro.SHOT_DTYPE
+            assert np.array_equal(shot.true_counts, true)
+            assert np.array_equal(shot.detected_counts,
                                   np.where(det.visible_mask(), seen, -1))
-            assert rec.shot_index == shot and rec.n_atoms == 1000
 
     def test_sample_counts_draws_multinomials_then_binomials(self):
         rng = np.random.default_rng(42)
         pops = rng.dirichlet(np.ones(DIM), size=6)
         det = ro.DetectionModel()
-        true, seen = ro.sample_counts(pops, 800, det, np.random.default_rng(9))
+        shots = ro.sample_counts(pops, 800, det, np.random.default_rng(9))
         want = np.random.default_rng(9)
         ref_true = np.array([want.multinomial(800, p / p.sum()) for p in pops])
         ref_seen = np.array([want.binomial(t, det.efficiency_vector())
                              for t in ref_true])
-        assert true.shape == seen.shape == (6, DIM)
-        assert np.array_equal(true, ref_true)
-        assert np.array_equal(seen, np.where(det.visible_mask(), ref_seen, -1))
+        assert isinstance(shots, np.recarray) and shots.dtype == ro.SHOT_DTYPE
+        assert shots.shape == (6,)
+        assert np.array_equal(shots.true_counts, ref_true)
+        assert np.array_equal(shots.detected_counts,
+                              np.where(det.visible_mask(), ref_seen, -1))
 
     @pytest.mark.parametrize("n_atoms, excess", [(0, 0.0), (-3, 0.0),
                                                  (10, 2e-6), (10, -2e-6)])
@@ -161,11 +160,8 @@ class TestEstimators:
         u = ro.ideal_measurement_propagator(0.0)
         out = u @ psi
         n_at = 40_000
-        shots = _records(out, n_at, 300, ro.DetectionModel.ideal(), seed=8)
-        sz = np.array([ro.estimate_spin_projections(s, "two-state")[0]
-                       for s in shots])
-        sphi = np.array([ro.estimate_spin_projections(s, "two-state")[1]
-                         for s in shots])
+        shots = _shots(out, n_at, 300, ro.DetectionModel.ideal(), seed=8)
+        sz, sphi = ro.estimate_spin_projections(shots, "two-state")
         assert abs(sz.mean()) < 4 * sz.std(ddof=1) / np.sqrt(len(sz))
         assert sphi.mean() == pytest.approx(-n_at / 2, rel=0.01)
 
@@ -175,27 +171,24 @@ class TestEstimators:
         counts = np.zeros(DIM, int)
         counts[m_index(-1.5)] = 400
         counts[m_index(ro.M_DOWN)] = 400
-        rec = ro.ShotRecord(true_counts=counts, detected_counts=counts,
-                            n_atoms=800)
-        sz, _ = ro.estimate_spin_projections(rec, "two-state")
+        shot = np.array((counts, counts), dtype=ro.SHOT_DTYPE)
+        sz, _ = ro.estimate_spin_projections(shot, "two-state")
         assert sz == 800 / 2
 
     def test_two_state_noisier_than_four_state(self):
         psi = ro.coherent_qubit_state()
         u = ro.ideal_measurement_propagator(0.0)
         out = u @ psi
-        shots = _records(out, 1000, 10_000, ro.DetectionModel.ideal(), seed=9)
-        two = np.array([ro.estimate_spin_projections(s, "two-state")[0]
-                        for s in shots])
-        four = np.array([ro.estimate_spin_projections(s, "four-state")[0]
-                         for s in shots])
+        shots = _shots(out, 1000, 10_000, ro.DetectionModel.ideal(), seed=9)
+        two, _ = ro.estimate_spin_projections(shots, "two-state")
+        four, _ = ro.estimate_spin_projections(shots, "four-state")
+        # one shot estimates as its element of the array
+        assert ro.estimate_spin_projections(shots[3], "four-state")[0] == four[3]
         assert two.var(ddof=1) > 1.2 * four.var(ddof=1)
 
     def test_invalid_mode(self):
-        rec = ro.ShotRecord(true_counts=np.zeros(DIM, int),
-                            detected_counts=np.zeros(DIM, int), n_atoms=1)
         with pytest.raises(ro.ReadoutError):
-            ro.estimate_spin_projections(rec, "three-state")
+            ro.estimate_spin_projections(np.zeros((), ro.SHOT_DTYPE), "three-state")
 
 
 class TestVarianceIdentity:
