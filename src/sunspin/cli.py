@@ -327,6 +327,8 @@ def _apply_overrides(cfg: dict, args) -> dict:
         parts = key.split(".")
         for part in parts[:-1]:
             target = target.setdefault(part, {})
+            if not isinstance(target, dict):
+                raise ConfigError(f"--param {key}: {part} is not an object")
         target[parts[-1]] = json.loads(value)
     return cfg
 
@@ -352,10 +354,15 @@ def _protocol_cmd(protocol, defaults):
 
 
 def _cmd_leakage(args) -> int:
+    try:
+        ratios = [float(x) for x in args.ratios.split(",")]
+    except ValueError:
+        raise ConfigError(f"--ratios takes comma-separated numbers, got "
+                          f"{args.ratios!r}") from None
     cfg = {
         "protocol": "leakage_scan",
         "fields": {"b_hz": 960.0, "q_hz": -330.0},
-        "scan": {"values": [float(x) for x in args.ratios.split(",")]},
+        "scan": {"values": ratios},
         "include_scattering": bool(args.scattering),
     }
     cfg = _apply_overrides(cfg, args)
@@ -364,7 +371,10 @@ def _cmd_leakage(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    data = np.loadtxt(args.input, delimiter=",", skiprows=1)
+    data = np.loadtxt(args.input, delimiter=",", skiprows=1, ndmin=2)
+    for flag, col in (("--column", args.column), ("--errors-column", args.errors_column)):
+        if col is not None and not 0 <= col < data.shape[1]:
+            raise ConfigError(f"{flag} {col} is outside the file's {data.shape[1]} columns")
     t, y = data[:, 0], data[:, args.column]
     errs = None if args.errors_column is None else data[:, args.errors_column]
     if args.model == "damped-sine":
@@ -394,6 +404,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    if args.n < 1:
+        raise ConfigError(f"--n must be at least 1, got {args.n}")
     rng = np.random.default_rng(args.seed)
     stats = []
     for k in range(args.n):

@@ -3,13 +3,15 @@
 Pure-state Schroedinger propagation and Lindblad master-equation
 propagation over piecewise-defined time-dependent Hamiltonians.  The
 engines take a :class:`Schedule` of data :class:`Segment` s (built by
-:func:`sunspin.sequence.compile`) or a constant matrix, held as one
-segment.  :meth:`Segment.hamiltonian` is the one place H(t) is
-evaluated, and every segment's Liouvillian is its Hamiltonian part plus
-mult(t) D: the TLS multiplier times the dissipator of its channels,
-every rate being light-induced.  Hamiltonians are in ordinary frequency
-units (Hz); the 2*pi lives in the equations of motion.  Rates are 1/e
-rates in 1/s.
+:func:`sunspin.sequence.compile`) or a constant matrix, held from 0 to
+``t1`` as one segment.  A segment carries its duration and runs on its
+own clock from 0, so a pulse maps the same wherever it sits; schedule
+time is ``Schedule.starts``, the running sum of the durations.
+:meth:`Segment.hamiltonian` is the one place H(t) is evaluated, and
+every segment's Liouvillian is its Hamiltonian part plus mult(t) D: the
+TLS multiplier times the dissipator of its channels, every rate being
+light-induced.  Hamiltonians are in ordinary frequency units (Hz); the
+2*pi lives in the equations of motion.  Rates are 1/e rates in 1/s.
 
 All four engines are folds of one schedule walker over one segment
 stepper.  The stepper advances a state of shape (d,) or (d, k) in
@@ -51,7 +53,7 @@ again and again:
 * per channel set, keyed by its operator bytes and rates: the 100x100
   dissipator and the closed-form rate and coherence matrices;
 * per constant Liouville segment, keyed by ``Segment.key`` (level
-  diagonal, coupling triangles, beats and phases; never t0 or t1), the
+  diagonal, coupling triangles, beats and phases; never the duration), the
   channel set and the multiplier: the spectrum of its Liouvillian, or
   None when it takes chained exponentials.  A spectrum does not depend
   on the step length, so a pulse repeated anywhere in a run, sampled
@@ -68,6 +70,7 @@ evolves each pulse of a scan once.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -210,8 +213,7 @@ class Segment:
     by the multiplier.
     """
 
-    t0: float
-    t1: float
+    duration: float
     diag_start: np.ndarray
     diag_end: np.ndarray
     tones: tuple[tuple[np.ndarray, float, float], ...] = ()
@@ -222,10 +224,6 @@ class Segment:
     mult_start: float = 1.0
     mult_end: float = 1.0
     label: str = ""
-
-    @property
-    def duration(self) -> float:
-        return self.t1 - self.t0
 
     @functools.cached_property
     def kind(self) -> str:
@@ -242,9 +240,9 @@ class Segment:
         """Content key of a constant segment's H; None for the other kinds.
 
         The level diagonal and each tone's coupling triangle, beat and
-        phase, never t0 or t1: segments with equal keys have
+        phase, never the duration: segments with equal keys have
         bit-identical ``h_const``, so a pulse repeated within a schedule
-        diagonalizes its Liouvillian once.  (H at t0 does not depend on the
+        diagonalizes its Liouvillian once.  (H at 0 does not depend on the
         sub-threshold beats, except for the sign of a zero phase.)
         """
         if self.kind != "constant":
@@ -256,7 +254,7 @@ class Segment:
     @functools.cached_property
     def h_const(self) -> np.ndarray | None:
         """H of a constant segment; None for the other kinds."""
-        return self.hamiltonian(self.t0) if self.kind == "constant" else None
+        return self.hamiltonian(0.0) if self.kind == "constant" else None
 
     @functools.cached_property
     def channel_set(self) -> _ChannelSet:
@@ -278,11 +276,12 @@ class Segment:
         if self.envelope != "linear_ramp":
             return ()
         ramp = self.envelope_param * self.duration
-        return tuple(sorted(t for t in {self.t0 + ramp, self.t1 - ramp}
-                            if self.t0 < t < self.t1))
+        return tuple(sorted(t for t in {ramp, self.duration - ramp}
+                            if 0 < t < self.duration))
 
     def hamiltonian(self, t: float) -> np.ndarray:
-        """H(t) (Hz): the package's one Raman Hamiltonian.
+        """H(t) (Hz) at time t into the segment: the package's one Raman
+        Hamiltonian.
 
         The level diagonal at the ramped TLS multiplier plus, per tone
         (coupling triangle, beat rate, phase), the enveloped coupling and
@@ -296,7 +295,7 @@ class Segment:
         hm = np.diag(self._diag_at(s)).astype(complex)
         env = ENVELOPES[self.envelope](s, self.envelope_param)
         for cmat, rate, phi0 in self.tones:
-            arg = 2 * np.pi * rate * (t - self.t0) + phi0
+            arg = 2 * np.pi * rate * t + phi0
             if self.lab:
                 upper = 2.0 * env * cmat * np.cos(arg)
             else:
@@ -305,7 +304,7 @@ class Segment:
         return hm
 
     def _fraction(self, t: float) -> float:
-        return (t - self.t0) / self.duration if self.duration > 0 else 0.0
+        return t / self.duration if self.duration > 0 else 0.0
 
     def _diag_at(self, s) -> np.ndarray:
         """The level diagonal at segment fraction ``s``: (10,), or (k, 10)
@@ -318,60 +317,53 @@ class Segment:
         ``_diag_at`` gives it), else None."""
         return None if (self.diag_end - self.diag_start).any() else self.diag_start + 0.0
 
-    def _diag_integral(self, ta: float, tb) -> np.ndarray:
-        """Exact integral of the (linear-in-t) diagonal over [ta, tb], Hz*s:
+    def _diag_integral(self, tb) -> np.ndarray:
+        """Exact integral of the (linear-in-t) diagonal over [0, tb], Hz*s:
         (10,), or (k, 10) for k ends ``tb``."""
-        dt = np.expand_dims(np.subtract(tb, ta), -1)
+        dt = np.expand_dims(tb, -1)
         if self._diag_flat is not None:
             return self._diag_flat * dt
-        return 0.5 * (self._diag_at(self._fraction(ta))
-                      + self._diag_at(self._fraction(tb))) * dt
+        return 0.5 * (self._diag_at(0.0) + self._diag_at(self._fraction(tb))) * dt
 
     def multiplier(self, t: float) -> float:
-        return self._multiplier_at(self._fraction(t))
+        return self.mult_start + self._fraction(t) * (self.mult_end - self.mult_start)
 
-    def _multiplier_at(self, s: float) -> float:
-        return self.mult_start + s * (self.mult_end - self.mult_start)
-
-    def _multiplier_integral(self, ta: float, tb: float) -> float:
-        return 0.5 * (self.multiplier(ta) + self.multiplier(tb)) * (tb - ta)
+    def _multiplier_integral(self, tb):
+        """Integral of the multiplier over [0, tb]."""
+        return 0.5 * (self.mult_start + self.multiplier(tb)) * tb
 
 
 @dataclass(frozen=True)
 class Schedule:
-    """Ordered piecewise schedule; segments touch without gaps."""
+    """Ordered piecewise schedule from time 0: each segment starts where
+    the one before it ends."""
 
     segments: tuple[Segment, ...]
     meta: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        for a, b in zip(self.segments, self.segments[1:]):
-            if abs(a.t1 - b.t0) > 1e-12 * max(1.0, abs(a.t1)):
-                raise DynamicsError("schedule segments must be contiguous")
+    @functools.cached_property
+    def starts(self) -> tuple[float, ...]:
+        """Each segment's start time, then the end (s): the one running
+        sum of the durations."""
+        return tuple(itertools.accumulate((seg.duration for seg in self.segments),
+                                          initial=0.0))
 
     @property
-    def t0(self) -> float:
-        return self.segments[0].t0
-
-    @property
-    def t1(self) -> float:
-        return self.segments[-1].t1
+    def duration(self) -> float:
+        return self.starts[-1]
 
     def hamiltonian(self, t: float) -> np.ndarray:
-        return self._segment_at(t).hamiltonian(t)
-
-    def _segment_at(self, t: float) -> Segment:
-        for seg in self.segments:
-            if seg.t0 <= t <= seg.t1 + TIME_SLACK:
-                return seg
-        raise DynamicsError(f"time {t} outside schedule [{self.t0}, {self.t1}]")
+        for seg, start, end in zip(self.segments, self.starts, self.starts[1:]):
+            if start <= t <= end + TIME_SLACK:
+                return seg.hamiltonian(t - start)
+        raise DynamicsError(f"time {t} outside schedule [0, {self.duration}]")
 
     def has_dissipation(self) -> bool:
         return any(seg.channels for seg in self.segments)
 
 
-def _coerce_schedule(hamiltonian, t0, t1, channels=()) -> Schedule:
-    """Accept a compiled Schedule, or a constant matrix held over [t0, t1].
+def _coerce_schedule(hamiltonian, t1, channels=()) -> Schedule:
+    """Accept a compiled Schedule, or a constant matrix held from 0 to t1.
 
     The matrix is stored as its real diagonal plus one zero-beat tone
     carrying its upper triangle.
@@ -384,7 +376,7 @@ def _coerce_schedule(hamiltonian, t0, t1, channels=()) -> Schedule:
     h0 = np.asarray(hamiltonian, dtype=complex)
     _check_hermitian(h0)
     diag = h0.diagonal().real.copy()
-    return Schedule((Segment(t0=t0, t1=t1, diag_start=diag, diag_end=diag,
+    return Schedule((Segment(duration=t1, diag_start=diag, diag_end=diag,
                              tones=((np.triu(h0, 1), 0.0, 0.0),),
                              channels=channels),))
 
@@ -437,12 +429,12 @@ class Trajectory:
 
 def _resolve_times(schedule: Schedule, t_eval) -> np.ndarray:
     if t_eval is None:
-        times = np.array([schedule.t0, schedule.t1])
+        times = np.array([0.0, schedule.duration])
     else:
         times = np.atleast_1d(np.asarray(t_eval, dtype=float))
     if np.any(np.diff(times) <= 0):
         raise DynamicsError("sample times must be strictly increasing")
-    if times[0] < schedule.t0 - TIME_SLACK or times[-1] > schedule.t1 + TIME_SLACK:
+    if times[0] < -TIME_SLACK or times[-1] > schedule.duration + TIME_SLACK:
         raise DynamicsError("sample times outside the schedule span")
     return times
 
@@ -457,17 +449,18 @@ def _walk(schedule: Schedule, state: np.ndarray, times, tol: float,
 
     Returns the states at ``times`` (sorted, inside the schedule span)
     and the state at the end of the last segment stepped; with no
-    sample times every segment is stepped.
+    sample times every segment is stepped.  A segment gets its sample
+    times as times into it.
     """
     if not liouville and schedule.has_dissipation():
         raise DynamicsError("unitary evolution cannot carry dissipation channels")
     samples: list = []
-    t_from = schedule.t0
-    for seg in schedule.segments:
-        inside = [float(t) for t in times[len(samples):] if t <= seg.t1 + TIME_SLACK]
-        got, state = _step(seg, state, t_from, inside, tol, liouville)
+    starts = schedule.starts
+    for seg, start, end in zip(schedule.segments, starts, starts[1:]):
+        inside = [float(t) - start for t in times[len(samples):]
+                  if t <= end + TIME_SLACK]
+        got, state = _step(seg, state, inside, tol, liouville)
         samples += got
-        t_from = seg.t1
         if len(times) and len(samples) == len(times):
             break
     if len(samples) < len(times):
@@ -475,13 +468,14 @@ def _walk(schedule: Schedule, state: np.ndarray, times, tol: float,
     return samples, state
 
 
-def _step(seg: Segment, state, t_from, sample_ts, tol, liouville):
-    """Advance ``state`` from ``t_from`` to seg.t1.
+def _step(seg: Segment, state, sample_ts, tol, liouville):
+    """Advance ``state`` across the segment.
 
-    Returns (states at ``sample_ts``, state at seg.t1).  This is the
-    one place that picks a segment's method (see the module docstring).
+    Returns (states at ``sample_ts``, state at the end); times count
+    from the segment's start.  This is the one place that picks a
+    segment's method (see the module docstring).
     """
-    ends = sample_ts + [seg.t1]
+    ends = sample_ts + [seg.duration]
     if seg.kind == "constant":
         if liouville:
             spectrum = _constant_spectrum(seg)
@@ -489,15 +483,13 @@ def _step(seg: Segment, state, t_from, sample_ts, tol, liouville):
             w, v = np.linalg.eigh(seg.h_const)
             spectrum = -1j * TWO_PI * w, v, v.conj().T
         if spectrum is not None:
-            states = _spectral(*spectrum, state, t_from, ends)
+            states = _spectral(*spectrum, state, ends)
         else:
-            sup = _constant_liouvillian(seg)
-            states = _chained(lambda vec, ta, tb: expm(sup * (tb - ta)) @ vec,
-                              state, t_from, ends)
+            states = _chained(_constant_liouvillian(seg), state, ends)
     elif seg.kind == "diagonal" and (not liouville or seg.channel_set.diagonal_safe):
-        states = _closed_form(seg, state, t_from, ends, liouville)
+        states = _closed_form(seg, state, ends, liouville)
     else:
-        states = _rk45(seg, state, t_from, ends, tol, liouville)
+        states = _rk45(seg, state, ends, tol, liouville)
     return states[:len(sample_ts)], states[-1]
 
 
@@ -510,8 +502,8 @@ def _rows(factors: np.ndarray, x: np.ndarray) -> np.ndarray:
     return factors.reshape(factors.shape + (1,) * (x.ndim - factors.ndim)) * x
 
 
-def _spectral(rates, v, v_inv, state, t_from, ends):
-    """States at ``ends``: v diag(exp(rates (t - t_from))) v_inv @ state.
+def _spectral(rates, v, v_inv, state, ends):
+    """States at ``ends``: v diag(exp(rates t)) v_inv @ state.
 
     A state vector is stepped to several ends in one matrix product; a
     block of columns (a propagator or superoperator, which samples
@@ -519,9 +511,8 @@ def _spectral(rates, v, v_inv, state, t_from, ends):
     """
     coeff = v_inv @ state
     if state.ndim > 1 or len(ends) == 1:
-        return [v @ _rows(np.exp(rates * (ts - t_from)), coeff) for ts in ends]
-    factors = np.exp(np.multiply.outer(np.subtract(ends, t_from), rates),
-                     dtype=complex)
+        return [v @ _rows(np.exp(rates * ts), coeff) for ts in ends]
+    factors = np.exp(np.multiply.outer(ends, rates), dtype=complex)
     factors *= coeff
     return list(factors @ v.T)
 
@@ -577,13 +568,13 @@ def _eigen(sup: np.ndarray):
     return _frozen(lam), _frozen(v), _frozen(v_inv)
 
 
-def _chained(step, state, t_from, ends):
-    """States at ``ends`` from successive steps ``step(state, ta, tb)``."""
-    states, t_prev = [], t_from
+def _chained(sup, state, ends):
+    """States at ``ends`` from successive exponentials of the Liouvillian
+    ``sup``."""
+    states, t_prev = [], 0.0
     for ts in ends:
         if ts > t_prev:
-            state = step(state, t_prev, ts)
-            t_prev = ts
+            state, t_prev = expm(sup * (ts - t_prev)) @ state, ts
         states.append(state)
     return states
 
@@ -595,7 +586,7 @@ def _max_step(seg: Segment) -> float:
     return min(span, 1.0 / (50.0 * seg.f_max_hz)) if span > 0 else np.inf
 
 
-def _rk45(seg: Segment, state, t_from, ends, tol, liouville):
+def _rk45(seg: Segment, state, ends, tol, liouville):
     shape = state.shape
     if liouville:
         dissipator = seg.channel_set.dissipator
@@ -615,8 +606,8 @@ def _rk45(seg: Segment, state, t_from, ends, tol, liouville):
     # RK45's error control assumes a smooth right-hand side, so each
     # stretch between kinks of the envelope is solved on its own
     max_step = _max_step(seg)
-    y, states, t_a = state.reshape(-1), [], t_from
-    for t_b in [t for t in seg.kinks if t > t_from]:
+    y, states, t_a = state.reshape(-1), [], 0.0
+    for t_b in seg.kinks:
         here = [t for t in ends[len(states):] if t <= t_b]
         *got, y = _rk45_span(rhs, y, t_a, here + [t_b], tol, max_step)
         states += got
@@ -625,8 +616,8 @@ def _rk45(seg: Segment, state, t_from, ends, tol, liouville):
     return [s.reshape(shape) for s in states]
 
 
-def _rk45_span(rhs, y, t_from, ends, tol, max_step):
-    """Flat states at ``ends`` (the last one is the span's end)."""
+def _rk45_span(rhs, y, t_a, ends, tol, max_step):
+    """Flat states at ``ends`` from ``t_a`` (the last one is the span's end)."""
     # t_eval must stay inside the span, so the samples within 1e-18 s of
     # the span's end or past it (the walker gives a segment the samples
     # up to TIME_SLACK past it) all take the first one's state, and that
@@ -634,7 +625,7 @@ def _rk45_span(rhs, y, t_from, ends, tol, max_step):
     samples = ends[:-1]
     n_end = sum(t >= ends[-1] - 1e-18 for t in samples)
     t_eval = samples[:len(samples) - n_end] + [min(ends[-n_end - 1], ends[-1])]
-    sol = solve_ivp(rhs, (t_from, ends[-1]), y, t_eval=t_eval, rtol=tol,
+    sol = solve_ivp(rhs, (t_a, ends[-1]), y, t_eval=t_eval, rtol=tol,
                     atol=tol * 1e-3, max_step=max_step, method="RK45")
     if not sol.success:
         raise DynamicsError(f"integrator failure: {sol.message}")
@@ -646,19 +637,18 @@ def _rk45_span(rhs, y, t_from, ends, tol, max_step):
 # pure-state propagation
 # ---------------------------------------------------------------------------
 
-def evolve_pure(state: np.ndarray, hamiltonian, t0: float = 0.0,
-                t1: float | None = None, tol: float = DEFAULT_RTOL,
-                t_eval=None) -> Trajectory:
+def evolve_pure(state: np.ndarray, hamiltonian, t1: float = 0.0,
+                tol: float = DEFAULT_RTOL, t_eval=None) -> Trajectory:
     """Schroedinger evolution of a normalized pure state.
 
     ``hamiltonian`` is a compiled :class:`Schedule` or a constant 10x10
-    Hermitian matrix (Hz) held from ``t0`` to ``t1``.  A schedule whose
+    Hermitian matrix (Hz) held from 0 to ``t1``.  A schedule whose
     segments carry dissipation channels raises.
     """
     psi = np.asarray(state, dtype=complex)
     if abs(np.linalg.norm(psi) - 1.0) > NORM_TOL:
         raise DynamicsError("initial state is not normalized")
-    schedule = _coerce_schedule(hamiltonian, t0, t1 if t1 is not None else t0)
+    schedule = _coerce_schedule(hamiltonian, t1)
     times = _resolve_times(schedule, t_eval)
     out = np.array(_walk(schedule, psi, times, tol, liouville=False)[0])
     norm_err = abs(np.linalg.norm(out[-1]) - 1.0)
@@ -753,13 +743,12 @@ def _check_density(rho: np.ndarray):
         raise DynamicsError("density matrix is not positive semidefinite")
 
 
-def evolve_density(rho: np.ndarray, hamiltonian, lindblad=None, t0: float = 0.0,
-                   t1: float | None = None, tol: float = DEFAULT_RTOL,
-                   t_eval=None) -> Trajectory:
+def evolve_density(rho: np.ndarray, hamiltonian, lindblad=None, t1: float = 0.0,
+                   tol: float = DEFAULT_RTOL, t_eval=None) -> Trajectory:
     """Lindblad master-equation evolution.
 
     ``hamiltonian`` is a compiled :class:`Schedule` or a constant 10x10
-    Hermitian matrix (Hz) held from ``t0`` to ``t1``.  ``lindblad`` gives
+    Hermitian matrix (Hz) held from 0 to ``t1``.  ``lindblad`` gives
     the matrix's channels, as a LindbladSpec-like object with
     ``.channels`` or a plain sequence of (operator, rate).  A compiled
     Schedule carries its own channels, so passing ``lindblad`` with one
@@ -775,8 +764,7 @@ def evolve_density(rho: np.ndarray, hamiltonian, lindblad=None, t0: float = 0.0,
             raise DynamicsError("a compiled Schedule carries its own channels; "
                                 "pass lindblad to sequence.compile instead")
         channels = getattr(lindblad, "channels", lindblad)
-    schedule = _coerce_schedule(hamiltonian, t0, t1 if t1 is not None else t0,
-                                channels=channels)
+    schedule = _coerce_schedule(hamiltonian, t1, channels=channels)
     times = _resolve_times(schedule, t_eval)
     samples, _ = _walk(schedule, rho0.reshape(-1), times, tol, liouville=True)
     out = np.array(samples).reshape(len(times), DIM, DIM)
@@ -848,18 +836,18 @@ def _closed_form_factors(seg: Segment, tau_eff, phases):
     return (expm(rates) if rates.any() else None), phase, decay
 
 
-def _closed_form(seg: Segment, state, t_from, ends, liouville):
-    """States at ``ends`` of a tone-free segment, each stepped from
-    ``t_from`` in closed form: a phase vector in Hilbert space; in
+def _closed_form(seg: Segment, state, ends, liouville):
+    """States at ``ends`` of a tone-free segment, each stepped from its
+    start in closed form: a phase vector in Hilbert space; in
     Liouville space (diagonal or single-transfer channels) populations
     through the rate matrix, coherences through phases and decay.  The
     factors of all ends come from one stacked evaluation."""
     ends = np.asarray(ends)
-    phases = seg._diag_integral(t_from, ends)
+    phases = seg._diag_integral(ends)
     if not liouville:
         return [_rows(factors, state) for factors in np.exp(-1j * TWO_PI * phases)]
     pop_maps, phase, decay = _closed_form_factors(
-        seg, seg._multiplier_integral(t_from, ends), phases)
+        seg, seg._multiplier_integral(ends), phases)
     levels = np.arange(DIM)
     rho = state.reshape((DIM, DIM) + state.shape[1:])
     pops = rho[levels, levels]
@@ -875,15 +863,15 @@ def _closed_form(seg: Segment, state, t_from, ends, liouville):
 # propagators and superoperators
 # ---------------------------------------------------------------------------
 
-def propagator(hamiltonian, t0: float = 0.0, t1: float | None = None,
+def propagator(hamiltonian, t1: float = 0.0,
                tol: float = DEFAULT_RTOL) -> np.ndarray:
     """Unitary time-ordered propagator.
 
     ``hamiltonian`` is a compiled :class:`Schedule` or a constant 10x10
-    Hermitian matrix (Hz) held from ``t0`` to ``t1``.  A schedule whose
+    Hermitian matrix (Hz) held from 0 to ``t1``.  A schedule whose
     segments carry dissipation channels raises.
     """
-    schedule = _coerce_schedule(hamiltonian, t0, t1 if t1 is not None else t0)
+    schedule = _coerce_schedule(hamiltonian, t1)
     return _walk(schedule, np.eye(DIM, dtype=complex), (), tol, liouville=False)[1]
 
 

@@ -24,11 +24,12 @@ the scanned quantity, then per point only what the scan variable
 changes, then the closing section's map, taken once.  A phase scan
 (ancilla, leakage) applies a (points, 10) block of diagonal phases
 through the batched shot kernel.  A time scan (single and parallel
-Ramsey) is compiled at its shortest T; the one flat segment T lengthens
-is given the longest T's end, and one walk up to it samples its end for
-every distinct T, stepped in one batch by the engine's closed form.  The
-populations come from the resulting (points, 10, 10) block in one
-product with the closing rows.
+Ramsey) is compiled at its shortest T; one walk takes the state to the
+start of the one flat segment T lengthens, and a walk of that segment
+alone, lasting the longest T, samples it at every distinct length,
+stepped in one batch by the engine's closed form.  The populations come
+from the resulting (points, 10, 10) block in one product with the
+closing rows.
 """
 
 from __future__ import annotations
@@ -173,16 +174,16 @@ def _densities(states):
 
 
 def _stretched(schedule, index, lengths, state, tol, t_eval=()):
-    """States (k, 10, 10) where the flat segment ``index`` of ``schedule``
-    has lasted each of the k sorted ``lengths``, after the states at the
-    earlier times ``t_eval``: one walk of the segments up to it, that one
-    lengthened to the longest."""
-    seg = schedule.segments[index]
-    section = dynamics.Schedule(
-        schedule.segments[:index] + (replace(seg, t1=seg.t0 + lengths[-1]),),
-        meta=schedule.meta)
-    return _densities(sq.evolve(section, state, t_eval=[*t_eval, *(seg.t0 + lengths)],
-                                tol=tol).states)
+    """Density matrices (n + 1 + k, 10, 10) at the n times ``t_eval`` and
+    the start of the flat segment ``index`` of ``schedule``, then where it
+    has lasted each of the k sorted ``lengths``: one walk up to it, then
+    one of it alone, lasting the longest."""
+    head = _section(schedule, 0, index)
+    states = sq.evolve(head, state, t_eval=[*t_eval, head.duration], tol=tol).states
+    flat = replace(schedule, segments=(replace(schedule.segments[index],
+                                               duration=lengths[-1]),))
+    return np.concatenate([_densities(states), _densities(
+        sq.evolve(flat, states[-1], t_eval=lengths, tol=tol).states)])
 
 
 def _phase_sweep(schedule, state, phases, tol):
@@ -243,19 +244,20 @@ def rabi_scan(pair: tuple[float, float], omega_hz: float, fields: FieldParams,
               n_shots: int = 0, n_atoms: int = 10_000,
               detection: DetectionModel | None = None, seed: int = 0,
               tol: float = dynamics.DEFAULT_RTOL) -> InterferometerResult:
-    """Populations of all ten states versus Raman pulse duration."""
+    """Populations of all ten states versus Raman pulse duration (in any
+    order, repeats allowed): one pulse sampled at each distinct one."""
     durations = np.asarray(durations, dtype=float)
     if durations.size == 0:
         raise ProtocolError("durations must be non-empty")
+    lengths, point = np.unique(durations, return_inverse=True)
     m_low, m_high = min(pair), max(pair)
     dm = round(m_high - m_low)
     tone = RamanTone(m_low=m_low, m_high=m_high, omega_hz=omega_hz,
                      detuning_hz=detuning_hz, cg_weighting=cg_weighting)
-    seg = sq.PulseSegment(duration=float(durations[-1]), tones=(tone,))
+    seg = sq.PulseSegment(duration=float(lengths[-1]), tones=(tone,))
     seq = sq.PulseSequence(segments=(seg,), fields=fields)
-    psi0 = basis_state(m_low)
-    traj = sq.run(seq, psi0, lindblad=lindblad, t_eval=durations, tol=tol)
-    pops = traj.populations()
+    traj = sq.run(seq, basis_state(m_low), lindblad=lindblad, t_eval=lengths, tol=tol)
+    pops = traj.populations()[point]
     return InterferometerResult(
         scan_name="duration_s", scan_values=durations, populations=pops,
         shots=_scan_shots(pops, n_atoms, n_shots, detection, seed),
@@ -336,7 +338,7 @@ def ramsey(pair: tuple[float, float], t_values, fields: FieldParams,
     # T lengthens the dark time, or the hold between the two TLS ramps
     lengths, point = np.unique(t_values if tls_on else t_values - 2 * TLS_RAMP_S,
                                return_inverse=True)
-    rho_pre = _stretched(schedule, 1 if tls_on else 2, lengths, basis_state(m_low), tol)
+    rho_pre = _stretched(schedule, 1 if tls_on else 2, lengths, basis_state(m_low), tol)[1:]
     if not tls_on:
         ramp_up = _section_map(_section(schedule, 3, 4))
         rho_pre = (rho_pre.reshape(len(lengths), -1) @ ramp_up.T).reshape(rho_pre.shape)
@@ -445,7 +447,7 @@ def parallel_ramsey(t_values, fields: FieldParams, omega_hz: float = 77.0,
                                 delta_shared_hz, gap_s, cg_weighting)
     schedule = sq.compile(seq, lindblad=lindblad)
     durations = np.array([s.duration for s in seq.segments])
-    lo = np.array([f for _, _, f in sq.lo_frequency_trace(schedule)])
+    lo = np.array(schedule.meta["lo_hz"])
     nus = [pair_splitting_hz(fields, pair[0]) for pair in (IF1_PAIR, IF2_PAIR)]
     (i1, j1), (i2, j2) = ((m_index(a), m_index(b)) for a, b in (IF1_PAIR, IF2_PAIR))
 
@@ -456,17 +458,16 @@ def parallel_ramsey(t_values, fields: FieldParams, omega_hz: float = 77.0,
     # segment durations per point: T lengthens the shared dark time
     durations = np.tile(durations, (len(t_values), 1))
     durations[:, SHARED] = t_values - gap_s - durations[:, SHARED - 1]
-    t = np.cumsum(np.column_stack([np.zeros(len(t_values)), durations]), axis=1)
-    spans = np.column_stack([t[:, b] - t[:, a] for a, b in WINDOWS])
+    spans = np.column_stack([durations[:, a:b].sum(axis=1) for a, b in WINDOWS])
     mean_deltas = np.column_stack([durations[:, a:b] @ lo[a:b]
                                    for a, b in WINDOWS]) / spans
     expected = TWO_PI * (-np.array(nus) - mean_deltas) * spans
 
-    # one walk: sampled where each interferometer opens, then at the end
-    # of the shared dark time for every T
+    # sampled where each interferometer opens (if2 opens where the shared
+    # dark time starts), then at the end of the shared dark time for every T
     lengths, point = np.unique(durations[:, SHARED], return_inverse=True)
     states = _stretched(schedule, SHARED, lengths, basis_state(M_UP), tol,
-                        t_eval=[schedule.segments[a].t0 for a, _ in WINDOWS])
+                        t_eval=[schedule.starts[WINDOWS[0][0]]])
     opened = np.array([states[0, i1, j1], states[1, i2, j2]])
     rho = states[2:][point].reshape(len(t_values), -1)
     pops = np.real(rho @ rows.T).clip(0.0, 1.0)

@@ -167,12 +167,11 @@ def compile(sequence: PulseSequence, lindblad: LindbladSpec | None = None,
     fields = sequence.fields
     lab = frame == "lab-beat"
     segments = []
-    t = 0.0
     f_lo = 0.0
     d_ref = 1
     phase_register = 0.0
     lo_cycles = 0.0  # accumulated LO phase per unit m (cycles)
-    lo_trace = []  # (t0, t1, f_lo_hz) for phase bookkeeping by protocols
+    lo_hz = []  # LO frequency per segment, for phase bookkeeping by protocols
 
     for seg in sequence.segments:
         phase_register += seg.lo_phase_step
@@ -182,7 +181,7 @@ def compile(sequence: PulseSequence, lindblad: LindbladSpec | None = None,
             d_ref = seg.tones[0].dm
         elif seg.lo_freq_hz is not None:
             f_lo = seg.lo_freq_hz
-        lo_trace.append((t, t + seg.duration, f_lo))
+        lo_hz.append(f_lo)
 
         # the lab-beat frame does not rotate: bare level shifts, and tone
         # phases carry the LO phase accumulated before the segment
@@ -196,19 +195,18 @@ def compile(sequence: PulseSequence, lindblad: LindbladSpec | None = None,
                 rate -= f_lo * (tone.dm / d_ref)
             tone_terms.append((tone.coupling_matrix() / 2.0, rate, phi0))
         segments.append(dynamics.Segment(
-            t0=t, t1=t + seg.duration,
+            duration=seg.duration,
             diag_start=fields.level_shifts(seg.tls_start) + frame_rate * M_VALUES,
             diag_end=fields.level_shifts(seg.tls_end) + frame_rate * M_VALUES,
             tones=tuple(tone_terms), envelope=seg.envelope,
             envelope_param=seg.envelope_param, lab=lab, channels=channels,
             mult_start=seg.tls_start, mult_end=seg.tls_end, label=seg.label))
         lo_cycles += f_lo / d_ref * seg.duration
-        t += seg.duration
 
     engine = "pure" if lindblad is None else "density"
     return dynamics.Schedule(tuple(segments),
-                             meta={"frame": frame, "lo_trace": tuple(lo_trace),
-                                   "total_duration": t, "engine": engine})
+                             meta={"frame": frame, "lo_hz": tuple(lo_hz),
+                                   "engine": engine})
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +234,3 @@ def evolve(schedule: dynamics.Schedule, initial_state: np.ndarray, t_eval=None,
         return dynamics.evolve_pure(initial_state, schedule, tol=tol, t_eval=t_eval)
     return dynamics.evolve_density(density_matrix(initial_state), schedule,
                                    tol=tol, t_eval=t_eval)
-
-
-def lo_frequency_trace(schedule: dynamics.Schedule) -> tuple:
-    """(t0, t1, f_lo_hz) spans recorded at compile time."""
-    return schedule.meta.get("lo_trace", ())

@@ -1,0 +1,63 @@
+"""How ``tools/bundled_manifests.py --against`` explains a differing output,
+on small files; no config is run."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bundled_manifests.py"
+_spec = importlib.util.spec_from_file_location("bundled_manifests", TOOL)
+bundled_manifests = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bundled_manifests)
+
+
+def _write(path: Path, text: str) -> Path:
+    path.write_text(text)
+    return path
+
+
+class TestCsvCells:
+    def test_counts_cells_and_names_rows_and_columns(self, tmp_path):
+        ours = _write(tmp_path / "a.csv", "t,x,y\n0.1,1,2\n0.2,3,4\n0.3,5,6\n")
+        theirs = _write(tmp_path / "b.csv", "t,x,y\n0.1,1,2\n0.2,3.5,4.25\n0.3,5,6\n")
+        assert bundled_manifests.csv_cells(ours, theirs) == [
+            "2 of 9 cells differ, largest absolute difference 0.5", "t=0.2: x, y"]
+
+    def test_header_or_shape_change_is_reported_as_such(self, tmp_path):
+        ours = _write(tmp_path / "a.csv", "t,x\n0.1,1\n")
+        assert bundled_manifests.csv_cells(
+            ours, _write(tmp_path / "b.csv", "t,z\n0.1,1\n")) == ["header or shape differs"]
+        assert bundled_manifests.csv_cells(
+            ours, _write(tmp_path / "c.csv", "t,x\n0.1,1\n0.2,2\n")) == [
+                "header or shape differs"]
+
+
+class TestJsonNumbers:
+    def test_counts_numbers_and_lists_paths(self, tmp_path):
+        ref = {"seed": 7, "flag": True, "rows": [{"max": 0.25, "name": "a"},
+                                                 {"max": 1e-3, "name": "b"}],
+               "hash": "abc"}
+        new = json.loads(json.dumps(ref))
+        new["rows"][1]["max"] = 1e-3 + 2e-16
+        new["flag"] = False
+        new["hash"] = "abd"
+        ours = _write(tmp_path / "a.json", json.dumps(new))
+        theirs = _write(tmp_path / "b.json", json.dumps(ref))
+        summary, *paths = bundled_manifests.json_numbers(ours, theirs)
+        assert summary == ("1 of 3 numbers differ, largest absolute difference "
+                           "2e-16, 2 other values differ")
+        assert paths == ["$.flag", "$.rows[1].max", "$.hash"]
+
+    def test_identical_documents_list_nothing(self, tmp_path):
+        doc = json.dumps({"a": [1, 2.5, {"b": None}], "c": {}})
+        ours, theirs = (_write(tmp_path / f"{n}.json", doc) for n in "ab")
+        assert bundled_manifests.json_numbers(ours, theirs) == [
+            "0 of 2 numbers differ, largest absolute difference 0, "
+            "0 other values differ"]
+
+    def test_structure_change_is_reported_as_such(self, tmp_path):
+        ours = _write(tmp_path / "a.json", json.dumps({"rows": [1.0, 2.0]}))
+        for other in ({"rows": [1.0]}, {"rows": [1.0, 2.0], "extra": 0},
+                      {"rows": {"0": 1.0, "1": 2.0}}):
+            theirs = _write(tmp_path / "b.json", json.dumps(other))
+            assert bundled_manifests.json_numbers(ours, theirs) == ["structure differs"]

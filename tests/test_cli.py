@@ -201,6 +201,12 @@ class TestRunConfig:
         assert man["config"]["seed"] == 9
         assert man["config"]["scan"]["values"] == [0.001, 0.002]
 
+    def test_dotted_param_through_a_number_exit_2(self, tmp_path):
+        out = tmp_path / "o"
+        assert run_cli(["run", CONFIG_DIR / "rabi_dm1.json", "--out", out,
+                        "--param", "fields.b_hz.x=1"]) == 2
+        assert not out.exists()
+
 
 class TestProtocolKeys:
     # the schema properties each protocol function has a parameter for;
@@ -335,6 +341,22 @@ class TestSubcommands:
         assert run_cli(["fit", "sine-odr", path]) == 0
         assert run_cli(["fit", "sine-odr", path, "--errors-column", "4"]) == 2
 
+    def test_fit_columns_outside_the_file_exit_2(self, tmp_path, capsys):
+        t = np.linspace(0, 0.3, 150)
+        path = tmp_path / "trace.csv"
+        np.savetxt(path, np.column_stack([t, 0.5 + 0.4 * np.sin(2 * np.pi * 71 * t)]),
+                   delimiter=",", header="t,y", comments="")
+        assert run_cli(["fit", "sine", path, "--column", "7"]) == 2
+        assert run_cli(["fit", "sine", path, "--errors-column", "2"]) == 2
+        # a one-row file is still a table: its columns are checked, and a
+        # fit of it fails for its one sample
+        one_row = tmp_path / "one.csv"
+        one_row.write_text("t,y\n0.1,0.5\n")
+        assert run_cli(["fit", "damped-sine", one_row, "--column", "2"]) == 2
+        capsys.readouterr()
+        assert run_cli(["fit", "damped-sine", one_row]) == 3
+        assert "need at least 8 samples" in capsys.readouterr().err
+
     def test_decompose_subcommand(self, tmp_path, capsys):
         assert run_cli(["decompose", "--n", "4",
                         "--out", tmp_path / "o"]) == 0
@@ -342,6 +364,15 @@ class TestSubcommands:
         assert out["max_error"] < 1e-8
         assert out["generator_set_size"] == 17
         assert (tmp_path / "o" / "decompose.json").exists()
+
+    def test_decompose_without_targets_exit_2(self, tmp_path):
+        assert run_cli(["decompose", "--n", "0", "--out", tmp_path / "o"]) == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_leakage_scan_empty_ratio_exit_2(self, tmp_path):
+        out = tmp_path / "o"
+        assert run_cli(["leakage-scan", "--ratios", "3,,9", "--out", out]) == 2
+        assert not out.exists()
 
     def test_preset_protocol_command(self, tmp_path):
         assert run_cli(["dual-ramsey", "--out", tmp_path / "o",

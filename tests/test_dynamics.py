@@ -39,7 +39,7 @@ class TestEvolvePure:
 
     def test_zero_hamiltonian(self):
         psi = (basis_state(-2.5) + 1j * basis_state(1.5)) / np.sqrt(2)
-        traj = dynamics.evolve_pure(psi, np.zeros((DIM, DIM)), 0, 0.3)
+        traj = dynamics.evolve_pure(psi, np.zeros((DIM, DIM)), 0.3)
         assert np.allclose(traj.final, psi)
 
     def test_norm_preserved(self):
@@ -51,7 +51,7 @@ class TestEvolvePure:
         h = np.zeros((DIM, DIM), dtype=complex)
         h[0, 1] = 1.0  # not mirrored
         with pytest.raises(dynamics.DynamicsError):
-            dynamics.evolve_pure(basis_state(-2.5), h, 0, 0.1)
+            dynamics.evolve_pure(basis_state(-2.5), h, 0.1)
 
     def test_unnormalized_state_rejected(self):
         with pytest.raises(dynamics.DynamicsError):
@@ -77,7 +77,7 @@ class TestEvolveDensity:
         rho0 = np.outer(psi, psi.conj())
         t1 = 0.37
         traj = dynamics.evolve_density(rho0, np.zeros((DIM, DIM)),
-                                       lindblad=spec, t0=0, t1=t1)
+                                       lindblad=spec, t1=t1)
         assert abs(traj.final[2, 3]) == pytest.approx(
             0.5 * np.exp(-gamma / 2 * t1), rel=1e-9)
 
@@ -93,7 +93,7 @@ class TestEvolveDensity:
             psi = rng.normal(size=DIM) + 1j * rng.normal(size=DIM)
             psi /= np.linalg.norm(psi)
             rho0 = np.outer(psi, psi.conj())
-            traj = dynamics.evolve_density(rho0, h, lindblad=ops, t0=0, t1=0.08)
+            traj = dynamics.evolve_density(rho0, h, lindblad=ops, t1=0.08)
             rho = traj.final
             assert abs(np.trace(rho).real - 1) < 1e-9
             assert np.max(np.abs(rho - rho.conj().T)) < 1e-10
@@ -106,7 +106,7 @@ class TestEvolveDensity:
         psi /= np.linalg.norm(psi)
         rho0 = np.outer(psi, psi.conj())
         h = compiled([], 0.3).hamiltonian(0.0)
-        traj = dynamics.evolve_density(rho0, h, lindblad=spec, t0=0, t1=0.3)
+        traj = dynamics.evolve_density(rho0, h, lindblad=spec, t1=0.3)
         assert np.allclose(np.diag(traj.final).real, np.abs(psi) ** 2,
                            atol=1e-9)
 
@@ -147,7 +147,7 @@ class TestEvolveDensity:
 class TestPropagator:
     def test_zero_duration_identity(self):
         h = compiled([two_level_tone()], 0.01).hamiltonian(0.0)
-        assert np.allclose(dynamics.propagator(h, 0, 0), np.eye(DIM))
+        assert np.allclose(dynamics.propagator(h, 0), np.eye(DIM))
 
     def test_square_half_pi(self):
         from sunspin.spin_core import pair_rotation
@@ -227,8 +227,7 @@ class TestEngineAgreement:
         dark = sched.segments[1]
         assert dark.mult_start == dark.mult_end
         assert np.array_equal(dark.diag_start, dark.diag_end)
-        sup = dynamics.liouvillian(dark.hamiltonian(dark.t0),
-                                   _channels_at(dark, dark.t0))
+        sup = dynamics.liouvillian(dark.hamiltonian(0.0), _channels_at(dark, 0.0))
         exact = expm(sup * dark.duration)
         s_dark = dynamics.superoperator(dynamics.Schedule((dark,)))
         assert np.max(np.abs(s_dark - exact)) < 1e-12
@@ -264,8 +263,8 @@ class TestEigenStepping:
         expm_calls = _count_calls(monkeypatch, dynamics, "expm")
         states = dynamics.evolve_density(rho0, sched, t_eval=ts).states
         assert expm_calls == []
-        sup = dynamics.liouvillian(seg.h_const, _channels_at(seg, seg.t0))
-        exact = np.array([expm(sup * (t - seg.t0)) @ rho0.reshape(-1) for t in ts])
+        sup = dynamics.liouvillian(seg.h_const, _channels_at(seg, 0.0))
+        exact = np.array([expm(sup * t) @ rho0.reshape(-1) for t in ts])
         assert np.max(np.abs(states.reshape(len(ts), -1) - exact)) <= 1e-10
         if channels == "none":
             pure = dynamics.evolve_pure(psi, sched, t_eval=ts).states
@@ -285,7 +284,7 @@ class TestEigenStepping:
         psi = basis_state(-2.5)
         rho0 = np.outer(psi, psi.conj())
         states = dynamics.evolve_density(rho0, sched, t_eval=ts).states
-        sup = dynamics.liouvillian(seg.h_const, _channels_at(seg, seg.t0))
+        sup = dynamics.liouvillian(seg.h_const, _channels_at(seg, 0.0))
         exact = np.array([expm(sup * t) @ rho0.reshape(-1) for t in ts])
         assert np.max(np.abs(states.reshape(len(ts), -1) - exact)) <= 1e-10
 
@@ -304,7 +303,7 @@ class TestEigenStepping:
         expm_calls = _count_calls(monkeypatch, dynamics, "expm")
         eig_calls = _count_calls(monkeypatch, np.linalg, "eig")
         states = dynamics.evolve_density(rho0, h, lindblad=[(op, gamma)],
-                                         t0=0.0, t1=ts[-1], t_eval=ts).states
+                                         t1=ts[-1], t_eval=ts).states
         # the rejected spectrum is kept as None, and each step takes one
         # expm of its own
         assert dynamics._SPECTRA.cache_info().currsize == 1
@@ -397,7 +396,7 @@ class TestCachedChannelSets:
         for tones in self.TONE_SETS.values():
             for phi in (0.0, 0.7, -2.1):
                 seg = compiled(tones(phi), 0.01).segments[0]
-                h = seg.hamiltonian(seg.t0 + 0.003)
+                h = seg.hamiltonian(0.003)
                 for spec in sets.values():
                     for mult in (1.0, 0.37):
                         channels = [(op, rate * mult) for op, rate in spec.channels]
@@ -475,7 +474,7 @@ class TestCachedChannelSets:
                 sup += rate * seg.multiplier(t) * unit
             return sup @ y
 
-        ref = solve_ivp(rhs, (seg.t0, seg.t1), rho0.reshape(-1), method="RK45",
+        ref = solve_ivp(rhs, (0.0, seg.duration), rho0.reshape(-1), method="RK45",
                         rtol=dynamics.DEFAULT_RTOL,
                         atol=dynamics.DEFAULT_RTOL * 1e-3,
                         max_step=1.0 / (50.0 * seg.f_max_hz))
@@ -528,15 +527,13 @@ class TestIntegratorOrder:
         span = 0.004
         coupling = compiled([two_level_tone()], span).segments[0].tones[0]
         levels = np.zeros(DIM)
-        h_const = dynamics.Segment(0.0, span, levels, levels,
-                                   tones=(coupling,)).h_const
+        h_const = dynamics.Segment(span, levels, levels, tones=(coupling,)).h_const
         psi0 = basis_state(-2.5)
-        ref = dynamics.propagator(h_const, 0, span) @ psi0
+        ref = dynamics.propagator(h_const, span) @ psi0
 
         def err_at(step):
             idle = (np.zeros((DIM, DIM)), 1.0 / (50 * step), 0.0)
-            seg = dynamics.Segment(0.0, span, levels, levels,
-                                   tones=(coupling, idle))
+            seg = dynamics.Segment(span, levels, levels, tones=(coupling, idle))
             assert seg.kind == "general"
             assert seg.f_max_hz == 1.0 / (50 * step)
             traj = dynamics.evolve_pure(psi0, dynamics.Schedule((seg,)),
@@ -556,11 +553,11 @@ class TestIntegratorOrder:
                      envelope="raised_cosine", warn_regime=False),
             sq.dark_time(1e-4)), fields=WEAK_FIELDS)
         sched = sq.compile(seq)
-        t_end = sched.segments[0].t1
+        t_end = sched.starts[1]
         psi = basis_state(-2.5)
-        at_end = dynamics.evolve_pure(psi, sched, t_eval=[t_end, sched.t1]).states
+        at_end = dynamics.evolve_pure(psi, sched, t_eval=[t_end, sched.duration]).states
         past = dynamics.evolve_pure(psi, sched, t_eval=[np.nextafter(t_end, 1.0),
-                                                        sched.t1]).states
+                                                        sched.duration]).states
         assert np.array_equal(past, at_end)
 
     def test_linear_ramp_corners_end_a_solve(self):
@@ -654,7 +651,7 @@ class TestDataSegmentProperties:
         seg = sq.compile(seq, frame=frame).segments[0]
         assert seg.kind == "constant"
         for f in fractions:
-            assert np.array_equal(seg.hamiltonian(seg.t0 + f * seg.duration),
+            assert np.array_equal(seg.hamiltonian(f * seg.duration),
                                   seg.h_const)
 
 
@@ -743,7 +740,7 @@ class TestEigenProperties:
                                  liouville=True)
         # both walks step from one spectrum, and none chains expm
         assert dynamics._SPECTRA.cache_info()[:2] == (1, 1)
-        maps = [expm(sup * (t - seg.t0)) for t in times]
+        maps = [expm(sup * t) for t in times]
         exact_rho = np.array([m @ rho0.reshape(-1) for m in maps])
         exact_cols = np.array([m @ unit for m in maps])
         assert np.max(np.abs(rho.reshape(len(times), -1) - exact_rho)) <= 1e-10
@@ -777,15 +774,16 @@ def square_segments(draw, kind):
 
 
 def _split(seg, fraction):
-    """``seg`` as two segments meeting at t0 + fraction * duration: the
-    level diagonal and the multiplier cut where they reach, and each
-    tone's phase run on to the cut."""
-    cut = seg.t0 + fraction * seg.duration
+    """``seg`` as two segments meeting at fraction * duration: the level
+    diagonal and the multiplier cut where they reach, and each tone's
+    phase run on to the cut."""
+    cut = fraction * seg.duration
     diag, mult = seg._diag_at(seg._fraction(cut)), seg.multiplier(cut)
-    tones = tuple((cmat, beat, phi + 2 * np.pi * beat * (cut - seg.t0))
+    tones = tuple((cmat, beat, phi + 2 * np.pi * beat * cut)
                   for cmat, beat, phi in seg.tones)
-    return (replace(seg, t1=cut, diag_end=diag, mult_end=mult),
-            replace(seg, t0=cut, diag_start=diag, mult_start=mult, tones=tones))
+    return (replace(seg, duration=cut, diag_end=diag, mult_end=mult),
+            replace(seg, duration=seg.duration - cut, diag_start=diag,
+                    mult_start=mult, tones=tones))
 
 
 class TestSplitProperties:
@@ -860,7 +858,7 @@ class TestClosedFormSamples:
                            lindblad=_small_lindblad() if density else None)
         seg = sched.segments[0]
         assert seg.kind == "diagonal" and seg.channel_set.diagonal_safe
-        ends = np.unique(sched.t0 + np.array(fractions) * duration)
+        ends = np.unique(np.array(fractions) * duration)
         psi = _probe_state()
         batched = sq.evolve(sched, psi, t_eval=ends).states
         single = [sq.evolve(sched, psi, t_eval=[t]).states[0] for t in ends]
@@ -926,7 +924,7 @@ class TestCacheProperties:
                                fields=WEAK_FIELDS)
         sched = sq.compile(seq, lindblad=LINDBLADS[lindblad])
         first, _, second = sched.segments
-        assert first.t0 != second.t0 and first.key == second.key
+        assert sched.starts[0] != sched.starts[2] and first.key == second.key
         assert first.h_const.tobytes() == second.h_const.tobytes()
         dynamics.clear_caches()
         sq.evolve(sched, basis_state(pulse.tones[0].m_low))
@@ -964,8 +962,8 @@ class TestCacheProperties:
         spec = LINDBLADS[lindblad]
         dark_a, dark_b, pulse_a, pulse_b = sq.compile(seq, lindblad=spec).segments
         assert pulse_a.key == pulse_b.key
-        assert (dark_a._multiplier_integral(dark_a.t0, dark_a.t1)
-                == dark_b._multiplier_integral(dark_b.t0, dark_b.t1))
+        assert (dark_a._multiplier_integral(dark_a.duration)
+                == dark_b._multiplier_integral(dark_b.duration))
 
         psi = (basis_state(-2.5) + basis_state(-1.5)) / np.sqrt(2)
 
@@ -978,18 +976,15 @@ class TestCacheProperties:
 
     def test_flat_diagonal_integral_keeps_general_formula_bits(self):
         d = np.array([-0.0, 0.0, -1.5e3, 2.0e3, 0.5, -0.0, 7.0, -3.0, 1e-300, 9.0])
-        seg = dynamics.Segment(0.0, 2.0**-10, d, d.copy())
+        seg = dynamics.Segment(2.0**-10, d, d.copy())
         assert seg._diag_flat is not None
-        for ta, tb in ((0.0, seg.t1), (1e-4, 7e-4), (3e-4, seg.t1)):
-            general = 0.5 * (seg._diag_at(seg._fraction(ta))
-                             + seg._diag_at(seg._fraction(tb))) * (tb - ta)
-            assert seg._diag_integral(ta, tb).tobytes() == general.tobytes()
+        for tb in (0.0, 1e-4, 7e-4, seg.duration):
+            general = 0.5 * (seg._diag_at(0.0) + seg._diag_at(seg._fraction(tb))) * tb
+            assert seg._diag_integral(tb).tobytes() == general.tobytes()
         # an array of ends gives, row by row, the bits of each end alone
-        tbs = np.array([1e-4, 7e-4, seg.t1])
-        rows = np.array([0.5 * (seg._diag_at(seg._fraction(1e-4))
-                                + seg._diag_at(seg._fraction(tb))) * (tb - 1e-4)
-                         for tb in tbs])
-        assert seg._diag_integral(1e-4, tbs).tobytes() == rows.tobytes()
+        tbs = np.array([1e-4, 7e-4, seg.duration])
+        rows = np.array([seg._diag_integral(tb) for tb in tbs])
+        assert seg._diag_integral(tbs).tobytes() == rows.tobytes()
 
 
 class TestLabBeatFrame:
@@ -1085,18 +1080,18 @@ class TestTrajectory:
         psi = basis_state(-2.5)
         state = psi if engine == "pure" else np.outer(psi, psi.conj())
         evolve = dynamics.evolve_pure if engine == "pure" else dynamics.evolve_density
-        at_end = evolve(state, sched, t_eval=[5e-4, sched.t1]).states
-        past = evolve(state, sched, t_eval=[5e-4, sched.t1 + 5e-14,
-                                            sched.t1 + 5e-13]).states
+        at_end = evolve(state, sched, t_eval=[5e-4, sched.duration]).states
+        past = evolve(state, sched, t_eval=[5e-4, sched.duration + 5e-14,
+                                            sched.duration + 5e-13]).states
         assert np.array_equal(past[0], at_end[0])
         # in 5e-13 s a state moves by about 2 pi f_max 5e-13, 4e-8 here
         moved = dynamics.TWO_PI * sched.segments[0].f_max_hz * 5e-13
         assert np.max(np.abs(past[1:] - at_end[1])) < moved
         with pytest.raises(dynamics.DynamicsError, match="outside the schedule"):
-            evolve(state, sched, t_eval=[5e-4, sched.t1 + 2 * dynamics.TIME_SLACK])
+            evolve(state, sched, t_eval=[5e-4, sched.duration + 2 * dynamics.TIME_SLACK])
 
     def test_times_must_increase(self):
         h = np.zeros((DIM, DIM))
         with pytest.raises(dynamics.DynamicsError):
-            dynamics.evolve_pure(basis_state(0.5), h, 0, 1.0,
+            dynamics.evolve_pure(basis_state(0.5), h, 1.0,
                                  t_eval=[0.5, 0.2])

@@ -189,7 +189,7 @@ class TestInhomogeneousDephasing:
         psi /= np.linalg.norm(psi)
         rho = np.outer(psi, psi.conj())
         traj = evolve_density(rho, np.zeros((DIM, DIM)), lindblad=spec,
-                              t0=0, t1=0.5)
+                              t1=0.5)
         assert np.allclose(np.diag(traj.final).real, np.abs(psi) ** 2,
                            atol=1e-9)
 
@@ -199,7 +199,7 @@ class TestInhomogeneousDephasing:
         psi = (basis_state(-2.5) + basis_state(-1.5)) / np.sqrt(2)
         rho = np.outer(psi, psi.conj())
         traj = evolve_density(rho, np.zeros((DIM, DIM)), lindblad=spec,
-                              t0=0, t1=0.210)
+                              t1=0.210)
         assert abs(traj.final[2, 3]) == pytest.approx(0.5 / np.e, rel=1e-6)
 
     def test_quadratic_mode_scaling(self):

@@ -46,6 +46,18 @@ class TestRabiScan:
         assert np.array_equal(r1.shots.true_counts, r2.shots.true_counts)
         assert np.array_equal(r1.shots.detected_counts, r2.shots.detected_counts)
 
+    @pytest.mark.parametrize("lindblad", [None, SCATTER_DEPHASE],
+                             ids=["pure", "scatter-dephase"])
+    def test_durations_in_any_order_with_repeats(self, lindblad):
+        durations = np.linspace(1e-3, 0.02, 6)
+        order = [3, 0, 5, 3, 1, 4, 2, 0]
+        in_order = pr.rabi_scan((-2.5, -1.5), 71.0, REF_FIELDS, durations,
+                                lindblad=lindblad)
+        shuffled = pr.rabi_scan((-2.5, -1.5), 71.0, REF_FIELDS, durations[order],
+                                lindblad=lindblad)
+        assert shuffled.scan_values.tobytes() == durations[order].tobytes()
+        assert shuffled.populations.tobytes() == in_order.populations[order].tobytes()
+
     def test_density_scan_one_expm_per_duration(self, monkeypatch):
         # the segment ends at the last duration, so no step runs past it:
         # one eigendecomposition and no expm, or on the expm fallback one
@@ -667,6 +679,33 @@ class TestScanSweep:
             assert np.max(np.abs(res.populations[k] - pops)) < 1e-13
             assert res.contrast[k] == pytest.approx(contrast, abs=1e-13)
 
+    def test_long_dark_scan_matches_each_schedule(self):
+        # the scan of ramsey_tls_off.json (calibrated scattering, linear
+        # dephasing) gives each T the ramps and hold of its own schedule,
+        # also behind holds of seconds
+        t_values = [0.005, 0.3, 1.0, 2.0, 3.0]
+        args = ((-3.5, -2.5), RAMSEY_FIELDS, 93.0, "adiabatic-off", 1.0, True)
+        res = pr.ramsey(args[0], t_values, *args[1:3], tls_mode=args[3],
+                        lindblad=SCATTER_DEPHASE, detuning_hz=args[4])
+        for k, t_dark in enumerate(t_values):
+            sched = sq.compile(pr._ramsey_sequence(args[0], t_dark, *args[1:]),
+                               lindblad=SCATTER_DEPHASE)
+            pops = sq.evolve(sched, basis_state(-3.5)).populations()[-1]
+            assert np.max(np.abs(res.populations[k] - pops)) < 5e-14
+
+    @pytest.mark.parametrize("lindblad", sorted(TIME_LINDBLADS))
+    def test_segment_map_does_not_depend_on_its_start(self, lindblad):
+        # a pulse and a TLS ramp map the same, bit for bit, at the start
+        # of a schedule and after a 3 s dark time
+        spec = TIME_LINDBLADS[lindblad]
+        for segment in (sq.pulse((-3.5, -2.5), 93.0, RAMSEY_FIELDS, np.pi / 2,
+                                 detuning_hz=1.0, warn_regime=False),
+                        sq.tls_ramp(pr.TLS_RAMP_S, 1.0, 0.0)):
+            at_zero, after_dark = (pr._section_map(pr._section(sq.compile(
+                sq.PulseSequence(segments=(*prefix, segment), fields=RAMSEY_FIELDS),
+                lindblad=spec), -1)) for prefix in ((), (sq.dark_time(3.0),)))
+            assert at_zero.tobytes() == after_dark.tobytes()
+
     @settings(max_examples=8, deadline=None, database=None)
     @given(t_values=st.lists(st.floats(0.0036, 0.2), min_size=1, max_size=4),
            lindblad=st.sampled_from(sorted(TIME_LINDBLADS)))
@@ -729,15 +768,16 @@ class TestScanSweep:
                             lambda *a, **kw: compiles.append(1) or compile_(*a, **kw))
         monkeypatch.setattr(
             dynamics, "_step",
-            lambda seg, *a: (seg.tones and pulse_steps.append(seg.t0)) or step(seg, *a))
+            lambda seg, *a: (seg.tones and pulse_steps.append(id(seg))) or step(seg, *a))
         counts = []
         for n_points in (2, 20):
             compiles.clear()
             pulse_steps.clear()
             self.SCANS[scan](n_points)
             counts.append((len(compiles), len(pulse_steps)))
-            # each pulse of the schedule (one start time each) is stepped
-            # once, the first closing pulse of parallel_ramsey included
+            # each pulse of the schedule (one Segment object each) is
+            # stepped once, the first closing pulse of parallel_ramsey
+            # included
             assert len(set(pulse_steps)) == len(pulse_steps)
         assert counts[0] == counts[1]
         assert counts[0][0] == 1

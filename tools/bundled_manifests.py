@@ -13,9 +13,11 @@ output file (the manifest included) is hashed and compared with the
 file of the same name under ``REF_DIR/<name>/``; each difference is
 listed, a differing CSV with the number of cells that differ, the
 largest absolute difference among them and, per differing row (named by
-its scan value), the headers of its differing columns; the exit status
-is 1 if there is any.  Runs the package next to this script, not an installed
-one.
+its scan value), the headers of its differing columns; a differing JSON
+file with the number of numbers that differ, the largest absolute
+difference among them, how many other values differ, and the JSON path
+of each differing value.  The exit status is 1 if there is any.  Runs
+the package next to this script, not an installed one.
 """
 
 from __future__ import annotations
@@ -88,6 +90,42 @@ def csv_cells(ours: Path, theirs: Path) -> list[str]:
                for r in np.flatnonzero(differ.any(axis=1))])
 
 
+def _leaves(node, path: str = "$") -> dict:
+    """Every scalar (and empty container) of a parsed JSON document,
+    keyed by its JSON path."""
+    if isinstance(node, dict) and node:
+        items = ((f"{path}.{key}", value) for key, value in node.items())
+    elif isinstance(node, list) and node:
+        items = ((f"{path}[{k}]", value) for k, value in enumerate(node))
+    else:
+        return {path: node}
+    return {leaf: value for sub, child in items
+            for leaf, value in _leaves(child, sub).items()}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def json_numbers(ours: Path, theirs: Path) -> list[str]:
+    """How two JSON files with the same structure differ: the number of
+    differing numbers and the largest absolute difference among them,
+    and how many other values differ, then the JSON path of each
+    differing value."""
+    a, b = (_leaves(json.loads(p.read_text())) for p in (ours, theirs))
+    if a.keys() != b.keys():
+        return ["structure differs"]
+    differ = [path for path in a if a[path] != b[path]]
+    numeric = [path for path in differ if _is_number(a[path]) and _is_number(b[path])]
+    largest = max((abs(a[path] - b[path]) for path in numeric), default=0.0)
+    return ([f"{len(numeric)} of {sum(map(_is_number, a.values()))} numbers "
+             f"differ, largest absolute difference {largest:.3g}, "
+             f"{len(differ) - len(numeric)} other values differ"] + differ)
+
+
+EXPLAIN = {".csv": csv_cells, ".json": json_numbers}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out_dir", type=Path)
@@ -105,8 +143,9 @@ def main(argv=None) -> int:
     diffs = differences(args.out_dir, args.against, names)
     for d in diffs:
         ours, theirs = args.out_dir / d, args.against / d
-        if d.endswith(".csv") and ours.is_file() and theirs.is_file():
-            summary, *rows = csv_cells(ours, theirs)
+        explain = EXPLAIN.get(ours.suffix)
+        if explain and ours.is_file() and theirs.is_file():
+            summary, *rows = explain(ours, theirs)
             print(f"differs: {d} ({summary})")
             for row in rows:
                 print(f"    {row}")
