@@ -195,6 +195,9 @@ def fit_sine(times, values, errors=None, frequency_hint=None) -> FitResult:
     """Pure sinusoid (decay rate pinned to zero)."""
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
+    # four parameters need four distinct sample times
+    if len(np.unique(t)) < 4:
+        raise AnalysisError("need at least 4 distinct sample times")
     w = np.ones_like(y) if errors is None else 1.0 / np.asarray(errors, dtype=float)
     f_cands = ([frequency_hint] if frequency_hint else []) + _frequency_candidates(t, y)
     best = None

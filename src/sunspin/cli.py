@@ -181,12 +181,13 @@ def _build_lindblad(cfg: dict):
     spec = cfg.get("lindblad")
     if spec is None:
         return None
+    # only the keys a config gives are passed, so the model's defaults apply
     parts = []
     kind = spec.get("scattering", "none")
     if kind == "calibrated":
-        parts.append(photon_scattering_channels(
-            scattering_budget=spec.get("scattering_budget", "calibrated"),
-            ase_factor=spec.get("ase_factor", 3.0)))
+        parts.append(photon_scattering_channels(**{
+            key: spec[key] for key in ("scattering_budget", "ase_factor")
+            if key in spec}))
     elif kind == "monochromatic":
         parts.append(monochromatic_scattering_channels())
     if kind != "calibrated" and {"scattering_budget", "ase_factor"} & set(spec):
@@ -197,8 +198,8 @@ def _build_lindblad(cfg: dict):
         raise ConfigError("lindblad dephasing_tau_s is taken only with a "
                           "dephasing mode")
     if deph != "none":
-        parts.append(inhomogeneous_dephasing(
-            tau_unit_s=spec.get("dephasing_tau_s", 0.210), mode=deph))
+        tau = {"tau_unit_s": spec["dephasing_tau_s"]} if "dephasing_tau_s" in spec else {}
+        parts.append(inhomogeneous_dephasing(mode=deph, **tau))
     if not parts:
         return None
     out = parts[0]

@@ -18,8 +18,13 @@ stepper.  The stepper advances a state of shape (d,) or (d, k) in
 Hilbert space (d = 10) or in Liouville space (row-major vec(rho),
 d = 100): ``evolve_pure`` walks a state vector, ``evolve_density`` a
 vectorized density matrix, ``propagator`` the 10x10 identity and
-``superoperator`` the 100x100 identity.  Each segment gets one method
-by its kind:
+``superoperator`` the 100x100 identity.  ``pullback`` walks the other
+way: it maps k observable rows r (p = r @ vec(rho) at the schedule's
+end) to their rows at its start, last segment first, each segment by
+the transpose of its forward method.  That is the adjoint (Heisenberg
+picture) master equation (Breuer & Petruccione, *The Theory of Open
+Quantum Systems*, sec. 3.2.3), and k rows cost k columns, where the
+superoperator steps 100.  Each segment gets one method by its kind:
 
 * constant H - exact stepping from the segment start through one
   spectrum (method 14 of Moler & Van Loan, SIAM Rev. 45, 3 (2003)): in
@@ -45,7 +50,13 @@ by its kind:
 * anything else - adaptive RK45 on the flattened state, with the
   maximum step bounded by 1/(50 f_max), one solve per stretch between
   the corners of a linear ramp; in Liouville space in commutator form,
-  building no Liouvillian.
+  building no Liouvillian.  Backward, such a segment's own 100x100 map
+  is stepped forward and the rows multiply it.
+
+Backward, a constant segment costs ((r @ V) * exp(lambda t)) @ V^-1 on
+the spectrum the forward step keeps, and a tone-free one scales the
+coherence entries of r by their phase and decay factors and maps its
+population entries by r_pop @ P, P the rate-matrix exponential.
 
 Two costly results are kept by content, because one run asks for them
 again and again:
@@ -210,7 +221,12 @@ class Segment:
     triangle, beat Hz, phase rad), driven under ``envelope`` in the
     rotating frame, or in the lab-beat frame when ``lab``.
     ``channels`` hold (jump operator, base rate); their rates are scaled
-    by the multiplier.
+    by the multiplier.  ``known_channel_set``, when given, is the looked-up
+    set of ``channels``: :func:`sunspin.sequence.compile` looks its one
+    set up once for all its segments, and a segment built without one
+    looks it up on first use.  The level diagonals and coupling triangles
+    are kept as read-only copies, so the cached ``key``, ``h_const`` and
+    spectra cannot go stale.
     """
 
     duration: float
@@ -224,6 +240,17 @@ class Segment:
     mult_start: float = 1.0
     mult_end: float = 1.0
     label: str = ""
+    known_channel_set: _ChannelSet | None = field(default=None, repr=False,
+                                                  compare=False)
+
+    def __post_init__(self):
+        # set through the instance dict, as cached_property does: the
+        # dataclass is frozen
+        attrs = vars(self)
+        attrs["diag_start"] = _frozen(np.array(self.diag_start))
+        attrs["diag_end"] = _frozen(np.array(self.diag_end))
+        attrs["tones"] = tuple((_frozen(np.array(cmat)), beat, phi)
+                               for cmat, beat, phi in self.tones)
 
     @functools.cached_property
     def kind(self) -> str:
@@ -259,7 +286,9 @@ class Segment:
     @functools.cached_property
     def channel_set(self) -> _ChannelSet:
         """The cached set of the segment's channels."""
-        return _channel_set(self.channels)
+        if self.known_channel_set is not None:
+            return self.known_channel_set
+        return channel_set(self.channels)
 
     @functools.cached_property
     def f_max_hz(self) -> float:
@@ -671,7 +700,7 @@ def liouvillian(h: np.ndarray, channels: Sequence[tuple[np.ndarray, float]]) -> 
     """
     eye = np.eye(DIM)
     return (-1j * TWO_PI * (np.kron(h, eye) - np.kron(eye, h.T))
-            + _channel_set(channels).dissipator)
+            + channel_set(channels).dissipator)
 
 
 class _ChannelSet(NamedTuple):
@@ -684,8 +713,13 @@ class _ChannelSet(NamedTuple):
     coherence_rates: np.ndarray | None
 
 
-def _channel_set(channels) -> _ChannelSet:
-    """The set of ``channels`` (operator, rate), built once per content."""
+def channel_set(channels) -> _ChannelSet:
+    """The set of ``channels`` (operator, rate), built once per content.
+
+    The lookup hashes every operator's bytes, so a builder of many
+    segments on one set looks it up once and hands it to each
+    (``Segment.known_channel_set``).
+    """
     channels = [(np.ascontiguousarray(op, dtype=complex), float(rate))
                 for op, rate in channels]
     key = tuple((op.tobytes(), rate) for op, rate in channels)
@@ -693,7 +727,7 @@ def _channel_set(channels) -> _ChannelSet:
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
+    a.setflags(write=False)
     return a
 
 
@@ -879,6 +913,49 @@ def superoperator(schedule: Schedule, tol: float = DEFAULT_RTOL) -> np.ndarray:
     """Process matrix of the full schedule on row-major vec(rho)."""
     return _walk(schedule, np.eye(DIM * DIM, dtype=complex), (), tol,
                  liouville=True)[1]
+
+
+def pullback(schedule: Schedule, rows, tol: float = DEFAULT_RTOL) -> np.ndarray:
+    """``rows`` @ the schedule's map on row-major vec(rho).
+
+    ``rows`` (k, 100) read k observables off vec(rho) at the schedule's
+    end; the result reads them off vec(rho) at its start.  On the density
+    engine (``meta["engine"]``, set by :func:`sunspin.sequence.compile`)
+    the rows are stepped backward, last segment first, each by the
+    transpose of its forward step, so k rows cost k columns, not the 100
+    of :func:`superoperator`.  On the pure engine they are the rows of
+    kron(U, conj U) for the schedule's propagator U.
+    """
+    rows = np.asarray(rows, dtype=complex)
+    if schedule.meta.get("engine") != "density":
+        u = propagator(schedule, tol=tol)
+        return (u.T @ rows.reshape(-1, DIM, DIM) @ u.conj()).reshape(rows.shape)
+    for seg in reversed(schedule.segments):
+        rows = _step_back(seg, rows, tol)
+    return rows
+
+
+def _step_back(seg: Segment, rows, tol):
+    """``rows`` @ the segment's map in Liouville space: the adjoint of the
+    method ``_step`` takes."""
+    if seg.kind == "constant":
+        spectrum = _constant_spectrum(seg)
+        if spectrum is None:
+            return rows @ expm(_constant_liouvillian(seg) * seg.duration)
+        rates, v, v_inv = spectrum
+        return ((rows @ v) * np.exp(rates * seg.duration)) @ v_inv
+    if seg.kind == "diagonal" and seg.channel_set.diagonal_safe:
+        # coherences scale by their phase and decay; populations go
+        # through the transpose of the rate-matrix map
+        pop_map, phase, decay = _closed_form_factors(
+            seg, seg._multiplier_integral(seg.duration),
+            seg._diag_integral(seg.duration))
+        out = rows * (phase * decay).reshape(-1)
+        pops = rows[:, _VEC_DIAG]
+        out[:, _VEC_DIAG] = pops if pop_map is None else pops @ pop_map
+        return out
+    # RK45 steps the segment's own 100 columns
+    return rows @ _step(seg, np.eye(DIM * DIM, dtype=complex), [], tol, True)[1]
 
 
 def unitary_superoperator(u: np.ndarray) -> np.ndarray:

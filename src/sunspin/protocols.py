@@ -21,7 +21,7 @@ one binomial.
 
 A scan is compiled once and evolves each pulse once: the prefix before
 the scanned quantity, then per point only what the scan variable
-changes, then the closing section's map, taken once.  A phase scan
+changes, then the closing section's rows, pulled back once.  A phase scan
 (ancilla, leakage) applies a (points, 10) block of diagonal phases
 through the batched shot kernel.  A time scan (single and parallel
 Ramsey) is compiled at its shortest T; one walk takes the state to the
@@ -29,7 +29,8 @@ start of the one flat segment T lengthens, and a walk of that segment
 alone, lasting the longest T, samples it at every distinct length,
 stepped in one batch by the engine's closed form.  The populations come
 from the resulting (points, 10, 10) block in one product with the
-closing rows.
+closing rows: population rows pulled back through the closing section
+(:func:`dynamics.pullback`), never a full map of it.
 """
 
 from __future__ import annotations
@@ -150,19 +151,20 @@ def _section(schedule, start, stop=None):
     return dynamics.Schedule(schedule.segments[start:stop], meta=schedule.meta)
 
 
-def _section_map(schedule):
-    """A section's map on row-major vec(rho): kron(U, conj(U)) of its
-    propagator on the pure engine, its superoperator on the density
-    engine (``meta["engine"]``, set by :func:`sequence.compile`)."""
-    if schedule.meta.get("engine") != "density":
-        return dynamics.unitary_superoperator(dynamics.propagator(schedule))
-    return dynamics.superoperator(schedule)
+# Rows of the identity on row-major vec(rho); every (DIM + 1)-th reads a
+# population
+_VEC_UNIT = np.eye(DIM * DIM)
 
 
 def _closing_rows(schedule):
     """(10, 100) population rows of a closing section's map:
-    p_i = Re rows[i] @ vec(rho)."""
-    return _section_map(schedule)[::DIM + 1]
+    p_i = Re rows[i] @ vec(rho), for rho where the section starts.
+
+    The ten population rows are pulled back through the section, last
+    segment first (:func:`dynamics.pullback`), so no 100x100 map of the
+    section is built on the density engine.
+    """
+    return dynamics.pullback(schedule, _VEC_UNIT[::DIM + 1])
 
 
 def _densities(states):
@@ -194,26 +196,28 @@ def _phase_sweep(schedule, state, phases, tol):
     return _shot_populations(_closing_rows(_section(schedule, -1)), rho, phases)
 
 
-SHOT_BLOCK = 256
+SHOT_BLOCK = 64
 
 
 def _shot_populations(rows, rho, phases):
     """Final populations (k, 10) of k shots; shot s conjugates ``rho`` by
     diag(e^{-i phases[s]}) before the closing section given by ``rows``.
 
-    Shots go in blocks of SHOT_BLOCK, one product per block:
-    t_sia = sum_b conj(z_sb) W[i, a, b] with W[i, a, b] = rows[i, ab]
-    rho[a, b], then p_si = Re sum_a z_sa t_sia.  Temporaries stay at
-    (SHOT_BLOCK, 100); unblocked, a 2000-shot call would hold complex
-    (2000, 100) ones of 3.2 MB.
+    With z_s = e^{-i phases[s]} and W[ab, i] = rows[i, ab] rho[a, b],
+    p_si = Re sum_ab z_sa conj(z_sb) W[ab, i]: one real product per block
+    of SHOT_BLOCK shots, the interleaved real and imaginary parts of
+    z (x) conj(z), (block, 200), times the (200, 10) stack of Re W and
+    -Im W.  A block's temporaries stay near 100 KB.
     """
-    w = (rows.reshape(DIM, DIM, DIM) * rho).reshape(DIM * DIM, DIM).T
+    w = (rows * rho.reshape(-1)).T
+    w_real = np.empty((2 * DIM * DIM, DIM))
+    w_real[0::2], w_real[1::2] = w.real, -w.imag
     pops = np.empty(phases.shape)
     for start in range(0, len(phases), SHOT_BLOCK):
         block = slice(start, start + SHOT_BLOCK)
         z = np.exp(-1j * phases[block])
-        t = (z.conj() @ w).reshape(len(z), DIM, DIM)
-        pops[block] = np.einsum("sia,sa->si", t, z).real
+        zz = z[:, :, None] * z.conj()[:, None, :]
+        pops[block] = zz.reshape(len(z), -1).view(float) @ w_real
     return pops
 
 
@@ -315,7 +319,7 @@ def ramsey(pair: tuple[float, float], t_values, fields: FieldParams,
     The opening pulse is evolved once, in one walk that samples the dark
     time (TLS on) or the hold (adiabatic-off) at every T; the hold
     states are then mapped once through the ramp-up, and the closing
-    pulse's map is taken once.
+    pulse's population rows are pulled back through it once.
     """
     t_values = np.asarray(t_values, dtype=float)
     if t_values.size == 0:
@@ -340,7 +344,7 @@ def ramsey(pair: tuple[float, float], t_values, fields: FieldParams,
                                return_inverse=True)
     rho_pre = _stretched(schedule, 1 if tls_on else 2, lengths, basis_state(m_low), tol)[1:]
     if not tls_on:
-        ramp_up = _section_map(_section(schedule, 3, 4))
+        ramp_up = dynamics.pullback(_section(schedule, 3, 4), _VEC_UNIT)
         rho_pre = (rho_pre.reshape(len(lengths), -1) @ ramp_up.T).reshape(rho_pre.shape)
     rho_pre = rho_pre[point]
     if phase_noise != "none":
@@ -435,9 +439,12 @@ def parallel_ramsey(t_values, fields: FieldParams, omega_hz: float = 77.0,
     that samples where each interferometer opens and the end of the
     shared dark time at every T, so the closing populations are one
     product with the closing rows and the closing coherences a column
-    and one product with the map row of the second interferometer's
-    coherence.  The first closing pulse and the tail dark time are
-    mapped once and serve both.
+    and one product with the row of the second interferometer's
+    coherence.  Those rows are pulled back from the end
+    (:func:`dynamics.pullback`): the ten population rows through the
+    last pulse, then they and the second interferometer's coherence,
+    eleven rows, through the first closing pulse and the tail dark
+    time, which so serve both.
     """
     t_values = np.asarray(t_values, dtype=float)
     if t_values.size == 0:
@@ -451,9 +458,9 @@ def parallel_ramsey(t_values, fields: FieldParams, omega_hz: float = 77.0,
     nus = [pair_splitting_hz(fields, pair[0]) for pair in (IF1_PAIR, IF2_PAIR)]
     (i1, j1), (i2, j2) = ((m_index(a), m_index(b)) for a, b in (IF1_PAIR, IF2_PAIR))
 
-    closing = _section_map(_section(schedule, CLOSE1, -1))
-    rows = _closing_rows(_section(schedule, -1)) @ closing
-    if2_row = closing[i2 * DIM + j2]
+    rows = dynamics.pullback(_section(schedule, CLOSE1, -1), np.vstack(
+        [_closing_rows(_section(schedule, -1)), _VEC_UNIT[i2 * DIM + j2]]))
+    rows, if2_row = rows[:DIM], rows[DIM]
 
     # segment durations per point: T lengthens the shared dark time
     durations = np.tile(durations, (len(t_values), 1))

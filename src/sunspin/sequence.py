@@ -163,6 +163,8 @@ def compile(sequence: PulseSequence, lindblad: LindbladSpec | None = None,
         raise SequenceError("lindblad takes one LindbladSpec; join several "
                             "with LindbladSpec.merge")
     channels = () if lindblad is None else lindblad.channels
+    # one lookup of the channel set, shared by every segment
+    channel_set = None if lindblad is None else dynamics.channel_set(channels)
 
     fields = sequence.fields
     lab = frame == "lab-beat"
@@ -200,7 +202,8 @@ def compile(sequence: PulseSequence, lindblad: LindbladSpec | None = None,
             diag_end=fields.level_shifts(seg.tls_end) + frame_rate * M_VALUES,
             tones=tuple(tone_terms), envelope=seg.envelope,
             envelope_param=seg.envelope_param, lab=lab, channels=channels,
-            mult_start=seg.tls_start, mult_end=seg.tls_end, label=seg.label))
+            mult_start=seg.tls_start, mult_end=seg.tls_end, label=seg.label,
+            known_channel_set=channel_set))
         lo_cycles += f_lo / d_ref * seg.duration
 
     engine = "pure" if lindblad is None else "density"

@@ -37,6 +37,20 @@ class TestDampedSine:
             an.fit_damped_sine([0, 1, 2], [0, 1, 0])
 
 
+class TestSine:
+    @pytest.mark.parametrize("t", [[0.1], [0.0, 0.1, 0.2], [0.0, 0.1, 0.1, 0.2, 0.2]],
+                             ids=["one", "three", "three distinct"])
+    def test_needs_four_distinct_sample_times(self, t):
+        with pytest.raises(an.AnalysisError, match="at least 4"):
+            an.fit_sine(t, np.linspace(0.2, 0.8, len(t)))
+
+    def test_four_samples_fit(self):
+        t = np.array([0.0, 0.1, 0.25, 0.3])
+        fit = an.fit_sine(t, 0.5 + 0.3 * np.sin(2 * np.pi * 1.3 * t + 0.2),
+                          frequency_hint=1.3)
+        assert np.all(np.isfinite(list(fit.params.values())))
+
+
 class TestSineOdr:
     def test_zero_x_errors_reduces_to_ols(self):
         rng = np.random.default_rng(52)

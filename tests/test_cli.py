@@ -1,3 +1,4 @@
+import inspect
 import json
 from pathlib import Path
 
@@ -280,6 +281,46 @@ class TestProtocolKeys:
         assert not out.exists()
 
 
+def _channel_bytes(spec):
+    return [(np.asarray(op).tobytes(), rate) for op, rate in spec.channels]
+
+
+class TestLindbladDefaults:
+    """A lindblad key a config leaves out takes the library's default."""
+
+    LIBRARY = {
+        "calibrated": (model.photon_scattering_channels, {"scattering": "calibrated"}),
+        "linear": (model.inhomogeneous_dephasing, {"dephasing": "linear"}),
+        "quadratic": (model.inhomogeneous_dephasing, {"dephasing": "quadratic"}),
+    }
+
+    @pytest.mark.parametrize("name", sorted(LIBRARY))
+    def test_cli_default_is_the_library_default(self, name):
+        build, spec = self.LIBRARY[name]
+        mode = {"mode": name} if build is model.inhomogeneous_dephasing else {}
+        assert (_channel_bytes(cli._build_lindblad({"lindblad": spec}))
+                == _channel_bytes(build(**mode)))
+
+    def test_cli_follows_a_changed_library_default(self, monkeypatch):
+        # the CLI restates no default, so it follows the library's
+        for build, key in ((model.photon_scattering_channels, "ase_factor"),
+                           (model.inhomogeneous_dephasing, "tau_unit_s")):
+            names = [p.name for p in inspect.signature(build).parameters.values()
+                     if p.default is not inspect.Parameter.empty]
+            defaults = list(build.__defaults__)
+            defaults[names.index(key)] *= 1.5
+            monkeypatch.setattr(build, "__defaults__", tuple(defaults))
+        spec = {"scattering": "calibrated", "dephasing": "linear"}
+        assert (_channel_bytes(cli._build_lindblad({"lindblad": spec}))
+                == _channel_bytes(model.photon_scattering_channels().merge(
+                    model.inhomogeneous_dephasing())))
+        # and the changed defaults did change what the library builds
+        assert (_channel_bytes(model.inhomogeneous_dephasing()) != _channel_bytes(
+            model.inhomogeneous_dephasing(tau_unit_s=model.DEPHASING_TIME_UNIT)))
+        assert (_channel_bytes(model.photon_scattering_channels()) != _channel_bytes(
+            model.photon_scattering_channels(ase_factor=model.DEFAULT_ASE_FACTOR)))
+
+
 class TestSubcommands:
     def test_leakage_scan_table(self, tmp_path):
         assert run_cli(["leakage-scan", "--ratios", "9,30",
@@ -356,6 +397,14 @@ class TestSubcommands:
         capsys.readouterr()
         assert run_cli(["fit", "damped-sine", one_row]) == 3
         assert "need at least 8 samples" in capsys.readouterr().err
+
+    def test_fit_sine_of_too_few_samples_exit_3(self, tmp_path, capsys, recwarn):
+        # rejected before any frequency guess: no NumPy warning, no LAPACK
+        one_row = tmp_path / "one.csv"
+        one_row.write_text("t,y\n0.1,0.5\n")
+        assert run_cli(["fit", "sine", one_row]) == 3
+        assert "need at least 4 distinct sample times" in capsys.readouterr().err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_decompose_subcommand(self, tmp_path, capsys):
         assert run_cli(["decompose", "--n", "4",

@@ -409,7 +409,7 @@ class TestCachedChannelSets:
         sched = _criterion_2_schedule(spec)
         seg = sched.segments[0]
         dynamics.clear_caches()
-        cached = dynamics._channel_set(spec.channels)
+        cached = dynamics.channel_set(spec.channels)
         with pytest.raises(ValueError):
             cached.dissipator[0, 0] = 1.0
         for array in dynamics._constant_spectrum(seg):
@@ -430,7 +430,7 @@ class TestCachedChannelSets:
         # closed form, as it did before the cache
         op = np.zeros((DIM, DIM), dtype=complex)
         op[0, 1] = op[1, 0] = 1.0
-        cached = dynamics._channel_set([(op, 0.0)])
+        cached = dynamics.channel_set([(op, 0.0)])
         assert not cached.diagonal_safe
         assert not np.any(cached.dissipator)
 
@@ -446,18 +446,19 @@ class TestCachedChannelSets:
 
     @staticmethod
     def _check_shaped_pulse_solve(tls_end, lindblad, monkeypatch):
-        """A 0.2 ms raised-cosine pulse builds one channel set and no
-        Liouvillian, and matches an RK45 run on the kron Liouvillian."""
+        """A 0.2 ms raised-cosine pulse, compiled and solved, builds one
+        channel set and no Liouvillian, and matches an RK45 run on the
+        kron Liouvillian."""
         seg = sq.PulseSegment(duration=2e-4, envelope="raised_cosine",
                               tones=(model.RamanTone(-2.5, -1.5, 500.0),),
                               tls_start=1.0, tls_end=tls_end)
+        dynamics.clear_caches()
         sched = sq.compile(sq.PulseSequence(segments=(seg,), fields=FIELDS),
                            lindblad=lindblad)
         seg = sched.segments[0]
         assert seg.kind == "general"
         psi = basis_state(-2.5)
         rho0 = np.outer(psi, psi.conj())
-        dynamics.clear_caches()
         builds = _count_calls(monkeypatch, dynamics, "liouvillian")
         final = dynamics.evolve_density(rho0, sched).final
         assert builds == []
@@ -840,6 +841,112 @@ class TestChoiProperties:
         choi = _choi(dynamics.superoperator(dynamics.Schedule((seg,))))
         assert np.max(np.abs(choi - choi.conj().T)) <= self.PSD_TOL[kind]
         assert np.linalg.eigvalsh(choi).min() >= -self.PSD_TOL[kind]
+
+
+@st.composite
+def pullback_schedules(draw, kind):
+    """A schedule of ``kind`` on the pure engine or, under one of the
+    package's channel sets, the density engine: one constant, diagonal or
+    general segment, or a constant pulse, a TLS ramp and a constant
+    pulse ('mixed')."""
+    lindblad = draw(st.sampled_from([None, *sorted(_package_channel_sets())]))
+    ramp = sq.tls_ramp(draw(st.floats(1e-4, 5e-3)), draw(UNIT), draw(UNIT))
+    frame = "rwa"
+    if kind == "diagonal":
+        segments = (ramp,)
+    elif kind == "mixed":
+        segments = tuple(draw(pulse_sequences(constant=True))[0].segments[0]
+                         for _ in range(2))
+        segments = (segments[0], ramp, segments[1])
+    else:
+        seq, frame = draw(pulse_sequences(constant=kind == "constant"))
+        segments = seq.segments
+    sched = sq.compile(sq.PulseSequence(segments=segments, fields=WEAK_FIELDS),
+                       lindblad=_package_channel_sets().get(lindblad), frame=frame)
+    assume(all(seg.kind == kind for seg in sched.segments) or kind == "mixed")
+    return sched
+
+
+def _reference_map(sched):
+    """The schedule's map on row-major vec(rho), stepped forward:
+    kron(U, conj U) on the pure engine, the superoperator on the density
+    engine."""
+    if sched.meta["engine"] == "density":
+        return dynamics.superoperator(sched)
+    return dynamics.unitary_superoperator(dynamics.propagator(sched))
+
+
+def _probe_rows(seed):
+    """The ten population rows and three random rows with entries in the
+    unit disk."""
+    rng = np.random.default_rng(seed)
+    drawn = rng.uniform(0, 1, (3, DIM * DIM)) * np.exp(
+        2j * np.pi * rng.uniform(0, 1, (3, DIM * DIM)))
+    return np.vstack([np.eye(DIM * DIM)[::DIM + 1], drawn])
+
+
+class TestPullbackProperties:
+    # the exact kinds agree to rounding; RK45 is held to its tolerance
+    BOUNDS = {"constant": 1e-13, "diagonal": 1e-13, "mixed": 1e-13,
+              "general": 10 * dynamics.DEFAULT_RTOL}
+
+    @PROPERTY
+    @given(data=st.data(), kind=st.sampled_from(sorted(BOUNDS)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_pullback_equals_rows_of_the_forward_map(self, data, kind, seed):
+        sched = data.draw(pullback_schedules(kind))
+        rows = _probe_rows(seed)
+        pulled = dynamics.pullback(sched, rows)
+        assert pulled.shape == rows.shape
+        assert np.max(np.abs(pulled - rows @ _reference_map(sched))) <= self.BOUNDS[kind]
+
+    def test_chained_constant_segment_pulls_back_through_expm(self, monkeypatch):
+        # a Liouvillian without a usable spectrum steps by expm, backward too
+        sched = sq.compile(_mixed_sequence(), lindblad=_small_lindblad())
+        rows = _probe_rows(7)
+        dynamics.clear_caches()
+        monkeypatch.setattr(dynamics, "_eigen", lambda sup: None)
+        expm_calls = _count_calls(monkeypatch, dynamics, "expm")
+        try:
+            pulled = dynamics.pullback(pr._section(sched, 0, 1), rows)
+            assert expm_calls
+            reference = dynamics.superoperator(pr._section(sched, 0, 1))
+        finally:
+            # the None spectrum kept here must not reach later tests
+            dynamics.clear_caches()
+        assert np.max(np.abs(pulled - rows @ reference)) <= 1e-13
+
+
+class TestFrozenSegment:
+    def test_segment_arrays_are_read_only_copies(self):
+        sched = sq.compile(sq.PulseSequence(
+            segments=(sq.pulse((-2.5, -1.5), 71.0, FIELDS, np.pi / 2),),
+            fields=FIELDS))
+        seg = sched.segments[0]
+        (cmat, _, _), = seg.tones
+        for array in (seg.diag_start, seg.diag_end, cmat):
+            with pytest.raises(ValueError):
+                array[0] += 50.0
+        # the caller's arrays stay writeable and apart from the segment's
+        diag = np.arange(DIM, dtype=float)
+        own = dynamics.Segment(1e-3, diag, diag)
+        diag[0] = 7.0
+        assert own.diag_start[0] == 0.0 and own.diag_end[0] == 0.0
+
+    def test_compiled_segments_share_one_channel_set(self, monkeypatch):
+        # compile looks the set up once; no segment hashes its operators
+        # again (the Hamiltonian part of a Liouvillian still looks up the
+        # empty set, whose key holds no operator)
+        sched = sq.compile(_mixed_sequence(), lindblad=_small_lindblad())
+        lookups, lookup = [], dynamics.channel_set
+        monkeypatch.setattr(dynamics, "channel_set",
+                            lambda channels: lookups.append(len(channels))
+                            or lookup(channels))
+        assert len({id(seg.channel_set) for seg in sched.segments}) == 1
+        dynamics.clear_caches()
+        dynamics.evolve_density(np.outer(_probe_state(), _probe_state().conj()),
+                                sched)
+        assert not any(lookups)
 
 
 class TestClosedFormSamples:

@@ -596,6 +596,39 @@ def _tracked_per_point(t_open):
     return np.array(phases)
 
 
+class TestClosingRows:
+    """Protocols read a closing section through population rows pulled
+    back through it, never through its superoperator."""
+
+    RUNS = {
+        "ramsey": lambda spec: pr.ramsey(
+            (-3.5, -2.5), [0.005, 0.01], RAMSEY_FIELDS, 93.0, lindblad=spec,
+            detuning_hz=25.0),
+        "ramsey adiabatic-off": lambda spec: pr.ramsey(
+            (-3.5, -2.5), [0.005, 0.01], RAMSEY_FIELDS, 93.0, lindblad=spec,
+            tls_mode="adiabatic-off", detuning_hz=25.0),
+        "parallel_ramsey": lambda spec: pr.parallel_ramsey(
+            [0.004, 0.005], DUAL_FIELDS, lindblad=spec),
+        "dual_ramsey_sampled": lambda spec: pr.dual_ramsey_sampled(
+            0.004, DUAL_FIELDS, 77.0, pr.NoiseSpec(b_jitter_hz=3.0), n_shots=50,
+            lindblad=spec),
+        "ancilla_measurement": lambda spec: pr.ancilla_measurement(
+            [0.0, 1.0], REF_FIELDS, lindblad=spec),
+    }
+
+    @pytest.mark.parametrize("lindblad", sorted(TIME_LINDBLADS))
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_no_superoperator_is_built(self, run, lindblad, monkeypatch):
+        calls, pulled = [], []
+        superoperator, pullback = dynamics.superoperator, dynamics.pullback
+        monkeypatch.setattr(dynamics, "superoperator",
+                            lambda *a, **kw: calls.append(1) or superoperator(*a, **kw))
+        monkeypatch.setattr(dynamics, "pullback",
+                            lambda *a, **kw: pulled.append(1) or pullback(*a, **kw))
+        self.RUNS[run](TIME_LINDBLADS[lindblad])
+        assert calls == [] and pulled
+
+
 class TestScanSweep:
     """Each scan evolves its pulses once and applies per point only what
     its variable changes; these are the identities that rests on."""
@@ -701,9 +734,10 @@ class TestScanSweep:
         for segment in (sq.pulse((-3.5, -2.5), 93.0, RAMSEY_FIELDS, np.pi / 2,
                                  detuning_hz=1.0, warn_regime=False),
                         sq.tls_ramp(pr.TLS_RAMP_S, 1.0, 0.0)):
-            at_zero, after_dark = (pr._section_map(pr._section(sq.compile(
+            at_zero, after_dark = (dynamics.pullback(pr._section(sq.compile(
                 sq.PulseSequence(segments=(*prefix, segment), fields=RAMSEY_FIELDS),
-                lindblad=spec), -1)) for prefix in ((), (sq.dark_time(3.0),)))
+                lindblad=spec), -1), np.eye(DIM * DIM))
+                for prefix in ((), (sq.dark_time(3.0),)))
             assert at_zero.tobytes() == after_dark.tobytes()
 
     @settings(max_examples=8, deadline=None, database=None)
