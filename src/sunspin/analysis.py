@@ -2,8 +2,13 @@
 phase-noise estimation, and (q, b) reconstruction from dual phases.
 
 The damped-sine family is fitted with a Levenberg-Marquardt damped
-Gauss-Newton using analytic Jacobians and a deterministic multi-start
-grid; orthogonal-distance regression wraps ODRPACK.
+Gauss-Newton using analytic Jacobians, started from the best point of a
+deterministic grid: FFT-seeded frequencies times decay rates (the rate
+0 alone for a pure sinusoid).  At each grid point the linear parameters
+are solved exactly, and all points are scored at once, as one stack of
+weighted bases through one batched QR (a rank-deficient basis by
+``lstsq``).  Samples may come in any order; the fits sort them by time.
+Orthogonal-distance regression wraps ODRPACK.
 """
 
 from __future__ import annotations
@@ -20,6 +25,21 @@ TWO_PI = 2.0 * np.pi
 Z2_ACCEPT = 6.18
 # Added to a replica standard deviation before dividing by it.
 STD_GUARD = 1e-12
+# Levenberg-Marquardt: the default step and gradient tolerances; the
+# floor and the ceiling of the damping (past the ceiling no step lowers
+# the cost, and the fit stops unconverged); the guard against a zero
+# divisor.
+LM_TOL = 1e-12
+LM_DAMPING_MIN = 1e-14
+LM_DAMPING_MAX = 1e16
+LM_TINY = 1e-30
+# FFT frequency candidates: the relative slack of the data Nyquist cap,
+# and the least relative distance between two candidates.
+NYQUIST_SLACK = 1e-9
+CANDIDATE_SEPARATION = 0.25
+# Start grid: a weighted basis whose QR diagonal has an entry this small
+# next to its largest counts as rank-deficient.
+START_RANK_TOL = 1e-8
 
 
 class AnalysisError(ValueError):
@@ -49,12 +69,12 @@ class FitResult:
 # Levenberg-Marquardt core (analytic Jacobians, sinusoid family)
 # ---------------------------------------------------------------------------
 
-def _lm(residual_jac, p0, max_iter=300, xtol=1e-12, gtol=1e-12):
+def _lm(residual_jac, p0, max_iter=300, xtol=LM_TOL, gtol=LM_TOL):
     """Damped Gauss-Newton; residual_jac(p) -> (r, J) with r weighted."""
     p = np.asarray(p0, dtype=float)
     r, jac = residual_jac(p)
     cost = 0.5 * r @ r
-    lam = 1e-3 * max(np.sum(jac**2, axis=0).max(), 1e-30)
+    lam = 1e-3 * max(np.sum(jac**2, axis=0).max(), LM_TINY)
     n_iter = 0
     converged = False
     for n_iter in range(1, max_iter + 1):
@@ -72,15 +92,15 @@ def _lm(residual_jac, p0, max_iter=300, xtol=1e-12, gtol=1e-12):
         r_new, jac_new = residual_jac(p_new)
         cost_new = 0.5 * r_new @ r_new
         if cost_new < cost:
-            rel = np.max(np.abs(step) / np.maximum(np.abs(p_new), 1e-30))
+            rel = np.max(np.abs(step) / np.maximum(np.abs(p_new), LM_TINY))
             p, r, jac, cost = p_new, r_new, jac_new, cost_new
-            lam = max(lam * 0.3, 1e-14)
+            lam = max(lam * 0.3, LM_DAMPING_MIN)
             if rel < xtol:
                 converged = True
                 break
         else:
             lam *= 10
-            if lam > 1e16:
+            if lam > LM_DAMPING_MAX:
                 break
     jtj = jac.T @ jac
     try:
@@ -103,16 +123,16 @@ def _damped_sine_rj(t, y, w):
         decay = np.exp(-g * t)
         arg = TWO_PI * f * t + phi
         s, cs = np.sin(arg), np.cos(arg)
-        model = a * decay * s + c
-        r = (model - y) * w
-        jac = np.column_stack([
-            decay * s,
-            a * decay * cs * TWO_PI * t,
-            a * decay * cs,
-            -a * t * decay * s,
-            np.ones_like(t),
-        ]) * w[:, None]
-        return r, jac
+        r = (a * decay * s + c - y) * w
+        # d/dA, d/df, d/dphi, d/dg, d/dc, one row each, then weighted
+        jac = np.empty((5, len(t)))
+        jac[0] = decay * s
+        jac[1] = a * decay * cs * TWO_PI * t
+        jac[2] = a * decay * cs
+        jac[3] = -a * t * decay * s
+        jac[4] = 1.0
+        jac *= w
+        return r, jac.T
     return rj
 
 
@@ -132,48 +152,97 @@ def _frequency_candidates(t, y, n=5):
     cands = []
     for idx in order:
         f = freqs[idx]
-        if f > nyquist * (1 + 1e-9):
+        if f > nyquist * (1 + NYQUIST_SLACK):
             continue
-        if all(abs(f - c) > 0.25 * max(c, 1e-12) for c in cands):
+        if all(abs(f - c) > CANDIDATE_SEPARATION * max(c, 1e-12) for c in cands):
             cands.append(f)
         if len(cands) >= n:
             break
     return cands or [1.0 / (t[-1] - t[0])]
 
 
+def _fit_inputs(times, values, errors):
+    """(t, y, w) sorted by time (a stable sort), w = 1/errors (1 when
+    None); non-finite times or values and errors that are not positive
+    and finite raise."""
+    t = np.asarray(times, dtype=float)
+    y = np.asarray(values, dtype=float)
+    if t.ndim != 1 or t.shape != y.shape:
+        raise AnalysisError("times and values must be 1-D and of one length")
+    if not (np.isfinite(t).all() and np.isfinite(y).all()):
+        raise AnalysisError("times and values must be finite")
+    if errors is None:
+        w = np.ones_like(y)
+    else:
+        err = np.broadcast_to(np.asarray(errors, dtype=float), y.shape)
+        if not (np.isfinite(err).all() and (err > 0).all()):
+            raise AnalysisError("errors must be positive and finite")
+        w = 1.0 / err
+    order = np.argsort(t, kind="stable")
+    return t[order], y[order], w[order]
+
+
+def _best_start(t, y, w, f_cands, g_cands) -> list[float]:
+    """(A, f, phi, g, c) of least weighted SSE over the start grid.
+
+    The grid is the frequencies ``f_cands`` above 0 times the decay
+    rates ``g_cands``; at each point the linear parameters (A cos phi,
+    A sin phi, c) are solved exactly.  The weighted basis
+    [e^{-g t} sin, e^{-g t} cos, 1] of every point is one (F*G, n, 3)
+    stack, from sin and cos taken once per frequency and exp once per
+    rate, and one batched QR scores them all.  A point whose basis is
+    (nearly) rank-deficient, such as a decay that underflows on every
+    sample, is scored by ``np.linalg.lstsq`` instead, whose SSE is the
+    least-squares one there.  Of equal SSEs the first in frequency-major
+    order wins, and ``lstsq`` gives its linear parameters.
+    """
+    f = np.array([f0 for f0 in f_cands if f0 > 0])
+    g = np.asarray(g_cands, dtype=float)
+    arg = np.multiply.outer(TWO_PI * f, t)
+    decay = np.exp(-np.multiply.outer(g, t))
+    basis = np.empty((len(f), len(g), len(t), 3))
+    basis[..., 0] = np.sin(arg)[:, None] * decay
+    basis[..., 1] = np.cos(arg)[:, None] * decay
+    basis[..., 2] = 1.0
+    basis = basis.reshape(-1, len(t), 3) * w[:, None]
+    yw = y * w
+    q, r = np.linalg.qr(basis)
+    sse = np.sum(((q @ (yw @ q)[..., None])[..., 0] - yw) ** 2, axis=1)
+    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    for i in np.flatnonzero(diag.min(axis=1) <= START_RANK_TOL * diag.max(axis=1)):
+        sse[i] = _lstsq_sse(basis[i], yw)[1]
+    k = int(np.argmin(np.where(np.isnan(sse), np.inf, sse)))
+    coef = _lstsq_sse(basis[k], yw)[0]
+    return [math.hypot(coef[0], coef[1]), float(f[k // len(g)]),
+            math.atan2(coef[1], coef[0]), float(g[k % len(g)]), coef[2]]
+
+
+def _lstsq_sse(basis, yw):
+    """The minimum-norm least-squares coefficients of ``basis`` for
+    ``yw`` and their SSE."""
+    coef = np.linalg.lstsq(basis, yw, rcond=None)[0]
+    return coef, float(np.sum((basis @ coef - yw) ** 2))
+
+
 def fit_damped_sine(times, values, errors=None, frequency_hint=None) -> FitResult:
     """A e^{-t/tau} sin(2 pi f t + phi) + c, weighted least squares.
 
-    Multi-start over an FFT-seeded frequency grid and a decay-rate grid
-    avoids local minima; within each start the linear parameters are
-    solved exactly before the LM refinement.
+    The LM refinement starts from the best point of a grid of FFT-seeded
+    frequencies (and ``frequency_hint``) times five decay rates, with
+    the linear parameters solved exactly at each (:func:`_best_start`),
+    which avoids local minima.  Samples may come in any order.
     """
-    t = np.asarray(times, dtype=float)
-    y = np.asarray(values, dtype=float)
+    t, y, w = _fit_inputs(times, values, errors)
     if len(t) < 8:
         raise AnalysisError("need at least 8 samples")
+    # five parameters need five distinct sample times
+    if len(np.unique(t)) < 5:
+        raise AnalysisError("need at least 5 distinct sample times")
     span = t[-1] - t[0]
-    w = np.ones_like(y) if errors is None else 1.0 / np.asarray(errors, dtype=float)
-
     f_cands = ([frequency_hint] if frequency_hint else []) + _frequency_candidates(t, y)
     g_cands = [0.0, 0.3 / span, 1.0 / span, 3.0 / span, 10.0 / span]
-    best = None
-    for f0 in f_cands:
-        if f0 <= 0:
-            continue
-        for g0 in g_cands:
-            decay = np.exp(-g0 * t)
-            basis = np.column_stack([decay * np.sin(TWO_PI * f0 * t),
-                                     decay * np.cos(TWO_PI * f0 * t),
-                                     np.ones_like(t)])
-            coef, *_ = np.linalg.lstsq(basis * w[:, None], y * w, rcond=None)
-            resid = basis @ coef - y
-            sse = np.sum((resid * w) ** 2)
-            if best is None or sse < best[0]:
-                a0 = math.hypot(coef[0], coef[1])
-                phi0 = math.atan2(coef[1], coef[0])
-                best = (sse, [a0, f0, phi0, g0, coef[2]])
-    p, cov, rms, converged, n_iter = _lm(_damped_sine_rj(t, y, w), best[1])
+    p0 = _best_start(t, y, w, f_cands, g_cands)
+    p, cov, rms, converged, n_iter = _lm(_damped_sine_rj(t, y, w), p0)
     _canonicalize_sine(p)
     if errors is None and len(t) > 5:
         cov = cov * rms**2 * len(t) / max(len(t) - 5, 1)
@@ -192,25 +261,15 @@ def fit_damped_sine(times, values, errors=None, frequency_hint=None) -> FitResul
 
 
 def fit_sine(times, values, errors=None, frequency_hint=None) -> FitResult:
-    """Pure sinusoid (decay rate pinned to zero)."""
-    t = np.asarray(times, dtype=float)
-    y = np.asarray(values, dtype=float)
+    """Pure sinusoid (decay rate pinned to zero), started from the grid
+    of :func:`fit_damped_sine` at the rate 0 alone.  Samples may come in
+    any order."""
+    t, y, w = _fit_inputs(times, values, errors)
     # four parameters need four distinct sample times
     if len(np.unique(t)) < 4:
         raise AnalysisError("need at least 4 distinct sample times")
-    w = np.ones_like(y) if errors is None else 1.0 / np.asarray(errors, dtype=float)
     f_cands = ([frequency_hint] if frequency_hint else []) + _frequency_candidates(t, y)
-    best = None
-    for f0 in f_cands:
-        if f0 <= 0:
-            continue
-        basis = np.column_stack([np.sin(TWO_PI * f0 * t),
-                                 np.cos(TWO_PI * f0 * t), np.ones_like(t)])
-        coef, *_ = np.linalg.lstsq(basis * w[:, None], y * w, rcond=None)
-        sse = np.sum(((basis @ coef - y) * w) ** 2)
-        if best is None or sse < best[0]:
-            a0 = math.hypot(coef[0], coef[1])
-            best = (sse, [a0, f0, math.atan2(coef[1], coef[0]), coef[2]])
+    a0, f0, phi0, _, c0 = _best_start(t, y, w, f_cands, [0.0])
 
     def rj(p):
         a, f, phi, c = p
@@ -221,7 +280,7 @@ def fit_sine(times, values, errors=None, frequency_hint=None) -> FitResult:
                                np.ones_like(t)]) * w[:, None]
         return r, jac
 
-    p, cov, rms, converged, n_iter = _lm(rj, best[1])
+    p, cov, rms, converged, n_iter = _lm(rj, [a0, f0, phi0, c0])
     _canonicalize_sine(p)
     if errors is None and len(t) > 4:
         cov = cov * rms**2 * len(t) / max(len(t) - 4, 1)
@@ -246,8 +305,11 @@ def fit_sine_odr(times, values, x_errors, y_errors,
     sy = np.asarray(y_errors, dtype=float)
     if len(np.unique(t)) < 4:
         raise AnalysisError("degenerate x spacing")
-    init = fit_sine(t, y, errors=sy if np.any(sy > 0) else None,
-                    frequency_hint=frequency_hint)
+    if not all(np.isfinite(e).all() and (e >= 0).all() for e in (sx, sy)):
+        raise AnalysisError("x and y errors must be non-negative and finite")
+    # a zero y error counts as 1, as in the ODR data below
+    sy = np.where(sy > 0, sy, 1.0)
+    init = fit_sine(t, y, errors=sy, frequency_hint=frequency_hint)
     beta0 = [init["amplitude"], init["frequency_hz"], init["phase_rad"],
              init["offset"]]
 
@@ -255,8 +317,7 @@ def fit_sine_odr(times, values, x_errors, y_errors,
         return beta[0] * np.sin(TWO_PI * beta[1] * x + beta[2]) + beta[3]
 
     ols_mode = not np.any(sx > 0)
-    data = odr_pack.RealData(t, y, sx=None if ols_mode else sx,
-                             sy=np.where(sy > 0, sy, 1.0))
+    data = odr_pack.RealData(t, y, sx=None if ols_mode else sx, sy=sy)
     problem = odr_pack.ODR(data, odr_pack.Model(model), beta0=beta0)
     if ols_mode:
         problem.set_job(fit_type=2)  # ordinary least squares

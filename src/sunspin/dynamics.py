@@ -28,7 +28,11 @@ superoperator steps 100.  Each segment gets one method by its kind:
 
 * constant H - exact stepping from the segment start through one
   spectrum (method 14 of Moler & Van Loan, SIAM Rev. 45, 3 (2003)): in
-  Hilbert space the eigendecomposition of H; in Liouville space
+  Hilbert space the eigendecomposition H = V diag(w) V^H.  In Liouville
+  space with no acting channel (the set's dissipator is zero, or the
+  multiplier is 0), the same one: U rho U^H is V M V^H, M_ab = C_ab p_a
+  conj(p_b) for p = exp(-2 pi i w t) and C = V^H rho V, which is exact
+  with cond 1 and takes 10 exponentials per sample.  Otherwise
   L = V diag(lambda) V^-1, a real one: in the Hermitian basis (rho_aa,
   sqrt2 Re rho_ab, -sqrt2 Im rho_ab) a Lindblad generator is a real
   matrix.  Arbitrarily long steps at machine precision, and a state
@@ -53,22 +57,26 @@ superoperator steps 100.  Each segment gets one method by its kind:
   building no Liouvillian.  Backward, such a segment's own 100x100 map
   is stepped forward and the rows multiply it.
 
-Backward, a constant segment costs ((r @ V) * exp(lambda t)) @ V^-1 on
-the spectrum the forward step keeps, and a tone-free one scales the
-coherence entries of r by their phase and decay factors and maps its
-population entries by r_pop @ P, P the rate-matrix exponential.
+Backward, a constant segment with no acting channel costs U^T R conj(U)
+for each row R read as a 10x10 matrix, the pure engine's formula; one
+with channels costs ((r @ V) * exp(lambda t)) @ V^-1 on the spectrum
+the forward step keeps; and a tone-free one scales the coherence
+entries of r by their phase and decay factors and maps its population
+entries by r_pop @ P, P the rate-matrix exponential.
 
 Two costly results are kept by content, because one run asks for them
 again and again:
 
 * per channel set, keyed by its operator bytes and rates: the 100x100
   dissipator and the closed-form rate and coherence matrices;
-* per constant Liouville segment, keyed by ``Segment.key`` (level
-  diagonal, coupling triangles, beats and phases; never the duration), the
-  channel set and the multiplier: the spectrum of its Liouvillian, or
-  None when it takes chained exponentials.  A spectrum does not depend
-  on the step length, so a pulse repeated anywhere in a run, sampled
-  at any times, is diagonalized once.
+* per constant Liouville segment on which a channel acts, keyed by
+  ``Segment.key`` (level diagonal, coupling triangles, beats and phases;
+  never the duration), the channel set and the multiplier: the spectrum
+  of its Liouvillian, or None when it takes chained exponentials.  A
+  spectrum does not depend on the step length, so a pulse repeated
+  anywhere in a run, sampled at any times, is diagonalized once.  A
+  segment with no acting channel keeps nothing: it takes only the 10x10
+  ``eigh`` of the pure engine.
 
 A segment looks its channel set up once, and the spectrum cache keys it
 by the set's own stored key, so no entry holds a copy of the operator
@@ -106,6 +114,11 @@ EIG_IMAG_MAX = 1e-14
 # 2e-12 at 3e4 and 6e-9 at the defective point itself (cond(V) = 1e8).
 # The package's own Rabi segments have cond(V) below 20.
 EIG_COND_MAX = 1e4
+# Ends a channel-free constant segment steps together in Liouville space.
+# A block's temporaries stay near 50 KB, under glibc's 128 KiB mmap
+# threshold: the 248 ends of a Rabi scan in one block cost about 100
+# page faults and 0.2 ms more per scan.
+UNITARY_BLOCK = 32
 # Entries kept by content: channel sets (a 160 KB dissipator each) and
 # constant-segment Liouville spectra (320 KB each).  Each bundled config
 # uses at most 2 distinct sets and 3 distinct spectra; one pass over the
@@ -289,6 +302,12 @@ class Segment:
         if self.known_channel_set is not None:
             return self.known_channel_set
         return channel_set(self.channels)
+
+    @property
+    def channel_free(self) -> bool:
+        """True when no channel acts: the set's dissipator is zero, or the
+        multiplier is 0 at both ends."""
+        return self.channel_set.channel_free or self.mult_start == self.mult_end == 0
 
     @functools.cached_property
     def f_max_hz(self) -> float:
@@ -505,14 +524,14 @@ def _step(seg: Segment, state, sample_ts, tol, liouville):
     segment's method (see the module docstring).
     """
     ends = sample_ts + [seg.duration]
-    if seg.kind == "constant":
-        if liouville:
-            spectrum = _constant_spectrum(seg)
-        else:
-            w, v = np.linalg.eigh(seg.h_const)
-            spectrum = -1j * TWO_PI * w, v, v.conj().T
+    if seg.kind == "constant" and (not liouville or seg.channel_free):
+        states = _unitary(seg, state, ends, liouville)
+    elif seg.kind == "constant":
+        spectrum = _constant_spectrum(seg)
         if spectrum is not None:
-            states = _spectral(*spectrum, state, ends)
+            rates, v, v_inv = spectrum
+            states = _spectral(v, v_inv @ state,
+                               np.exp(np.multiply.outer(ends, rates), dtype=complex))
         else:
             states = _chained(_constant_liouvillian(seg), state, ends)
     elif seg.kind == "diagonal" and (not liouville or seg.channel_set.diagonal_safe):
@@ -531,19 +550,51 @@ def _rows(factors: np.ndarray, x: np.ndarray) -> np.ndarray:
     return factors.reshape(factors.shape + (1,) * (x.ndim - factors.ndim)) * x
 
 
-def _spectral(rates, v, v_inv, state, ends):
-    """States at ``ends``: v diag(exp(rates t)) v_inv @ state.
+def _spectral(v, coeff, factors):
+    """v diag(f) coeff for each row f of ``factors``: the states at the
+    ends whose spectral factors those rows are, ``coeff`` being the state
+    in the eigenbasis v.
 
     A state vector is stepped to several ends in one matrix product; a
     block of columns (a propagator or superoperator, which samples
     nothing) and a single end go end by end.
     """
-    coeff = v_inv @ state
-    if state.ndim > 1 or len(ends) == 1:
-        return [v @ _rows(np.exp(rates * ts), coeff) for ts in ends]
-    factors = np.exp(np.multiply.outer(ends, rates), dtype=complex)
+    if coeff.ndim > 1 or len(factors) == 1:
+        return [v @ _rows(f, coeff) for f in factors]
     factors *= coeff
     return list(factors @ v.T)
+
+
+def _unitary(seg: Segment, state, ends, liouville):
+    """States at ``ends`` of a constant segment without acting channels,
+    from H = V diag(w) V^H by ``eigh`` and the 10 factors
+    p = exp(-2 pi i w t) per end.
+
+    In Liouville space U rho U^H = V M V^H, M_ab = C_ab p_a conj(p_b),
+    for the coefficients C = V^H rho V of each column rho of the state:
+    an exact map with a unitary eigenbasis (cond 1), which takes no
+    100x100 eigensolver.  It runs as two products with 10 columns per
+    block of ``UNITARY_BLOCK`` ends, a fifth of the work of
+    kron(V, conj V) on vec(M).
+    """
+    w, v = np.linalg.eigh(seg.h_const)
+    p = np.exp(np.multiply.outer(ends, -1j * TWO_PI * w))
+    if not liouville:
+        return _spectral(v, v.conj().T @ state, p)
+    vh = v.conj().T
+    # c[a, k, b]: V^H rho V for each column k of the state
+    rho = np.moveaxis(state.reshape(DIM, DIM, -1), -1, 0)
+    c = np.moveaxis(vh @ rho @ v, 0, 1)
+    out = np.empty((len(ends), DIM, DIM, c.shape[1]), dtype=complex)
+    for lo in range(0, len(ends), UNITARY_BLOCK):
+        pb = p[lo:lo + UNITARY_BLOCK]
+        # m[a, n, k, b] = c[a, k, b] p_a(t_n) conj(p_b(t_n)), then V m V^H
+        m = pb.T[:, :, None, None] * c[:, None]
+        m *= pb.conj()[:, None, :]
+        m = (m.reshape(-1, DIM) @ vh).reshape(DIM, -1)
+        out[lo:lo + UNITARY_BLOCK] = ((v @ m).reshape(DIM, len(pb), -1, DIM)
+                                      .transpose(1, 0, 3, 2))
+    return list(out.reshape((len(ends),) + state.shape))
 
 
 # Row-major vec(rho) indices of rho_aa, and of rho_ab and rho_ba for a < b
@@ -698,9 +749,13 @@ def liouvillian(h: np.ndarray, channels: Sequence[tuple[np.ndarray, float]]) -> 
     built once per distinct set of (operator, rate) contents and kept
     read-only; the returned sum is a new array.
     """
+    return _hamiltonian_part(h) + channel_set(channels).dissipator
+
+
+def _hamiltonian_part(h: np.ndarray) -> np.ndarray:
+    """-2 pi i [H, .] on row-major vec(rho)."""
     eye = np.eye(DIM)
-    return (-1j * TWO_PI * (np.kron(h, eye) - np.kron(eye, h.T))
-            + channel_set(channels).dissipator)
+    return -1j * TWO_PI * (np.kron(h, eye) - np.kron(eye, h.T))
 
 
 class _ChannelSet(NamedTuple):
@@ -708,6 +763,7 @@ class _ChannelSet(NamedTuple):
 
     key: tuple                            # the key it was built under
     dissipator: np.ndarray                # 100x100; zero-rate channels dropped
+    channel_free: bool                    # the dissipator is zero
     diagonal_safe: bool                   # over every channel, zero rates too
     rate_matrix: np.ndarray | None        # closed-form data, if diagonal_safe
     coherence_rates: np.ndarray | None
@@ -741,9 +797,10 @@ def _build_channel_set(key: tuple, channels) -> _ChannelSet:
         dissipator += rate * (np.kron(op, op.conj())
                               - 0.5 * np.kron(ll, eye)
                               - 0.5 * np.kron(eye, ll.T))
+    channel_free = not dissipator.any()
     if not _is_diagonal_safe(channels):
-        return _ChannelSet(key, _frozen(dissipator), False, None, None)
-    return _ChannelSet(key, _frozen(dissipator), True,
+        return _ChannelSet(key, _frozen(dissipator), channel_free, False, None, None)
+    return _ChannelSet(key, _frozen(dissipator), channel_free, True,
                        _frozen(_rate_matrix(channels)),
                        _frozen(_coherence_rates(channels)))
 
@@ -751,7 +808,7 @@ def _build_channel_set(key: tuple, channels) -> _ChannelSet:
 def _constant_liouvillian(seg: Segment) -> np.ndarray:
     """Liouvillian of a constant segment: the Hamiltonian part plus the
     TLS multiplier times the channels' dissipator."""
-    return (liouvillian(seg.h_const, ())
+    return (_hamiltonian_part(seg.h_const)
             + seg.mult_start * seg.channel_set.dissipator)
 
 
@@ -928,8 +985,7 @@ def pullback(schedule: Schedule, rows, tol: float = DEFAULT_RTOL) -> np.ndarray:
     """
     rows = np.asarray(rows, dtype=complex)
     if schedule.meta.get("engine") != "density":
-        u = propagator(schedule, tol=tol)
-        return (u.T @ rows.reshape(-1, DIM, DIM) @ u.conj()).reshape(rows.shape)
+        return _through_unitary(propagator(schedule, tol=tol), rows)
     for seg in reversed(schedule.segments):
         rows = _step_back(seg, rows, tol)
     return rows
@@ -938,6 +994,9 @@ def pullback(schedule: Schedule, rows, tol: float = DEFAULT_RTOL) -> np.ndarray:
 def _step_back(seg: Segment, rows, tol):
     """``rows`` @ the segment's map in Liouville space: the adjoint of the
     method ``_step`` takes."""
+    if seg.kind == "constant" and seg.channel_free:
+        (u,) = _unitary(seg, np.eye(DIM, dtype=complex), [seg.duration], False)
+        return _through_unitary(u, rows)
     if seg.kind == "constant":
         spectrum = _constant_spectrum(seg)
         if spectrum is None:
@@ -956,6 +1015,12 @@ def _step_back(seg: Segment, rows, tol):
         return out
     # RK45 steps the segment's own 100 columns
     return rows @ _step(seg, np.eye(DIM * DIM, dtype=complex), [], tol, True)[1]
+
+
+def _through_unitary(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``rows`` @ kron(u, conj u): U^T R conj(U) for each row R read as a
+    10x10 matrix."""
+    return (u.T @ rows.reshape(-1, DIM, DIM) @ u.conj()).reshape(rows.shape)
 
 
 def unitary_superoperator(u: np.ndarray) -> np.ndarray:

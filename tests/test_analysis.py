@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sunspin import analysis as an
+from sunspin import model, protocols as pr
 
 
 class TestDampedSine:
@@ -36,6 +40,11 @@ class TestDampedSine:
         with pytest.raises(an.AnalysisError):
             an.fit_damped_sine([0, 1, 2], [0, 1, 0])
 
+    def test_needs_five_distinct_sample_times(self):
+        t = np.repeat([0.0, 0.1, 0.2, 0.3], 2)
+        with pytest.raises(an.AnalysisError, match="at least 5 distinct"):
+            an.fit_damped_sine(t, np.sin(2 * np.pi * 3 * t))
+
 
 class TestSine:
     @pytest.mark.parametrize("t", [[0.1], [0.0, 0.1, 0.2], [0.0, 0.1, 0.1, 0.2, 0.2]],
@@ -49,6 +58,152 @@ class TestSine:
         fit = an.fit_sine(t, 0.5 + 0.3 * np.sin(2 * np.pi * 1.3 * t + 0.2),
                           frequency_hint=1.3)
         assert np.all(np.isfinite(list(fit.params.values())))
+
+
+def _loop_start(t, y, w, f_cands, g_cands):
+    """The start grid solved one point at a time by ``np.linalg.lstsq``:
+    the first (f, g) of least weighted SSE, in frequency-major order, and
+    its [A, f, phi, g, c]."""
+    best = None
+    for f0 in f_cands:
+        if f0 <= 0:
+            continue
+        for g0 in g_cands:
+            decay = np.exp(-g0 * t)
+            basis = np.column_stack([decay * np.sin(2 * np.pi * f0 * t),
+                                     decay * np.cos(2 * np.pi * f0 * t),
+                                     np.ones_like(t)])
+            coef, *_ = np.linalg.lstsq(basis * w[:, None], y * w, rcond=None)
+            sse = np.sum(((basis @ coef - y) * w) ** 2)
+            if best is None or sse < best[0]:
+                best = (sse, [math.hypot(coef[0], coef[1]), f0,
+                              math.atan2(coef[1], coef[0]), g0, coef[2]])
+    return best[1]
+
+
+def _grids(t, y, hint, damped):
+    span = t[-1] - t[0]
+    f_cands = ([hint] if hint else []) + an._frequency_candidates(t, y)
+    g_cands = [0.0, 0.3 / span, 1.0 / span, 3.0 / span, 10.0 / span]
+    return f_cands, g_cands if damped else [0.0]
+
+
+def _assert_same_start(t, y, w, hint, damped):
+    f_cands, g_cands = _grids(t, y, hint, damped)
+    batched = an._best_start(t, y, w, f_cands, g_cands)
+    looped = _loop_start(t, y, w, f_cands, g_cands)
+    # the same grid point, and its linear parameters to rounding
+    assert batched[1] == looped[1] and batched[3] == looped[3]
+    np.testing.assert_allclose(batched, looped, rtol=1e-9, atol=1e-12)
+
+
+class TestStartGrid:
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(amplitude=st.floats(0.05, 1.0), freq=st.floats(5.0, 100.0),
+           phase=st.floats(-np.pi, np.pi), tau=st.floats(0.02, 10.0),
+           offset=st.floats(-0.5, 0.5), noise=st.sampled_from((0.0, 0.01, 0.1)),
+           n=st.integers(8, 200), hinted=st.booleans(), weighted=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_batched_grid_picks_the_start_of_the_loop(self, amplitude, freq, phase,
+                                                      tau, offset, noise, n, hinted,
+                                                      weighted, seed):
+        rng = np.random.default_rng(seed)
+        t = np.sort(rng.uniform(0.0, 0.3, n))
+        y = (amplitude * np.exp(-t / tau) * np.sin(2 * np.pi * freq * t + phase)
+             + offset + noise * rng.standard_normal(n))
+        w = 1.0 / rng.uniform(0.5, 2.0, n) if weighted else np.ones(n)
+        hint = freq * rng.uniform(0.9, 1.1) if hinted else None
+        for damped in (True, False):
+            _assert_same_start(t, y, w, hint, damped)
+
+    @pytest.mark.parametrize("channels", ["both", "scatter"])
+    def test_batched_grid_on_the_criterion_2_scans(self, channels):
+        scatter = model.photon_scattering_channels()
+        lindblad = {"both": scatter.merge(model.inhomogeneous_dephasing()),
+                    "scatter": scatter}[channels]
+        durations = np.linspace(1e-4, 0.35, 247)
+        y = pr.rabi_scan((-2.5, -1.5), 71.0, model.FieldParams(960.0, -320.0),
+                         durations, lindblad=lindblad).population(-1.5)
+        _assert_same_start(durations, y, np.ones_like(y), 71.0, damped=True)
+
+    def test_batched_grid_on_the_criterion_5_fringes(self):
+        t_vals = np.linspace(0.0038, 0.0053, 121)
+        res = pr.parallel_ramsey(t_vals, model.FieldParams(1000.0, -303.0),
+                                 omega_hz=77.0)
+        for m, hint in ((-1.5, 2213.0), (-3.5, 3425.0)):
+            _assert_same_start(t_vals, res.population(m), np.ones_like(t_vals),
+                               hint, damped=False)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_underflowing_decays_on_noise_keep_the_loop_start(self, seed):
+        # ~1000 s from 0, every decay rate above 0 underflows to exp(...) = 0,
+        # so those bases have two zero columns
+        rng = np.random.default_rng(seed)
+        t = 1000.0 + np.sort(rng.uniform(0.0, 0.3, 60))
+        y = 0.5 + 0.01 * rng.standard_normal(60)
+        # a zero column's Householder vector is a unit one, so a projection
+        # through it would fit the first samples exactly: make them outliers
+        y[:2] += 0.3
+        _assert_same_start(t, y, np.ones_like(t), None, damped=True)
+        fit = an.fit_damped_sine(t, y)
+        assert np.all(np.isfinite([fit[k] for k in ("amplitude", "frequency_hz",
+                                                    "phase_rad", "offset")]))
+
+
+def _noisy_damped_sine(n=60, seed=5):
+    rng = np.random.default_rng(seed)
+    t = np.linspace(0.0, 0.3, n)
+    y = (0.45 * np.exp(-t / 0.2) * np.sin(2 * np.pi * 31 * t + 0.4) + 0.5
+         + rng.normal(0, 0.02, n))
+    return t, y, rng.uniform(0.01, 0.03, n)
+
+
+FITS = {"damped": an.fit_damped_sine, "sine": an.fit_sine}
+
+
+class TestFitInputs:
+    @pytest.mark.parametrize("fit", sorted(FITS))
+    @pytest.mark.parametrize("bad", ["nan value", "inf value", "nan time",
+                                     "zero error", "negative error",
+                                     "nan error", "inf error"])
+    def test_bad_inputs_raise_analysis_error(self, fit, bad, capfd):
+        t, y, err = _noisy_damped_sine()
+        where, what = bad.split()[1], {"nan": np.nan, "inf": np.inf, "zero": 0.0,
+                                       "negative": -0.02}[bad.split()[0]]
+        {"value": y, "time": t, "error": err}[where][7] = what
+        with pytest.raises(an.AnalysisError, match="finite|positive"):
+            FITS[fit](t, y, errors=err)
+        # rejected before LAPACK sees it: nothing printed
+        assert capfd.readouterr() == ("", "")
+
+
+class TestOdrInputs:
+    @pytest.mark.parametrize("bad", ["nan y", "inf y", "negative y",
+                                     "nan x", "inf x", "negative x"])
+    def test_bad_errors_raise_analysis_error(self, bad):
+        t, y, err = _noisy_damped_sine()
+        sx, sy = np.full_like(t, 1e-5), err.copy()
+        what, where = bad.split()
+        {"x": sx, "y": sy}[where][7] = {"nan": np.nan, "inf": np.inf,
+                                       "negative": -0.02}[what]
+        with pytest.raises(an.AnalysisError, match="non-negative and finite"):
+            an.fit_sine_odr(t, y, sx, sy)
+
+
+class TestSampleOrder:
+    @pytest.mark.parametrize("fit", sorted(FITS))
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    def test_any_order_fits_bit_identically(self, fit, weighted):
+        t, y, err = _noisy_damped_sine()
+        errors = err if weighted else None
+        ref = FITS[fit](t, y, errors=errors)
+        rng = np.random.default_rng(9)
+        for order in (np.arange(len(t))[::-1], rng.permutation(len(t))):
+            got = FITS[fit](t[order], y[order],
+                            errors=err[order] if weighted else None)
+            assert got.params == ref.params
+            assert got.cov.tobytes() == ref.cov.tobytes()
+            assert got.n_iter == ref.n_iter
 
 
 class TestSineOdr:
@@ -72,6 +227,16 @@ class TestSineOdr:
                               np.full(60, 0.004))
         sigma = fit.uncertainties["frequency_hz"]
         assert abs(fit["frequency_hz"] - 2213) < 3 * sigma
+
+    def test_zero_y_error_counts_as_one(self):
+        rng = np.random.default_rng(53)
+        t = np.linspace(0.0038, 0.0053, 40)
+        y = 0.25 - 0.25 * np.cos(2 * np.pi * 2213 * t + 0.4) + rng.normal(0, 0.01, 40)
+        sy = np.full(40, 0.01)
+        sy[5] = 0.0
+        fit = an.fit_sine_odr(t, y, np.zeros(40), sy)
+        ones = an.fit_sine_odr(t, y, np.zeros(40), np.where(sy > 0, sy, 1.0))
+        assert fit.params == ones.params
 
     def test_degenerate_spacing_rejected(self):
         with pytest.raises(an.AnalysisError):

@@ -406,6 +406,19 @@ class TestSubcommands:
         assert "need at least 4 distinct sample times" in capsys.readouterr().err
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    def test_fit_with_a_zero_error_exit_3(self, tmp_path, capfd):
+        # rejected before the least-squares solver: LAPACK prints nothing
+        t = np.linspace(0.0, 0.3, 20)
+        rows = np.column_stack([t, 0.5 + 0.4 * np.sin(2 * np.pi * 11 * t),
+                                np.full(20, 0.01)])
+        rows[3, 2] = 0.0
+        path = tmp_path / "zero.csv"
+        np.savetxt(path, rows, delimiter=",", header="t,y,e", comments="")
+        assert run_cli(["fit", "damped-sine", path, "--errors-column", "2"]) == 3
+        out, err = capfd.readouterr()
+        assert "errors must be positive and finite" in err
+        assert "DLASCL" not in out + err
+
     def test_decompose_subcommand(self, tmp_path, capsys):
         assert run_cli(["decompose", "--n", "4",
                         "--out", tmp_path / "o"]) == 0

@@ -739,14 +739,81 @@ class TestEigenProperties:
         rho = dynamics.evolve_density(rho0, sched, t_eval=times).states
         cols, _ = dynamics._walk(sched, unit, times, dynamics.DEFAULT_RTOL,
                                  liouville=True)
-        # both walks step from one spectrum, and none chains expm
-        assert dynamics._SPECTRA.cache_info()[:2] == (1, 1)
+        # both walks step from one spectrum, and none chains expm; with no
+        # acting channel both take the unitary route and build none
+        spectra = (0, 0) if not seg.channels or seg.mult_start == 0 else (1, 1)
+        assert dynamics._SPECTRA.cache_info()[:2] == spectra
         maps = [expm(sup * t) for t in times]
         exact_rho = np.array([m @ rho0.reshape(-1) for m in maps])
         exact_cols = np.array([m @ unit for m in maps])
         assert np.max(np.abs(rho.reshape(len(times), -1) - exact_rho)) <= 1e-10
         assert np.max(np.abs(np.array(cols) - exact_cols)) <= 1e-10
         assert np.max(np.abs(rho - rho.conj().transpose(0, 2, 1))) <= 1e-13
+
+
+@st.composite
+def channel_free_scans(draw):
+    """A constant Raman segment on which no channel acts, compiled for the
+    density engine and for the pure one, with 1 to 8 sample times in it:
+    the empty set under a multiplier of 0 or a drawn one, or a package
+    set under 0."""
+    i = draw(st.integers(0, DIM - 3))
+    tone = model.RamanTone(i - 4.5, i - 4.5 + draw(st.sampled_from((1, 2))),
+                           draw(st.floats(20.0, 400.0)),
+                           detuning_hz=draw(st.floats(-40.0, 40.0)))
+    name = draw(st.sampled_from(sorted(EIGEN_CHANNELS)))
+    mult = draw(st.sampled_from((0.0, draw(UNIT)))) if name == "empty" else 0.0
+    duration = draw(st.floats(1e-3, 0.35))
+    seq = sq.PulseSequence(segments=(sq.PulseSegment(
+        duration=duration, tones=(tone,), tls_start=mult, tls_end=mult),),
+        fields=FIELDS)
+    percents = draw(st.lists(st.integers(1, 100), min_size=1,
+                             max_size=8, unique=True))
+    return (sq.compile(seq, lindblad=EIGEN_CHANNELS[name]), sq.compile(seq),
+            duration * np.sort(percents) / 100)
+
+
+class TestChannelFreeProperties:
+    @PROPERTY
+    @given(drawn=channel_free_scans(), level=st.integers(0, DIM - 2),
+           seed=st.integers(0, 2**32 - 1))
+    def test_density_engine_steps_as_the_pure_one(self, drawn, level, seed):
+        density, pure, times = drawn
+        assert density.segments[0].kind == "constant"
+        assert density.segments[0].channel_free
+        psi = np.zeros(DIM, dtype=complex)
+        psi[level], psi[level + 1] = 0.6, 0.8j
+        rows = _probe_rows(seed)
+        dynamics.clear_caches()
+        with pytest.MonkeyPatch.context() as mp:
+            eig_calls = _count_calls(mp, np.linalg, "eig")
+            rho = dynamics.evolve_density(np.outer(psi, psi.conj()), density,
+                                          t_eval=times).states
+            sup = dynamics.superoperator(density)
+            pulled = dynamics.pullback(density, rows)
+        assert eig_calls == []
+        assert dynamics._SPECTRA.cache_info().misses == 0
+
+        states = dynamics.evolve_pure(psi, pure, t_eval=times).states
+        u_map = dynamics.unitary_superoperator(dynamics.propagator(pure))
+        assert np.max(np.abs(rho - np.einsum("ni,nj->nij", states, states.conj()))) <= 1e-13
+        assert np.max(np.abs(sup - u_map)) <= 1e-13
+        assert np.max(np.abs(pulled - dynamics.pullback(pure, rows))) <= 1e-13
+        assert np.max(np.abs(pulled - rows @ u_map)) <= 1e-13
+
+    def test_ends_in_several_blocks(self):
+        # a Rabi scan's worth of ends, stepped UNITARY_BLOCK at a time
+        seq = sq.PulseSequence(segments=(sq.PulseSegment(
+            duration=0.35, tones=(model.RamanTone(-2.5, -1.5, 71.0, detuning_hz=3.0),)),),
+            fields=FIELDS)
+        times = np.linspace(1e-4, 0.35, 3 * dynamics.UNITARY_BLOCK + 5)
+        psi = np.zeros(DIM, dtype=complex)
+        psi[2], psi[3] = 0.6, 0.8j
+        rho = dynamics.evolve_density(
+            np.outer(psi, psi.conj()), sq.compile(seq, lindblad=EIGEN_CHANNELS["empty"]),
+            t_eval=times).states
+        states = dynamics.evolve_pure(psi, sq.compile(seq), t_eval=times).states
+        assert np.max(np.abs(rho - np.einsum("ni,nj->nij", states, states.conj()))) <= 1e-13
 
 
 SPLIT_CHANNELS = {
@@ -934,9 +1001,8 @@ class TestFrozenSegment:
         assert own.diag_start[0] == 0.0 and own.diag_end[0] == 0.0
 
     def test_compiled_segments_share_one_channel_set(self, monkeypatch):
-        # compile looks the set up once; no segment hashes its operators
-        # again (the Hamiltonian part of a Liouvillian still looks up the
-        # empty set, whose key holds no operator)
+        # compile looks the set up once; no segment, and no Liouvillian
+        # built for a spectrum, looks up any set again
         sched = sq.compile(_mixed_sequence(), lindblad=_small_lindblad())
         lookups, lookup = [], dynamics.channel_set
         monkeypatch.setattr(dynamics, "channel_set",
@@ -946,7 +1012,7 @@ class TestFrozenSegment:
         dynamics.clear_caches()
         dynamics.evolve_density(np.outer(_probe_state(), _probe_state().conj()),
                                 sched)
-        assert not any(lookups)
+        assert lookups == []
 
 
 class TestClosedFormSamples:
@@ -1036,8 +1102,10 @@ class TestCacheProperties:
         dynamics.clear_caches()
         sq.evolve(sched, basis_state(pulse.tones[0].m_low))
         if lindblad != "pure":
-            # a Liouville spectrum does not depend on the step length
-            assert dynamics._SPECTRA.cache_info().misses == 1
+            # a Liouville spectrum does not depend on the step length; a
+            # pulse without acting channels steps unitarily and builds none
+            misses = 0 if not first.channels or first.mult_start == 0 else 1
+            assert dynamics._SPECTRA.cache_info().misses == misses
 
     def test_repeated_density_rabi_scan_diagonalizes_nothing(self, monkeypatch):
         durations = np.linspace(1e-3, 0.02, 6)
