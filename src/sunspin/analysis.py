@@ -58,7 +58,11 @@ class FitResult:
 
     @property
     def uncertainties(self) -> dict[str, float]:
-        sig = np.sqrt(np.clip(np.diag(self.cov), 0.0, None))
+        """One standard deviation per parameter: the root of the
+        covariance diagonal, NaN where that is negative or not finite (a
+        singular or indefinite J^T J leaves no usable uncertainty)."""
+        var = np.diag(self.cov)
+        sig = np.sqrt(np.where(np.isfinite(var) & (var >= 0), var, np.nan))
         return dict(zip(self.param_names, sig))
 
     def __getitem__(self, name: str) -> float:
@@ -450,8 +454,10 @@ def phase_noise_estimate(times, values, measurement_errors,
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
     err = np.broadcast_to(np.asarray(measurement_errors, dtype=float), y.shape)
-    if pulse_area_sigma < 0 or np.any(err < 0):
-        raise AnalysisError("pulse_area_sigma and measurement_errors must be >= 0")
+    if pulse_area_sigma < 0:
+        raise AnalysisError("pulse_area_sigma must be >= 0")
+    if not (np.isfinite(err).all() and (err > 0).all()):
+        raise AnalysisError("errors must be positive and finite")
     if n_replicas < 2:
         raise AnalysisError("n_replicas must be >= 2 for a replica spread")
     z = np.random.default_rng(seed).standard_normal((n_replicas, 4, len(t)))

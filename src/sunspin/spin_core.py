@@ -31,6 +31,8 @@ DIM = 10
 M_VALUES = np.arange(DIM) - F  # m_F ascending, index 0 <-> -9/2
 
 _AXES = ("x", "y", "z")
+# m_F + F must lie this close to an integer to name a level index.
+INDEX_TOL = 1e-9
 
 
 class SpinError(ValueError):
@@ -41,7 +43,7 @@ def m_index(m: float) -> int:
     """Index of the Zeeman level with projection ``m`` (m_F = -9/2 .. +9/2)."""
     i = m + F
     j = int(round(i))
-    if abs(i - j) > 1e-9 or not 0 <= j < DIM:
+    if abs(i - j) > INDEX_TOL or not 0 <= j < DIM:
         raise SpinError(f"invalid spin projection m_F = {m}")
     return j
 
@@ -73,6 +75,9 @@ def density_matrix(state_or_rho: np.ndarray) -> np.ndarray:
 # Row-major entries (00, 01, 10, 11) of the 2x2 identity and Pauli matrices.
 _IDENTITY_2 = (1, 0, 0, 1)
 _PAULI = {"x": (0, 1, 1, 0), "y": (0, -1j, 1j, 0), "z": (1, 0, 0, -1)}
+# The same Pauli entries as one (3, 4) table, row k for axis _AXES[k].
+_PAULI_ROWS = np.array([_PAULI[a] for a in _AXES], dtype=complex)
+_AXIS_ROW = {a: k for k, a in enumerate(_AXES)}
 
 
 def pair_indices(m_low: float, m_high: float, axis: str) -> tuple[int, int]:
@@ -110,7 +115,7 @@ def rotation_blocks(axes, angles) -> np.ndarray:
     """The 2x2 blocks cos(angle/2) I - i sin(angle/2) sigma_axis, shape
     (n, 2, 2), one per (axis, angle) pair, from one cos and one sin call."""
     half = np.asarray(angles, dtype=float) / 2
-    pauli = np.array([_PAULI[a] for a in axes], dtype=complex).reshape(-1, 4)
+    pauli = _PAULI_ROWS[[_AXIS_ROW[a] for a in axes]]
     blocks = (np.cos(half)[:, None] * np.array(_IDENTITY_2)
               - 1j * np.sin(half)[:, None] * pauli)
     return blocks.reshape(-1, 2, 2)

@@ -10,6 +10,13 @@ optional extension, not the reduction.
 The reduction runs on Python complex scalars (a 10x10 target is too
 small for NumPy calls to pay off): each Givens step updates the live
 columns of its two rows and takes its Euler angles in closed form.
+The plan product that checks a reduction is the other way round:
+rotations on disjoint pairs commute, so :meth:`RotationPlan.unitary`
+packs them into layers (the 144 rotations of a Haar plan fill 60) and
+takes one dense 10x10 product per layer.  Each row of a layer matrix is
+the row of the one pair rotation that moves it, which keeps the product
+bit for bit equal to the chained product of full pair-rotation
+matrices.
 """
 
 from __future__ import annotations
@@ -22,12 +29,29 @@ import numpy as np
 
 from . import dynamics, sequence as sq
 from .model import FieldParams, LindbladSpec
-from .spin_core import DIM, F, M_VALUES, m_index, pair_indices, rotation_blocks
+from .spin_core import (DIM, F, INDEX_TOL, M_VALUES, m_index, pair_indices,
+                        rotation_blocks)
 # Imported by name so that perfbench/spans.py can wrap it here.
 from .spin_core import pair_rotation  # noqa: F401
 
 TWO_PI = 2.0 * np.pi
 _M = M_VALUES.tolist()  # m_F of basis index i, as Python floats
+
+# decompose rejects a target whose U^dag U is further than this from the
+# identity in any entry.
+UNITARITY_TOL = 1e-10
+# A Givens step is skipped when the entry it would zero is this small.
+GIVENS_SKIP = 1e-15
+# Euler angles of one Givens step: below EULER_DEGENERATE one of the two
+# column entries counts as zero and the z-x-z triple loses its x or its
+# split z; within EULER_SNAP of a multiple of pi/2 a z-x-z sandwich is
+# snapped to one x or y element; angles (wrapped) no larger than
+# ANGLE_DROP are dropped, from plans and from their lowering to pulses.
+EULER_DEGENERATE = 1e-14
+EULER_SNAP = 1e-12
+ANGLE_DROP = 1e-13
+# global_phase_distance takes no phase from a trace smaller than this.
+TRACE_GUARD = 1e-300
 
 
 class SynthesisError(ValueError):
@@ -56,26 +80,47 @@ class RotationPlan:
     def unitary(self) -> np.ndarray:
         """Product of the rotations, first acting first.
 
-        Each 2x2 block updates only the two rows of its pair, which gives
-        the chained product of full :func:`pair_rotation` matrices bit
-        for bit.
+        The rotations are packed into layers as soon as possible: each
+        goes into the first layer after the last rotation that touched
+        either of its rows, so the rotations of one layer act on disjoint
+        rows and commute.  One dense layer matrix holds all of them (the
+        identity with each 2x2 block scattered in), and the layers are
+        multiplied from the identity.  Row i of a layer matrix is row i
+        of the :func:`pair_rotation` of the pair holding i, with zeros
+        elsewhere, so every element of a layer product takes exactly the
+        arithmetic of the chained product of full :func:`pair_rotation`
+        matrices, bit for bit.
         """
         rotations = self.rotations
         axes = [r.axis for r in rotations]
         low = np.array([r.m_low for r in rotations]) + F
         high = np.array([r.m_high for r in rotations]) + F
         i_low, i_high = np.rint(low), np.rint(high)
-        valid = ((np.abs(low - i_low) <= 1e-9) & (np.abs(high - i_high) <= 1e-9)
+        valid = ((np.abs(low - i_low) <= INDEX_TOL)
+                 & (np.abs(high - i_high) <= INDEX_TOL)
                  & (0 <= i_low) & (i_low < i_high) & (i_high < DIM))
         if not (valid.all() and set(axes) <= {"x", "y", "z"}):
             for r in rotations:  # raises the SpinError of the first bad one
                 pair_indices(r.m_low, r.m_high, r.axis)
-        pairs = zip(i_low.astype(int).tolist(), i_high.astype(int).tolist())
-        blocks = rotation_blocks(axes, [r.angle for r in rotations])
+        pairs = np.column_stack([i_low, i_high]).astype(int)
+        last = [-1] * DIM  # the last layer that touched each row
+        layers = []
+        for i, j in zip(*pairs.T.tolist()):
+            k = (last[i] if last[i] > last[j] else last[j]) + 1
+            last[i] = last[j] = k
+            layers.append(k)
+        n_layers = max(last) + 1
+        stack = np.zeros((n_layers, DIM, DIM), dtype=complex)
+        stack.reshape(n_layers, DIM * DIM)[:, ::DIM + 1] = 1.0
+        # flat offsets of the entries (i, i), (i, j), (j, i), (j, j) of
+        # each rotation's layer, the row-major order of its block
+        entries = (pairs[:, :, None] * DIM + pairs[:, None, :]).reshape(-1, 4)
+        flat = np.array(layers, dtype=int)[:, None] * (DIM * DIM) + entries
+        stack.reshape(-1)[flat] = rotation_blocks(
+            axes, [r.angle for r in rotations]).reshape(-1, 4)
         u = np.eye(DIM, dtype=complex)
-        for (i, j), block in zip(pairs, blocks):
-            rows = slice(i, j + 1, j - i)  # rows i and j
-            u[rows] = block @ u[rows]
+        for layer in stack:
+            u = layer @ u
         return u
 
     def prefix(self, n: int) -> "RotationPlan":
@@ -110,7 +155,7 @@ def haar_unitary(dim: int = DIM, rng: np.random.Generator | None = None
 def global_phase_distance(u: np.ndarray, v: np.ndarray) -> float:
     """Operator-norm distance minimized over a global phase."""
     tr = np.trace(v.conj().T @ u)
-    phase = tr / abs(tr) if abs(tr) > 1e-300 else 1.0
+    phase = tr / abs(tr) if abs(tr) > TRACE_GUARD else 1.0
     return float(np.linalg.norm(u - phase * v, ord=2))
 
 
@@ -131,9 +176,9 @@ def _su2_euler_zxz(g00: complex, g10: complex) -> list[tuple[str, float]]:
     """
     abs00, abs10 = abs(g00), abs(g10)
     beta = 2.0 * math.atan2(abs10, abs00)
-    if abs10 < 1e-14:
+    if abs10 < EULER_DEGENERATE:
         angles = [("z", -2.0 * cmath.phase(g00))]
-    elif abs00 < 1e-14:
+    elif abs00 < EULER_DEGENERATE:
         gamma_minus_alpha = 2.0 * (cmath.phase(g10) + math.pi / 2)
         angles = [("x", beta), ("z", gamma_minus_alpha)]
     else:
@@ -145,17 +190,17 @@ def _su2_euler_zxz(g00: complex, g10: complex) -> list[tuple[str, float]]:
         # Rz(-a) Rx(b) Rz(a) is a single rotation about cos(a) x - sin(a) y,
         # which depends on a only modulo 2 pi; snap the exact x / y
         # sandwiches to one element.
-        if abs(_wrap(alpha + gamma)) < 1e-12:
+        if abs(_wrap(alpha + gamma)) < EULER_SNAP:
             a = (alpha + math.pi) % TWO_PI - math.pi
-            if abs(a) < 1e-12:
+            if abs(a) < EULER_SNAP:
                 angles = [("x", beta)]
-            elif abs(abs(a) - math.pi) < 1e-12:
+            elif abs(abs(a) - math.pi) < EULER_SNAP:
                 angles = [("x", -beta)]
-            elif abs(a - math.pi / 2) < 1e-12:
+            elif abs(a - math.pi / 2) < EULER_SNAP:
                 angles = [("y", -beta)]
-            elif abs(a + math.pi / 2) < 1e-12:
+            elif abs(a + math.pi / 2) < EULER_SNAP:
                 angles = [("y", beta)]
-    return [(ax, w) for ax, a in angles if abs(w := _wrap(a)) > 1e-13]
+    return [(ax, w) for ax, a in angles if abs(w := _wrap(a)) > ANGLE_DROP]
 
 
 def decompose(target: np.ndarray, tolerance: float = 1e-9) -> RotationPlan:
@@ -168,8 +213,8 @@ def decompose(target: np.ndarray, tolerance: float = 1e-9) -> RotationPlan:
     u = np.asarray(target, dtype=complex)
     if u.shape != (DIM, DIM):
         raise SynthesisError(f"target must be {DIM}x{DIM}")
-    if np.max(np.abs(u.conj().T @ u - np.eye(DIM))) > 1e-10:
-        raise SynthesisError("target is not unitary to 1e-10")
+    if np.max(np.abs(u.conj().T @ u - np.eye(DIM))) > UNITARITY_TOL:
+        raise SynthesisError(f"target is not unitary to {UNITARITY_TOL:g}")
 
     work = u.tolist()
     # U = G_1^dag ... G_M^dag D: the inverse Euler elements of G_1, G_2,
@@ -179,7 +224,7 @@ def decompose(target: np.ndarray, tolerance: float = 1e-9) -> RotationPlan:
         for row in range(DIM - 1, col, -1):
             upper, lower = work[row - 1], work[row]
             v = lower[col]
-            if abs(v) < 1e-15:
+            if abs(v) < GIVENS_SKIP:
                 continue
             a = upper[col]
             r = math.hypot(abs(a), abs(v))
@@ -205,7 +250,7 @@ def decompose(target: np.ndarray, tolerance: float = 1e-9) -> RotationPlan:
     theta = 0.0
     for k in range(DIM - 1):
         theta -= 2.0 * (gammas[k] - mean)
-        if abs(theta) > 1e-13:
+        if abs(theta) > ANGLE_DROP:
             rotations.append(PlanRotation(_M[k], _M[k + 1], "z", theta))
     rotations += undo
     plan = RotationPlan(rotations=rotations, target=u)
@@ -248,7 +293,7 @@ def plan_to_sequence(plan: RotationPlan, fields: FieldParams, omega_hz: float,
         angle = r.angle
         if angle < 0:
             angle, axis_phase = -angle, axis_phase + np.pi
-        if angle <= 1e-13:
+        if angle <= ANGLE_DROP:
             continue
         drive_phase = axis_phase - (level_phase[j] - level_phase[i])
         seg = sq.pulse((r.m_low, r.m_high), omega_hz, fields, area=angle,

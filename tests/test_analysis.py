@@ -177,6 +177,24 @@ class TestFitInputs:
         assert capfd.readouterr() == ("", "")
 
 
+class TestUncertainties:
+    def test_unusable_variances_give_nan(self):
+        fit = an.FitResult(params={}, cov=np.diag([4.0, 0.0, -1e-18, np.inf, np.nan]),
+                           param_names=tuple("abcde"), residual_rms=0.0,
+                           converged=False)
+        sig = fit.uncertainties
+        assert (sig["a"], sig["b"]) == (2.0, 0.0)
+        assert all(np.isnan(sig[k]) for k in "cde")
+
+    @pytest.mark.parametrize("fit", sorted(FITS))
+    def test_flat_column_reports_no_uncertainty(self, fit):
+        # a level the drive never reaches: nothing in the data fixes the
+        # sine, so no parameter has an uncertainty (tau_s is infinite)
+        t = np.linspace(0.0, 0.1, 40)
+        sig = FITS[fit](t, np.zeros_like(t)).uncertainties
+        assert all(np.isnan(v) for v in sig.values())
+
+
 class TestOdrInputs:
     @pytest.mark.parametrize("bad", ["nan y", "inf y", "negative y",
                                      "nan x", "inf x", "negative x"])
@@ -377,6 +395,21 @@ class TestPhaseNoiseEstimate:
             an.phase_noise_estimate(t, y, 0.02, pulse_area_sigma=-0.1)
         with pytest.raises(an.AnalysisError):
             an.phase_noise_estimate(t, y, np.r_[-0.02, np.full(29, 0.02)])
+
+    @pytest.mark.parametrize("errors", [0.0, np.r_[0.02, np.nan, np.full(28, 0.02)]],
+                             ids=["zero", "nan"])
+    def test_unusable_measurement_errors_rejected(self, errors, capfd, monkeypatch):
+        def scorer(*args):
+            raise AssertionError("errors reached the fringe fits")
+
+        # rejected by phase_noise_estimate itself, before any fit or LAPACK
+        # call (a LAPACK error would print): the scorer is never reached
+        monkeypatch.setattr(an, "_moment_scorer", scorer)
+        t = np.linspace(0, 0.02, 30)
+        y = 0.5 + 0.4 * np.cos(2 * np.pi * 200 * t)
+        with pytest.raises(an.AnalysisError, match="errors must be positive and finite"):
+            an.phase_noise_estimate(t, y, errors)
+        assert capfd.readouterr() == ("", "")
 
     def test_self_consistency_coverage(self):
         # applied to data it generated, the accepted interval covers the

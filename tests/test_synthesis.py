@@ -24,6 +24,15 @@ def block_product(plan) -> np.ndarray:
     return u
 
 
+def chained_product(rotations) -> np.ndarray:
+    """The chained product of full pair-rotation matrices, first acting
+    first."""
+    u = np.eye(DIM, dtype=complex)
+    for r in rotations:
+        u = pair_rotation(r.m_low, r.m_high, r.axis, r.angle) @ u
+    return u
+
+
 def axis_rotation(m_low, phi, theta) -> np.ndarray:
     """exp(-i theta (cos(phi) sigma_x + sin(phi) sigma_y) / 2) on the
     pair (m_low, m_low + 1)."""
@@ -166,12 +175,39 @@ class TestPlanProperties:
         assert len(plan) <= 45 * 3 + 9
 
     @PROPERTY
-    @given(rotations=st.lists(ROTATIONS, max_size=60))
+    @given(rotations=st.lists(ROTATIONS, max_size=150))
     def test_unitary_equals_chained_pair_rotations(self, rotations):
-        chained = np.eye(DIM, dtype=complex)
-        for r in rotations:
-            chained = pair_rotation(r.m_low, r.m_high, r.axis, r.angle) @ chained
-        assert np.array_equal(sy.RotationPlan(rotations).unitary(), chained)
+        assert np.array_equal(sy.RotationPlan(rotations).unitary(),
+                              chained_product(rotations))
+
+
+class TestLayeredProduct:
+    """unitary() multiplies layers of rotations on disjoint pairs; the
+    product stays the chained pair-rotation product bit for bit."""
+
+    def test_full_haar_plans(self):
+        rng = np.random.default_rng(28)
+        for _ in range(20):
+            plan = sy.decompose(sy.haar_unitary(rng=rng))
+            assert len(plan) == 45 * 3 + 9
+            assert np.array_equal(plan.unitary(), chained_product(plan.rotations))
+
+    def test_non_adjacent_and_repeated_pairs(self):
+        # pairs with dm up to 9 that share layers, and back-to-back
+        # repeats of one pair that each need a layer of their own
+        pairs = [(-4.5, 4.5), (-3.5, 0.5), (1.5, 3.5), (-2.5, -1.5), (-4.5, 4.5),
+                 (-4.5, 4.5), (-0.5, 2.5), (-0.5, 2.5), (-3.5, 3.5), (-1.5, 0.5)]
+        rng = np.random.default_rng(7)
+        rotations = [sy.PlanRotation(lo, hi, "xyz"[rng.integers(3)],
+                                     rng.uniform(-4 * np.pi, 4 * np.pi))
+                     for _ in range(5) for lo, hi in pairs]
+        assert np.array_equal(sy.RotationPlan(rotations).unitary(),
+                              chained_product(rotations))
+
+    def test_empty_plan_is_the_identity(self):
+        u = sy.RotationPlan([]).unitary()
+        assert u.dtype == complex
+        assert np.array_equal(u, np.eye(DIM))
 
 
 class TestGeneratorSet:
