@@ -31,8 +31,11 @@ DIM = 10
 M_VALUES = np.arange(DIM) - F  # m_F ascending, index 0 <-> -9/2
 
 _AXES = ("x", "y", "z")
-# m_F + F must lie this close to an integer to name a level index.
+# A quantum number that must be an integer (m_F + F as a level index,
+# 2f, a Clebsch-Gordan factorial argument) must lie this close to one.
 INDEX_TOL = 1e-9
+# normalize refuses a state whose norm is below this.
+ZERO_NORM = 1e-14
 
 
 class SpinError(ValueError):
@@ -57,7 +60,7 @@ def basis_state(m: float) -> np.ndarray:
 
 def normalize(psi: np.ndarray) -> np.ndarray:
     n = np.linalg.norm(psi)
-    if n < 1e-14:
+    if n < ZERO_NORM:
         raise SpinError("cannot normalize a zero state")
     return np.asarray(psi, dtype=complex) / n
 
@@ -124,7 +127,7 @@ def rotation_blocks(axes, angles) -> np.ndarray:
 def spin_operators(f: float = F) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Standard spin-f matrices (F_x, F_y, F_z) in the ascending-m basis."""
     two_f = round(2 * f)
-    if abs(2 * f - two_f) > 1e-9 or two_f < 0:
+    if abs(2 * f - two_f) > INDEX_TOL or two_f < 0:
         raise SpinError(f"f must be a non-negative half-integer, got {f}")
     dim = two_f + 1
     m = np.arange(dim) - f
@@ -140,7 +143,7 @@ def spin_operators(f: float = F) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _as_int(x: float) -> int | None:
     i = round(x)
-    return i if abs(x - i) < 1e-9 else None
+    return i if abs(x - i) < INDEX_TOL else None
 
 
 def clebsch_gordan(f1: float, m1: float, f2: float, m2: float, f: float, m: float) -> float:

@@ -9,14 +9,17 @@ optional extension, not the reduction.
 
 The reduction runs on Python complex scalars (a 10x10 target is too
 small for NumPy calls to pay off): each Givens step updates the live
-columns of its two rows and takes its Euler angles in closed form.
-The plan product that checks a reduction is the other way round:
-rotations on disjoint pairs commute, so :meth:`RotationPlan.unitary`
-packs them into layers (the 144 rotations of a Haar plan fill 60) and
-takes one dense 10x10 product per layer.  Each row of a layer matrix is
-the row of the one pair rotation that moves it, which keeps the product
-bit for bit equal to the chained product of full pair-rotation
-matrices.
+columns of its two rows, takes its Euler angles in closed form and
+appends their inverses to three flat lists (lower basis index, axis,
+angle), which carry the plan to its reconstruction check.  A plan's
+rotations are plain tuples (:class:`PlanRotation`), built once, after
+that check.  The plan product is the other way round: rotations on
+disjoint pairs commute, so one layer product, shared by
+:func:`decompose` and :meth:`RotationPlan.unitary`, packs them into
+layers (the 144 rotations of a Haar plan fill 60) and takes one dense
+10x10 product per layer.  Each row of a layer matrix is the row of the
+one pair rotation that moves it, which keeps the product bit for bit
+equal to the chained product of full pair-rotation matrices.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +45,8 @@ _M = M_VALUES.tolist()  # m_F of basis index i, as Python floats
 # decompose rejects a target whose U^dag U is further than this from the
 # identity in any entry.
 UNITARITY_TOL = 1e-10
+# decompose's default bound on the reconstruction error of its plan.
+RECONSTRUCTION_TOL = 1e-9
 # A Givens step is skipped when the entry it would zero is this small.
 GIVENS_SKIP = 1e-15
 # Euler angles of one Givens step: below EULER_DEGENERATE one of the two
@@ -52,18 +59,58 @@ EULER_SNAP = 1e-12
 ANGLE_DROP = 1e-13
 # global_phase_distance takes no phase from a trace smaller than this.
 TRACE_GUARD = 1e-300
+# A plan that lowers to no pulse at all becomes one dark time this long
+# (s), so that its sequence still compiles to a schedule.
+EMPTY_PLAN_DARK_S = 1e-9
 
 
 class SynthesisError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PlanRotation:
+class PlanRotation(NamedTuple):
+    """exp(-i angle sigma_axis / 2) on the levels m_low < m_high."""
+
     m_low: float
     m_high: float
     axis: str
     angle: float
+
+
+def _layer_product(lows, highs, axes, angles) -> np.ndarray:
+    """Product of the pair rotations on rows ``lows[k] < highs[k]``
+    (integer basis indices), first acting first.
+
+    The rotations are packed into layers as soon as possible: each goes
+    into the first layer after the last rotation that touched either of
+    its rows, so the rotations of one layer act on disjoint rows and
+    commute.  One dense layer matrix holds all of them (the identity
+    with each 2x2 block scattered in), and the layers are multiplied
+    from the identity.  Row i of a layer matrix is row i of the
+    :func:`pair_rotation` of the pair holding i, with zeros elsewhere, so
+    every element of a layer product takes exactly the arithmetic of the
+    chained product of full :func:`pair_rotation` matrices, bit for bit.
+    """
+    last = [-1] * DIM  # the last layer that touched each row
+    bases = []  # flat offset of each rotation's layer matrix
+    for i, j in zip(lows, highs):
+        k = (last[i] if last[i] > last[j] else last[j]) + 1
+        last[i] = last[j] = k
+        bases.append(k * DIM * DIM)
+    n_layers = max(last) + 1
+    stack = np.zeros((n_layers, DIM, DIM), dtype=complex)
+    stack.reshape(n_layers, DIM * DIM)[:, ::DIM + 1] = 1.0
+    flat = stack.reshape(-1)
+    blocks = rotation_blocks(axes, angles)
+    base, i, j = (np.array(v, dtype=int) for v in (bases, lows, highs))
+    flat[base + i * (DIM + 1)] = blocks[:, 0, 0]
+    flat[base + i * DIM + j] = blocks[:, 0, 1]
+    flat[base + j * DIM + i] = blocks[:, 1, 0]
+    flat[base + j * (DIM + 1)] = blocks[:, 1, 1]
+    u = np.eye(DIM, dtype=complex)
+    for layer in stack:
+        u = layer.dot(u)  # the zgemm of layer @ u, with less dispatch
+    return u
 
 
 @dataclass
@@ -78,19 +125,8 @@ class RotationPlan:
         return len(self.rotations)
 
     def unitary(self) -> np.ndarray:
-        """Product of the rotations, first acting first.
-
-        The rotations are packed into layers as soon as possible: each
-        goes into the first layer after the last rotation that touched
-        either of its rows, so the rotations of one layer act on disjoint
-        rows and commute.  One dense layer matrix holds all of them (the
-        identity with each 2x2 block scattered in), and the layers are
-        multiplied from the identity.  Row i of a layer matrix is row i
-        of the :func:`pair_rotation` of the pair holding i, with zeros
-        elsewhere, so every element of a layer product takes exactly the
-        arithmetic of the chained product of full :func:`pair_rotation`
-        matrices, bit for bit.
-        """
+        """Product of the rotations, first acting first, taken in layers
+        of commuting rotations (:func:`_layer_product`)."""
         rotations = self.rotations
         axes = [r.axis for r in rotations]
         low = np.array([r.m_low for r in rotations]) + F
@@ -102,26 +138,9 @@ class RotationPlan:
         if not (valid.all() and set(axes) <= {"x", "y", "z"}):
             for r in rotations:  # raises the SpinError of the first bad one
                 pair_indices(r.m_low, r.m_high, r.axis)
-        pairs = np.column_stack([i_low, i_high]).astype(int)
-        last = [-1] * DIM  # the last layer that touched each row
-        layers = []
-        for i, j in zip(*pairs.T.tolist()):
-            k = (last[i] if last[i] > last[j] else last[j]) + 1
-            last[i] = last[j] = k
-            layers.append(k)
-        n_layers = max(last) + 1
-        stack = np.zeros((n_layers, DIM, DIM), dtype=complex)
-        stack.reshape(n_layers, DIM * DIM)[:, ::DIM + 1] = 1.0
-        # flat offsets of the entries (i, i), (i, j), (j, i), (j, j) of
-        # each rotation's layer, the row-major order of its block
-        entries = (pairs[:, :, None] * DIM + pairs[:, None, :]).reshape(-1, 4)
-        flat = np.array(layers, dtype=int)[:, None] * (DIM * DIM) + entries
-        stack.reshape(-1)[flat] = rotation_blocks(
-            axes, [r.angle for r in rotations]).reshape(-1, 4)
-        u = np.eye(DIM, dtype=complex)
-        for layer in stack:
-            u = layer @ u
-        return u
+        return _layer_product(i_low.astype(int).tolist(),
+                              i_high.astype(int).tolist(), axes,
+                              [r.angle for r in rotations])
 
     def prefix(self, n: int) -> "RotationPlan":
         return RotationPlan(rotations=list(self.rotations[:n]))
@@ -166,44 +185,53 @@ def _wrap(angle: float) -> float:
     return (angle + TWO_PI) % (2 * TWO_PI) - TWO_PI
 
 
-def _su2_euler_zxz(g00: complex, g10: complex) -> list[tuple[str, float]]:
-    """Rz(gamma) Rx(beta) Rz(alpha) = g for the det-1 2x2 matrix
-    g = [[g00, -conj(g10)], [g10, conj(g00)]].
+def _append_inverse_euler(g00: complex, g10: complex, low: int, lows: list,
+                          axes: list, angles: list) -> None:
+    """Append the inverse z-x-z Euler elements of one Givens step on the
+    rows (low, low + 1) to the flat lists of a plan.
 
-    Rz(t) = diag(e^{-it/2}, e^{it/2}), Rx(t) = exp(-i t sigma_x / 2).
-    Returned in application order (alpha first); near-zero angles are
-    dropped, so a pure x rotation lowers to a single element.
+    The det-1 2x2 matrix g = [[g00, -conj(g10)], [g10, conj(g00)]] is
+    Rz(gamma) Rx(beta) Rz(alpha), with Rz(t) = diag(e^{-it/2}, e^{it/2})
+    and Rx(t) = exp(-i t sigma_x / 2).  Its elements are taken in
+    application order (alpha first), each wrapped; near-zero angles are
+    dropped, so a pure x rotation gives a single element, and each kept
+    angle is appended negated.
     """
     abs00, abs10 = abs(g00), abs(g10)
     beta = 2.0 * math.atan2(abs10, abs00)
     if abs10 < EULER_DEGENERATE:
-        angles = [("z", -2.0 * cmath.phase(g00))]
+        elements = (("z", -2.0 * cmath.phase(g00)),)
     elif abs00 < EULER_DEGENERATE:
         gamma_minus_alpha = 2.0 * (cmath.phase(g10) + math.pi / 2)
-        angles = [("x", beta), ("z", gamma_minus_alpha)]
+        elements = (("x", beta), ("z", gamma_minus_alpha))
     else:
         gamma_plus_alpha = -2.0 * cmath.phase(g00)
         gamma_minus_alpha = 2.0 * (cmath.phase(g10) + math.pi / 2)
         alpha = (gamma_plus_alpha - gamma_minus_alpha) / 2.0
         gamma = (gamma_plus_alpha + gamma_minus_alpha) / 2.0
-        angles = [("z", alpha), ("x", beta), ("z", gamma)]
+        elements = (("z", alpha), ("x", beta), ("z", gamma))
         # Rz(-a) Rx(b) Rz(a) is a single rotation about cos(a) x - sin(a) y,
         # which depends on a only modulo 2 pi; snap the exact x / y
         # sandwiches to one element.
         if abs(_wrap(alpha + gamma)) < EULER_SNAP:
             a = (alpha + math.pi) % TWO_PI - math.pi
             if abs(a) < EULER_SNAP:
-                angles = [("x", beta)]
+                elements = (("x", beta),)
             elif abs(abs(a) - math.pi) < EULER_SNAP:
-                angles = [("x", -beta)]
+                elements = (("x", -beta),)
             elif abs(a - math.pi / 2) < EULER_SNAP:
-                angles = [("y", -beta)]
+                elements = (("y", -beta),)
             elif abs(a + math.pi / 2) < EULER_SNAP:
-                angles = [("y", beta)]
-    return [(ax, w) for ax, a in angles if abs(w := _wrap(a)) > ANGLE_DROP]
+                elements = (("y", beta),)
+    for axis, a in elements:
+        if abs(w := _wrap(a)) > ANGLE_DROP:
+            lows.append(low)
+            axes.append(axis)
+            angles.append(-w)
 
 
-def decompose(target: np.ndarray, tolerance: float = 1e-9) -> RotationPlan:
+def decompose(target: np.ndarray, tolerance: float = RECONSTRUCTION_TOL
+              ) -> RotationPlan:
     """Givens reduction of a 10x10 unitary onto adjacent-pair rotations.
 
     At most N(N-1)/2 Givens steps (each at most three elementary
@@ -218,8 +246,11 @@ def decompose(target: np.ndarray, tolerance: float = 1e-9) -> RotationPlan:
 
     work = u.tolist()
     # U = G_1^dag ... G_M^dag D: the inverse Euler elements of G_1, G_2,
-    # ... collected in elimination order, then reversed into time order.
-    undo: list[PlanRotation] = []
+    # ... collected in elimination order (lower row, axis, angle), then
+    # reversed into time order.
+    lows: list[int] = []
+    axes: list[str] = []
+    angles: list[float] = []
     for col in range(DIM - 1):
         for row in range(DIM - 1, col, -1):
             upper, lower = work[row - 1], work[row]
@@ -236,29 +267,31 @@ def decompose(target: np.ndarray, tolerance: float = 1e-9) -> RotationPlan:
                 upper[k] = g00 * x + g01 * y
                 lower[k] = g10 * x + g11 * y
             upper[col], lower[col] = complex(r), 0j
-            m_low, m_high = _M[row - 1], _M[row]
-            for axis, angle in _su2_euler_zxz(g00, g10):
-                undo.append(PlanRotation(m_low, m_high, axis, -angle))
-    undo.reverse()
+            _append_inverse_euler(g00, g10, row - 1, lows, axes, angles)
 
     # Residual diagonal e^{i gamma_m}: adjacent z rotations with angles
     # from the telescoping recursion theta_k = theta_{k-1} - 2 phi_k,
     # phi_m = gamma_m - mean(gamma) (sums to zero exactly).  D acts first.
     gammas = [cmath.phase(work[k][k]) for k in range(DIM)]
     mean = sum(gammas) / DIM
-    rotations: list[PlanRotation] = []
+    z_lows, z_angles = [], []
     theta = 0.0
     for k in range(DIM - 1):
         theta -= 2.0 * (gammas[k] - mean)
         if abs(theta) > ANGLE_DROP:
-            rotations.append(PlanRotation(_M[k], _M[k + 1], "z", theta))
-    rotations += undo
-    plan = RotationPlan(rotations=rotations, target=u)
-    err = global_phase_distance(u, plan.unitary())
-    plan.reconstruction_error = err
+            z_lows.append(k)
+            z_angles.append(theta)
+    lows = z_lows + lows[::-1]
+    highs = [i + 1 for i in lows]
+    axes = ["z"] * len(z_lows) + axes[::-1]
+    angles = z_angles + angles[::-1]
+    err = global_phase_distance(u, _layer_product(lows, highs, axes, angles))
     if err > tolerance:
         raise SynthesisError(f"reconstruction error {err:.2e} above tolerance")
-    return plan
+    # tuple.__new__ is PlanRotation._make without its length check
+    rotations = list(map(tuple.__new__, repeat(PlanRotation), zip(
+        [_M[i] for i in lows], [_M[i] for i in highs], axes, angles)))
+    return RotationPlan(rotations=rotations, target=u, reconstruction_error=err)
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +309,8 @@ def plan_to_sequence(plan: RotationPlan, fields: FieldParams, omega_hz: float,
     the sequence and the final per-level frame phases phi_m (rad); the
     lab propagator of the compiled sequence equals
     diag(e^{-i phi_m}) @ plan.unitary() up to off-resonant leakage.
+    A rotation that :meth:`RotationPlan.unitary` rejects raises the same
+    :class:`SpinError` here.
     """
     # Combined ledger l_m: physical in-frame phases enter as +theta_m,
     # virtual z rotations as -zeta_m (an abstract Z between rotations
@@ -284,7 +319,7 @@ def plan_to_sequence(plan: RotationPlan, fields: FieldParams, omega_hz: float,
     level_phase = np.zeros(DIM)
     segments = []
     for r in plan.rotations:
-        i, j = m_index(r.m_low), m_index(r.m_high)
+        i, j = pair_indices(r.m_low, r.m_high, r.axis)
         if r.axis == "z":
             level_phase[i] -= r.angle / 2.0
             level_phase[j] += r.angle / 2.0
@@ -309,7 +344,7 @@ def plan_to_sequence(plan: RotationPlan, fields: FieldParams, omega_hz: float,
             segments.append(sq.dark_time(gap_s))
             level_phase += TWO_PI * diag * gap_s
     if not segments:
-        segments = [sq.dark_time(1e-9)]
+        segments = [sq.dark_time(EMPTY_PLAN_DARK_S)]
     return sq.PulseSequence(segments=tuple(segments), fields=fields), level_phase
 
 

@@ -1,8 +1,11 @@
 """How ``tools/bundled_manifests.py --against`` explains a differing output,
-on small files; no config is run."""
+on small files and on one ``sunspin decompose`` run; no bundled config is
+run."""
 
 import importlib.util
 import json
+import math
+import shutil
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bundled_manifests.py"
@@ -61,3 +64,25 @@ class TestJsonNumbers:
                       {"rows": {"0": 1.0, "1": 2.0}}):
             theirs = _write(tmp_path / "b.json", json.dumps(other))
             assert bundled_manifests.json_numbers(ours, theirs) == ["structure differs"]
+
+
+class TestDecomposeOutput:
+    def test_perturbed_reconstruction_error_is_reported(self, tmp_path, capsys):
+        ours, ref = tmp_path / "ours", tmp_path / "ref"
+        bundled_manifests.run_decompose(ours)
+        shutil.copytree(ours, ref)
+        path = ref / "decompose" / "decompose.json"
+        doc = json.loads(path.read_text())
+        assert doc["n_targets"] == 50
+        # perturb one target's error that is not the maximum by one ulp
+        k = next(k for k, t in enumerate(doc["targets"])
+                 if t["reconstruction_error"] != doc["max_error"])
+        error = doc["targets"][k]["reconstruction_error"]
+        doc["targets"][k]["reconstruction_error"] = math.nextafter(error, 1.0)
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True))
+        assert bundled_manifests.report(ours, ref, ["decompose"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("differs: decompose/decompose.json (1 of ")
+        assert lines[1:] == [f"    $.targets[{k}].reconstruction_error",
+                             "1 runs, 1 differing outputs"]
+

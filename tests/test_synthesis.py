@@ -1,3 +1,5 @@
+import cmath
+import math
 import re
 
 import numpy as np
@@ -75,6 +77,94 @@ EULER_BRANCHES = {
                                     ["y"]),
 }
 
+BAD_ROTATIONS = [
+    sy.PlanRotation(-5.5, -4.5, "x", 0.3),  # below m_F = -9/2
+    sy.PlanRotation(3.5, 5.5, "x", 0.3),  # above m_F = +9/2
+    sy.PlanRotation(-2.3, -1.5, "x", 0.3),  # not a half-integer
+    sy.PlanRotation(-1.5, -1.5, "y", 0.3),  # m_low == m_high
+    sy.PlanRotation(-0.5, -1.5, "z", 0.3),  # m_low > m_high
+    sy.PlanRotation(-2.5, -1.5, "w", 0.3),  # unknown axis
+]
+
+
+def euler_oracle(g00: complex, g10: complex) -> list[tuple[str, float]]:
+    """The Euler step as a function returning its (axis, wrapped angle)
+    elements in application order: the reference for the step that
+    appends their inverses to a plan's flat lists."""
+    abs00, abs10 = abs(g00), abs(g10)
+    beta = 2.0 * math.atan2(abs10, abs00)
+    if abs10 < sy.EULER_DEGENERATE:
+        angles = [("z", -2.0 * cmath.phase(g00))]
+    elif abs00 < sy.EULER_DEGENERATE:
+        gamma_minus_alpha = 2.0 * (cmath.phase(g10) + math.pi / 2)
+        angles = [("x", beta), ("z", gamma_minus_alpha)]
+    else:
+        gamma_plus_alpha = -2.0 * cmath.phase(g00)
+        gamma_minus_alpha = 2.0 * (cmath.phase(g10) + math.pi / 2)
+        alpha = (gamma_plus_alpha - gamma_minus_alpha) / 2.0
+        gamma = (gamma_plus_alpha + gamma_minus_alpha) / 2.0
+        angles = [("z", alpha), ("x", beta), ("z", gamma)]
+        if abs(sy._wrap(alpha + gamma)) < sy.EULER_SNAP:
+            a = (alpha + math.pi) % sy.TWO_PI - math.pi
+            if abs(a) < sy.EULER_SNAP:
+                angles = [("x", beta)]
+            elif abs(abs(a) - math.pi) < sy.EULER_SNAP:
+                angles = [("x", -beta)]
+            elif abs(a - math.pi / 2) < sy.EULER_SNAP:
+                angles = [("y", -beta)]
+            elif abs(a + math.pi / 2) < sy.EULER_SNAP:
+                angles = [("y", beta)]
+    return [(ax, w) for ax, a in angles if abs(w := sy._wrap(a)) > sy.ANGLE_DROP]
+
+
+def appended_inverse(g00: complex, g10: complex) -> list[tuple[str, float]]:
+    """(axis, angle) of what the Euler step appends to empty plan lists."""
+    lows, axes, angles = [], [], []
+    sy._append_inverse_euler(g00, g10, 3, lows, axes, angles)
+    assert lows == [3] * len(axes) and len(angles) == len(axes)
+    return list(zip(axes, angles))
+
+
+def su2_column(theta: float, phi0: float, phi1: float) -> tuple[complex, complex]:
+    """(g00, g10) = (cos(theta) e^{i phi0}, sin(theta) e^{i phi1})."""
+    return (math.cos(theta) * cmath.exp(1j * phi0),
+            math.sin(theta) * cmath.exp(1j * phi1))
+
+
+DROP = sy.ANGLE_DROP
+SNAP = sy.EULER_SNAP
+# (g00, g10) inputs at the edges of the Euler step's branches
+EULER_EDGES = {
+    # |g10| or |g00| below EULER_DEGENERATE, at it and just above it
+    **{f"g10-{s:g}": (cmath.exp(0.7j), s * cmath.exp(-2.1j))
+       for s in (0.0, 3e-15, 9.9e-15, 1e-14, 1.2e-14)},
+    **{f"g00-{s:g}": (s * cmath.exp(2.9j), cmath.exp(-0.4j))
+       for s in (0.0, 3e-15, 9.9e-15, 1e-14, 1.2e-14)},
+    # the four x / y sandwiches (a = 0, pi, pi/2, -pi/2), exactly ...
+    "a=0": (0.6 + 0j, -0.8j),
+    "a=pi": (0.6 + 0j, 0.8j),
+    "a=pi/2": (0.6 + 0j, -0.8 + 0j),
+    "a=-pi/2": (0.6 + 0j, 0.8 + 0j),
+    # ... and with alpha or alpha + gamma moved inside and outside EULER_SNAP
+    **{f"a={name}{d:+g}{part}": su2_column(0.9, *(
+        (d, phi1) if part == "g00" else (0.0, phi1 + d)))
+       for name, phi1 in (("0", -math.pi / 2), ("pi", math.pi / 2),
+                          ("pi/2", math.pi - SNAP / 2), ("-pi/2", 0.0))
+       for d in (-2 * SNAP, -0.4 * SNAP, 0.4 * SNAP, 2 * SNAP)
+       for part in ("g00", "g10")},
+    # a z angle of -2 phase(g00) within ANGLE_DROP of 0 and of -2 pi, 2 pi
+    **{f"z{phi0:+.17g}": (cmath.exp(1j * phi0), 0j)
+       for phi0 in (0.0, 0.4 * DROP, -0.6 * DROP, 2 * DROP, math.pi,
+                    math.pi - 0.3 * DROP, -math.pi + 0.3 * DROP)},
+    # alpha within ANGLE_DROP of 0 and of -2 pi, gamma of 2 pi
+    **{f"alpha-0{d:+g}": su2_column(0.8, 0.3, -0.3 - math.pi / 2 + d)
+       for d in (0.0, 0.5 * DROP, -2 * DROP)},
+    **{f"alpha-2pi{d:+g}": su2_column(0.8, 0.8 * math.pi, 0.7 * math.pi + d)
+       for d in (0.0, 0.5 * DROP, -2 * DROP)},
+    **{f"gamma-2pi{d:+g}": su2_column(0.8, -0.6 * math.pi, 0.9 * math.pi + d)
+       for d in (0.0, 0.5 * DROP, -2 * DROP)},
+}
+
 
 class TestDecompose:
     def test_identity_gives_empty_plan(self):
@@ -123,6 +213,14 @@ class TestDecompose:
         assert plan.reconstruction_error == sy.global_phase_distance(
             u, plan.unitary())
 
+    def test_reconstruction_error_is_the_plan_products_distance(self):
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            u = sy.haar_unitary(rng=rng)
+            plan = sy.decompose(u)
+            assert plan.reconstruction_error == sy.global_phase_distance(
+                u, plan.unitary())
+
     @pytest.mark.parametrize("name", ["y-sandwich-minus-3pi/2",
                                       "y-sandwich-near-minus-3pi/2"])
     def test_three_half_pi_sandwich_is_one_y_rotation(self, name):
@@ -133,14 +231,7 @@ class TestDecompose:
         assert r.angle == pytest.approx(0.7, abs=1e-12)
         assert plan.reconstruction_error < 1e-12
 
-    @pytest.mark.parametrize("bad", [
-        sy.PlanRotation(-5.5, -4.5, "x", 0.3),  # below m_F = -9/2
-        sy.PlanRotation(3.5, 5.5, "x", 0.3),  # above m_F = +9/2
-        sy.PlanRotation(-2.3, -1.5, "x", 0.3),  # not a half-integer
-        sy.PlanRotation(-1.5, -1.5, "y", 0.3),  # m_low == m_high
-        sy.PlanRotation(-0.5, -1.5, "z", 0.3),  # m_low > m_high
-        sy.PlanRotation(-2.5, -1.5, "w", 0.3),  # unknown axis
-    ])
+    @pytest.mark.parametrize("bad", BAD_ROTATIONS)
     def test_unitary_rejects_invalid_rotation(self, bad):
         with pytest.raises(SpinError) as expected:
             pair_indices(bad.m_low, bad.m_high, bad.axis)
@@ -155,6 +246,33 @@ class TestDecompose:
 
 PROPERTY = settings(max_examples=25, deadline=None, database=None)
 SEEDS = st.integers(0, 2**32 - 1)
+PHASES_RAD = st.floats(-math.pi, math.pi)
+
+
+class TestEulerStep:
+    """The Euler step appends exactly the negated elements that
+    euler_oracle returns."""
+
+    @PROPERTY
+    @given(theta=st.floats(0.0, math.pi / 2), phi0=PHASES_RAD, phi1=PHASES_RAD)
+    def test_drawn_columns(self, theta, phi0, phi1):
+        g00, g10 = su2_column(theta, phi0, phi1)
+        assert appended_inverse(g00, g10) == [
+            (ax, -w) for ax, w in euler_oracle(g00, g10)]
+
+    @pytest.mark.parametrize("name", EULER_EDGES)
+    def test_branch_edges(self, name):
+        g00, g10 = EULER_EDGES[name]
+        assert appended_inverse(g00, g10) == [
+            (ax, -w) for ax, w in euler_oracle(g00, g10)]
+
+    def test_edges_reach_every_outcome(self):
+        # the edge inputs are not all alike: each snapped axis and each
+        # count of kept elements occurs
+        outcomes = {tuple(ax for ax, _ in euler_oracle(*g))
+                    for g in EULER_EDGES.values()}
+        assert {(), ("z",), ("x",), ("y",), ("x", "z"), ("z", "z"),
+                ("z", "x", "z")} <= outcomes
 ROTATIONS = st.builds(
     lambda levels, axis, angle: sy.PlanRotation(levels[0] - 4.5,
                                                 levels[1] - 4.5, axis, angle),
@@ -254,6 +372,21 @@ class TestLowering:
                                                         q_hz=-320.0), 200.0)
 
 
+class TestLoweringRejects:
+    @pytest.mark.parametrize("bad", BAD_ROTATIONS)
+    @pytest.mark.parametrize("lower", ["plan_to_sequence", "simulate_plan"])
+    def test_invalid_rotation_rejected_like_unitary(self, lower, bad):
+        with pytest.raises(SpinError) as expected:
+            pair_indices(bad.m_low, bad.m_high, bad.axis)
+        plan = sy.RotationPlan([sy.PlanRotation(-2.5, -1.5, "x", 0.3), bad])
+        call = {"plan_to_sequence": lambda: sy.plan_to_sequence(
+                    plan, REF_FIELDS, 71.0),
+                "simulate_plan": lambda: sy.simulate_plan(
+                    plan, REF_FIELDS, None, 71.0)}[lower]
+        with pytest.raises(SpinError, match=re.escape(str(expected.value))):
+            call()
+
+
 class TestSimulatePlan:
     def test_unit_fidelity_without_dissipation(self):
         plan = sy.RotationPlan(rotations=[
@@ -292,6 +425,13 @@ class TestSimulatePlan:
 
 
 class TestSerialization:
+    def test_plan_rotation_is_an_immutable_named_tuple(self):
+        r = sy.PlanRotation(m_low=-2.5, m_high=-1.5, axis="y", angle=0.4)
+        assert r == (-2.5, -1.5, "y", 0.4)
+        assert r._fields == ("m_low", "m_high", "axis", "angle")
+        with pytest.raises(AttributeError):
+            r.angle = 0.5
+
     def test_plan_round_trip_dict(self):
         plan = sy.decompose(pair_rotation(-3.5, -2.5, "y", 1.2))
         d = plan.to_dict()

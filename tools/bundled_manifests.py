@@ -1,14 +1,17 @@
-"""Run every bundled config and compare the outputs byte for byte.
+"""Run the bundled configs and ``sunspin decompose``; compare outputs.
 
     python tools/bundled_manifests.py OUT_DIR [--against REF_DIR] [--repeat N]
 
 Each ``src/sunspin/configs/<name>.json`` is run through
 ``sunspin.cli.run_config`` into ``OUT_DIR/<name>/``, with the config's
 file name as its recorded path, so two checkouts of the package write
-comparable manifests.  Each config's name is printed with its wall time:
-the fastest of ``--repeat`` runs (default 1), back to back in this
-process, so repeated and later runs may reuse channel sets and Liouville
-maps that earlier ones built.  With ``--against``, every
+comparable manifests.  ``sunspin decompose --n 50 --seed 0`` then writes
+its ``decompose.json`` into ``OUT_DIR/decompose/``, so the synthesis
+layer, which no bundled config reaches, is compared too.  Each run's
+name is printed with its wall time: the fastest of ``--repeat`` runs
+(default 1), back to back in this process, so repeated and later runs
+may reuse channel sets and Liouville maps that earlier ones built.
+With ``--against``, every
 output file (the manifest included) is hashed and compared with the
 file of the same name under ``REF_DIR/<name>/``; each difference is
 listed, a differing CSV with the number of cells that differ, the
@@ -23,7 +26,10 @@ the package next to this script, not an installed one.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import hashlib
+import io
 import json
 import sys
 import time
@@ -38,20 +44,37 @@ from sunspin import cli  # noqa: E402
 CONFIG_DIR = Path(cli.__file__).parent / "configs"
 
 
+DECOMPOSE_ARGS = ("decompose", "--n", "50", "--seed", "0")
+
+
+def run_decompose(out_dir: Path) -> None:
+    """``sunspin decompose --n 50 --seed 0 --out OUT_DIR/decompose``, its
+    printed copy of ``decompose.json`` discarded."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = cli.main([*DECOMPOSE_ARGS, "--out", str(out_dir / "decompose")])
+    if status != 0:
+        raise RuntimeError(f"sunspin decompose exited with status {status}")
+
+
+def _run_config(path: Path, out_dir: Path) -> None:
+    cli.run_config(json.loads(path.read_text()), out_dir / path.stem,
+                   config_path=path.name)
+
+
 def run_all(out_dir: Path, repeat: int = 1) -> list[str]:
-    """Run each bundled config ``repeat`` times into its own directory;
-    returns the names."""
-    names = []
-    for path in sorted(CONFIG_DIR.glob("*.json")):
-        text, times = path.read_text(), []
+    """Run each bundled config, then ``decompose``, ``repeat`` times into
+    its own directory; returns the names."""
+    runs = [(path.stem, functools.partial(_run_config, path, out_dir))
+            for path in sorted(CONFIG_DIR.glob("*.json"))]
+    runs.append(("decompose", functools.partial(run_decompose, out_dir)))
+    for name, run in runs:
+        times = []
         for _ in range(repeat):
-            config = json.loads(text)
             start = time.perf_counter()
-            cli.run_config(config, out_dir / path.stem, config_path=path.name)
+            run()
             times.append(time.perf_counter() - start)
-        print(f"{path.stem:<20} {min(times):8.3f} s")
-        names.append(path.stem)
-    return names
+        print(f"{name:<20} {min(times):8.3f} s")
+    return [name for name, _ in runs]
 
 
 def _hashes(run_dir: Path) -> dict[str, str]:
@@ -126,23 +149,12 @@ def json_numbers(ours: Path, theirs: Path) -> list[str]:
 EXPLAIN = {".csv": csv_cells, ".json": json_numbers}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("out_dir", type=Path)
-    parser.add_argument("--against", type=Path, metavar="REF_DIR",
-                        help="reference output directory to compare with")
-    parser.add_argument("--repeat", type=int, default=1, metavar="N",
-                        help="runs per config; its fastest wall time is printed")
-    args = parser.parse_args(argv)
-    if args.repeat < 1:
-        parser.error("--repeat must be at least 1")
-    names = run_all(args.out_dir, args.repeat)
-    if args.against is None:
-        print(f"{len(names)} configs run into {args.out_dir}")
-        return 0
-    diffs = differences(args.out_dir, args.against, names)
+def report(out_dir: Path, ref_dir: Path, names) -> int:
+    """Print every output that differs from the reference run, explained
+    where its kind allows, and a summary line; returns how many differ."""
+    diffs = differences(out_dir, ref_dir, names)
     for d in diffs:
-        ours, theirs = args.out_dir / d, args.against / d
+        ours, theirs = out_dir / d, ref_dir / d
         explain = EXPLAIN.get(ours.suffix)
         if explain and ours.is_file() and theirs.is_file():
             summary, *rows = explain(ours, theirs)
@@ -151,8 +163,25 @@ def main(argv=None) -> int:
                 print(f"    {row}")
         else:
             print(f"differs: {d}")
-    print(f"{len(names)} configs, {len(diffs)} differing outputs")
-    return 1 if diffs else 0
+    print(f"{len(names)} runs, {len(diffs)} differing outputs")
+    return len(diffs)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out_dir", type=Path)
+    parser.add_argument("--against", type=Path, metavar="REF_DIR",
+                        help="reference output directory to compare with")
+    parser.add_argument("--repeat", type=int, default=1, metavar="N",
+                        help="runs of each; the fastest wall time is printed")
+    args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
+    names = run_all(args.out_dir, args.repeat)
+    if args.against is None:
+        print(f"{len(names)} runs into {args.out_dir}")
+        return 0
+    return 1 if report(args.out_dir, args.against, names) else 0
 
 
 if __name__ == "__main__":
