@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -294,10 +294,11 @@ def monochromatic_scattering_channels(**kwargs) -> LindbladSpec:
 
 DEPHASING_TIME_UNIT = 0.210  # s, 1/e time of a |dm| = 1 coherence
 DEFAULT_DEPHASING_MANIFOLD = (-4.5, -3.5, -2.5, -1.5)
+DephasingMode = Literal["linear", "quadratic"]
 
 
 def inhomogeneous_dephasing(tau_unit_s: float = DEPHASING_TIME_UNIT,
-                            mode: str = "linear",
+                            mode: DephasingMode = "linear",
                             manifold: Sequence[float] = DEFAULT_DEPHASING_MANIFOLD) -> LindbladSpec:
     """Dephasing channels for the light-shift spatial inhomogeneity.
 

@@ -36,6 +36,7 @@ closing rows: population rows pulled back through the closing section
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -274,6 +275,9 @@ def rabi_scan(pair: tuple[float, float], omega_hz: float, fields: FieldParams,
 # ---------------------------------------------------------------------------
 
 TLS_RAMP_S = 2e-3
+# the values of ramsey's tls_mode and phase_noise
+TlsMode = Literal["on", "adiabatic-off"]
+PhaseNoise = Literal["none", "average", "sample"]
 
 
 def _ramsey_sequence(pair, t_dark, fields, omega_hz, tls_mode, detuning_hz,
@@ -293,15 +297,15 @@ def _ramsey_sequence(pair, t_dark, fields, omega_hz, tls_mode, detuning_hz,
                 sq.dark_time(hold, tls_multiplier=0.0),
                 sq.tls_ramp(TLS_RAMP_S, 0.0, 1.0), p_close)
     else:
-        raise ProtocolError("tls_mode must be 'on' or 'adiabatic-off'")
+        raise ProtocolError(f"tls_mode must be one of {get_args(TlsMode)}")
     return sq.PulseSequence(segments=segs, fields=fields)
 
 
 def ramsey(pair: tuple[float, float], t_values, fields: FieldParams,
-           omega_hz: float, tls_mode: str = "on",
+           omega_hz: float, tls_mode: TlsMode = "on",
            lindblad: LindbladSpec | None = None,
            noise: NoiseSpec | None = None, detuning_hz: float = 0.0,
-           cg_weighting: bool = True, phase_noise: str = "none",
+           cg_weighting: bool = True, phase_noise: PhaseNoise = "none",
            n_shots: int = 0, n_atoms: int = 10_000,
            detection: DetectionModel | None = None, seed: int = 0,
            tol: float = dynamics.DEFAULT_RTOL) -> InterferometerResult:
@@ -324,8 +328,8 @@ def ramsey(pair: tuple[float, float], t_values, fields: FieldParams,
     t_values = np.asarray(t_values, dtype=float)
     if t_values.size == 0:
         raise ProtocolError("t_values must be non-empty")
-    if phase_noise not in ("none", "average", "sample"):
-        raise ProtocolError("phase_noise must be none|average|sample")
+    if phase_noise not in get_args(PhaseNoise):
+        raise ProtocolError(f"phase_noise must be one of {get_args(PhaseNoise)}")
     if phase_noise != "none" and noise is None:
         raise ProtocolError("phase_noise requires a NoiseSpec")
     if phase_noise == "sample" and n_shots <= 0:

@@ -34,6 +34,12 @@ class TestCsvCells:
             ours, _write(tmp_path / "c.csv", "t,x\n0.1,1\n0.2,2\n")) == [
                 "header or shape differs"]
 
+    def test_tolerance_forgives_only_cells_within_it(self, tmp_path):
+        ours = _write(tmp_path / "a.csv", "t,x,n\n0.1,1.0000000000001,7\n0.2,3,4\n")
+        theirs = _write(tmp_path / "b.csv", "t,x,n\n0.1,1,7\n0.2,3.001,5\n")
+        assert bundled_manifests.csv_cells(ours, theirs, rtol=1e-10, atol=1e-12) == [
+            "2 of 6 cells differ, largest absolute difference 1", "t=0.2: x, n"]
+
 
 class TestJsonNumbers:
     def test_counts_numbers_and_lists_paths(self, tmp_path):
@@ -57,6 +63,16 @@ class TestJsonNumbers:
         assert bundled_manifests.json_numbers(ours, theirs) == [
             "0 of 2 numbers differ, largest absolute difference 0, "
             "0 other values differ"]
+
+    def test_tolerance_forgives_only_numbers_within_it(self, tmp_path):
+        ours = _write(tmp_path / "a.json", json.dumps(
+            {"x": 0.25 + 1e-15, "n": 3, "s": "a", "y": 1e-3}))
+        theirs = _write(tmp_path / "b.json", json.dumps(
+            {"x": 0.25, "n": 4, "s": "b", "y": 1e-3 + 1e-11}))
+        summary, *paths = bundled_manifests.json_numbers(ours, theirs, rtol=1e-10,
+                                                         atol=1e-12)
+        assert summary.startswith("2 of 3 numbers differ")
+        assert paths == ["$.n", "$.s", "$.y"]
 
     def test_structure_change_is_reported_as_such(self, tmp_path):
         ours = _write(tmp_path / "a.json", json.dumps({"rows": [1.0, 2.0]}))
@@ -86,3 +102,18 @@ class TestDecomposeOutput:
         assert lines[1:] == [f"    $.targets[{k}].reconstruction_error",
                              "1 runs, 1 differing outputs"]
 
+
+class TestWriteReference:
+    def test_replaces_each_run_without_its_manifest(self, tmp_path):
+        out, ref = tmp_path / "out", tmp_path / "ref"
+        for name in ("a", "b"):
+            (out / name).mkdir(parents=True)
+            _write(out / name / "x.csv", f"t\n{name}\n")
+            _write(out / name / "manifest.json", "{}")
+        (ref / "a").mkdir(parents=True)
+        _write(ref / "a" / "stale.csv", "t\n0\n")
+        _write(ref / "kept.txt", "")
+        bundled_manifests.write_reference(out, ["a", "b"], ref)
+        assert sorted(str(p.relative_to(ref)) for p in ref.rglob("*") if p.is_file()) == [
+            "a/x.csv", "b/x.csv", "kept.txt"]
+        assert (ref / "b" / "x.csv").read_text() == "t\nb\n"

@@ -1,11 +1,15 @@
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
 
-from sunspin import cli, dynamics, model, readout
+from sunspin import cli, dynamics, model, protocols, readout
 from sunspin.spin_core import DIM
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "sunspin" / "configs"
@@ -210,8 +214,8 @@ class TestRunConfig:
 
 
 class TestProtocolKeys:
-    # the schema properties each protocol function has a parameter for;
-    # renaming a keyword argument changes the config schema, so it is
+    # the config keys each protocol function has a parameter for;
+    # renaming a keyword argument changes the config keys, so it is
     # pinned here
     COMMON = {"fields", "cg_weighting", "n_atoms"}
     SHOTS = {"lindblad", "omega_hz", "n_shots", "detection", "seed"}
@@ -228,8 +232,10 @@ class TestProtocolKeys:
         }
 
     def test_every_schema_key_is_taken(self):
+        # every key of the config table is a run key or a parameter of
+        # some protocol function
         taken = set().union(cli.RUN_KEYS, *cli.TAKES.values())
-        assert set(cli.CONFIG_SCHEMA["properties"]) == taken
+        assert set(cli.CONFIG_KEYS) == taken
 
     @pytest.mark.parametrize("config, param", [
         ("leakage_scan", 'lindblad={"scattering": "monochromatic"}'),
@@ -279,6 +285,123 @@ class TestProtocolKeys:
         assert run_cli(["leakage-scan", "--ratios", "9", "--shots", "3",
                         "--out", out]) == 2
         assert not out.exists()
+
+
+
+INVALID_CONFIGS = json.loads(
+    (Path(__file__).parent / "data" / "invalid_configs.json").read_text())
+
+
+def run_config_file(tmp_path, cfg):
+    """Exit status of ``sunspin run`` on ``cfg``, and whether it wrote
+    its output directory."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    return run_cli(["run", path, "--out", out]), out.exists()
+
+
+class TestConfigCheck:
+    @pytest.mark.parametrize("name", sorted(INVALID_CONFIGS))
+    def test_invalid_config_exit_2(self, tmp_path, name):
+        # one config per key and nested key: of the wrong type, out of
+        # bounds, an unknown enum value, an unknown key or a missing one
+        assert run_config_file(tmp_path, INVALID_CONFIGS[name]) == (2, False)
+
+    @pytest.mark.parametrize("config, param", [
+        ("ramsey_single_pair", "n_shots=5.0"),
+        ("ramsey_single_pair", "seed=3.0"),
+        ("leakage_scan", "n_phi=4.0"),
+        ("ramsey_single_pair", 'scan={"start": 0.001, "stop": 0.01, "num": 3.0}'),
+        ("ramsey_single_pair", "n_atoms=100.0")])
+    def test_integer_keys_take_json_integers_only(self, tmp_path, config, param):
+        out = tmp_path / "o"
+        assert run_cli(["run", CONFIG_DIR / f"{config}.json", "--out", out,
+                        "--param", param]) == 2
+        assert not out.exists()
+
+    def test_scan_takes_values_or_a_range_not_both(self, tmp_path):
+        cfg = {"protocol": "rabi", "fields": {"b_hz": 960.0, "q_hz": -320.0},
+               "scan": {"values": [0.001], "start": 0, "stop": 5, "num": 2}}
+        assert run_config_file(tmp_path, cfg) == (2, False)
+
+    @pytest.mark.parametrize("param", [
+        "pair=[0.3, 1.3]", "pair=[-2.5, 5.5]",
+        'detection={"eta": {"abc": 0.5}}', 'detection={"eta": {"0.7": 0.5}}',
+        'detection={"eta": {"Infinity": 0.5}}'])
+    def test_spin_projections_are_checked_exit_2(self, tmp_path, param):
+        out = tmp_path / "o"
+        assert run_cli(["run", CONFIG_DIR / "rabi_dm1.json", "--out", out,
+                        "--param", param]) == 2
+        assert not out.exists()
+
+    def test_pair_of_projections_too_far_apart_is_the_models_exit_3(self, tmp_path):
+        # both are spin projections; which pairs a Raman tone can drive is
+        # the model's rule
+        assert run_cli(["run", CONFIG_DIR / "rabi_dm1.json", "--out",
+                        tmp_path / "o", "--param", "pair=[-4.5, 0.5]"]) == 3
+
+    def test_eta_keyed_by_a_spin_projection_runs(self, tmp_path):
+        assert run_cli(["run", CONFIG_DIR / "rabi_dm1.json", "--out",
+                        tmp_path / "o", "--param",
+                        'detection={"eta": {"-3.5": 0.5}}']) == 0
+
+    def test_enum_values_are_the_protocols_literals(self):
+        hints = get_type_hints(protocols.ramsey)
+        assert hints["tls_mode"] is protocols.TlsMode
+        assert hints["phase_noise"] is protocols.PhaseNoise
+        cfg = json.loads((CONFIG_DIR / "ramsey_single_pair.json").read_text())
+        for mode in get_args(protocols.TlsMode):
+            cli.validate_config({**cfg, "tls_mode": mode})
+        for mode in get_args(protocols.PhaseNoise):
+            cli.validate_config({**cfg, "phase_noise": mode})
+        with pytest.raises(cli.ConfigError, match=r"\$\.tls_mode"):
+            cli.validate_config({**cfg, "tls_mode": "off"})
+
+    def test_protocols_annotate_each_key_alike(self):
+        # a key's type is read from every protocol that takes it
+        for key in set().union(*cli.TAKES.values()):
+            hints = {str(h[key]) for h in cli._ANNOTATIONS.values() if key in h}
+            assert len(hints) == 1, (key, hints)
+
+    def test_errors_name_json_paths(self):
+        cfg = {"protocol": "rabi", "fields": {"b_hz": True, "q_hz": 1.0},
+               "scan": {"values": [0.001]}, "omega_hz": 0}
+        with pytest.raises(cli.ConfigError) as err:
+            cli.validate_config(cfg)
+        assert "$.fields.b_hz: True is not a finite number" in str(err.value)
+        assert "$.omega_hz: 0 is not > 0" in str(err.value)
+
+    def test_rabi_and_ramsey_take_their_presets_pair_and_rabi_frequency(
+            self, tmp_path, monkeypatch):
+        calls = []
+        for fn in ("rabi_scan", "ramsey"):
+            real = getattr(cli.protocols, fn)
+            monkeypatch.setattr(cli.protocols, fn,
+                                lambda real=real, **kw: calls.append(kw) or real(**kw))
+        for protocol in ("rabi", "ramsey"):
+            cfg = {"protocol": protocol, "fields": {"b_hz": 960.0, "q_hz": 190.0},
+                   "scan": {"values": [0.01]}}
+            cli.run_config(cfg, tmp_path / protocol)
+        for kw, protocol in zip(calls, ("rabi", "ramsey")):
+            assert kw["pair"] == cli.PRESETS[protocol]["pair"]
+            assert kw["omega_hz"] == cli.PRESETS[protocol]["omega_hz"]
+
+    def test_fit_of_a_non_numeric_csv_exit_2(self, tmp_path):
+        path = tmp_path / "text.csv"
+        path.write_text("t,y\n0.1,abc\n0.2,0.5\n")
+        out = tmp_path / "o"
+        assert run_cli(["fit", "sine", path, "--out", out]) == 2
+        assert not out.exists()
+
+    def test_import_loads_no_jsonschema(self):
+        src = Path(cli.__file__).resolve().parents[1]
+        code = ("import sys, sunspin.cli; "
+                "print([m for m in sys.modules if m.startswith('jsonschema')])")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}).stdout
+        assert out.strip() == "[]"
 
 
 def _channel_bytes(spec):

@@ -1,6 +1,7 @@
 """Run the bundled configs and ``sunspin decompose``; compare outputs.
 
     python tools/bundled_manifests.py OUT_DIR [--against REF_DIR] [--repeat N]
+                                      [--write-reference]
 
 Each ``src/sunspin/configs/<name>.json`` is run through
 ``sunspin.cli.run_config`` into ``OUT_DIR/<name>/``, with the config's
@@ -19,8 +20,11 @@ largest absolute difference among them and, per differing row (named by
 its scan value), the headers of its differing columns; a differing JSON
 file with the number of numbers that differ, the largest absolute
 difference among them, how many other values differ, and the JSON path
-of each differing value.  The exit status is 1 if there is any.  Runs
-the package next to this script, not an installed one.
+of each differing value.  The exit status is 1 if there is any.  With
+``--write-reference``, each run's outputs but its manifest replace
+``tests/reference/<name>/``, the reference that
+``tests/test_reference_outputs.py`` compares fresh runs with.  Runs the
+package next to this script, not an installed one.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import functools
 import hashlib
 import io
 import json
+import shutil
 import sys
 import time
 from pathlib import Path
@@ -42,6 +47,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from sunspin import cli  # noqa: E402
 
 CONFIG_DIR = Path(cli.__file__).parent / "configs"
+REFERENCE_DIR = Path(__file__).resolve().parents[1] / "tests" / "reference"
 
 
 DECOMPOSE_ARGS = ("decompose", "--n", "50", "--seed", "0")
@@ -95,16 +101,22 @@ def differences(out_dir: Path, ref_dir: Path, names) -> list[str]:
     return diffs
 
 
-def csv_cells(ours: Path, theirs: Path) -> list[str]:
+def _far(a, b, rtol: float, atol: float):
+    """Whether numbers ``a`` differ from ``b`` by more than atol + rtol |b|
+    (by default, whether they differ at all)."""
+    return (a != b) & ~(np.abs(a - b) <= atol + rtol * np.abs(b))
+
+
+def csv_cells(ours: Path, theirs: Path, rtol: float = 0.0, atol: float = 0.0) -> list[str]:
     """How two CSVs with the same header and shape differ: the number of
-    differing cells and the largest absolute difference among them, then
-    one line per differing row, named by its first (scan) column, with
-    the headers of its differing columns."""
+    differing cells (cells ``_far`` apart) and the largest absolute
+    difference among them, then one line per differing row, named by its
+    first (scan) column, with the headers of its differing columns."""
     heads = [p.read_text().splitlines()[0] for p in (ours, theirs)]
     a, b = (np.loadtxt(p, delimiter=",", skiprows=1, ndmin=2) for p in (ours, theirs))
     if heads[0] != heads[1] or a.shape != b.shape:
         return ["header or shape differs"]
-    differ, header = a != b, heads[0].split(",")
+    differ, header = _far(a, b, rtol, atol), heads[0].split(",")
     diff = np.abs(a - b)[differ]
     return ([f"{diff.size} of {a.size} cells differ, "
              f"largest absolute difference {diff.max(initial=0.0):.3g}"]
@@ -130,15 +142,18 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def json_numbers(ours: Path, theirs: Path) -> list[str]:
+def json_numbers(ours: Path, theirs: Path, rtol: float = 0.0,
+                 atol: float = 0.0) -> list[str]:
     """How two JSON files with the same structure differ: the number of
-    differing numbers and the largest absolute difference among them,
-    and how many other values differ, then the JSON path of each
-    differing value."""
+    differing numbers (numbers ``_far`` apart) and the largest absolute
+    difference among them, and how many other values differ, then the
+    JSON path of each differing value."""
     a, b = (_leaves(json.loads(p.read_text())) for p in (ours, theirs))
     if a.keys() != b.keys():
         return ["structure differs"]
-    differ = [path for path in a if a[path] != b[path]]
+    differ = [path for path in a if a[path] != b[path] and not (
+        _is_number(a[path]) and _is_number(b[path])
+        and not _far(a[path], b[path], rtol, atol))]
     numeric = [path for path in differ if _is_number(a[path]) and _is_number(b[path])]
     largest = max((abs(a[path] - b[path]) for path in numeric), default=0.0)
     return ([f"{len(numeric)} of {sum(map(_is_number, a.values()))} numbers "
@@ -167,6 +182,15 @@ def report(out_dir: Path, ref_dir: Path, names) -> int:
     return len(diffs)
 
 
+def write_reference(out_dir: Path, names, ref_dir: Path = REFERENCE_DIR) -> None:
+    """Replace ``ref_dir/<name>/`` with the outputs of each run but its
+    manifest, which records paths and the package version."""
+    for name in names:
+        shutil.rmtree(ref_dir / name, ignore_errors=True)
+        shutil.copytree(out_dir / name, ref_dir / name,
+                        ignore=shutil.ignore_patterns("manifest.json"))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out_dir", type=Path)
@@ -174,10 +198,15 @@ def main(argv=None) -> int:
                         help="reference output directory to compare with")
     parser.add_argument("--repeat", type=int, default=1, metavar="N",
                         help="runs of each; the fastest wall time is printed")
+    parser.add_argument("--write-reference", action="store_true",
+                        help="copy the outputs but the manifests into tests/reference/")
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
     names = run_all(args.out_dir, args.repeat)
+    if args.write_reference:
+        write_reference(args.out_dir, names)
+        print(f"{len(names)} runs written to {REFERENCE_DIR}")
     if args.against is None:
         print(f"{len(names)} runs into {args.out_dir}")
         return 0
