@@ -282,12 +282,13 @@ def run_config(cfg: dict, out_dir: Path, config_path: str = "<inline>") -> dict:
     kwargs[scan_keyword] = _scan_values(cfg["scan"])
     seed = cfg.get("seed", 0)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     written = [f"{protocol}.csv", "summary.json"]
     summary: dict = {"protocol": protocol, "seed": seed,
                      "fields": cfg["fields"], "version": __version__}
     # looked up per call, so that a wrapper installed on the module is used
     result = getattr(protocols, fn)(**kwargs)
+    # made only now, so that a run that fails leaves no directory
+    out_dir.mkdir(parents=True, exist_ok=True)
     if protocol == "leakage_scan":
         keys = ("ratio", "omega_hz", "max", "min", "mean", "spread", "projection_floor")
         np.savetxt(out_dir / written[0], [[r[key] for key in keys] for r in result],
@@ -359,6 +360,8 @@ def _config_cmd(protocol=None, defaults=None):
     preset, updated by a config file if one is given."""
     def cmd(args) -> int:
         cfg = json.loads(Path(args.config).read_text()) if args.config else {}
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"$: {cfg!r} is not an object")
         if protocol:
             cfg = {**defaults, "protocol": protocol, **cfg}
         run_config(_apply_overrides(cfg, args), Path(args.out),

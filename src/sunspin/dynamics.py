@@ -2,11 +2,13 @@
 
 Pure-state Schroedinger propagation and Lindblad master-equation
 propagation over piecewise-defined time-dependent Hamiltonians.  The
-engines take a :class:`Schedule` of data :class:`Segment` s (built by
-:func:`sunspin.sequence.compile`) or a constant matrix, held from 0 to
-``t1`` as one segment.  A segment carries its duration and runs on its
-own clock from 0, so a pulse maps the same wherever it sits; schedule
-time is ``Schedule.starts``, the running sum of the durations.
+engines take a :class:`Schedule` of data :class:`Segment` s, built by
+:func:`sunspin.sequence.compile`, or by :func:`hold` for a constant
+matrix the compiler does not make.  The schedule selects its engine
+(``Schedule.density``), and :func:`evolve` runs it there.  A segment
+carries its duration and runs on its own clock from 0, so a pulse maps
+the same wherever it sits; schedule time is ``Schedule.starts``, the
+running sum of the durations.
 :meth:`Segment.hamiltonian` is the one place H(t) is evaluated, and
 every segment's Liouvillian is its Hamiltonian part plus mult(t) D: the
 TLS multiplier times the dissipator of its channels, every rate being
@@ -97,7 +99,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from .spin_core import DIM, m_index
+from .spin_core import DIM, density_matrix, m_index
 
 TWO_PI = 2.0 * np.pi
 
@@ -384,10 +386,13 @@ class Segment:
 @dataclass(frozen=True)
 class Schedule:
     """Ordered piecewise schedule from time 0: each segment starts where
-    the one before it ends."""
+    the one before it ends.  ``density`` selects the engine of
+    :func:`evolve` and :func:`pullback`: density matrices when set,
+    state vectors otherwise."""
 
     segments: tuple[Segment, ...]
     meta: dict = field(default_factory=dict)
+    density: bool = False
 
     @functools.cached_property
     def starts(self) -> tuple[float, ...]:
@@ -400,33 +405,27 @@ class Schedule:
     def duration(self) -> float:
         return self.starts[-1]
 
-    def hamiltonian(self, t: float) -> np.ndarray:
-        for seg, start, end in zip(self.segments, self.starts, self.starts[1:]):
-            if start <= t <= end + TIME_SLACK:
-                return seg.hamiltonian(t - start)
-        raise DynamicsError(f"time {t} outside schedule [0, {self.duration}]")
-
     def has_dissipation(self) -> bool:
         return any(seg.channels for seg in self.segments)
 
 
-def _coerce_schedule(hamiltonian, t1, channels=()) -> Schedule:
-    """Accept a compiled Schedule, or a constant matrix held from 0 to t1.
+def hold(h, duration: float, channels=None) -> Schedule:
+    """A constant 10x10 Hermitian matrix ``h`` (Hz) held for
+    ``duration``, as a one-segment schedule.
 
     The matrix is stored as its real diagonal plus one zero-beat tone
-    carrying its upper triangle.
+    carrying its upper triangle.  Given ``channels`` (operator, rate),
+    even none, the schedule is on the density engine.
     """
-    if isinstance(hamiltonian, Schedule):
-        return hamiltonian
-    channels = tuple((np.asarray(op, dtype=complex), float(r)) for op, r in channels)
-    if any(r < 0 for _, r in channels):
+    ops = tuple((np.asarray(op, dtype=complex), float(r)) for op, r in channels or ())
+    if any(r < 0 for _, r in ops):
         raise DynamicsError("negative channel rate")
-    h0 = np.asarray(hamiltonian, dtype=complex)
+    h0 = np.asarray(h, dtype=complex)
     _check_hermitian(h0)
     diag = h0.diagonal().real.copy()
-    return Schedule((Segment(duration=t1, diag_start=diag, diag_end=diag,
-                             tones=((np.triu(h0, 1), 0.0, 0.0),),
-                             channels=channels),))
+    return Schedule((Segment(duration=duration, diag_start=diag, diag_end=diag,
+                             tones=((np.triu(h0, 1), 0.0, 0.0),), channels=ops),),
+                    density=channels is not None)
 
 
 def _check_hermitian(h: np.ndarray, tol: float = HERMITIAN_TOL):
@@ -714,21 +713,33 @@ def _rk45_span(rhs, y, t_a, ends, tol, max_step):
 
 
 # ---------------------------------------------------------------------------
+# the engine a schedule selects
+# ---------------------------------------------------------------------------
+
+def evolve(schedule: Schedule, state: np.ndarray, t_eval=None,
+           tol: float = DEFAULT_RTOL) -> Trajectory:
+    """Evolve an initial state through a schedule on the engine it
+    selects: the state vector on the pure engine; on the density engine
+    (``Schedule.density``) the density matrix, a state vector input being
+    turned into its density matrix."""
+    if not schedule.density:
+        return evolve_pure(state, schedule, tol=tol, t_eval=t_eval)
+    return evolve_density(density_matrix(state), schedule, tol=tol, t_eval=t_eval)
+
+
+# ---------------------------------------------------------------------------
 # pure-state propagation
 # ---------------------------------------------------------------------------
 
-def evolve_pure(state: np.ndarray, hamiltonian, t1: float = 0.0,
+def evolve_pure(state: np.ndarray, schedule: Schedule,
                 tol: float = DEFAULT_RTOL, t_eval=None) -> Trajectory:
     """Schroedinger evolution of a normalized pure state.
 
-    ``hamiltonian`` is a compiled :class:`Schedule` or a constant 10x10
-    Hermitian matrix (Hz) held from 0 to ``t1``.  A schedule whose
-    segments carry dissipation channels raises.
+    A schedule whose segments carry dissipation channels raises.
     """
     psi = np.asarray(state, dtype=complex)
     if abs(np.linalg.norm(psi) - 1.0) > NORM_TOL:
         raise DynamicsError("initial state is not normalized")
-    schedule = _coerce_schedule(hamiltonian, t1)
     times = _resolve_times(schedule, t_eval)
     out = np.array(_walk(schedule, psi, times, tol, liouville=False)[0])
     norm_err = abs(np.linalg.norm(out[-1]) - 1.0)
@@ -834,28 +845,15 @@ def _check_density(rho: np.ndarray):
         raise DynamicsError("density matrix is not positive semidefinite")
 
 
-def evolve_density(rho: np.ndarray, hamiltonian, lindblad=None, t1: float = 0.0,
+def evolve_density(rho: np.ndarray, schedule: Schedule,
                    tol: float = DEFAULT_RTOL, t_eval=None) -> Trajectory:
-    """Lindblad master-equation evolution.
+    """Lindblad master-equation evolution under the schedule's channels.
 
-    ``hamiltonian`` is a compiled :class:`Schedule` or a constant 10x10
-    Hermitian matrix (Hz) held from 0 to ``t1``.  ``lindblad`` gives
-    the matrix's channels, as a LindbladSpec-like object with
-    ``.channels`` or a plain sequence of (operator, rate).  A compiled
-    Schedule carries its own channels, so passing ``lindblad`` with one
-    raises.
     Positivity is monitored, not enforced: eigenvalues below
     ``DENSITY_POSITIVITY_FLOOR`` raise.
     """
     rho0 = np.asarray(rho, dtype=complex)
     _check_density(rho0)
-    channels = ()
-    if lindblad is not None:
-        if isinstance(hamiltonian, Schedule):
-            raise DynamicsError("a compiled Schedule carries its own channels; "
-                                "pass lindblad to sequence.compile instead")
-        channels = getattr(lindblad, "channels", lindblad)
-    schedule = _coerce_schedule(hamiltonian, t1, channels=channels)
     times = _resolve_times(schedule, t_eval)
     samples, _ = _walk(schedule, rho0.reshape(-1), times, tol, liouville=True)
     out = np.array(samples).reshape(len(times), DIM, DIM)
@@ -954,15 +952,11 @@ def _closed_form(seg: Segment, state, ends, liouville):
 # propagators and superoperators
 # ---------------------------------------------------------------------------
 
-def propagator(hamiltonian, t1: float = 0.0,
-               tol: float = DEFAULT_RTOL) -> np.ndarray:
+def propagator(schedule: Schedule, tol: float = DEFAULT_RTOL) -> np.ndarray:
     """Unitary time-ordered propagator.
 
-    ``hamiltonian`` is a compiled :class:`Schedule` or a constant 10x10
-    Hermitian matrix (Hz) held from 0 to ``t1``.  A schedule whose
-    segments carry dissipation channels raises.
+    A schedule whose segments carry dissipation channels raises.
     """
-    schedule = _coerce_schedule(hamiltonian, t1)
     return _walk(schedule, np.eye(DIM, dtype=complex), (), tol, liouville=False)[1]
 
 
@@ -977,14 +971,14 @@ def pullback(schedule: Schedule, rows, tol: float = DEFAULT_RTOL) -> np.ndarray:
 
     ``rows`` (k, 100) read k observables off vec(rho) at the schedule's
     end; the result reads them off vec(rho) at its start.  On the density
-    engine (``meta["engine"]``, set by :func:`sunspin.sequence.compile`)
-    the rows are stepped backward, last segment first, each by the
-    transpose of its forward step, so k rows cost k columns, not the 100
-    of :func:`superoperator`.  On the pure engine they are the rows of
-    kron(U, conj U) for the schedule's propagator U.
+    engine (``Schedule.density``) the rows are stepped backward, last
+    segment first, each by the transpose of its forward step, so k rows
+    cost k columns, not the 100 of :func:`superoperator`.  On the pure
+    engine they are the rows of kron(U, conj U) for the schedule's
+    propagator U.
     """
     rows = np.asarray(rows, dtype=complex)
-    if schedule.meta.get("engine") != "density":
+    if not schedule.density:
         return _through_unitary(propagator(schedule, tol=tol), rows)
     for seg in reversed(schedule.segments):
         rows = _step_back(seg, rows, tol)

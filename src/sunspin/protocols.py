@@ -7,7 +7,8 @@ noiseless expected populations on the scan grid and, optionally, the
 sampled shots: a (points, shots) record array of
 :data:`~sunspin.readout.SHOT_DTYPE`.
 Without ``lindblad`` a protocol evolves state vectors; any
-:class:`~sunspin.model.LindbladSpec` selects density matrices.  Shot
+:class:`~sunspin.model.LindbladSpec` selects density matrices, the
+engine the compiled schedule carries to :func:`dynamics.evolve`.  Shot
 noise beyond projection noise enters only here: the interferometer
 phase noise of :func:`ramsey` and the correlated (b, q) jitter of
 :func:`dual_ramsey_sampled`, both drawn from a :class:`NoiseSpec`.
@@ -149,7 +150,7 @@ class InterferometerResult:
 def _section(schedule, start, stop=None):
     """Segments ``start:stop`` of a compiled schedule, as a schedule on
     the same engine."""
-    return dynamics.Schedule(schedule.segments[start:stop], meta=schedule.meta)
+    return replace(schedule, segments=schedule.segments[start:stop])
 
 
 # Rows of the identity on row-major vec(rho); every (DIM + 1)-th reads a
@@ -182,18 +183,18 @@ def _stretched(schedule, index, lengths, state, tol, t_eval=()):
     has lasted each of the k sorted ``lengths``: one walk up to it, then
     one of it alone, lasting the longest."""
     head = _section(schedule, 0, index)
-    states = sq.evolve(head, state, t_eval=[*t_eval, head.duration], tol=tol).states
+    states = dynamics.evolve(head, state, t_eval=[*t_eval, head.duration], tol=tol).states
     flat = replace(schedule, segments=(replace(schedule.segments[index],
                                                duration=lengths[-1]),))
     return np.concatenate([_densities(states), _densities(
-        sq.evolve(flat, states[-1], t_eval=lengths, tol=tol).states)])
+        dynamics.evolve(flat, states[-1], t_eval=lengths, tol=tol).states)])
 
 
 def _phase_sweep(schedule, state, phases, tol):
     """Final populations (k, 10) of a phase scan: ``state`` evolved once
     through all but the last segment, conjugated by diag(e^{-i
     phases[s]}) for point s, then mapped once through the last one."""
-    rho = density_matrix(sq.evolve(_section(schedule, 0, -1), state, tol=tol).final)
+    rho = density_matrix(dynamics.evolve(_section(schedule, 0, -1), state, tol=tol).final)
     return _shot_populations(_closing_rows(_section(schedule, -1)), rho, phases)
 
 
@@ -261,7 +262,8 @@ def rabi_scan(pair: tuple[float, float], omega_hz: float, fields: FieldParams,
                      detuning_hz=detuning_hz, cg_weighting=cg_weighting)
     seg = sq.PulseSegment(duration=float(lengths[-1]), tones=(tone,))
     seq = sq.PulseSequence(segments=(seg,), fields=fields)
-    traj = sq.run(seq, basis_state(m_low), lindblad=lindblad, t_eval=lengths, tol=tol)
+    traj = dynamics.evolve(sq.compile(seq, lindblad=lindblad), basis_state(m_low),
+                           t_eval=lengths, tol=tol)
     pops = traj.populations()[point]
     return InterferometerResult(
         scan_name="duration_s", scan_values=durations, populations=pops,
@@ -521,8 +523,8 @@ def dual_ramsey_sampled(t_open: float, fields: FieldParams, omega_hz: float,
     schedule = sq.compile(_dual_ramsey_sequence(t_open, fields, omega_hz,
                                                 delta_shared_hz, gap_s, True),
                           lindblad=lindblad)
-    rho_pre = density_matrix(sq.evolve(_section(schedule, 0, CLOSE1),
-                                       basis_state(M_UP)).final)
+    rho_pre = density_matrix(dynamics.evolve(_section(schedule, 0, CLOSE1),
+                                             basis_state(M_UP)).final)
     rows = _closing_rows(_section(schedule, CLOSE1))
 
     rng = np.random.default_rng(seed)

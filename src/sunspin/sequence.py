@@ -8,10 +8,10 @@ DDS.  The TLS multiplier scales the quadratic shift q, the vector part
 of b, and every TLS-tied dissipation rate.  Compilation turns each
 segment into data (level diagonals at its TLS endpoints, tone terms,
 envelope, frame, channels) from which the
-:class:`~sunspin.dynamics.Segment` evaluates H(t); :func:`evolve` runs
-a compiled schedule on the engine its compilation chose.  A sequence is
-deterministic: shot-to-shot noise belongs to the protocols that sample
-it.
+:class:`~sunspin.dynamics.Segment` evaluates H(t), and chooses the
+schedule's engine; :func:`sunspin.dynamics.evolve` runs it there.  A
+sequence is deterministic: shot-to-shot noise belongs to the protocols
+that sample it.
 
 Units: durations s, frequencies Hz (ordinary), phases rad.
 """
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import dynamics
 from .model import FieldParams, LindbladSpec, RamanTone, control_regime_check
-from .spin_core import F, M_VALUES, density_matrix
+from .spin_core import F, M_VALUES
 
 ENVELOPES = tuple(dynamics.ENVELOPES)
 
@@ -87,10 +87,6 @@ class PulseSequence:
         if not self.segments:
             raise SequenceError("sequence must contain at least one segment")
 
-    @property
-    def total_duration(self) -> float:
-        return float(sum(s.duration for s in self.segments))
-
 
 def pulse(pair: tuple[float, float], omega_hz: float, fields: FieldParams,
           area: float, envelope: str = "square", detuning_hz: float = 0.0,
@@ -149,8 +145,7 @@ def compile(sequence: PulseSequence, lindblad: LindbladSpec | None = None,
     The channels of ``lindblad`` (one spec; :meth:`LindbladSpec.merge`
     joins several) are attached to every segment, their rates scaled by
     the segment's TLS multiplier; any ``lindblad``, even one without
-    channels, marks the schedule for the density engine of
-    :func:`evolve`.
+    channels, selects the density engine (``Schedule.density``).
 
     ``frame='lab-beat'`` drops the rotating frame and the rotating-wave
     approximation, to check them: bare level shifts, and couplings
@@ -206,34 +201,6 @@ def compile(sequence: PulseSequence, lindblad: LindbladSpec | None = None,
             known_channel_set=channel_set))
         lo_cycles += f_lo / d_ref * seg.duration
 
-    engine = "pure" if lindblad is None else "density"
     return dynamics.Schedule(tuple(segments),
-                             meta={"frame": frame, "lo_hz": tuple(lo_hz),
-                                   "engine": engine})
-
-
-# ---------------------------------------------------------------------------
-# running
-# ---------------------------------------------------------------------------
-
-def run(sequence: PulseSequence, initial_state: np.ndarray,
-        lindblad: LindbladSpec | None = None, t_eval=None,
-        tol: float = dynamics.DEFAULT_RTOL) -> dynamics.Trajectory:
-    """Evolve an initial state through the sequence (see :func:`evolve`)."""
-    return evolve(compile(sequence, lindblad=lindblad), initial_state,
-                  t_eval=t_eval, tol=tol)
-
-
-def evolve(schedule: dynamics.Schedule, initial_state: np.ndarray, t_eval=None,
-           tol: float = dynamics.DEFAULT_RTOL) -> dynamics.Trajectory:
-    """Evolve an initial state through a compiled schedule.
-
-    A schedule compiled without a LindbladSpec evolves the state vector;
-    one compiled with any spec, even one without channels, runs on the
-    density engine (a state vector input is turned into its density
-    matrix).
-    """
-    if schedule.meta.get("engine") != "density":
-        return dynamics.evolve_pure(initial_state, schedule, tol=tol, t_eval=t_eval)
-    return dynamics.evolve_density(density_matrix(initial_state), schedule,
-                                   tol=tol, t_eval=t_eval)
+                             meta={"frame": frame, "lo_hz": tuple(lo_hz)},
+                             density=lindblad is not None)

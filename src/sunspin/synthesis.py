@@ -142,18 +142,6 @@ class RotationPlan:
                               i_high.astype(int).tolist(), axes,
                               [r.angle for r in rotations])
 
-    def prefix(self, n: int) -> "RotationPlan":
-        return RotationPlan(rotations=list(self.rotations[:n]))
-
-    def to_dict(self) -> dict:
-        return {
-            "rotations": [
-                {"m_low": r.m_low, "m_high": r.m_high, "axis": r.axis,
-                 "angle": r.angle} for r in self.rotations],
-            "reconstruction_error": self.reconstruction_error,
-            "n_rotations": len(self.rotations),
-        }
-
 
 def generator_set(dm_values=(1, 2)) -> list[tuple[float, float]]:
     """Available x-type pair generators: 2N - 3 = 17 for dm in {1, 2}."""

@@ -155,6 +155,24 @@ class TestRunConfig:
         path.write_text(json.dumps(cfg))
         assert run_cli(["run", path, "--out", tmp_path / "o"]) == 3
 
+    def test_failed_run_leaves_no_out_directory(self, tmp_path):
+        # |dm| = 5 addresses no Raman pair, so the protocol raises
+        out = tmp_path / "o"
+        assert run_cli(["run", CONFIG_DIR / "rabi_dm1.json", "--out", out,
+                        "--param", "pair=[-4.5, 0.5]"]) == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["run"], ["rabi", "--config"]])
+    @pytest.mark.parametrize("override", [["--seed", "3"], ["--shots", "5"],
+                                          ["--param", "omega_hz=70.0"]])
+    def test_non_object_config_exit_2_with_overrides(self, tmp_path, command,
+                                                     override):
+        path = tmp_path / "cfg.json"
+        path.write_text("[1, 2]")
+        out = tmp_path / "o"
+        assert run_cli([*command, path, "--out", out, *override]) == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("extra", [
         {"protocol": "rabi", "noise": {"preset": "tls_on"}},
         {"protocol": "ramsey", "noise": {"preset": "tls_on"}},

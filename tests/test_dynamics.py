@@ -39,7 +39,7 @@ class TestEvolvePure:
 
     def test_zero_hamiltonian(self):
         psi = (basis_state(-2.5) + 1j * basis_state(1.5)) / np.sqrt(2)
-        traj = dynamics.evolve_pure(psi, np.zeros((DIM, DIM)), 0.3)
+        traj = dynamics.evolve_pure(psi, dynamics.hold(np.zeros((DIM, DIM)), 0.3))
         assert np.allclose(traj.final, psi)
 
     def test_norm_preserved(self):
@@ -51,12 +51,12 @@ class TestEvolvePure:
         h = np.zeros((DIM, DIM), dtype=complex)
         h[0, 1] = 1.0  # not mirrored
         with pytest.raises(dynamics.DynamicsError):
-            dynamics.evolve_pure(basis_state(-2.5), h, 0.1)
+            dynamics.hold(h, 0.1)
 
     def test_unnormalized_state_rejected(self):
         with pytest.raises(dynamics.DynamicsError):
             dynamics.evolve_pure(2.0 * basis_state(-2.5),
-                                 np.zeros((DIM, DIM)), 0, 0.1)
+                                 dynamics.hold(np.zeros((DIM, DIM)), 0), 0.1)
 
 
 class TestEvolveDensity:
@@ -76,8 +76,8 @@ class TestEvolveDensity:
         psi = (basis_state(-2.5) + basis_state(-1.5)) / np.sqrt(2)
         rho0 = np.outer(psi, psi.conj())
         t1 = 0.37
-        traj = dynamics.evolve_density(rho0, np.zeros((DIM, DIM)),
-                                       lindblad=spec, t1=t1)
+        traj = dynamics.evolve_density(
+            rho0, dynamics.hold(np.zeros((DIM, DIM)), t1, spec.channels))
         assert abs(traj.final[2, 3]) == pytest.approx(
             0.5 * np.exp(-gamma / 2 * t1), rel=1e-9)
 
@@ -93,7 +93,7 @@ class TestEvolveDensity:
             psi = rng.normal(size=DIM) + 1j * rng.normal(size=DIM)
             psi /= np.linalg.norm(psi)
             rho0 = np.outer(psi, psi.conj())
-            traj = dynamics.evolve_density(rho0, h, lindblad=ops, t1=0.08)
+            traj = dynamics.evolve_density(rho0, dynamics.hold(h, 0.08, ops))
             rho = traj.final
             assert abs(np.trace(rho).real - 1) < 1e-9
             assert np.max(np.abs(rho - rho.conj().T)) < 1e-10
@@ -105,8 +105,8 @@ class TestEvolveDensity:
         psi = rng.normal(size=DIM) + 1j * rng.normal(size=DIM)
         psi /= np.linalg.norm(psi)
         rho0 = np.outer(psi, psi.conj())
-        h = compiled([], 0.3).hamiltonian(0.0)
-        traj = dynamics.evolve_density(rho0, h, lindblad=spec, t1=0.3)
+        h = compiled([], 0.3).segments[0].hamiltonian(0.0)
+        traj = dynamics.evolve_density(rho0, dynamics.hold(h, 0.3, spec.channels))
         assert np.allclose(np.diag(traj.final).real, np.abs(psi) ** 2,
                            atol=1e-9)
 
@@ -146,8 +146,8 @@ class TestEvolveDensity:
 
 class TestPropagator:
     def test_zero_duration_identity(self):
-        h = compiled([two_level_tone()], 0.01).hamiltonian(0.0)
-        assert np.allclose(dynamics.propagator(h, 0), np.eye(DIM))
+        h = compiled([two_level_tone()], 0.01).segments[0].hamiltonian(0.0)
+        assert np.allclose(dynamics.propagator(dynamics.hold(h, 0)), np.eye(DIM))
 
     def test_square_half_pi(self):
         from sunspin.spin_core import pair_rotation
@@ -155,7 +155,7 @@ class TestPropagator:
         h = compiled([two_level_tone()], tau)
         u = dynamics.propagator(h)
         # compare in the interaction picture of the in-frame diagonal
-        diag = np.diag(h.hamiltonian(0.0)).real
+        diag = np.diag(h.segments[0].hamiltonian(0.0)).real
         u_int = np.diag(np.exp(1j * 2 * np.pi * diag * tau)) @ u
         assert np.max(np.abs(u_int - pair_rotation(-2.5, -1.5, "x",
                                                    np.pi / 2))) < 1e-12
@@ -302,8 +302,8 @@ class TestEigenStepping:
         dynamics.clear_caches()
         expm_calls = _count_calls(monkeypatch, dynamics, "expm")
         eig_calls = _count_calls(monkeypatch, np.linalg, "eig")
-        states = dynamics.evolve_density(rho0, h, lindblad=[(op, gamma)],
-                                         t1=ts[-1], t_eval=ts).states
+        states = dynamics.evolve_density(rho0, dynamics.hold(h, ts[-1], [(op, gamma)]),
+                                         t_eval=ts).states
         # the rejected spectrum is kept as None, and each step takes one
         # expm of its own
         assert dynamics._SPECTRA.cache_info().currsize == 1
@@ -483,13 +483,6 @@ class TestCachedChannelSets:
 
 
 class TestIgnoredInputsRejected:
-    def test_density_lindblad_with_schedule(self):
-        sched = sq.compile(_mixed_sequence())
-        psi = _probe_state()
-        with pytest.raises(dynamics.DynamicsError):
-            dynamics.evolve_density(np.outer(psi, psi.conj()), sched,
-                                    lindblad=_small_lindblad())
-
     def test_pure_with_channels(self):
         sched = sq.compile(_mixed_sequence(), lindblad=_small_lindblad())
         with pytest.raises(dynamics.DynamicsError):
@@ -499,6 +492,56 @@ class TestIgnoredInputsRejected:
         sched = sq.compile(_mixed_sequence(), lindblad=_small_lindblad())
         with pytest.raises(dynamics.DynamicsError):
             dynamics.propagator(sched)
+
+
+class TestEngineChoice:
+    """The compiled schedule carries its engine; ``dynamics.evolve`` and
+    ``pullback`` read it."""
+
+    def test_any_lindblad_spec_selects_the_density_engine(self):
+        assert sq.compile(_mixed_sequence()).density is False
+        assert sq.compile(_mixed_sequence(), lindblad=model.LindbladSpec()).density is True
+
+    @pytest.mark.parametrize("lindblad", [None, model.LindbladSpec()],
+                             ids=["pure", "density"])
+    def test_sections_and_replacements_keep_the_engine(self, lindblad):
+        sched = sq.compile(_mixed_sequence(), lindblad=lindblad)
+        assert pr._section(sched, 1, 3).density == sched.density
+        assert pr._section(sched, 1, 3).segments == sched.segments[1:3]
+        assert replace(sched, segments=sched.segments[:1]).density == sched.density
+
+    @pytest.mark.parametrize("lindblad", [None, model.LindbladSpec(), _small_lindblad()],
+                             ids=["pure", "empty", "channels"])
+    def test_evolve_reaches_its_engine_once(self, monkeypatch, lindblad):
+        # wrappers installed at the module globals, as perfbench's
+        # tracer installs them
+        calls = []
+
+        def counting(name):
+            original = getattr(dynamics, name)
+            return lambda *a, **kw: calls.append(name) or original(*a, **kw)
+
+        for name in ("evolve_pure", "evolve_density"):
+            monkeypatch.setattr(dynamics, name, counting(name))
+        sched = sq.compile(_mixed_sequence(), lindblad=lindblad)
+        traj = dynamics.evolve(sched, _probe_state())
+        engine = "evolve_pure" if lindblad is None else "evolve_density"
+        assert calls == [engine]
+        assert traj.kind == ("pure" if lindblad is None else "density")
+
+    def test_hold_selects_its_engine(self):
+        h = np.diag(np.arange(DIM, dtype=float))
+        assert dynamics.hold(h, 0.1).density is False
+        assert dynamics.hold(h, 0.1, channels=[]).density is True
+        psi = _probe_state()
+        pure = dynamics.evolve(dynamics.hold(h, 0.1), psi).final
+        rho = dynamics.evolve(dynamics.hold(h, 0.1, channels=[]), psi).final
+        assert np.max(np.abs(rho - np.outer(pure, pure.conj()))) < 1e-12
+
+    def test_hold_rejects_a_negative_rate(self):
+        op = np.diag(np.arange(DIM)).astype(complex)
+        with pytest.raises(dynamics.DynamicsError, match="negative channel rate"):
+            dynamics.hold(np.zeros((DIM, DIM)), 0.1, channels=[(op, -1.0)])
 
 
 class TestSegmentKind:
@@ -530,7 +573,7 @@ class TestIntegratorOrder:
         levels = np.zeros(DIM)
         h_const = dynamics.Segment(span, levels, levels, tones=(coupling,)).h_const
         psi0 = basis_state(-2.5)
-        ref = dynamics.propagator(h_const, span) @ psi0
+        ref = dynamics.propagator(dynamics.hold(h_const, span)) @ psi0
 
         def err_at(step):
             idle = (np.zeros((DIM, DIM)), 1.0 / (50 * step), 0.0)
@@ -679,9 +722,9 @@ class TestSequenceProperties:
         assert np.max(np.abs(u.conj().T @ u - np.eye(DIM))) < 1e-12
         psi = np.zeros(DIM, dtype=complex)
         psi[level], psi[level + 1] = 0.6, 0.8j
-        pure = sq.evolve(pure_sched, psi).final
+        pure = dynamics.evolve(pure_sched, psi).final
         density_sched = sq.compile(seq, lindblad=model.LindbladSpec())
-        rho = sq.evolve(density_sched, psi).final
+        rho = dynamics.evolve(density_sched, psi).final
         assert np.max(np.abs(rho - np.outer(pure, pure.conj()))) < 1e-10
 
 
@@ -938,7 +981,7 @@ def _reference_map(sched):
     """The schedule's map on row-major vec(rho), stepped forward:
     kron(U, conj U) on the pure engine, the superoperator on the density
     engine."""
-    if sched.meta["engine"] == "density":
+    if sched.density:
         return dynamics.superoperator(sched)
     return dynamics.unitary_superoperator(dynamics.propagator(sched))
 
@@ -1033,8 +1076,8 @@ class TestClosedFormSamples:
         assert seg.kind == "diagonal" and seg.channel_set.diagonal_safe
         ends = np.unique(np.array(fractions) * duration)
         psi = _probe_state()
-        batched = sq.evolve(sched, psi, t_eval=ends).states
-        single = [sq.evolve(sched, psi, t_eval=[t]).states[0] for t in ends]
+        batched = dynamics.evolve(sched, psi, t_eval=ends).states
+        single = [dynamics.evolve(sched, psi, t_eval=[t]).states[0] for t in ends]
         assert np.max(np.abs(batched - single)) <= 1e-14
 
 
@@ -1077,7 +1120,7 @@ class TestCacheProperties:
 
         def run():
             sched = sq.compile(seq, lindblad=LINDBLADS[lindblad])
-            return sq.evolve(sched, psi, t_eval=ends).states
+            return dynamics.evolve(sched, psi, t_eval=ends).states
 
         fresh = _bypassing_caches(run)
         dynamics.clear_caches()
@@ -1100,7 +1143,7 @@ class TestCacheProperties:
         assert sched.starts[0] != sched.starts[2] and first.key == second.key
         assert first.h_const.tobytes() == second.h_const.tobytes()
         dynamics.clear_caches()
-        sq.evolve(sched, basis_state(pulse.tones[0].m_low))
+        dynamics.evolve(sched, basis_state(pulse.tones[0].m_low))
         if lindblad != "pure":
             # a Liouville spectrum does not depend on the step length; a
             # pulse without acting channels steps unitarily and builds none
@@ -1143,7 +1186,7 @@ class TestCacheProperties:
         psi = (basis_state(-2.5) + basis_state(-1.5)) / np.sqrt(2)
 
         def run():
-            return sq.evolve(sq.compile(seq, lindblad=spec), psi).states
+            return dynamics.evolve(sq.compile(seq, lindblad=spec), psi).states
 
         fresh = _bypassing_caches(run)
         dynamics.clear_caches()
@@ -1268,5 +1311,5 @@ class TestTrajectory:
     def test_times_must_increase(self):
         h = np.zeros((DIM, DIM))
         with pytest.raises(dynamics.DynamicsError):
-            dynamics.evolve_pure(basis_state(0.5), h, 1.0,
+            dynamics.evolve_pure(basis_state(0.5), dynamics.hold(h, 1.0),
                                  t_eval=[0.5, 0.2])

@@ -18,12 +18,12 @@ def compiled(tones, fields=REF_FIELDS, duration=0.01):
 
 class TestDiagonalHamiltonian:
     def test_direct_formula(self):
-        h = compiled([]).hamiltonian(0.0)
+        h = compiled([]).segments[0].hamiltonian(0.0)
         assert h[0, 0] == pytest.approx(960 * -4.5 + (-320) * 20.25)  # -10800
         assert np.allclose(np.diag(h), 960 * M_VALUES - 320 * M_VALUES**2)
 
     def test_zero_q_equal_ladder(self):
-        h = compiled([], model.FieldParams(b_hz=700.0, q_hz=0.0)).hamiltonian(0.0)
+        h = compiled([], model.FieldParams(b_hz=700.0, q_hz=0.0)).segments[0].hamiltonian(0.0)
         assert np.allclose(np.diff(np.diag(h)), 700.0)
 
     def test_adjacent_resonances_split_by_2q(self):
@@ -62,19 +62,19 @@ class TestDiagonalHamiltonian:
 class TestRamanHamiltonian:
     def test_resonant_coupling_is_half_omega(self):
         tone = model.RamanTone(-2.5, -1.5, 71.0)
-        hm = compiled([tone]).hamiltonian(0.0)
+        hm = compiled([tone]).segments[0].hamiltonian(0.0)
         assert hm[2, 3] == pytest.approx(35.5)
         assert hm[2, 2] == pytest.approx(hm[3, 3])  # resonant pair degenerate
 
     def test_zero_tones_is_diagonal(self):
-        hm = compiled([], duration=1.0).hamiltonian(0.3)
+        hm = compiled([], duration=1.0).segments[0].hamiltonian(0.3)
         assert np.allclose(hm, np.diag(np.diag(hm)))
         assert np.allclose(np.diag(hm).real, REF_FIELDS.level_shifts())
 
     def test_cg_ratios_match_leg_product_oracle(self):
         # oracle: explicit pi x sigma- two-photon product through F' = 9/2
         tone = model.RamanTone(-2.5, -1.5, 71.0)
-        hm = compiled([tone]).hamiltonian(0.0)
+        hm = compiled([tone]).segments[0].hamiltonian(0.0)
         w_ref = (clebsch_gordan(4.5, -2.5, 1, 0, 4.5, -2.5)
                  * clebsch_gordan(4.5, -1.5, 1, -1, 4.5, -2.5))
         for i in range(DIM - 1):
@@ -110,7 +110,7 @@ class TestRamanHamiltonian:
         sched = compiled(tones)
         assert sched.segments[0].kind == "general"
         for t in np.linspace(0, 0.01, 7):
-            hm = sched.hamiltonian(t)
+            hm = sched.segments[0].hamiltonian(t)
             assert np.max(np.abs(hm - hm.conj().T)) < 1e-12
 
     def test_invalid_pair_rejected(self):
@@ -182,24 +182,22 @@ class TestInhomogeneousDephasing:
         assert decay_rate(spec, -4.5, -1.5) == pytest.approx(1 / 0.630)
 
     def test_populations_conserved(self):
-        from sunspin.dynamics import evolve_density
         spec = model.inhomogeneous_dephasing()
         rng = np.random.default_rng(3)
         psi = rng.normal(size=DIM) + 1j * rng.normal(size=DIM)
         psi /= np.linalg.norm(psi)
         rho = np.outer(psi, psi.conj())
-        traj = evolve_density(rho, np.zeros((DIM, DIM)), lindblad=spec,
-                              t1=0.5)
+        traj = dynamics.evolve_density(
+            rho, dynamics.hold(np.zeros((DIM, DIM)), 0.5, spec.channels))
         assert np.allclose(np.diag(traj.final).real, np.abs(psi) ** 2,
                            atol=1e-9)
 
     def test_free_decay_of_pair_coherence(self):
-        from sunspin.dynamics import evolve_density
         spec = model.inhomogeneous_dephasing()
         psi = (basis_state(-2.5) + basis_state(-1.5)) / np.sqrt(2)
         rho = np.outer(psi, psi.conj())
-        traj = evolve_density(rho, np.zeros((DIM, DIM)), lindblad=spec,
-                              t1=0.210)
+        traj = dynamics.evolve_density(
+            rho, dynamics.hold(np.zeros((DIM, DIM)), 0.210, spec.channels))
         assert abs(traj.final[2, 3]) == pytest.approx(0.5 / np.e, rel=1e-6)
 
     def test_quadratic_mode_scaling(self):

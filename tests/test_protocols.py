@@ -156,8 +156,8 @@ class TestRamsey:
         for k, t_dark in enumerate(t_vals):
             sched = sq.compile(pr._ramsey_sequence((-3.5, -2.5), t_dark, RAMSEY_FIELDS,
                                                    93.0, "on", 25.0, True))
-            rho_pre = density_matrix(sq.evolve(pr._section(sched, 0, -1),
-                                               basis_state(-3.5)).final)
+            rho_pre = density_matrix(dynamics.evolve(pr._section(sched, 0, -1),
+                                                     basis_state(-3.5)).final)
             dphi = np.sqrt(noise.phase_variance(t_dark, True)) * nodes
             pops = weights @ pr._shot_populations(
                 pr._closing_rows(pr._section(sched, -1)), rho_pre,
@@ -265,7 +265,7 @@ class TestBatchedShots:
     @staticmethod
     def _loop(schedule, rho, phases):
         # one shot at a time: diagonal phase, then U rho U^dag or S vec(rho)
-        density = schedule.meta["engine"] == "density"
+        density = schedule.density
         if density:
             s = dynamics.superoperator(schedule)
         else:
@@ -291,8 +291,7 @@ class TestBatchedShots:
                                      n_shots=300, lindblad=lindblad,
                                      n_atoms=500, seed=5)
         [schedule], [(rho, phases, pops)] = calls["rows"], calls["pops"]
-        assert schedule.meta["engine"] == ("pure" if lindblad is None
-                                           else "density")
+        assert schedule.density == (lindblad is not None)
         assert len(pops) > pr.SHOT_BLOCK  # more than one block of shots
         db, dq = out["field_offsets"].T
         m = np.arange(DIM) - 4.5
@@ -318,8 +317,7 @@ class TestBatchedShots:
         i, j = ro.m_index(-3.5), ro.m_index(-2.5)
         for k, t_dark in enumerate(t_vals):
             rho, phases, pops = calls["pops"][k]
-            assert schedule.meta["engine"] == ("pure" if lindblad is None
-                                               else "density")
+            assert schedule.density == (lindblad is not None)
             # the point's stream opens with its n_shots phase offsets
             sd = np.sqrt(noise.phase_variance(t_dark, tls_on=True))
             half = np.random.default_rng(streams[k]).normal(0.0, sd, n_shots) / 2
@@ -555,9 +553,9 @@ def _ramsey_per_point(t_dark, tls_mode, lindblad, detuning_hz=25.0,
     """Final populations and pre-closing contrast, one full run at T."""
     seq = pr._ramsey_sequence((-3.5, -2.5), t_dark, fields, 93.0,
                               tls_mode, detuning_hz, True)
-    t_pre = seq.total_duration - seq.segments[-1].duration
-    traj = sq.run(seq, basis_state(-3.5), lindblad=lindblad,
-                  t_eval=[t_pre, seq.total_duration])
+    sched = sq.compile(seq, lindblad=lindblad)
+    t_pre = sched.duration - seq.segments[-1].duration
+    traj = dynamics.evolve(sched, basis_state(-3.5), t_eval=[t_pre, sched.duration])
     rho_pre = density_matrix(traj.states[0])
     i, j = ro.m_index(-3.5), ro.m_index(-2.5)
     return traj.populations()[-1], 2 * abs(rho_pre[i, j])
@@ -571,8 +569,8 @@ def _dual_times(t_open, fields=DUAL_FIELDS):
 def _parallel_per_point(t_open, lindblad, fields=DUAL_FIELDS):
     """Final populations and wrapped window phases, one full run at T."""
     seq, t = _dual_times(t_open, fields)
-    traj = sq.run(seq, basis_state(-2.5), lindblad=lindblad,
-                  t_eval=[t[3], t[5], t[6], t[8], t[-1]])
+    traj = dynamics.evolve(sq.compile(seq, lindblad=lindblad), basis_state(-2.5),
+                           t_eval=[t[3], t[5], t[6], t[8], t[-1]])
     coh1, coh2 = traj.coherence(*pr.IF1_PAIR), traj.coherence(*pr.IF2_PAIR)
     return traj.populations()[-1], -(np.angle([coh1[2], coh2[3]])
                                      - np.angle([coh1[0], coh2[1]]))
@@ -587,7 +585,7 @@ def _tracked_per_point(t_open):
     windows = ((pr.IF1_PAIR, t[3], t[6]), (pr.IF2_PAIR, t[5], t[8]))
     t_eval = np.unique(np.concatenate(
         [np.linspace(a, b, n_samp) for _, a, b in windows] + [[t[-1]]]))
-    traj = sq.run(seq, basis_state(-2.5), t_eval=t_eval)
+    traj = dynamics.evolve(sq.compile(seq), basis_state(-2.5), t_eval=t_eval)
     phases = []
     for pair, a, b in windows:
         sel = (traj.times >= a - 1e-15) & (traj.times <= b + 1e-15)
@@ -654,8 +652,8 @@ class TestScanSweep:
         swept = pr._phase_sweep(sq.compile(sequence(0.0), lindblad=spec),
                                 SPREAD_STATE, phis[:, None] * M_VALUES,
                                 dynamics.DEFAULT_RTOL)
-        per_point = [sq.run(sequence(phi), SPREAD_STATE, lindblad=spec)
-                     .populations()[-1] for phi in phis]
+        per_point = [dynamics.evolve(sq.compile(sequence(phi), lindblad=spec),
+                                     SPREAD_STATE).populations()[-1] for phi in phis]
         assert np.max(np.abs(swept - per_point)) < 1e-13
 
     @settings(max_examples=8, deadline=None, database=None)
@@ -669,9 +667,9 @@ class TestScanSweep:
         res = pr.ancilla_measurement(phis, fields, lindblad=spec, input_state=psi,
                                      b_correction_hz=b_correction)
         shifted = model.FieldParams(b_hz=960.0 + b_correction, q_hz=-330.0)
-        per_point = [sq.run(pr._ancilla_sequence(phi, shifted, 76.0,
-                                                 pr.PHASE_WINDOW_S, 1e-4, False),
-                            psi, lindblad=spec).populations()[-1] for phi in phis]
+        per_point = [dynamics.evolve(sq.compile(
+            pr._ancilla_sequence(phi, shifted, 76.0, pr.PHASE_WINDOW_S, 1e-4, False),
+            lindblad=spec), psi).populations()[-1] for phi in phis]
         assert np.max(np.abs(res.populations - per_point)) < 1e-13
 
     def test_leakage_scan_matches_per_point_runs(self):
@@ -688,9 +686,9 @@ class TestScanSweep:
                 sq.dark_time(0.01 / omega),
                 sq.pulse(pr.QUBIT_PAIR, omega, fields, np.pi / 2, phase=phi,
                          warn_regime=False)), fields=fields)
-            p = sq.run(seq, ro.coherent_qubit_state(),
-                       lindblad=model.monochromatic_scattering_channels()
-                       ).populations()[-1]
+            p = dynamics.evolve(
+                sq.compile(seq, lindblad=model.monochromatic_scattering_channels()),
+                ro.coherent_qubit_state()).populations()[-1]
             values.append(p[ro.m_index(-1.5)] - p[ro.m_index(-4.5)])
         for key, value in (("max", max(values)), ("min", min(values)),
                            ("mean", np.mean(values))):
@@ -723,7 +721,7 @@ class TestScanSweep:
         for k, t_dark in enumerate(t_values):
             sched = sq.compile(pr._ramsey_sequence(args[0], t_dark, *args[1:]),
                                lindblad=SCATTER_DEPHASE)
-            pops = sq.evolve(sched, basis_state(-3.5)).populations()[-1]
+            pops = dynamics.evolve(sched, basis_state(-3.5)).populations()[-1]
             assert np.max(np.abs(res.populations[k] - pops)) < 5e-14
 
     @pytest.mark.parametrize("lindblad", sorted(TIME_LINDBLADS))

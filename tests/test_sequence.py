@@ -21,13 +21,13 @@ class TestPulseConstruction:
         p = sq.pulse((-2.5, -1.5), 71.0, FIELDS, area=np.pi, cg_weighting=False,
                      warn_regime=False)
         seq = sq.PulseSequence(segments=(p, p), fields=FIELDS)
-        traj = sq.run(seq, basis_state(-2.5))
+        sched = sq.compile(seq)
+        traj = dynamics.evolve(sched, basis_state(-2.5))
         assert traj.populations()[-1][2] == pytest.approx(1.0, abs=1e-10)
         # net 2 pi rotation multiplies the pair amplitude by -1 in the
         # interaction picture of the in-frame level shifts
-        sched = sq.compile(seq)
         diag = np.diag(sched.segments[0].h_const).real
-        frame = np.exp(-1j * 2 * np.pi * diag[2] * seq.total_duration)
+        frame = np.exp(-1j * 2 * np.pi * diag[2] * sched.duration)
         assert traj.final[2] / frame == pytest.approx(-1.0, abs=1e-9)
 
     def test_raised_cosine_area_theorem(self):
@@ -38,10 +38,12 @@ class TestPulseConstruction:
                             envelope="raised_cosine", cg_weighting=False,
                             warn_regime=False)
         assert rc_pulse.duration == pytest.approx(2 * sq_pulse.duration)
-        p_sq = sq.run(sq.PulseSequence(segments=(sq_pulse,), fields=FIELDS),
-                      basis_state(-2.5)).populations()[-1][3]
-        p_rc = sq.run(sq.PulseSequence(segments=(rc_pulse,), fields=FIELDS),
-                      basis_state(-2.5), tol=1e-10).populations()[-1][3]
+        p_sq = dynamics.evolve(
+            sq.compile(sq.PulseSequence(segments=(sq_pulse,), fields=FIELDS)),
+            basis_state(-2.5)).populations()[-1][3]
+        p_rc = dynamics.evolve(
+            sq.compile(sq.PulseSequence(segments=(rc_pulse,), fields=FIELDS)),
+            basis_state(-2.5), tol=1e-10).populations()[-1][3]
         assert p_rc == pytest.approx(p_sq, abs=1e-6)
 
     def test_regime_warning(self):
@@ -104,10 +106,8 @@ class TestCompile:
     def test_total_duration(self):
         p = sq.pulse((-2.5, -1.5), 71.0, FIELDS, area=np.pi / 2, warn_regime=False)
         segs = (p, sq.dark_time(0.0123), p, sq.dark_time(0.002))
-        seq = sq.PulseSequence(segments=segs, fields=FIELDS)
-        assert seq.total_duration == pytest.approx(sum(s.duration for s in segs))
-        sched = sq.compile(seq)
-        assert sched.duration == pytest.approx(seq.total_duration)
+        sched = sq.compile(sq.PulseSequence(segments=segs, fields=FIELDS))
+        assert sched.duration == pytest.approx(sum(s.duration for s in segs))
 
     def test_compile_deterministic(self):
         p = sq.pulse((-2.5, -1.5), 71.0, FIELDS, area=np.pi / 2, warn_regime=False)
@@ -125,7 +125,7 @@ class TestCompile:
         rng = np.random.default_rng(4)
         psi = rng.normal(size=10) + 1j * rng.normal(size=10)
         psi /= np.linalg.norm(psi)
-        traj = sq.run(seq, psi)
+        traj = dynamics.evolve(sq.compile(seq), psi)
         assert np.max(np.abs(traj.populations()[-1] - np.abs(psi) ** 2)) < 1e-4
 
 
@@ -136,7 +136,8 @@ class TestRun:
                                cg_weighting=False, warn_regime=False),),
             fields=FIELDS)
         # an empty spec still selects the density engine
-        traj = sq.run(seq, basis_state(-2.5), lindblad=model.LindbladSpec())
+        traj = dynamics.evolve(sq.compile(seq, lindblad=model.LindbladSpec()),
+                               basis_state(-2.5))
         assert np.real(traj.final[3, 3]) == pytest.approx(1.0, abs=1e-9)
 
     def test_lo_trace_mean(self):
@@ -146,7 +147,7 @@ class TestRun:
                      warn_regime=False)
         seq = sq.PulseSequence(segments=(p, sq.dark_time(0.01)), fields=FIELDS)
         sched = sq.compile(seq)
-        assert sched.duration == pytest.approx(seq.total_duration)
+        assert sched.duration == pytest.approx(p.duration + 0.01)
         mean = np.diff(sched.starts) @ sched.meta["lo_hz"] / sched.duration
         f_res = -model.pair_splitting_hz(FIELDS, -2.5) - 5.0
         assert mean == pytest.approx(f_res)

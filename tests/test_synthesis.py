@@ -418,8 +418,8 @@ class TestSimulatePlan:
             sy.PlanRotation(-4.5, -3.5, "x", np.pi / 2),
         ])
         levels = [-4.5, -3.5, -2.5, -1.5]
-        fids = [sy.simulate_plan(plan.prefix(k), REF_FIELDS, lb, 71.0,
-                                 active_levels=levels)
+        fids = [sy.simulate_plan(sy.RotationPlan(rotations=plan.rotations[:k]),
+                                 REF_FIELDS, lb, 71.0, active_levels=levels)
                 for k in (1, 2, 3)]
         assert fids[0] > fids[1] > fids[2]
 
@@ -431,12 +431,3 @@ class TestSerialization:
         assert r._fields == ("m_low", "m_high", "axis", "angle")
         with pytest.raises(AttributeError):
             r.angle = 0.5
-
-    def test_plan_round_trip_dict(self):
-        plan = sy.decompose(pair_rotation(-3.5, -2.5, "y", 1.2))
-        d = plan.to_dict()
-        assert d["n_rotations"] == len(plan)
-        rebuilt = sy.RotationPlan(rotations=[
-            sy.PlanRotation(**r) for r in d["rotations"]])
-        assert sy.global_phase_distance(rebuilt.unitary(),
-                                        plan.unitary()) < 1e-12
