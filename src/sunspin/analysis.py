@@ -265,24 +265,22 @@ def fit_damped_sine(times, values, errors=None, frequency_hint=None) -> FitResul
 
 
 def fit_sine(times, values, errors=None, frequency_hint=None) -> FitResult:
-    """Pure sinusoid (decay rate pinned to zero), started from the grid
-    of :func:`fit_damped_sine` at the rate 0 alone.  Samples may come in
-    any order."""
+    """Pure sinusoid: the damped model with its decay rate pinned to
+    zero, started from the grid of :func:`fit_damped_sine` at the rate 0
+    alone.  Samples may come in any order."""
     t, y, w = _fit_inputs(times, values, errors)
     # four parameters need four distinct sample times
     if len(np.unique(t)) < 4:
         raise AnalysisError("need at least 4 distinct sample times")
     f_cands = ([frequency_hint] if frequency_hint else []) + _frequency_candidates(t, y)
     a0, f0, phi0, _, c0 = _best_start(t, y, w, f_cands, [0.0])
+    damped = _damped_sine_rj(t, y, w)
 
     def rj(p):
-        a, f, phi, c = p
-        arg = TWO_PI * f * t + phi
-        s, cs = np.sin(arg), np.cos(arg)
-        r = (a * s + c - y) * w
-        jac = np.column_stack([s, a * cs * TWO_PI * t, a * cs,
-                               np.ones_like(t)]) * w[:, None]
-        return r, jac
+        r, jac = damped((p[0], p[1], p[2], 0.0, p[3]))
+        # C-ordered: J^T J of the column selection as it comes (F-ordered)
+        # takes another BLAS path and moves the fit's last bits
+        return r, np.ascontiguousarray(jac[:, [0, 1, 2, 4]])
 
     p, cov, rms, converged, n_iter = _lm(rj, [a0, f0, phi0, c0])
     _canonicalize_sine(p)
@@ -512,14 +510,12 @@ def fit_phase_diffusion(t_values, variance_values, variance_errors=None
                         ) -> FitResult:
     """Weighted linear fit Var(phi) = var0 + D t.
 
-    A negative fitted floor is clipped to zero and flagged.
+    The inputs are checked and sorted as the sine fits' are.  A negative
+    fitted floor is clipped to zero and flagged.
     """
-    t = np.asarray(t_values, dtype=float)
-    v = np.asarray(variance_values, dtype=float)
+    t, v, w = _fit_inputs(t_values, variance_values, variance_errors)
     if len(t) < 3:
         raise AnalysisError("need at least 3 interrogation times")
-    w = (np.ones_like(v) if variance_errors is None
-         else 1.0 / np.asarray(variance_errors, dtype=float))
     basis = np.column_stack([np.ones_like(t), t])
     coef, *_ = np.linalg.lstsq(basis * w[:, None], v * w, rcond=None)
     resid = basis @ coef - v

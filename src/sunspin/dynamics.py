@@ -254,7 +254,6 @@ class Segment:
     channels: tuple[tuple[np.ndarray, float], ...] = ()
     mult_start: float = 1.0
     mult_end: float = 1.0
-    label: str = ""
     known_channel_set: _ChannelSet | None = field(default=None, repr=False,
                                                   compare=False)
 
@@ -388,11 +387,13 @@ class Schedule:
     """Ordered piecewise schedule from time 0: each segment starts where
     the one before it ends.  ``density`` selects the engine of
     :func:`evolve` and :func:`pullback`: density matrices when set,
-    state vectors otherwise."""
+    state vectors otherwise.  ``lo_hz`` is the local-oscillator
+    frequency (signed, Hz) of each segment, as
+    :func:`sunspin.sequence.compile` sets it; empty otherwise."""
 
     segments: tuple[Segment, ...]
-    meta: dict = field(default_factory=dict)
     density: bool = False
+    lo_hz: tuple[float, ...] = ()
 
     @functools.cached_property
     def starts(self) -> tuple[float, ...]:
@@ -445,7 +446,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray          # (n, 10) complex or (n, 10, 10) complex
     kind: str                   # pure | density
-    meta: dict = field(default_factory=dict)
 
     def populations(self) -> np.ndarray:
         if self.kind == "pure":
@@ -745,8 +745,7 @@ def evolve_pure(state: np.ndarray, schedule: Schedule,
     norm_err = abs(np.linalg.norm(out[-1]) - 1.0)
     if norm_err > max(NORM_DRIFT_FLOOR, 100 * tol):
         raise DynamicsError(f"norm drift {norm_err:.2e}; reduce tol")
-    return Trajectory(times=times, states=out, kind="pure",
-                      meta={"tol": tol, **schedule.meta})
+    return Trajectory(times=times, states=out, kind="pure")
 
 
 # ---------------------------------------------------------------------------
@@ -863,8 +862,7 @@ def evolve_density(rho: np.ndarray, schedule: Schedule,
     min_eig = np.linalg.eigvalsh(0.5 * (final + final.conj().T)).min()
     if min_eig < DENSITY_POSITIVITY_FLOOR:
         raise DynamicsError(f"positivity violation: min eigenvalue {min_eig:.2e}")
-    return Trajectory(times=times, states=out, kind="density",
-                      meta={"tol": tol, **schedule.meta})
+    return Trajectory(times=times, states=out, kind="density")
 
 
 def _is_diagonal_safe(channels) -> bool:

@@ -23,7 +23,7 @@ All dissipation rates are ordinary 1/e rates in 1/s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal, Sequence
 
@@ -170,7 +170,6 @@ class LindbladSpec:
     """
 
     channels: tuple[tuple[np.ndarray, float], ...] = ()
-    label: str = ""
 
     def __post_init__(self):
         for op, rate in self.channels:
@@ -183,8 +182,7 @@ class LindbladSpec:
         return len(self.channels)
 
     def merge(self, other: "LindbladSpec") -> "LindbladSpec":
-        return replace(self, channels=self.channels + other.channels,
-                       label=f"{self.label}+{other.label}")
+        return LindbladSpec(channels=self.channels + other.channels)
 
 
 CALIBRATED_TRANSFER_RATE = 0.5  # 1/s, net population transfer out of each state
@@ -193,39 +191,19 @@ DEFAULT_ASE_FACTOR = 3.0
 _EXCITED_F = (3.5, 4.5, 5.5)
 
 
-def scattering_branching_ratios(fprime_weights: dict[float, float] | None = None) -> np.ndarray:
+@lru_cache(maxsize=1)
+def scattering_branching_ratios() -> np.ndarray:
     """B[m', m]: probability that a photon scattered from m lands in m'.
 
     Excitation is pi-polarized into F' in {7/2, 9/2, 11/2} with
-    Clebsch-Gordan weights (optionally reweighted per F' to model the
-    detuning of each hyperfine line), emission branches over
-    m' in {m-1, m, m+1}.  Columns sum to 1.  The unweighted table is
-    built once, on first use, and shared read-only.
+    Clebsch-Gordan weights, emission branches over m' in {m-1, m, m+1}.
+    Columns sum to 1.  The table is built once, on first use, and
+    shared read-only.
     """
-    if fprime_weights is None:
-        return _default_branching_ratios()
-    return _branching_ratios(fprime_weights)
-
-
-@lru_cache(maxsize=1)
-def _default_branching_ratios() -> np.ndarray:
-    b = _branching_ratios(None)
-    b.flags.writeable = False
-    return b
-
-
-def _branching_ratios(fprime_weights: dict[float, float] | None) -> np.ndarray:
     b = np.zeros((DIM, DIM))
     for i, m in enumerate(M_VALUES):
-        exc = {}
-        for fp in _EXCITED_F:
-            w = clebsch_gordan(F, m, 1, 0, fp, m) ** 2
-            if fprime_weights is not None:
-                w *= fprime_weights.get(fp, 0.0)
-            exc[fp] = w
+        exc = {fp: clebsch_gordan(F, m, 1, 0, fp, m) ** 2 for fp in _EXCITED_F}
         tot = sum(exc.values())
-        if tot <= 0:
-            continue
         for fp, w_exc in exc.items():
             for dm_ph in (-1, 0, 1):
                 mp = m + dm_ph
@@ -233,14 +211,12 @@ def _branching_ratios(fprime_weights: dict[float, float] | None) -> np.ndarray:
                     continue
                 w_em = clebsch_gordan(F, mp, 1, m - mp, fp, m) ** 2
                 b[m_index(mp), i] += (w_exc / tot) * w_em
+    b.flags.writeable = False
     return b
 
 
-def photon_scattering_channels(fields: FieldParams | None = None,
-                               scattering_budget="calibrated",
-                               ase_factor: float = DEFAULT_ASE_FACTOR,
-                               fprime_weights: dict[float, float] | None = None,
-                               rayleigh_override: np.ndarray | None = None) -> LindbladSpec:
+def photon_scattering_channels(scattering_budget="calibrated",
+                               ase_factor: float = DEFAULT_ASE_FACTOR) -> LindbladSpec:
     """Raman + Rayleigh photon-scattering jump channels.
 
     ``scattering_budget`` is the per-state total photon-scattering rate
@@ -250,14 +226,7 @@ def photon_scattering_channels(fields: FieldParams | None = None,
     transfer rate out of each state is 0.5/s after the default ASE
     factor of 3 is applied.  All rates are multiplied by ``ase_factor``.
     """
-    branching = scattering_branching_ratios(fprime_weights)
-    if rayleigh_override is not None:
-        branching = branching.copy()
-        for i in range(DIM):
-            raman = 1.0 - branching[i, i]
-            branching[:, i] *= (1.0 - rayleigh_override[i]) / raman if raman > 0 else 0.0
-            branching[i, i] = rayleigh_override[i]
-
+    branching = scattering_branching_ratios()
     if isinstance(scattering_budget, str):
         if scattering_budget != "calibrated":
             raise ModelError(f"unknown budget {scattering_budget!r}")
@@ -283,13 +252,13 @@ def photon_scattering_channels(fields: FieldParams | None = None,
             op = np.zeros((DIM, DIM), dtype=complex)
             op[ip, i] = 1.0
             channels.append((op, float(rate)))
-    return LindbladSpec(channels=tuple(channels), label="scattering")
+    return LindbladSpec(channels=tuple(channels))
 
 
-def monochromatic_scattering_channels(**kwargs) -> LindbladSpec:
+def monochromatic_scattering_channels() -> LindbladSpec:
     """Spontaneous emission for an ideal monochromatic laser (no ASE pedestal)."""
     return photon_scattering_channels(scattering_budget="calibrated",
-                                      ase_factor=1.0, **kwargs)
+                                      ase_factor=1.0)
 
 
 DEPHASING_TIME_UNIT = 0.210  # s, 1/e time of a |dm| = 1 coherence
@@ -320,8 +289,7 @@ def inhomogeneous_dephasing(tau_unit_s: float = DEPHASING_TIME_UNIT,
         raise ModelError("tau_unit_s must be positive")
     if mode == "quadratic":
         op = np.diag(M_VALUES.astype(complex))
-        return LindbladSpec(channels=((op, 2.0 / tau_unit_s),),
-                            label="dephasing-quadratic")
+        return LindbladSpec(channels=((op, 2.0 / tau_unit_s),))
     if mode != "linear":
         raise ModelError(f"unknown dephasing mode {mode!r}")
 
@@ -352,7 +320,7 @@ def inhomogeneous_dephasing(tau_unit_s: float = DEPHASING_TIME_UNIT,
         for coord, m in zip(np.sqrt(lam) * vec, ms):
             d[m_index(m)] = coord
         channels.append((np.diag(d).astype(complex), 1.0))
-    return LindbladSpec(channels=tuple(channels), label="dephasing-linear")
+    return LindbladSpec(channels=tuple(channels))
 
 
 # ---------------------------------------------------------------------------
@@ -380,21 +348,20 @@ class ControlRegimeReport:
     degenerate_pairs: tuple[tuple[float, float, float], ...]  # (m1, m2, gap)
 
 
-def control_regime_check(b_hz: float, q_hz: float, f: float = F,
-                         tol_hz: float | None = None) -> ControlRegimeReport:
+def control_regime_check(b_hz: float, q_hz: float) -> ControlRegimeReport:
     """Whether all dm = 1 resonances are spectrally distinct: b > |q|(2F-1).
 
     When the condition fails the report lists quasi-degenerate pairs of
-    resonances (|splittings| closer than ``tol_hz``, default |q|/2),
-    which drive uncontrolled population transfer.
+    resonances (|splittings| closer than |q|/2), which drive
+    uncontrolled population transfer.
     """
-    threshold = abs(q_hz) * (2 * f - 1)
+    threshold = abs(q_hz) * (2 * F - 1)
     ok = b_hz > threshold
-    m_lows = np.arange(-f, f)
+    m_lows = np.arange(-F, F)
     res = {float(m): b_hz + q_hz * (2 * m + 1) for m in m_lows}
     degenerate = []
     if not ok:
-        tol = abs(q_hz) / 2 if tol_hz is None else tol_hz
+        tol = abs(q_hz) / 2
         items = list(res.items())
         for i in range(len(items)):
             for j in range(i + 1, len(items)):

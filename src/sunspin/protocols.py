@@ -177,24 +177,24 @@ def _densities(states):
     return states
 
 
-def _stretched(schedule, index, lengths, state, tol, t_eval=()):
+def _stretched(schedule, index, lengths, state, t_eval=()):
     """Density matrices (n + 1 + k, 10, 10) at the n times ``t_eval`` and
     the start of the flat segment ``index`` of ``schedule``, then where it
     has lasted each of the k sorted ``lengths``: one walk up to it, then
     one of it alone, lasting the longest."""
     head = _section(schedule, 0, index)
-    states = dynamics.evolve(head, state, t_eval=[*t_eval, head.duration], tol=tol).states
+    states = dynamics.evolve(head, state, t_eval=[*t_eval, head.duration]).states
     flat = replace(schedule, segments=(replace(schedule.segments[index],
                                                duration=lengths[-1]),))
     return np.concatenate([_densities(states), _densities(
-        dynamics.evolve(flat, states[-1], t_eval=lengths, tol=tol).states)])
+        dynamics.evolve(flat, states[-1], t_eval=lengths).states)])
 
 
-def _phase_sweep(schedule, state, phases, tol):
+def _phase_sweep(schedule, state, phases):
     """Final populations (k, 10) of a phase scan: ``state`` evolved once
     through all but the last segment, conjugated by diag(e^{-i
     phases[s]}) for point s, then mapped once through the last one."""
-    rho = density_matrix(dynamics.evolve(_section(schedule, 0, -1), state, tol=tol).final)
+    rho = density_matrix(dynamics.evolve(_section(schedule, 0, -1), state).final)
     return _shot_populations(_closing_rows(_section(schedule, -1)), rho, phases)
 
 
@@ -248,8 +248,8 @@ def rabi_scan(pair: tuple[float, float], omega_hz: float, fields: FieldParams,
               durations, lindblad: LindbladSpec | None = None,
               cg_weighting: bool = True, detuning_hz: float = 0.0,
               n_shots: int = 0, n_atoms: int = 10_000,
-              detection: DetectionModel | None = None, seed: int = 0,
-              tol: float = dynamics.DEFAULT_RTOL) -> InterferometerResult:
+              detection: DetectionModel | None = None, seed: int = 0
+              ) -> InterferometerResult:
     """Populations of all ten states versus Raman pulse duration (in any
     order, repeats allowed): one pulse sampled at each distinct one."""
     durations = np.asarray(durations, dtype=float)
@@ -263,7 +263,7 @@ def rabi_scan(pair: tuple[float, float], omega_hz: float, fields: FieldParams,
     seg = sq.PulseSegment(duration=float(lengths[-1]), tones=(tone,))
     seq = sq.PulseSequence(segments=(seg,), fields=fields)
     traj = dynamics.evolve(sq.compile(seq, lindblad=lindblad), basis_state(m_low),
-                           t_eval=lengths, tol=tol)
+                           t_eval=lengths)
     pops = traj.populations()[point]
     return InterferometerResult(
         scan_name="duration_s", scan_values=durations, populations=pops,
@@ -284,20 +284,18 @@ PhaseNoise = Literal["none", "average", "sample"]
 
 def _ramsey_sequence(pair, t_dark, fields, omega_hz, tls_mode, detuning_hz,
                      cg_weighting):
-    p_open = sq.pulse(pair, omega_hz, fields, np.pi / 2,
-                      detuning_hz=detuning_hz, cg_weighting=cg_weighting,
-                      warn_regime=False, label="open")
-    p_close = replace(p_open, label="close")
+    half_pi = sq.pulse(pair, omega_hz, np.pi / 2, detuning_hz=detuning_hz,
+                       cg_weighting=cg_weighting)
     if tls_mode == "on":
-        segs = (p_open, sq.dark_time(t_dark), p_close)
+        segs = (half_pi, sq.dark_time(t_dark), half_pi)
     elif tls_mode == "adiabatic-off":
         hold = t_dark - 2 * TLS_RAMP_S
         if hold <= 0:
             raise ProtocolError(
                 f"adiabatic-off needs T > {2 * TLS_RAMP_S} s, got {t_dark}")
-        segs = (p_open, sq.tls_ramp(TLS_RAMP_S, 1.0, 0.0),
+        segs = (half_pi, sq.tls_ramp(TLS_RAMP_S, 1.0, 0.0),
                 sq.dark_time(hold, tls_multiplier=0.0),
-                sq.tls_ramp(TLS_RAMP_S, 0.0, 1.0), p_close)
+                sq.tls_ramp(TLS_RAMP_S, 0.0, 1.0), half_pi)
     else:
         raise ProtocolError(f"tls_mode must be one of {get_args(TlsMode)}")
     return sq.PulseSequence(segments=segs, fields=fields)
@@ -309,8 +307,8 @@ def ramsey(pair: tuple[float, float], t_values, fields: FieldParams,
            noise: NoiseSpec | None = None, detuning_hz: float = 0.0,
            cg_weighting: bool = True, phase_noise: PhaseNoise = "none",
            n_shots: int = 0, n_atoms: int = 10_000,
-           detection: DetectionModel | None = None, seed: int = 0,
-           tol: float = dynamics.DEFAULT_RTOL) -> InterferometerResult:
+           detection: DetectionModel | None = None, seed: int = 0
+           ) -> InterferometerResult:
     """Ramsey fringe versus dark time T on one isolated pair.
 
     ``phase_noise``: 'none' for the bare expectation, 'sample' to draw
@@ -348,7 +346,7 @@ def ramsey(pair: tuple[float, float], t_values, fields: FieldParams,
     # T lengthens the dark time, or the hold between the two TLS ramps
     lengths, point = np.unique(t_values if tls_on else t_values - 2 * TLS_RAMP_S,
                                return_inverse=True)
-    rho_pre = _stretched(schedule, 1 if tls_on else 2, lengths, basis_state(m_low), tol)[1:]
+    rho_pre = _stretched(schedule, 1 if tls_on else 2, lengths, basis_state(m_low))[1:]
     if not tls_on:
         ramp_up = dynamics.pullback(_section(schedule, 3, 4), _VEC_UNIT)
         rho_pre = (rho_pre.reshape(len(lengths), -1) @ ramp_up.T).reshape(rho_pre.shape)
@@ -394,21 +392,16 @@ def _dual_ramsey_sequence(t_open, fields, omega_hz, delta_shared_hz, gap_s,
                           cg_weighting=True):
     """Nine-segment schedule (five pulses); both interferometers open for
     exactly t_open."""
-    p_split = sq.pulse(SPLIT_PAIR, omega_hz, fields, np.pi / 2,
-                       cg_weighting=cg_weighting, warn_regime=False, label="split")
-    p_open1 = sq.pulse(IF1_PAIR, omega_hz, fields, np.pi / 2,
-                       cg_weighting=cg_weighting, warn_regime=False, label="open1")
-    p_open2 = sq.pulse(IF2_PAIR, omega_hz, fields, np.pi / 2,
-                       cg_weighting=cg_weighting, warn_regime=False, label="open2")
-    p_close1 = replace(p_open1, label="close1")
-    p_close2 = replace(p_open2, label="close2")
+    p_split = sq.pulse(SPLIT_PAIR, omega_hz, np.pi / 2, cg_weighting=cg_weighting)
+    p_open1 = sq.pulse(IF1_PAIR, omega_hz, np.pi / 2, cg_weighting=cg_weighting)
+    p_open2 = sq.pulse(IF2_PAIR, omega_hz, np.pi / 2, cg_weighting=cg_weighting)
     d3 = p_open2.duration
     shared = t_open - gap_s - d3
     if shared <= 0:
         raise ProtocolError(
             f"open time {t_open} shorter than the interleaved pulse span "
             f"{gap_s + d3}")
-    tail = gap_s + d3 - p_close1.duration
+    tail = gap_s + d3 - p_open1.duration
     if tail <= 0:
         raise ProtocolError("closing pulses overlap; increase the gap")
     segs = (p_split,
@@ -416,10 +409,10 @@ def _dual_ramsey_sequence(t_open, fields, omega_hz, delta_shared_hz, gap_s,
             p_open1,
             sq.dark_time(gap_s),      # if1 open; LO still at if1 resonance
             p_open2,
-            sq.dark_time(shared, lo_freq_hz=delta_shared_hz, label="shared"),
-            p_close1,
+            sq.dark_time(shared, lo_freq_hz=delta_shared_hz),
+            p_open1,                  # closes if1
             sq.dark_time(tail),       # if2 still open
-            p_close2)
+            p_open2)                  # closes if2
     return sq.PulseSequence(segments=segs, fields=fields)
 
 
@@ -428,8 +421,8 @@ def parallel_ramsey(t_values, fields: FieldParams, omega_hz: float = 77.0,
                     delta_shared_hz: float = 1.0, gap_s: float = 1e-4,
                     cg_weighting: bool = True, track_phases: bool = False,
                     n_shots: int = 0, n_atoms: int = 10_000,
-                    detection: DetectionModel | None = None, seed: int = 0,
-                    tol: float = dynamics.DEFAULT_RTOL) -> InterferometerResult:
+                    detection: DetectionModel | None = None, seed: int = 0
+                    ) -> InterferometerResult:
     """Two Ramsey interferometers run in parallel on independent pairs.
 
     Pulse order: split on (-7/2,-5/2), open (-5/2,-3/2), open
@@ -460,7 +453,7 @@ def parallel_ramsey(t_values, fields: FieldParams, omega_hz: float = 77.0,
                                 delta_shared_hz, gap_s, cg_weighting)
     schedule = sq.compile(seq, lindblad=lindblad)
     durations = np.array([s.duration for s in seq.segments])
-    lo = np.array(schedule.meta["lo_hz"])
+    lo = np.array(schedule.lo_hz)
     nus = [pair_splitting_hz(fields, pair[0]) for pair in (IF1_PAIR, IF2_PAIR)]
     (i1, j1), (i2, j2) = ((m_index(a), m_index(b)) for a, b in (IF1_PAIR, IF2_PAIR))
 
@@ -479,7 +472,7 @@ def parallel_ramsey(t_values, fields: FieldParams, omega_hz: float = 77.0,
     # sampled where each interferometer opens (if2 opens where the shared
     # dark time starts), then at the end of the shared dark time for every T
     lengths, point = np.unique(durations[:, SHARED], return_inverse=True)
-    states = _stretched(schedule, SHARED, lengths, basis_state(M_UP), tol,
+    states = _stretched(schedule, SHARED, lengths, basis_state(M_UP),
                         t_eval=[schedule.starts[WINDOWS[0][0]]])
     opened = np.array([states[0, i1, j1], states[1, i2, j2]])
     rho = states[2:][point].reshape(len(t_values), -1)
@@ -562,19 +555,15 @@ def _ancilla_sequence(phi, fields, omega_hz, window_s, gap_s, prepare,
     qubit_lo = -pair_splitting_hz(fields, QUBIT_PAIR[0]) - delta_phi_hz
     segs = []
     if prepare:
-        segs.append(sq.pulse(QUBIT_PAIR, omega_hz, fields, np.pi / 2,
-                             cg_weighting=cg_weighting, warn_regime=False,
-                             label="prepare"))
+        segs.append(sq.pulse(QUBIT_PAIR, omega_hz, np.pi / 2,
+                             cg_weighting=cg_weighting))
         segs.append(sq.dark_time(gap_s))
     segs += [
-        sq.pulse(MAP_A_PAIR, omega_hz, fields, np.pi / 2,
-                 cg_weighting=cg_weighting, warn_regime=False, label="map-a"),
+        sq.pulse(MAP_A_PAIR, omega_hz, np.pi / 2, cg_weighting=cg_weighting),
         sq.dark_time(gap_s),
-        sq.pulse(MAP_B_PAIR, omega_hz, fields, np.pi / 2,
-                 cg_weighting=cg_weighting, warn_regime=False, label="map-b"),
-        sq.dark_time(window_s, lo_freq_hz=qubit_lo, label="phase-window"),
-        sq.pulse(QUBIT_PAIR, omega_hz, fields, np.pi / 2,
-                 cg_weighting=cg_weighting, warn_regime=False, label="final"),
+        sq.pulse(MAP_B_PAIR, omega_hz, np.pi / 2, cg_weighting=cg_weighting),
+        sq.dark_time(window_s, lo_freq_hz=qubit_lo),
+        sq.pulse(QUBIT_PAIR, omega_hz, np.pi / 2, cg_weighting=cg_weighting),
     ]
     return sq.PulseSequence(segments=tuple(segs), fields=fields)
 
@@ -587,8 +576,8 @@ def ancilla_measurement(phi_values, fields: FieldParams, omega_hz: float = 76.0,
                         b_correction_hz: float = 0.0,
                         cg_weighting: bool = True, n_shots: int = 0,
                         n_atoms: int = 10_000,
-                        detection: DetectionModel | None = None, seed: int = 0,
-                        tol: float = dynamics.DEFAULT_RTOL) -> InterferometerResult:
+                        detection: DetectionModel | None = None, seed: int = 0
+                        ) -> InterferometerResult:
     """Map qubit amplitudes onto ancillas, rotate, and read all four states.
 
     The control phase phi is set by the Raman detuning during a fixed
@@ -614,8 +603,7 @@ def ancilla_measurement(phi_values, fields: FieldParams, omega_hz: float = 76.0,
                                             cg_weighting), lindblad=lindblad)
     # phi detunes the LO by phi / (2 pi window_s) over the phase window:
     # a diagonal phase -phi m on the levels before the final pulse
-    pops = _phase_sweep(schedule, psi0, -phi_values[:, None] * M_VALUES,
-                        tol).clip(0.0, 1.0)
+    pops = _phase_sweep(schedule, psi0, -phi_values[:, None] * M_VALUES).clip(0.0, 1.0)
     return InterferometerResult(
         scan_name="control_phase_rad", scan_values=phi_values,
         populations=pops,
@@ -629,18 +617,21 @@ def ancilla_measurement(phi_values, fields: FieldParams, omega_hz: float = 76.0,
 # leakage scan (collective-observable error versus energy-scale separation)
 # ---------------------------------------------------------------------------
 
+# leakage_scan's inter-pulse gaps, in Rabi periods
+LEAKAGE_GAP_CYCLES = 0.01
+
+
 def leakage_scan(ratio_values, include_scattering: bool = False,
                  fields: FieldParams = FieldParams(b_hz=960.0, q_hz=-330.0),
                  n_phi: int = 24, n_atoms: int = 10_000,
-                 gap_cycles: float = 0.01, cg_weighting: bool = True,
-                 tol: float = dynamics.DEFAULT_RTOL) -> list[dict]:
+                 cg_weighting: bool = True) -> list[dict]:
     """<O_z>/N_at statistics over a full control-phase period.
 
     For each energy-scale separation ratio 2|q|/(hbar Omega) the Rabi
     frequency is Omega = 2|q|/ratio (ordinary-frequency form of the
     ratio), square envelopes, the input is the coherent qubit state with
     <s_z> = 0, and the control phase is applied as an instantaneous LO
-    phase step.  Inter-pulse gaps are ``gap_cycles`` Rabi periods, so
+    phase step.  Inter-pulse gaps are ``LEAKAGE_GAP_CYCLES`` Rabi periods, so
     every time in the sequence scales as 1/Omega and the result depends
     only on the ratio when scattering is off.
     """
@@ -650,23 +641,20 @@ def leakage_scan(ratio_values, include_scattering: bool = False,
     rows = []
     for ratio in np.asarray(ratio_values, dtype=float):
         omega = 2.0 * abs(fields.q_hz) / ratio
-        gap_s = gap_cycles / omega
+        gap_s = LEAKAGE_GAP_CYCLES / omega
         segs = (
-            sq.pulse(MAP_A_PAIR, omega, fields, np.pi / 2,
-                     cg_weighting=cg_weighting, warn_regime=False),
+            sq.pulse(MAP_A_PAIR, omega, np.pi / 2, cg_weighting=cg_weighting),
             sq.dark_time(gap_s),
-            sq.pulse(MAP_B_PAIR, omega, fields, np.pi / 2,
-                     cg_weighting=cg_weighting, warn_regime=False),
+            sq.pulse(MAP_B_PAIR, omega, np.pi / 2, cg_weighting=cg_weighting),
             sq.dark_time(gap_s),
-            sq.pulse(QUBIT_PAIR, omega, fields, np.pi / 2,
-                     cg_weighting=cg_weighting, warn_regime=False),
+            sq.pulse(QUBIT_PAIR, omega, np.pi / 2, cg_weighting=cg_weighting),
         )
         schedule = sq.compile(sq.PulseSequence(segments=segs, fields=fields),
                               lindblad=lindblad)
         # the final pulse at tone phase phi is the one at phase 0
         # conjugated by diag(e^{i phi m}): a diagonal phase +phi m on the
         # levels before it
-        p = _phase_sweep(schedule, psi0, phis[:, None] * M_VALUES, tol)
+        p = _phase_sweep(schedule, psi0, phis[:, None] * M_VALUES)
         values = p[:, m_index(M_ANCILLA_A)] - p[:, m_index(M_ANCILLA_B)]
         rows.append({"ratio": float(ratio), "omega_hz": omega,
                      "max": float(values.max()), "min": float(values.min()),

@@ -28,6 +28,8 @@ M_ANCILLA_A = -1.5
 M_ANCILLA_B = -4.5
 
 DEFAULT_EFFICIENCIES = {-3.5: 0.65, -2.5: 0.70, -1.5: 0.51}
+# The states one shot can detect, unless in all-states mode.
+MEASURABLE = (M_DOWN, M_ANCILLA_A)
 # How far a row of populations may sum from 1 before sampling rejects
 # it: evolution and map rounding, well above float64 sums of ten terms.
 POPULATION_SUM_TOL = 1e-6
@@ -44,7 +46,6 @@ class DetectionModel:
     """Per-state efficiencies and the two-states-per-shot constraint."""
 
     eta: dict[float, float] = field(default_factory=lambda: dict(DEFAULT_EFFICIENCIES))
-    measurable_pairs: tuple[tuple[float, float], ...] = ((M_DOWN, M_ANCILLA_A),)
     all_states_mode: bool = False
 
     def __post_init__(self):
@@ -63,9 +64,7 @@ class DetectionModel:
         if self.all_states_mode:
             return np.ones(DIM, dtype=bool)
         mask = np.zeros(DIM, dtype=bool)
-        for pair in self.measurable_pairs:
-            for m in pair:
-                mask[m_index(m)] = True
+        mask[[m_index(m) for m in MEASURABLE]] = True
         return mask
 
     @classmethod

@@ -18,14 +18,13 @@ Units: durations s, frequencies Hz (ordinary), phases rad.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import dynamics
-from .model import FieldParams, LindbladSpec, RamanTone, control_regime_check
-from .spin_core import F, M_VALUES
+from .model import FieldParams, LindbladSpec, RamanTone
+from .spin_core import M_VALUES
 
 ENVELOPES = tuple(dynamics.ENVELOPES)
 
@@ -52,7 +51,6 @@ class PulseSegment:
     tls_end: float = 1.0
     lo_freq_hz: float | None = None
     lo_phase_step: float = 0.0
-    label: str = ""
 
     def __post_init__(self):
         if not self.duration > 0:
@@ -88,12 +86,15 @@ class PulseSequence:
             raise SequenceError("sequence must contain at least one segment")
 
 
-def pulse(pair: tuple[float, float], omega_hz: float, fields: FieldParams,
-          area: float, envelope: str = "square", detuning_hz: float = 0.0,
+def pulse(pair: tuple[float, float], omega_hz: float, area: float,
+          envelope: str = "square", detuning_hz: float = 0.0,
           phase: float = 0.0, cg_weighting: bool = True,
-          tls_multiplier: float = 1.0, label: str = "", warn_regime: bool = True
-          ) -> PulseSegment:
-    """Resonant pulse of the requested area (rad) on a pair."""
+          tls_multiplier: float = 1.0) -> PulseSegment:
+    """Resonant pulse of the requested area (rad) on a pair.
+
+    :func:`sunspin.model.control_regime_check` tells whether the fields
+    leave the pair's resonance spectrally distinct from its neighbours'.
+    """
     if omega_hz <= 0:
         raise SequenceError("omega_hz must be positive")
     m_low, m_high = min(pair), max(pair)
@@ -102,34 +103,22 @@ def pulse(pair: tuple[float, float], omega_hz: float, fields: FieldParams,
                      cg_weighting=cg_weighting)
     seg = PulseSegment(duration=(area / (2 * np.pi)) / omega_hz / 1.0,
                        tones=(tone,), envelope=envelope,
-                       tls_start=tls_multiplier, tls_end=tls_multiplier,
-                       label=label or f"area{area:.3f}")
+                       tls_start=tls_multiplier, tls_end=tls_multiplier)
     if envelope != "square":
         seg = replace(seg, duration=seg.duration / seg.area_fraction())
-    if warn_regime:
-        report = control_regime_check(fields.b_hz, fields.q_hz, F)
-        if not report.controllable:
-            flagged = {m for p in report.degenerate_pairs for m in p[:2]}
-            if m_low in flagged:
-                warnings.warn(
-                    f"pair ({m_low}, {m_high}) sits in a quasi-degenerate "
-                    "resonance region; population transfer may be uncontrolled",
-                    stacklevel=2)
     return seg
 
 
 def dark_time(duration: float, lo_freq_hz: float | None = None,
-              tls_multiplier: float = 1.0, lo_phase_step: float = 0.0,
-              label: str = "dark") -> PulseSegment:
+              tls_multiplier: float = 1.0, lo_phase_step: float = 0.0) -> PulseSegment:
     return PulseSegment(duration=duration, tones=(), lo_freq_hz=lo_freq_hz,
                         tls_start=tls_multiplier, tls_end=tls_multiplier,
-                        lo_phase_step=lo_phase_step, label=label)
+                        lo_phase_step=lo_phase_step)
 
 
-def tls_ramp(duration: float, start: float, end: float,
-             label: str = "tls-ramp") -> PulseSegment:
+def tls_ramp(duration: float, start: float, end: float) -> PulseSegment:
     return PulseSegment(duration=duration, tones=(), tls_start=start,
-                        tls_end=end, label=label)
+                        tls_end=end)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +157,7 @@ def compile(sequence: PulseSequence, lindblad: LindbladSpec | None = None,
     d_ref = 1
     phase_register = 0.0
     lo_cycles = 0.0  # accumulated LO phase per unit m (cycles)
-    lo_hz = []  # LO frequency per segment, for phase bookkeeping by protocols
+    lo_hz = []  # LO frequency per segment
 
     for seg in sequence.segments:
         phase_register += seg.lo_phase_step
@@ -197,10 +186,9 @@ def compile(sequence: PulseSequence, lindblad: LindbladSpec | None = None,
             diag_end=fields.level_shifts(seg.tls_end) + frame_rate * M_VALUES,
             tones=tuple(tone_terms), envelope=seg.envelope,
             envelope_param=seg.envelope_param, lab=lab, channels=channels,
-            mult_start=seg.tls_start, mult_end=seg.tls_end, label=seg.label,
+            mult_start=seg.tls_start, mult_end=seg.tls_end,
             known_channel_set=channel_set))
         lo_cycles += f_lo / d_ref * seg.duration
 
-    return dynamics.Schedule(tuple(segments),
-                             meta={"frame": frame, "lo_hz": tuple(lo_hz)},
-                             density=lindblad is not None)
+    return dynamics.Schedule(tuple(segments), density=lindblad is not None,
+                             lo_hz=tuple(lo_hz))

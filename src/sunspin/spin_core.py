@@ -208,14 +208,18 @@ def _majorana_coefficients(state: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def majorana_roots(state: np.ndarray, cluster_tol: float = 1e-8) -> MajoranaRoots:
+# Distance on the unit sphere below which majorana_roots merges roots.
+ROOT_CLUSTER_TOL = 1e-8
+
+
+def majorana_roots(state: np.ndarray) -> MajoranaRoots:
     """Majorana stellar representation of a pure state.
 
     Roots of the Majorana polynomial mapped to the sphere through
     z = tan(theta/2) e^{i phi}; missing leading degrees (roots at
-    infinity) map to the south pole.  Roots closer than ``cluster_tol``
-    are snapped to their cluster centroid so that degenerate roots are
-    repeated with multiplicity.
+    infinity) map to the south pole.  Roots closer than
+    ``ROOT_CLUSTER_TOL`` are snapped to their cluster centroid so that
+    degenerate roots are repeated with multiplicity.
     """
     psi = normalize(np.asarray(state, dtype=complex))
     coeffs = _majorana_coefficients(psi)
@@ -233,8 +237,8 @@ def majorana_roots(state: np.ndarray, cluster_tol: float = 1e-8) -> MajoranaRoot
     phi = np.angle(z)
     theta = np.concatenate([theta, np.full(n_inf, np.pi)])
     phi = np.concatenate([phi, np.zeros(n_inf)])
-    if cluster_tol > 0 and len(theta) > 1:
-        theta, phi = _cluster_sphere_points(theta, phi, cluster_tol)
+    if len(theta) > 1:
+        theta, phi = _cluster_sphere_points(theta, phi, ROOT_CLUSTER_TOL)
     order = np.lexsort((phi, theta))
     return MajoranaRoots(theta=theta[order], phi=phi[order])
 

@@ -143,18 +143,17 @@ class RotationPlan:
                               [r.angle for r in rotations])
 
 
-def generator_set(dm_values=(1, 2)) -> list[tuple[float, float]]:
+def generator_set() -> list[tuple[float, float]]:
     """Available x-type pair generators: 2N - 3 = 17 for dm in {1, 2}."""
     pairs = []
-    for dm in dm_values:
+    for dm in (1, 2):
         pairs.extend((float(m), float(m + dm)) for m in M_VALUES[:DIM - dm])
     return pairs
 
 
-def haar_unitary(dim: int = DIM, rng: np.random.Generator | None = None
-                 ) -> np.ndarray:
+def haar_unitary(rng: np.random.Generator | None = None) -> np.ndarray:
     rng = rng or np.random.default_rng()
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    z = rng.normal(size=(DIM, DIM)) + 1j * rng.normal(size=(DIM, DIM))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
@@ -287,7 +286,7 @@ def decompose(target: np.ndarray, tolerance: float = RECONSTRUCTION_TOL
 # ---------------------------------------------------------------------------
 
 def plan_to_sequence(plan: RotationPlan, fields: FieldParams, omega_hz: float,
-                     gap_s: float = 0.0, cg_weighting: bool = True
+                     cg_weighting: bool = True
                      ) -> tuple[sq.PulseSequence, np.ndarray]:
     """Lower a plan to resonant pulses with phase bookkeeping.
 
@@ -319,18 +318,14 @@ def plan_to_sequence(plan: RotationPlan, fields: FieldParams, omega_hz: float,
         if angle <= ANGLE_DROP:
             continue
         drive_phase = axis_phase - (level_phase[j] - level_phase[i])
-        seg = sq.pulse((r.m_low, r.m_high), omega_hz, fields, area=angle,
-                       phase=drive_phase, cg_weighting=cg_weighting,
-                       warn_regime=False)
+        seg = sq.pulse((r.m_low, r.m_high), omega_hz, area=angle,
+                       phase=drive_phase, cg_weighting=cg_weighting)
         segments.append(seg)
         # free in-frame phases accumulated during this pulse
         tone = seg.tones[0]
         f_lo = tone.lo_freq_hz(fields)
         diag = fields.level_shifts() + f_lo * M_VALUES
         level_phase += TWO_PI * diag * seg.duration
-        if gap_s > 0:
-            segments.append(sq.dark_time(gap_s))
-            level_phase += TWO_PI * diag * gap_s
     if not segments:
         segments = [sq.dark_time(EMPTY_PLAN_DARK_S)]
     return sq.PulseSequence(segments=tuple(segments), fields=fields), level_phase

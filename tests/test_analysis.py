@@ -59,6 +59,35 @@ class TestSine:
                           frequency_hint=1.3)
         assert np.all(np.isfinite(list(fit.params.values())))
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_same_fit_as_the_sine_model_written_out(self, seed):
+        # fit_sine runs the damped model at decay rate 0; the pure sine's
+        # own residual and Jacobian from the same start give the same bits
+        t, y, err = _noisy_damped_sine(seed=seed)
+        errors = err if seed % 2 else None
+        fit = an.fit_sine(t, y, errors=errors)
+        ts, ys, w = an._fit_inputs(t, y, errors)
+        a0, f0, phi0, _, c0 = an._best_start(ts, ys, w, an._frequency_candidates(ts, ys),
+                                             [0.0])
+        p, cov, rms, _, n_iter = an._lm(_sine_rj(ts, ys, w), [a0, f0, phi0, c0])
+        an._canonicalize_sine(p)
+        if errors is None:
+            cov = cov * rms**2 * len(ts) / (len(ts) - 4)
+        assert list(fit.params.values()) == p.tolist()
+        assert fit.cov.tobytes() == cov.tobytes()
+        assert fit.n_iter == n_iter
+
+
+def _sine_rj(t, y, w):
+    """Weighted residual and (n, 4) Jacobian of A sin(2 pi f t + phi) + c."""
+    def rj(p):
+        a, f, phi, c = p
+        arg = an.TWO_PI * f * t + phi
+        s, cs = np.sin(arg), np.cos(arg)
+        jac = np.column_stack([s, a * cs * an.TWO_PI * t, a * cs, np.ones_like(t)])
+        return (a * s + c - y) * w, jac * w[:, None]
+    return rj
+
 
 def _loop_start(t, y, w, f_cands, g_cands):
     """The start grid solved one point at a time by ``np.linalg.lstsq``:
@@ -159,10 +188,12 @@ def _noisy_damped_sine(n=60, seed=5):
 
 
 FITS = {"damped": an.fit_damped_sine, "sine": an.fit_sine}
+# fits whose inputs _fit_inputs checks and sorts; y errors third
+CHECKED_FITS = {**FITS, "phase_diffusion": an.fit_phase_diffusion}
 
 
 class TestFitInputs:
-    @pytest.mark.parametrize("fit", sorted(FITS))
+    @pytest.mark.parametrize("fit", sorted(CHECKED_FITS))
     @pytest.mark.parametrize("bad", ["nan value", "inf value", "nan time",
                                      "zero error", "negative error",
                                      "nan error", "inf error"])
@@ -172,7 +203,7 @@ class TestFitInputs:
                                        "negative": -0.02}[bad.split()[0]]
         {"value": y, "time": t, "error": err}[where][7] = what
         with pytest.raises(an.AnalysisError, match="finite|positive"):
-            FITS[fit](t, y, errors=err)
+            CHECKED_FITS[fit](t, y, err)
         # rejected before LAPACK sees it: nothing printed
         assert capfd.readouterr() == ("", "")
 
@@ -209,16 +240,16 @@ class TestOdrInputs:
 
 
 class TestSampleOrder:
-    @pytest.mark.parametrize("fit", sorted(FITS))
+    @pytest.mark.parametrize("fit", sorted(CHECKED_FITS))
     @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
     def test_any_order_fits_bit_identically(self, fit, weighted):
         t, y, err = _noisy_damped_sine()
         errors = err if weighted else None
-        ref = FITS[fit](t, y, errors=errors)
+        ref = CHECKED_FITS[fit](t, y, errors)
         rng = np.random.default_rng(9)
         for order in (np.arange(len(t))[::-1], rng.permutation(len(t))):
-            got = FITS[fit](t[order], y[order],
-                            errors=err[order] if weighted else None)
+            got = CHECKED_FITS[fit](t[order], y[order],
+                                    err[order] if weighted else None)
             assert got.params == ref.params
             assert got.cov.tobytes() == ref.cov.tobytes()
             assert got.n_iter == ref.n_iter
@@ -454,6 +485,10 @@ class TestPhaseDiffusion:
         fit = an.fit_phase_diffusion(t, var_meas, variance_errors=errs)
         sqrt_d_ms = np.sqrt(fit["diffusion_rad2_per_s"] / 1000)
         assert sqrt_d_ms == pytest.approx(0.14, abs=0.01)
+
+    def test_values_and_times_of_one_length(self):
+        with pytest.raises(an.AnalysisError, match="one length"):
+            an.fit_phase_diffusion(np.linspace(0.005, 0.1, 8), np.full(7, 0.04))
 
 
 def qb_forward_phases(q_hz, b_hz, t_open, mean_delta1_hz, mean_delta2_hz):

@@ -560,6 +560,23 @@ class TestSubcommands:
         assert "errors must be positive and finite" in err
         assert "DLASCL" not in out + err
 
+    @pytest.mark.parametrize("column, bad, message", [
+        (1, np.nan, "times and values must be finite"),
+        (2, 0.0, "errors must be positive and finite")], ids=["nan value", "zero error"])
+    def test_phase_diffusion_bad_input_exits_as_sine_does(self, tmp_path, capfd,
+                                                          column, bad, message):
+        # checked as the sine fits check: AnalysisError, exit 3, before
+        # LAPACK, rather than NaN parameters (exit 0) or a LinAlgError
+        rows = np.column_stack([[0.01, 0.02, 0.05, 0.1], [0.2, 0.4, 1.0, 2.0],
+                                np.full(4, 0.05)])
+        rows[2, column] = bad
+        path = tmp_path / "var.csv"
+        np.savetxt(path, rows, delimiter=",", header="t,v,e", comments="")
+        for model_name in ("phase-diffusion", "sine"):
+            assert run_cli(["fit", model_name, path, "--errors-column", "2"]) == 3
+            out, err = capfd.readouterr()
+            assert (out, err) == ("", f"simulation error: AnalysisError: {message}\n")
+
     def test_decompose_subcommand(self, tmp_path, capsys):
         assert run_cli(["decompose", "--n", "4",
                         "--out", tmp_path / "o"]) == 0

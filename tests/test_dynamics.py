@@ -183,11 +183,10 @@ def _mixed_sequence():
     """
     fields = model.FieldParams(b_hz=96.0, q_hz=-32.0)
     pair = (-2.5, -1.5)
-    segs = (sq.pulse(pair, 400.0, fields, np.pi / 2, warn_regime=False),
+    segs = (sq.pulse(pair, 400.0, np.pi / 2),
             sq.dark_time(2e-3),
             sq.tls_ramp(1e-3, 1.0, 0.3),
-            sq.pulse(pair, 400.0, fields, np.pi / 2, envelope="raised_cosine",
-                     warn_regime=False))
+            sq.pulse(pair, 400.0, np.pi / 2, envelope="raised_cosine"))
     return sq.PulseSequence(segments=segs, fields=fields)
 
 
@@ -593,8 +592,7 @@ class TestIntegratorOrder:
         # its end, as a duration summed in another order can land; RK45 took
         # such a sample outside its span and raised
         seq = sq.PulseSequence(segments=(
-            sq.pulse((-2.5, -1.5), 400.0, WEAK_FIELDS, np.pi / 2,
-                     envelope="raised_cosine", warn_regime=False),
+            sq.pulse((-2.5, -1.5), 400.0, np.pi / 2, envelope="raised_cosine"),
             sq.dark_time(1e-4)), fields=WEAK_FIELDS)
         sched = sq.compile(seq)
         t_end = sched.starts[1]
@@ -1030,7 +1028,7 @@ class TestPullbackProperties:
 class TestFrozenSegment:
     def test_segment_arrays_are_read_only_copies(self):
         sched = sq.compile(sq.PulseSequence(
-            segments=(sq.pulse((-2.5, -1.5), 71.0, FIELDS, np.pi / 2),),
+            segments=(sq.pulse((-2.5, -1.5), 71.0, np.pi / 2),),
             fields=FIELDS))
         seg = sched.segments[0]
         (cmat, _, _), = seg.tones
@@ -1173,7 +1171,7 @@ class TestCacheProperties:
         # multiplier 1 and 2^-11 s at 0.5 share the integrated multiplier,
         # and so their decay, but not their level phases
         fields = model.FieldParams(b_hz=96.0, q_hz=0.0)
-        pulse = sq.pulse((-2.5, -1.5), 71.0, fields, np.pi / 2, warn_regime=False)
+        pulse = sq.pulse((-2.5, -1.5), 71.0, np.pi / 2)
         seq = sq.PulseSequence(segments=(
             sq.dark_time(2.0**-12), sq.dark_time(2.0**-11, tls_multiplier=0.5),
             pulse, replace(pulse, tls_start=0.5, tls_end=0.5)), fields=fields)
@@ -1252,9 +1250,8 @@ class TestLabBeatFrame:
         fields = model.FieldParams(b_hz=4000.0, q_hz=0.0)
 
         def half_pi(phase):
-            return sq.pulse((-2.5, -1.5), 100.0, fields, np.pi / 2,
-                            detuning_hz=30.0, phase=phase, cg_weighting=False,
-                            warn_regime=False)
+            return sq.pulse((-2.5, -1.5), 100.0, np.pi / 2,
+                            detuning_hz=30.0, phase=phase, cg_weighting=False)
 
         seq = sq.PulseSequence(segments=(half_pi(0.0), sq.dark_time(3.3e-3),
                                          half_pi(0.4)), fields=fields)

@@ -642,16 +642,14 @@ class TestScanSweep:
 
         def sequence(phi):
             return sq.PulseSequence(segments=(
-                sq.pulse(M_VALUES[prefix_low:prefix_low + 2], 76.0, fields,
-                         np.pi / 2, warn_regime=False),
+                sq.pulse(M_VALUES[prefix_low:prefix_low + 2], 76.0, np.pi / 2),
                 sq.dark_time(1e-4),
-                sq.pulse(M_VALUES[low:low + 2], 76.0, fields, np.pi / 2,
-                         phase=phi, warn_regime=False)), fields=fields)
+                sq.pulse(M_VALUES[low:low + 2], 76.0, np.pi / 2, phase=phi)),
+                fields=fields)
 
         phis = np.array(phis)
         swept = pr._phase_sweep(sq.compile(sequence(0.0), lindblad=spec),
-                                SPREAD_STATE, phis[:, None] * M_VALUES,
-                                dynamics.DEFAULT_RTOL)
+                                SPREAD_STATE, phis[:, None] * M_VALUES)
         per_point = [dynamics.evolve(sq.compile(sequence(phi), lindblad=spec),
                                      SPREAD_STATE).populations()[-1] for phi in phis]
         assert np.max(np.abs(swept - per_point)) < 1e-13
@@ -680,12 +678,11 @@ class TestScanSweep:
         values = []
         for phi in np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False):
             seq = sq.PulseSequence(segments=(
-                sq.pulse(pr.MAP_A_PAIR, omega, fields, np.pi / 2, warn_regime=False),
+                sq.pulse(pr.MAP_A_PAIR, omega, np.pi / 2),
                 sq.dark_time(0.01 / omega),
-                sq.pulse(pr.MAP_B_PAIR, omega, fields, np.pi / 2, warn_regime=False),
+                sq.pulse(pr.MAP_B_PAIR, omega, np.pi / 2),
                 sq.dark_time(0.01 / omega),
-                sq.pulse(pr.QUBIT_PAIR, omega, fields, np.pi / 2, phase=phi,
-                         warn_regime=False)), fields=fields)
+                sq.pulse(pr.QUBIT_PAIR, omega, np.pi / 2, phase=phi)), fields=fields)
             p = dynamics.evolve(
                 sq.compile(seq, lindblad=model.monochromatic_scattering_channels()),
                 ro.coherent_qubit_state()).populations()[-1]
@@ -729,8 +726,7 @@ class TestScanSweep:
         # a pulse and a TLS ramp map the same, bit for bit, at the start
         # of a schedule and after a 3 s dark time
         spec = TIME_LINDBLADS[lindblad]
-        for segment in (sq.pulse((-3.5, -2.5), 93.0, RAMSEY_FIELDS, np.pi / 2,
-                                 detuning_hz=1.0, warn_regime=False),
+        for segment in (sq.pulse((-3.5, -2.5), 93.0, np.pi / 2, detuning_hz=1.0),
                         sq.tls_ramp(pr.TLS_RAMP_S, 1.0, 0.0)):
             at_zero, after_dark = (dynamics.pullback(pr._section(sq.compile(
                 sq.PulseSequence(segments=(*prefix, segment), fields=RAMSEY_FIELDS),

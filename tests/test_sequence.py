@@ -10,16 +10,15 @@ FIELDS = model.FieldParams(b_hz=960.0, q_hz=-320.0)
 
 class TestPulseConstruction:
     def test_pi_half_duration(self):
-        p = sq.pulse((-3.5, -2.5), 93.0, FIELDS, area=np.pi / 2, warn_regime=False)
+        p = sq.pulse((-3.5, -2.5), 93.0, area=np.pi / 2)
         assert p.duration == pytest.approx(0.25 / 93)
 
     def test_pi_duration(self):
-        p = sq.pulse((-2.5, -1.5), 71.0, FIELDS, area=np.pi, warn_regime=False)
+        p = sq.pulse((-2.5, -1.5), 71.0, area=np.pi)
         assert p.duration == pytest.approx(0.5 / 71)
 
     def test_double_pi_returns_population_with_sign_flip(self):
-        p = sq.pulse((-2.5, -1.5), 71.0, FIELDS, area=np.pi, cg_weighting=False,
-                     warn_regime=False)
+        p = sq.pulse((-2.5, -1.5), 71.0, area=np.pi, cg_weighting=False)
         seq = sq.PulseSequence(segments=(p, p), fields=FIELDS)
         sched = sq.compile(seq)
         traj = dynamics.evolve(sched, basis_state(-2.5))
@@ -32,11 +31,9 @@ class TestPulseConstruction:
 
     def test_raised_cosine_area_theorem(self):
         # equal area transfers equal population on resonance
-        sq_pulse = sq.pulse((-2.5, -1.5), 71.0, FIELDS, area=0.8 * np.pi,
-                            cg_weighting=False, warn_regime=False)
-        rc_pulse = sq.pulse((-2.5, -1.5), 71.0, FIELDS, area=0.8 * np.pi,
-                            envelope="raised_cosine", cg_weighting=False,
-                            warn_regime=False)
+        sq_pulse = sq.pulse((-2.5, -1.5), 71.0, area=0.8 * np.pi, cg_weighting=False)
+        rc_pulse = sq.pulse((-2.5, -1.5), 71.0, area=0.8 * np.pi,
+                            envelope="raised_cosine", cg_weighting=False)
         assert rc_pulse.duration == pytest.approx(2 * sq_pulse.duration)
         p_sq = dynamics.evolve(
             sq.compile(sq.PulseSequence(segments=(sq_pulse,), fields=FIELDS)),
@@ -45,10 +42,6 @@ class TestPulseConstruction:
             sq.compile(sq.PulseSequence(segments=(rc_pulse,), fields=FIELDS)),
             basis_state(-2.5), tol=1e-10).populations()[-1][3]
         assert p_rc == pytest.approx(p_sq, abs=1e-6)
-
-    def test_regime_warning(self):
-        with pytest.warns(UserWarning):
-            sq.pulse((1.5, 2.5), 30.0, FIELDS, area=np.pi)
 
     def test_invalid_segment(self):
         with pytest.raises(sq.SequenceError):
@@ -91,7 +84,7 @@ class TestCompile:
                                       model.inhomogeneous_dephasing()])
 
     def test_segment_boundaries_exact(self):
-        p = sq.pulse((-2.5, -1.5), 71.0, FIELDS, area=np.pi / 2, warn_regime=False)
+        p = sq.pulse((-2.5, -1.5), 71.0, area=np.pi / 2)
         d = sq.dark_time(0.004)
         seq = sq.PulseSequence(segments=(p, d, p), fields=FIELDS)
         sched = sq.compile(seq)
@@ -104,18 +97,18 @@ class TestCompile:
         assert np.allclose(np.diag(h_below), np.diag(h_above), atol=1e-6)
 
     def test_total_duration(self):
-        p = sq.pulse((-2.5, -1.5), 71.0, FIELDS, area=np.pi / 2, warn_regime=False)
+        p = sq.pulse((-2.5, -1.5), 71.0, area=np.pi / 2)
         segs = (p, sq.dark_time(0.0123), p, sq.dark_time(0.002))
         sched = sq.compile(sq.PulseSequence(segments=segs, fields=FIELDS))
         assert sched.duration == pytest.approx(sum(s.duration for s in segs))
 
     def test_compile_deterministic(self):
-        p = sq.pulse((-2.5, -1.5), 71.0, FIELDS, area=np.pi / 2, warn_regime=False)
+        p = sq.pulse((-2.5, -1.5), 71.0, area=np.pi / 2)
         seq = sq.PulseSequence(segments=(p, sq.dark_time(0.01), p),
                                fields=FIELDS)
         s1, s2 = sq.compile(seq), sq.compile(seq)
         assert np.array_equal(s1.segments[0].h_const, s2.segments[0].h_const)
-        assert s1.meta["lo_hz"] == s2.meta["lo_hz"]
+        assert s1.lo_hz == s2.lo_hz
 
     def test_adiabatic_ramp_population_invariance(self):
         segs = (sq.tls_ramp(0.002, 1.0, 0.0),
@@ -132,8 +125,7 @@ class TestCompile:
 class TestRun:
     def test_density_engine_accepts_pure_input(self):
         seq = sq.PulseSequence(
-            segments=(sq.pulse((-2.5, -1.5), 71.0, FIELDS, area=np.pi,
-                               cg_weighting=False, warn_regime=False),),
+            segments=(sq.pulse((-2.5, -1.5), 71.0, area=np.pi, cg_weighting=False),),
             fields=FIELDS)
         # an empty spec still selects the density engine
         traj = dynamics.evolve(sq.compile(seq, lindblad=model.LindbladSpec()),
@@ -143,11 +135,10 @@ class TestRun:
     def test_lo_trace_mean(self):
         # the dark time inherits the detuned pulse's LO frequency, so the
         # trace's time average is that frequency
-        p = sq.pulse((-2.5, -1.5), 71.0, FIELDS, np.pi / 2, detuning_hz=5.0,
-                     warn_regime=False)
+        p = sq.pulse((-2.5, -1.5), 71.0, np.pi / 2, detuning_hz=5.0)
         seq = sq.PulseSequence(segments=(p, sq.dark_time(0.01)), fields=FIELDS)
         sched = sq.compile(seq)
         assert sched.duration == pytest.approx(p.duration + 0.01)
-        mean = np.diff(sched.starts) @ sched.meta["lo_hz"] / sched.duration
+        mean = np.diff(sched.starts) @ sched.lo_hz / sched.duration
         f_res = -model.pair_splitting_hz(FIELDS, -2.5) - 5.0
         assert mean == pytest.approx(f_res)
