@@ -165,6 +165,14 @@ def _frequency_candidates(t, y, n=5):
     return cands or [1.0 / (t[-1] - t[0])]
 
 
+def _error_bars(errors, shape) -> np.ndarray:
+    """``errors``, a scalar or of ``shape``, broadcast to ``shape``."""
+    err = np.asarray(errors, dtype=float)
+    if err.ndim and err.shape != shape:
+        raise AnalysisError("errors must be a scalar or one per value")
+    return np.broadcast_to(err, shape)
+
+
 def _fit_inputs(times, values, errors):
     """(t, y, w) sorted by time (a stable sort), w = 1/errors (1 when
     None); non-finite times or values and errors that are not positive
@@ -178,7 +186,7 @@ def _fit_inputs(times, values, errors):
     if errors is None:
         w = np.ones_like(y)
     else:
-        err = np.broadcast_to(np.asarray(errors, dtype=float), y.shape)
+        err = _error_bars(errors, y.shape)
         if not (np.isfinite(err).all() and (err > 0).all()):
             raise AnalysisError("errors must be positive and finite")
         w = 1.0 / err
@@ -303,10 +311,9 @@ def fit_sine_odr(times, values, x_errors, y_errors,
     """
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
-    sx = np.asarray(x_errors, dtype=float)
-    sy = np.asarray(y_errors, dtype=float)
-    if len(np.unique(t)) < 4:
-        raise AnalysisError("degenerate x spacing")
+    if t.ndim != 1 or t.shape != y.shape:
+        raise AnalysisError("times and values must be 1-D and of one length")
+    sx, sy = (_error_bars(e, y.shape) for e in (x_errors, y_errors))
     if not all(np.isfinite(e).all() and (e >= 0).all() for e in (sx, sy)):
         raise AnalysisError("x and y errors must be non-negative and finite")
     # a zero y error counts as 1, as in the ODR data below
@@ -451,7 +458,7 @@ def phase_noise_estimate(times, values, measurement_errors,
     """
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
-    err = np.broadcast_to(np.asarray(measurement_errors, dtype=float), y.shape)
+    err = _error_bars(measurement_errors, y.shape)
     if pulse_area_sigma < 0:
         raise AnalysisError("pulse_area_sigma must be >= 0")
     if not (np.isfinite(err).all() and (err > 0).all()):
@@ -516,6 +523,8 @@ def fit_phase_diffusion(t_values, variance_values, variance_errors=None
     t, v, w = _fit_inputs(t_values, variance_values, variance_errors)
     if len(t) < 3:
         raise AnalysisError("need at least 3 interrogation times")
+    if len(np.unique(t)) < 2:
+        raise AnalysisError("need at least 2 distinct interrogation times")
     basis = np.column_stack([np.ones_like(t), t])
     coef, *_ = np.linalg.lstsq(basis * w[:, None], v * w, rcond=None)
     resid = basis @ coef - v

@@ -387,13 +387,10 @@ class Schedule:
     """Ordered piecewise schedule from time 0: each segment starts where
     the one before it ends.  ``density`` selects the engine of
     :func:`evolve` and :func:`pullback`: density matrices when set,
-    state vectors otherwise.  ``lo_hz`` is the local-oscillator
-    frequency (signed, Hz) of each segment, as
-    :func:`sunspin.sequence.compile` sets it; empty otherwise."""
+    state vectors otherwise."""
 
     segments: tuple[Segment, ...]
     density: bool = False
-    lo_hz: tuple[float, ...] = ()
 
     @functools.cached_property
     def starts(self) -> tuple[float, ...]:
@@ -1013,7 +1010,3 @@ def _through_unitary(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``rows`` @ kron(u, conj u): U^T R conj(U) for each row R read as a
     10x10 matrix."""
     return (u.T @ rows.reshape(-1, DIM, DIM) @ u.conj()).reshape(rows.shape)
-
-
-def unitary_superoperator(u: np.ndarray) -> np.ndarray:
-    return np.kron(u, u.conj())

@@ -453,9 +453,11 @@ def parallel_ramsey(t_values, fields: FieldParams, omega_hz: float = 77.0,
                                 delta_shared_hz, gap_s, cg_weighting)
     schedule = sq.compile(seq, lindblad=lindblad)
     durations = np.array([s.duration for s in seq.segments])
-    lo = np.array(schedule.lo_hz)
     nus = [pair_splitting_hz(fields, pair[0]) for pair in (IF1_PAIR, IF2_PAIR)]
     (i1, j1), (i2, j2) = ((m_index(a), m_index(b)) for a, b in (IF1_PAIR, IF2_PAIR))
+    # in-frame rate (Hz) of each pair per segment, off the compiled diagonals
+    rates = np.array([seg.diag_start[[j1, j2]] - seg.diag_start[[i1, i2]]
+                      for seg in schedule.segments])
 
     rows = dynamics.pullback(_section(schedule, CLOSE1, -1), np.vstack(
         [_closing_rows(_section(schedule, -1)), _VEC_UNIT[i2 * DIM + j2]]))
@@ -465,9 +467,10 @@ def parallel_ramsey(t_values, fields: FieldParams, omega_hz: float = 77.0,
     durations = np.tile(durations, (len(t_values), 1))
     durations[:, SHARED] = t_values - gap_s - durations[:, SHARED - 1]
     spans = np.column_stack([durations[:, a:b].sum(axis=1) for a, b in WINDOWS])
-    mean_deltas = np.column_stack([durations[:, a:b] @ lo[a:b]
-                                   for a, b in WINDOWS]) / spans
-    expected = TWO_PI * (-np.array(nus) - mean_deltas) * spans
+    cycles = np.column_stack([durations[:, a:b] @ rates[a:b, k]
+                              for k, (a, b) in enumerate(WINDOWS)])
+    expected = -TWO_PI * cycles
+    mean_deltas = cycles / spans - nus
 
     # sampled where each interferometer opens (if2 opens where the shared
     # dark time starts), then at the end of the shared dark time for every T

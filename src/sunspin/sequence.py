@@ -157,7 +157,6 @@ def compile(sequence: PulseSequence, lindblad: LindbladSpec | None = None,
     d_ref = 1
     phase_register = 0.0
     lo_cycles = 0.0  # accumulated LO phase per unit m (cycles)
-    lo_hz = []  # LO frequency per segment
 
     for seg in sequence.segments:
         phase_register += seg.lo_phase_step
@@ -167,7 +166,6 @@ def compile(sequence: PulseSequence, lindblad: LindbladSpec | None = None,
             d_ref = seg.tones[0].dm
         elif seg.lo_freq_hz is not None:
             f_lo = seg.lo_freq_hz
-        lo_hz.append(f_lo)
 
         # the lab-beat frame does not rotate: bare level shifts, and tone
         # phases carry the LO phase accumulated before the segment
@@ -190,5 +188,4 @@ def compile(sequence: PulseSequence, lindblad: LindbladSpec | None = None,
             known_channel_set=channel_set))
         lo_cycles += f_lo / d_ref * seg.duration
 
-    return dynamics.Schedule(tuple(segments), density=lindblad is not None,
-                             lo_hz=tuple(lo_hz))
+    return dynamics.Schedule(tuple(segments), density=lindblad is not None)

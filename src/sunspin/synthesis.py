@@ -118,7 +118,6 @@ class RotationPlan:
     """Ordered elementary rotations; the first entry acts first."""
 
     rotations: list[PlanRotation]
-    target: np.ndarray | None = None
     reconstruction_error: float | None = None
 
     def __len__(self):
@@ -278,7 +277,7 @@ def decompose(target: np.ndarray, tolerance: float = RECONSTRUCTION_TOL
     # tuple.__new__ is PlanRotation._make without its length check
     rotations = list(map(tuple.__new__, repeat(PlanRotation), zip(
         [_M[i] for i in lows], [_M[i] for i in highs], axes, angles)))
-    return RotationPlan(rotations=rotations, target=u, reconstruction_error=err)
+    return RotationPlan(rotations=rotations, reconstruction_error=err)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +291,8 @@ def plan_to_sequence(plan: RotationPlan, fields: FieldParams, omega_hz: float,
 
     z rotations are virtual: they (and the free in-frame level phases
     accumulated during earlier pulses) adjust the drive phases of later
-    pulses, exactly like a phase-coherent DDS per transition.  Returns
+    pulses, exactly like a phase-coherent DDS per transition; a pulse's
+    in-frame phases are those of its compiled segment.  Returns
     the sequence and the final per-level frame phases phi_m (rad); the
     lab propagator of the compiled sequence equals
     diag(e^{-i phi_m}) @ plan.unitary() up to off-resonant leakage.
@@ -322,26 +322,24 @@ def plan_to_sequence(plan: RotationPlan, fields: FieldParams, omega_hz: float,
                        phase=drive_phase, cg_weighting=cg_weighting)
         segments.append(seg)
         # free in-frame phases accumulated during this pulse
-        tone = seg.tones[0]
-        f_lo = tone.lo_freq_hz(fields)
-        diag = fields.level_shifts() + f_lo * M_VALUES
-        level_phase += TWO_PI * diag * seg.duration
+        (frame,) = sq.compile(sq.PulseSequence((seg,), fields)).segments
+        level_phase += TWO_PI * frame.diag_start * seg.duration
     if not segments:
         segments = [sq.dark_time(EMPTY_PLAN_DARK_S)]
     return sq.PulseSequence(segments=tuple(segments), fields=fields), level_phase
 
 
-def average_gate_fidelity(s_channel: np.ndarray, u_ideal: np.ndarray,
+def average_gate_fidelity(s_channel: np.ndarray, s_ideal: np.ndarray,
                           active_levels) -> float:
     """Haar-average fidelity over states supported on ``active_levels``.
 
     F = (sum_k |tr_P A_k|^2 + sum_k tr_P(A_k^dag A_k)) / (d (d + 1)),
-    A_k = P U^dag K_k P, evaluated from the channel superoperator
-    (row-major vec convention).
+    A_k = P U^dag K_k P, from the channel's map and the ideal map
+    kron(U, conj U) (row-major vec convention).
     """
     idx = [m_index(m) for m in active_levels]
     d = len(idx)
-    s_eff = dynamics.unitary_superoperator(u_ideal).conj().T @ s_channel
+    s_eff = s_ideal.conj().T @ s_channel
     resh = s_eff.reshape(DIM, DIM, DIM, DIM)  # [out_i, out_j, in_k, in_l]
     tr2 = sum(resh[i, j, i, j].real for i in idx for j in idx)
     trp = sum(resh[i, i, j, j].real for i in idx for j in idx)
@@ -354,8 +352,8 @@ def simulate_plan(plan: RotationPlan, fields: FieldParams,
     """Average gate fidelity of the pulsed realization under dissipation.
 
     The plan is lowered to resonant pulses and simulated with the given
-    channels; the reference is the noiseless propagator of the same
-    schedule, so the reported infidelity isolates dissipation (the
+    channels; the reference is the map of the same schedule without
+    them, so the reported infidelity isolates dissipation (the
     residual off-resonant leakage of the pulses themselves is a separate,
     coherent effect probed by the leakage scan).  Averaging runs over
     input states on the plan's active levels.
@@ -364,7 +362,6 @@ def simulate_plan(plan: RotationPlan, fields: FieldParams,
         levels = sorted({m for r in plan.rotations for m in (r.m_low, r.m_high)})
         active_levels = levels or [-2.5, -1.5]
     seq, _ = plan_to_sequence(plan, fields, omega_hz, cg_weighting=cg_weighting)
-    schedule = sq.compile(seq, lindblad=lindblad)
-    s_sim = dynamics.superoperator(schedule)
-    u_ref = dynamics.propagator(sq.compile(seq, lindblad=None))
-    return average_gate_fidelity(s_sim, u_ref, active_levels)
+    s_sim = dynamics.pullback(sq.compile(seq, lindblad=lindblad), np.eye(DIM * DIM))
+    s_ref = dynamics.pullback(sq.compile(seq), np.eye(DIM * DIM))
+    return average_gate_fidelity(s_sim, s_ref, active_levels)

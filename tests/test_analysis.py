@@ -207,6 +207,13 @@ class TestFitInputs:
         # rejected before LAPACK sees it: nothing printed
         assert capfd.readouterr() == ("", "")
 
+    @pytest.mark.parametrize("fit", sorted(CHECKED_FITS))
+    @pytest.mark.parametrize("n_errors", [1, 3, 61])
+    def test_errors_of_another_length_raise_analysis_error(self, fit, n_errors):
+        t, y, _ = _noisy_damped_sine()
+        with pytest.raises(an.AnalysisError, match="one per value"):
+            CHECKED_FITS[fit](t, y, np.full(n_errors, 0.02))
+
 
 class TestUncertainties:
     def test_unusable_variances_give_nan(self):
@@ -237,6 +244,20 @@ class TestOdrInputs:
                                        "negative": -0.02}[what]
         with pytest.raises(an.AnalysisError, match="non-negative and finite"):
             an.fit_sine_odr(t, y, sx, sy)
+
+    def test_values_and_times_of_one_length(self):
+        t, y, err = _noisy_damped_sine()
+        with pytest.raises(an.AnalysisError, match="one length"):
+            an.fit_sine_odr(t, y[:-1], np.full_like(t, 1e-5), err)
+
+    @pytest.mark.parametrize("where", ["x", "y"])
+    def test_errors_of_another_length_raise_analysis_error(self, where):
+        # ODR would fit with them anyway, to another, unconverged result
+        t, y, err = _noisy_damped_sine()
+        errors = {"x": np.full_like(t, 1e-5), "y": err}
+        errors[where] = errors[where][:3]
+        with pytest.raises(an.AnalysisError, match="one per value"):
+            an.fit_sine_odr(t, y, errors["x"], errors["y"])
 
 
 class TestSampleOrder:
@@ -442,6 +463,12 @@ class TestPhaseNoiseEstimate:
             an.phase_noise_estimate(t, y, errors)
         assert capfd.readouterr() == ("", "")
 
+    def test_errors_of_another_length_rejected(self):
+        t = np.linspace(0, 0.02, 30)
+        y = 0.5 + 0.4 * np.cos(2 * np.pi * 200 * t)
+        with pytest.raises(an.AnalysisError, match="one per value"):
+            an.phase_noise_estimate(t, y, np.full(3, 0.02))
+
     def test_self_consistency_coverage(self):
         # applied to data it generated, the accepted interval covers the
         # truth in at least 90 % of trials
@@ -489,6 +516,13 @@ class TestPhaseDiffusion:
     def test_values_and_times_of_one_length(self):
         with pytest.raises(an.AnalysisError, match="one length"):
             an.fit_phase_diffusion(np.linspace(0.005, 0.1, 8), np.full(7, 0.04))
+
+    def test_one_interrogation_time_rejected(self, capfd):
+        # a line through one time is not determined: rejected before
+        # the normal matrix is inverted
+        with pytest.raises(an.AnalysisError, match="2 distinct interrogation times"):
+            an.fit_phase_diffusion([0.1, 0.1, 0.1], [0.2, 0.3, 0.25])
+        assert capfd.readouterr() == ("", "")
 
 
 def qb_forward_phases(q_hz, b_hz, t_open, mean_delta1_hz, mean_delta2_hz):

@@ -1,7 +1,9 @@
-"""How ``tools/bench_pairs.py`` summarizes paired benchmark runs, on
-canned result lines; no benchmark is run."""
+"""How ``tools/bench_pairs.py`` exports the two sides and summarizes
+paired benchmark runs, on a scratch repository and canned result lines;
+no benchmark is run."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -52,3 +54,38 @@ class TestSummarize:
         (_, rate) = bench_pairs.summarize(before, after, METRICS)
         assert (rate["wins"], rate["gain"]) == (10, True)
         assert "after wins 10 of 10, gain" in bench_pairs.format_row(rate)
+
+
+def _files(tree):
+    return {str(p.relative_to(tree)): p.read_text()
+            for p in tree.rglob("*") if p.is_file()}
+
+
+class TestExport:
+    def test_both_sides_exported_alike(self, tmp_path, monkeypatch):
+        repo = tmp_path / "repo"
+        (repo / "pkg").mkdir(parents=True)
+
+        def git(*args):
+            subprocess.run(["git", "-c", "user.name=bench", "-c", "user.email=bench@example.org",
+                            "-c", "commit.gpgsign=false", *args],
+                           cwd=repo, check=True, capture_output=True)
+
+        git("init", "-q")
+        (repo / ".gitignore").write_text("*.log\n")
+        (repo / "pkg" / "a.py").write_text("A = 1\n")
+        (repo / "gone.py").write_text("G = 1\n")
+        git("add", "-A")
+        git("commit", "-q", "-m", "first")
+        (repo / "pkg" / "a.py").write_text("A = 2\n")  # uncommitted edit
+        (repo / "pkg" / "new.py").write_text("B = 1\n")  # new, not ignored
+        (repo / "run.log").write_text("ignored\n")
+        (repo / "gone.py").unlink()  # deleted, not committed
+
+        monkeypatch.setattr(bench_pairs, "ROOT", repo)
+        bench_pairs.export("HEAD", tmp_path / "before")
+        bench_pairs.export_worktree(tmp_path / "after")
+        assert _files(tmp_path / "before") == {
+            ".gitignore": "*.log\n", "gone.py": "G = 1\n", "pkg/a.py": "A = 1\n"}
+        assert _files(tmp_path / "after") == {
+            ".gitignore": "*.log\n", "pkg/a.py": "A = 2\n", "pkg/new.py": "B = 1\n"}

@@ -836,7 +836,8 @@ class TestChannelFreeProperties:
         assert dynamics._SPECTRA.cache_info().misses == 0
 
         states = dynamics.evolve_pure(psi, pure, t_eval=times).states
-        u_map = dynamics.unitary_superoperator(dynamics.propagator(pure))
+        u = dynamics.propagator(pure)
+        u_map = np.kron(u, u.conj())
         assert np.max(np.abs(rho - np.einsum("ni,nj->nij", states, states.conj()))) <= 1e-13
         assert np.max(np.abs(sup - u_map)) <= 1e-13
         assert np.max(np.abs(pulled - dynamics.pullback(pure, rows))) <= 1e-13
@@ -981,7 +982,8 @@ def _reference_map(sched):
     engine."""
     if sched.density:
         return dynamics.superoperator(sched)
-    return dynamics.unitary_superoperator(dynamics.propagator(sched))
+    u = dynamics.propagator(sched)
+    return np.kron(u, u.conj())
 
 
 def _probe_rows(seed):

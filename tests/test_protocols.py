@@ -189,6 +189,27 @@ class TestParallelRamsey:
         with pytest.raises(pr.ProtocolError):
             pr.parallel_ramsey([0.002], DUAL_FIELDS, omega_hz=77.0)
 
+    def test_expected_phases_follow_the_lo_plan(self):
+        # the LO over each open window, segment by segment: if1 is open
+        # over a dark time at the if1 LO, the if2 opening pulse and the
+        # shared dark time; if2 over the shared dark time, the if1
+        # closing pulse and a dark time at the if1 LO
+        t_vals = np.array([0.004, 0.0065])
+        res = pr.parallel_ramsey(t_vals, DUAL_FIELDS, omega_hz=77.0,
+                                 delta_shared_hz=1.0, gap_s=1e-4)
+        nus = [model.pair_splitting_hz(DUAL_FIELDS, pair[0])
+               for pair in (pr.IF1_PAIR, pr.IF2_PAIR)]
+        for k, t_open in enumerate(t_vals):
+            d = [s.duration for s in _dual_times(t_open)[0].segments]
+            windows = (((d[3], -nus[0]), (d[4], -nus[1]), (d[5], 1.0)),
+                       ((d[5], 1.0), (d[6], -nus[0]), (d[7], -nus[0])))
+            for w, (window, nu) in enumerate(zip(windows, nus)):
+                span = sum(dt for dt, _ in window)
+                mean = sum(dt * lo for dt, lo in window) / span
+                assert res.meta["mean_delta_hz"][k, w] == pytest.approx(mean, rel=1e-12)
+                assert res.meta["expected_phases"][k, w] == pytest.approx(
+                    -2 * np.pi * (nu + mean) * span, rel=1e-12)
+
     def test_ac_stark_cross_shift_matches_estimate(self):
         # phase offset of interferometer 1 versus the bare schedule
         # expectation.  The interleaved pulse addressing interferometer 2

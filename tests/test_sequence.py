@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from sunspin import dynamics, model, sequence as sq
-from sunspin.spin_core import basis_state
+from sunspin.spin_core import basis_state, m_index
 
 FIELDS = model.FieldParams(b_hz=960.0, q_hz=-320.0)
 
@@ -108,7 +108,8 @@ class TestCompile:
                                fields=FIELDS)
         s1, s2 = sq.compile(seq), sq.compile(seq)
         assert np.array_equal(s1.segments[0].h_const, s2.segments[0].h_const)
-        assert s1.lo_hz == s2.lo_hz
+        for a, b in zip(s1.segments, s2.segments):
+            assert np.array_equal(a.diag_start, b.diag_start)
 
     def test_adiabatic_ramp_population_invariance(self):
         segs = (sq.tls_ramp(0.002, 1.0, 0.0),
@@ -134,11 +135,12 @@ class TestRun:
 
     def test_lo_trace_mean(self):
         # the dark time inherits the detuned pulse's LO frequency, so the
-        # trace's time average is that frequency
+        # pair's in-frame rate, averaged over the trace, is minus that
+        # detuning
         p = sq.pulse((-2.5, -1.5), 71.0, np.pi / 2, detuning_hz=5.0)
         seq = sq.PulseSequence(segments=(p, sq.dark_time(0.01)), fields=FIELDS)
         sched = sq.compile(seq)
         assert sched.duration == pytest.approx(p.duration + 0.01)
-        mean = np.diff(sched.starts) @ sched.lo_hz / sched.duration
-        f_res = -model.pair_splitting_hz(FIELDS, -2.5) - 5.0
-        assert mean == pytest.approx(f_res)
+        i, j = m_index(-2.5), m_index(-1.5)
+        rates = [seg.diag_start[j] - seg.diag_start[i] for seg in sched.segments]
+        assert np.diff(sched.starts) @ rates / sched.duration == pytest.approx(-5.0)

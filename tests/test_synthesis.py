@@ -362,6 +362,21 @@ class TestLowering:
         u_pred = np.diag(np.exp(-1j * phases)) @ plan.unitary()
         assert np.max(np.abs(u_lab - u_pred)) < 1e-9
 
+    def test_dm2_pulses_lower_in_their_own_frame(self):
+        # compile rotates a dm = 2 pulse's frame at f_LO / 2 per unit m;
+        # the ledger must take the same level shifts, or the predicted
+        # propagator misses the compiled one by order one
+        fields = model.FieldParams(b_hz=960.0, q_hz=-320.0)
+        plan = sy.RotationPlan(rotations=[
+            sy.PlanRotation(-2.5, -0.5, "x", np.pi / 2),
+            sy.PlanRotation(-1.5, -0.5, "x", np.pi / 2),
+        ])
+        seq_l, phases = sy.plan_to_sequence(plan, fields, 50.0,
+                                            cg_weighting=False)
+        u_lab = dynamics.propagator(sq.compile(seq_l))
+        u_pred = np.diag(np.exp(-1j * phases)) @ plan.unitary()
+        assert np.linalg.norm(u_lab - u_pred, 2) <= 1e-12
+
     @pytest.mark.parametrize("m", [-5.5, 5.0, 4.7])
     def test_z_rotation_on_invalid_level_rejected(self, m):
         # a level outside -9/2..9/2, or not a half-integer, is no level
@@ -397,9 +412,9 @@ class TestSimulatePlan:
     @pytest.mark.parametrize("m", [-5.5, 5.0, 4.7])
     def test_fidelity_rejects_invalid_level(self, m):
         identity = np.eye(DIM * DIM, dtype=complex)
-        assert sy.average_gate_fidelity(identity, np.eye(DIM), [4.5]) == 1.0
+        assert sy.average_gate_fidelity(identity, identity, [4.5]) == 1.0
         with pytest.raises(SpinError):
-            sy.average_gate_fidelity(identity, np.eye(DIM), [m])
+            sy.average_gate_fidelity(identity, identity, [m])
 
     def test_pi_half_fidelity_at_reference_parameters(self):
         lb = model.photon_scattering_channels().merge(

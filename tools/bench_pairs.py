@@ -3,9 +3,12 @@
     python tools/bench_pairs.py --parent REV --workload W --seed N \\
         [--pairs 10] [--trace 0|1] --out PREFIX
 
-The committed files of ``REV`` are exported (``git archive``) into a
-temporary directory, which is removed when the runs end, failed,
-interrupted or terminated; the repository itself is not touched.
+Both sides are exported alike, as sibling directories under one
+temporary directory: the committed files of ``REV`` (``git archive``),
+and the working tree's files (every tracked file as it is on disk,
+uncommitted edits included, and every untracked file that is not
+ignored).  The temporary directory is removed when the runs end, fail,
+are interrupted or terminated; the repository itself is not touched.
 ``perfbench/run.py`` then runs ``--pairs`` times on each side, the
 parent first in odd pairs and the working tree first in even ones, with
 the run length of BENCHMARK.json.  Each side's result lines go to
@@ -25,6 +28,7 @@ import io
 import json
 import os
 import platform
+import shutil
 import signal
 import statistics
 import subprocess
@@ -48,6 +52,19 @@ def export(rev: str, dest: Path) -> str:
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")
     return sha
+
+
+def export_worktree(dest: Path) -> None:
+    """The working tree's files written under ``dest``: every tracked file
+    as it is on disk and every untracked file that is not ignored."""
+    names = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
+                            "--exclude-standard"], cwd=ROOT, check=True,
+                           capture_output=True).stdout.split(b"\0")
+    for name in map(os.fsdecode, filter(None, names)):
+        src = ROOT / name
+        if src.is_file():  # a tracked file deleted from the tree is left out
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest / name)
 
 
 def run_once(tree: Path, args, seconds) -> dict:
@@ -116,8 +133,9 @@ def main(argv=None) -> int:
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     runs = {"before": [], "after": []}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        sha = export(args.parent, Path(tmp))
-        trees = {"before": Path(tmp), "after": ROOT}
+        trees = {side: Path(tmp, side) for side in ("before", "after")}
+        sha = export(args.parent, trees["before"])
+        export_worktree(trees["after"])
         for k in range(args.pairs):
             for side in ("before", "after") if k % 2 == 0 else ("after", "before"):
                 runs[side].append(run_once(trees[side], args, spec["run_seconds"]))
