@@ -28,8 +28,10 @@ STD_GUARD = 1e-12
 # Levenberg-Marquardt: the default step and gradient tolerances; the
 # floor and the ceiling of the damping (past the ceiling no step lowers
 # the cost, and the fit stops unconverged); the guard against a zero
-# divisor.
+# divisor.  The damping starts at LM_DAMPING_START times the largest
+# squared column norm of the first Jacobian (Marquardt's tau).
 LM_TOL = 1e-12
+LM_DAMPING_START = 1e-3
 LM_DAMPING_MIN = 1e-14
 LM_DAMPING_MAX = 1e16
 LM_TINY = 1e-30
@@ -37,6 +39,11 @@ LM_TINY = 1e-30
 # and the least relative distance between two candidates.
 NYQUIST_SLACK = 1e-9
 CANDIDATE_SEPARATION = 0.25
+# The distance test scales with the candidate, taken as at least this
+# (Hz), so that its threshold stays positive at a zero-frequency one.
+CANDIDATE_FLOOR_HZ = 1e-12
+# phase_noise_estimate reports zero contrast below this fitted contrast.
+ZERO_CONTRAST = 1e-9
 # Start grid: a weighted basis whose QR diagonal has an entry this small
 # next to its largest counts as rank-deficient.
 START_RANK_TOL = 1e-8
@@ -78,7 +85,7 @@ def _lm(residual_jac, p0, max_iter=300, xtol=LM_TOL, gtol=LM_TOL):
     p = np.asarray(p0, dtype=float)
     r, jac = residual_jac(p)
     cost = 0.5 * r @ r
-    lam = 1e-3 * max(np.sum(jac**2, axis=0).max(), LM_TINY)
+    lam = LM_DAMPING_START * max(np.sum(jac**2, axis=0).max(), LM_TINY)
     n_iter = 0
     converged = False
     for n_iter in range(1, max_iter + 1):
@@ -158,7 +165,7 @@ def _frequency_candidates(t, y, n=5):
         f = freqs[idx]
         if f > nyquist * (1 + NYQUIST_SLACK):
             continue
-        if all(abs(f - c) > CANDIDATE_SEPARATION * max(c, 1e-12) for c in cands):
+        if all(abs(f - c) > CANDIDATE_SEPARATION * max(c, CANDIDATE_FLOOR_HZ) for c in cands):
             cands.append(f)
         if len(cands) >= n:
             break
@@ -493,7 +500,7 @@ def phase_noise_estimate(times, values, measurement_errors,
     cs = rows[rows[:, 0] < Z2_ACCEPT, 1:]
     if not len(cs):
         cs = np.array([[c_best, s_best]])
-    zero_contrast = bool(c_best < 1e-9
+    zero_contrast = bool(c_best < ZERO_CONTRAST
                          or amp_data < 2.0 * np.mean(err) / math.sqrt(len(t)))
     return {
         "contrast": float(c_best),

@@ -5,10 +5,10 @@ propagation over piecewise-defined time-dependent Hamiltonians.  The
 engines take a :class:`Schedule` of data :class:`Segment` s, built by
 :func:`sunspin.sequence.compile`, or by :func:`hold` for a constant
 matrix the compiler does not make.  The schedule selects its engine
-(``Schedule.density``), and :func:`evolve` runs it there.  A segment
-carries its duration and runs on its own clock from 0, so a pulse maps
-the same wherever it sits; schedule time is ``Schedule.starts``, the
-running sum of the durations.
+(``Schedule.density``), and :func:`evolve`, :func:`expect` and
+:func:`pullback` run it there.  A segment carries its duration and runs
+on its own clock from 0, so a pulse maps the same wherever it sits;
+schedule time is ``Schedule.starts``, the running sum of the durations.
 :meth:`Segment.hamiltonian` is the one place H(t) is evaluated, and
 every segment's Liouvillian is its Hamiltonian part plus mult(t) D: the
 TLS multiplier times the dissipator of its channels, every rate being
@@ -26,7 +26,13 @@ end) to their rows at its start, last segment first, each segment by
 the transpose of its forward method.  That is the adjoint (Heisenberg
 picture) master equation (Breuer & Petruccione, *The Theory of Open
 Quantum Systems*, sec. 3.2.3), and k rows cost k columns, where the
-superoperator steps 100.  Each segment gets one method by its kind:
+superoperator steps 100.  ``expect`` is its forward twin: it walks a
+state as ``evolve`` does, but returns only the k real readings
+r @ vec(rho(t)) of Hermitian-reading rows at each sample time, and a
+segment's sampler forms those instead of the 100 entries of each
+rho(t).  So k rows cost k columns both ways.  The state carried from
+segment to segment is the full one, stepped by the same method.  Each
+segment gets one method by its kind:
 
 * constant H - exact stepping from the segment start through one
   spectrum (method 14 of Moler & Van Loan, SIAM Rev. 45, 3 (2003)): in
@@ -38,10 +44,15 @@ superoperator steps 100.  Each segment gets one method by its kind:
   L = V diag(lambda) V^-1, a real one: in the Hermitian basis (rho_aa,
   sqrt2 Re rho_ab, -sqrt2 Im rho_ab) a Lindblad generator is a real
   matrix.  Arbitrarily long steps at machine precision, and a state
-  vector reaches all its ends in one matrix product.  When that basis
-  leaves L complex, LAPACK fails or cond(V) exceeds ``EIG_COND_MAX``
-  (L is not normal and can be defective), chained exponentials of the
-  Liouvillian instead.
+  vector reaches all its ends in one matrix product.  As L is real
+  there, its eigenvalues come in conjugate pairs, and a reading off a
+  Hermitian rho gets conjugate terms from a pair: ``expect`` sums the
+  eigenvalues with Im lambda >= 0 only, each complex one twice, and
+  takes the real part, one exponential per pair.  A channel-free
+  segment read by rows R_k forms vec(M) @ vec(V^T R_k conj(V)) instead
+  of V M V^H.  When that basis leaves L complex, LAPACK fails or
+  cond(V) exceeds ``EIG_COND_MAX`` (L is not normal and can be
+  defective), chained exponentials of the Liouvillian instead.
 * diagonal H (dark times and TLS ramps: diagonal entries linear in t) -
   closed form from the segment start: in Hilbert space a phase vector by
   exact quadrature; in Liouville space, with diagonal or single-transfer
@@ -136,6 +147,12 @@ ZERO_BEAT_HZ = 1e-12
 # How far past the schedule's end (s) a sample time may lie; a segment
 # is handed the samples up to this far past its own end.
 TIME_SLACK = 1e-12
+# RK45 samples this close to a solve's end (s), or past it, take the
+# state at the end: t_eval must stay inside the span.
+SPAN_END_SLACK = 1e-18
+# A jump operator entry of at most this magnitude counts as zero when a
+# channel set is sorted into diagonal and single-transfer operators.
+CHANNEL_ENTRY_ZERO = 1e-15
 # Input checks: a Hamiltonian's anti-Hermitian part relative to its
 # largest entry (at least 1); a state's norm; a density matrix's trace,
 # Hermiticity and smallest eigenvalue.
@@ -144,6 +161,11 @@ NORM_TOL = 1e-9
 DENSITY_TRACE_TOL = 1e-8
 DENSITY_PSD_TOL = 1e-10
 DENSITY_HERMITIAN_TOL = 10 * DENSITY_PSD_TOL
+# expect's rows: each, read as a 10x10 matrix R, may have an
+# anti-Hermitian part up to this times its largest entry (at least 1).
+# A Hermitian R reads a real value off every density matrix, which the
+# folded conjugate eigenvalue pairs of a constant segment rely on.
+READING_HERMITIAN_TOL = 1e-12
 # Output checks: the final state's norm drift may reach 100 tol but
 # never needs to be below NORM_DRIFT_FLOOR; the final trace may drift by
 # TRACE_DRIFT_MAX; the final density matrix's eigenvalues may reach
@@ -488,53 +510,72 @@ def _resolve_times(schedule: Schedule, t_eval) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _walk(schedule: Schedule, state: np.ndarray, times, tol: float,
-          liouville: bool) -> tuple[list, np.ndarray]:
+          liouville: bool, rows=None) -> tuple[np.ndarray | None, np.ndarray]:
     """Fold ``state`` through the schedule.
 
-    Returns the states at ``times`` (sorted, inside the schedule span)
-    and the state at the end of the last segment stepped; with no
-    sample times every segment is stepped.  A segment gets its sample
-    times as times into it.
+    Returns the samples at ``times`` (sorted, inside the schedule span)
+    as one array, the states there or, given ``rows``, their (n, k)
+    readings (see ``_read``), and the state at the end of the last
+    segment stepped.  With no sample times every segment is stepped, and
+    the samples are None.  A segment gets its sample times as times into
+    it.
     """
     if not liouville and schedule.has_dissipation():
         raise DynamicsError("unitary evolution cannot carry dissipation channels")
-    samples: list = []
+    blocks, n_done = [], 0
     starts = schedule.starts
     for seg, start, end in zip(schedule.segments, starts, starts[1:]):
-        inside = [float(t) - start for t in times[len(samples):]
+        inside = [float(t) - start for t in times[n_done:]
                   if t <= end + TIME_SLACK]
-        got, state = _step(seg, state, inside, tol, liouville)
-        samples += got
-        if len(times) and len(samples) == len(times):
-            break
-    if len(samples) < len(times):
+        got, state = _step(seg, state, inside, tol, liouville, rows)
+        if inside:
+            blocks.append(got)
+            n_done += len(inside)
+            if n_done == len(times):
+                break
+    if n_done < len(times):
         raise DynamicsError("failed to reach all sample times")
-    return samples, state
+    return (np.concatenate(blocks) if blocks else None), state
 
 
-def _step(seg: Segment, state, sample_ts, tol, liouville):
+def _step(seg: Segment, state, sample_ts, tol, liouville, rows=None):
     """Advance ``state`` across the segment.
 
-    Returns (states at ``sample_ts``, state at the end); times count
-    from the segment's start.  This is the one place that picks a
+    Returns (samples at ``sample_ts``, state at the end); times count
+    from the segment's start.  The samples are the states there or,
+    given ``rows``, their readings; the state at the end is stepped by
+    the same method either way.  This is the one place that picks a
     segment's method (see the module docstring).
     """
     ends = sample_ts + [seg.duration]
     if seg.kind == "constant" and (not liouville or seg.channel_free):
-        states = _unitary(seg, state, ends, liouville)
-    elif seg.kind == "constant":
+        return _unitary(seg, state, ends, liouville, rows)
+    if seg.kind == "constant":
         spectrum = _constant_spectrum(seg)
         if spectrum is not None:
-            rates, v, v_inv = spectrum
-            states = _spectral(v, v_inv @ state,
-                               np.exp(np.multiply.outer(ends, rates), dtype=complex))
-        else:
-            states = _chained(_constant_liouvillian(seg), state, ends)
+            return _eigen_step(spectrum, state, ends, rows)
+        states = _chained(_constant_liouvillian(seg), state, ends)
     elif seg.kind == "diagonal" and (not liouville or seg.channel_set.diagonal_safe):
         states = _closed_form(seg, state, ends, liouville)
     else:
         states = _rk45(seg, state, ends, tol, liouville)
-    return states[:len(sample_ts)], states[-1]
+    return _read(rows, states[:-1], liouville), states[-1]
+
+
+def _read(rows, states, liouville):
+    """The samples ``states`` as ``_step`` returns them: the states or,
+    given ``rows``, their (n, k) readings rows @ vec(rho), taken off
+    vec(|psi><psi|) on the pure engine.  Of that outer product only the
+    entries some row reads are formed.  The readings are complex; their
+    real part is the value."""
+    if rows is None:
+        return states
+    if liouville:
+        return np.reshape(states, (len(states), DIM * DIM)) @ rows.T
+    psi = np.reshape(states, (len(states), DIM))
+    read = np.flatnonzero(rows.any(axis=0))
+    left, right = np.divmod(read, DIM)
+    return (psi[:, left] * psi[:, right].conj()) @ rows[:, read].T
 
 
 def _rows(factors: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -558,39 +599,67 @@ def _spectral(v, coeff, factors):
     if coeff.ndim > 1 or len(factors) == 1:
         return [v @ _rows(f, coeff) for f in factors]
     factors *= coeff
-    return list(factors @ v.T)
+    return factors @ v.T
 
 
-def _unitary(seg: Segment, state, ends, liouville):
-    """States at ``ends`` of a constant segment without acting channels,
-    from H = V diag(w) V^H by ``eigh`` and the 10 factors
-    p = exp(-2 pi i w t) per end.
+def _unitary(seg: Segment, state, ends, liouville, rows=None):
+    """Samples and end state (see ``_step``) of a constant segment
+    without acting channels, from H = V diag(w) V^H by ``eigh`` and the
+    10 factors p = exp(-2 pi i w t) per end.
 
     In Liouville space U rho U^H = V M V^H, M_ab = C_ab p_a conj(p_b),
     for the coefficients C = V^H rho V of each column rho of the state:
     an exact map with a unitary eigenbasis (cond 1), which takes no
     100x100 eigensolver.  It runs as two products with 10 columns per
     block of ``UNITARY_BLOCK`` ends, a fifth of the work of
-    kron(V, conj V) on vec(M).
+    kron(V, conj V) on vec(M).  Row R_k, read as a 10x10 matrix, reads
+    vec(M) @ vec(K_k) with K_k = V^T R_k conj(V), built once, so the
+    samples read by ``rows`` take one product per block and no V M V^H.
     """
     w, v = np.linalg.eigh(seg.h_const)
     p = np.exp(np.multiply.outer(ends, -1j * TWO_PI * w))
     if not liouville:
-        return _spectral(v, v.conj().T @ state, p)
+        states = _spectral(v, v.conj().T @ state, p)
+        return _read(rows, states[:-1], liouville), states[-1]
     vh = v.conj().T
     # c[a, k, b]: V^H rho V for each column k of the state
     rho = np.moveaxis(state.reshape(DIM, DIM, -1), -1, 0)
     c = np.moveaxis(vh @ rho @ v, 0, 1)
-    out = np.empty((len(ends), DIM, DIM, c.shape[1]), dtype=complex)
-    for lo in range(0, len(ends), UNITARY_BLOCK):
+
+    def conjugated(m):
+        # V m V^H, as (ends, 10, 10, columns)
+        n = m.shape[1]
+        m = (m.reshape(-1, DIM) @ vh).reshape(DIM, -1)
+        return (v @ m).reshape(DIM, n, -1, DIM).transpose(1, 0, 3, 2)
+
+    def states_at(p):
+        out = _in_blocks(c, p, conjugated, (len(p), DIM, DIM, c.shape[1]))
+        return out.reshape((len(p),) + state.shape)
+
+    if rows is None:
+        states = states_at(p)
+        return states[:-1], states[-1]
+    k = _through_unitary(v, rows).T
+
+    def read(m):
+        # vec(M) @ vec(K_k) for each end; the state is one column
+        n = m.shape[1]
+        return m.reshape(DIM, n, DIM).transpose(1, 0, 2).reshape(n, -1) @ k
+
+    return _in_blocks(c, p[:-1], read, (len(p) - 1, len(rows))), states_at(p[-1:])[0]
+
+
+def _in_blocks(c, p, read, shape):
+    """read(m) for M_ab = C_ab p_a conj(p_b) at each end, m[a, n, k, b]
+    for the coefficients c[a, k, b] and the n ends of a block of
+    ``UNITARY_BLOCK`` rows of ``p``, stacked into an array of ``shape``."""
+    out = np.empty(shape, dtype=complex)
+    for lo in range(0, len(p), UNITARY_BLOCK):
         pb = p[lo:lo + UNITARY_BLOCK]
-        # m[a, n, k, b] = c[a, k, b] p_a(t_n) conj(p_b(t_n)), then V m V^H
         m = pb.T[:, :, None, None] * c[:, None]
         m *= pb.conj()[:, None, :]
-        m = (m.reshape(-1, DIM) @ vh).reshape(DIM, -1)
-        out[lo:lo + UNITARY_BLOCK] = ((v @ m).reshape(DIM, len(pb), -1, DIM)
-                                      .transpose(1, 0, 3, 2))
-    return list(out.reshape((len(ends),) + state.shape))
+        out[lo:lo + UNITARY_BLOCK] = read(m)
+    return out
 
 
 # Row-major vec(rho) indices of rho_aa, and of rho_ab and rho_ba for a < b
@@ -644,6 +713,33 @@ def _eigen(sup: np.ndarray):
     return _frozen(lam), _frozen(v), _frozen(v_inv)
 
 
+def _eigen_step(spectrum, state, ends, rows):
+    """Samples and end state (see ``_step``) of a constant segment on
+    which a channel acts, from the spectrum (lambda, V, V^-1) of its
+    Liouvillian: V diag(exp(lambda t)) V^-1 state at each end.
+
+    Read by ``rows``, the samples take half the exponentials.  The
+    Liouvillian is real in the Hermitian basis, so its eigenvalues and
+    eigenvectors come in conjugate pairs there, and so do a pair's terms
+    of a reading off a Hermitian rho.  A reading is then the real part of
+    the sum over Im lambda >= 0, each complex eigenvalue's term counted
+    twice.
+    """
+    rates, v, v_inv = spectrum
+    coeff = v_inv @ state
+    if rows is None:
+        states = _spectral(v, coeff, np.exp(np.multiply.outer(ends, rates),
+                                            dtype=complex))
+        return states[:-1], states[-1]
+    upper = rates.imag >= 0
+    folded = np.where(rates.imag[upper] > 0, 2.0, 1.0) * coeff[upper]
+    readings = _spectral(rows @ v[:, upper], folded, np.exp(
+        np.multiply.outer(ends[:-1], rates[upper]), dtype=complex))
+    (end,) = _spectral(v, coeff, np.exp(np.multiply.outer(ends[-1:], rates),
+                                        dtype=complex))
+    return readings, end
+
+
 def _chained(sup, state, ends):
     """States at ``ends`` from successive exponentials of the Liouvillian
     ``sup``."""
@@ -694,12 +790,12 @@ def _rk45(seg: Segment, state, ends, tol, liouville):
 
 def _rk45_span(rhs, y, t_a, ends, tol, max_step):
     """Flat states at ``ends`` from ``t_a`` (the last one is the span's end)."""
-    # t_eval must stay inside the span, so the samples within 1e-18 s of
-    # the span's end or past it (the walker gives a segment the samples
-    # up to TIME_SLACK past it) all take the first one's state, and that
-    # one is taken at the end at the latest
+    # t_eval must stay inside the span, so the samples within
+    # SPAN_END_SLACK of the span's end or past it (the walker gives a
+    # segment the samples up to TIME_SLACK past it) all take the first
+    # one's state, and that one is taken at the end at the latest
     samples = ends[:-1]
-    n_end = sum(t >= ends[-1] - 1e-18 for t in samples)
+    n_end = sum(t >= ends[-1] - SPAN_END_SLACK for t in samples)
     t_eval = samples[:len(samples) - n_end] + [min(ends[-n_end - 1], ends[-1])]
     sol = solve_ivp(rhs, (t_a, ends[-1]), y, t_eval=t_eval, rtol=tol,
                     atol=tol * 1e-3, max_step=max_step, method="RK45")
@@ -724,6 +820,45 @@ def evolve(schedule: Schedule, state: np.ndarray, t_eval=None,
     return evolve_density(density_matrix(state), schedule, tol=tol, t_eval=t_eval)
 
 
+def expect(schedule: Schedule, state: np.ndarray, rows, t_eval) -> np.ndarray:
+    """(n, k) real readings ``rows @ vec(rho(t))`` at the n times
+    ``t_eval``: the forward twin of :func:`pullback`.
+
+    ``rows`` (k, 100) read k observables off row-major vec(rho), and
+    each, read as a 10x10 matrix, must be Hermitian (to
+    ``READING_HERMITIAN_TOL``), so that it reads a real value off every
+    density matrix.  The state is taken as :func:`evolve` takes it, with
+    its checks: on the pure engine the rows read vec(|psi><psi|), and on
+    the density engine a state vector input is turned into its density
+    matrix.  Each segment is stepped by the method :func:`evolve` gives
+    it, but its samples are read, not returned: k rows cost k columns
+    per sample, and a constant segment with channels takes one
+    exponential per conjugate pair of eigenvalues.  The state carried
+    from segment to segment is the full one, and the one at the end gets
+    the engine's output checks.
+    """
+    rows = np.asarray(rows, dtype=complex)
+    if rows.ndim != 2 or rows.shape[1] != DIM * DIM:
+        raise DynamicsError(f"rows must have shape (k, {DIM * DIM}), got {rows.shape}")
+    mats = rows.reshape(-1, DIM, DIM)
+    skew = np.abs(mats - mats.conj().transpose(0, 2, 1)).max(initial=0.0)
+    if skew > READING_HERMITIAN_TOL * max(1.0, np.abs(rows).max(initial=0.0)):
+        raise DynamicsError("a row does not read a real value off every density "
+                            "matrix: read as a 10x10 matrix it is not Hermitian")
+    if not schedule.density:
+        psi = _pure_start(state)
+        times = _resolve_times(schedule, t_eval)
+        samples, final = _walk(schedule, psi, times, DEFAULT_RTOL, False, rows)
+        _check_norm_drift(final, DEFAULT_RTOL)
+    else:
+        rho0 = _density_start(density_matrix(state))
+        times = _resolve_times(schedule, t_eval)
+        samples, final = _walk(schedule, rho0.reshape(-1), times, DEFAULT_RTOL,
+                               True, rows)
+        _check_final_density(final.reshape(DIM, DIM))
+    return samples.real
+
+
 # ---------------------------------------------------------------------------
 # pure-state propagation
 # ---------------------------------------------------------------------------
@@ -734,15 +869,24 @@ def evolve_pure(state: np.ndarray, schedule: Schedule,
 
     A schedule whose segments carry dissipation channels raises.
     """
+    psi = _pure_start(state)
+    times = _resolve_times(schedule, t_eval)
+    out = _walk(schedule, psi, times, tol, liouville=False)[0]
+    _check_norm_drift(out[-1], tol)
+    return Trajectory(times=times, states=out, kind="pure")
+
+
+def _pure_start(state) -> np.ndarray:
     psi = np.asarray(state, dtype=complex)
     if abs(np.linalg.norm(psi) - 1.0) > NORM_TOL:
         raise DynamicsError("initial state is not normalized")
-    times = _resolve_times(schedule, t_eval)
-    out = np.array(_walk(schedule, psi, times, tol, liouville=False)[0])
-    norm_err = abs(np.linalg.norm(out[-1]) - 1.0)
+    return psi
+
+
+def _check_norm_drift(psi: np.ndarray, tol: float):
+    norm_err = abs(np.linalg.norm(psi) - 1.0)
     if norm_err > max(NORM_DRIFT_FLOOR, 100 * tol):
         raise DynamicsError(f"norm drift {norm_err:.2e}; reduce tol")
-    return Trajectory(times=times, states=out, kind="pure")
 
 
 # ---------------------------------------------------------------------------
@@ -832,13 +976,24 @@ def clear_caches() -> None:
     _SPECTRA.cache_clear()
 
 
-def _check_density(rho: np.ndarray):
-    if abs(np.trace(rho) - 1.0) > DENSITY_TRACE_TOL:
+def _density_start(rho) -> np.ndarray:
+    rho0 = np.asarray(rho, dtype=complex)
+    if abs(np.trace(rho0) - 1.0) > DENSITY_TRACE_TOL:
         raise DynamicsError("density matrix trace != 1")
-    if np.max(np.abs(rho - rho.conj().T)) > DENSITY_HERMITIAN_TOL:
+    if np.max(np.abs(rho0 - rho0.conj().T)) > DENSITY_HERMITIAN_TOL:
         raise DynamicsError("density matrix is not Hermitian")
-    if np.linalg.eigvalsh(rho).min() < -DENSITY_PSD_TOL:
+    if np.linalg.eigvalsh(rho0).min() < -DENSITY_PSD_TOL:
         raise DynamicsError("density matrix is not positive semidefinite")
+    return rho0
+
+
+def _check_final_density(final: np.ndarray):
+    """The density engine's output checks: trace drift and positivity."""
+    if abs(np.trace(final).real - 1.0) > TRACE_DRIFT_MAX:
+        raise DynamicsError("trace drift beyond tolerance")
+    min_eig = np.linalg.eigvalsh(0.5 * (final + final.conj().T)).min()
+    if min_eig < DENSITY_POSITIVITY_FLOOR:
+        raise DynamicsError(f"positivity violation: min eigenvalue {min_eig:.2e}")
 
 
 def evolve_density(rho: np.ndarray, schedule: Schedule,
@@ -848,30 +1003,24 @@ def evolve_density(rho: np.ndarray, schedule: Schedule,
     Positivity is monitored, not enforced: eigenvalues below
     ``DENSITY_POSITIVITY_FLOOR`` raise.
     """
-    rho0 = np.asarray(rho, dtype=complex)
-    _check_density(rho0)
+    rho0 = _density_start(rho)
     times = _resolve_times(schedule, t_eval)
     samples, _ = _walk(schedule, rho0.reshape(-1), times, tol, liouville=True)
-    out = np.array(samples).reshape(len(times), DIM, DIM)
-    final = out[-1]
-    if abs(np.trace(final).real - 1.0) > TRACE_DRIFT_MAX:
-        raise DynamicsError("trace drift beyond tolerance")
-    min_eig = np.linalg.eigvalsh(0.5 * (final + final.conj().T)).min()
-    if min_eig < DENSITY_POSITIVITY_FLOOR:
-        raise DynamicsError(f"positivity violation: min eigenvalue {min_eig:.2e}")
+    out = samples.reshape(len(times), DIM, DIM)
+    _check_final_density(out[-1])
     return Trajectory(times=times, states=out, kind="density")
 
 
 def _is_diagonal_safe(channels) -> bool:
     """True if every op is diagonal or has a single nonzero entry."""
     for op, _ in channels:
-        if np.count_nonzero(np.abs(op) > 1e-15) > 1 and not _is_diag_matrix(op):
+        if np.count_nonzero(np.abs(op) > CHANNEL_ENTRY_ZERO) > 1 and not _is_diag_matrix(op):
             return False
     return True
 
 
 def _is_diag_matrix(h) -> bool:
-    return np.count_nonzero(np.abs(h - np.diag(np.diag(h))) > 1e-15) == 0
+    return np.count_nonzero(np.abs(h - np.diag(np.diag(h))) > CHANNEL_ENTRY_ZERO) == 0
 
 
 def _rate_matrix(channels) -> np.ndarray:
@@ -984,7 +1133,7 @@ def _step_back(seg: Segment, rows, tol):
     """``rows`` @ the segment's map in Liouville space: the adjoint of the
     method ``_step`` takes."""
     if seg.kind == "constant" and seg.channel_free:
-        (u,) = _unitary(seg, np.eye(DIM, dtype=complex), [seg.duration], False)
+        u = _unitary(seg, np.eye(DIM, dtype=complex), [seg.duration], False)[1]
         return _through_unitary(u, rows)
     if seg.kind == "constant":
         spectrum = _constant_spectrum(seg)

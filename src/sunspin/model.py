@@ -29,7 +29,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .spin_core import DIM, F, M_VALUES, clebsch_gordan, m_index
+from .spin_core import DIM, F, INDEX_TOL, M_VALUES, clebsch_gordan, m_index
 
 
 class ModelError(ValueError):
@@ -118,7 +118,7 @@ class RamanTone:
 
     def __post_init__(self):
         dm = round(self.m_high - self.m_low)
-        if abs(self.m_high - self.m_low - dm) > 1e-9 or dm not in (1, 2):
+        if abs(self.m_high - self.m_low - dm) > INDEX_TOL or dm not in (1, 2):
             raise ModelError("tone must address a pair with |dm| in {1, 2}")
         m_index(self.m_low)
         m_index(self.m_high)
@@ -187,6 +187,9 @@ class LindbladSpec:
 
 CALIBRATED_TRANSFER_RATE = 0.5  # 1/s, net population transfer out of each state
 DEFAULT_ASE_FACTOR = 3.0
+# The calibrated budget divides by each state's transfer fraction, taken
+# at least this; a state that transfers nothing gets no rate anyway.
+TRANSFER_FRACTION_FLOOR = 1e-12
 
 _EXCITED_F = (3.5, 4.5, 5.5)
 
@@ -232,7 +235,8 @@ def photon_scattering_channels(scattering_budget="calibrated",
             raise ModelError(f"unknown budget {scattering_budget!r}")
         transfer_frac = 1.0 - np.diag(branching)
         totals = np.where(transfer_frac > 0,
-                          CALIBRATED_TRANSFER_RATE / np.maximum(transfer_frac, 1e-12)
+                          CALIBRATED_TRANSFER_RATE
+                          / np.maximum(transfer_frac, TRANSFER_FRACTION_FLOOR)
                           / DEFAULT_ASE_FACTOR,
                           0.0)
     else:
@@ -262,6 +266,12 @@ def monochromatic_scattering_channels() -> LindbladSpec:
 
 
 DEPHASING_TIME_UNIT = 0.210  # s, 1/e time of a |dm| = 1 coherence
+# Linear dephasing embeds 2 R in Euclidean space from the eigenvalues of
+# its Gram matrix: one below -EMBEDDING_NEGATIVE_TOL times the largest
+# (at least 1) means no embedding exists, and one at most
+# EMBEDDING_DROP_TOL times the largest adds no channel.
+EMBEDDING_NEGATIVE_TOL = 1e-9
+EMBEDDING_DROP_TOL = 1e-12
 DEFAULT_DEPHASING_MANIFOLD = (-4.5, -3.5, -2.5, -1.5)
 DephasingMode = Literal["linear", "quadratic"]
 
@@ -307,14 +317,14 @@ def inhomogeneous_dephasing(tau_unit_s: float = DEPHASING_TIME_UNIT,
     center = np.eye(n) - np.ones((n, n)) / n
     gram = -0.5 * center @ dmat @ center
     evals, evecs = np.linalg.eigh(gram)
-    if evals.min() < -1e-9 * max(evals.max(), 1.0):
+    if evals.min() < -EMBEDDING_NEGATIVE_TOL * max(evals.max(), 1.0):
         raise ModelError(
             f"linear |dm| dephasing is not realizable on {n} levels "
             "(no Euclidean embedding); restrict the manifold to at most "
             "4 adjacent levels or use mode='quadratic'")
     channels = []
     for lam, vec in zip(evals, evecs.T):
-        if lam <= 1e-12 * evals.max():
+        if lam <= EMBEDDING_DROP_TOL * evals.max():
             continue
         d = np.zeros(DIM)
         for coord, m in zip(np.sqrt(lam) * vec, ms):

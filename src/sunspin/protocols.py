@@ -22,7 +22,10 @@ one binomial.
 
 A scan is compiled once and evolves each pulse once: the prefix before
 the scanned quantity, then per point only what the scan variable
-changes, then the closing section's rows, pulled back once.  A phase scan
+changes, then the closing section's rows, pulled back once.  A Rabi
+scan samples its one pulse at every distinct duration and reads only
+the ten population rows off each sample (:func:`dynamics.expect`), so
+no (points, 10, 10) stack of density matrices is built.  A phase scan
 (ancilla, leakage) applies a (points, 10) block of diagonal phases
 through the batched shot kernel.  A time scan (single and parallel
 Ramsey) is compiled at its shortest T; one walk takes the state to the
@@ -154,8 +157,10 @@ def _section(schedule, start, stop=None):
 
 
 # Rows of the identity on row-major vec(rho); every (DIM + 1)-th reads a
-# population
+# population, and _POP_ROWS holds those ten as one contiguous complex
+# block, which the products take without a copy
 _VEC_UNIT = np.eye(DIM * DIM)
+_POP_ROWS = _VEC_UNIT[::DIM + 1].astype(complex)
 
 
 def _closing_rows(schedule):
@@ -166,7 +171,7 @@ def _closing_rows(schedule):
     segment first (:func:`dynamics.pullback`), so no 100x100 map of the
     section is built on the density engine.
     """
-    return dynamics.pullback(schedule, _VEC_UNIT[::DIM + 1])
+    return dynamics.pullback(schedule, _POP_ROWS)
 
 
 def _densities(states):
@@ -251,7 +256,8 @@ def rabi_scan(pair: tuple[float, float], omega_hz: float, fields: FieldParams,
               detection: DetectionModel | None = None, seed: int = 0
               ) -> InterferometerResult:
     """Populations of all ten states versus Raman pulse duration (in any
-    order, repeats allowed): one pulse sampled at each distinct one."""
+    order, repeats allowed): one pulse sampled at each distinct one, read
+    off by the ten population rows (:func:`dynamics.expect`)."""
     durations = np.asarray(durations, dtype=float)
     if durations.size == 0:
         raise ProtocolError("durations must be non-empty")
@@ -262,9 +268,8 @@ def rabi_scan(pair: tuple[float, float], omega_hz: float, fields: FieldParams,
                      detuning_hz=detuning_hz, cg_weighting=cg_weighting)
     seg = sq.PulseSegment(duration=float(lengths[-1]), tones=(tone,))
     seq = sq.PulseSequence(segments=(seg,), fields=fields)
-    traj = dynamics.evolve(sq.compile(seq, lindblad=lindblad), basis_state(m_low),
-                           t_eval=lengths)
-    pops = traj.populations()[point]
+    pops = dynamics.expect(sq.compile(seq, lindblad=lindblad), basis_state(m_low),
+                           _POP_ROWS, lengths)[point]
     return InterferometerResult(
         scan_name="duration_s", scan_values=durations, populations=pops,
         shots=_scan_shots(pops, n_atoms, n_shots, detection, seed),

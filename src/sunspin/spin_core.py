@@ -210,6 +210,12 @@ def _majorana_coefficients(state: np.ndarray) -> np.ndarray:
 
 # Distance on the unit sphere below which majorana_roots merges roots.
 ROOT_CLUSTER_TOL = 1e-8
+# A leading Majorana coefficient below this times the largest is zero:
+# its degree is missing, and one root lies at the south pole.
+LEADING_COEFF_TOL = 1e-13
+# A root whose polar angle lies this close to pi is at the south pole
+# (z = infinity), and state_from_majorana_roots leaves it out.
+SOUTH_POLE_TOL = 1e-12
 
 
 def majorana_roots(state: np.ndarray) -> MajoranaRoots:
@@ -225,7 +231,7 @@ def majorana_roots(state: np.ndarray) -> MajoranaRoots:
     coeffs = _majorana_coefficients(psi)
     scale = np.max(np.abs(coeffs))
     lead = 0
-    while lead < len(coeffs) - 1 and abs(coeffs[lead]) < 1e-13 * scale:
+    while lead < len(coeffs) - 1 and abs(coeffs[lead]) < LEADING_COEFF_TOL * scale:
         lead += 1
     trimmed = coeffs[lead:]
     n_inf = lead  # degree deficit -> roots at z = infinity (south pole)
@@ -273,7 +279,7 @@ def _cluster_sphere_points(theta, phi, tol):
 def state_from_majorana_roots(roots: MajoranaRoots) -> np.ndarray:
     """Inverse of :func:`majorana_roots`, up to global phase."""
     n = len(roots)
-    at_inf = roots.theta > np.pi - 1e-12
+    at_inf = roots.theta > np.pi - SOUTH_POLE_TOL
     z = np.tan(roots.theta[~at_inf] / 2.0) * np.exp(1j * roots.phi[~at_inf])
     poly = np.polynomial.polynomial.polyfromroots(z)[::-1]  # highest power first
     coeffs = np.concatenate([np.zeros(int(at_inf.sum()), dtype=complex), poly])

@@ -1027,6 +1027,184 @@ class TestPullbackProperties:
         assert np.max(np.abs(pulled - rows @ reference)) <= 1e-13
 
 
+def _reading_rows(seed):
+    """The ten population rows and three random rows that read real
+    values: each, read as a 10x10 matrix, Hermitian with entries in the
+    unit disk."""
+    rng = np.random.default_rng(seed)
+    drawn = rng.uniform(0, 1, (3, DIM, DIM)) * np.exp(
+        2j * np.pi * rng.uniform(0, 1, (3, DIM, DIM)))
+    drawn = 0.5 * (drawn + drawn.conj().transpose(0, 2, 1))
+    return np.vstack([pr._POP_ROWS, drawn.reshape(3, -1)])
+
+
+def _projected(sched, state, rows, times):
+    """rows @ vec(rho) at ``times``, from the states ``evolve`` returns."""
+    traj = dynamics.evolve(sched, state, t_eval=times)
+    states = traj.states
+    if traj.kind == "pure":
+        states = np.einsum("ni,nj->nij", states, states.conj())
+    readings = states.reshape(len(times), -1) @ rows.T
+    assert np.max(np.abs(readings.imag)) <= 1e-13
+    return readings.real
+
+
+def _times_in_segments(sched, fractions):
+    """Sample times at ``fractions`` of every segment of ``sched``."""
+    starts = np.array(sched.starts)
+    times = (starts[:-1, None] + np.diff(starts)[:, None] * np.asarray(fractions))
+    return np.unique(times)
+
+
+# the sampler functions of _step's methods
+SAMPLERS = ("_unitary", "_eigen_step", "_chained", "_closed_form", "_rk45")
+
+
+def _spy_samplers(monkeypatch):
+    """The names of the samplers called, in call order."""
+    taken = []
+    for name in SAMPLERS:
+        original = getattr(dynamics, name)
+        monkeypatch.setattr(dynamics, name, lambda *a, _n=name, _f=original, **k:
+                            taken.append(_n) or _f(*a, **k))
+    return taken
+
+
+def _no_spectrum(sup):
+    return None
+
+
+class TestExpect:
+    """``expect`` reads what ``evolve`` followed by a row projection
+    reads, on every method, and checks its inputs and its end state as
+    ``evolve`` does."""
+
+    SCATTER = model.photon_scattering_channels()
+    CASES = {
+        # (schedule, sample times, sampler calls, Liouvillian spectrum)
+        "eigen": (lambda: _criterion_2_schedule(
+            TestExpect.SCATTER.merge(model.inhomogeneous_dephasing())),
+            np.linspace(1e-4, 0.35, 50), ["_eigen_step"], dynamics._eigen),
+        "unitary, Liouville space": (lambda: _criterion_2_schedule(model.LindbladSpec()),
+                                     np.linspace(1e-4, 0.35, 3 * dynamics.UNITARY_BLOCK + 5),
+                                     ["_unitary"], dynamics._eigen),
+        "chained expm": (lambda: _criterion_2_schedule(TestExpect.SCATTER),
+                         np.linspace(1e-4, 0.35, 7), ["_chained"], _no_spectrum),
+        "mixed, density": (lambda: sq.compile(_mixed_sequence(), lindblad=_small_lindblad()),
+                           None, ["_eigen_step", "_closed_form", "_closed_form", "_rk45"],
+                           dynamics._eigen),
+        "mixed, pure": (lambda: sq.compile(_mixed_sequence()), None,
+                        ["_unitary", "_closed_form", "_closed_form", "_rk45"],
+                        dynamics._eigen),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_reads_what_evolve_projects(self, case, monkeypatch):
+        build, times, methods, eigen = self.CASES[case]
+        sched = build()
+        if times is None:
+            # every segment sampled, at its start, inside and at its end
+            times = _times_in_segments(sched, (0.0, 0.3, 0.7, 1.0))
+        rows = _reading_rows(11)
+        dynamics.clear_caches()
+        monkeypatch.setattr(dynamics, "_eigen", eigen)
+        try:
+            taken = _spy_samplers(monkeypatch)
+            read = dynamics.expect(sched, _probe_state(), rows, times)
+            assert taken == methods
+            reference = _projected(sched, _probe_state(), rows, times)
+        finally:
+            # a None spectrum kept here must not reach later tests
+            dynamics.clear_caches()
+        assert read.shape == (len(times), len(rows))
+        assert read.dtype == float
+        assert np.max(np.abs(read - reference)) <= 1e-13
+
+    @PROPERTY
+    @given(data=st.data(), kind=st.sampled_from(["constant", "diagonal", "general", "mixed"]),
+           fractions=st.lists(st.integers(0, 100), min_size=1, max_size=5, unique=True),
+           seed=st.integers(0, 2**32 - 1))
+    def test_property_reads_what_evolve_projects(self, data, kind, fractions, seed):
+        sched = data.draw(pullback_schedules(kind))
+        times = _times_in_segments(sched, np.array(fractions) / 100)
+        rows = _reading_rows(seed)
+        read = dynamics.expect(sched, _probe_state(), rows, times)
+        assert np.max(np.abs(read - _projected(sched, _probe_state(), rows, times))) <= 1e-13
+
+    @PROPERTY
+    @given(seq=constant_sequences(),
+           fractions=st.lists(st.integers(0, 100), min_size=1, max_size=5, unique=True),
+           seed=st.integers(0, 2**32 - 1))
+    def test_engines_agree_without_channels(self, seq, fractions, seed):
+        pure, density = sq.compile(seq), sq.compile(seq, lindblad=model.LindbladSpec())
+        times = _times_in_segments(pure, np.array(fractions) / 100)
+        rows = _reading_rows(seed)
+        read = dynamics.expect(density, _probe_state(), rows, times)
+        assert np.max(np.abs(read - dynamics.expect(pure, _probe_state(), rows, times))) <= 1e-12
+
+    @pytest.mark.parametrize("rows", [pr._POP_ROWS[0], pr._POP_ROWS[:, :-1],
+                                      pr._POP_ROWS.reshape(10, 10, 10)],
+                             ids=["one row", "99 columns", "3-d"])
+    def test_rejects_a_wrong_row_shape(self, rows):
+        with pytest.raises(dynamics.DynamicsError, match="rows must have shape"):
+            dynamics.expect(_criterion_2_schedule(None), basis_state(-2.5), rows, [0.1])
+
+    @pytest.mark.parametrize("lindblad", [None, model.photon_scattering_channels()])
+    def test_rejects_rows_that_do_not_read_real_values(self, lindblad):
+        sched = _criterion_2_schedule(lindblad)
+        for factor, accepted in ((0.5, True), (2.0, False)):
+            # R_01 = i delta and R_10 = 0: an anti-Hermitian part of delta
+            rows = pr._POP_ROWS.copy()
+            rows[0, 1] = 1j * factor * dynamics.READING_HERMITIAN_TOL
+            if accepted:
+                dynamics.expect(sched, basis_state(-2.5), rows, [0.1])
+            else:
+                with pytest.raises(dynamics.DynamicsError, match="not Hermitian"):
+                    dynamics.expect(sched, basis_state(-2.5), rows, [0.1])
+        with pytest.raises(dynamics.DynamicsError, match="not Hermitian"):
+            dynamics.expect(sched, basis_state(-2.5), _probe_rows(3), [0.1])
+
+    def test_rejects_an_unnormalized_state(self):
+        with pytest.raises(dynamics.DynamicsError, match="not normalized"):
+            dynamics.expect(_criterion_2_schedule(None), 2 * basis_state(-2.5),
+                            pr._POP_ROWS, [0.1])
+
+    @pytest.mark.parametrize("rho, message", [
+        (np.diag([0.5] * 2 + [0.0] * (DIM - 2)) * 1.5, "trace"),
+        (np.diag([1.0] + [0.0] * (DIM - 1)) + 0.1j * np.eye(DIM, k=1), "not Hermitian"),
+        (np.diag([1.5, -0.5] + [0.0] * (DIM - 2)), "not positive semidefinite"),
+    ], ids=["trace", "hermiticity", "positivity"])
+    def test_rejects_an_invalid_density_matrix(self, rho, message):
+        sched = _criterion_2_schedule(model.photon_scattering_channels())
+        for run in (lambda: dynamics.evolve(sched, rho, t_eval=[0.1]),
+                    lambda: dynamics.expect(sched, rho, pr._POP_ROWS, [0.1])):
+            with pytest.raises(dynamics.DynamicsError, match=message):
+                run()
+
+    @pytest.mark.parametrize("distort, message", [
+        (lambda x: 1.01 * x, "trace drift beyond tolerance"),
+        # a population of 1e-6 moved from -2.5 to +4.5, where it is ~0
+        (lambda x: x + 1e-6 * (np.eye(DIM * DIM)[2 * (DIM + 1)]
+                               - np.eye(DIM * DIM)[9 * (DIM + 1)]), "positivity violation"),
+    ], ids=["trace drift", "positivity"])
+    def test_end_state_is_checked_as_evolve_density_checks_it(self, distort, message,
+                                                              monkeypatch):
+        # a stepper that loses trace or positivity, on both entry points
+        sched = _criterion_2_schedule(model.photon_scattering_channels())
+        step = dynamics._step
+
+        def distorted(seg, state, sample_ts, tol, liouville, rows=None):
+            got, end = step(seg, state, sample_ts, tol, liouville, rows)
+            return (got if rows is not None else [distort(s) for s in got]), distort(end)
+
+        monkeypatch.setattr(dynamics, "_step", distorted)
+        for run in (lambda: dynamics.evolve(sched, basis_state(-2.5), t_eval=[0.1, 0.35]),
+                    lambda: dynamics.expect(sched, basis_state(-2.5), pr._POP_ROWS,
+                                            [0.1, 0.35])):
+            with pytest.raises(dynamics.DynamicsError, match=message):
+                run()
+
+
 class TestFrozenSegment:
     def test_segment_arrays_are_read_only_copies(self):
         sched = sq.compile(sq.PulseSequence(

@@ -83,6 +83,23 @@ class TestRabiScan:
         scan()
         assert (len(expm_calls), len(eig_calls)) == (len(durations), 2)
 
+    @pytest.mark.parametrize("lindblad", [None, model.LindbladSpec(), SCATTER_DEPHASE],
+                             ids=["pure", "empty set", "scatter-dephase"])
+    def test_reads_populations_without_evolving_states(self, lindblad, monkeypatch):
+        # the scan reads the ten population rows off each sample and builds
+        # no trajectory of states; it reads what the trajectory's
+        # populations are
+        durations = np.linspace(1e-3, 0.35, 40)
+        seg = sq.PulseSegment(duration=0.35, tones=(model.RamanTone(-2.5, -1.5, 71.0),))
+        sched = sq.compile(sq.PulseSequence(segments=(seg,), fields=REF_FIELDS),
+                           lindblad=lindblad)
+        reference = dynamics.evolve(sched, basis_state(-2.5), t_eval=durations).populations()
+        for name in ("evolve", "evolve_pure", "evolve_density"):
+            monkeypatch.setattr(dynamics, name, None)
+        res = pr.rabi_scan((-2.5, -1.5), 71.0, REF_FIELDS, durations, lindblad=lindblad)
+        assert pr._POP_ROWS.flags.c_contiguous
+        assert np.max(np.abs(res.populations - reference)) <= 1e-13
+
 
 class TestRamsey:
     def test_full_contrast_fringe_at_short_t(self):
