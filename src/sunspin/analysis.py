@@ -26,11 +26,19 @@ Z2_ACCEPT = 6.18
 # Added to a replica standard deviation before dividing by it.
 STD_GUARD = 1e-12
 # Levenberg-Marquardt: the default step and gradient tolerances; the
-# floor and the ceiling of the damping (past the ceiling no step lowers
-# the cost, and the fit stops unconverged); the guard against a zero
+# floor and the ceiling of the damping; the guard against a zero
 # divisor.  The damping starts at LM_DAMPING_START times the largest
-# squared column norm of the first Jacobian (Marquardt's tau).
+# squared column norm of the first Jacobian (Marquardt's tau).  A
+# rejected step whose predicted cost reduction is at most LM_FTOL times
+# the cost (about 45 rounding units, the rounding of a sum of a few
+# hundred squares) ends the fit as converged: the cost sits at its
+# rounding floor, where no step can lower it (MINPACK's ftol test; More,
+# LNM 630, 1978).  The prediction is the analytic Jacobian's, so the
+# test trusts it.  Only a fit that stalls above that floor until the
+# damping passes its ceiling, or that runs out of iterations, stops
+# unconverged.
 LM_TOL = 1e-12
+LM_FTOL = 1e-14
 LM_DAMPING_START = 1e-3
 LM_DAMPING_MIN = 1e-14
 LM_DAMPING_MAX = 1e16
@@ -55,6 +63,20 @@ class AnalysisError(ValueError):
 
 @dataclass
 class FitResult:
+    """A fit's parameters, covariance and residual rms.
+
+    For the Levenberg-Marquardt fits ``converged`` is True when the fit
+    ended on a gradient below its tolerance, on a relative step below its
+    tolerance, or on a rejected step whose predicted cost reduction lies
+    at the cost's rounding floor (``LM_FTOL``): each is the optimum to
+    rounding.  It is False when no step lowers the cost while the model
+    still predicts more than that, until the damping passes
+    ``LM_DAMPING_MAX``, or when the iterations run out.  ``n_iter`` counts
+    the iterations.  ``fit_sine_odr`` reads ``converged`` off ODRPACK's
+    stop reason, and the linear ``fit_phase_diffusion`` is always
+    converged.
+    """
+
     params: dict[str, float]
     cov: np.ndarray
     param_names: tuple[str, ...]
@@ -81,11 +103,16 @@ class FitResult:
 # ---------------------------------------------------------------------------
 
 def _lm(residual_jac, p0, max_iter=300, xtol=LM_TOL, gtol=LM_TOL):
-    """Damped Gauss-Newton; residual_jac(p) -> (r, J) with r weighted."""
+    """Damped Gauss-Newton; residual_jac(p) -> (r, J) with r weighted.
+
+    Returns (p, inv(J^T J), residual rms, converged, iterations); the
+    stopping rules are those of ``FitResult.converged``.
+    """
     p = np.asarray(p0, dtype=float)
     r, jac = residual_jac(p)
     cost = 0.5 * r @ r
     lam = LM_DAMPING_START * max(np.sum(jac**2, axis=0).max(), LM_TINY)
+    eye = np.eye(len(p))
     n_iter = 0
     converged = False
     for n_iter in range(1, max_iter + 1):
@@ -95,7 +122,7 @@ def _lm(residual_jac, p0, max_iter=300, xtol=LM_TOL, gtol=LM_TOL):
             converged = True
             break
         try:
-            step = np.linalg.solve(jtj + lam * np.eye(len(p)), -g)
+            step = np.linalg.solve(jtj + lam * eye, -g)
         except np.linalg.LinAlgError:
             lam *= 10
             continue
@@ -109,6 +136,9 @@ def _lm(residual_jac, p0, max_iter=300, xtol=LM_TOL, gtol=LM_TOL):
             if rel < xtol:
                 converged = True
                 break
+        elif -(g @ step + 0.5 * step @ jtj @ step) <= LM_FTOL * cost:
+            converged = True
+            break
         else:
             lam *= 10
             if lam > LM_DAMPING_MAX:
@@ -133,14 +163,18 @@ def _damped_sine_rj(t, y, w):
         a, f, phi, g, c = p
         decay = np.exp(-g * t)
         arg = TWO_PI * f * t + phi
-        s, cs = np.sin(arg), np.cos(arg)
-        r = (a * decay * s + c - y) * w
+        # decay * sin and decay * cos, taken once for r and every row; at
+        # g = 0 each product keeps the pure sine's order, so fit_sine
+        # gives that model's bits (d/df is ((A cos) 2 pi) t)
+        ds, dcs = decay * np.sin(arg), decay * np.cos(arg)
+        ads = a * ds
+        r = (ads + c - y) * w
         # d/dA, d/df, d/dphi, d/dg, d/dc, one row each, then weighted
         jac = np.empty((5, len(t)))
-        jac[0] = decay * s
-        jac[1] = a * decay * cs * TWO_PI * t
-        jac[2] = a * decay * cs
-        jac[3] = -a * t * decay * s
+        jac[0] = ds
+        jac[2] = a * dcs
+        jac[1] = jac[2] * TWO_PI * t
+        jac[3] = -t * ads
         jac[4] = 1.0
         jac *= w
         return r, jac.T

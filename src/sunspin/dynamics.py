@@ -498,6 +498,8 @@ def _resolve_times(schedule: Schedule, t_eval) -> np.ndarray:
         times = np.array([0.0, schedule.duration])
     else:
         times = np.atleast_1d(np.asarray(t_eval, dtype=float))
+    if not len(times):
+        raise DynamicsError("no sample times")
     if np.any(np.diff(times) <= 0):
         raise DynamicsError("sample times must be strictly increasing")
     if times[0] < -TIME_SLACK or times[-1] > schedule.duration + TIME_SLACK:
@@ -513,24 +515,24 @@ def _walk(schedule: Schedule, state: np.ndarray, times, tol: float,
           liouville: bool, rows=None) -> tuple[np.ndarray | None, np.ndarray]:
     """Fold ``state`` through the schedule.
 
-    Returns the samples at ``times`` (sorted, inside the schedule span)
-    as one array, the states there or, given ``rows``, their (n, k)
+    Returns the samples at ``times`` (a sorted array, inside the schedule
+    span) as one array, the states there or, given ``rows``, their (n, k)
     readings (see ``_read``), and the state at the end of the last
     segment stepped.  With no sample times every segment is stepped, and
-    the samples are None.  A segment gets its sample times as times into
-    it.
+    the samples are None.  A segment gets its sample times as an array
+    of times into it.
     """
     if not liouville and schedule.has_dissipation():
         raise DynamicsError("unitary evolution cannot carry dissipation channels")
     blocks, n_done = [], 0
     starts = schedule.starts
     for seg, start, end in zip(schedule.segments, starts, starts[1:]):
-        inside = [float(t) - start for t in times[n_done:]
-                  if t <= end + TIME_SLACK]
+        n_in = times.searchsorted(end + TIME_SLACK, "right")
+        inside = times[n_done:n_in] - start
         got, state = _step(seg, state, inside, tol, liouville, rows)
-        if inside:
+        if len(inside):
             blocks.append(got)
-            n_done += len(inside)
+            n_done = n_in
             if n_done == len(times):
                 break
     if n_done < len(times):
@@ -542,12 +544,17 @@ def _step(seg: Segment, state, sample_ts, tol, liouville, rows=None):
     """Advance ``state`` across the segment.
 
     Returns (samples at ``sample_ts``, state at the end); times count
-    from the segment's start.  The samples are the states there or,
-    given ``rows``, their readings; the state at the end is stepped by
-    the same method either way.  This is the one place that picks a
+    from the segment's start, and the samplers get them as one array
+    ``ends`` with the segment's duration last.  The samples are the
+    states there or, given ``rows``, their readings; the state at the end
+    is stepped by the same method either way.  This is the one place that picks a
     segment's method (see the module docstring).
     """
-    ends = sample_ts + [seg.duration]
+    # filled in place: np.append costs more than the step of a short
+    # segment sampled once or not at all
+    ends = np.empty(len(sample_ts) + 1)
+    ends[:-1] = sample_ts
+    ends[-1] = seg.duration
     if seg.kind == "constant" and (not liouville or seg.channel_free):
         return _unitary(seg, state, ends, liouville, rows)
     if seg.kind == "constant":
@@ -780,8 +787,9 @@ def _rk45(seg: Segment, state, ends, tol, liouville):
     max_step = _max_step(seg)
     y, states, t_a = state.reshape(-1), [], 0.0
     for t_b in seg.kinks:
-        here = [t for t in ends[len(states):] if t <= t_b]
-        *got, y = _rk45_span(rhs, y, t_a, here + [t_b], tol, max_step)
+        later = ends[len(states):]
+        *got, y = _rk45_span(rhs, y, t_a, np.append(later[later <= t_b], t_b),
+                             tol, max_step)
         states += got
         t_a = t_b
     states += _rk45_span(rhs, y, t_a, ends[len(states):], tol, max_step)
@@ -795,8 +803,8 @@ def _rk45_span(rhs, y, t_a, ends, tol, max_step):
     # segment the samples up to TIME_SLACK past it) all take the first
     # one's state, and that one is taken at the end at the latest
     samples = ends[:-1]
-    n_end = sum(t >= ends[-1] - SPAN_END_SLACK for t in samples)
-    t_eval = samples[:len(samples) - n_end] + [min(ends[-n_end - 1], ends[-1])]
+    n_end = np.count_nonzero(samples >= ends[-1] - SPAN_END_SLACK)
+    t_eval = np.append(samples[:len(samples) - n_end], min(ends[-n_end - 1], ends[-1]))
     sol = solve_ivp(rhs, (t_a, ends[-1]), y, t_eval=t_eval, rtol=tol,
                     atol=tol * 1e-3, max_step=max_step, method="RK45")
     if not sol.success:
@@ -1101,12 +1109,13 @@ def propagator(schedule: Schedule, tol: float = DEFAULT_RTOL) -> np.ndarray:
 
     A schedule whose segments carry dissipation channels raises.
     """
-    return _walk(schedule, np.eye(DIM, dtype=complex), (), tol, liouville=False)[1]
+    return _walk(schedule, np.eye(DIM, dtype=complex), np.empty(0), tol,
+                 liouville=False)[1]
 
 
 def superoperator(schedule: Schedule, tol: float = DEFAULT_RTOL) -> np.ndarray:
     """Process matrix of the full schedule on row-major vec(rho)."""
-    return _walk(schedule, np.eye(DIM * DIM, dtype=complex), (), tol,
+    return _walk(schedule, np.eye(DIM * DIM, dtype=complex), np.empty(0), tol,
                  liouville=True)[1]
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import least_squares
 
 from sunspin import analysis as an
 from sunspin import model, protocols as pr
@@ -78,6 +79,85 @@ class TestSine:
         assert fit.n_iter == n_iter
 
 
+class TestStopRule:
+    """``_lm`` ends converged on a small gradient, on a small step, or on a
+    rejected step whose predicted cost reduction lies at the cost's
+    rounding floor, and its fits land on MINPACK's optimum."""
+
+    def test_rounding_level_stall_of_a_damped_rabi_fit_is_converged(self):
+        # at the rounding floor every step is rejected; without the floor
+        # test the damping climbed past its ceiling (29 iterations) and
+        # the fit reported converged=False at its optimum
+        t = np.linspace(1e-4, 0.35, 247)
+        y = pr.rabi_scan((-2.5, -1.5), 70.0, model.FieldParams(960, -320), t,
+                         lindblad=_criterion_2_channels("both")).population(-1.5)
+        fit = an.fit_damped_sine(t, y, frequency_hint=70.0)
+        assert fit.converged
+        assert fit.n_iter <= 12
+        assert fit["tau_s"] == pytest.approx(0.315521, rel=1e-6)
+
+    def test_start_at_the_optimum_stops_on_the_floor_test(self):
+        # a linear residual at its optimum p = 0, scaled so that the
+        # rounding in its gradient lies above the gradient tolerance, and
+        # p = 0 keeps every step large relative to p
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((50, 3))
+        b = 1e6 * rng.standard_normal(50)
+        b -= a @ np.linalg.lstsq(a, b, rcond=None)[0]
+        assert np.abs(a.T @ b).max() > an.LM_TOL
+        p, _, _, converged, n_iter = an._lm(lambda p: (a @ p - b, a), np.zeros(3))
+        assert converged and n_iter == 1
+        assert np.abs(p).max() < 1e-12
+
+    def test_stall_above_the_floor_stops_unconverged(self):
+        # a Jacobian of the wrong sign: no step lowers the cost, and each
+        # predicts a reduction far above the rounding floor
+        p, _, _, converged, _ = an._lm(
+            lambda p: (1e3 * (p - 1.0), -1e3 * np.eye(1)), np.zeros(1))
+        assert not converged
+        assert p.tolist() == [0.0]
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_damped_sine_lands_on_the_minpack_optimum(self, seed, weighted):
+        t, y, err = _noisy_damped_sine(seed=seed)
+        _assert_at_the_minpack_optimum(t, y, err if weighted else None, None)
+
+    @pytest.mark.parametrize("omega", [70.0, 71.0])
+    @pytest.mark.parametrize("channels", ["both", "scatter"])
+    def test_damped_rabi_fit_lands_on_the_minpack_optimum(self, channels, omega):
+        t = np.linspace(1e-4, 0.35, 247)
+        y = pr.rabi_scan((-2.5, -1.5), omega, model.FieldParams(960.0, -320.0), t,
+                         lindblad=_criterion_2_channels(channels)).population(-1.5)
+        _assert_at_the_minpack_optimum(t, y, None, omega)
+
+
+def _criterion_2_channels(channels):
+    scatter = model.photon_scattering_channels()
+    return {"both": scatter.merge(model.inhomogeneous_dephasing()),
+            "scatter": scatter}[channels]
+
+
+def _assert_at_the_minpack_optimum(t, y, errors, hint):
+    """``fit_damped_sine`` converged, each fitted parameter within 1e-6 of
+    its standard deviation of MINPACK's Levenberg-Marquardt (scipy's
+    ``least_squares``) at its tightest tolerances, run on the fit's own
+    weighted residual and Jacobian from the fit's own start."""
+    fit = an.fit_damped_sine(t, y, errors=errors, frequency_hint=hint)
+    assert fit.converged
+    ts, ys, w = an._fit_inputs(t, y, errors)
+    rj = an._damped_sine_rj(ts, ys, w)
+    sol = least_squares(lambda p: rj(p)[0], an._best_start(ts, ys, w, *_grids(ts, ys, hint, True)),
+                        jac=lambda p: rj(p)[1], method="lm",
+                        xtol=1e-15, ftol=1e-15, gtol=1e-15)
+    ref = sol.x.copy()
+    an._canonicalize_sine(ref)
+    sigma = fit.uncertainties
+    for name, value in zip(("amplitude", "frequency_hz", "phase_rad", "decay_rate",
+                            "offset"), ref):
+        assert abs(fit[name] - value) <= 1e-6 * sigma[name], name
+
+
 def _sine_rj(t, y, w):
     """Weighted residual and (n, 4) Jacobian of A sin(2 pi f t + phi) + c."""
     def rj(p):
@@ -147,12 +227,9 @@ class TestStartGrid:
 
     @pytest.mark.parametrize("channels", ["both", "scatter"])
     def test_batched_grid_on_the_criterion_2_scans(self, channels):
-        scatter = model.photon_scattering_channels()
-        lindblad = {"both": scatter.merge(model.inhomogeneous_dephasing()),
-                    "scatter": scatter}[channels]
         durations = np.linspace(1e-4, 0.35, 247)
         y = pr.rabi_scan((-2.5, -1.5), 71.0, model.FieldParams(960.0, -320.0),
-                         durations, lindblad=lindblad).population(-1.5)
+                         durations, lindblad=_criterion_2_channels(channels)).population(-1.5)
         _assert_same_start(durations, y, np.ones_like(y), 71.0, damped=True)
 
     def test_batched_grid_on_the_criterion_5_fringes(self):

@@ -1490,3 +1490,17 @@ class TestTrajectory:
         with pytest.raises(dynamics.DynamicsError):
             dynamics.evolve_pure(basis_state(0.5), dynamics.hold(h, 1.0),
                                  t_eval=[0.5, 0.2])
+
+    def test_no_sample_times_rejected(self):
+        h = np.zeros((DIM, DIM))
+        pure, density = dynamics.hold(h, 1.0), dynamics.hold(h, 1.0, channels=[])
+        psi = basis_state(0.5)
+        for run in (lambda: dynamics.evolve(pure, psi, t_eval=[]),
+                    lambda: dynamics.evolve(density, psi, t_eval=np.empty(0)),
+                    lambda: dynamics.evolve_pure(psi, pure, t_eval=[]),
+                    lambda: dynamics.evolve_density(np.outer(psi, psi.conj()), density,
+                                                    t_eval=[]),
+                    lambda: dynamics.expect(pure, psi, pr._POP_ROWS, []),
+                    lambda: dynamics.expect(density, psi, pr._POP_ROWS, [])):
+            with pytest.raises(dynamics.DynamicsError, match="no sample times"):
+                run()

@@ -1,5 +1,7 @@
-"""Every bundled config, and ``sunspin decompose --n 50 --seed 0``, still
-writes the outputs under ``tests/reference/`` up to rounding.
+"""Every bundled config, ``sunspin decompose --n 50 --seed 0`` and the
+``sunspin fit`` runs of ``bundled_manifests.FIT_RUNS`` still write the
+outputs under ``tests/reference/`` up to rounding.  A fit run fits the
+reference CSV of its config, so it checks the fitting layer alone.
 
 Each run starts on empty caches, so its result does not depend on which
 tests ran before it.  Headers, strings and the JSON structure must
@@ -31,7 +33,7 @@ RUNS = sorted(p.name for p in REFERENCE.iterdir() if p.is_dir())
 
 def test_every_bundled_config_has_a_reference():
     configs = {p.stem for p in bundled_manifests.CONFIG_DIR.glob("*.json")}
-    assert set(RUNS) == configs | {"decompose"}
+    assert set(RUNS) == configs | {"decompose"} | set(bundled_manifests.FIT_RUNS)
 
 
 @pytest.mark.parametrize("name", RUNS)
@@ -42,6 +44,8 @@ def test_outputs_match_the_reference(name, tmp_path):
             cached.cache_clear()
     if name == "decompose":
         bundled_manifests.run_decompose(tmp_path)
+    elif name in bundled_manifests.FIT_RUNS:
+        bundled_manifests.run_fit(tmp_path, name, REFERENCE)
     else:
         cfg = json.loads((bundled_manifests.CONFIG_DIR / f"{name}.json").read_text())
         cli.run_config(cfg, tmp_path / name)

@@ -8,7 +8,10 @@ Each ``src/sunspin/configs/<name>.json`` is run through
 file name as its recorded path, so two checkouts of the package write
 comparable manifests.  ``sunspin decompose --n 50 --seed 0`` then writes
 its ``decompose.json`` into ``OUT_DIR/decompose/``, so the synthesis
-layer, which no bundled config reaches, is compared too.  Each run's
+layer, which no bundled config reaches, is compared too.  Last, ``sunspin
+fit`` fits two of the CSVs just written (see ``FIT_RUNS``) and writes
+its ``fit.json`` into ``OUT_DIR/<fit run>/``, so the fitting layer is
+compared as well.  Each run's
 name is printed with its wall time: the fastest of ``--repeat`` runs
 (default 1), back to back in this process, so repeated and later runs
 may reuse channel sets and Liouville maps that earlier ones built.
@@ -51,15 +54,36 @@ REFERENCE_DIR = Path(__file__).resolve().parents[1] / "tests" / "reference"
 
 
 DECOMPOSE_ARGS = ("decompose", "--n", "50", "--seed", "0")
+# ``sunspin fit`` runs: run name -> (fit model, the bundled config whose
+# output it fits, that output's file, --column).  Column 4 is pop_-1.5,
+# the upper level of the bundled Rabi pair.
+FIT_RUNS = {
+    "fit_damped_sine": ("damped-sine", "rabi_dm1_damped", "rabi.csv", 4),
+    "fit_sine": ("sine", "rabi_dm1", "rabi.csv", 4),
+}
+
+
+def _cli_quietly(*argv: str) -> None:
+    """``sunspin ARGV``, its printed output discarded; a non-zero exit
+    status raises."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = cli.main(list(argv))
+    if status != 0:
+        raise RuntimeError(f"sunspin {argv[0]} exited with status {status}")
 
 
 def run_decompose(out_dir: Path) -> None:
-    """``sunspin decompose --n 50 --seed 0 --out OUT_DIR/decompose``, its
-    printed copy of ``decompose.json`` discarded."""
-    with contextlib.redirect_stdout(io.StringIO()):
-        status = cli.main([*DECOMPOSE_ARGS, "--out", str(out_dir / "decompose")])
-    if status != 0:
-        raise RuntimeError(f"sunspin decompose exited with status {status}")
+    """``sunspin decompose --n 50 --seed 0 --out OUT_DIR/decompose``."""
+    _cli_quietly(*DECOMPOSE_ARGS, "--out", str(out_dir / "decompose"))
+
+
+def run_fit(out_dir: Path, name: str, csv_dir: Path) -> None:
+    """``sunspin fit MODEL CSV --column C --out OUT_DIR/<name>`` for the
+    fit run ``name`` of ``FIT_RUNS``, on the CSV of its config under
+    ``csv_dir``."""
+    model, config, file, column = FIT_RUNS[name]
+    _cli_quietly("fit", model, str(csv_dir / config / file), "--column", str(column),
+                 "--out", str(out_dir / name))
 
 
 def _run_config(path: Path, out_dir: Path) -> None:
@@ -68,11 +92,14 @@ def _run_config(path: Path, out_dir: Path) -> None:
 
 
 def run_all(out_dir: Path, repeat: int = 1) -> list[str]:
-    """Run each bundled config, then ``decompose``, ``repeat`` times into
-    its own directory; returns the names."""
+    """Run each bundled config, then ``decompose``, then the fits of
+    ``FIT_RUNS`` on the configs' outputs, ``repeat`` times into its own
+    directory; returns the names."""
     runs = [(path.stem, functools.partial(_run_config, path, out_dir))
             for path in sorted(CONFIG_DIR.glob("*.json"))]
     runs.append(("decompose", functools.partial(run_decompose, out_dir)))
+    runs += [(name, functools.partial(run_fit, out_dir, name, out_dir))
+             for name in FIT_RUNS]
     for name, run in runs:
         times = []
         for _ in range(repeat):
