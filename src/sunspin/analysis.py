@@ -8,7 +8,8 @@ deterministic grid: FFT-seeded frequencies times decay rates (the rate
 are solved exactly, and all points are scored at once, as one stack of
 weighted bases through one batched QR (a rank-deficient basis by
 ``lstsq``).  Samples may come in any order; the fits sort them by time.
-Orthogonal-distance regression wraps ODRPACK.
+Orthogonal-distance regression wraps ODRPACK (``scipy.odr``), which is
+imported on the first call, so no other fit loads SciPy.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.odr as odr_pack
 
 TWO_PI = 2.0 * np.pi
 # phase_noise_estimate accepts a grid point when its z² lies below the
@@ -348,7 +348,10 @@ def fit_sine_odr(times, values, x_errors, y_errors,
     """Orthogonal-distance regression of a pure sinusoid.
 
     Minimizes combined normalized x/y residuals; with all x errors zero
-    it reduces to ordinary least squares.
+    it reduces to ordinary least squares.  The fit runs on ODRPACK
+    through ``scipy.odr``, imported here on the first call: the one fit
+    that loads SciPy.  ``scipy.odr`` is deprecated since SciPy 1.17 and
+    emits a ``DeprecationWarning`` when it is first imported.
     """
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
@@ -365,6 +368,8 @@ def fit_sine_odr(times, values, x_errors, y_errors,
 
     def model(beta, x):
         return beta[0] * np.sin(TWO_PI * beta[1] * x + beta[2]) + beta[3]
+
+    import scipy.odr as odr_pack
 
     ols_mode = not np.any(sx > 0)
     data = odr_pack.RealData(t, y, sx=None if ols_mode else sx, sy=sy)

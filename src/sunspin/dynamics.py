@@ -77,6 +77,15 @@ the forward step keeps; and a tone-free one scales the coherence
 entries of r by their phase and decay factors and maps its population
 entries by r_pop @ P, P the rate-matrix exponential.
 
+The matrix exponential is the package's own :func:`expm`: scaling and
+squaring of a diagonal Pade approximant of degree 3, 5, 7, 9 or 13,
+picked by the 1-norm (Higham, SIAM J. Matrix Anal. Appl. 26, 1179
+(2005), Algorithm 2.3).  It takes real or complex input, batched over
+leading axes, and each matrix of a stack picks its own degree and
+scaling, so its result does not depend on the others.  The integrator
+is SciPy's, which :func:`solve_ivp` imports on its first call: only a
+segment stepped by RK45 loads SciPy.
+
 Two costly results are kept by content, because one run asks for them
 again and again:
 
@@ -94,7 +103,8 @@ again and again:
 A segment looks its channel set up once, and the spectrum cache keys it
 by the set's own stored key, so no entry holds a copy of the operator
 bytes.  Keys are content, never object identity; cached arrays are
-read-only; both caches are bounded and ``clear_caches`` empties them.
+read-only; both caches are bounded.  ``clear_caches`` empties them and
+the two ``lru_cache`` s of :mod:`sunspin.model`.
 A scan does not lean on them to share its pulses: :mod:`sunspin.protocols`
 evolves each pulse of a scan once.
 """
@@ -103,13 +113,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import expm
 
+from . import model
 from .spin_core import DIM, density_matrix, m_index
 
 TWO_PI = 2.0 * np.pi
@@ -500,6 +510,9 @@ def _resolve_times(schedule: Schedule, t_eval) -> np.ndarray:
         times = np.atleast_1d(np.asarray(t_eval, dtype=float))
     if not len(times):
         raise DynamicsError("no sample times")
+    bad = times[~np.isfinite(times)]
+    if len(bad):
+        raise DynamicsError(f"sample time {bad[0]} is not finite")
     if np.any(np.diff(times) <= 0):
         raise DynamicsError("sample times must be strictly increasing")
     if times[0] < -TIME_SLACK or times[-1] > schedule.duration + TIME_SLACK:
@@ -813,6 +826,121 @@ def _rk45_span(rhs, y, t_a, ends, tol, max_step):
     return states + states[-1:] * n_end
 
 
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp(*args, **kwargs)``, its result as it
+    comes.  SciPy is imported on the first call, so a run that steps no
+    segment by RK45 never loads it."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# the matrix exponential
+# ---------------------------------------------------------------------------
+
+# Higham (2005), sec. 2: the largest 1-norm at which the diagonal Pade
+# approximant of degree 3, 5, 7 and 9 reaches double-precision accuracy
+# unscaled, and that of degree 13, to which larger norms are scaled by 2^-s.
+PADE_THETAS = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+               7: 9.504178996162932e-1, 9: 2.097847961257068e0}
+PADE_THETA_13 = 5.371920351148152e0
+# The coefficients b_k of A^k, k = 0..m, in the degree-m numerator
+# p(A) = U + V of the approximant; its denominator is p(-A) = V - U.
+PADE_COEFFS = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0,
+         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+         16380.0, 182.0, 1.0),
+}
+
+
+def expm(a) -> np.ndarray:
+    """exp(A) of a square matrix, or of each matrix of a stack (..., n, n).
+
+    Scaling and squaring (Higham 2005, Algorithm 2.3): the lowest Pade
+    degree m whose theta bounds the 1-norm, else degree 13 on A / 2^s,
+    the result squared s times, s the least with ||A||_1 / 2^s at most
+    theta_13.  Each matrix of a stack picks its own m and s, and the
+    matrices sharing both take them in one batch, so a matrix's
+    exponential is the same, bit for bit, alone or in any stack.
+    """
+    a = np.asarray(a)
+    groups: dict = {}
+    for i, norm in enumerate(np.abs(a).sum(axis=-2).max(axis=-1).ravel().tolist()):
+        groups.setdefault(_pade_plan(norm), []).append(i)
+    if len(groups) == 1:
+        (plan,) = groups
+        return _scaled_pade(a, *plan)
+    flat = a.reshape((-1,) + a.shape[-2:])
+    x = np.empty_like(flat)
+    for plan, at in groups.items():
+        x[at] = _scaled_pade(flat[at], *plan)
+    return x.reshape(a.shape)
+
+
+def _pade_plan(norm: float) -> tuple[int, int]:
+    """(Pade degree m, squarings s) for a matrix of 1-norm ``norm``; s
+    comes exactly from the binary exponent of norm / theta_13."""
+    for m, theta in PADE_THETAS.items():
+        if norm <= theta:
+            return m, 0
+    if not math.isfinite(norm):
+        raise DynamicsError("matrix exponential of non-finite entries")
+    # norm / theta_13 = f 2^e with f in [0.5, 1): s = e, or e - 1 at f = 0.5
+    fraction, exponent = math.frexp(norm / PADE_THETA_13)
+    return 13, max(exponent - (fraction == 0.5), 0)
+
+
+def _scaled_pade(a, m: int, s: int) -> np.ndarray:
+    """The degree-m approximant of exp(A / 2^s), squared s times."""
+    x = _pade(a * 2.0 ** -s if s else a, m)
+    for _ in range(s):
+        x = x @ x
+    return x
+
+
+def _pade(a, m: int) -> np.ndarray:
+    """The degree-m diagonal Pade approximant of exp(A): p(-A)^-1 p(A) by
+    one solve, p's odd part U and even part V built from the even powers
+    of A (Higham 2005, sec. 2; degree 13 nests A^6)."""
+    b = PADE_COEFFS[m]
+    evens = [a @ a]
+    while len(evens) < (m // 2 if m < 13 else 3):
+        evens.append(evens[-1] @ evens[0])
+    if m < 13:
+        odd = _with_identity(_combine(b[3::2], evens), b[1])
+        v = _with_identity(_combine(b[2::2], evens), b[0])
+    else:
+        a6 = evens[2]
+        odd = _with_identity(a6 @ _combine(b[9::2], evens)
+                             + _combine(b[3:8:2], evens), b[1])
+        v = _with_identity(a6 @ _combine(b[8::2], evens)
+                           + _combine(b[2:7:2], evens), b[0])
+    u = a @ odd
+    return np.linalg.solve(v - u, v + u)
+
+
+def _combine(coeffs, powers) -> np.ndarray:
+    """sum_k coeffs[k] powers[k], as a new array."""
+    out = coeffs[0] * powers[0]
+    for c, p in zip(coeffs[1:], powers[1:]):
+        out += c * p
+    return out
+
+
+def _with_identity(x: np.ndarray, c: float) -> np.ndarray:
+    """x + c I, in place on each matrix of x (contiguous)."""
+    n = x.shape[-1]
+    x.reshape(x.shape[:-2] + (n * n,))[..., ::n + 1] += c
+    return x
+
+
 # ---------------------------------------------------------------------------
 # the engine a schedule selects
 # ---------------------------------------------------------------------------
@@ -979,9 +1107,14 @@ def _constant_spectrum(seg: Segment):
 
 
 def clear_caches() -> None:
-    """Empty both content caches."""
+    """Empty both content caches, and the ``lru_cache`` s of
+    :func:`sunspin.model.two_photon_weight` and
+    :func:`sunspin.model.scattering_branching_ratios`, so a run after it
+    starts cold."""
     _CHANNEL_SETS.cache_clear()
     _SPECTRA.cache_clear()
+    model.two_photon_weight.cache_clear()
+    model.scattering_branching_ratios.cache_clear()
 
 
 def _density_start(rho) -> np.ndarray:

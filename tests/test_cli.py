@@ -413,13 +413,54 @@ class TestConfigCheck:
         assert not out.exists()
 
     def test_import_loads_no_jsonschema(self):
-        src = Path(cli.__file__).resolve().parents[1]
         code = ("import sys, sunspin.cli; "
                 "print([m for m in sys.modules if m.startswith('jsonschema')])")
-        out = subprocess.run([sys.executable, "-c", code], check=True,
-                             capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": str(src)}).stdout
-        assert out.strip() == "[]"
+        assert _fresh_python("-c", code).strip() == "[]"
+
+
+def _fresh_python(*args: str) -> str:
+    """stdout of ``python ARGS`` in a new interpreter on this package."""
+    src = Path(cli.__file__).resolve().parents[1]
+    return subprocess.run([sys.executable, *args], check=True,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}).stdout
+
+
+# a Python expression: the scipy* modules a process has loaded
+SCIPY_LOADED = "sorted(m for m in sys.modules if m.startswith('scipy'))"
+
+
+class TestStartsWithoutScipy:
+    """Only RK45 and the ODR fit load SciPy.  This test process holds it
+    already (the tests use it as a reference), so each check runs in a
+    new interpreter."""
+
+    def test_import_loads_no_scipy(self):
+        code = f"import json, sys, sunspin.cli; print(json.dumps({SCIPY_LOADED}))"
+        assert json.loads(_fresh_python("-c", code)) == []
+
+    def test_bundled_configs_load_no_scipy(self, tmp_path):
+        code = ("import json, sys\n"
+                "from pathlib import Path\n"
+                "from sunspin import cli\n"
+                "loaded = {}\n"
+                f"for path in sorted(Path({str(CONFIG_DIR)!r}).glob('*.json')):\n"
+                "    cli.run_config(json.loads(path.read_text()),\n"
+                f"                   Path({str(tmp_path)!r}) / path.stem)\n"
+                f"    loaded[path.stem] = {SCIPY_LOADED}\n"
+                "print(json.dumps(loaded))\n")
+        loaded = json.loads(_fresh_python("-c", code))
+        assert loaded == {path.stem: [] for path in CONFIG_DIR.glob("*.json")}
+
+    def test_fit_sine_odr_runs_from_a_cold_start(self, tmp_path):
+        t = np.linspace(0.0, 1.0, 40)
+        y = 0.5 + 0.4 * np.sin(2 * np.pi * 3.0 * t + 0.3)
+        path = tmp_path / "odr.csv"
+        np.savetxt(path, np.column_stack([t, y, np.full(40, 0.01), np.full(40, 1e-3)]),
+                   delimiter=",", header="t,y,sy,sx", comments="")
+        fit = json.loads(_fresh_python("-m", "sunspin.cli", "fit", "sine-odr", str(path)))
+        assert fit["converged"]
+        assert abs(fit["params"]["frequency_hz"] - 3.0) < 1e-6
 
 
 def _channel_bytes(spec):

@@ -792,6 +792,87 @@ class TestEigenProperties:
         assert np.max(np.abs(rho - rho.conj().transpose(0, 2, 1))) <= 1e-13
 
 
+def _relative_1_norm_error(got, ref):
+    return np.linalg.norm(got - ref, 1) / np.linalg.norm(ref, 1)
+
+
+def _squarings(a):
+    return dynamics._pade_plan(np.abs(a).sum(axis=0).max())[1]
+
+
+def _rate_matrix_stack():
+    """Scattering plus dephasing's rate matrix over dark steps of 1e-4 to
+    3 s, a zero step first: every degree from 3 to 13 without squaring."""
+    spec = model.photon_scattering_channels().merge(model.inhomogeneous_dephasing())
+    rates = dynamics.channel_set(spec.channels).rate_matrix
+    return rates * np.append(0.0, np.geomspace(1e-4, 3.0, 40))[:, None, None]
+
+
+class TestExpm:
+    """The package's own exponential against SciPy's, a test-side
+    reference only.  Both are backward stable, but squaring s times can
+    grow the rounding of the scaled exponential 2^s-fold (Higham 2005,
+    sec. 2), so where the 1-norm forces s squarings two correct
+    implementations agree to 1e-14 times 2^s."""
+
+    @settings(max_examples=10, deadline=None, database=None)
+    @given(drawn=constant_liouville_scans())
+    def test_matches_scipy_on_drawn_liouvillians(self, drawn):
+        sched, times = drawn
+        steps = dynamics._constant_liouvillian(sched.segments[0]) * times[:, None, None]
+        for step, mine in zip(steps, dynamics.expm(steps)):
+            err = _relative_1_norm_error(mine, expm(step))
+            assert err <= 1e-14 * 2.0 ** _squarings(step)
+
+    def test_matches_scipy_on_rate_matrix_stacks(self):
+        stack = _rate_matrix_stack()
+        plans = {dynamics._pade_plan(np.abs(a).sum(axis=0).max()) for a in stack}
+        assert plans == {(m, 0) for m in (*dynamics.PADE_THETAS, 13)}
+        got = dynamics.expm(stack)
+        assert np.array_equal(got[0], np.eye(DIM))
+        for a, mine in zip(stack, got):
+            assert _relative_1_norm_error(mine, expm(a)) <= 1e-14
+
+    def test_matches_scipy_where_the_norm_forces_squaring(self):
+        # criterion 2's Liouvillian over 0.3 ms: a 1-norm of 25, 3 squarings
+        sup = dynamics._constant_liouvillian(_criterion_2_schedule(
+            model.photon_scattering_channels()).segments[0])
+        step = sup * 3e-4
+        assert _squarings(step) == 3
+        assert _relative_1_norm_error(dynamics.expm(step), expm(step)) <= 1e-14
+
+    def test_stack_equals_its_matrices_one_at_a_time(self):
+        # mixed degrees and squarings, real and complex: each matrix's
+        # exponential is the same bits alone, in the stack or reordered
+        rates = _rate_matrix_stack()
+        real = np.concatenate([rates, rates[1:] * 40.0])
+        sup = dynamics._constant_liouvillian(_criterion_2_schedule(
+            model.photon_scattering_channels()).segments[0])
+        complex_ = sup * np.geomspace(1e-7, 1e-2, 9)[:, None, None]
+        for stack in (real, complex_, real.reshape(9, 9, DIM, DIM)):
+            flat = stack.reshape((-1,) + stack.shape[-2:])
+            got = dynamics.expm(stack).reshape(flat.shape)
+            reordered = dynamics.expm(flat[::-1])[::-1]
+            for a, mine, other in zip(flat, got, reordered):
+                assert mine.tobytes() == dynamics.expm(a).tobytes() == other.tobytes()
+
+    def test_squarings_exact_at_powers_of_two(self):
+        theta = dynamics.PADE_THETA_13
+        for s in range(4):
+            norm = theta * 2.0**s
+            assert dynamics._pade_plan(norm) == (13, s)
+            assert dynamics._pade_plan(np.nextafter(norm, np.inf)) == (13, s + 1)
+        for m, bound in dynamics.PADE_THETAS.items():
+            assert dynamics._pade_plan(bound) == (m, 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        a = np.zeros((DIM, DIM))
+        a[2, 3] = bad
+        with pytest.raises(dynamics.DynamicsError, match="non-finite"):
+            dynamics.expm(a)
+
+
 @st.composite
 def channel_free_scans(draw):
     """A constant Raman segment on which no channel acts, compiled for the
@@ -1370,6 +1451,14 @@ class TestCacheProperties:
         dynamics.clear_caches()
         assert run().tobytes() == fresh.tobytes()
 
+    def test_clear_caches_empties_the_model_lru_caches(self):
+        model.two_photon_weight(-2.5)
+        model.scattering_branching_ratios()
+        cached = (model.two_photon_weight, model.scattering_branching_ratios)
+        assert all(f.cache_info().currsize > 0 for f in cached)
+        dynamics.clear_caches()
+        assert [f.cache_info().currsize for f in cached] == [0, 0]
+
     def test_flat_diagonal_integral_keeps_general_formula_bits(self):
         d = np.array([-0.0, 0.0, -1.5e3, 2.0e3, 0.5, -0.0, 7.0, -3.0, 1e-300, 9.0])
         seg = dynamics.Segment(2.0**-10, d, d.copy())
@@ -1490,6 +1579,18 @@ class TestTrajectory:
         with pytest.raises(dynamics.DynamicsError):
             dynamics.evolve_pure(basis_state(0.5), dynamics.hold(h, 1.0),
                                  t_eval=[0.5, 0.2])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_time_named(self, bad):
+        h = np.zeros((DIM, DIM))
+        psi = basis_state(0.5)
+        for sched in (dynamics.hold(h, 1.0), dynamics.hold(h, 1.0, channels=[])):
+            for times in ([0.1, bad], [bad]):
+                with pytest.raises(dynamics.DynamicsError,
+                                   match=f"sample time {bad} is not finite"):
+                    dynamics.evolve(sched, psi, t_eval=times)
+            with pytest.raises(dynamics.DynamicsError, match="not finite"):
+                dynamics.expect(sched, psi, pr._POP_ROWS, [0.1, bad])
 
     def test_no_sample_times_rejected(self):
         h = np.zeros((DIM, DIM))

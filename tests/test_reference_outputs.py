@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from sunspin import cli, dynamics, model
+from sunspin import cli, dynamics
 
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE = ROOT / "tests" / "reference"
@@ -39,9 +39,6 @@ def test_every_bundled_config_has_a_reference():
 @pytest.mark.parametrize("name", RUNS)
 def test_outputs_match_the_reference(name, tmp_path):
     dynamics.clear_caches()
-    for cached in vars(model).values():
-        if hasattr(cached, "cache_clear"):
-            cached.cache_clear()
     if name == "decompose":
         bundled_manifests.run_decompose(tmp_path)
     elif name in bundled_manifests.FIT_RUNS:
