@@ -1,10 +1,10 @@
 """Time evolution engines for the 10-level manifold.
 
 Pure-state Schroedinger propagation and Lindblad master-equation
-propagation over piecewise-defined time-dependent Hamiltonians.  The
-engines take a :class:`Schedule` of data :class:`Segment` s, built by
-:func:`sunspin.sequence.compile`, or by :func:`hold` for a constant
-matrix the compiler does not make.  The schedule selects its engine
+propagation over piecewise-defined Hamiltonians, each piece stepped
+exactly.  The engines take a :class:`Schedule` of data :class:`Segment`
+s, built by :func:`sunspin.sequence.compile`, or by :func:`hold` for a
+constant matrix the compiler does not make.  The schedule selects its engine
 (``Schedule.density``), and :func:`evolve`, :func:`expect` and
 :func:`pullback` run it there.  A segment carries its duration and runs
 on its own clock from 0, so a pulse maps the same wherever it sits;
@@ -32,9 +32,12 @@ r @ vec(rho(t)) of Hermitian-reading rows at each sample time, and a
 segment's sampler forms those instead of the 100 entries of each
 rho(t).  So k rows cost k columns both ways.  The state carried from
 segment to segment is the full one, stepped by the same method.  Each
-segment gets one method by its kind:
+segment gets one method by its kind, which it takes when it is built: a
+segment that neither kind fits raises :class:`DynamicsError` there.
 
-* constant H - exact stepping from the segment start through one
+* constant H (square tones that do not beat, under a flat TLS
+  multiplier; or no tones, a flat multiplier and channels the closed
+  form does not take) - exact stepping from the segment start through one
   spectrum (method 14 of Moler & Van Loan, SIAM Rev. 45, 3 (2003)): in
   Hilbert space the eigendecomposition H = V diag(w) V^H.  In Liouville
   space with no acting channel (the set's dissipator is zero, or the
@@ -53,27 +56,23 @@ segment gets one method by its kind:
   of V M V^H.  When that basis leaves L complex, LAPACK fails or
   cond(V) exceeds ``EIG_COND_MAX`` (L is not normal and can be
   defective), chained exponentials of the Liouvillian instead.
-* diagonal H (dark times and TLS ramps: diagonal entries linear in t) -
+* diagonal H (no tones, and channels that are each diagonal or a single
+  transfer: dark times and TLS ramps, diagonal entries linear in t) -
   closed form from the segment start: in Hilbert space a phase vector by
-  exact quadrature; in Liouville space, with diagonal or single-transfer
-  channels, populations through the exponential of the classical rate
-  matrix and coherences through phases and scalar decay factors.  Exact
-  for the channel structure this package generates, on TLS ramps too
+  exact quadrature; in Liouville space populations through the
+  exponential of the classical rate matrix and coherences through phases
+  and scalar decay factors.  Exact for the channel structure this
+  package generates, on TLS ramps too
   (one rate matrix times mult(t) commutes with itself).  Every sample
   time is stepped from the segment start, with the factors of all of
   them from one stacked evaluation (one exponential of the stacked rate
   matrices), so a time scan samples one lengthened dark segment rather
   than stepping a section per point.
-* anything else - adaptive RK45 on the flattened state, with the
-  maximum step bounded by 1/(50 f_max), one solve per stretch between
-  the corners of a linear ramp; in Liouville space in commutator form,
-  building no Liouvillian.  Backward, such a segment's own 100x100 map
-  is stepped forward and the rows multiply it.
 
 Backward, a constant segment with no acting channel costs U^T R conj(U)
 for each row R read as a 10x10 matrix, the pure engine's formula; one
 with channels costs ((r @ V) * exp(lambda t)) @ V^-1 on the spectrum
-the forward step keeps; and a tone-free one scales the coherence
+the forward step keeps; and a diagonal one scales the coherence
 entries of r by their phase and decay factors and maps its population
 entries by r_pop @ P, P the rate-matrix exponential.
 
@@ -82,9 +81,7 @@ squaring of a diagonal Pade approximant of degree 3, 5, 7, 9 or 13,
 picked by the 1-norm (Higham, SIAM J. Matrix Anal. Appl. 26, 1179
 (2005), Algorithm 2.3).  It takes real or complex input, batched over
 leading axes, and each matrix of a stack picks its own degree and
-scaling, so its result does not depend on the others.  The integrator
-is SciPy's, which :func:`solve_ivp` imports on its first call: only a
-segment stepped by RK45 loads SciPy.
+scaling, so its result does not depend on the others.
 
 Two costly results are kept by content, because one run asks for them
 again and again:
@@ -124,8 +121,6 @@ from .spin_core import DIM, density_matrix, m_index
 
 TWO_PI = 2.0 * np.pi
 
-DEFAULT_RTOL = 1e-9
-
 # Largest accepted max|Im R| / max|R| of the Liouvillian R in the
 # Hermitian basis.  A Lindblad generator keeps rho Hermitian, so R is
 # real up to rounding (below 1e-20 on the package's channel sets); a
@@ -150,16 +145,13 @@ UNITARY_BLOCK = 32
 CHANNEL_SETS_CACHED = 4
 SPECTRA_CACHED = 8
 # A segment whose TLS multiplier moves by less than this is flat, and a
-# tone beating slower than this (Hz) is static: a square, rotating-frame
-# segment with both is constant.
+# tone beating slower than this (Hz) is static: a segment whose tones are
+# all static under a flat multiplier is constant.
 FLAT_MULTIPLIER = 1e-15
 ZERO_BEAT_HZ = 1e-12
 # How far past the schedule's end (s) a sample time may lie; a segment
 # is handed the samples up to this far past its own end.
 TIME_SLACK = 1e-12
-# RK45 samples this close to a solve's end (s), or past it, take the
-# state at the end: t_eval must stay inside the span.
-SPAN_END_SLACK = 1e-18
 # A jump operator entry of at most this magnitude counts as zero when a
 # channel set is sorted into diagonal and single-transfer operators.
 CHANNEL_ENTRY_ZERO = 1e-15
@@ -176,10 +168,10 @@ DENSITY_HERMITIAN_TOL = 10 * DENSITY_PSD_TOL
 # A Hermitian R reads a real value off every density matrix, which the
 # folded conjugate eigenvalue pairs of a constant segment rely on.
 READING_HERMITIAN_TOL = 1e-12
-# Output checks: the final state's norm drift may reach 100 tol but
-# never needs to be below NORM_DRIFT_FLOOR; the final trace may drift by
-# TRACE_DRIFT_MAX; the final density matrix's eigenvalues may reach
-# DENSITY_POSITIVITY_FLOOR (positivity is monitored, not enforced).
+# Output checks: the final state's norm may drift by NORM_DRIFT_FLOOR;
+# the final trace may drift by TRACE_DRIFT_MAX; the final density
+# matrix's eigenvalues may reach DENSITY_POSITIVITY_FLOOR (positivity is
+# monitored, not enforced).
 NORM_DRIFT_FLOOR = 1e-6
 TRACE_DRIFT_MAX = 1e-6
 DENSITY_POSITIVITY_FLOOR = -1e-8
@@ -241,23 +233,6 @@ _SPECTRA = ContentCache(SPECTRA_CACHED)
 # ---------------------------------------------------------------------------
 
 
-def _trapezoid(s: float, r: float) -> float:
-    if s < r:
-        return s / r
-    if s > 1 - r:
-        return (1 - s) / r
-    return 1.0
-
-
-# Pulse envelopes as functions of the segment fraction s in [0, 1] and
-# the envelope parameter r (the ramp fraction of linear_ramp).
-ENVELOPES = {
-    "square": lambda s, r: 1.0,
-    "linear_ramp": _trapezoid,
-    "raised_cosine": lambda s, r: 0.5 * (1.0 - np.cos(2 * np.pi * s)),
-}
-
-
 @dataclass(frozen=True)
 class Segment:
     """One piecewise element of a schedule, held as plain data.
@@ -265,24 +240,21 @@ class Segment:
     ``diag_start`` and ``diag_end`` are the level diagonal (Hz) at the
     TLS multiplier endpoints ``mult_start`` and ``mult_end``; across the
     segment both move linearly in t.  Each tone is (upper coupling
-    triangle, beat Hz, phase rad), driven under ``envelope`` in the
-    rotating frame, or in the lab-beat frame when ``lab``.
+    triangle, beat Hz, phase rad), driven square in the rotating frame.
     ``channels`` hold (jump operator, base rate); their rates are scaled
     by the multiplier.  ``known_channel_set``, when given, is the looked-up
     set of ``channels``: :func:`sunspin.sequence.compile` looks its one
     set up once for all its segments, and a segment built without one
-    looks it up on first use.  The level diagonals and coupling triangles
-    are kept as read-only copies, so the cached ``key``, ``h_const`` and
-    spectra cannot go stale.
+    looks it up when it needs it.  The level diagonals and coupling
+    triangles are kept as read-only copies, so the cached ``key``,
+    ``h_const`` and spectra cannot go stale.  A segment that no exact
+    method steps (see ``kind``) raises :class:`DynamicsError` when built.
     """
 
     duration: float
     diag_start: np.ndarray
     diag_end: np.ndarray
     tones: tuple[tuple[np.ndarray, float, float], ...] = ()
-    envelope: str = "square"
-    envelope_param: float = 0.25
-    lab: bool = False
     channels: tuple[tuple[np.ndarray, float], ...] = ()
     mult_start: float = 1.0
     mult_end: float = 1.0
@@ -297,20 +269,41 @@ class Segment:
         attrs["diag_end"] = _frozen(np.array(self.diag_end))
         attrs["tones"] = tuple((_frozen(np.array(cmat)), beat, phi)
                                for cmat, beat, phi in self.tones)
+        self.kind  # taken now, so a segment no exact method steps raises here
 
     @functools.cached_property
     def kind(self) -> str:
-        """constant | diagonal (no tones) | general: what the stepper sees."""
-        if not self.tones:
+        """constant | diagonal: the exact method that steps the segment.
+
+        Tones, all static under a flat multiplier, make it constant.  With
+        no tones it is diagonal (the closed form) when its channels are
+        diagonal-safe, and otherwise constant when the multiplier and the
+        level diagonal are flat.  Anything else raises, naming the cause.
+        """
+        flat = abs(self.mult_end - self.mult_start) < FLAT_MULTIPLIER
+        if self.tones:
+            if not flat:
+                raise DynamicsError(
+                    f"a tone during a TLS ramp ({self.mult_start:g} to "
+                    f"{self.mult_end:g}): no exact method steps it")
+            beats = [abs(beat) for _, beat, _ in self.tones if abs(beat) >= ZERO_BEAT_HZ]
+            if beats:
+                raise DynamicsError(
+                    f"tones with a residual beat of {beats[0]:g} Hz in one "
+                    "segment: no exact method steps it")
+            return "constant"
+        if not self.channels or self.channel_set.diagonal_safe:
             return "diagonal"
-        static = (self.envelope == "square" and not self.lab
-                  and abs(self.mult_end - self.mult_start) < FLAT_MULTIPLIER
-                  and all(abs(beat) < ZERO_BEAT_HZ for _, beat, _ in self.tones))
-        return "constant" if static else "general"
+        if flat and self._diag_flat is not None:
+            return "constant"
+        raise DynamicsError(
+            "a ramp (of the TLS multiplier or the level diagonal) under channels "
+            "that are not diagonal-safe (each diagonal or a single transfer): no "
+            "exact method steps it")
 
     @functools.cached_property
     def key(self) -> tuple | None:
-        """Content key of a constant segment's H; None for the other kinds.
+        """Content key of a constant segment's H; None for a diagonal one.
 
         The level diagonal and each tone's coupling triangle, beat and
         phase, never the duration: segments with equal keys have
@@ -326,7 +319,7 @@ class Segment:
 
     @functools.cached_property
     def h_const(self) -> np.ndarray | None:
-        """H of a constant segment; None for the other kinds."""
+        """H of a constant segment; None for a diagonal one."""
         return self.hamiltonian(0.0) if self.kind == "constant" else None
 
     @functools.cached_property
@@ -342,45 +335,20 @@ class Segment:
         multiplier is 0 at both ends."""
         return self.channel_set.channel_free or self.mult_start == self.mult_end == 0
 
-    @functools.cached_property
-    def f_max_hz(self) -> float:
-        """Frequency scale of H (Hz), which bounds the RK45 step."""
-        if self.kind == "constant":
-            return float(np.max(np.abs(self.h_const)))
-        return float(max(np.max(np.abs(self.diag_start)), np.max(np.abs(self.diag_end)),
-                         *(abs(beat) for _, beat, _ in self.tones)))
-
-    @property
-    def kinks(self) -> tuple[float, ...]:
-        """Times inside the segment where the envelope is not smooth:
-        the corners of a linear ramp."""
-        if self.envelope != "linear_ramp":
-            return ()
-        ramp = self.envelope_param * self.duration
-        return tuple(sorted(t for t in {ramp, self.duration - ramp}
-                            if 0 < t < self.duration))
-
     def hamiltonian(self, t: float) -> np.ndarray:
         """H(t) (Hz) at time t into the segment: the package's one Raman
         Hamiltonian.
 
         The level diagonal at the ramped TLS multiplier plus, per tone
-        (coupling triangle, beat rate, phase), the enveloped coupling and
-        its conjugate: rotating at the residual beat in the RWA frame,
-        oscillating as 2 cos at the full beat (counter-rotating terms
-        kept) in the lab-beat frame.  The drive phase rides on the
-        raising coupling |high><low|, so the stored (low, high) side gets
-        e^{-i.}.
+        (coupling triangle, beat rate, phase), the coupling rotating at
+        the residual beat in the RWA frame, and its conjugate.  The drive
+        phase rides on the raising coupling |high><low|, so the stored
+        (low, high) side gets e^{-i.}.
         """
         s = np.clip(self._fraction(t), 0.0, 1.0)
         hm = np.diag(self._diag_at(s)).astype(complex)
-        env = ENVELOPES[self.envelope](s, self.envelope_param)
         for cmat, rate, phi0 in self.tones:
-            arg = 2 * np.pi * rate * t + phi0
-            if self.lab:
-                upper = 2.0 * env * cmat * np.cos(arg)
-            else:
-                upper = env * cmat * np.exp(-1j * arg)
+            upper = cmat * np.exp(-1j * (2 * np.pi * rate * t + phi0))
             hm += upper + upper.conj().T
         return hm
 
@@ -448,8 +416,11 @@ def hold(h, duration: float, channels=None) -> Schedule:
     even none, the schedule is on the density engine.
     """
     ops = tuple((np.asarray(op, dtype=complex), float(r)) for op, r in channels or ())
-    if any(r < 0 for _, r in ops):
-        raise DynamicsError("negative channel rate")
+    for _, r in ops:
+        if not math.isfinite(r):
+            raise DynamicsError(f"channel rate {r} is not finite")
+        if r < 0:
+            raise DynamicsError(f"negative channel rate {r}")
     h0 = np.asarray(h, dtype=complex)
     _check_hermitian(h0)
     diag = h0.diagonal().real.copy()
@@ -524,8 +495,8 @@ def _resolve_times(schedule: Schedule, t_eval) -> np.ndarray:
 # the schedule walker and the segment stepper
 # ---------------------------------------------------------------------------
 
-def _walk(schedule: Schedule, state: np.ndarray, times, tol: float,
-          liouville: bool, rows=None) -> tuple[np.ndarray | None, np.ndarray]:
+def _walk(schedule: Schedule, state: np.ndarray, times, liouville: bool,
+          rows=None) -> tuple[np.ndarray | None, np.ndarray]:
     """Fold ``state`` through the schedule.
 
     Returns the samples at ``times`` (a sorted array, inside the schedule
@@ -542,7 +513,7 @@ def _walk(schedule: Schedule, state: np.ndarray, times, tol: float,
     for seg, start, end in zip(schedule.segments, starts, starts[1:]):
         n_in = times.searchsorted(end + TIME_SLACK, "right")
         inside = times[n_done:n_in] - start
-        got, state = _step(seg, state, inside, tol, liouville, rows)
+        got, state = _step(seg, state, inside, liouville, rows)
         if len(inside):
             blocks.append(got)
             n_done = n_in
@@ -553,7 +524,7 @@ def _walk(schedule: Schedule, state: np.ndarray, times, tol: float,
     return (np.concatenate(blocks) if blocks else None), state
 
 
-def _step(seg: Segment, state, sample_ts, tol, liouville, rows=None):
+def _step(seg: Segment, state, sample_ts, liouville, rows=None):
     """Advance ``state`` across the segment.
 
     Returns (samples at ``sample_ts``, state at the end); times count
@@ -568,17 +539,15 @@ def _step(seg: Segment, state, sample_ts, tol, liouville, rows=None):
     ends = np.empty(len(sample_ts) + 1)
     ends[:-1] = sample_ts
     ends[-1] = seg.duration
-    if seg.kind == "constant" and (not liouville or seg.channel_free):
+    if seg.kind == "diagonal":
+        states = _closed_form(seg, state, ends, liouville)
+    elif not liouville or seg.channel_free:
         return _unitary(seg, state, ends, liouville, rows)
-    if seg.kind == "constant":
+    else:
         spectrum = _constant_spectrum(seg)
         if spectrum is not None:
             return _eigen_step(spectrum, state, ends, rows)
         states = _chained(_constant_liouvillian(seg), state, ends)
-    elif seg.kind == "diagonal" and (not liouville or seg.channel_set.diagonal_safe):
-        states = _closed_form(seg, state, ends, liouville)
-    else:
-        states = _rk45(seg, state, ends, tol, liouville)
     return _read(rows, states[:-1], liouville), states[-1]
 
 
@@ -771,65 +740,12 @@ def _chained(sup, state, ends):
     return states
 
 
-def _max_step(seg: Segment) -> float:
-    span = seg.duration
-    if seg.f_max_hz <= 0:
-        return span if span > 0 else np.inf
-    return min(span, 1.0 / (50.0 * seg.f_max_hz)) if span > 0 else np.inf
-
-
-def _rk45(seg: Segment, state, ends, tol, liouville):
-    shape = state.shape
-    if liouville:
-        dissipator = seg.channel_set.dissipator
-
-        def rhs(t, y):
-            # -2 pi i [H, rho] on each column, then the dissipator
-            vec = y.reshape(DIM * DIM, -1)
-            rho = vec.reshape(DIM, DIM, -1).transpose(2, 0, 1)
-            h = seg.hamiltonian(t)
-            comm = (h @ rho - rho @ h).transpose(1, 2, 0)
-            return (-1j * TWO_PI * comm.reshape(vec.shape)
-                    + seg.multiplier(t) * (dissipator @ vec)).reshape(-1)
-    else:
-        def rhs(t, y):
-            return (-1j * TWO_PI * (seg.hamiltonian(t) @ y.reshape(shape))).reshape(-1)
-
-    # RK45's error control assumes a smooth right-hand side, so each
-    # stretch between kinks of the envelope is solved on its own
-    max_step = _max_step(seg)
-    y, states, t_a = state.reshape(-1), [], 0.0
-    for t_b in seg.kinks:
-        later = ends[len(states):]
-        *got, y = _rk45_span(rhs, y, t_a, np.append(later[later <= t_b], t_b),
-                             tol, max_step)
-        states += got
-        t_a = t_b
-    states += _rk45_span(rhs, y, t_a, ends[len(states):], tol, max_step)
-    return [s.reshape(shape) for s in states]
-
-
-def _rk45_span(rhs, y, t_a, ends, tol, max_step):
-    """Flat states at ``ends`` from ``t_a`` (the last one is the span's end)."""
-    # t_eval must stay inside the span, so the samples within
-    # SPAN_END_SLACK of the span's end or past it (the walker gives a
-    # segment the samples up to TIME_SLACK past it) all take the first
-    # one's state, and that one is taken at the end at the latest
-    samples = ends[:-1]
-    n_end = np.count_nonzero(samples >= ends[-1] - SPAN_END_SLACK)
-    t_eval = np.append(samples[:len(samples) - n_end], min(ends[-n_end - 1], ends[-1]))
-    sol = solve_ivp(rhs, (t_a, ends[-1]), y, t_eval=t_eval, rtol=tol,
-                    atol=tol * 1e-3, max_step=max_step, method="RK45")
-    if not sol.success:
-        raise DynamicsError(f"integrator failure: {sol.message}")
-    states = [sol.y[:, k] for k in range(len(t_eval))]
-    return states + states[-1:] * n_end
-
-
 def solve_ivp(*args, **kwargs):
     """``scipy.integrate.solve_ivp(*args, **kwargs)``, its result as it
-    comes.  SciPy is imported on the first call, so a run that steps no
-    segment by RK45 never loads it."""
+    comes, SciPy imported on the first call.  No function of the package
+    calls it: every segment is stepped exactly.  Its one reader is the
+    benchmark's tracer, whose ``perfbench/spans.py`` ``TARGETS`` wraps
+    this name."""
     from scipy.integrate import solve_ivp as scipy_solve_ivp
 
     return scipy_solve_ivp(*args, **kwargs)
@@ -945,15 +861,14 @@ def _with_identity(x: np.ndarray, c: float) -> np.ndarray:
 # the engine a schedule selects
 # ---------------------------------------------------------------------------
 
-def evolve(schedule: Schedule, state: np.ndarray, t_eval=None,
-           tol: float = DEFAULT_RTOL) -> Trajectory:
+def evolve(schedule: Schedule, state: np.ndarray, t_eval=None) -> Trajectory:
     """Evolve an initial state through a schedule on the engine it
     selects: the state vector on the pure engine; on the density engine
     (``Schedule.density``) the density matrix, a state vector input being
     turned into its density matrix."""
     if not schedule.density:
-        return evolve_pure(state, schedule, tol=tol, t_eval=t_eval)
-    return evolve_density(density_matrix(state), schedule, tol=tol, t_eval=t_eval)
+        return evolve_pure(state, schedule, t_eval=t_eval)
+    return evolve_density(density_matrix(state), schedule, t_eval=t_eval)
 
 
 def expect(schedule: Schedule, state: np.ndarray, rows, t_eval) -> np.ndarray:
@@ -984,13 +899,12 @@ def expect(schedule: Schedule, state: np.ndarray, rows, t_eval) -> np.ndarray:
     if not schedule.density:
         psi = _pure_start(state)
         times = _resolve_times(schedule, t_eval)
-        samples, final = _walk(schedule, psi, times, DEFAULT_RTOL, False, rows)
-        _check_norm_drift(final, DEFAULT_RTOL)
+        samples, final = _walk(schedule, psi, times, False, rows)
+        _check_norm_drift(final)
     else:
         rho0 = _density_start(density_matrix(state))
         times = _resolve_times(schedule, t_eval)
-        samples, final = _walk(schedule, rho0.reshape(-1), times, DEFAULT_RTOL,
-                               True, rows)
+        samples, final = _walk(schedule, rho0.reshape(-1), times, True, rows)
         _check_final_density(final.reshape(DIM, DIM))
     return samples.real
 
@@ -999,16 +913,15 @@ def expect(schedule: Schedule, state: np.ndarray, rows, t_eval) -> np.ndarray:
 # pure-state propagation
 # ---------------------------------------------------------------------------
 
-def evolve_pure(state: np.ndarray, schedule: Schedule,
-                tol: float = DEFAULT_RTOL, t_eval=None) -> Trajectory:
+def evolve_pure(state: np.ndarray, schedule: Schedule, t_eval=None) -> Trajectory:
     """Schroedinger evolution of a normalized pure state.
 
     A schedule whose segments carry dissipation channels raises.
     """
     psi = _pure_start(state)
     times = _resolve_times(schedule, t_eval)
-    out = _walk(schedule, psi, times, tol, liouville=False)[0]
-    _check_norm_drift(out[-1], tol)
+    out = _walk(schedule, psi, times, liouville=False)[0]
+    _check_norm_drift(out[-1])
     return Trajectory(times=times, states=out, kind="pure")
 
 
@@ -1019,10 +932,10 @@ def _pure_start(state) -> np.ndarray:
     return psi
 
 
-def _check_norm_drift(psi: np.ndarray, tol: float):
+def _check_norm_drift(psi: np.ndarray):
     norm_err = abs(np.linalg.norm(psi) - 1.0)
-    if norm_err > max(NORM_DRIFT_FLOOR, 100 * tol):
-        raise DynamicsError(f"norm drift {norm_err:.2e}; reduce tol")
+    if norm_err > NORM_DRIFT_FLOOR:
+        raise DynamicsError(f"norm drift {norm_err:.2e}")
 
 
 # ---------------------------------------------------------------------------
@@ -1137,8 +1050,7 @@ def _check_final_density(final: np.ndarray):
         raise DynamicsError(f"positivity violation: min eigenvalue {min_eig:.2e}")
 
 
-def evolve_density(rho: np.ndarray, schedule: Schedule,
-                   tol: float = DEFAULT_RTOL, t_eval=None) -> Trajectory:
+def evolve_density(rho: np.ndarray, schedule: Schedule, t_eval=None) -> Trajectory:
     """Lindblad master-equation evolution under the schedule's channels.
 
     Positivity is monitored, not enforced: eigenvalues below
@@ -1146,7 +1058,7 @@ def evolve_density(rho: np.ndarray, schedule: Schedule,
     """
     rho0 = _density_start(rho)
     times = _resolve_times(schedule, t_eval)
-    samples, _ = _walk(schedule, rho0.reshape(-1), times, tol, liouville=True)
+    samples, _ = _walk(schedule, rho0.reshape(-1), times, liouville=True)
     out = samples.reshape(len(times), DIM, DIM)
     _check_final_density(out[-1])
     return Trajectory(times=times, states=out, kind="density")
@@ -1237,22 +1149,22 @@ def _closed_form(seg: Segment, state, ends, liouville):
 # propagators and superoperators
 # ---------------------------------------------------------------------------
 
-def propagator(schedule: Schedule, tol: float = DEFAULT_RTOL) -> np.ndarray:
+def propagator(schedule: Schedule) -> np.ndarray:
     """Unitary time-ordered propagator.
 
     A schedule whose segments carry dissipation channels raises.
     """
-    return _walk(schedule, np.eye(DIM, dtype=complex), np.empty(0), tol,
+    return _walk(schedule, np.eye(DIM, dtype=complex), np.empty(0),
                  liouville=False)[1]
 
 
-def superoperator(schedule: Schedule, tol: float = DEFAULT_RTOL) -> np.ndarray:
+def superoperator(schedule: Schedule) -> np.ndarray:
     """Process matrix of the full schedule on row-major vec(rho)."""
-    return _walk(schedule, np.eye(DIM * DIM, dtype=complex), np.empty(0), tol,
+    return _walk(schedule, np.eye(DIM * DIM, dtype=complex), np.empty(0),
                  liouville=True)[1]
 
 
-def pullback(schedule: Schedule, rows, tol: float = DEFAULT_RTOL) -> np.ndarray:
+def pullback(schedule: Schedule, rows) -> np.ndarray:
     """``rows`` @ the schedule's map on row-major vec(rho).
 
     ``rows`` (k, 100) read k observables off vec(rho) at the schedule's
@@ -1265,25 +1177,16 @@ def pullback(schedule: Schedule, rows, tol: float = DEFAULT_RTOL) -> np.ndarray:
     """
     rows = np.asarray(rows, dtype=complex)
     if not schedule.density:
-        return _through_unitary(propagator(schedule, tol=tol), rows)
+        return _through_unitary(propagator(schedule), rows)
     for seg in reversed(schedule.segments):
-        rows = _step_back(seg, rows, tol)
+        rows = _step_back(seg, rows)
     return rows
 
 
-def _step_back(seg: Segment, rows, tol):
+def _step_back(seg: Segment, rows):
     """``rows`` @ the segment's map in Liouville space: the adjoint of the
     method ``_step`` takes."""
-    if seg.kind == "constant" and seg.channel_free:
-        u = _unitary(seg, np.eye(DIM, dtype=complex), [seg.duration], False)[1]
-        return _through_unitary(u, rows)
-    if seg.kind == "constant":
-        spectrum = _constant_spectrum(seg)
-        if spectrum is None:
-            return rows @ expm(_constant_liouvillian(seg) * seg.duration)
-        rates, v, v_inv = spectrum
-        return ((rows @ v) * np.exp(rates * seg.duration)) @ v_inv
-    if seg.kind == "diagonal" and seg.channel_set.diagonal_safe:
+    if seg.kind == "diagonal":
         # coherences scale by their phase and decay; populations go
         # through the transpose of the rate-matrix map
         pop_map, phase, decay = _closed_form_factors(
@@ -1293,8 +1196,14 @@ def _step_back(seg: Segment, rows, tol):
         pops = rows[:, _VEC_DIAG]
         out[:, _VEC_DIAG] = pops if pop_map is None else pops @ pop_map
         return out
-    # RK45 steps the segment's own 100 columns
-    return rows @ _step(seg, np.eye(DIM * DIM, dtype=complex), [], tol, True)[1]
+    if seg.channel_free:
+        u = _unitary(seg, np.eye(DIM, dtype=complex), [seg.duration], False)[1]
+        return _through_unitary(u, rows)
+    spectrum = _constant_spectrum(seg)
+    if spectrum is None:
+        return rows @ expm(_constant_liouvillian(seg) * seg.duration)
+    rates, v, v_inv = spectrum
+    return ((rows @ v) * np.exp(rates * seg.duration)) @ v_inv
 
 
 def _through_unitary(u: np.ndarray, rows: np.ndarray) -> np.ndarray:

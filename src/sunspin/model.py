@@ -173,6 +173,8 @@ class LindbladSpec:
 
     def __post_init__(self):
         for op, rate in self.channels:
+            if not np.isfinite(rate):
+                raise ModelError(f"channel rate {rate} is not finite")
             if rate < 0:
                 raise ModelError(f"negative channel rate {rate}")
             if op.shape != (DIM, DIM):

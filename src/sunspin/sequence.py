@@ -1,15 +1,18 @@
 """Pulse sequences and their compilation to evolution schedules.
 
-A sequence is an ordered list of segments: Raman pulses with envelopes,
-dark times, and TLS power ramps.  Compilation produces a
+A sequence is an ordered list of segments: square Raman pulses, dark
+times, and TLS power ramps.  Compilation produces a
 :class:`~sunspin.dynamics.Schedule` in the rotating frame of the (single)
 RF local oscillator, whose frequency steps are phase-continuous like a
 DDS.  The TLS multiplier scales the quadratic shift q, the vector part
 of b, and every TLS-tied dissipation rate.  Compilation turns each
 segment into data (level diagonals at its TLS endpoints, tone terms,
-envelope, frame, channels) from which the
-:class:`~sunspin.dynamics.Segment` evaluates H(t), and chooses the
-schedule's engine; :func:`sunspin.dynamics.evolve` runs it there.  A
+channels) from which the :class:`~sunspin.dynamics.Segment` evaluates
+H(t), and chooses the schedule's engine; :func:`sunspin.dynamics.evolve`
+runs it there.  Every compiled segment is stepped exactly, so
+compilation rejects what no exact method steps: a tone during a TLS
+ramp, tones beating against each other in one segment, and a TLS ramp
+under channels that are neither diagonal nor single transfers.  A
 sequence is deterministic: shot-to-shot noise belongs to the protocols
 that sample it.
 
@@ -18,15 +21,13 @@ Units: durations s, frequencies Hz (ordinary), phases rad.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import dynamics
 from .model import FieldParams, LindbladSpec, RamanTone
 from .spin_core import M_VALUES
-
-ENVELOPES = tuple(dynamics.ENVELOPES)
 
 
 class SequenceError(ValueError):
@@ -35,18 +36,18 @@ class SequenceError(ValueError):
 
 @dataclass(frozen=True)
 class PulseSegment:
-    """One timed element: tones (possibly none), envelope, TLS ramp.
+    """One timed element: square tones (possibly none) and a TLS ramp.
 
     ``lo_freq_hz`` overrides the local-oscillator frequency (signed, Hz)
     for tone-free segments; otherwise the LO inherits the previous
     segment's frequency.  ``lo_phase_step`` is an instantaneous phase
-    added to the DDS phase register at the segment start.
+    added to the DDS phase register at the segment start.  Tones need a
+    flat multiplier (``tls_start == tls_end``), which :func:`compile`
+    checks.
     """
 
     duration: float
     tones: tuple[RamanTone, ...] = ()
-    envelope: str = "square"
-    envelope_param: float = 0.25        # ramp fraction for linear_ramp
     tls_start: float = 1.0
     tls_end: float = 1.0
     lo_freq_hz: float | None = None
@@ -57,23 +58,9 @@ class PulseSegment:
             raise SequenceError("segment duration must be positive")
         if not np.isfinite(self.duration):
             raise SequenceError("segment duration must be finite")
-        if self.envelope not in ENVELOPES:
-            raise SequenceError(f"envelope must be one of {ENVELOPES}")
-        # a trapezoid's ramps cannot overlap, and area_fraction assumes so
-        if self.envelope == "linear_ramp" and not 0.0 < self.envelope_param <= 0.5:
-            raise SequenceError("linear_ramp envelope_param (ramp fraction) must "
-                                "lie in (0, 0.5]")
         for v in (self.tls_start, self.tls_end):
             if not 0.0 <= v <= 1.0:
                 raise SequenceError("tls multiplier endpoints must lie in [0, 1]")
-
-    def area_fraction(self) -> float:
-        """Pulse area divided by (peak Omega * duration) for this envelope."""
-        if self.envelope == "square":
-            return 1.0
-        if self.envelope == "raised_cosine":
-            return 0.5
-        return 1.0 - self.envelope_param
 
 
 @dataclass(frozen=True)
@@ -87,10 +74,9 @@ class PulseSequence:
 
 
 def pulse(pair: tuple[float, float], omega_hz: float, area: float,
-          envelope: str = "square", detuning_hz: float = 0.0,
-          phase: float = 0.0, cg_weighting: bool = True,
+          detuning_hz: float = 0.0, phase: float = 0.0, cg_weighting: bool = True,
           tls_multiplier: float = 1.0) -> PulseSegment:
-    """Resonant pulse of the requested area (rad) on a pair.
+    """Resonant square pulse of the requested area (rad) on a pair.
 
     :func:`sunspin.model.control_regime_check` tells whether the fields
     leave the pair's resonance spectrally distinct from its neighbours'.
@@ -101,12 +87,9 @@ def pulse(pair: tuple[float, float], omega_hz: float, area: float,
     tone = RamanTone(m_low=m_low, m_high=m_high, omega_hz=omega_hz,
                      detuning_hz=detuning_hz, phase=phase,
                      cg_weighting=cg_weighting)
-    seg = PulseSegment(duration=(area / (2 * np.pi)) / omega_hz / 1.0,
-                       tones=(tone,), envelope=envelope,
-                       tls_start=tls_multiplier, tls_end=tls_multiplier)
-    if envelope != "square":
-        seg = replace(seg, duration=seg.duration / seg.area_fraction())
-    return seg
+    return PulseSegment(duration=(area / (2 * np.pi)) / omega_hz / 1.0,
+                        tones=(tone,), tls_start=tls_multiplier,
+                        tls_end=tls_multiplier)
 
 
 def dark_time(duration: float, lo_freq_hz: float | None = None,
@@ -125,8 +108,16 @@ def tls_ramp(duration: float, start: float, end: float) -> PulseSegment:
 # compilation
 # ---------------------------------------------------------------------------
 
-def compile(sequence: PulseSequence, lindblad: LindbladSpec | None = None,
-            frame: str = "rwa") -> dynamics.Schedule:
+def frame_diagonal(fields: FieldParams, tls_multiplier: float, f_lo_hz: float,
+                   dm: int) -> np.ndarray:
+    """The level diagonal (Hz) in the LO rotating frame: the level shifts
+    at the TLS multiplier plus f_lo / dm times m, for an LO at
+    ``f_lo_hz`` that addresses pairs dm apart."""
+    return fields.level_shifts(tls_multiplier) + f_lo_hz / dm * M_VALUES
+
+
+def compile(sequence: PulseSequence,
+            lindblad: LindbladSpec | None = None) -> dynamics.Schedule:
     """Compile to a piecewise schedule in the LO rotating frame.
 
     The LO frequency is piecewise constant and phase-continuous; phase
@@ -136,13 +127,11 @@ def compile(sequence: PulseSequence, lindblad: LindbladSpec | None = None,
     the segment's TLS multiplier; any ``lindblad``, even one without
     channels, selects the density engine (``Schedule.density``).
 
-    ``frame='lab-beat'`` drops the rotating frame and the rotating-wave
-    approximation, to check them: bare level shifts, and couplings
-    oscillating at the full beat frequency with their counter-rotating
-    terms, phase-continuous with the LO across segments.
+    A segment that no exact method steps raises :class:`SequenceError`,
+    naming the segment and the cause: a tone during a TLS ramp, a
+    residual beat of at least ``dynamics.ZERO_BEAT_HZ`` between its tones,
+    or a TLS ramp under channels that are not diagonal-safe.
     """
-    if frame not in ("rwa", "lab-beat"):
-        raise SequenceError(f"unknown frame {frame!r}")
     if isinstance(lindblad, (list, tuple)):
         raise SequenceError("lindblad takes one LindbladSpec; join several "
                             "with LindbladSpec.merge")
@@ -151,14 +140,12 @@ def compile(sequence: PulseSequence, lindblad: LindbladSpec | None = None,
     channel_set = None if lindblad is None else dynamics.channel_set(channels)
 
     fields = sequence.fields
-    lab = frame == "lab-beat"
     segments = []
     f_lo = 0.0
     d_ref = 1
     phase_register = 0.0
-    lo_cycles = 0.0  # accumulated LO phase per unit m (cycles)
 
-    for seg in sequence.segments:
+    for k, seg in enumerate(sequence.segments):
         phase_register += seg.lo_phase_step
         tone_los = [tone.lo_freq_hz(fields) for tone in seg.tones]
         if seg.tones:
@@ -167,25 +154,19 @@ def compile(sequence: PulseSequence, lindblad: LindbladSpec | None = None,
         elif seg.lo_freq_hz is not None:
             f_lo = seg.lo_freq_hz
 
-        # the lab-beat frame does not rotate: bare level shifts, and tone
-        # phases carry the LO phase accumulated before the segment
-        frame_rate = 0.0 if lab else f_lo / d_ref
-        tone_terms = []
-        for tone, rate in zip(seg.tones, tone_los):
-            phi0 = tone.phase + phase_register
-            if lab:
-                phi0 += 2 * np.pi * tone.dm * lo_cycles
-            else:
-                rate -= f_lo * (tone.dm / d_ref)
-            tone_terms.append((tone.coupling_matrix() / 2.0, rate, phi0))
-        segments.append(dynamics.Segment(
-            duration=seg.duration,
-            diag_start=fields.level_shifts(seg.tls_start) + frame_rate * M_VALUES,
-            diag_end=fields.level_shifts(seg.tls_end) + frame_rate * M_VALUES,
-            tones=tuple(tone_terms), envelope=seg.envelope,
-            envelope_param=seg.envelope_param, lab=lab, channels=channels,
-            mult_start=seg.tls_start, mult_end=seg.tls_end,
-            known_channel_set=channel_set))
-        lo_cycles += f_lo / d_ref * seg.duration
+        tone_terms = tuple((tone.coupling_matrix() / 2.0,
+                            rate - f_lo * (tone.dm / d_ref),
+                            tone.phase + phase_register)
+                           for tone, rate in zip(seg.tones, tone_los))
+        try:
+            segments.append(dynamics.Segment(
+                duration=seg.duration,
+                diag_start=frame_diagonal(fields, seg.tls_start, f_lo, d_ref),
+                diag_end=frame_diagonal(fields, seg.tls_end, f_lo, d_ref),
+                tones=tone_terms, channels=channels,
+                mult_start=seg.tls_start, mult_end=seg.tls_end,
+                known_channel_set=channel_set))
+        except dynamics.DynamicsError as err:
+            raise SequenceError(f"segment {k}: {err}") from None
 
     return dynamics.Schedule(tuple(segments), density=lindblad is not None)

@@ -292,7 +292,8 @@ def plan_to_sequence(plan: RotationPlan, fields: FieldParams, omega_hz: float,
     z rotations are virtual: they (and the free in-frame level phases
     accumulated during earlier pulses) adjust the drive phases of later
     pulses, exactly like a phase-coherent DDS per transition; a pulse's
-    in-frame phases are those of its compiled segment.  Returns
+    in-frame phases come from the diagonal its compiled segment gets
+    (:func:`sunspin.sequence.frame_diagonal`).  Returns
     the sequence and the final per-level frame phases phi_m (rad); the
     lab propagator of the compiled sequence equals
     diag(e^{-i phi_m}) @ plan.unitary() up to off-resonant leakage.
@@ -321,9 +322,11 @@ def plan_to_sequence(plan: RotationPlan, fields: FieldParams, omega_hz: float,
         seg = sq.pulse((r.m_low, r.m_high), omega_hz, area=angle,
                        phase=drive_phase, cg_weighting=cg_weighting)
         segments.append(seg)
-        # free in-frame phases accumulated during this pulse
-        (frame,) = sq.compile(sq.PulseSequence((seg,), fields)).segments
-        level_phase += TWO_PI * frame.diag_start * seg.duration
+        # free in-frame phases accumulated during this pulse, at the
+        # diagonal compile gives it
+        (tone,) = seg.tones
+        frame = sq.frame_diagonal(fields, seg.tls_start, tone.lo_freq_hz(fields), tone.dm)
+        level_phase += TWO_PI * frame * seg.duration
     if not segments:
         segments = [sq.dark_time(EMPTY_PLAN_DARK_S)]
     return sq.PulseSequence(segments=tuple(segments), fields=fields), level_phase

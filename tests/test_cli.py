@@ -431,7 +431,7 @@ SCIPY_LOADED = "sorted(m for m in sys.modules if m.startswith('scipy'))"
 
 
 class TestStartsWithoutScipy:
-    """Only RK45 and the ODR fit load SciPy.  This test process holds it
+    """Only the ODR fit loads SciPy.  This test process holds it
     already (the tests use it as a reference), so each check runs in a
     new interpreter."""
 

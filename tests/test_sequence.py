@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from hypothesis import given, settings, strategies as st
 
 from sunspin import dynamics, model, sequence as sq
-from sunspin.spin_core import basis_state, m_index
+from sunspin.spin_core import DIM, basis_state, m_index
 
 FIELDS = model.FieldParams(b_hz=960.0, q_hz=-320.0)
 
@@ -29,39 +29,11 @@ class TestPulseConstruction:
         frame = np.exp(-1j * 2 * np.pi * diag[2] * sched.duration)
         assert traj.final[2] / frame == pytest.approx(-1.0, abs=1e-9)
 
-    def test_raised_cosine_area_theorem(self):
-        # equal area transfers equal population on resonance
-        sq_pulse = sq.pulse((-2.5, -1.5), 71.0, area=0.8 * np.pi, cg_weighting=False)
-        rc_pulse = sq.pulse((-2.5, -1.5), 71.0, area=0.8 * np.pi,
-                            envelope="raised_cosine", cg_weighting=False)
-        assert rc_pulse.duration == pytest.approx(2 * sq_pulse.duration)
-        p_sq = dynamics.evolve(
-            sq.compile(sq.PulseSequence(segments=(sq_pulse,), fields=FIELDS)),
-            basis_state(-2.5)).populations()[-1][3]
-        p_rc = dynamics.evolve(
-            sq.compile(sq.PulseSequence(segments=(rc_pulse,), fields=FIELDS)),
-            basis_state(-2.5), tol=1e-10).populations()[-1][3]
-        assert p_rc == pytest.approx(p_sq, abs=1e-6)
-
     def test_invalid_segment(self):
         with pytest.raises(sq.SequenceError):
             sq.PulseSegment(duration=0.0)
         with pytest.raises(sq.SequenceError):
             sq.PulseSegment(duration=0.1, tls_start=1.4)
-        with pytest.raises(sq.SequenceError):
-            sq.PulseSegment(duration=0.1, envelope="gaussian")
-
-    @pytest.mark.parametrize("ramp", [0.7, -0.2, 0.0])
-    def test_linear_ramp_fraction_outside_half_rejected(self, ramp):
-        with pytest.raises(sq.SequenceError):
-            sq.PulseSegment(duration=0.1, envelope="linear_ramp", envelope_param=ramp)
-
-    @pytest.mark.parametrize("ramp", [1e-3, 0.1, 0.25, 0.4, 0.5])
-    def test_linear_ramp_area_fraction_is_envelope_area(self, ramp):
-        seg = sq.PulseSegment(duration=0.1, envelope="linear_ramp", envelope_param=ramp)
-        area, _ = quad(lambda s: dynamics.ENVELOPES["linear_ramp"](s, ramp), 0.0, 1.0,
-                       points=sorted({ramp, 1.0 - ramp}))
-        assert seg.area_fraction() == pytest.approx(area, abs=1e-12)
 
 
 class TestCompile:
@@ -144,3 +116,108 @@ class TestRun:
         i, j = m_index(-2.5), m_index(-1.5)
         rates = [seg.diag_start[j] - seg.diag_start[i] for seg in sched.segments]
         assert np.diff(sched.starts) @ rates / sched.duration == pytest.approx(-5.0)
+
+
+def _two_entry_channels(rate):
+    """One jump operator with two entries: neither diagonal nor a single
+    transfer, so not diagonal-safe."""
+    op = np.zeros((DIM, DIM), dtype=complex)
+    op[m_index(-3.5), m_index(-2.5)] = 1.0
+    op[m_index(-1.5), m_index(-3.5)] = 0.5
+    return model.LindbladSpec(channels=((op, rate),))
+
+
+# channel sets by name: (spec, diagonal-safe)
+CHANNEL_SETS = {
+    "none": (None, True),
+    "empty": (model.LindbladSpec(), True),
+    "scattering": (model.photon_scattering_channels(), True),
+    "scattering+dephasing": (model.photon_scattering_channels().merge(
+        model.inhomogeneous_dephasing()), True),
+    "quadratic dephasing": (model.inhomogeneous_dephasing(mode="quadratic"), True),
+    "two-entry": (_two_entry_channels(4.0), False),
+    "two-entry, zero rate": (_two_entry_channels(0.0), False),
+}
+GATE_FIELDS = (FIELDS, model.FieldParams(b_hz=96.0, q_hz=0.0),
+               model.FieldParams(b_hz=100.0, q_hz=-30.3, b_vector_hz=2.0))
+MULTIPLIERS = st.sampled_from((0.0, 0.3, 1.0)) | st.floats(0.0, 1.0)
+DURATIONS = st.floats(1e-5, 2e-3)
+GATE_TONES = st.builds(
+    lambda i, dm, omega, detuning, phase: model.RamanTone(
+        i - 4.5, i - 4.5 + dm, omega, detuning_hz=detuning, phase=phase),
+    st.integers(0, DIM - 3), st.sampled_from((1, 2)), st.floats(20.0, 400.0),
+    st.sampled_from((0.0, 5.0, -12.5)), st.floats(-np.pi, np.pi))
+
+
+@st.composite
+def builder_segments(draw):
+    """One segment from a builder: a pulse, a segment of up to three
+    tones under a drawn (maybe ramped) multiplier, a dark time or a TLS
+    ramp."""
+    builder = draw(st.sampled_from(("pulse", "tones", "dark", "ramp")))
+    mult = draw(MULTIPLIERS)
+    if builder == "pulse":
+        tone = draw(GATE_TONES)
+        return sq.pulse(tone.pair, tone.omega_hz, draw(st.floats(0.1, 2 * np.pi)),
+                        detuning_hz=tone.detuning_hz, phase=tone.phase,
+                        tls_multiplier=mult)
+    if builder == "tones":
+        return sq.PulseSegment(duration=draw(DURATIONS),
+                               tones=tuple(draw(st.lists(GATE_TONES, min_size=1,
+                                                         max_size=3))),
+                               tls_start=mult,
+                               tls_end=draw(st.just(mult) | MULTIPLIERS),
+                               lo_phase_step=draw(st.floats(-1.0, 1.0)))
+    if builder == "dark":
+        return sq.dark_time(draw(DURATIONS),
+                            lo_freq_hz=draw(st.none() | st.floats(-500.0, 500.0)),
+                            tls_multiplier=mult)
+    return sq.tls_ramp(draw(DURATIONS), mult, draw(MULTIPLIERS))
+
+
+def _expected_rejection(seq, diagonal_safe):
+    """(segment index, cause) of the first segment that no exact method
+    steps, or None: a tone under a ramping multiplier, a tone whose LO is
+    off the frame of the segment's first tone, or a ramp under channels
+    that are not diagonal-safe."""
+    fields = seq.fields
+    for k, seg in enumerate(seq.segments):
+        ramped = abs(seg.tls_end - seg.tls_start) >= dynamics.FLAT_MULTIPLIER
+        if seg.tones:
+            if ramped:
+                return k, "a tone during a TLS ramp"
+            first = seg.tones[0]
+            frame_hz = first.lo_freq_hz(fields) / first.dm
+            if any(abs(tone.lo_freq_hz(fields) - frame_hz * tone.dm)
+                   >= dynamics.ZERO_BEAT_HZ for tone in seg.tones):
+                return k, "residual beat"
+        elif ramped and not diagonal_safe:
+            return k, "not diagonal-safe"
+    return None
+
+
+class TestCompileGate:
+    """compile makes only segments an exact method steps, or names the
+    segment and the cause that no exact method steps it."""
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(segments=st.lists(builder_segments(), min_size=1, max_size=3),
+           fields=st.sampled_from(GATE_FIELDS),
+           channels=st.sampled_from(sorted(CHANNEL_SETS)))
+    def test_compiles_to_exact_kinds_or_names_the_cause(self, segments, fields,
+                                                        channels):
+        lindblad, diagonal_safe = CHANNEL_SETS[channels]
+        seq = sq.PulseSequence(segments=tuple(segments), fields=fields)
+        rejection = _expected_rejection(seq, diagonal_safe)
+        if rejection is not None:
+            k, cause = rejection
+            with pytest.raises(sq.SequenceError, match=f"^segment {k}: .*{cause}"):
+                sq.compile(seq, lindblad=lindblad)
+            return
+        sched = sq.compile(seq, lindblad=lindblad)
+        for data in sched.segments:
+            tone_free_closed_form = not data.tones and (diagonal_safe or lindblad is None)
+            assert data.kind == ("diagonal" if tone_free_closed_form else "constant")
+        # and every segment steps
+        final = dynamics.evolve(sched, basis_state(-2.5)).final
+        assert np.all(np.isfinite(final))

@@ -377,6 +377,22 @@ class TestLowering:
         u_pred = np.diag(np.exp(-1j * phases)) @ plan.unitary()
         assert np.linalg.norm(u_lab - u_pred, 2) <= 1e-12
 
+    def test_ledger_reads_the_compiled_pulse_diagonals(self):
+        # the ledger takes each pulse's frame from sequence.frame_diagonal,
+        # the diagonal compile gives the pulse alone, bit for bit
+        fields = model.FieldParams(b_hz=960.0, q_hz=-320.0, b_vector_hz=3.0)
+        plan = sy.RotationPlan(rotations=[
+            sy.PlanRotation(-2.5, -0.5, "x", np.pi / 2),
+            sy.PlanRotation(-1.5, -0.5, "y", 0.9),
+            sy.PlanRotation(3.5, 4.5, "x", -2.0),
+        ])
+        seq_l, _ = sy.plan_to_sequence(plan, fields, 50.0)
+        for seg in seq_l.segments:
+            (tone,) = seg.tones
+            (alone,) = sq.compile(sq.PulseSequence((seg,), fields)).segments
+            assert alone.diag_start.tobytes() == sq.frame_diagonal(
+                fields, seg.tls_start, tone.lo_freq_hz(fields), tone.dm).tobytes()
+
     @pytest.mark.parametrize("m", [-5.5, 5.0, 4.7])
     def test_z_rotation_on_invalid_level_rejected(self, m):
         # a level outside -9/2..9/2, or not a half-integer, is no level
@@ -415,6 +431,16 @@ class TestSimulatePlan:
         assert sy.average_gate_fidelity(identity, identity, [4.5]) == 1.0
         with pytest.raises(SpinError):
             sy.average_gate_fidelity(identity, identity, [m])
+
+    def test_one_pulse_fidelity_compiles_each_map_once(self, monkeypatch):
+        # the lowering reads the pulse's frame without compiling it alone
+        calls, compile_ = [], sq.compile
+        monkeypatch.setattr(sq, "compile",
+                            lambda *a, **k: calls.append(1) or compile_(*a, **k))
+        plan = sy.RotationPlan(rotations=[
+            sy.PlanRotation(-2.5, -1.5, "x", np.pi / 2)])
+        sy.simulate_plan(plan, REF_FIELDS, model.photon_scattering_channels(), 71.0)
+        assert len(calls) == 2
 
     def test_pi_half_fidelity_at_reference_parameters(self):
         lb = model.photon_scattering_channels().merge(
