@@ -9,8 +9,10 @@ constant matrix the compiler does not make.  The schedule selects its engine
 :func:`pullback` run it there.  A segment carries its duration and runs
 on its own clock from 0, so a pulse maps the same wherever it sits;
 schedule time is ``Schedule.starts``, the running sum of the durations.
-:meth:`Segment.hamiltonian` is the one place H(t) is evaluated, and
-every segment's Liouvillian is its Hamiltonian part plus mult(t) D: the
+One formula gives H, the level diagonal plus the coupling triangle and
+its conjugate transpose: :meth:`Segment.hamiltonian` evaluates it at t,
+and ``Segment.h_const`` and the spectrum cache on a flat diagonal.
+Every segment's Liouvillian is its Hamiltonian part plus mult(t) D: the
 TLS multiplier times the dissipator of its channels, every rate being
 light-induced.  Hamiltonians are in ordinary frequency units (Hz); the
 2*pi lives in the equations of motion.  Rates are 1/e rates in 1/s.
@@ -35,13 +37,14 @@ segment to segment is the full one, stepped by the same method.  Each
 segment gets one method by its kind, which it takes when it is built: a
 segment that neither kind fits raises :class:`DynamicsError` there.
 
-* constant H (square tones that do not beat, under a flat TLS
-  multiplier; or no tones, a flat multiplier and channels the closed
-  form does not take) - exact stepping from the segment start through one
-  spectrum (method 14 of Moler & Van Loan, SIAM Rev. 45, 3 (2003)): in
-  Hilbert space the eigendecomposition H = V diag(w) V^H.  In Liouville
-  space with no acting channel (the set's dissipator is zero, or the
-  multiplier is 0), the same one: U rho U^H is V M V^H, M_ab = C_ab p_a
+* constant H (a coupling, the static drive ``compile`` folds from
+  square tones, under a flat TLS multiplier and level diagonal; or no
+  coupling, both flat, and channels the closed form does not take) -
+  exact stepping from the segment start through one spectrum (method
+  14 of Moler & Van Loan, SIAM Rev. 45, 3 (2003)): in Hilbert space
+  the eigendecomposition H = V diag(w) V^H.  In Liouville space with no
+  acting channel (the set's dissipator is zero, or the multiplier is
+  0), the same one: U rho U^H is V M V^H, M_ab = C_ab p_a
   conj(p_b) for p = exp(-2 pi i w t) and C = V^H rho V, which is exact
   with cond 1 and takes 10 exponentials per sample.  Otherwise
   L = V diag(lambda) V^-1, a real one: in the Hermitian basis (rho_aa,
@@ -56,7 +59,7 @@ segment that neither kind fits raises :class:`DynamicsError` there.
   of V M V^H.  When that basis leaves L complex, LAPACK fails or
   cond(V) exceeds ``EIG_COND_MAX`` (L is not normal and can be
   defective), chained exponentials of the Liouvillian instead.
-* diagonal H (no tones, and channels that are each diagonal or a single
+* diagonal H (no coupling, and channels that are each diagonal or a single
   transfer: dark times and TLS ramps, diagonal entries linear in t) -
   closed form from the segment start: in Hilbert space a phase vector by
   exact quadrature; in Liouville space populations through the
@@ -88,18 +91,19 @@ again and again:
 
 * per channel set, keyed by its operator bytes and rates: the 100x100
   dissipator and the closed-form rate and coherence matrices;
-* per constant Liouville segment on which a channel acts, keyed by
-  ``Segment.key`` (level diagonal, coupling triangles, beats and phases;
-  never the duration), the channel set and the multiplier: the spectrum
-  of its Liouvillian, or None when it takes chained exponentials.  A
-  spectrum does not depend on the step length, so a pulse repeated
-  anywhere in a run, sampled at any times, is diagonalized once.  A
-  segment with no acting channel keeps nothing: it takes only the 10x10
-  ``eigh`` of the pure engine.
+* per constant Liouville segment on which a channel acts, keyed by the
+  bytes of its level diagonal and coupling (never the duration), the
+  channel set's key and the multiplier: the spectrum of its
+  Liouvillian, or None when it takes chained exponentials.  A spectrum
+  does not depend on the step length, so a pulse repeated anywhere in a
+  run, sampled at any times, is diagonalized once.  A segment with no
+  acting channel keeps nothing: it takes only the 10x10 ``eigh`` of the
+  pure engine.
 
-A segment looks its channel set up once, and the spectrum cache keys it
-by the set's own stored key, so no entry holds a copy of the operator
-bytes.  Keys are content, never object identity; cached arrays are
+Both are ``functools.lru_cache`` s on those content arguments, and each
+rebuilds its arrays from the bytes it is keyed by.  A segment looks its
+channel set up once, and the spectrum cache keys it by the set's own
+stored key.  Keys are content, never object identity; cached arrays are
 read-only; both caches are bounded.  ``clear_caches`` empties them and
 the two ``lru_cache`` s of :mod:`sunspin.model`.
 A scan does not lean on them to share its pulses: :mod:`sunspin.protocols`
@@ -139,16 +143,15 @@ EIG_COND_MAX = 1e4
 UNITARY_BLOCK = 32
 # Entries kept by content: channel sets (a 160 KB dissipator each) and
 # constant-segment Liouville spectra (320 KB each).  Each bundled config
-# uses at most 2 distinct sets and 3 distinct spectra; one pass over the
-# damped Rabi scans uses 3 sets and 3 spectra, and one over the noisy
-# dual Ramsey asks 10 times for its 3 spectra.
+# uses at most 1 set and 3 spectra.  By ``cache_info`` over one warm pass
+# of each benchmark workload (seed 7), the damped Rabi scans use 3 sets
+# and 2 spectra, the pulse scans 1 set and 3 spectra, the noisy dual
+# Ramsey 1 set and asks 10 times for its 3 spectra, and the estimation
+# 1 set and 1 spectrum.
 CHANNEL_SETS_CACHED = 4
 SPECTRA_CACHED = 8
-# A segment whose TLS multiplier moves by less than this is flat, and a
-# tone beating slower than this (Hz) is static: a segment whose tones are
-# all static under a flat multiplier is constant.
+# A segment whose TLS multiplier moves by less than this is flat.
 FLAT_MULTIPLIER = 1e-15
-ZERO_BEAT_HZ = 1e-12
 # How far past the schedule's end (s) a sample time may lie; a segment
 # is handed the samples up to this far past its own end.
 TIME_SLACK = 1e-12
@@ -181,53 +184,6 @@ class DynamicsError(RuntimeError):
     pass
 
 
-class CacheInfo(NamedTuple):
-    hits: int
-    misses: int
-    maxsize: int
-    currsize: int
-
-
-_MISSING = object()
-
-
-class ContentCache:
-    """Bounded least-recently-used store of read-only values by content key.
-
-    ``get(key, build)`` returns the value kept under ``key``, calling
-    ``build()`` on a miss; the least recently used entry makes room.
-    """
-
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
-        self._entries: dict = {}
-        self.hits = self.misses = 0
-
-    def get(self, key, build):
-        entries = self._entries
-        value = entries.pop(key, _MISSING)
-        if value is _MISSING:
-            self.misses += 1
-            value = build()
-            if len(entries) >= self.maxsize:
-                del entries[next(iter(entries))]
-        else:
-            self.hits += 1
-        entries[key] = value
-        return value
-
-    def cache_info(self) -> CacheInfo:
-        return CacheInfo(self.hits, self.misses, self.maxsize, len(self._entries))
-
-    def cache_clear(self) -> None:
-        self._entries.clear()
-        self.hits = self.misses = 0
-
-
-_CHANNEL_SETS = ContentCache(CHANNEL_SETS_CACHED)
-_SPECTRA = ContentCache(SPECTRA_CACHED)
-
-
 # ---------------------------------------------------------------------------
 # schedule representation
 # ---------------------------------------------------------------------------
@@ -239,22 +195,23 @@ class Segment:
 
     ``diag_start`` and ``diag_end`` are the level diagonal (Hz) at the
     TLS multiplier endpoints ``mult_start`` and ``mult_end``; across the
-    segment both move linearly in t.  Each tone is (upper coupling
-    triangle, beat Hz, phase rad), driven square in the rotating frame.
-    ``channels`` hold (jump operator, base rate); their rates are scaled
-    by the multiplier.  ``known_channel_set``, when given, is the looked-up
-    set of ``channels``: :func:`sunspin.sequence.compile` looks its one
-    set up once for all its segments, and a segment built without one
-    looks it up when it needs it.  The level diagonals and coupling
-    triangles are kept as read-only copies, so the cached ``key``,
-    ``h_const`` and spectra cannot go stale.  A segment that no exact
-    method steps (see ``kind``) raises :class:`DynamicsError` when built.
+    segment both move linearly in t.  ``coupling``, when given, is the
+    complex upper triangle of a static drive in the rotating frame, its
+    phases applied: H is the diagonal plus it and its conjugate
+    transpose.  ``channels`` hold (jump operator, base rate); their rates
+    are scaled by the multiplier.  ``known_channel_set``, when given, is
+    the looked-up set of ``channels``: :func:`sunspin.sequence.compile`
+    looks its one set up once for all its segments, and a segment built
+    without one looks it up when it needs it.  The level diagonals and
+    the coupling are kept as read-only copies, so the cached ``h_const``
+    and spectra cannot go stale.  A segment that no exact method steps
+    (see ``kind``) raises :class:`DynamicsError` when built.
     """
 
     duration: float
     diag_start: np.ndarray
     diag_end: np.ndarray
-    tones: tuple[tuple[np.ndarray, float, float], ...] = ()
+    coupling: np.ndarray | None = None
     channels: tuple[tuple[np.ndarray, float], ...] = ()
     mult_start: float = 1.0
     mult_end: float = 1.0
@@ -267,30 +224,28 @@ class Segment:
         attrs = vars(self)
         attrs["diag_start"] = _frozen(np.array(self.diag_start))
         attrs["diag_end"] = _frozen(np.array(self.diag_end))
-        attrs["tones"] = tuple((_frozen(np.array(cmat)), beat, phi)
-                               for cmat, beat, phi in self.tones)
+        if self.coupling is not None:
+            attrs["coupling"] = _frozen(np.array(self.coupling, dtype=complex))
         self.kind  # taken now, so a segment no exact method steps raises here
 
     @functools.cached_property
     def kind(self) -> str:
         """constant | diagonal: the exact method that steps the segment.
 
-        Tones, all static under a flat multiplier, make it constant.  With
-        no tones it is diagonal (the closed form) when its channels are
-        diagonal-safe, and otherwise constant when the multiplier and the
-        level diagonal are flat.  Anything else raises, naming the cause.
+        A coupling makes it constant when the multiplier and the level
+        diagonal are flat.  With none it is diagonal (the closed form) when
+        its channels are diagonal-safe, and otherwise constant when both
+        are flat.  Anything else raises, naming the cause.
         """
         flat = abs(self.mult_end - self.mult_start) < FLAT_MULTIPLIER
-        if self.tones:
+        if self.coupling is not None:
             if not flat:
                 raise DynamicsError(
                     f"a tone during a TLS ramp ({self.mult_start:g} to "
                     f"{self.mult_end:g}): no exact method steps it")
-            beats = [abs(beat) for _, beat, _ in self.tones if abs(beat) >= ZERO_BEAT_HZ]
-            if beats:
-                raise DynamicsError(
-                    f"tones with a residual beat of {beats[0]:g} Hz in one "
-                    "segment: no exact method steps it")
+            if self._diag_flat is None:
+                raise DynamicsError("a coupling over a moving level diagonal: "
+                                    "no exact method steps it")
             return "constant"
         if not self.channels or self.channel_set.diagonal_safe:
             return "diagonal"
@@ -302,25 +257,12 @@ class Segment:
             "exact method steps it")
 
     @functools.cached_property
-    def key(self) -> tuple | None:
-        """Content key of a constant segment's H; None for a diagonal one.
-
-        The level diagonal and each tone's coupling triangle, beat and
-        phase, never the duration: segments with equal keys have
-        bit-identical ``h_const``, so a pulse repeated within a schedule
-        diagonalizes its Liouvillian once.  (H at 0 does not depend on the
-        sub-threshold beats, except for the sign of a zero phase.)
-        """
+    def h_const(self) -> np.ndarray | None:
+        """H of a constant segment, ``hamiltonian(0.0)`` bit for bit; None
+        for a diagonal one."""
         if self.kind != "constant":
             return None
-        return (self.diag_start.tobytes(),
-                np.array([(beat, phi) for _, beat, phi in self.tones]).tobytes(),
-                *(cmat.tobytes() for cmat, _, _ in self.tones))
-
-    @functools.cached_property
-    def h_const(self) -> np.ndarray | None:
-        """H of a constant segment; None for a diagonal one."""
-        return self.hamiltonian(0.0) if self.kind == "constant" else None
+        return _raman_hamiltonian(self._diag_flat, self.coupling)
 
     @functools.cached_property
     def channel_set(self) -> _ChannelSet:
@@ -336,21 +278,10 @@ class Segment:
         return self.channel_set.channel_free or self.mult_start == self.mult_end == 0
 
     def hamiltonian(self, t: float) -> np.ndarray:
-        """H(t) (Hz) at time t into the segment: the package's one Raman
-        Hamiltonian.
-
-        The level diagonal at the ramped TLS multiplier plus, per tone
-        (coupling triangle, beat rate, phase), the coupling rotating at
-        the residual beat in the RWA frame, and its conjugate.  The drive
-        phase rides on the raising coupling |high><low|, so the stored
-        (low, high) side gets e^{-i.}.
-        """
+        """H(t) (Hz) at time t into the segment: the level diagonal at the
+        ramped TLS multiplier, plus the coupling and its conjugate."""
         s = np.clip(self._fraction(t), 0.0, 1.0)
-        hm = np.diag(self._diag_at(s)).astype(complex)
-        for cmat, rate, phi0 in self.tones:
-            upper = cmat * np.exp(-1j * (2 * np.pi * rate * t + phi0))
-            hm += upper + upper.conj().T
-        return hm
+        return _raman_hamiltonian(self._diag_at(s), self.coupling)
 
     def _fraction(self, t: float) -> float:
         return t / self.duration if self.duration > 0 else 0.0
@@ -411,22 +342,28 @@ def hold(h, duration: float, channels=None) -> Schedule:
     """A constant 10x10 Hermitian matrix ``h`` (Hz) held for
     ``duration``, as a one-segment schedule.
 
-    The matrix is stored as its real diagonal plus one zero-beat tone
-    carrying its upper triangle.  Given ``channels`` (operator, rate),
-    even none, the schedule is on the density engine.
+    The matrix is stored as its real diagonal plus its upper triangle as
+    the coupling.  Given ``channels`` (operator, rate), even none, the
+    schedule is on the density engine; :func:`channel_set` checks them.
     """
     ops = tuple((np.asarray(op, dtype=complex), float(r)) for op, r in channels or ())
-    for _, r in ops:
-        if not math.isfinite(r):
-            raise DynamicsError(f"channel rate {r} is not finite")
-        if r < 0:
-            raise DynamicsError(f"negative channel rate {r}")
+    known = channel_set(ops)
     h0 = np.asarray(h, dtype=complex)
     _check_hermitian(h0)
     diag = h0.diagonal().real.copy()
     return Schedule((Segment(duration=duration, diag_start=diag, diag_end=diag,
-                             tones=((np.triu(h0, 1), 0.0, 0.0),), channels=ops),),
+                             coupling=np.triu(h0, 1), channels=ops,
+                             known_channel_set=known),),
                     density=channels is not None)
+
+
+def _raman_hamiltonian(diag: np.ndarray, coupling: np.ndarray | None) -> np.ndarray:
+    """The package's one Raman Hamiltonian (Hz): the level diagonal, plus
+    the coupling's upper triangle and its conjugate transpose."""
+    hm = np.diag(diag).astype(complex)
+    if coupling is not None:
+        hm += coupling + coupling.conj().T
+    return hm
 
 
 def _check_hermitian(h: np.ndarray, tol: float = HERMITIAN_TOL):
@@ -461,17 +398,6 @@ class Trajectory:
     @property
     def final(self) -> np.ndarray:
         return self.states[-1]
-
-    def to_csv(self, path, coherence_pairs: Sequence[tuple[float, float]] = ()):
-        cols = [self.times] + list(self.populations().T)
-        header = ["time_s"] + [f"pop_{m:+.1f}" for m in np.arange(DIM) - 4.5]
-        for m1, m2 in coherence_pairs:
-            c = self.coherence(m1, m2)
-            cols += [c.real, c.imag]
-            header += [f"re_coh_{m1:+.1f}_{m2:+.1f}", f"im_coh_{m1:+.1f}_{m2:+.1f}"]
-        data = np.column_stack(cols)
-        np.savetxt(path, data, delimiter=",", header=",".join(header),
-                   comments="", fmt="%.12g")
 
 
 def _resolve_times(schedule: Schedule, t_eval) -> np.ndarray:
@@ -972,14 +898,22 @@ class _ChannelSet(NamedTuple):
 def channel_set(channels) -> _ChannelSet:
     """The set of ``channels`` (operator, rate), built once per content.
 
+    Each operator must be 10x10 and each rate finite and non-negative.
     The lookup hashes every operator's bytes, so a builder of many
     segments on one set looks it up once and hands it to each
     (``Segment.known_channel_set``).
     """
-    channels = [(np.ascontiguousarray(op, dtype=complex), float(rate))
-                for op, rate in channels]
-    key = tuple((op.tobytes(), rate) for op, rate in channels)
-    return _CHANNEL_SETS.get(key, lambda: _build_channel_set(key, channels))
+    key = []
+    for op, rate in channels:
+        op, rate = np.asarray(op, dtype=complex), float(rate)
+        if op.shape != (DIM, DIM):
+            raise DynamicsError("channel operators must be 10x10")
+        if not math.isfinite(rate):
+            raise DynamicsError(f"channel rate {rate} is not finite")
+        if rate < 0:
+            raise DynamicsError(f"negative channel rate {rate}")
+        key.append((op.tobytes(), rate))
+    return _channel_set_of(tuple(key))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -987,7 +921,11 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _build_channel_set(key: tuple, channels) -> _ChannelSet:
+@functools.lru_cache(maxsize=CHANNEL_SETS_CACHED)
+def _channel_set_of(key: tuple) -> _ChannelSet:
+    """The channel set of ``key``, one (operator bytes, rate) per channel."""
+    channels = [(np.frombuffer(op, dtype=complex).reshape(DIM, DIM), rate)
+                for op, rate in key]
     eye = np.eye(DIM)
     dissipator = np.zeros((DIM * DIM, DIM * DIM), dtype=complex)
     for op, rate in channels:
@@ -1015,8 +953,19 @@ def _constant_liouvillian(seg: Segment) -> np.ndarray:
 def _constant_spectrum(seg: Segment):
     """``_eigen`` of a constant segment's Liouvillian, kept by content:
     None is kept too, and sends the segment to chained exponentials."""
-    return _SPECTRA.get((seg.key, seg.channel_set.key, seg.mult_start),
-                        lambda: _eigen(_constant_liouvillian(seg)))
+    coupling = None if seg.coupling is None else seg.coupling.tobytes()
+    return _spectrum(seg._diag_flat.tobytes(), coupling, seg.channel_set.key,
+                     seg.mult_start)
+
+
+@functools.lru_cache(maxsize=SPECTRA_CACHED)
+def _spectrum(diag: bytes, coupling: bytes | None, channels: tuple, mult: float):
+    """``_eigen`` of the Liouvillian of the level diagonal ``diag`` and the
+    coupling triangle ``coupling`` (bytes of the arrays, or None) under
+    the channel set of key ``channels`` at multiplier ``mult``."""
+    h = _raman_hamiltonian(np.frombuffer(diag), None if coupling is None else
+                           np.frombuffer(coupling, dtype=complex).reshape(DIM, DIM))
+    return _eigen(_hamiltonian_part(h) + mult * _channel_set_of(channels).dissipator)
 
 
 def clear_caches() -> None:
@@ -1024,8 +973,8 @@ def clear_caches() -> None:
     :func:`sunspin.model.two_photon_weight` and
     :func:`sunspin.model.scattering_branching_ratios`, so a run after it
     starts cold."""
-    _CHANNEL_SETS.cache_clear()
-    _SPECTRA.cache_clear()
+    _channel_set_of.cache_clear()
+    _spectrum.cache_clear()
     model.two_photon_weight.cache_clear()
     model.scattering_branching_ratios.cache_clear()
 
@@ -1105,7 +1054,7 @@ def _coherence_rates(channels) -> np.ndarray:
 
 
 def _closed_form_factors(seg: Segment, tau_eff, phases):
-    """The closed-form step of a tone-free segment with diagonal/transfer
+    """The closed-form step of a coupling-free segment with diagonal/transfer
     channels over stretches (shape (...)) across which the multiplier
     integrates to ``tau_eff`` and the level diagonal to ``phases``
     (..., 10): populations follow the classical rate matrix, coherences
@@ -1123,7 +1072,7 @@ def _closed_form_factors(seg: Segment, tau_eff, phases):
 
 
 def _closed_form(seg: Segment, state, ends, liouville):
-    """States at ``ends`` of a tone-free segment, each stepped from its
+    """States at ``ends`` of a coupling-free segment, each stepped from its
     start in closed form: a phase vector in Hilbert space; in
     Liouville space (diagonal or single-transfer channels) populations
     through the rate matrix, coherences through phases and decay.  The

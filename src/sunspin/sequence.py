@@ -6,15 +6,15 @@ times, and TLS power ramps.  Compilation produces a
 RF local oscillator, whose frequency steps are phase-continuous like a
 DDS.  The TLS multiplier scales the quadratic shift q, the vector part
 of b, and every TLS-tied dissipation rate.  Compilation turns each
-segment into data (level diagonals at its TLS endpoints, tone terms,
-channels) from which the :class:`~sunspin.dynamics.Segment` evaluates
-H(t), and chooses the schedule's engine; :func:`sunspin.dynamics.evolve`
-runs it there.  Every compiled segment is stepped exactly, so
-compilation rejects what no exact method steps: a tone during a TLS
-ramp, tones beating against each other in one segment, and a TLS ramp
-under channels that are neither diagonal nor single transfers.  A
-sequence is deterministic: shot-to-shot noise belongs to the protocols
-that sample it.
+segment into data (level diagonals at its TLS endpoints, the coupling
+triangle its tones fold into, channels) from which the
+:class:`~sunspin.dynamics.Segment` evaluates H(t), and chooses the
+schedule's engine; :func:`sunspin.dynamics.evolve` runs it there.
+Every compiled segment is stepped exactly, so compilation rejects what
+no exact method steps: a tone during a TLS ramp, tones beating against
+each other in one segment, and a TLS ramp under channels that are
+neither diagonal nor single transfers.  A sequence is deterministic:
+shot-to-shot noise belongs to the protocols that sample it.
 
 Units: durations s, frequencies Hz (ordinary), phases rad.
 """
@@ -28,6 +28,11 @@ import numpy as np
 from . import dynamics
 from .model import FieldParams, LindbladSpec, RamanTone
 from .spin_core import M_VALUES
+
+
+# Tones beating against each other slower than this (Hz) are static: a
+# segment of such tones under a flat multiplier holds one constant drive.
+ZERO_BEAT_HZ = 1e-12
 
 
 class SequenceError(ValueError):
@@ -127,10 +132,13 @@ def compile(sequence: PulseSequence,
     the segment's TLS multiplier; any ``lindblad``, even one without
     channels, selects the density engine (``Schedule.density``).
 
-    A segment that no exact method steps raises :class:`SequenceError`,
-    naming the segment and the cause: a tone during a TLS ramp, a
-    residual beat of at least ``dynamics.ZERO_BEAT_HZ`` between its tones,
-    or a TLS ramp under channels that are not diagonal-safe.
+    Each segment's tones are folded into one coupling triangle, their
+    halved coupling matrices at their phases summed in tone order: the
+    static drive of :class:`~sunspin.dynamics.Segment`.  A segment that
+    no exact method steps raises :class:`SequenceError`, naming the
+    segment and the cause: a tone during a TLS ramp, a residual beat of
+    at least ``ZERO_BEAT_HZ`` between its tones, or a TLS ramp under
+    channels that are not diagonal-safe.
     """
     if isinstance(lindblad, (list, tuple)):
         raise SequenceError("lindblad takes one LindbladSpec; join several "
@@ -154,19 +162,27 @@ def compile(sequence: PulseSequence,
         elif seg.lo_freq_hz is not None:
             f_lo = seg.lo_freq_hz
 
-        tone_terms = tuple((tone.coupling_matrix() / 2.0,
-                            rate - f_lo * (tone.dm / d_ref),
-                            tone.phase + phase_register)
-                           for tone, rate in zip(seg.tones, tone_los))
+        # the tones' static drive, summed in tone order: each coupling at
+        # its phase, which rides on the raising side |high><low|, so the
+        # stored (low, high) side gets e^{-i phase}
+        uppers = [tone.coupling_matrix() / 2.0
+                  * np.exp(-1j * (tone.phase + phase_register)) for tone in seg.tones]
         try:
             segments.append(dynamics.Segment(
                 duration=seg.duration,
                 diag_start=frame_diagonal(fields, seg.tls_start, f_lo, d_ref),
                 diag_end=frame_diagonal(fields, seg.tls_end, f_lo, d_ref),
-                tones=tone_terms, channels=channels,
-                mult_start=seg.tls_start, mult_end=seg.tls_end,
+                coupling=sum(uppers[1:], uppers[0]) if uppers else None,
+                channels=channels, mult_start=seg.tls_start, mult_end=seg.tls_end,
                 known_channel_set=channel_set))
         except dynamics.DynamicsError as err:
             raise SequenceError(f"segment {k}: {err}") from None
+        # the first tone sets the frame, so only a later one can beat
+        for tone, lo in zip(seg.tones[1:], tone_los[1:]):
+            beat = abs(lo - f_lo * (tone.dm / d_ref))
+            if beat >= ZERO_BEAT_HZ:
+                raise SequenceError(f"segment {k}: tones with a residual beat of "
+                                    f"{beat:g} Hz in one segment: no exact method "
+                                    "steps it")
 
     return dynamics.Schedule(tuple(segments), density=lindblad is not None)

@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+import sunspin
 from sunspin import dynamics, model, protocols as pr, sequence as sq
 from sunspin.spin_core import DIM, basis_state, m_index
 
@@ -304,7 +307,7 @@ class TestEigenStepping:
                                          t_eval=ts).states
         # the rejected spectrum is kept as None, and each step takes one
         # expm of its own
-        assert dynamics._SPECTRA.cache_info().currsize == 1
+        assert dynamics._spectrum.cache_info().currsize == 1
         assert (len(eig_calls), len(expm_calls)) == (1, len(ts))
         sup = dynamics.liouvillian(h, [(op, gamma)])
         exact = np.array([expm(sup * t) @ rho0.reshape(-1) for t in ts])
@@ -334,7 +337,8 @@ class TestEigenStepping:
         # an H with an anti-Hermitian part of 1e-10 times its largest
         # entry passes the input check and leaves the Liouvillian complex
         # in the Hermitian basis; no Segment holds such an H (it adds the
-        # conjugate of the upper triangle), so the Liouvillian is patched
+        # conjugate of the upper triangle), so the Liouvillian and the
+        # spectrum kept of it are patched
         channels = model.photon_scattering_channels()
         sched = _criterion_2_schedule(channels)
         i, j = m_index(-2.5), m_index(-1.5)
@@ -348,6 +352,7 @@ class TestEigenStepping:
         psi = basis_state(-2.5)
         rho0 = np.outer(psi, psi.conj())
         dynamics.clear_caches()
+        monkeypatch.setattr(dynamics, "_spectrum", lambda *key: dynamics._eigen(sup))
         expm_calls = _count_calls(monkeypatch, dynamics, "expm")
         eig_calls = _count_calls(monkeypatch, np.linalg, "eig")
         states = dynamics.evolve_density(rho0, sched, t_eval=ts).states
@@ -540,19 +545,52 @@ class TestSegmentKind:
             with pytest.raises(sq.SequenceError, match=f"segment 1: .*{kind}"):
                 sq.compile(seq, lindblad=spec)
 
-    @pytest.mark.parametrize("data", [
-        {"tones": ((np.triu(np.ones((DIM, DIM)), 1), 0.0, 0.0),), "mult_end": 0.5},
-        {"tones": ((np.triu(np.ones((DIM, DIM)), 1), 2e-12, 0.0),)},
-        {"mult_end": 0.5, "channels": _two_entry_channels().channels},
-        {"diag_end": np.arange(DIM, dtype=float),
-         "channels": _two_entry_channels().channels},
-    ], ids=["tone-during-ramp", "beat", "ramp-two-entry-channels",
-            "moving-diagonal-two-entry-channels"])
-    def test_hand_built_segment_no_exact_method_steps_is_rejected(self, data):
+    @pytest.mark.parametrize("data, cause", [
+        ({"coupling": np.triu(np.ones((DIM, DIM)), 1), "mult_end": 0.5},
+         "a tone during a TLS ramp"),
+        # a 50 Hz drive on levels 0-1 under levels ramping to 100 m Hz over
+        # 10 ms: stepped at diag_start, it would end in (1, 0) on the pair,
+        # where the ramped H gives (0.715, 0.285)
+        ({"duration": 0.01, "coupling": np.diag([50.0] + [0.0] * (DIM - 2), k=1),
+          "diag_end": 100.0 * np.arange(DIM)},
+         "a coupling over a moving level diagonal"),
+        ({"mult_end": 0.5, "channels": _two_entry_channels().channels}, "a ramp"),
+        ({"diag_end": np.arange(DIM, dtype=float),
+          "channels": _two_entry_channels().channels}, "a ramp"),
+    ], ids=["tone-during-ramp", "coupling-over-moving-diagonal",
+            "ramp-two-entry-channels", "moving-diagonal-two-entry-channels"])
+    def test_hand_built_segment_no_exact_method_steps_is_rejected(self, data, cause):
         fields = {"duration": 1e-3, "diag_start": np.zeros(DIM),
                   "diag_end": np.zeros(DIM), **data}
-        with pytest.raises(dynamics.DynamicsError, match="no exact method steps it"):
+        with pytest.raises(dynamics.DynamicsError,
+                           match=f"^{cause}.*: no exact method steps it"):
             dynamics.Segment(**fields)
+
+    def test_tones_under_a_sub_threshold_ramp_that_moves_the_diagonal(self):
+        # the multiplier endpoints differ by less than FLAT_MULTIPLIER, but
+        # the TLS-tied shifts still move the level diagonal's last bits
+        fields = model.FieldParams(b_hz=100.0, q_hz=-30.3, b_vector_hz=2.0)
+        start = 0.3
+        end = np.nextafter(start, 1.0)
+        assert abs(end - start) < dynamics.FLAT_MULTIPLIER
+        tone = two_level_tone()
+        f_lo = tone.lo_freq_hz(fields)
+        assert not np.array_equal(sq.frame_diagonal(fields, start, f_lo, 1),
+                                  sq.frame_diagonal(fields, end, f_lo, 1))
+        seg = sq.PulseSegment(duration=0.01, tones=(tone,), tls_start=start,
+                              tls_end=end)
+        with pytest.raises(sq.SequenceError,
+                           match="segment 0: a coupling over a moving level diagonal"):
+            sq.compile(sq.PulseSequence(segments=(seg,), fields=fields))
+
+    @pytest.mark.parametrize("shape", [(100,), (5, 5), (4, 25)],
+                             ids=["100", "5x5", "4x25"])
+    def test_wrong_shaped_channel_operator_is_rejected(self, shape):
+        op = np.zeros(shape, dtype=complex)
+        op.flat[0] = 1.0
+        with pytest.raises(dynamics.DynamicsError,
+                           match="channel operators must be 10x10"):
+            dynamics.hold(np.zeros((DIM, DIM)), 0.1, channels=[(op, 1.0)])
 
     def test_flat_dark_time_under_two_entry_channels_takes_the_eigen_path(
             self, monkeypatch):
@@ -708,7 +746,7 @@ class TestEigenProperties:
         # both walks step from one spectrum, and none chains expm; with no
         # acting channel both take the unitary route and build none
         spectra = (0, 0) if not seg.channels or seg.mult_start == 0 else (1, 1)
-        assert dynamics._SPECTRA.cache_info()[:2] == spectra
+        assert dynamics._spectrum.cache_info()[:2] == spectra
         maps = [expm(sup * t) for t in times]
         exact_rho = np.array([m @ rho0.reshape(-1) for m in maps])
         exact_cols = np.array([m @ unit for m in maps])
@@ -839,7 +877,7 @@ class TestChannelFreeProperties:
             sup = dynamics.superoperator(density)
             pulled = dynamics.pullback(density, rows)
         assert eig_calls == []
-        assert dynamics._SPECTRA.cache_info().misses == 0
+        assert dynamics._spectrum.cache_info().misses == 0
 
         states = dynamics.evolve_pure(psi, pure, t_eval=times).states
         u = dynamics.propagator(pure)
@@ -887,15 +925,13 @@ def square_segments(draw, kind):
 
 def _split(seg, fraction):
     """``seg`` as two segments meeting at fraction * duration: the level
-    diagonal and the multiplier cut where they reach, and each tone's
-    phase run on to the cut."""
+    diagonal and the multiplier cut where they reach, and the coupling,
+    a static drive, in both."""
     cut = fraction * seg.duration
     diag, mult = seg._diag_at(seg._fraction(cut)), seg.multiplier(cut)
-    tones = tuple((cmat, beat, phi + 2 * np.pi * beat * cut)
-                  for cmat, beat, phi in seg.tones)
     return (replace(seg, duration=cut, diag_end=diag, mult_end=mult),
             replace(seg, duration=seg.duration - cut, diag_start=diag,
-                    mult_start=mult, tones=tones))
+                    mult_start=mult))
 
 
 class TestSplitProperties:
@@ -1202,8 +1238,7 @@ class TestFrozenSegment:
             segments=(sq.pulse((-2.5, -1.5), 71.0, np.pi / 2),),
             fields=FIELDS))
         seg = sched.segments[0]
-        (cmat, _, _), = seg.tones
-        for array in (seg.diag_start, seg.diag_end, cmat):
+        for array in (seg.diag_start, seg.diag_end, seg.coupling):
             with pytest.raises(ValueError):
                 array[0] += 50.0
         # the caller's arrays stay writeable and apart from the segment's
@@ -1260,16 +1295,28 @@ LINDBLADS = {
 
 
 def _content_caches():
-    """Every cache object held at module level by dynamics or sequence."""
-    return [obj for module in (dynamics, sq) for obj in vars(module).values()
+    """(module, name, cache) of every cached function held at module
+    level by a ``sunspin`` module, once per module that holds it."""
+    modules = [importlib.import_module(f"sunspin.{info.name}")
+               for info in pkgutil.iter_modules(sunspin.__path__)]
+    return [(module, name, obj) for module in modules
+            for name, obj in vars(module).items()
             if hasattr(obj, "cache_info") and not isinstance(obj, type)]
 
 
 def _bypassing_caches(run):
-    """run() with every content cache bypassed: each value built afresh."""
+    """run() with every cache bypassed: each cached function replaced, in
+    every module that holds it, by its ``__wrapped__``."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dynamics.ContentCache, "get", lambda self, key, build: build())
+        for module, name, cache in _content_caches():
+            mp.setattr(module, name, cache.__wrapped__)
         return run()
+
+
+def _h_content(seg):
+    """The bytes of a constant segment's level diagonal and coupling,
+    by which its Liouville spectrum is kept."""
+    return seg._diag_flat.tobytes(), seg.coupling.tobytes()
 
 
 class TestCacheProperties:
@@ -1297,8 +1344,18 @@ class TestCacheProperties:
         warm = run()
         assert cold.tobytes() == fresh.tobytes()
         assert warm.tobytes() == fresh.tobytes()
+
+    def test_clear_caches_empties_the_model_lru_caches(self):
+        model.two_photon_weight(-2.5)
+        model.scattering_branching_ratios()
+        cached = (model.two_photon_weight, model.scattering_branching_ratios)
+        assert all(f.cache_info().currsize > 0 for f in cached)
+        # the cache scan that the bypass uses covers the model caches too
+        caches = [cache for _, _, cache in _content_caches()]
+        assert all(any(f is cache for cache in caches) for f in cached)
         dynamics.clear_caches()
-        assert all(cache.cache_info().currsize == 0 for cache in _content_caches())
+        assert all(cache.cache_info().currsize == 0 for cache in caches)
+        assert [f.cache_info().currsize for f in cached] == [0, 0]
 
     @settings(max_examples=10, deadline=None, database=None)
     @given(drawn=pulse_sequences(), gap=st.floats(1e-5, 5e-4),
@@ -1309,7 +1366,8 @@ class TestCacheProperties:
                                fields=WEAK_FIELDS)
         sched = sq.compile(seq, lindblad=LINDBLADS[lindblad])
         first, _, second = sched.segments
-        assert sched.starts[0] != sched.starts[2] and first.key == second.key
+        assert sched.starts[0] != sched.starts[2]
+        assert _h_content(first) == _h_content(second)
         assert first.h_const.tobytes() == second.h_const.tobytes()
         dynamics.clear_caches()
         dynamics.evolve(sched, basis_state(pulse.tones[0].m_low))
@@ -1317,7 +1375,7 @@ class TestCacheProperties:
             # a Liouville spectrum does not depend on the step length; a
             # pulse without acting channels steps unitarily and builds none
             misses = 0 if not first.channels or first.mult_start == 0 else 1
-            assert dynamics._SPECTRA.cache_info().misses == misses
+            assert dynamics._spectrum.cache_info().misses == misses
 
     def test_repeated_density_rabi_scan_diagonalizes_nothing(self, monkeypatch):
         durations = np.linspace(1e-3, 0.02, 6)
@@ -1348,7 +1406,7 @@ class TestCacheProperties:
             pulse, replace(pulse, tls_start=0.5, tls_end=0.5)), fields=fields)
         spec = LINDBLADS[lindblad]
         dark_a, dark_b, pulse_a, pulse_b = sq.compile(seq, lindblad=spec).segments
-        assert pulse_a.key == pulse_b.key
+        assert _h_content(pulse_a) == _h_content(pulse_b)
         assert (dark_a._multiplier_integral(dark_a.duration)
                 == dark_b._multiplier_integral(dark_b.duration))
 
@@ -1360,14 +1418,6 @@ class TestCacheProperties:
         fresh = _bypassing_caches(run)
         dynamics.clear_caches()
         assert run().tobytes() == fresh.tobytes()
-
-    def test_clear_caches_empties_the_model_lru_caches(self):
-        model.two_photon_weight(-2.5)
-        model.scattering_branching_ratios()
-        cached = (model.two_photon_weight, model.scattering_branching_ratios)
-        assert all(f.cache_info().currsize > 0 for f in cached)
-        dynamics.clear_caches()
-        assert [f.cache_info().currsize for f in cached] == [0, 0]
 
     def test_flat_diagonal_integral_keeps_general_formula_bits(self):
         d = np.array([-0.0, 0.0, -1.5e3, 2.0e3, 0.5, -0.0, 7.0, -3.0, 1e-300, 9.0])
@@ -1486,16 +1536,6 @@ class TestLabBeatFrame:
 
 
 class TestTrajectory:
-    def test_csv_round_trip(self, tmp_path):
-        ts = np.linspace(1e-4, 0.01, 11)
-        h = compiled([two_level_tone()], ts[-1])
-        traj = dynamics.evolve_pure(basis_state(-2.5), h, t_eval=ts)
-        path = tmp_path / "traj.csv"
-        traj.to_csv(path, coherence_pairs=[(-2.5, -1.5)])
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert data.shape == (11, 13)
-        assert np.allclose(data[:, 1:11].sum(axis=1), 1.0, atol=1e-9)
-
     @pytest.mark.parametrize("segment", ["square", "dark"])
     @pytest.mark.parametrize("engine", ["pure", "density"])
     def test_samples_within_the_slack_past_the_end_are_reached(self, engine,

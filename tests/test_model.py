@@ -94,15 +94,16 @@ class TestRamanHamiltonian:
         assert calls == []
 
     def test_phase_and_detuning_leave_the_coupling_triangle(self):
-        # each segment carries half the tone's coupling matrix, whatever
-        # the tone's phase and detuning
+        # each segment carries half the tone's coupling matrix, at the
+        # tone's phase and whatever its detuning
         tone = model.RamanTone(-2.5, -1.5, 71.0)
         twins = [tone, replace(tone, phase=0.4), replace(tone, detuning_hz=3.0)]
         sched = sq.compile(sq.PulseSequence(
             segments=tuple(sq.PulseSegment(duration=0.01, tones=(t,)) for t in twins),
             fields=REF_FIELDS))
-        half = (tone.coupling_matrix() / 2.0).tobytes()
-        assert [seg.tones[0][0].tobytes() for seg in sched.segments] == [half] * 3
+        half = tone.coupling_matrix() / 2.0
+        assert ([seg.coupling.tobytes() for seg in sched.segments]
+                == [(half * np.exp(-1j * t.phase)).tobytes() for t in twins])
 
     def test_hermitian_at_sampled_times(self):
         # with q = 0 the two pairs share one LO, so the tones do not beat

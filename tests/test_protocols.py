@@ -836,7 +836,8 @@ class TestScanSweep:
                             lambda *a, **kw: compiles.append(1) or compile_(*a, **kw))
         monkeypatch.setattr(
             dynamics, "_step",
-            lambda seg, *a: (seg.tones and pulse_steps.append(id(seg))) or step(seg, *a))
+            lambda seg, *a: (seg.coupling is not None and pulse_steps.append(id(seg)))
+            or step(seg, *a))
         counts = []
         for n_points in (2, 20):
             compiles.clear()
@@ -873,7 +874,7 @@ class TestScanSweep:
             return wrapper
 
         monkeypatch.setattr(dynamics, "_step", counted(
-            "_step", dynamics._step, lambda seg, *a: not seg.tones))
+            "_step", dynamics._step, lambda seg, *a: seg.coupling is None))
         for name in ("propagator", "superoperator"):
             monkeypatch.setattr(dynamics, name,
                                 counted(name, getattr(dynamics, name)))

@@ -177,9 +177,9 @@ def builder_segments(draw):
 
 def _expected_rejection(seq, diagonal_safe):
     """(segment index, cause) of the first segment that no exact method
-    steps, or None: a tone under a ramping multiplier, a tone whose LO is
-    off the frame of the segment's first tone, or a ramp under channels
-    that are not diagonal-safe."""
+    steps, or None: a tone under a ramping multiplier or a moving level
+    diagonal, a tone whose LO is off the frame of the segment's first
+    tone, or a ramp under channels that are not diagonal-safe."""
     fields = seq.fields
     for k, seg in enumerate(seq.segments):
         ramped = abs(seg.tls_end - seg.tls_start) >= dynamics.FLAT_MULTIPLIER
@@ -187,9 +187,13 @@ def _expected_rejection(seq, diagonal_safe):
             if ramped:
                 return k, "a tone during a TLS ramp"
             first = seg.tones[0]
+            f_lo = first.lo_freq_hz(fields)
+            if not np.array_equal(sq.frame_diagonal(fields, seg.tls_start, f_lo, first.dm),
+                                  sq.frame_diagonal(fields, seg.tls_end, f_lo, first.dm)):
+                return k, "a coupling over a moving level diagonal"
             frame_hz = first.lo_freq_hz(fields) / first.dm
             if any(abs(tone.lo_freq_hz(fields) - frame_hz * tone.dm)
-                   >= dynamics.ZERO_BEAT_HZ for tone in seg.tones):
+                   >= sq.ZERO_BEAT_HZ for tone in seg.tones):
                 return k, "residual beat"
         elif ramped and not diagonal_safe:
             return k, "not diagonal-safe"
@@ -216,7 +220,8 @@ class TestCompileGate:
             return
         sched = sq.compile(seq, lindblad=lindblad)
         for data in sched.segments:
-            tone_free_closed_form = not data.tones and (diagonal_safe or lindblad is None)
+            tone_free_closed_form = data.coupling is None and (diagonal_safe
+                                                               or lindblad is None)
             assert data.kind == ("diagonal" if tone_free_closed_form else "constant")
         # and every segment steps
         final = dynamics.evolve(sched, basis_state(-2.5)).final
