@@ -20,22 +20,27 @@ light-induced.  Hamiltonians are in ordinary frequency units (Hz); the
 All four engines are folds of one schedule walker over one segment
 stepper.  The stepper advances a state of shape (d,) or (d, k) in
 Hilbert space (d = 10) or in Liouville space (row-major vec(rho),
-d = 100): ``evolve_pure`` walks a state vector, ``evolve_density`` a
-vectorized density matrix, ``propagator`` the 10x10 identity and
-``superoperator`` the 100x100 identity.  ``pullback`` walks the other
-way: it maps k observable rows r (p = r @ vec(rho) at the schedule's
-end) to their rows at its start, last segment first, each segment by
-the transpose of its forward method.  That is the adjoint (Heisenberg
-picture) master equation (Breuer & Petruccione, *The Theory of Open
-Quantum Systems*, sec. 3.2.3), and k rows cost k columns, where the
-superoperator steps 100.  ``expect`` is its forward twin: it walks a
-state as ``evolve`` does, but returns only the k real readings
-r @ vec(rho(t)) of Hermitian-reading rows at each sample time, and a
-segment's sampler forms those instead of the 100 entries of each
-rho(t).  So k rows cost k columns both ways.  The state carried from
-segment to segment is the full one, stepped by the same method.  Each
-segment gets one method by its kind, which it takes when it is built: a
-segment that neither kind fits raises :class:`DynamicsError` there.
+d = 100), and the state's leading length d says which: ``evolve_pure``
+walks a state vector, ``evolve_density`` a vectorized density matrix,
+``propagator`` the 10x10 identity and ``superoperator`` the 100x100
+identity.  ``evolve_pure``, ``evolve_density`` and ``expect`` share one
+checked path: it resolves the sample times, checks the start state (the
+pure engine takes a normalized vector of shape (10,), the density
+engine a state vector or a 10x10 density matrix), walks, and checks the
+state at the walk's end.  ``pullback`` walks the other way: it maps k
+observable rows r (p = r @ vec(rho) at the schedule's end) to their
+rows at its start, last segment first, each segment by the transpose of
+its forward method.  That is the adjoint (Heisenberg picture) master
+equation (Breuer & Petruccione, *The Theory of Open Quantum Systems*,
+sec. 3.2.3), and k rows cost k columns, where the superoperator steps
+100.  ``expect`` is its forward twin: it walks a state as ``evolve``
+does, but returns only the k real readings r @ vec(rho(t)) of
+Hermitian-reading rows at each sample time, and a segment's sampler
+forms those instead of the 100 entries of each rho(t).  So k rows cost
+k columns both ways.  The state carried from segment to segment is the
+full one, stepped by the same method.  Each segment gets one method by
+its kind, which it takes when it is built: a segment that neither kind
+fits raises :class:`DynamicsError` there.
 
 * constant H (a coupling, the static drive ``compile`` folds from
   square tones, under a flat TLS multiplier and level diagonal; or no
@@ -44,9 +49,9 @@ segment that neither kind fits raises :class:`DynamicsError` there.
   14 of Moler & Van Loan, SIAM Rev. 45, 3 (2003)): in Hilbert space
   the eigendecomposition H = V diag(w) V^H.  In Liouville space with no
   acting channel (the set's dissipator is zero, or the multiplier is
-  0), the same one: U rho U^H is V M V^H, M_ab = C_ab p_a
-  conj(p_b) for p = exp(-2 pi i w t) and C = V^H rho V, which is exact
-  with cond 1 and takes 10 exponentials per sample.  Otherwise
+  0), the same one: U rho U^H for U = V diag(p) V^H and
+  p = exp(-2 pi i w t), which is exact with cond 1 and takes 10
+  exponentials per sample.  Otherwise
   L = V diag(lambda) V^-1, a real one: in the Hermitian basis (rho_aa,
   sqrt2 Re rho_ab, -sqrt2 Im rho_ab) a Lindblad generator is a real
   matrix.  Arbitrarily long steps at machine precision, and a state
@@ -55,8 +60,9 @@ segment that neither kind fits raises :class:`DynamicsError` there.
   Hermitian rho gets conjugate terms from a pair: ``expect`` sums the
   eigenvalues with Im lambda >= 0 only, each complex one twice, and
   takes the real part, one exponential per pair.  A channel-free
-  segment read by rows R_k forms vec(M) @ vec(V^T R_k conj(V)) instead
-  of V M V^H.  When that basis leaves L complex, LAPACK fails or
+  segment read by rows R_k forms vec(M) @ vec(V^T R_k conj(V)), for
+  M_ab = C_ab p_a conj(p_b) and C = V^H rho V, instead of U rho U^H.
+  When that basis leaves L complex, LAPACK fails or
   cond(V) exceeds ``EIG_COND_MAX`` (L is not normal and can be
   defective), chained exponentials of the Liouvillian instead.
 * diagonal H (no coupling, and channels that are each diagonal or a single
@@ -101,9 +107,9 @@ again and again:
   pure engine.
 
 Both are ``functools.lru_cache`` s on those content arguments, and each
-rebuilds its arrays from the bytes it is keyed by.  A segment looks its
-channel set up once, and the spectrum cache keys it by the set's own
-stored key.  Keys are content, never object identity; cached arrays are
+rebuilds its arrays from the bytes it is keyed by.  A segment holds its
+channel set as looked up (``Segment.channel_set``), and the spectrum
+cache keys it by the set's own stored key.  Keys are content, never object identity; cached arrays are
 read-only; both caches are bounded.  ``clear_caches`` empties them and
 the two ``lru_cache`` s of :mod:`sunspin.model`.
 A scan does not lean on them to share its pulses: :mod:`sunspin.protocols`
@@ -121,7 +127,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import model
-from .spin_core import DIM, density_matrix, m_index
+from .spin_core import DIM, m_index
 
 TWO_PI = 2.0 * np.pi
 
@@ -136,8 +142,8 @@ EIG_IMAG_MAX = 1e-14
 # 2e-12 at 3e4 and 6e-9 at the defective point itself (cond(V) = 1e8).
 # The package's own Rabi segments have cond(V) below 20.
 EIG_COND_MAX = 1e4
-# Ends a channel-free constant segment steps together in Liouville space.
-# A block's temporaries stay near 50 KB, under glibc's 128 KiB mmap
+# Sample ends of a channel-free constant segment read by rows in Liouville
+# space (``expect``), formed together.  A block's temporaries stay near 50 KB, under glibc's 128 KiB mmap
 # threshold: the 248 ends of a Rabi scan in one block cost about 100
 # page faults and 0.2 ms more per scan.
 UNITARY_BLOCK = 32
@@ -197,35 +203,45 @@ class Segment:
     TLS multiplier endpoints ``mult_start`` and ``mult_end``; across the
     segment both move linearly in t.  ``coupling``, when given, is the
     complex upper triangle of a static drive in the rotating frame, its
-    phases applied: H is the diagonal plus it and its conjugate
-    transpose.  ``channels`` hold (jump operator, base rate); their rates
-    are scaled by the multiplier.  ``known_channel_set``, when given, is
-    the looked-up set of ``channels``: :func:`sunspin.sequence.compile`
-    looks its one set up once for all its segments, and a segment built
-    without one looks it up when it needs it.  The level diagonals and
-    the coupling are kept as read-only copies, so the cached ``h_const``
-    and spectra cannot go stale.  A segment that no exact method steps
-    (see ``kind``) raises :class:`DynamicsError` when built.
+    phases applied: a 10x10 array, zero on and below the diagonal; H is
+    the diagonal plus it and its conjugate transpose.  ``channel_set``
+    is a set from :func:`channel_set`, by default the empty one; its
+    rates are scaled by the multiplier.  The level diagonals (10 finite
+    real numbers each) and the coupling are kept as read-only copies, so
+    the cached ``h_const`` and spectra cannot go stale.  Arrays of
+    another form, and a segment that no exact method steps (see
+    ``kind``), raise :class:`DynamicsError` when built.
     """
 
     duration: float
     diag_start: np.ndarray
     diag_end: np.ndarray
     coupling: np.ndarray | None = None
-    channels: tuple[tuple[np.ndarray, float], ...] = ()
+    channel_set: _ChannelSet = field(default_factory=lambda: channel_set(()),
+                                     repr=False)
     mult_start: float = 1.0
     mult_end: float = 1.0
-    known_channel_set: _ChannelSet | None = field(default=None, repr=False,
-                                                  compare=False)
 
     def __post_init__(self):
         # set through the instance dict, as cached_property does: the
         # dataclass is frozen
         attrs = vars(self)
-        attrs["diag_start"] = _frozen(np.array(self.diag_start))
-        attrs["diag_end"] = _frozen(np.array(self.diag_end))
+        for name in ("diag_start", "diag_end"):
+            diag = np.asarray(attrs[name])
+            if diag.shape != (DIM,) or np.iscomplexobj(diag) or not np.isfinite(diag).all():
+                raise DynamicsError(f"a level diagonal must be {DIM} finite real "
+                                    f"numbers, got shape {diag.shape}")
+            attrs[name] = _frozen(np.array(diag, dtype=float))
         if self.coupling is not None:
-            attrs["coupling"] = _frozen(np.array(self.coupling, dtype=complex))
+            coupling = np.array(self.coupling, dtype=complex)
+            if coupling.shape != (DIM, DIM) or coupling[_ON_OR_BELOW].any():
+                raise DynamicsError(
+                    f"a coupling must be a {DIM}x{DIM} array, zero on and below "
+                    f"the diagonal, got shape {coupling.shape}")
+            attrs["coupling"] = _frozen(coupling)
+        if not isinstance(self.channel_set, _ChannelSet):
+            raise DynamicsError("a segment's channel_set is a set from "
+                                "dynamics.channel_set")
         self.kind  # taken now, so a segment no exact method steps raises here
 
     @functools.cached_property
@@ -247,7 +263,7 @@ class Segment:
                 raise DynamicsError("a coupling over a moving level diagonal: "
                                     "no exact method steps it")
             return "constant"
-        if not self.channels or self.channel_set.diagonal_safe:
+        if self.channel_set.diagonal_safe:
             return "diagonal"
         if flat and self._diag_flat is not None:
             return "constant"
@@ -263,13 +279,6 @@ class Segment:
         if self.kind != "constant":
             return None
         return _raman_hamiltonian(self._diag_flat, self.coupling)
-
-    @functools.cached_property
-    def channel_set(self) -> _ChannelSet:
-        """The cached set of the segment's channels."""
-        if self.known_channel_set is not None:
-            return self.known_channel_set
-        return channel_set(self.channels)
 
     @property
     def channel_free(self) -> bool:
@@ -335,7 +344,7 @@ class Schedule:
         return self.starts[-1]
 
     def has_dissipation(self) -> bool:
-        return any(seg.channels for seg in self.segments)
+        return any(seg.channel_set.key for seg in self.segments)
 
 
 def hold(h, duration: float, channels=None) -> Schedule:
@@ -346,14 +355,14 @@ def hold(h, duration: float, channels=None) -> Schedule:
     the coupling.  Given ``channels`` (operator, rate), even none, the
     schedule is on the density engine; :func:`channel_set` checks them.
     """
-    ops = tuple((np.asarray(op, dtype=complex), float(r)) for op, r in channels or ())
-    known = channel_set(ops)
     h0 = np.asarray(h, dtype=complex)
+    if h0.shape != (DIM, DIM):
+        raise DynamicsError(f"hold takes a {DIM}x{DIM} matrix, got shape {h0.shape}")
     _check_hermitian(h0)
     diag = h0.diagonal().real.copy()
     return Schedule((Segment(duration=duration, diag_start=diag, diag_end=diag,
-                             coupling=np.triu(h0, 1), channels=ops,
-                             known_channel_set=known),),
+                             coupling=np.triu(h0, 1),
+                             channel_set=channel_set(channels or ())),),
                     density=channels is not None)
 
 
@@ -366,9 +375,9 @@ def _raman_hamiltonian(diag: np.ndarray, coupling: np.ndarray | None) -> np.ndar
     return hm
 
 
-def _check_hermitian(h: np.ndarray, tol: float = HERMITIAN_TOL):
+def _check_hermitian(h: np.ndarray):
     scale = max(1.0, np.max(np.abs(h)))
-    if np.max(np.abs(h - h.conj().T)) > tol * scale:
+    if np.max(np.abs(h - h.conj().T)) > HERMITIAN_TOL * scale:
         raise DynamicsError("non-Hermitian Hamiltonian sample")
 
 
@@ -378,11 +387,16 @@ def _check_hermitian(h: np.ndarray, tol: float = HERMITIAN_TOL):
 
 @dataclass
 class Trajectory:
-    """Sampled evolution: states at strictly increasing times."""
+    """Sampled evolution: states at strictly increasing times, (n, 10)
+    state vectors or (n, 10, 10) density matrices."""
 
     times: np.ndarray
-    states: np.ndarray          # (n, 10) complex or (n, 10, 10) complex
-    kind: str                   # pure | density
+    states: np.ndarray
+
+    @property
+    def kind(self) -> str:
+        """pure | density, read off the states' shape."""
+        return "pure" if self.states.ndim == 2 else "density"
 
     def populations(self) -> np.ndarray:
         if self.kind == "pure":
@@ -421,7 +435,7 @@ def _resolve_times(schedule: Schedule, t_eval) -> np.ndarray:
 # the schedule walker and the segment stepper
 # ---------------------------------------------------------------------------
 
-def _walk(schedule: Schedule, state: np.ndarray, times, liouville: bool,
+def _walk(schedule: Schedule, state: np.ndarray, times,
           rows=None) -> tuple[np.ndarray | None, np.ndarray]:
     """Fold ``state`` through the schedule.
 
@@ -432,14 +446,14 @@ def _walk(schedule: Schedule, state: np.ndarray, times, liouville: bool,
     the samples are None.  A segment gets its sample times as an array
     of times into it.
     """
-    if not liouville and schedule.has_dissipation():
+    if len(state) == DIM and schedule.has_dissipation():
         raise DynamicsError("unitary evolution cannot carry dissipation channels")
     blocks, n_done = [], 0
     starts = schedule.starts
     for seg, start, end in zip(schedule.segments, starts, starts[1:]):
         n_in = times.searchsorted(end + TIME_SLACK, "right")
         inside = times[n_done:n_in] - start
-        got, state = _step(seg, state, inside, liouville, rows)
+        got, state = _step(seg, state, inside, rows)
         if len(inside):
             blocks.append(got)
             n_done = n_in
@@ -450,7 +464,7 @@ def _walk(schedule: Schedule, state: np.ndarray, times, liouville: bool,
     return (np.concatenate(blocks) if blocks else None), state
 
 
-def _step(seg: Segment, state, sample_ts, liouville, rows=None):
+def _step(seg: Segment, state, sample_ts, rows=None):
     """Advance ``state`` across the segment.
 
     Returns (samples at ``sample_ts``, state at the end); times count
@@ -466,31 +480,33 @@ def _step(seg: Segment, state, sample_ts, liouville, rows=None):
     ends[:-1] = sample_ts
     ends[-1] = seg.duration
     if seg.kind == "diagonal":
-        states = _closed_form(seg, state, ends, liouville)
-    elif not liouville or seg.channel_free:
-        return _unitary(seg, state, ends, liouville, rows)
+        states = _closed_form(seg, state, ends)
+    elif len(state) == DIM or seg.channel_free:
+        return _unitary(seg, state, ends, rows)
     else:
         spectrum = _constant_spectrum(seg)
         if spectrum is not None:
             return _eigen_step(spectrum, state, ends, rows)
         states = _chained(_constant_liouvillian(seg), state, ends)
-    return _read(rows, states[:-1], liouville), states[-1]
+    return _read(rows, states)
 
 
-def _read(rows, states, liouville):
-    """The samples ``states`` as ``_step`` returns them: the states or,
-    given ``rows``, their (n, k) readings rows @ vec(rho), taken off
+def _read(rows, states):
+    """(samples, end state) as ``_step`` returns them from the states at
+    its ends: the samples are the states before the last or, given
+    ``rows``, their (n, k) readings rows @ vec(rho), taken off
     vec(|psi><psi|) on the pure engine.  Of that outer product only the
     entries some row reads are formed.  The readings are complex; their
     real part is the value."""
+    samples, end = states[:-1], states[-1]
     if rows is None:
-        return states
-    if liouville:
-        return np.reshape(states, (len(states), DIM * DIM)) @ rows.T
-    psi = np.reshape(states, (len(states), DIM))
+        return samples, end
+    if len(end) == DIM * DIM:
+        return np.reshape(samples, (len(samples), DIM * DIM)) @ rows.T, end
+    psi = np.reshape(samples, (len(samples), DIM))
     read = np.flatnonzero(rows.any(axis=0))
     left, right = np.divmod(read, DIM)
-    return (psi[:, left] * psi[:, right].conj()) @ rows[:, read].T
+    return (psi[:, left] * psi[:, right].conj()) @ rows[:, read].T, end
 
 
 def _rows(factors: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -517,66 +533,45 @@ def _spectral(v, coeff, factors):
     return factors @ v.T
 
 
-def _unitary(seg: Segment, state, ends, liouville, rows=None):
+def _unitary(seg: Segment, state, ends, rows=None):
     """Samples and end state (see ``_step``) of a constant segment
     without acting channels, from H = V diag(w) V^H by ``eigh`` and the
     10 factors p = exp(-2 pi i w t) per end.
 
-    In Liouville space U rho U^H = V M V^H, M_ab = C_ab p_a conj(p_b),
-    for the coefficients C = V^H rho V of each column rho of the state:
-    an exact map with a unitary eigenbasis (cond 1), which takes no
-    100x100 eigensolver.  It runs as two products with 10 columns per
-    block of ``UNITARY_BLOCK`` ends, a fifth of the work of
-    kron(V, conj V) on vec(M).  Row R_k, read as a 10x10 matrix, reads
-    vec(M) @ vec(K_k) with K_k = V^T R_k conj(V), built once, so the
-    samples read by ``rows`` take one product per block and no V M V^H.
+    In Liouville space each column rho of the state goes to U rho U^H,
+    U = V diag(p) V^H, at every end at once: an exact map with a unitary
+    eigenbasis (cond 1), which takes no 100x100 eigensolver.  Samples
+    read by ``rows`` take no U rho U^H: with C = V^H rho V, row R_k
+    (read as a 10x10 matrix) reads vec(M) @ vec(K_k) off
+    M_ab = C_ab p_a conj(p_b), K_k = V^T R_k conj(V) built once, one
+    product per block of ``UNITARY_BLOCK`` ends.
     """
     w, v = np.linalg.eigh(seg.h_const)
     p = np.exp(np.multiply.outer(ends, -1j * TWO_PI * w))
-    if not liouville:
-        states = _spectral(v, v.conj().T @ state, p)
-        return _read(rows, states[:-1], liouville), states[-1]
     vh = v.conj().T
-    # c[a, k, b]: V^H rho V for each column k of the state
+    if len(state) == DIM:
+        return _read(rows, _spectral(v, vh @ state, p))
+    # U rho U^H for each column rho of the state, at every end or, given
+    # rows, at the last: (ends, columns, 10, 10)
+    u = (v * (p if rows is None else p[-1:])[:, None, :]) @ vh
     rho = np.moveaxis(state.reshape(DIM, DIM, -1), -1, 0)
-    c = np.moveaxis(vh @ rho @ v, 0, 1)
-
-    def conjugated(m):
-        # V m V^H, as (ends, 10, 10, columns)
-        n = m.shape[1]
-        m = (m.reshape(-1, DIM) @ vh).reshape(DIM, -1)
-        return (v @ m).reshape(DIM, n, -1, DIM).transpose(1, 0, 3, 2)
-
-    def states_at(p):
-        out = _in_blocks(c, p, conjugated, (len(p), DIM, DIM, c.shape[1]))
-        return out.reshape((len(p),) + state.shape)
-
+    out = u[:, None] @ rho @ np.swapaxes(u.conj(), 1, 2)[:, None]
+    states = np.moveaxis(out, 1, -1).reshape((len(u),) + state.shape)
     if rows is None:
-        states = states_at(p)
-        return states[:-1], states[-1]
-    k = _through_unitary(v, rows).T
-
-    def read(m):
-        # vec(M) @ vec(K_k) for each end; the state is one column
-        n = m.shape[1]
-        return m.reshape(DIM, n, DIM).transpose(1, 0, 2).reshape(n, -1) @ k
-
-    return _in_blocks(c, p[:-1], read, (len(p) - 1, len(rows))), states_at(p[-1:])[0]
-
-
-def _in_blocks(c, p, read, shape):
-    """read(m) for M_ab = C_ab p_a conj(p_b) at each end, m[a, n, k, b]
-    for the coefficients c[a, k, b] and the n ends of a block of
-    ``UNITARY_BLOCK`` rows of ``p``, stacked into an array of ``shape``."""
-    out = np.empty(shape, dtype=complex)
-    for lo in range(0, len(p), UNITARY_BLOCK):
-        pb = p[lo:lo + UNITARY_BLOCK]
-        m = pb.T[:, :, None, None] * c[:, None]
-        m *= pb.conj()[:, None, :]
-        out[lo:lo + UNITARY_BLOCK] = read(m)
-    return out
+        return _read(None, states)
+    # the state is one column here
+    k, c, samples = _through_unitary(v, rows).T, vh @ rho[0] @ v, p[:-1]
+    readings = np.empty((len(samples), len(rows)), dtype=complex)
+    for lo in range(0, len(samples), UNITARY_BLOCK):
+        pb = samples[lo:lo + UNITARY_BLOCK]
+        m = pb.T[:, :, None] * c[:, None]
+        m *= pb.conj()
+        readings[lo:lo + UNITARY_BLOCK] = m.transpose(1, 0, 2).reshape(len(pb), -1) @ k
+    return readings, states[0]
 
 
+# Entries (a, b), a >= b, that a segment's coupling leaves zero
+_ON_OR_BELOW = np.tri(DIM, dtype=bool)
 # Row-major vec(rho) indices of rho_aa, and of rho_ab and rho_ba for a < b
 _UPPER = np.triu_indices(DIM, 1)
 _VEC_DIAG = np.arange(DIM) * (DIM + 1)
@@ -789,12 +784,31 @@ def _with_identity(x: np.ndarray, c: float) -> np.ndarray:
 
 def evolve(schedule: Schedule, state: np.ndarray, t_eval=None) -> Trajectory:
     """Evolve an initial state through a schedule on the engine it
-    selects: the state vector on the pure engine; on the density engine
-    (``Schedule.density``) the density matrix, a state vector input being
-    turned into its density matrix."""
+    selects: :func:`evolve_density` when ``Schedule.density`` is set,
+    :func:`evolve_pure` otherwise."""
     if not schedule.density:
         return evolve_pure(state, schedule, t_eval=t_eval)
-    return evolve_density(density_matrix(state), schedule, t_eval=t_eval)
+    return evolve_density(state, schedule, t_eval=t_eval)
+
+
+def evolve_pure(state: np.ndarray, schedule: Schedule, t_eval=None) -> Trajectory:
+    """Schroedinger evolution of a normalized state vector of shape (10,).
+
+    A schedule whose segments carry dissipation channels raises.
+    """
+    return Trajectory(*_run(schedule, state, t_eval, density=False))
+
+
+def evolve_density(rho: np.ndarray, schedule: Schedule, t_eval=None) -> Trajectory:
+    """Lindblad master-equation evolution under the schedule's channels
+    of a 10x10 density matrix, or of a state vector taken as its density
+    matrix.
+
+    Positivity is monitored, not enforced: eigenvalues below
+    ``DENSITY_POSITIVITY_FLOOR`` raise.
+    """
+    times, samples = _run(schedule, rho, t_eval, density=True)
+    return Trajectory(times, samples.reshape(len(times), DIM, DIM))
 
 
 def expect(schedule: Schedule, state: np.ndarray, rows, t_eval) -> np.ndarray:
@@ -804,15 +818,12 @@ def expect(schedule: Schedule, state: np.ndarray, rows, t_eval) -> np.ndarray:
     ``rows`` (k, 100) read k observables off row-major vec(rho), and
     each, read as a 10x10 matrix, must be Hermitian (to
     ``READING_HERMITIAN_TOL``), so that it reads a real value off every
-    density matrix.  The state is taken as :func:`evolve` takes it, with
-    its checks: on the pure engine the rows read vec(|psi><psi|), and on
-    the density engine a state vector input is turned into its density
-    matrix.  Each segment is stepped by the method :func:`evolve` gives
-    it, but its samples are read, not returned: k rows cost k columns
-    per sample, and a constant segment with channels takes one
-    exponential per conjugate pair of eigenvalues.  The state carried
-    from segment to segment is the full one, and the one at the end gets
-    the engine's output checks.
+    density matrix.  The state and the times are taken and checked as
+    :func:`evolve` takes them; on the pure engine the rows read
+    vec(|psi><psi|).  Each segment is stepped by the method
+    :func:`evolve` gives it, but its samples are read, not returned: k
+    rows cost k columns per sample, and a constant segment with channels
+    takes one exponential per conjugate pair of eigenvalues.
     """
     rows = np.asarray(rows, dtype=complex)
     if rows.ndim != 2 or rows.shape[1] != DIM * DIM:
@@ -822,46 +833,46 @@ def expect(schedule: Schedule, state: np.ndarray, rows, t_eval) -> np.ndarray:
     if skew > READING_HERMITIAN_TOL * max(1.0, np.abs(rows).max(initial=0.0)):
         raise DynamicsError("a row does not read a real value off every density "
                             "matrix: read as a 10x10 matrix it is not Hermitian")
-    if not schedule.density:
-        psi = _pure_start(state)
-        times = _resolve_times(schedule, t_eval)
-        samples, final = _walk(schedule, psi, times, False, rows)
-        _check_norm_drift(final)
-    else:
-        rho0 = _density_start(density_matrix(state))
-        times = _resolve_times(schedule, t_eval)
-        samples, final = _walk(schedule, rho0.reshape(-1), times, True, rows)
-        _check_final_density(final.reshape(DIM, DIM))
-    return samples.real
+    return _run(schedule, state, t_eval, schedule.density, rows)[1].real
 
 
-# ---------------------------------------------------------------------------
-# pure-state propagation
-# ---------------------------------------------------------------------------
-
-def evolve_pure(state: np.ndarray, schedule: Schedule, t_eval=None) -> Trajectory:
-    """Schroedinger evolution of a normalized pure state.
-
-    A schedule whose segments carry dissipation channels raises.
-    """
-    psi = _pure_start(state)
+def _run(schedule: Schedule, state, t_eval, density: bool, rows=None):
+    """(times, samples) of ``state`` through the schedule on the density
+    engine or the pure one, the one path of :func:`evolve_pure`,
+    :func:`evolve_density` and :func:`expect`: it resolves the sample
+    times, checks the start state, walks (see ``_walk``), and checks the
+    state at the walk's end."""
     times = _resolve_times(schedule, t_eval)
-    out = _walk(schedule, psi, times, liouville=False)[0]
-    _check_norm_drift(out[-1])
-    return Trajectory(times=times, states=out, kind="pure")
-
-
-def _pure_start(state) -> np.ndarray:
-    psi = np.asarray(state, dtype=complex)
-    if abs(np.linalg.norm(psi) - 1.0) > NORM_TOL:
-        raise DynamicsError("initial state is not normalized")
-    return psi
-
-
-def _check_norm_drift(psi: np.ndarray):
-    norm_err = abs(np.linalg.norm(psi) - 1.0)
-    if norm_err > NORM_DRIFT_FLOOR:
-        raise DynamicsError(f"norm drift {norm_err:.2e}")
+    start = np.asarray(state, dtype=complex)
+    if not density:
+        if start.shape != (DIM,):
+            raise DynamicsError(f"the pure engine takes a state vector of shape "
+                                f"({DIM},), got shape {start.shape}")
+        if abs(np.linalg.norm(start) - 1.0) > NORM_TOL:
+            raise DynamicsError("initial state is not normalized")
+        samples, end = _walk(schedule, start, times, rows)
+        if abs(np.linalg.norm(end) - 1.0) > NORM_DRIFT_FLOOR:
+            raise DynamicsError(f"norm drift {abs(np.linalg.norm(end) - 1.0):.2e}")
+        return times, samples
+    if start.shape == (DIM,):
+        start = np.outer(start, start.conj())
+    if start.shape != (DIM, DIM):
+        raise DynamicsError(f"the density engine takes a state of shape ({DIM},) or "
+                            f"({DIM}, {DIM}), got shape {start.shape}")
+    if abs(np.trace(start) - 1.0) > DENSITY_TRACE_TOL:
+        raise DynamicsError("density matrix trace != 1")
+    if np.max(np.abs(start - start.conj().T)) > DENSITY_HERMITIAN_TOL:
+        raise DynamicsError("density matrix is not Hermitian")
+    if np.linalg.eigvalsh(start).min() < -DENSITY_PSD_TOL:
+        raise DynamicsError("density matrix is not positive semidefinite")
+    samples, end = _walk(schedule, start.reshape(-1), times, rows)
+    end = end.reshape(DIM, DIM)
+    if abs(np.trace(end).real - 1.0) > TRACE_DRIFT_MAX:
+        raise DynamicsError("trace drift beyond tolerance")
+    min_eig = np.linalg.eigvalsh(0.5 * (end + end.conj().T)).min()
+    if min_eig < DENSITY_POSITIVITY_FLOOR:
+        raise DynamicsError(f"positivity violation: min eigenvalue {min_eig:.2e}")
+    return times, samples
 
 
 # ---------------------------------------------------------------------------
@@ -875,7 +886,13 @@ def liouvillian(h: np.ndarray, channels: Sequence[tuple[np.ndarray, float]]) -> 
     built once per distinct set of (operator, rate) contents and kept
     read-only; the returned sum is a new array.
     """
-    return _hamiltonian_part(h) + channel_set(channels).dissipator
+    return _liouvillian(h, channel_set(channels), 1.0)
+
+
+def _liouvillian(h: np.ndarray, channels: _ChannelSet, mult: float) -> np.ndarray:
+    """The package's one Liouvillian: the Hamiltonian part of ``h`` plus
+    ``mult`` times the dissipator of the set ``channels``."""
+    return _hamiltonian_part(h) + mult * channels.dissipator
 
 
 def _hamiltonian_part(h: np.ndarray) -> np.ndarray:
@@ -901,7 +918,7 @@ def channel_set(channels) -> _ChannelSet:
     Each operator must be 10x10 and each rate finite and non-negative.
     The lookup hashes every operator's bytes, so a builder of many
     segments on one set looks it up once and hands it to each
-    (``Segment.known_channel_set``).
+    (``Segment.channel_set``).
     """
     key = []
     for op, rate in channels:
@@ -946,8 +963,7 @@ def _channel_set_of(key: tuple) -> _ChannelSet:
 def _constant_liouvillian(seg: Segment) -> np.ndarray:
     """Liouvillian of a constant segment: the Hamiltonian part plus the
     TLS multiplier times the channels' dissipator."""
-    return (_hamiltonian_part(seg.h_const)
-            + seg.mult_start * seg.channel_set.dissipator)
+    return _liouvillian(seg.h_const, seg.channel_set, seg.mult_start)
 
 
 def _constant_spectrum(seg: Segment):
@@ -965,7 +981,7 @@ def _spectrum(diag: bytes, coupling: bytes | None, channels: tuple, mult: float)
     the channel set of key ``channels`` at multiplier ``mult``."""
     h = _raman_hamiltonian(np.frombuffer(diag), None if coupling is None else
                            np.frombuffer(coupling, dtype=complex).reshape(DIM, DIM))
-    return _eigen(_hamiltonian_part(h) + mult * _channel_set_of(channels).dissipator)
+    return _eigen(_liouvillian(h, _channel_set_of(channels), mult))
 
 
 def clear_caches() -> None:
@@ -977,40 +993,6 @@ def clear_caches() -> None:
     _spectrum.cache_clear()
     model.two_photon_weight.cache_clear()
     model.scattering_branching_ratios.cache_clear()
-
-
-def _density_start(rho) -> np.ndarray:
-    rho0 = np.asarray(rho, dtype=complex)
-    if abs(np.trace(rho0) - 1.0) > DENSITY_TRACE_TOL:
-        raise DynamicsError("density matrix trace != 1")
-    if np.max(np.abs(rho0 - rho0.conj().T)) > DENSITY_HERMITIAN_TOL:
-        raise DynamicsError("density matrix is not Hermitian")
-    if np.linalg.eigvalsh(rho0).min() < -DENSITY_PSD_TOL:
-        raise DynamicsError("density matrix is not positive semidefinite")
-    return rho0
-
-
-def _check_final_density(final: np.ndarray):
-    """The density engine's output checks: trace drift and positivity."""
-    if abs(np.trace(final).real - 1.0) > TRACE_DRIFT_MAX:
-        raise DynamicsError("trace drift beyond tolerance")
-    min_eig = np.linalg.eigvalsh(0.5 * (final + final.conj().T)).min()
-    if min_eig < DENSITY_POSITIVITY_FLOOR:
-        raise DynamicsError(f"positivity violation: min eigenvalue {min_eig:.2e}")
-
-
-def evolve_density(rho: np.ndarray, schedule: Schedule, t_eval=None) -> Trajectory:
-    """Lindblad master-equation evolution under the schedule's channels.
-
-    Positivity is monitored, not enforced: eigenvalues below
-    ``DENSITY_POSITIVITY_FLOOR`` raise.
-    """
-    rho0 = _density_start(rho)
-    times = _resolve_times(schedule, t_eval)
-    samples, _ = _walk(schedule, rho0.reshape(-1), times, liouville=True)
-    out = samples.reshape(len(times), DIM, DIM)
-    _check_final_density(out[-1])
-    return Trajectory(times=times, states=out, kind="density")
 
 
 def _is_diagonal_safe(channels) -> bool:
@@ -1071,7 +1053,7 @@ def _closed_form_factors(seg: Segment, tau_eff, phases):
     return (expm(rates) if rates.any() else None), phase, decay
 
 
-def _closed_form(seg: Segment, state, ends, liouville):
+def _closed_form(seg: Segment, state, ends):
     """States at ``ends`` of a coupling-free segment, each stepped from its
     start in closed form: a phase vector in Hilbert space; in
     Liouville space (diagonal or single-transfer channels) populations
@@ -1079,7 +1061,7 @@ def _closed_form(seg: Segment, state, ends, liouville):
     factors of all ends come from one stacked evaluation."""
     ends = np.asarray(ends)
     phases = seg._diag_integral(ends)
-    if not liouville:
+    if len(state) == DIM:
         return [_rows(factors, state) for factors in np.exp(-1j * TWO_PI * phases)]
     pop_maps, phase, decay = _closed_form_factors(
         seg, seg._multiplier_integral(ends), phases)
@@ -1103,14 +1085,12 @@ def propagator(schedule: Schedule) -> np.ndarray:
 
     A schedule whose segments carry dissipation channels raises.
     """
-    return _walk(schedule, np.eye(DIM, dtype=complex), np.empty(0),
-                 liouville=False)[1]
+    return _walk(schedule, np.eye(DIM, dtype=complex), np.empty(0))[1]
 
 
 def superoperator(schedule: Schedule) -> np.ndarray:
     """Process matrix of the full schedule on row-major vec(rho)."""
-    return _walk(schedule, np.eye(DIM * DIM, dtype=complex), np.empty(0),
-                 liouville=True)[1]
+    return _walk(schedule, np.eye(DIM * DIM, dtype=complex), np.empty(0))[1]
 
 
 def pullback(schedule: Schedule, rows) -> np.ndarray:
@@ -1146,7 +1126,7 @@ def _step_back(seg: Segment, rows):
         out[:, _VEC_DIAG] = pops if pop_map is None else pops @ pop_map
         return out
     if seg.channel_free:
-        u = _unitary(seg, np.eye(DIM, dtype=complex), [seg.duration], False)[1]
+        u = _unitary(seg, np.eye(DIM, dtype=complex), [seg.duration])[1]
         return _through_unitary(u, rows)
     spectrum = _constant_spectrum(seg)
     if spectrum is None:

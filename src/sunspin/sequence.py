@@ -143,9 +143,8 @@ def compile(sequence: PulseSequence,
     if isinstance(lindblad, (list, tuple)):
         raise SequenceError("lindblad takes one LindbladSpec; join several "
                             "with LindbladSpec.merge")
-    channels = () if lindblad is None else lindblad.channels
     # one lookup of the channel set, shared by every segment
-    channel_set = None if lindblad is None else dynamics.channel_set(channels)
+    channel_set = dynamics.channel_set(() if lindblad is None else lindblad.channels)
 
     fields = sequence.fields
     segments = []
@@ -173,8 +172,8 @@ def compile(sequence: PulseSequence,
                 diag_start=frame_diagonal(fields, seg.tls_start, f_lo, d_ref),
                 diag_end=frame_diagonal(fields, seg.tls_end, f_lo, d_ref),
                 coupling=sum(uppers[1:], uppers[0]) if uppers else None,
-                channels=channels, mult_start=seg.tls_start, mult_end=seg.tls_end,
-                known_channel_set=channel_set))
+                channel_set=channel_set, mult_start=seg.tls_start,
+                mult_end=seg.tls_end))
         except dynamics.DynamicsError as err:
             raise SequenceError(f"segment {k}: {err}") from None
         # the first tone sets the frame, so only a later one can beat

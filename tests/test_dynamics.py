@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -178,7 +179,8 @@ class TestPropagator:
 
 def _channels_at(seg, t):
     """The segment's channels with their rates at its multiplier at t."""
-    return [(op, rate * seg.multiplier(t)) for op, rate in seg.channels]
+    return [(np.frombuffer(op, dtype=complex).reshape(DIM, DIM), rate * seg.multiplier(t))
+            for op, rate in seg.channel_set.key]
 
 
 def _mixed_sequence():
@@ -280,7 +282,7 @@ class TestEigenStepping:
         sched = sq.compile(sq.PulseSequence(segments=(seg,), fields=FIELDS),
                            lindblad=_package_channel_sets()["photon+dephasing"])
         seg = sched.segments[0]
-        assert seg.kind == "constant" and seg.channels
+        assert seg.kind == "constant" and seg.channel_set.key
         ts = np.linspace(0.004, 0.02, n_samples)
         psi = basis_state(-2.5)
         rho0 = np.outer(psi, psi.conj())
@@ -508,6 +510,12 @@ class TestEngineChoice:
                            match=f"channel rate {rate} is not finite"):
             dynamics.hold(np.zeros((DIM, DIM)), 0.1, channels=[(op, 1.0), (op, rate)])
 
+    @pytest.mark.parametrize("shape", [(5, 5), (11, 11), (DIM,)])
+    def test_hold_rejects_a_matrix_that_is_not_10x10(self, shape):
+        with pytest.raises(dynamics.DynamicsError,
+                           match=re.escape(f"10x10 matrix, got shape {shape}")):
+            dynamics.hold(np.zeros(shape), 0.1)
+
 
 def _two_entry_channels():
     """One jump operator with two entries: not diagonal-safe, so the
@@ -554,9 +562,10 @@ class TestSegmentKind:
         ({"duration": 0.01, "coupling": np.diag([50.0] + [0.0] * (DIM - 2), k=1),
           "diag_end": 100.0 * np.arange(DIM)},
          "a coupling over a moving level diagonal"),
-        ({"mult_end": 0.5, "channels": _two_entry_channels().channels}, "a ramp"),
+        ({"mult_end": 0.5,
+          "channel_set": dynamics.channel_set(_two_entry_channels().channels)}, "a ramp"),
         ({"diag_end": np.arange(DIM, dtype=float),
-          "channels": _two_entry_channels().channels}, "a ramp"),
+          "channel_set": dynamics.channel_set(_two_entry_channels().channels)}, "a ramp"),
     ], ids=["tone-during-ramp", "coupling-over-moving-diagonal",
             "ramp-two-entry-channels", "moving-diagonal-two-entry-channels"])
     def test_hand_built_segment_no_exact_method_steps_is_rejected(self, data, cause):
@@ -742,10 +751,10 @@ class TestEigenProperties:
         unit[column[0] * DIM + column[1]] = 1.0
         dynamics.clear_caches()
         rho = dynamics.evolve_density(rho0, sched, t_eval=times).states
-        cols, _ = dynamics._walk(sched, unit, times, liouville=True)
+        cols, _ = dynamics._walk(sched, unit, times)
         # both walks step from one spectrum, and none chains expm; with no
         # acting channel both take the unitary route and build none
-        spectra = (0, 0) if not seg.channels or seg.mult_start == 0 else (1, 1)
+        spectra = (0, 0) if not seg.channel_set.key or seg.mult_start == 0 else (1, 1)
         assert dynamics._spectrum.cache_info()[:2] == spectra
         maps = [expm(sup * t) for t in times]
         exact_rho = np.array([m @ rho0.reshape(-1) for m in maps])
@@ -888,7 +897,7 @@ class TestChannelFreeProperties:
         assert np.max(np.abs(pulled - rows @ u_map)) <= 1e-13
 
     def test_ends_in_several_blocks(self):
-        # a Rabi scan's worth of ends, stepped UNITARY_BLOCK at a time
+        # a Rabi scan's worth of ends, stepped at once
         seq = sq.PulseSequence(segments=(sq.PulseSegment(
             duration=0.35, tones=(model.RamanTone(-2.5, -1.5, 71.0, detuning_hz=3.0),)),),
             fields=FIELDS)
@@ -1220,8 +1229,8 @@ class TestExpect:
         sched = _criterion_2_schedule(model.photon_scattering_channels())
         step = dynamics._step
 
-        def distorted(seg, state, sample_ts, liouville, rows=None):
-            got, end = step(seg, state, sample_ts, liouville, rows)
+        def distorted(seg, state, sample_ts, rows=None):
+            got, end = step(seg, state, sample_ts, rows)
             return (got if rows is not None else [distort(s) for s in got]), distort(end)
 
         monkeypatch.setattr(dynamics, "_step", distorted)
@@ -1374,7 +1383,7 @@ class TestCacheProperties:
         if lindblad != "pure":
             # a Liouville spectrum does not depend on the step length; a
             # pulse without acting channels steps unitarily and builds none
-            misses = 0 if not first.channels or first.mult_start == 0 else 1
+            misses = 0 if not first.channel_set.key or first.mult_start == 0 else 1
             assert dynamics._spectrum.cache_info().misses == misses
 
     def test_repeated_density_rabi_scan_diagonalizes_nothing(self, monkeypatch):
@@ -1594,3 +1603,116 @@ class TestTrajectory:
                     lambda: dynamics.expect(density, psi, pr._POP_ROWS, [])):
             with pytest.raises(dynamics.DynamicsError, match="no sample times"):
                 run()
+
+
+def _lower_triangle_entry():
+    coupling = np.triu(np.ones((DIM, DIM)), 1)
+    coupling[3, 1] = 0.5
+    return coupling
+
+
+class TestSegmentInputs:
+    """A hand-built segment's arrays are checked when it is built."""
+
+    @pytest.mark.parametrize("coupling", [np.ones((DIM, DIM)), np.triu(np.ones((5, 5)), 1),
+                                          _lower_triangle_entry()],
+                             ids=["ones", "5x5", "lower-triangle-entry"])
+    def test_coupling_must_be_a_strict_upper_triangle(self, coupling):
+        with pytest.raises(dynamics.DynamicsError,
+                           match="a coupling must be a 10x10 array, zero on and below"):
+            dynamics.Segment(1e-3, np.zeros(DIM), np.zeros(DIM), coupling=coupling)
+
+    @pytest.mark.parametrize("diag", [np.zeros(5), np.zeros((DIM, 1)),
+                                      np.full(DIM, np.nan), np.full(DIM, np.inf),
+                                      np.zeros(DIM, dtype=complex)],
+                             ids=["length-5", "column", "nan", "inf", "complex"])
+    @pytest.mark.parametrize("end", ["diag_start", "diag_end"])
+    def test_level_diagonals_are_finite_real_10_vectors(self, diag, end):
+        fields = {"duration": 1e-3, "diag_start": np.zeros(DIM),
+                  "diag_end": np.zeros(DIM), end: diag}
+        with pytest.raises(dynamics.DynamicsError,
+                           match="a level diagonal must be 10 finite real numbers"):
+            dynamics.Segment(**fields)
+
+
+class TestOneChannelSet:
+    """A segment holds one channel set, and its kind, its schedule's
+    dissipation and both engines read that set."""
+
+    def test_a_segment_is_stepped_with_the_set_it_holds(self):
+        spec = model.photon_scattering_channels()
+        seg = dynamics.Segment(0.5, np.zeros(DIM), np.zeros(DIM),
+                               channel_set=dynamics.channel_set(spec.channels))
+        assert seg.channel_set.diagonal_safe and seg.kind == "diagonal"
+        density, pure = dynamics.Schedule((seg,), density=True), dynamics.Schedule((seg,))
+        assert density.has_dissipation() and pure.has_dissipation()
+        rho = dynamics.evolve(density, basis_state(-2.5)).final
+        pops = np.diag(rho).real[[m_index(-3.5), m_index(-2.5), m_index(-1.5)]]
+        assert np.max(np.abs(pops - [0.091, 0.792, 0.106])) < 1e-3
+        held = dynamics.evolve(dynamics.hold(np.zeros((DIM, DIM)), 0.5, spec.channels),
+                               basis_state(-2.5)).final
+        assert np.max(np.abs(rho - held)) <= 1e-12
+        with pytest.raises(dynamics.DynamicsError, match="cannot carry dissipation"):
+            dynamics.evolve(pure, basis_state(-2.5))
+
+    def test_kind_reads_the_set(self):
+        empty = dynamics.Segment(1e-3, np.zeros(DIM), np.zeros(DIM))
+        assert empty.channel_set.key == () and empty.kind == "diagonal"
+        assert not dynamics.Schedule((empty,)).has_dissipation()
+        two_entry = dynamics.Segment(
+            1e-3, np.zeros(DIM), np.zeros(DIM),
+            channel_set=dynamics.channel_set(_two_entry_channels().channels))
+        assert two_entry.kind == "constant"
+        assert dynamics.Schedule((two_entry,)).has_dissipation()
+
+    def test_channels_not_looked_up_are_rejected(self):
+        with pytest.raises(dynamics.DynamicsError, match="dynamics.channel_set"):
+            dynamics.Segment(1e-3, np.zeros(DIM), np.zeros(DIM),
+                             channel_set=model.photon_scattering_channels().channels)
+
+
+def _checked_path_cases():
+    """(density engine, state, sample times, message) of each bad input."""
+    psi = basis_state(-2.5)
+    rho = np.outer(psi, psi.conj())
+    shape = "the pure engine takes a state vector of shape (10,), got shape"
+    cases = {
+        "pure: density matrix": (False, rho, [0.05], f"{shape} (10, 10)"),
+        "pure: column": (False, psi[:, None], [0.05], f"{shape} (10, 1)"),
+        "pure: unnormalized": (False, 2 * psi, [0.05], "initial state is not normalized"),
+        "density: unnormalized": (True, 2 * psi, [0.05], "density matrix trace != 1"),
+        "density: length-5 vector": (True, psi[:5], [0.05],
+                                     "the density engine takes a state of shape (10,) "
+                                     "or (10, 10), got shape (5,)"),
+        "density: non-Hermitian": (True, rho + 0.1j * np.eye(DIM, k=1), [0.05],
+                                   "density matrix is not Hermitian"),
+    }
+    for engine, density in (("pure", False), ("density", True)):
+        cases[f"{engine}: NaN time"] = (density, psi, [0.05, np.nan],
+                                        "sample time nan is not finite")
+        cases[f"{engine}: decreasing times"] = (
+            density, psi, [0.05, 0.02], "sample times must be strictly increasing")
+    return cases
+
+
+CHECKED_PATH_CASES = _checked_path_cases()
+
+
+class TestOneCheckedPath:
+    """Every entry point that reaches an engine checks its input the same
+    way: evolve, expect and the engine's own function."""
+
+    @pytest.mark.parametrize("entry", ["evolve", "expect", "engine"])
+    @pytest.mark.parametrize("case", sorted(CHECKED_PATH_CASES))
+    def test_bad_input_raises_the_same_error_through_each_entry(self, case, entry):
+        density, state, times, message = CHECKED_PATH_CASES[case]
+        sched = dynamics.hold(np.diag(np.arange(DIM, dtype=float)), 0.1,
+                              channels=[] if density else None)
+        engine = dynamics.evolve_density if density else dynamics.evolve_pure
+        run = {"evolve": lambda: dynamics.evolve(sched, state, t_eval=times),
+               "expect": lambda: dynamics.expect(sched, state, pr._POP_ROWS, times),
+               "engine": lambda: engine(state, sched, t_eval=times)}[entry]
+        with pytest.raises(dynamics.DynamicsError) as raised:
+            run()
+        assert type(raised.value) is dynamics.DynamicsError
+        assert str(raised.value) == message

@@ -46,7 +46,7 @@ class TestCompile:
         # q = 0 -> diagonal is pure b ladder (plus LO term, zero here)
         assert np.allclose(np.diff(s.diag_start), FIELDS.b_hz)
         assert s.multiplier(0.005) == 0.0
-        assert all(r * s.multiplier(0.005) == 0 for _, r in s.channels)
+        assert all(r * s.multiplier(0.005) == 0 for _, r in s.channel_set.key)
 
     def test_list_of_specs_rejected(self):
         # compile takes one spec, and LindbladSpec.merge joins several
