@@ -552,15 +552,17 @@ def _unitary(seg: Segment, state, ends, rows=None):
     if len(state) == DIM:
         return _read(rows, _spectral(v, vh @ state, p))
     # U rho U^H for each column rho of the state, at every end or, given
-    # rows, at the last: (ends, columns, 10, 10)
+    # rows, at the last: U rho at n ends for c columns as one
+    # (10 n, 10) @ (10, 10 c) product, then U^H per end
     u = (v * (p if rows is None else p[-1:])[:, None, :]) @ vh
-    rho = np.moveaxis(state.reshape(DIM, DIM, -1), -1, 0)
-    out = u[:, None] @ rho @ np.swapaxes(u.conj(), 1, 2)[:, None]
+    rho = state.reshape(DIM, -1)
+    u_rho = (u.reshape(-1, DIM) @ rho).reshape(len(u), DIM, DIM, -1)
+    out = np.moveaxis(u_rho, -1, 1) @ np.swapaxes(u.conj(), 1, 2)[:, None]
     states = np.moveaxis(out, 1, -1).reshape((len(u),) + state.shape)
     if rows is None:
         return _read(None, states)
     # the state is one column here
-    k, c, samples = _through_unitary(v, rows).T, vh @ rho[0] @ v, p[:-1]
+    k, c, samples = _through_unitary(v, rows).T, vh @ state.reshape(DIM, DIM) @ v, p[:-1]
     readings = np.empty((len(samples), len(rows)), dtype=complex)
     for lo in range(0, len(samples), UNITARY_BLOCK):
         pb = samples[lo:lo + UNITARY_BLOCK]

@@ -512,9 +512,13 @@ def dual_ramsey_sampled(t_open: float, fields: FieldParams, omega_hz: float,
     polarization toggle) enter the two interferometer phases as
     dphi1 = 2 pi T (4 dq - db), dphi2 = 2 pi T (8 dq - db), applied as
     a diagonal phase on all ten levels just before the closing pulses;
-    the closing section itself is reused across shots.  The stream of
-    ``seed`` gives all db jitters, then all dq jitters, then all toggle
-    draws, then all multinomial draws, then all binomial thinnings.
+    the closing section itself is reused across shots.  Only the shots
+    whose offset (db, dq) is not (0, 0) are mapped, in one batch in
+    shot order; every other shot, all of them under quiet noise and the
+    untoggled ones of a toggle without jitter, is sampled from the
+    nominal populations.  The stream of ``seed`` gives all db jitters,
+    then all dq jitters, then all toggle draws, then all multinomial
+    draws, then all binomial thinnings, whichever shots are mapped.
     Returns per-shot phases (n_shots, 2), offsets (db, dq) (n_shots, 2),
     the shots, an (n_shots,) record array of SHOT_DTYPE, and the nominal
     final populations.
@@ -535,16 +539,20 @@ def dual_ramsey_sampled(t_open: float, fields: FieldParams, omega_hz: float,
           else np.zeros(n_shots))
     if noise.b_toggle_prob:
         db[rng.random(n_shots) < noise.b_toggle_prob] += noise.b_toggle_hz
-    # level-shift offsets integrated over the open windows act as a
-    # diagonal phase on all ten levels
-    level_phases = TWO_PI * t_open * (db[:, None] * M_VALUES
-                                      + dq[:, None] * M_VALUES**2)
-    pops = _shot_populations(rows, rho_pre, level_phases)
+    nominal = np.real(rows @ rho_pre.ravel())
+    pops = np.tile(nominal, (n_shots, 1))
+    moved = (db != 0.0) | (dq != 0.0)
+    if moved.any():
+        # level-shift offsets integrated over the open windows act as a
+        # diagonal phase on all ten levels
+        level_phases = TWO_PI * t_open * (db[moved, None] * M_VALUES
+                                          + dq[moved, None] * M_VALUES**2)
+        pops[moved] = _shot_populations(rows, rho_pre, level_phases)
     dphis = TWO_PI * t_open * np.column_stack([4 * dq - db, 8 * dq - db])
     return {"records": sample_counts(pops, n_atoms, detection, rng),
             "phase_offsets": dphis,
             "field_offsets": np.column_stack([db, dq]), "t_open": t_open,
-            "populations_nominal": np.real(rows @ rho_pre.ravel())}
+            "populations_nominal": nominal}
 
 
 # ---------------------------------------------------------------------------

@@ -710,22 +710,30 @@ EIGEN_CHANNELS = {
 
 @st.composite
 def constant_liouville_scans(draw):
-    """A constant Raman segment under a flat TLS multiplier and one of
-    ``EIGEN_CHANNELS``, with 1 to 8 sample times in it."""
-    i = draw(st.integers(0, DIM - 3))
-    tone = model.RamanTone(i - 4.5, i - 4.5 + draw(st.sampled_from((1, 2))),
-                           draw(st.floats(20.0, 400.0)),
-                           detuning_hz=draw(st.floats(-40.0, 40.0)))
-    mult = draw(UNIT)
-    duration = draw(st.floats(1e-3, 0.35))
-    seg = sq.PulseSegment(duration=duration, tones=(tone,),
-                          tls_start=mult, tls_end=mult)
-    lindblad = EIGEN_CHANNELS[draw(st.sampled_from(sorted(EIGEN_CHANNELS)))]
+    """The parameters of a constant Raman segment under a flat TLS
+    multiplier and one of ``EIGEN_CHANNELS``, with 1 to 8 sample times
+    in it: plain numbers and a channel name, so that a failing example
+    prints in a few lines.  ``_liouville_scan`` builds the schedule."""
+    low = draw(st.integers(0, DIM - 3)) - 4.5
+    return {"low": low, "high": low + draw(st.sampled_from((1, 2))),
+            "omega_hz": draw(st.floats(20.0, 400.0)),
+            "detuning_hz": draw(st.floats(-40.0, 40.0)), "mult": draw(UNIT),
+            "duration": draw(st.floats(1e-3, 0.35)),
+            "channels": draw(st.sampled_from(sorted(EIGEN_CHANNELS))),
+            "percents": draw(st.lists(st.integers(1, 100), min_size=1,
+                                      max_size=8, unique=True))}
+
+
+def _liouville_scan(drawn):
+    """The schedule and sample times of a ``constant_liouville_scans``
+    draw."""
+    tone = model.RamanTone(drawn["low"], drawn["high"], drawn["omega_hz"],
+                           detuning_hz=drawn["detuning_hz"])
+    seg = sq.PulseSegment(duration=drawn["duration"], tones=(tone,),
+                          tls_start=drawn["mult"], tls_end=drawn["mult"])
     sched = sq.compile(sq.PulseSequence(segments=(seg,), fields=FIELDS),
-                       lindblad=lindblad)
-    percents = draw(st.lists(st.integers(1, 100), min_size=1,
-                             max_size=8, unique=True))
-    return sched, duration * np.sort(percents) / 100
+                       lindblad=EIGEN_CHANNELS[drawn["channels"]])
+    return sched, drawn["duration"] * np.sort(drawn["percents"]) / 100
 
 
 class TestEigenProperties:
@@ -733,7 +741,7 @@ class TestEigenProperties:
     @given(drawn=constant_liouville_scans(), level=st.integers(0, DIM - 2),
            column=st.permutations(range(DIM)).map(lambda p: p[:2]))
     def test_eigen_path_equals_chained_expm(self, drawn, level, column):
-        sched, times = drawn
+        sched, times = _liouville_scan(drawn)
         seg = sched.segments[0]
         assert seg.kind == "constant"
         sup = dynamics._constant_liouvillian(seg)
@@ -790,7 +798,7 @@ class TestExpm:
     @settings(max_examples=10, deadline=None, database=None)
     @given(drawn=constant_liouville_scans())
     def test_matches_scipy_on_drawn_liouvillians(self, drawn):
-        sched, times = drawn
+        sched, times = _liouville_scan(drawn)
         steps = dynamics._constant_liouvillian(sched.segments[0]) * times[:, None, None]
         for step, mine in zip(steps, dynamics.expm(steps)):
             err = _relative_1_norm_error(mine, expm(step))

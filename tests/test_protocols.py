@@ -398,6 +398,59 @@ class TestBatchedShots:
                                    pr.NoiseSpec.quiet(), n_shots=0)
 
 
+class TestMovedShots:
+    """dual_ramsey_sampled maps only the shots whose field offset (db, dq)
+    is not (0, 0); every other shot is sampled from the nominal
+    populations it returns, bit for bit."""
+
+    @staticmethod
+    def _run(monkeypatch, noise, lindblad):
+        mapped, sampled = [], []
+        pops_fn, counts_fn = pr._shot_populations, pr.sample_counts
+
+        def pops_spy(rows, rho, phases):
+            mapped.append((phases, pops_fn(rows, rho, phases)))
+            return mapped[-1][1]
+
+        def counts_spy(pops, n_atoms, detection=None, rng=None):
+            sampled.append(np.array(pops))
+            return counts_fn(pops, n_atoms, detection, rng)
+
+        monkeypatch.setattr(pr, "_shot_populations", pops_spy)
+        monkeypatch.setattr(pr, "sample_counts", counts_spy)
+        out = pr.dual_ramsey_sampled(0.004, DUAL_FIELDS, 77.0, noise, n_shots=300,
+                                     lindblad=lindblad, n_atoms=500, seed=5)
+        [rows] = sampled
+        return out, mapped, rows
+
+    @pytest.mark.parametrize("lindblad", [None, SCATTER_DEPHASE],
+                             ids=["pure", "scatter-dephase"])
+    def test_quiet_noise_maps_no_shot(self, monkeypatch, lindblad):
+        out, mapped, rows = self._run(monkeypatch, pr.NoiseSpec.quiet(), lindblad)
+        assert mapped == []
+        assert not out["field_offsets"].any()
+        assert rows.tobytes() == np.tile(out["populations_nominal"],
+                                         (len(rows), 1)).tobytes()
+
+    @pytest.mark.parametrize("lindblad", [None, SCATTER_DEPHASE],
+                             ids=["pure", "scatter-dephase"])
+    def test_toggle_only_maps_the_toggled_shots_in_order(self, monkeypatch,
+                                                          lindblad):
+        noise = pr.NoiseSpec(b_toggle_prob=0.5, b_toggle_hz=23.0)
+        out, [(phases, pops)], rows = self._run(monkeypatch, noise, lindblad)
+        db, dq = out["field_offsets"].T
+        toggled = db == 23.0
+        assert 0 < toggled.sum() < len(db)
+        assert not dq.any() and not db[~toggled].any()
+        m = np.arange(DIM) - 4.5
+        assert np.array_equal(phases, 2 * np.pi * 0.004 * (
+            db[toggled, None] * m + dq[toggled, None] * m**2))
+        assert rows[toggled].tobytes() == pops.tobytes()
+        # every untoggled shot samples the nominal populations bit for bit
+        assert rows[~toggled].tobytes() == np.tile(out["populations_nominal"],
+                                                   ((~toggled).sum(), 1)).tobytes()
+
+
 ANCILLA_FIELDS = model.FieldParams(b_hz=960.0, q_hz=-330.0)
 # Each protocol that reports expected populations, on a short scan and
 # with its shot keywords passed through.

@@ -1,4 +1,5 @@
-"""Every bundled config, ``sunspin decompose --n 50 --seed 0`` and the
+"""Every bundled config, ``sunspin decompose --n 50 --seed 0``, the
+sampled dual Ramsey shots of ``bundled_manifests.run_sampled`` and the
 ``sunspin fit`` runs of ``bundled_manifests.FIT_RUNS`` still write the
 outputs under ``tests/reference/`` up to rounding.  A fit run fits the
 reference CSV of its config, so it checks the fitting layer alone.
@@ -33,7 +34,8 @@ RUNS = sorted(p.name for p in REFERENCE.iterdir() if p.is_dir())
 
 def test_every_bundled_config_has_a_reference():
     configs = {p.stem for p in bundled_manifests.CONFIG_DIR.glob("*.json")}
-    assert set(RUNS) == configs | {"decompose"} | set(bundled_manifests.FIT_RUNS)
+    assert set(RUNS) == (configs | {"decompose", bundled_manifests.SAMPLED_RUN}
+                         | set(bundled_manifests.FIT_RUNS))
 
 
 @pytest.mark.parametrize("name", RUNS)
@@ -41,6 +43,8 @@ def test_outputs_match_the_reference(name, tmp_path):
     dynamics.clear_caches()
     if name == "decompose":
         bundled_manifests.run_decompose(tmp_path)
+    elif name == bundled_manifests.SAMPLED_RUN:
+        bundled_manifests.run_sampled(tmp_path)
     elif name in bundled_manifests.FIT_RUNS:
         bundled_manifests.run_fit(tmp_path, name, REFERENCE)
     else:

@@ -8,9 +8,14 @@ Each ``src/sunspin/configs/<name>.json`` is run through
 file name as its recorded path, so two checkouts of the package write
 comparable manifests.  ``sunspin decompose --n 50 --seed 0`` then writes
 its ``decompose.json`` into ``OUT_DIR/decompose/``, so the synthesis
-layer, which no bundled config reaches, is compared too.  Last, ``sunspin
-fit`` fits two of the CSVs just written (see ``FIT_RUNS``) and writes
-its ``fit.json`` into ``OUT_DIR/<fit run>/``, so the fitting layer is
+layer, which no bundled config reaches, is compared too.  The library
+run ``dual_ramsey_sampled`` writes the offsets and the true and detected
+counts of 200 shots of ``protocols.dual_ramsey_sampled`` under quiet,
+toggle-only and jitter noise (see ``SAMPLED_NOISE``) into
+``OUT_DIR/dual_ramsey_sampled/sampled.json``, so the shot layer, which
+no bundled config reaches either, is compared.  Last, ``sunspin fit``
+fits two of the CSVs just written (see ``FIT_RUNS``) and writes its
+``fit.json`` into ``OUT_DIR/<fit run>/``, so the fitting layer is
 compared as well.  Each run's
 name is printed with its wall time: the fastest of ``--repeat`` runs
 (default 1), back to back in this process, so repeated and later runs
@@ -47,7 +52,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from sunspin import cli  # noqa: E402
+from sunspin import cli, model, protocols, readout  # noqa: E402
 
 CONFIG_DIR = Path(cli.__file__).parent / "configs"
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "tests" / "reference"
@@ -61,6 +66,40 @@ FIT_RUNS = {
     "fit_damped_sine": ("damped-sine", "rabi_dm1_damped", "rabi.csv", 4),
     "fit_sine": ("sine", "rabi_dm1", "rabi.csv", 4),
 }
+
+
+# The ``dual_ramsey_sampled`` run: 200 shots at T = 4.5 ms on b = 1000 Hz,
+# q = -303 Hz under scattering and dephasing, read by the default
+# detection model, for each noise model from seed 11.
+SAMPLED_RUN = "dual_ramsey_sampled"
+SAMPLED_NOISE = {
+    "quiet": protocols.NoiseSpec.quiet(),
+    "toggle_only": protocols.NoiseSpec(b_toggle_prob=0.5, b_toggle_hz=23.0),
+    "jitter": protocols.NoiseSpec(pulse_area_sigma=0.0, b_jitter_hz=3.0,
+                                  q_jitter_hz=0.5, b_toggle_prob=0.5,
+                                  b_toggle_hz=23.0),
+}
+
+
+def run_sampled(out_dir: Path) -> None:
+    """The offsets, the true and detected counts and the nominal
+    populations of each ``SAMPLED_NOISE`` model's shots, into
+    ``OUT_DIR/dual_ramsey_sampled/sampled.json``."""
+    lindblad = model.photon_scattering_channels().merge(model.inhomogeneous_dephasing())
+    out = {}
+    for name, noise in SAMPLED_NOISE.items():
+        r = protocols.dual_ramsey_sampled(
+            4.5e-3, model.FieldParams(b_hz=1000.0, q_hz=-303.0), 77.0, noise, 200,
+            lindblad=lindblad, n_atoms=10_000, detection=readout.DetectionModel(),
+            seed=11)
+        out[name] = {"field_offsets": r["field_offsets"].tolist(),
+                     "phase_offsets": r["phase_offsets"].tolist(),
+                     "true_counts": r["records"].true_counts.tolist(),
+                     "detected_counts": r["records"].detected_counts.tolist(),
+                     "populations_nominal": r["populations_nominal"].tolist()}
+    run_dir = out_dir / SAMPLED_RUN
+    run_dir.mkdir(parents=True, exist_ok=True)
+    (run_dir / "sampled.json").write_text(json.dumps(out))
 
 
 def _cli_quietly(*argv: str) -> None:
@@ -92,12 +131,13 @@ def _run_config(path: Path, out_dir: Path) -> None:
 
 
 def run_all(out_dir: Path, repeat: int = 1) -> list[str]:
-    """Run each bundled config, then ``decompose``, then the fits of
-    ``FIT_RUNS`` on the configs' outputs, ``repeat`` times into its own
-    directory; returns the names."""
+    """Run each bundled config, then ``decompose``, then the sampled dual
+    Ramsey, then the fits of ``FIT_RUNS`` on the configs' outputs,
+    ``repeat`` times into its own directory; returns the names."""
     runs = [(path.stem, functools.partial(_run_config, path, out_dir))
             for path in sorted(CONFIG_DIR.glob("*.json"))]
     runs.append(("decompose", functools.partial(run_decompose, out_dir)))
+    runs.append((SAMPLED_RUN, functools.partial(run_sampled, out_dir)))
     runs += [(name, functools.partial(run_fit, out_dir, name, out_dir))
              for name in FIT_RUNS]
     for name, run in runs:
